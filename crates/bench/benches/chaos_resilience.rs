@@ -7,7 +7,7 @@
 //!   (delivered / attempted) next to the clean one, plus the wall
 //!   median for both runs.
 //! * **Re-stabilization** — `chaos_construction`: the distributed
-//!   construction engine (`construct_with_chaos`) with the recipe's
+//!   construction engine (`construct_with`) with the recipe's
 //!   strikes landing mid-protocol. `restabilize_rounds` is the extra
 //!   rounds the chaotic run needs to quiesce beyond the clean
 //!   construction on the same network; `chaos_extra_messages` the
@@ -26,11 +26,11 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sp_bench::SampleStats;
-use sp_core::{construct_with_chaos, construct_with_threads, InfoMaintainer};
+use sp_core::{construct_with, InfoMaintainer};
 use sp_experiments::{run_lifetime, run_lifetime_with_chaos, ChaosRecipe, Scheme, StreamingConfig};
 use sp_net::edge_nodes::edge_node_mask;
 use sp_net::{deploy::DeploymentConfig, Network};
-use sp_sim::FailurePlan;
+use sp_sim::ChaosPlan;
 use std::time::Instant;
 
 const NODES: usize = 1_000;
@@ -103,12 +103,12 @@ fn construction_row(net: &Network, spec: &str) -> String {
     let pinned = edge_node_mask(net, net.radius());
     let threads = sp_sync::configured_threads_for("SP_SIM_THREADS");
     let (clean_wall, clean) = timed(|| {
-        construct_with_threads(net, pinned.clone(), FailurePlan::new(), threads)
+        construct_with(net, pinned.clone(), ChaosPlan::new(), threads)
             // sp-analyze: allow(panic, a bench cannot proceed past a failed construction)
             .expect("clean construction")
     });
     let (wall, chaotic) = timed(|| {
-        construct_with_chaos(net, pinned.clone(), plan.clone(), threads)
+        construct_with(net, pinned.clone(), plan.clone(), threads)
             // sp-analyze: allow(panic, a bench cannot proceed past a failed construction)
             .expect("chaotic construction")
     });
@@ -132,7 +132,6 @@ fn recovery_row(net: &Network) -> String {
         .expect("static region spec")
         .build(net, SEED)
         .kills()
-        .entries()
         .iter()
         .flat_map(|(_, vs)| vs.iter().copied())
         .collect();

@@ -31,7 +31,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sp_bench::{memory_json_fields, sample_stats};
 use sp_core::{construct_distributed, construct_legacy, construct_with};
 use sp_net::{edge_nodes::edge_node_mask, DeploymentConfig, Network, NodeId};
-use sp_sim::{Ctx, Engine, FailurePlan, LegacyEngine, NodeProcess, SimStats};
+use sp_sim::{ChaosPlan, Ctx, Engine, LegacyEngine, NodeProcess, SimStats};
 
 /// Node count for the legacy-vs-optimized comparisons.
 const COMPARE_N: usize = 10_000;
@@ -150,12 +150,13 @@ fn construction_benches(c: &mut Criterion, rows: &mut Vec<String>) {
     let cfg = deployment(COMPARE_N);
     let net = Network::from_positions(cfg.deploy_uniform(13), cfg.radius, cfg.area);
     let pinned = edge_node_mask(&net, net.radius());
+    let threads = sp_sim::auto_threads(net.len());
 
     // Correctness gate: identical stats and identical stabilized tuples.
     let legacy_run =
-        construct_legacy(&net, pinned.clone(), FailurePlan::new()).expect("legacy quiesces");
+        construct_legacy(&net, pinned.clone(), ChaosPlan::new()).expect("legacy quiesces");
     let engine_run =
-        construct_with(&net, pinned.clone(), FailurePlan::new()).expect("engine quiesces");
+        construct_with(&net, pinned.clone(), ChaosPlan::new(), threads).expect("engine quiesces");
     assert_eq!(
         legacy_run.stats, engine_run.stats,
         "construction stats diverged"
@@ -170,10 +171,10 @@ fn construction_benches(c: &mut Criterion, rows: &mut Vec<String>) {
 
     let runs = 5;
     let legacy_s = sample_stats(runs, || {
-        construct_legacy(&net, pinned.clone(), FailurePlan::new()).expect("quiesces")
+        construct_legacy(&net, pinned.clone(), ChaosPlan::new()).expect("quiesces")
     });
     let engine_s = sample_stats(runs, || {
-        construct_with(&net, pinned.clone(), FailurePlan::new()).expect("quiesces")
+        construct_with(&net, pinned.clone(), ChaosPlan::new(), threads).expect("quiesces")
     });
     let speedup = legacy_s.median / engine_s.median;
     eprintln!(
@@ -198,10 +199,12 @@ fn construction_benches(c: &mut Criterion, rows: &mut Vec<String>) {
     let mut group = c.benchmark_group("distributed_construction");
     group.sample_size(5);
     group.bench_function(BenchmarkId::new("legacy", COMPARE_N), |b| {
-        b.iter(|| construct_legacy(&net, pinned.clone(), FailurePlan::new()).expect("quiesces"));
+        b.iter(|| construct_legacy(&net, pinned.clone(), ChaosPlan::new()).expect("quiesces"));
     });
     group.bench_function(BenchmarkId::new("engine", COMPARE_N), |b| {
-        b.iter(|| construct_with(&net, pinned.clone(), FailurePlan::new()).expect("quiesces"));
+        b.iter(|| {
+            construct_with(&net, pinned.clone(), ChaosPlan::new(), threads).expect("quiesces")
+        });
     });
     group.finish();
 }

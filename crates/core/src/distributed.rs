@@ -20,8 +20,7 @@ use crate::{SafetyInfo, SafetyMap, SafetyTuple, ShapeEstimate, ShapeMap};
 use sp_geom::{ccw_order_in_quadrant, Point, Quadrant, Rect};
 use sp_net::{edge_nodes::edge_node_mask, Network, NodeId};
 use sp_sim::{
-    AsyncConfig, AsyncEngine, AsyncStats, ChaosPlan, Ctx, Engine, FailurePlan, NodeProcess,
-    SimError, SimStats,
+    AsyncConfig, AsyncEngine, AsyncStats, ChaosPlan, Ctx, Engine, NodeProcess, SimError, SimStats,
 };
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
@@ -306,59 +305,36 @@ pub struct ConstructionRun {
 /// quiesce within `4·|V| + 16` rounds (it always should; the bound is a
 /// defensive backstop).
 pub fn construct_distributed(net: &Network) -> Result<ConstructionRun, SimError> {
-    construct_with(net, edge_node_mask(net, net.radius()), FailurePlan::new())
+    construct_with(
+        net,
+        edge_node_mask(net, net.radius()),
+        ChaosPlan::new(),
+        sp_sim::auto_threads(net.len()),
+    )
 }
 
-/// [`construct_distributed`] with an explicit pinned mask and failure
-/// plan (ablation A6 kills nodes mid-construction or after it).
-pub fn construct_with(
-    net: &Network,
-    pinned: Vec<bool>,
-    failures: FailurePlan,
-) -> Result<ConstructionRun, SimError> {
-    construct_with_threads(net, pinned, failures, sp_sim::auto_threads(net.len()))
-}
-
-/// [`construct_with`] with a pinned engine thread count. Every count
-/// produces bit-identical [`SimStats`] and [`SafetyInfo`] (the
-/// engine-parity property tests enforce this); the knob only trades
-/// wall-clock on multi-core hosts.
-pub fn construct_with_threads(
-    net: &Network,
-    pinned: Vec<bool>,
-    failures: FailurePlan,
-    threads: usize,
-) -> Result<ConstructionRun, SimError> {
-    assert_eq!(pinned.len(), net.len(), "pinned mask must cover all nodes");
-    let mut engine = Engine::new(net, |id| LabelingProcess::new(pinned[id.index()]));
-    engine.set_failure_plan(failures);
-    engine.set_threads(threads);
-    let stats = engine.run_until_quiescent(4 * net.len() + 16)?;
-    Ok(ConstructionRun {
-        info: assemble(net, engine.nodes(), pinned, stats.rounds),
-        stats,
-    })
-}
-
-/// [`construct_with_threads`] driven by a [`ChaosPlan`] instead of a
-/// bare [`FailurePlan`]: regional kills, flapping revivals, partition
-/// cut windows, and lossy links all perturb the construction protocol.
-/// A quiet plan (no events, `drop_p == 0`, no jitter) is bit-identical
-/// to [`construct_with_threads`] — the chaos property tests enforce it.
+/// [`construct_distributed`] with an explicit pinned mask, a
+/// [`ChaosPlan`] and an engine thread count. Kills (ablation A6 strikes
+/// mid-construction or after it), flapping revivals, partition cut
+/// windows and lossy links all perturb the protocol; a quiet plan (no
+/// events, `drop_p == 0`, no jitter) is bit-identical to no plan.
+/// Every thread count produces bit-identical [`SimStats`] and
+/// [`SafetyInfo`] (the engine-parity property tests enforce this); the
+/// count only trades wall-clock on multi-core hosts.
 ///
 /// # Errors
 ///
 /// Returns [`SimError::RoundLimitExceeded`] if the protocol fails to
 /// quiesce within `4·|V| + 16` rounds past the last scheduled chaos
 /// event.
-pub fn construct_with_chaos(
+pub fn construct_with(
     net: &Network,
     pinned: Vec<bool>,
     chaos: ChaosPlan,
     threads: usize,
 ) -> Result<ConstructionRun, SimError> {
     assert_eq!(pinned.len(), net.len(), "pinned mask must cover all nodes");
-    let budget = chaos.last_round().unwrap_or(0) + 4 * net.len() + 16;
+    let budget = round_budget(net, &chaos);
     let mut engine = Engine::new(net, |id| LabelingProcess::new(pinned[id.index()]));
     engine.set_chaos_plan(chaos);
     engine.set_threads(threads);
@@ -370,22 +346,31 @@ pub fn construct_with_chaos(
 }
 
 /// [`construct_with`] on the frozen pre-optimization
-/// [`sp_sim::LegacyEngine`] — the comparison baseline for the
-/// `distributed_construction` benchmark and the engine-parity tests.
-/// Production call sites must use [`construct_with`].
+/// [`sp_sim::LegacyEngine`], which applies only the plan's kills — the
+/// comparison baseline for the `distributed_construction` benchmark
+/// and the engine-parity tests. Production call sites must use
+/// [`construct_with`].
 pub fn construct_legacy(
     net: &Network,
     pinned: Vec<bool>,
-    failures: FailurePlan,
+    chaos: ChaosPlan,
 ) -> Result<ConstructionRun, SimError> {
     assert_eq!(pinned.len(), net.len(), "pinned mask must cover all nodes");
+    let budget = round_budget(net, &chaos);
     let mut engine = sp_sim::LegacyEngine::new(net, |id| LabelingProcess::new(pinned[id.index()]));
-    engine.set_failure_plan(failures);
-    let stats = engine.run_until_quiescent(4 * net.len() + 16)?;
+    engine.set_chaos_plan(chaos);
+    let stats = engine.run_until_quiescent(budget)?;
     Ok(ConstructionRun {
         info: assemble(net, engine.nodes(), pinned, stats.rounds),
         stats,
     })
+}
+
+/// The round budget of a construction run: `4·|V| + 16` past the last
+/// scheduled chaos event (the protocol always quiesces well inside it;
+/// the bound is a defensive backstop).
+fn round_budget(net: &Network, chaos: &ChaosPlan) -> usize {
+    chaos.last_round().unwrap_or(0) + 4 * net.len() + 16
 }
 
 /// Outcome of an asynchronous construction run.
@@ -476,7 +461,7 @@ mod tests {
     use sp_net::DeploymentConfig;
 
     fn equivalent(net: &Network, pinned: Vec<bool>) {
-        let run = construct_with(net, pinned.clone(), FailurePlan::new()).unwrap();
+        let run = construct_with(net, pinned.clone(), ChaosPlan::new(), 1).unwrap();
         let central = SafetyInfo::build_with_pinned(net, pinned);
         for u in net.node_ids() {
             assert_eq!(run.info.tuple(u), central.tuple(u), "tuple mismatch at {u}");
@@ -644,10 +629,10 @@ mod tests {
             .node_ids()
             .find(|&u| !pinned[u.index()] && net.degree(u) > 3)
             .expect("some interior node exists");
-        let mut plan = FailurePlan::new();
+        let mut plan = ChaosPlan::new();
         plan.kill_at(150, victim);
 
-        let run = construct_with(&net, pinned.clone(), plan).unwrap();
+        let run = construct_with(&net, pinned.clone(), plan, 1).unwrap();
         assert!(run.stats.quiesced);
 
         // Compare with centralized labeling of the survivor network.
@@ -673,8 +658,8 @@ mod tests {
         let cfg = DeploymentConfig::paper_default(200);
         let net = Network::from_positions(cfg.deploy_uniform(11), cfg.radius, cfg.area);
         let pinned = edge_node_mask(&net, net.radius());
-        let plain = construct_with_threads(&net, pinned.clone(), FailurePlan::new(), 1).unwrap();
-        let quiet = construct_with_chaos(&net, pinned, ChaosPlan::new().with_seed(99), 1).unwrap();
+        let plain = construct_distributed(&net).unwrap();
+        let quiet = construct_with(&net, pinned, ChaosPlan::new().with_seed(99), 1).unwrap();
         assert_eq!(plain.stats, quiet.stats);
         for u in net.node_ids() {
             assert_eq!(plain.info.tuple(u), quiet.info.tuple(u), "tuple at {u}");
@@ -693,7 +678,7 @@ mod tests {
         let mut chaos = ChaosPlan::new();
         chaos.kill_at(2, victim);
         chaos.revive_at(6, victim);
-        let run = construct_with_chaos(&net, pinned.clone(), chaos, 1).unwrap();
+        let run = construct_with(&net, pinned.clone(), chaos, 1).unwrap();
         assert!(run.stats.quiesced, "flap run quiesces");
 
         // Labels are monotone: the flapped run may only be *more*

@@ -59,8 +59,7 @@ pub mod traffic;
 
 pub use distributed::{
     construct_async, construct_async_with, construct_distributed, construct_legacy, construct_with,
-    construct_with_chaos, construct_with_threads, AsyncConstructionRun, ChainInfo, ConstructionRun,
-    LabelingProcess,
+    AsyncConstructionRun, ChainInfo, ConstructionRun, LabelingProcess,
 };
 pub use explain::explain_route;
 pub use info::SafetyInfo;

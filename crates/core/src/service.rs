@@ -277,16 +277,8 @@ impl RoutingService {
     /// current snapshot no longer has them. Quiet plans still publish —
     /// an undamaged epoch, bit-identical to `publish(base.clone())`.
     pub fn apply_chaos(&self, base: &Network, chaos: &ChaosPlan, round: usize) -> u64 {
-        let dead = chaos.dead_as_of(round);
-        let mut degraded = base.without_nodes(&dead);
-        let mut cut_edges = Vec::new();
-        for cut in chaos.cuts().iter().filter(|c| c.active_at(round)) {
-            cut_edges.extend(degraded.edges_crossing(cut.a, cut.b));
-        }
-        if !cut_edges.is_empty() {
-            degraded = degraded.without_edges(&cut_edges);
-        }
-        self.cell.publish(ServiceSnapshot::build(degraded))
+        self.cell
+            .publish(ServiceSnapshot::build(chaos.degrade(base, round)))
     }
 
     /// A new reader session pinned to the current snapshot. Sessions

@@ -8,10 +8,10 @@
 //! the fast engine computes the same thing.
 
 use proptest::prelude::*;
-use sp_core::{construct_legacy, construct_with_threads, ConstructionRun, SafetyInfo};
+use sp_core::{construct_legacy, construct_with, ConstructionRun, SafetyInfo};
 use sp_geom::Quadrant;
 use sp_net::{deploy::DeploymentConfig, edge_nodes::edge_node_mask, Network, NodeId};
-use sp_sim::FailurePlan;
+use sp_sim::ChaosPlan;
 
 /// Deterministic LCG step (the same constants the unit tests use).
 fn lcg(state: u64) -> u64 {
@@ -57,7 +57,7 @@ proptest! {
         let net = Network::from_positions(cfg.deploy_uniform(seed), cfg.radius, cfg.area);
         let pinned = edge_node_mask(&net, net.radius());
 
-        let mut plan = FailurePlan::new();
+        let mut plan = ChaosPlan::new();
         let mut state = seed ^ 0x5ca1_ab1e;
         for k in 0..kills {
             state = lcg(state);
@@ -68,7 +68,7 @@ proptest! {
         let legacy = construct_legacy(&net, pinned.clone(), plan.clone())
             .expect("legacy engine quiesces");
         for threads in [1usize, 2, 3, 8] {
-            let run = construct_with_threads(&net, pinned.clone(), plan.clone(), threads)
+            let run = construct_with(&net, pinned.clone(), plan.clone(), threads)
                 .expect("optimized engine quiesces");
             assert_runs_identical(&legacy, &run, &net, &format!("threads={threads}"));
         }
@@ -84,7 +84,7 @@ proptest! {
         let pinned = edge_node_mask(&net, net.radius());
         let central = SafetyInfo::build_with_pinned(&net, pinned.clone());
         for threads in [1usize, 4] {
-            let run = construct_with_threads(&net, pinned.clone(), FailurePlan::new(), threads)
+            let run = construct_with(&net, pinned.clone(), ChaosPlan::new(), threads)
                 .expect("quiesces");
             for u in net.node_ids() {
                 prop_assert_eq!(

@@ -116,7 +116,7 @@ proptest! {
 fn distributed_and_centralized_repair_agree() {
     use sp_core::construct_with;
     use sp_net::edge_nodes::edge_node_mask;
-    use sp_sim::FailurePlan;
+    use sp_sim::ChaosPlan;
 
     let net = network(220, 9);
     let pinned = edge_node_mask(&net, net.radius());
@@ -126,9 +126,9 @@ fn distributed_and_centralized_repair_agree() {
         .expect("interior node");
 
     // Distributed: kill after stabilization (round 200 >> diameter).
-    let mut plan = FailurePlan::new();
+    let mut plan = ChaosPlan::new();
     plan.kill_at(200, victim);
-    let dist = construct_with(&net, pinned.clone(), plan).expect("quiesces");
+    let dist = construct_with(&net, pinned.clone(), plan, 1).expect("quiesces");
 
     // Centralized maintainer.
     let mut maint = InfoMaintainer::with_pinned(net, pinned);

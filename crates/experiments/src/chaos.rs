@@ -1,18 +1,24 @@
-//! The open chaos-class registry and the `chaos=` recipe grammar.
+//! The open chaos classes and the `chaos=` recipe grammar.
 //!
 //! A **chaos class** is a registered generator that turns a parameter
-//! list plus a deployed topology into a [`ChaosPlan`] fragment — the
-//! experiments-side mirror of the scheme and scenario registries, so a
-//! failure model registered at runtime is immediately addressable from
-//! a spec string with no parser changes. The built-ins cover the four
-//! failure families of the chaos engine:
+//! list plus a deployed topology into a [`ChaosPlan`] fragment — a
+//! third kind in the registry that also holds schemes and scenarios, so
+//! a failure model registered at runtime is immediately addressable
+//! from a spec string with no parser changes. The built-ins cover the
+//! four failure families of the chaos engine:
 //!
-//! | class       | spec clause                  | effect |
-//! |-------------|------------------------------|--------|
-//! | `region`    | `region:r=0.15@round5`       | correlated outage: kills every node inside a seeded random disk of radius `r · min(width, height)` at the given round |
-//! | `partition` | `partition:len=5@round3`     | severs every link crossing a seeded random chord of the area for `len` rounds |
-//! | `drop`      | `drop:p=0.01,jitter=2`       | per-link-delivery packet loss with probability `p`, plus up to `jitter` units of extra per-hop delay in the async engine |
-//! | `flap`      | `flap:n=2,down=4@round2`     | kills `n` seeded random nodes at the round and revives them `down` rounds later |
+//! | class       | spec clause              | keys (default, range) | effect |
+//! |-------------|--------------------------|-----------------------|--------|
+//! | `region`    | `region:r=0.15@round5`   | `r` (0.15, [0, 1]) | correlated outage: kills every node inside a seeded random disk of radius `r · min(width, height)` at the given round |
+//! | `partition` | `partition:len=5@round3` | `len` (5, [0, 10⁶]) | severs every link crossing a seeded random chord of the area for `len` rounds |
+//! | `drop`      | `drop:p=0.01,jitter=2`   | `p` (0.01, [0, 1]), `jitter` (0, ≥ 0) | per-link-delivery packet loss with probability `p`, plus up to `jitter` units of extra per-hop delay in the async engine |
+//! | `flap`      | `flap:n=2,down=4@round2` | `n` (1, [0, 10⁶]), `down` (5, [0, 10⁶]) | kills `n` seeded random nodes at the round and revives them `down` rounds later |
+//!
+//! Each class declares its keys as [`ParamSpec`]s, and
+//! [`ChaosRecipe::parse`] checks every clause against them: an unknown
+//! key, a non-finite or out-of-range value, or an `@round` anchor past
+//! [`crate::clause::MAX_STEPS`] is a parse error naming the clause, so
+//! a hostile spec never reaches a generator.
 //!
 //! Clauses compose with `+` ([`ChaosPlan::merge`] semantics), so
 //! `chaos=region:r=0.15@round5+drop:p=0.01` is a regional outage *and*
@@ -37,7 +43,10 @@ use rand::{RngExt, SeedableRng};
 use sp_geom::Point;
 use sp_net::Network;
 use sp_sim::{ChaosPlan, CutWindow};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::Arc;
+
+use crate::clause::{self, ParamSpec, MAX_STEPS};
+use crate::registry::{Handle, Kind, Registry};
 
 /// Salt folded into every recipe seed so chaos RNG streams never
 /// collide with deployment or flow sampling streams.
@@ -54,189 +63,133 @@ pub struct ChaosArgs<'a> {
     /// The `@roundN` anchor of the clause (0 when unspecified).
     pub round: usize,
     params: &'a [(String, f64)],
+    specs: &'a [ParamSpec],
 }
 
 impl ChaosArgs<'_> {
-    /// The clause parameter `key`, or `default` when absent.
-    pub fn param(&self, key: &str, default: f64) -> f64 {
-        self.params
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|&(_, v)| v)
-            .unwrap_or(default)
+    /// The clause parameter `key`, or its declared default when the
+    /// clause omits it. Given values were range-checked at parse time.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the class did not declare `key`.
+    pub fn param(&self, key: &str) -> f64 {
+        clause::param(self.params, self.specs, key)
     }
 }
 
 /// Builds one plan fragment from the clause arguments.
 pub type ChaosBuild = Arc<dyn Fn(&ChaosArgs<'_>) -> ChaosPlan + Send + Sync>;
 
-struct ChaosEntry {
-    name: String,
-    build: ChaosBuild,
-}
+/// The chaos-class kind of the shared registry: the process-wide table
+/// mapping [`ChaosClass`] handles to names, declared parameters and
+/// plan generators.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum ChaosKind {}
 
-/// The process-wide table mapping [`ChaosClass`] handles to names and
-/// plan generators — the chaos-side mirror of
-/// [`crate::ScenarioRegistry`].
-pub struct ChaosRegistry {
-    entries: Vec<ChaosEntry>,
-}
+static CHAOS_CLASSES: Registry<ChaosKind> = Registry::new();
 
-impl ChaosRegistry {
-    /// Names of every registered class, in registration order.
-    pub fn names() -> Vec<String> {
-        read_registry()
-            .entries
-            .iter()
-            .map(|e| e.name.clone())
-            .collect()
+impl Kind for ChaosKind {
+    const NAME: &'static str = "chaos class";
+    type Build = (&'static [ParamSpec], ChaosBuild);
+
+    fn builtin() -> Vec<(String, Self::Build)> {
+        vec![
+            // === The chaos-class registration table ===============[order matters]
+            entry("region", REGION, region_outage), // ChaosClass::Region
+            entry("partition", PARTITION, partition_cut), // ChaosClass::Partition
+            entry("drop", DROP, lossy_links),       // ChaosClass::Drop
+            entry("flap", FLAP, flapping_nodes),    // ChaosClass::Flap
+        ]
     }
 
-    /// Number of registered classes.
-    pub fn len() -> usize {
-        read_registry().entries.len()
-    }
-
-    /// The built-in chaos classes. This function is the only place a
-    /// built-in class is declared; the `ChaosClass` constants below are
-    /// fixed indices into this table (in registration order).
-    fn builtin() -> ChaosRegistry {
-        let mut reg = ChaosRegistry {
-            entries: Vec::new(),
-        };
-        // === The chaos-class registration table ===============[order matters]
-        reg.add("region", region_outage); // ChaosClass::Region
-        reg.add("partition", partition_cut); // ChaosClass::Partition
-        reg.add("drop", lossy_links); // ChaosClass::Drop
-        reg.add("flap", flapping_nodes); // ChaosClass::Flap
-                                         // ======================================================================
-        reg
-    }
-
-    fn add<F>(&mut self, name: &str, build: F) -> ChaosClass
-    where
-        F: Fn(&ChaosArgs<'_>) -> ChaosPlan + Send + Sync + 'static,
-    {
-        self.try_add(name.to_owned(), Arc::new(build))
-            .unwrap_or_else(|e| panic!("{e}")) // sp-analyze: allow(panic, documented panicking variant; try_ siblings recover instead)
-    }
-
-    fn try_add(&mut self, name: String, build: ChaosBuild) -> Result<ChaosClass, String> {
-        if self.entries.iter().any(|e| e.name == name) {
-            return Err(format!("chaos class {name:?} registered twice"));
-        }
-        if self.entries.len() >= u16::MAX as usize {
-            return Err("chaos registry full".to_owned());
-        }
-        self.entries.push(ChaosEntry { name, build });
-        Ok(ChaosClass((self.entries.len() - 1) as u16))
+    fn registry() -> &'static Registry<ChaosKind> {
+        &CHAOS_CLASSES
     }
 }
 
-/// Reads the global registry, recovering from a poisoned lock — the
-/// registry is append-only, so a panic mid-registration cannot leave a
-/// torn entry behind.
-fn read_registry() -> std::sync::RwLockReadGuard<'static, ChaosRegistry> {
-    registry()
-        .read()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-fn registry() -> &'static RwLock<ChaosRegistry> {
-    static GLOBAL: OnceLock<RwLock<ChaosRegistry>> = OnceLock::new();
-    GLOBAL.get_or_init(|| RwLock::new(ChaosRegistry::builtin()))
+fn entry<F>(
+    name: impl Into<String>,
+    specs: &'static [ParamSpec],
+    build: F,
+) -> (String, (&'static [ParamSpec], ChaosBuild))
+where
+    F: Fn(&ChaosArgs<'_>) -> ChaosPlan + Send + Sync + 'static,
+{
+    (name.into(), (specs, Arc::new(build)))
 }
 
 /// A handle to one registered chaos class — `Copy`, order-stable, and
 /// cheap to compare, exactly like [`crate::Scheme`] and
 /// [`crate::Scenario`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ChaosClass(u16);
+pub type ChaosClass = Handle<ChaosKind>;
 
 #[allow(non_upper_case_globals)] // named like the enum variants they replace
 impl ChaosClass {
     /// Correlated regional outage: a seeded random disk of nodes dies.
-    pub const Region: ChaosClass = ChaosClass(0);
+    pub const Region: ChaosClass = ChaosClass::at(0);
     /// Network partition: a seeded random chord severs crossing links
     /// for a round window.
-    pub const Partition: ChaosClass = ChaosClass(1);
+    pub const Partition: ChaosClass = ChaosClass::at(1);
     /// Lossy links: probabilistic per-link-delivery packet drop.
-    pub const Drop: ChaosClass = ChaosClass(2);
+    pub const Drop: ChaosClass = ChaosClass::at(2);
     /// Flapping nodes: killed at the anchor round, revived later.
-    pub const Flap: ChaosClass = ChaosClass(3);
+    pub const Flap: ChaosClass = ChaosClass::at(3);
 
     /// Registers a new chaos class under `name` and returns its handle.
+    /// `specs` declares every key its clauses may set, with a default
+    /// and an accepted range; the recipe parser rejects anything else.
     ///
     /// # Panics
     ///
     /// Panics when `name` is already registered; use
     /// [`ChaosClass::try_register`] to handle the collision instead.
-    pub fn register<F>(name: impl Into<String>, build: F) -> ChaosClass
+    pub fn register<F>(name: impl Into<String>, specs: &'static [ParamSpec], build: F) -> ChaosClass
     where
         F: Fn(&ChaosArgs<'_>) -> ChaosPlan + Send + Sync + 'static,
     {
         // sp-analyze: allow(panic, documented panicking variant; try_ siblings recover instead)
-        ChaosClass::try_register(name, build).unwrap_or_else(|e| panic!("{e}"))
+        ChaosClass::try_register(name, specs, build).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Registers a new chaos class, reporting name collisions as `Err`
     /// instead of panicking.
-    pub fn try_register<F>(name: impl Into<String>, build: F) -> Result<ChaosClass, String>
+    pub fn try_register<F>(
+        name: impl Into<String>,
+        specs: &'static [ParamSpec],
+        build: F,
+    ) -> Result<ChaosClass, String>
     where
         F: Fn(&ChaosArgs<'_>) -> ChaosPlan + Send + Sync + 'static,
     {
-        registry()
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .try_add(name.into(), Arc::new(build))
-    }
-
-    /// Looks a class up by its registered name.
-    pub fn by_name(name: &str) -> Option<ChaosClass> {
-        let reg = read_registry();
-        reg.entries
-            .iter()
-            .position(|e| e.name == name)
-            .map(|i| ChaosClass(i as u16))
-    }
-
-    /// Every currently registered class, in registration order.
-    pub fn all() -> Vec<ChaosClass> {
-        let reg = read_registry();
-        (0..reg.entries.len() as u16).map(ChaosClass).collect()
-    }
-
-    /// Registered name, e.g. `"region"`.
-    pub fn name(&self) -> String {
-        read_registry().entries[self.0 as usize].name.clone()
+        ChaosClass::add(entry(name, specs, build))
     }
 
     /// Builds this class's plan fragment.
     pub fn build(&self, args: &ChaosArgs<'_>) -> ChaosPlan {
-        // Clone the shared builder out so user code runs with the
-        // registry lock released (a builder may itself register).
-        let build = Arc::clone(&read_registry().entries[self.0 as usize].build);
-        build(args)
-    }
-}
-
-impl std::fmt::Display for ChaosClass {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&read_registry().entries[self.0 as usize].name)
+        (self.builder().1)(args)
     }
 }
 
 // ---------------------------------------------------------------------
 // Built-in generators.
 
+const STEPS: f64 = MAX_STEPS as f64;
+const REGION: &[ParamSpec] = &[ParamSpec::new("r", 0.15, 0.0, 1.0)];
+const PARTITION: &[ParamSpec] = &[ParamSpec::new("len", 5.0, 0.0, STEPS)];
+const DROP: &[ParamSpec] = &[
+    ParamSpec::new("p", 0.01, 0.0, 1.0),
+    ParamSpec::new("jitter", 0.0, 0.0, f64::INFINITY),
+];
+const FLAP: &[ParamSpec] = &[
+    ParamSpec::new("n", 1.0, 0.0, STEPS),
+    ParamSpec::new("down", 5.0, 0.0, STEPS),
+];
+
 /// `region:r=0.15@roundN`: kills every node within a disk of radius
 /// `r · min(width, height)` around a seeded random center.
 fn region_outage(args: &ChaosArgs<'_>) -> ChaosPlan {
-    let r = args.param("r", 0.15);
-    assert!(
-        (0.0..=1.0).contains(&r),
-        "region radius fraction {r} not in [0, 1]"
-    );
+    let r = args.param("r");
     let area = args.net.area();
     let radius = r * area.width().min(area.height());
     let mut rng = StdRng::seed_from_u64(args.seed);
@@ -257,7 +210,7 @@ fn region_outage(args: &ChaosArgs<'_>) -> ChaosPlan {
 /// chord (vertical or horizontal, through the middle half of the area)
 /// for `len` rounds starting at the anchor.
 fn partition_cut(args: &ChaosArgs<'_>) -> ChaosPlan {
-    let len = args.param("len", 5.0).max(1.0) as usize;
+    let len = (args.param("len") as usize).max(1);
     let area = args.net.area();
     let mut rng = StdRng::seed_from_u64(args.seed);
     let vertical = rng.random_bool(0.5);
@@ -292,15 +245,15 @@ fn partition_cut(args: &ChaosArgs<'_>) -> ChaosPlan {
 fn lossy_links(args: &ChaosArgs<'_>) -> ChaosPlan {
     ChaosPlan::new()
         .with_seed(args.seed)
-        .with_drop(args.param("p", 0.01))
-        .with_jitter(args.param("jitter", 0.0))
+        .with_drop(args.param("p"))
+        .with_jitter(args.param("jitter"))
 }
 
 /// `flap:n=1,down=5@roundN`: kills `n` seeded random nodes at the
 /// anchor round and revives them `down` rounds later.
 fn flapping_nodes(args: &ChaosArgs<'_>) -> ChaosPlan {
-    let n = (args.param("n", 1.0).max(0.0) as usize).min(args.net.len());
-    let down = args.param("down", 5.0).max(1.0) as usize;
+    let n = (args.param("n") as usize).min(args.net.len());
+    let down = (args.param("down") as usize).max(1);
     let mut rng = StdRng::seed_from_u64(args.seed);
     let mut ids: Vec<u32> = (0..args.net.len() as u32).collect();
     let mut plan = ChaosPlan::new().with_seed(args.seed);
@@ -339,7 +292,9 @@ pub struct ChaosRecipe {
 
 impl ChaosRecipe {
     /// Parses `name[:k=v,…][@roundN]` clauses joined by `+`, e.g.
-    /// `region:r=0.15@round5+drop:p=0.01`.
+    /// `region:r=0.15@round5+drop:p=0.01`. Each clause's keys must be
+    /// declared by its class and hold finite values in range, and `N`
+    /// is at most [`MAX_STEPS`].
     pub fn parse(value: &str) -> Result<ChaosRecipe, String> {
         let mut clauses = Vec::new();
         for tok in value.split('+') {
@@ -352,36 +307,21 @@ impl ChaosRecipe {
                     let n = anchor
                         .strip_prefix("round")
                         .and_then(|n| n.parse::<usize>().ok())
+                        .filter(|&n| n <= MAX_STEPS)
                         .ok_or_else(|| {
-                            format!("chaos clause {tok:?}: anchor {anchor:?} is not roundN")
+                            format!(
+                                "chaos clause {tok:?}: anchor {anchor:?} is not roundN \
+                                 with N <= {MAX_STEPS}"
+                            )
                         })?;
                     (head, n)
                 }
                 None => (tok, 0),
             };
-            let (name, params_str) = match head.split_once(':') {
-                Some((name, rest)) => (name.trim(), Some(rest)),
-                None => (head.trim(), None),
-            };
-            let class = ChaosClass::by_name(name).ok_or_else(|| {
-                format!(
-                    "unknown chaos class {name:?} (registered: {})",
-                    ChaosRegistry::names().join(", ")
-                )
-            })?;
-            let mut params = Vec::new();
-            if let Some(ps) = params_str {
-                for kv in ps.split(',') {
-                    let (k, v) = kv
-                        .split_once('=')
-                        .ok_or_else(|| format!("chaos clause {tok:?}: {kv:?} is not k=v"))?;
-                    let v: f64 = v
-                        .trim()
-                        .parse()
-                        .map_err(|_| format!("chaos clause {tok:?}: {v:?} is not a number"))?;
-                    params.push((k.trim().to_owned(), v));
-                }
-            }
+            let (name, params) = clause::split(head);
+            let class = ChaosClass::by_name(name).ok_or_else(|| ChaosClass::unknown(name))?;
+            let specs = class.builder().0;
+            let params = clause::parse_params(&format!("chaos clause {tok:?}"), params, specs)?;
             clauses.push(ChaosClause {
                 class,
                 params,
@@ -403,6 +343,7 @@ impl ChaosRecipe {
     pub fn build(&self, net: &Network, seed: u64) -> ChaosPlan {
         let mut plan = ChaosPlan::new().with_seed(seed ^ CHAOS_SEED_SALT);
         for (idx, clause) in self.clauses.iter().enumerate() {
+            let (specs, build) = clause.class.builder();
             let args = ChaosArgs {
                 net,
                 seed: seed
@@ -410,8 +351,9 @@ impl ChaosRecipe {
                     ^ ((idx as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
                 round: clause.round,
                 params: &clause.params,
+                specs,
             };
-            plan.merge(&clause.class.build(&args));
+            plan.merge(&build(&args));
         }
         plan
     }
@@ -421,17 +363,7 @@ impl ChaosRecipe {
         self.clauses
             .iter()
             .map(|c| {
-                let mut s = c.class.name();
-                if !c.params.is_empty() {
-                    s.push(':');
-                    s.push_str(
-                        &c.params
-                            .iter()
-                            .map(|(k, v)| format!("{k}={v}"))
-                            .collect::<Vec<_>>()
-                            .join(","),
-                    );
-                }
+                let mut s = clause::render(&c.class.name(), &c.params);
                 if c.round > 0 {
                     s.push_str(&format!("@round{}", c.round));
                 }
@@ -466,7 +398,7 @@ mod tests {
         assert_eq!(ChaosClass::Flap.name(), "flap");
         assert_eq!(ChaosClass::by_name("drop"), Some(ChaosClass::Drop));
         assert_eq!(ChaosClass::by_name("meteor"), None);
-        assert!(ChaosRegistry::len() >= 4);
+        assert!(ChaosClass::all().len() >= 4);
     }
 
     #[test]
@@ -507,6 +439,17 @@ mod tests {
             ("drop:p", "not k=v"),
             ("drop:p=zebra", "not a number"),
             ("+drop:p=0.1", "empty clause"),
+            ("drop:p=2", "must be finite and in [0.0, 1.0]"),
+            ("drop:p=NaN", "must be finite"),
+            ("drop:jitter=-1", "must be finite"),
+            ("drop:jitter=inf", "must be finite"),
+            ("region:r=1.5", "must be finite"),
+            ("drop:prob=0.5", "unknown key \"prob\" (keys: p, jitter)"),
+            ("partition:len=1e30@round5", "must be finite"),
+            ("flap:n=-1", "must be finite"),
+            ("flap:down=1e30", "must be finite"),
+            ("region@round1000001", "not roundN"),
+            ("region@round99999999999999999999999", "not roundN"),
         ] {
             let err = ChaosRecipe::parse(spec).expect_err(spec);
             assert!(err.contains(needle), "{spec}: {err}");
@@ -564,7 +507,7 @@ mod tests {
 
     #[test]
     fn runtime_registration_is_spec_addressable() {
-        let class = ChaosClass::register("TEST-everything-dies", |args| {
+        let class = ChaosClass::register("TEST-everything-dies", &[], |args| {
             let mut plan = sp_sim::ChaosPlan::new().with_seed(args.seed);
             for u in args.net.node_ids() {
                 plan.kill_at(args.round, u);

@@ -749,23 +749,13 @@ pub fn chaos_delivery_family(
                         Some(recipe) => {
                             let plan = recipe.build(&net, seed);
                             let round = if mid_outage {
-                                plan.kills().last_round().unwrap_or(0)
+                                plan.kills().last().map_or(0, |e| e.0)
                             } else {
-                                plan.last_round().unwrap_or(0).max(
-                                    plan.cuts().iter().map(|c| c.from_round).max().unwrap_or(0),
-                                )
+                                crate::runner::observation_round(&plan)
                             };
                             let dead = plan.dead_as_of(round);
                             let endpoint_dead = dead.contains(&s) || dead.contains(&d);
-                            let mut degraded = net.without_nodes(&dead);
-                            let mut cut_edges = Vec::new();
-                            for cut in plan.cuts().iter().filter(|c| c.active_at(round)) {
-                                cut_edges.extend(degraded.edges_crossing(cut.a, cut.b));
-                            }
-                            if !cut_edges.is_empty() {
-                                degraded = degraded.without_edges(&cut_edges);
-                            }
-                            (degraded, plan.drop_p(), endpoint_dead)
+                            (plan.degrade(&net, round), plan.drop_p(), endpoint_dead)
                         }
                     };
                     if endpoint_dead {

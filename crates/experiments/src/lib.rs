@@ -9,11 +9,18 @@
 //! networks; and [`workload`] streams flows against per-node batteries
 //! for the lifetime experiment.
 //!
-//! Both experiment axes are **open registries**: schemes register
+//! The experiment axes are **open**, and one registry serves them all:
+//! [`Scheme`], [`Scenario`] and [`ChaosClass`] are [`Handle`]s into
+//! per-kind append-only `(name, builder)` tables with unique names,
+//! atomic batch registration and poison recovery. Schemes register
 //! closure builders carrying config payloads ([`Scheme::register`],
 //! [`SchemeFamily`]), deployments register generator closures
-//! ([`Scenario::register`]), and the spec-string front end
-//! ([`SweepSpec`]) resolves a one-line description through both.
+//! ([`Scenario::register`]), chaos classes register plan generators
+//! with their declared parameters ([`ChaosClass::register`]), and the
+//! spec-string front end ([`SweepSpec`]) resolves a one-line
+//! description through them. Its `chaos=` and `mobility=` clauses
+//! share one [`clause`] grammar that range-checks every parameter at
+//! parse time.
 //!
 //! The `repro-figures` binary drives the whole thing from the command
 //! line (including `--spec`) and writes text/markdown/CSV/JSON (and
@@ -45,9 +52,11 @@
 #![warn(missing_docs)]
 
 pub mod chaos;
+pub mod clause;
 pub mod config;
 pub mod figures;
 pub mod mobility_model;
+mod registry;
 pub mod runner;
 pub mod scenario;
 pub mod scenarios;
@@ -55,20 +64,18 @@ pub mod scheme;
 pub mod spec;
 pub mod workload;
 
-pub use chaos::{ChaosArgs, ChaosBuild, ChaosClass, ChaosClause, ChaosRecipe, ChaosRegistry};
+pub use chaos::{ChaosArgs, ChaosBuild, ChaosClass, ChaosClause, ChaosRecipe};
+pub use clause::ParamSpec;
 pub use config::SweepConfig;
-pub use mobility_model::{
-    MobilityArgs, MobilityBuild, MobilityModel, MobilityRecipe, MobilityRegistry,
-};
+pub use mobility_model::MobilityRecipe;
+pub use registry::Handle;
 pub use runner::{
     random_connected_pair, run_instance, run_sweep, RouteRecord, SchemePoint, SweepPoint,
     SweepResults, SWEEP_THREADS_ENV,
 };
-pub use scenario::{Scenario, ScenarioBuild, ScenarioRegistry};
+pub use scenario::{Scenario, ScenarioBuild};
 pub use scenarios::{all_scenarios, PaperScenario};
-pub use scheme::{
-    PreparedNetwork, RouterContext, Scheme, SchemeBuild, SchemeFamily, SchemeRegistry,
-};
+pub use scheme::{PreparedNetwork, RouterContext, Scheme, SchemeBuild, SchemeFamily};
 pub use spec::{SpecError, SweepSpec};
 pub use workload::{
     lifetime_figure, run_lifetime, run_lifetime_with_chaos, LifetimeReport, StreamingConfig,

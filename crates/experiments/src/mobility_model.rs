@@ -1,14 +1,13 @@
-//! The open mobility-model registry and the `mobility=` recipe grammar.
+//! The `mobility=` recipe grammar.
 //!
-//! A **mobility model** is a registered generator that perturbs a
-//! deployed position set before the sweep routes over it — the motion
-//! counterpart of the chaos-class registry, so `mobility=` and `chaos=`
-//! compose from one spec string. The built-in is the random-waypoint
-//! process of [`sp_net::RandomWaypoint`]:
+//! A mobility recipe perturbs a deployed position set before the sweep
+//! routes over it, so `mobility=` and `chaos=` compose from one spec
+//! string. The one model is the random-waypoint process of
+//! [`sp_net::RandomWaypoint`]:
 //!
-//! | model      | spec clause                          | effect |
-//! |------------|--------------------------------------|--------|
-//! | `waypoint` | `waypoint:speed=2,ticks=10,pause=1`  | steps a random-waypoint process `ticks` unit-time steps at speeds in `[speed/2, speed]` with the given pause |
+//! | model      | spec clause                          | keys (default, range) | effect |
+//! |------------|--------------------------------------|-----------------------|--------|
+//! | `waypoint` | `waypoint:speed=2,ticks=10,pause=1`  | `speed` (2, > 0), `ticks` (10, [0, 10⁶]), `pause` (0, ≥ 0) | steps a random-waypoint process `ticks` unit-time steps at speeds in `[speed/2, speed]` with the given pause |
 //!
 //! ```
 //! use sp_experiments::MobilityRecipe;
@@ -23,259 +22,72 @@
 //! assert_eq!(moved, recipe.perturb(&start, &cfg, 3), "replayable");
 //! ```
 
+use crate::clause::{self, ParamSpec, MAX_STEPS};
 use sp_geom::Point;
 use sp_net::deploy::DeploymentConfig;
 use sp_net::RandomWaypoint;
-use std::sync::{Arc, OnceLock, RwLock};
 
 /// Salt folded into mobility seeds so motion streams never collide
 /// with deployment, flow, or chaos streams.
 const MOBILITY_SEED_SALT: u64 = 0x0b11_e5ee_d000;
 
-/// Everything a mobility generator may observe: the starting positions,
-/// the deployment constants (area, radius), a pre-salted seed, and the
-/// clause's `k=v` parameters.
-pub struct MobilityArgs<'a> {
-    /// Starting positions (the deployed instance).
-    pub positions: &'a [Point],
-    /// Deployment constants: area bounds and communication radius.
-    pub config: &'a DeploymentConfig,
-    /// Deterministic pre-salted seed.
-    pub seed: u64,
-    params: &'a [(String, f64)],
-}
+/// The random-waypoint model's name and declared keys.
+const WAYPOINT: &str = "waypoint";
+const WAYPOINT_PARAMS: &[ParamSpec] = &[
+    ParamSpec::new("speed", 2.0, f64::MIN_POSITIVE, f64::INFINITY),
+    ParamSpec::new("ticks", 10.0, 0.0, MAX_STEPS as f64),
+    ParamSpec::new("pause", 0.0, 0.0, f64::INFINITY),
+];
 
-impl MobilityArgs<'_> {
-    /// The clause parameter `key`, or `default` when absent.
-    pub fn param(&self, key: &str, default: f64) -> f64 {
-        self.params
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|&(_, v)| v)
-            .unwrap_or(default)
-    }
-}
-
-/// Produces the perturbed position set.
-pub type MobilityBuild = Arc<dyn Fn(&MobilityArgs<'_>) -> Vec<Point> + Send + Sync>;
-
-struct MobilityEntry {
-    name: String,
-    build: MobilityBuild,
-}
-
-/// The process-wide table mapping [`MobilityModel`] handles to names
-/// and generators.
-pub struct MobilityRegistry {
-    entries: Vec<MobilityEntry>,
-}
-
-impl MobilityRegistry {
-    /// Names of every registered model, in registration order.
-    pub fn names() -> Vec<String> {
-        read_registry()
-            .entries
-            .iter()
-            .map(|e| e.name.clone())
-            .collect()
-    }
-
-    /// Number of registered models.
-    pub fn len() -> usize {
-        read_registry().entries.len()
-    }
-
-    fn builtin() -> MobilityRegistry {
-        let mut reg = MobilityRegistry {
-            entries: Vec::new(),
-        };
-        // === The mobility-model registration table ============[order matters]
-        reg.add("waypoint", random_waypoint); // MobilityModel::Waypoint
-                                              // ======================================================================
-        reg
-    }
-
-    fn add<F>(&mut self, name: &str, build: F) -> MobilityModel
-    where
-        F: Fn(&MobilityArgs<'_>) -> Vec<Point> + Send + Sync + 'static,
-    {
-        self.try_add(name.to_owned(), Arc::new(build))
-            .unwrap_or_else(|e| panic!("{e}")) // sp-analyze: allow(panic, documented panicking variant; try_ siblings recover instead)
-    }
-
-    fn try_add(&mut self, name: String, build: MobilityBuild) -> Result<MobilityModel, String> {
-        if self.entries.iter().any(|e| e.name == name) {
-            return Err(format!("mobility model {name:?} registered twice"));
-        }
-        if self.entries.len() >= u16::MAX as usize {
-            return Err("mobility registry full".to_owned());
-        }
-        self.entries.push(MobilityEntry { name, build });
-        Ok(MobilityModel((self.entries.len() - 1) as u16))
-    }
-}
-
-fn read_registry() -> std::sync::RwLockReadGuard<'static, MobilityRegistry> {
-    registry()
-        .read()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-fn registry() -> &'static RwLock<MobilityRegistry> {
-    static GLOBAL: OnceLock<RwLock<MobilityRegistry>> = OnceLock::new();
-    GLOBAL.get_or_init(|| RwLock::new(MobilityRegistry::builtin()))
-}
-
-/// A handle to one registered mobility model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct MobilityModel(u16);
-
-#[allow(non_upper_case_globals)] // named like the enum variants they replace
-impl MobilityModel {
-    /// The random-waypoint process ([`sp_net::RandomWaypoint`]).
-    pub const Waypoint: MobilityModel = MobilityModel(0);
-
-    /// Registers a new mobility model under `name`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `name` is already registered; use
-    /// [`MobilityModel::try_register`] to handle the collision instead.
-    pub fn register<F>(name: impl Into<String>, build: F) -> MobilityModel
-    where
-        F: Fn(&MobilityArgs<'_>) -> Vec<Point> + Send + Sync + 'static,
-    {
-        // sp-analyze: allow(panic, documented panicking variant; try_ siblings recover instead)
-        MobilityModel::try_register(name, build).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Registers a new mobility model, reporting collisions as `Err`.
-    pub fn try_register<F>(name: impl Into<String>, build: F) -> Result<MobilityModel, String>
-    where
-        F: Fn(&MobilityArgs<'_>) -> Vec<Point> + Send + Sync + 'static,
-    {
-        registry()
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .try_add(name.into(), Arc::new(build))
-    }
-
-    /// Looks a model up by its registered name.
-    pub fn by_name(name: &str) -> Option<MobilityModel> {
-        let reg = read_registry();
-        reg.entries
-            .iter()
-            .position(|e| e.name == name)
-            .map(|i| MobilityModel(i as u16))
-    }
-
-    /// Registered name, e.g. `"waypoint"`.
-    pub fn name(&self) -> String {
-        read_registry().entries[self.0 as usize].name.clone()
-    }
-
-    /// Runs the model.
-    pub fn perturb(&self, args: &MobilityArgs<'_>) -> Vec<Point> {
-        let build = Arc::clone(&read_registry().entries[self.0 as usize].build);
-        build(args)
-    }
-}
-
-impl std::fmt::Display for MobilityModel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&read_registry().entries[self.0 as usize].name)
-    }
-}
-
-/// `waypoint:speed=2,ticks=10,pause=0`: steps a random-waypoint process
-/// from the deployed positions for `ticks` unit-time steps, speeds
-/// uniform in `[speed/2, speed]`.
-fn random_waypoint(args: &MobilityArgs<'_>) -> Vec<Point> {
-    let speed = args.param("speed", 2.0);
-    assert!(speed > 0.0, "waypoint speed {speed} must be positive");
-    let ticks = args.param("ticks", 10.0).max(0.0) as usize;
-    let pause = args.param("pause", 0.0).max(0.0);
-    let mut walk = RandomWaypoint::new(
-        args.positions.to_vec(),
-        args.config.area,
-        args.config.radius,
-        speed * 0.5,
-        speed,
-        pause,
-        args.seed,
-    );
-    for _ in 0..ticks {
-        walk.step(1.0);
-    }
-    walk.positions()
-}
-
-/// One parsed `model[:k=v,…]` mobility recipe — a single model, unlike
-/// chaos recipes, because motions do not compose the way failure plans
-/// merge.
+/// One parsed `waypoint[:k=v,…]` mobility recipe — a single model,
+/// unlike chaos recipes, because motions do not compose the way
+/// failure plans merge.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MobilityRecipe {
-    /// The model handle the name resolved to.
-    pub model: MobilityModel,
     /// `k=v` parameters in clause order.
     pub params: Vec<(String, f64)>,
 }
 
 impl MobilityRecipe {
-    /// Parses `model[:k=v,…]`, e.g. `waypoint:speed=2,ticks=10`.
+    /// Parses `waypoint[:k=v,…]`, e.g. `waypoint:speed=2,ticks=10`,
+    /// rejecting unknown keys and non-finite or out-of-range values.
     pub fn parse(value: &str) -> Result<MobilityRecipe, String> {
         let value = value.trim();
-        let (name, params_str) = match value.split_once(':') {
-            Some((name, rest)) => (name.trim(), Some(rest)),
-            None => (value, None),
-        };
-        let model = MobilityModel::by_name(name).ok_or_else(|| {
-            format!(
-                "unknown mobility model {name:?} (registered: {})",
-                MobilityRegistry::names().join(", ")
-            )
-        })?;
-        let mut params = Vec::new();
-        if let Some(ps) = params_str {
-            for kv in ps.split(',') {
-                let (k, v) = kv
-                    .split_once('=')
-                    .ok_or_else(|| format!("mobility {value:?}: {kv:?} is not k=v"))?;
-                let v: f64 = v
-                    .trim()
-                    .parse()
-                    .map_err(|_| format!("mobility {value:?}: {v:?} is not a number"))?;
-                params.push((k.trim().to_owned(), v));
-            }
+        let (name, params) = clause::split(value);
+        if name != WAYPOINT {
+            return Err(format!(
+                "unknown mobility model {name:?} (registered: {WAYPOINT})"
+            ));
         }
-        Ok(MobilityRecipe { model, params })
+        let what = format!("mobility {value:?}");
+        let params = clause::parse_params(&what, params, WAYPOINT_PARAMS)?;
+        Ok(MobilityRecipe { params })
     }
 
-    /// Perturbs one deployed instance.
+    /// Perturbs one deployed instance: steps a random-waypoint process
+    /// from `positions` for `ticks` unit-time steps, speeds uniform in
+    /// `[speed/2, speed]`.
     pub fn perturb(&self, positions: &[Point], config: &DeploymentConfig, seed: u64) -> Vec<Point> {
-        self.model.perturb(&MobilityArgs {
-            positions,
-            config,
-            seed: seed ^ MOBILITY_SEED_SALT,
-            params: &self.params,
-        })
+        let param = |key| clause::param(&self.params, WAYPOINT_PARAMS, key);
+        let speed = param("speed");
+        let mut walk = RandomWaypoint::new(
+            positions.to_vec(),
+            config.area,
+            config.radius,
+            speed * 0.5,
+            speed,
+            param("pause"),
+            seed ^ MOBILITY_SEED_SALT,
+        );
+        for _ in 0..param("ticks") as usize {
+            walk.step(1.0);
+        }
+        walk.positions()
     }
 
     /// The canonical spec form, e.g. `waypoint:speed=2`.
     pub fn spec_string(&self) -> String {
-        let mut s = self.model.name();
-        if !self.params.is_empty() {
-            s.push(':');
-            s.push_str(
-                &self
-                    .params
-                    .iter()
-                    .map(|(k, v)| format!("{k}={v}"))
-                    .collect::<Vec<_>>()
-                    .join(","),
-            );
-        }
-        s
+        clause::render(WAYPOINT, &self.params)
     }
 }
 
@@ -290,23 +102,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn waypoint_is_the_builtin() {
-        assert_eq!(MobilityModel::Waypoint.name(), "waypoint");
-        assert_eq!(
-            MobilityModel::by_name("waypoint"),
-            Some(MobilityModel::Waypoint)
-        );
-        assert_eq!(MobilityModel::by_name("teleport"), None);
-        assert!(MobilityRegistry::len() >= 1);
-    }
-
-    #[test]
     fn recipe_grammar_round_trips() {
         let r = MobilityRecipe::parse("waypoint:speed=2,ticks=5").unwrap();
-        assert_eq!(r.model, MobilityModel::Waypoint);
         assert_eq!(r.spec_string(), "waypoint:speed=2,ticks=5");
         assert_eq!(MobilityRecipe::parse(&r.spec_string()).unwrap(), r);
-        assert!(MobilityRecipe::parse("teleport").is_err());
+        let err = MobilityRecipe::parse("teleport").unwrap_err();
+        assert_eq!(
+            err,
+            "unknown mobility model \"teleport\" (registered: waypoint)"
+        );
         assert!(MobilityRecipe::parse("waypoint:speed").is_err());
         assert!(MobilityRecipe::parse("waypoint:speed=x").is_err());
     }

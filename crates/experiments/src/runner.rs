@@ -290,7 +290,7 @@ pub fn run_instance(
     let mut drop_p = 0.0;
     if let Some(recipe) = &cfg.chaos {
         let plan = recipe.build(&net, seed);
-        net = degrade_at_observation_round(&net, &plan);
+        net = plan.degrade(&net, observation_round(&plan));
         drop_p = plan.drop_p();
     }
     let prepared = PreparedNetwork::new(net);
@@ -379,26 +379,14 @@ pub fn run_instance(
     out
 }
 
-/// Applies a [`ChaosPlan`] to a freshly built instance at the plan's
-/// **observation round**: the latest round any scheduled kill, revival,
-/// or partition window opens. Routing then sees the topology as the
-/// survivors do — every outage struck, flapped nodes in their final
-/// state, and links crossing any cut still active at that round severed.
-fn degrade_at_observation_round(net: &Network, plan: &ChaosPlan) -> Network {
-    let round = plan
-        .last_round()
-        .unwrap_or(0)
-        .max(plan.cuts().iter().map(|c| c.from_round).max().unwrap_or(0));
-    let dead = plan.dead_as_of(round);
-    let mut degraded = net.without_nodes(&dead);
-    let mut cut_edges = Vec::new();
-    for cut in plan.cuts().iter().filter(|c| c.active_at(round)) {
-        cut_edges.extend(degraded.edges_crossing(cut.a, cut.b));
-    }
-    if !cut_edges.is_empty() {
-        degraded = degraded.without_edges(&cut_edges);
-    }
-    degraded
+/// A [`ChaosPlan`]'s **observation round**: the latest round any
+/// scheduled kill, revival, or partition window opens. A sweep instance
+/// degraded there routes on the topology as the survivors see it —
+/// every outage struck, flapped nodes in their final state, and links
+/// crossing any cut still active at that round severed.
+pub(crate) fn observation_round(plan: &ChaosPlan) -> usize {
+    let cuts_open = plan.cuts().iter().map(|c| c.from_round).max();
+    plan.last_round().max(cuts_open).unwrap_or(0)
 }
 
 /// Draws a random distinct pair from the largest connected component.

@@ -1,11 +1,11 @@
-//! The open [`ScenarioRegistry`]: deployment scenarios as first-class,
+//! The open scenario registry: deployment scenarios as first-class,
 //! registrable generators.
 //!
 //! The paper evaluates two deployments — uniform (**IA**) and
 //! forbidden-area (**FA**) — and the harness used to hard-code them in
 //! a closed `DeploymentKind` enum matched at every consumer. A scenario
-//! is now a [`Scenario`] handle into a registry mirroring the scheme
-//! registry: the built-ins are IA, FA, and the structured
+//! is now a [`Scenario`] handle into the same registry that holds the
+//! schemes: the built-ins are IA, FA, and the structured
 //! clustered / corridor / city-block generators of [`sp_net::deploy`],
 //! and new deployments register at runtime with a closure capturing
 //! their configuration:
@@ -29,9 +29,10 @@
 //! );
 //! ```
 
+use crate::registry::{Handle, Kind, Registry};
 use sp_geom::Point;
 use sp_net::deploy::{CityBlockModel, ClusterModel, CorridorModel, DeploymentConfig, FaModel};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::Arc;
 
 /// Generates one deployment instance: `(constants, seed) -> positions`.
 ///
@@ -39,122 +40,78 @@ use std::sync::{Arc, OnceLock, RwLock};
 /// (obstacle counts, cluster spreads, street widths) at registration.
 pub type ScenarioBuild = Arc<dyn Fn(&DeploymentConfig, u64) -> Vec<Point> + Send + Sync>;
 
-struct ScenarioEntry {
-    name: String,
-    generate: ScenarioBuild,
-}
+/// The scenario kind of the shared registry: the process-wide table
+/// mapping [`Scenario`] handles to names and deployment generators.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum ScenarioKind {}
 
-/// The process-wide table mapping [`Scenario`] handles to names and
-/// deployment generators — the scenario-side mirror of
-/// [`crate::SchemeRegistry`].
-pub struct ScenarioRegistry {
-    entries: Vec<ScenarioEntry>,
-}
+static SCENARIOS: Registry<ScenarioKind> = Registry::new();
 
-impl ScenarioRegistry {
-    /// Names of every registered scenario, in registration order
-    /// (parallel to [`Scenario::all`]).
-    pub fn names() -> Vec<String> {
-        read_registry()
-            .entries
-            .iter()
-            .map(|e| e.name.clone())
-            .collect()
-    }
-
-    /// Number of registered scenarios.
-    pub fn len() -> usize {
-        read_registry().entries.len()
-    }
+impl Kind for ScenarioKind {
+    const NAME: &'static str = "scenario";
+    type Build = ScenarioBuild;
 
     /// The built-in scenarios: the paper's two deployments plus the
     /// structured generators of the scenario-diversity roadmap item.
-    ///
-    /// This function is the only place a built-in scenario is declared;
-    /// the `Scenario` constants below are fixed indices into this table
-    /// (in registration order).
-    fn builtin() -> ScenarioRegistry {
-        let mut reg = ScenarioRegistry {
-            entries: Vec::new(),
-        };
-        // === The scenario registration table ==================[order matters]
-        reg.add("IA", |cfg, seed| cfg.deploy_uniform(seed)); // Scenario::Ia
+    fn builtin() -> Vec<(String, ScenarioBuild)> {
         let fa = FaModel::paper_default();
-        reg.add("FA", move |cfg, seed| {
-            cfg.deploy_with_obstacles(&fa.generate_obstacles(cfg, seed), seed) // Scenario::Fa
-        });
         let clusters = ClusterModel::paper_default();
-        reg.add("clustered", move |cfg, seed| {
-            cfg.deploy_clustered(&clusters, seed) // Scenario::Clustered
-        });
         let corridor = CorridorModel::paper_default();
-        reg.add("corridor", move |cfg, seed| {
-            cfg.deploy_corridor(&corridor, seed) // Scenario::Corridor
-        });
         let blocks = CityBlockModel::paper_default();
-        reg.add("city-block", move |cfg, seed| {
-            cfg.deploy_city_block(&blocks, seed) // Scenario::CityBlock
-        });
-        // ======================================================================
-        reg
+        vec![
+            // === The scenario registration table ==================[order matters]
+            entry("IA", |cfg, seed| cfg.deploy_uniform(seed)), // Scenario::Ia
+            entry("FA", move |cfg, seed| {
+                cfg.deploy_with_obstacles(&fa.generate_obstacles(cfg, seed), seed)
+                // Scenario::Fa
+            }),
+            entry("clustered", move |cfg, seed| {
+                cfg.deploy_clustered(&clusters, seed) // Scenario::Clustered
+            }),
+            entry("corridor", move |cfg, seed| {
+                cfg.deploy_corridor(&corridor, seed) // Scenario::Corridor
+            }),
+            entry("city-block", move |cfg, seed| {
+                cfg.deploy_city_block(&blocks, seed) // Scenario::CityBlock
+            }),
+            // ======================================================================
+        ]
     }
 
-    fn add<F>(&mut self, name: &str, generate: F) -> Scenario
-    where
-        F: Fn(&DeploymentConfig, u64) -> Vec<Point> + Send + Sync + 'static,
-    {
-        self.try_add(name.to_owned(), Arc::new(generate))
-            .unwrap_or_else(|e| panic!("{e}")) // sp-analyze: allow(panic, documented panicking variant; try_ siblings recover instead)
-    }
-
-    fn try_add(&mut self, name: String, generate: ScenarioBuild) -> Result<Scenario, String> {
-        if self.entries.iter().any(|e| e.name == name) {
-            return Err(format!("scenario {name:?} registered twice"));
-        }
-        if self.entries.len() >= u16::MAX as usize {
-            return Err("scenario registry full".to_owned());
-        }
-        self.entries.push(ScenarioEntry { name, generate });
-        Ok(Scenario((self.entries.len() - 1) as u16))
+    fn registry() -> &'static Registry<ScenarioKind> {
+        &SCENARIOS
     }
 }
 
-/// Reads the global registry, recovering from a poisoned lock — the
-/// registry is append-only, so a panic mid-registration cannot leave a
-/// torn entry behind.
-fn read_registry() -> std::sync::RwLockReadGuard<'static, ScenarioRegistry> {
-    registry()
-        .read()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-fn registry() -> &'static RwLock<ScenarioRegistry> {
-    static GLOBAL: OnceLock<RwLock<ScenarioRegistry>> = OnceLock::new();
-    GLOBAL.get_or_init(|| RwLock::new(ScenarioRegistry::builtin()))
+fn entry<F>(name: impl Into<String>, generate: F) -> (String, ScenarioBuild)
+where
+    F: Fn(&DeploymentConfig, u64) -> Vec<Point> + Send + Sync + 'static,
+{
+    (name.into(), Arc::new(generate))
 }
 
 /// A handle to one registered deployment scenario.
 ///
 /// `Copy`, order-stable, and cheap to compare — sweep configs carry it
 /// by value exactly like [`crate::Scheme`]. The associated constants
-/// name the built-ins of [`ScenarioRegistry::builtin`]; further
-/// scenarios get their handles from [`Scenario::register`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Scenario(u16);
+/// name the built-ins; further scenarios get their handles from
+/// [`Scenario::register`]. Lookups (`by_name`, `all`, `name`) are the
+/// shared [`Handle`] methods.
+pub type Scenario = Handle<ScenarioKind>;
 
 #[allow(non_upper_case_globals)] // named like the enum variants they replaced
 impl Scenario {
     /// IA: uniform ("ideal") deployment — holes only from sparsity.
-    pub const Ia: Scenario = Scenario(0);
+    pub const Ia: Scenario = Scenario::at(0);
     /// FA: uniform deployment avoiding random forbidden areas
     /// ([`FaModel::paper_default`]).
-    pub const Fa: Scenario = Scenario(1);
+    pub const Fa: Scenario = Scenario::at(1);
     /// Clustered drop-point deployment ([`ClusterModel::paper_default`]).
-    pub const Clustered: Scenario = Scenario(2);
+    pub const Clustered: Scenario = Scenario::at(2);
     /// L-shaped corridor deployment ([`CorridorModel::paper_default`]).
-    pub const Corridor: Scenario = Scenario(3);
+    pub const Corridor: Scenario = Scenario::at(3);
     /// Manhattan street grid ([`CityBlockModel::paper_default`]).
-    pub const CityBlock: Scenario = Scenario(4);
+    pub const CityBlock: Scenario = Scenario::at(4);
 
     /// Registers a new scenario under `name` and returns its handle.
     ///
@@ -182,30 +139,7 @@ impl Scenario {
     where
         F: Fn(&DeploymentConfig, u64) -> Vec<Point> + Send + Sync + 'static,
     {
-        registry()
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .try_add(name.into(), Arc::new(generate))
-    }
-
-    /// Looks a scenario up by its registered name.
-    pub fn by_name(name: &str) -> Option<Scenario> {
-        let reg = read_registry();
-        reg.entries
-            .iter()
-            .position(|e| e.name == name)
-            .map(|i| Scenario(i as u16))
-    }
-
-    /// Every currently registered scenario, in registration order.
-    pub fn all() -> Vec<Scenario> {
-        let reg = read_registry();
-        (0..reg.entries.len() as u16).map(Scenario).collect()
-    }
-
-    /// Registered name, e.g. `"IA"` or `"corridor"`.
-    pub fn name(&self) -> String {
-        read_registry().entries[self.0 as usize].name.clone()
+        Scenario::add(entry(name, generate))
     }
 
     /// Short panel tag used in figure titles (same as the name).
@@ -215,16 +149,7 @@ impl Scenario {
 
     /// Generates one deployment instance.
     pub fn deploy(&self, cfg: &DeploymentConfig, seed: u64) -> Vec<Point> {
-        // Clone the shared generator out so user code runs with the
-        // registry lock released (a generator may itself register).
-        let generate = Arc::clone(&read_registry().entries[self.0 as usize].generate);
-        generate(cfg, seed)
-    }
-}
-
-impl std::fmt::Display for Scenario {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&read_registry().entries[self.0 as usize].name)
+        self.builder()(cfg, seed)
     }
 }
 
@@ -241,8 +166,8 @@ mod tests {
         assert_eq!(Scenario::CityBlock.name(), "city-block");
         assert_eq!(Scenario::by_name("corridor"), Some(Scenario::Corridor));
         assert_eq!(Scenario::by_name("no-such-scenario"), None);
-        assert!(ScenarioRegistry::len() >= 5);
-        assert_eq!(ScenarioRegistry::names().len(), Scenario::all().len());
+        assert!(Scenario::all().len() >= 5);
+        assert_eq!(Scenario::names().len(), Scenario::all().len());
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! The routing schemes under evaluation: an open [`SchemeRegistry`]
-//! plus the [`PreparedNetwork`] wrapper the sweeps route on.
+//! The routing schemes under evaluation: the open scheme registry
+//! ([`Scheme`] handles) plus the [`PreparedNetwork`] wrapper the sweeps
+//! route on.
 //!
 //! # Adding a scheme
 //!
@@ -30,10 +31,11 @@
 //! [`SchemeFamily`]: each variant is a `(parameter-tag, payload)` pair
 //! and the family stamps out `BASE[tag]` names.
 
+use crate::registry::{Handle, Kind, Registry};
 use sp_baselines::{GfRouter, GfgRouter, Slgf2FaceRouter};
 use sp_core::{LgfRouter, RouteResult, Routing, SafetyInfo, Slgf2Router, SlgfRouter};
 use sp_net::{Network, NodeId};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::Arc;
 
 /// Everything a scheme's router may borrow when it is constructed: the
 /// topology to route on plus the precomputed per-network structures.
@@ -63,169 +65,87 @@ pub struct RouterContext<'a> {
 pub type SchemeBuild =
     Arc<dyn for<'a> Fn(&RouterContext<'a>) -> Box<dyn Routing + Send + Sync + 'a> + Send + Sync>;
 
-struct SchemeEntry {
-    name: String,
-    build: SchemeBuild,
-}
+/// The scheme kind of the shared registry: the process-wide table
+/// mapping [`Scheme`] handles to names and router builders.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum SchemeKind {}
 
-/// The process-wide table mapping [`Scheme`] handles to names and
-/// router builders.
-///
-/// All built-in schemes are registered in [`SchemeRegistry::builtin`] —
-/// the **single registration site** — and ablation variants can be
-/// appended at runtime with [`Scheme::register`] /
-/// [`Scheme::try_register`] (or in bulk with [`SchemeFamily`]). Handles
-/// are plain `Copy` indices, so they flow through sweep records and
-/// thread pools exactly like the old enum did.
-pub struct SchemeRegistry {
-    entries: Vec<SchemeEntry>,
-}
+static SCHEMES: Registry<SchemeKind> = Registry::new();
 
-impl SchemeRegistry {
-    /// Names of every registered scheme, in registration order
-    /// (parallel to [`Scheme::all`]).
-    pub fn names() -> Vec<String> {
-        read_registry()
-            .entries
-            .iter()
-            .map(|e| e.name.clone())
-            .collect()
-    }
-
-    /// Number of registered schemes.
-    pub fn len() -> usize {
-        read_registry().entries.len()
-    }
+impl Kind for SchemeKind {
+    const NAME: &'static str = "scheme";
+    type Build = SchemeBuild;
 
     /// The built-in schemes: the paper's four curves, the A3/A4
     /// ablations, and the two face-routing baselines/hybrids.
-    ///
-    /// This function is the only place a built-in scheme is declared;
-    /// the `Scheme` constants below are fixed indices into this table
-    /// (in registration order).
-    fn builtin() -> SchemeRegistry {
-        let mut reg = SchemeRegistry {
-            entries: Vec::new(),
-        };
-        // === The scheme registration table ====================[order matters]
-        reg.add("GF", |ctx| Box::new(ctx.gf)); // Scheme::Gf
-        reg.add("LGF", |_| Box::new(LgfRouter::new())); // Scheme::Lgf
-        reg.add("SLGF", |ctx| Box::new(SlgfRouter::new(ctx.info))); // Scheme::Slgf
-        reg.add("SLGF2", |ctx| Box::new(Slgf2Router::new(ctx.info))); // Scheme::Slgf2
-        reg.add("SLGF2-noEH", |ctx| {
-            Box::new(Slgf2Router::new(ctx.info).without_superseding()) // Scheme::Slgf2NoSuperseding
-        });
-        reg.add("SLGF2-noBP", |ctx| {
-            Box::new(Slgf2Router::new(ctx.info).without_backup()) // Scheme::Slgf2NoBackup
-        });
-        reg.add("GFG", |ctx| Box::new(ctx.gfg)); // Scheme::Gfg
-        reg.add("SLGF2-F", |ctx| {
-            Box::new(Slgf2FaceRouter::with_face_router(ctx.info, ctx.gfg.clone()))
-            // Scheme::Slgf2Face
-        });
-        // ======================================================================
-        reg
+    fn builtin() -> Vec<(String, SchemeBuild)> {
+        vec![
+            // === The scheme registration table ====================[order matters]
+            entry("GF", |ctx| Box::new(ctx.gf)), // Scheme::Gf
+            entry("LGF", |_| Box::new(LgfRouter::new())), // Scheme::Lgf
+            entry("SLGF", |ctx| Box::new(SlgfRouter::new(ctx.info))), // Scheme::Slgf
+            entry("SLGF2", |ctx| Box::new(Slgf2Router::new(ctx.info))), // Scheme::Slgf2
+            entry("SLGF2-noEH", |ctx| {
+                Box::new(Slgf2Router::new(ctx.info).without_superseding()) // Scheme::Slgf2NoSuperseding
+            }),
+            entry("SLGF2-noBP", |ctx| {
+                Box::new(Slgf2Router::new(ctx.info).without_backup()) // Scheme::Slgf2NoBackup
+            }),
+            entry("GFG", |ctx| Box::new(ctx.gfg)), // Scheme::Gfg
+            entry("SLGF2-F", |ctx| {
+                Box::new(Slgf2FaceRouter::with_face_router(ctx.info, ctx.gfg.clone()))
+                // Scheme::Slgf2Face
+            }),
+            // ======================================================================
+        ]
     }
 
-    fn add<F>(&mut self, name: &str, build: F) -> Scheme
-    where
-        F: for<'a> Fn(&RouterContext<'a>) -> Box<dyn Routing + Send + Sync + 'a>
-            + Send
-            + Sync
-            + 'static,
-    {
-        self.try_add(name.to_owned(), Arc::new(build))
-            .unwrap_or_else(|e| panic!("{e}")) // sp-analyze: allow(panic, documented panicking variant; try_ siblings recover instead)
-    }
-
-    fn try_add(&mut self, name: String, build: SchemeBuild) -> Result<Scheme, String> {
-        if self.entries.iter().any(|e| e.name == name) {
-            return Err(format!("scheme {name:?} registered twice"));
-        }
-        if self.entries.len() >= u16::MAX as usize {
-            return Err("scheme registry full".to_owned());
-        }
-        self.entries.push(SchemeEntry { name, build });
-        Ok(Scheme((self.entries.len() - 1) as u16))
-    }
-
-    /// Appends a batch atomically: either every entry registers (in
-    /// order) or none does.
-    fn try_add_all(&mut self, batch: Vec<(String, SchemeBuild)>) -> Result<Vec<Scheme>, String> {
-        for (name, _) in &batch {
-            if self.entries.iter().any(|e| &e.name == name) {
-                return Err(format!("scheme {name:?} registered twice"));
-            }
-        }
-        let mut batch_names: Vec<&String> = batch.iter().map(|(n, _)| n).collect();
-        let unique_in_batch = batch_names.len();
-        batch_names.sort_unstable();
-        batch_names.dedup();
-        if batch_names.len() != unique_in_batch {
-            return Err("scheme family contains duplicate variant names".to_owned());
-        }
-        if self.entries.len() + batch.len() > u16::MAX as usize {
-            return Err("scheme registry full".to_owned());
-        }
-        Ok(batch
-            .into_iter()
-            .map(|(name, build)| {
-                self.entries.push(SchemeEntry { name, build });
-                Scheme((self.entries.len() - 1) as u16)
-            })
-            .collect())
+    fn registry() -> &'static Registry<SchemeKind> {
+        &SCHEMES
     }
 }
 
-/// Reads the global registry, recovering from a poisoned lock — the
-/// registry is append-only, so a panic mid-registration cannot leave a
-/// torn entry behind.
-fn read_registry() -> std::sync::RwLockReadGuard<'static, SchemeRegistry> {
-    registry()
-        .read()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-fn write_registry() -> std::sync::RwLockWriteGuard<'static, SchemeRegistry> {
-    registry()
-        .write()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-fn registry() -> &'static RwLock<SchemeRegistry> {
-    static GLOBAL: OnceLock<RwLock<SchemeRegistry>> = OnceLock::new();
-    GLOBAL.get_or_init(|| RwLock::new(SchemeRegistry::builtin()))
+/// A named builder, typed so closures infer their higher-ranked
+/// signature.
+fn entry<F>(name: impl Into<String>, build: F) -> (String, SchemeBuild)
+where
+    F: for<'a> Fn(&RouterContext<'a>) -> Box<dyn Routing + Send + Sync + 'a>
+        + Send
+        + Sync
+        + 'static,
+{
+    (name.into(), Arc::new(build))
 }
 
 /// A handle to one registered routing scheme.
 ///
 /// `Copy`, order-stable, and cheap to compare — records, sweep points,
 /// and figures carry it by value. The associated constants name the
-/// built-in schemes of [`SchemeRegistry::builtin`]; further schemes get
-/// their handles from [`Scheme::register`] or [`SchemeFamily`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Scheme(u16);
+/// built-in schemes; further schemes get their handles from
+/// [`Scheme::register`] or [`SchemeFamily`]. Lookups (`by_name`, `all`,
+/// `name`, `display_names`) are the shared [`Handle`] methods.
+pub type Scheme = Handle<SchemeKind>;
 
 #[allow(non_upper_case_globals)] // named like the enum variants they replaced
 impl Scheme {
     /// Greedy forwarding with BOUNDHOLE recovery (baseline \[5\]/\[6\]).
-    pub const Gf: Scheme = Scheme(0);
+    pub const Gf: Scheme = Scheme::at(0);
     /// Limited greedy forwarding, Algo. 1.
-    pub const Lgf: Scheme = Scheme(1);
+    pub const Lgf: Scheme = Scheme::at(1);
     /// Safety-information LGF of \[7\].
-    pub const Slgf: Scheme = Scheme(2);
+    pub const Slgf: Scheme = Scheme::at(2);
     /// The paper's contribution, Algo. 3.
-    pub const Slgf2: Scheme = Scheme(3);
+    pub const Slgf2: Scheme = Scheme::at(3);
     /// SLGF2 without the either-hand superseding rule (ablation A3).
-    pub const Slgf2NoSuperseding: Scheme = Scheme(4);
+    pub const Slgf2NoSuperseding: Scheme = Scheme::at(4);
     /// SLGF2 without the backup-path phase (ablation A4).
-    pub const Slgf2NoBackup: Scheme = Scheme(5);
+    pub const Slgf2NoBackup: Scheme = Scheme::at(5);
     /// Greedy-Face-Greedy with full planar face changes (Bose et al.
     /// \[2\]) — the guaranteed-delivery comparison of ablation A8.
-    pub const Gfg: Scheme = Scheme(6);
+    pub const Gfg: Scheme = Scheme::at(6);
     /// SLGF2 with FACE-2 recovery instead of the untried sweep — the
     /// paper's §6 future-work direction (ablation A12).
-    pub const Slgf2Face: Scheme = Scheme(7);
+    pub const Slgf2Face: Scheme = Scheme::at(7);
 
     /// The four curves of every figure in the paper, in its order.
     pub const PAPER_SET: [Scheme; 4] = [Scheme::Gf, Scheme::Lgf, Scheme::Slgf, Scheme::Slgf2];
@@ -271,62 +191,17 @@ impl Scheme {
             + Sync
             + 'static,
     {
-        write_registry().try_add(name.into(), Arc::new(build))
-    }
-
-    /// Looks a scheme up by its display name.
-    pub fn by_name(name: &str) -> Option<Scheme> {
-        let reg = read_registry();
-        reg.entries
-            .iter()
-            .position(|e| e.name == name)
-            .map(|i| Scheme(i as u16))
-    }
-
-    /// Every currently registered scheme, in registration order.
-    pub fn all() -> Vec<Scheme> {
-        let reg = read_registry();
-        (0..reg.entries.len() as u16).map(Scheme).collect()
-    }
-
-    /// Display name (figure legend). Cloned out of the registry — names
-    /// are short and this never runs in a per-packet loop. Hot paths
-    /// that label many records resolve a whole scheme set at once with
-    /// [`Scheme::display_names`] instead.
-    pub fn name(&self) -> String {
-        read_registry().entries[self.0 as usize].name.clone()
-    }
-
-    /// Resolves the display names of a whole scheme set under **one**
-    /// registry read lock, as shared `Arc<str>`s. The sweep runner
-    /// resolves names once per sweep and stamps them onto its
-    /// aggregates, so figure assembly and record labeling never pay a
-    /// per-call lock + `String` clone again.
-    pub fn display_names(schemes: &[Scheme]) -> Vec<Arc<str>> {
-        let reg = read_registry();
-        schemes
-            .iter()
-            .map(|s| Arc::from(reg.entries[s.0 as usize].name.as_str()))
-            .collect()
+        Scheme::add(entry(name, build))
     }
 
     /// Constructs this scheme's router over the given context.
     pub fn build<'a>(&self, ctx: &RouterContext<'a>) -> Box<dyn Routing + Send + Sync + 'a> {
-        // Clone the shared builder out so user code runs with the
-        // registry lock released (a builder may itself register).
-        let build = Arc::clone(&read_registry().entries[self.0 as usize].build);
-        build(ctx)
+        self.builder()(ctx)
     }
 
     /// Routes one packet under this scheme.
     pub fn route(&self, ctx: &RouterContext<'_>, src: NodeId, dst: NodeId) -> RouteResult {
         self.build(ctx).route(ctx.net, src, dst)
-    }
-}
-
-impl std::fmt::Display for Scheme {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&read_registry().entries[self.0 as usize].name)
     }
 }
 
@@ -379,7 +254,7 @@ impl SchemeFamily {
         } else {
             format!("{}[{params}]", self.base)
         };
-        self.variants.push((name, Arc::new(build)));
+        self.variants.push(entry(name, build));
         self
     }
 
@@ -421,7 +296,7 @@ impl SchemeFamily {
     /// Registers every variant atomically: on any name collision the
     /// whole family is rejected and the registry is left untouched.
     pub fn try_register(self) -> Result<Vec<Scheme>, String> {
-        write_registry().try_add_all(self.variants)
+        Scheme::add_all(self.variants)
     }
 }
 
@@ -485,9 +360,8 @@ mod tests {
         assert_eq!(Scheme::Slgf2.name(), "SLGF2");
         assert_eq!(Scheme::by_name("GFG"), Some(Scheme::Gfg));
         assert_eq!(Scheme::by_name("no-such-scheme"), None);
-        assert_eq!(SchemeRegistry::len(), Scheme::all().len());
         let listed: Vec<String> = Scheme::all().iter().map(|s| s.name()).collect();
-        assert_eq!(SchemeRegistry::names(), listed);
+        assert_eq!(Scheme::names(), listed);
     }
 
     #[test]
@@ -589,7 +463,7 @@ mod tests {
 
     #[test]
     fn family_registration_is_atomic_on_collision() {
-        let before = SchemeRegistry::len();
+        let before = Scheme::all().len();
         let err = SchemeFamily::new("TEST-fam-atomic")
             .variant("a", |ctx| Box::new(Slgf2Router::new(ctx.info)))
             .variant("", |_| Box::new(LgfRouter::new())) // bare base name
@@ -600,7 +474,7 @@ mod tests {
             .expect_err("duplicate variant tags must be rejected");
         assert!(err.contains("duplicate"), "{err}");
         assert_eq!(
-            SchemeRegistry::len(),
+            Scheme::all().len(),
             before,
             "a rejected family must not leave partial entries behind"
         );

@@ -111,10 +111,7 @@ fn parse_scenario(value: &str) -> Result<Scenario, SpecError> {
         return Ok(s);
     }
     if !value.contains('+') {
-        return Err(SpecError(format!(
-            "unknown scenario {value:?} (registered: {})",
-            crate::ScenarioRegistry::names().join(", ")
-        )));
+        return Err(SpecError(Scenario::unknown(value)));
     }
     let mut parts: Vec<(Scenario, f64)> = Vec::new();
     for tok in value.split('+') {
@@ -124,12 +121,8 @@ fn parse_scenario(value: &str) -> Result<Scenario, SpecError> {
                 "scenario blend {value:?}: {tok:?} is not name:weight"
             ))
         })?;
-        let scenario = Scenario::by_name(name.trim()).ok_or_else(|| {
-            SpecError(format!(
-                "unknown scenario {name:?} (registered: {})",
-                crate::ScenarioRegistry::names().join(", ")
-            ))
-        })?;
+        let scenario =
+            Scenario::by_name(name.trim()).ok_or_else(|| SpecError(Scenario::unknown(name)))?;
         let weight: f64 = weight
             .trim()
             .parse()
@@ -227,12 +220,9 @@ fn parse_schemes(value: &str) -> Result<Vec<Scheme>, SpecError> {
             "PAPER" => out.extend(Scheme::PAPER_SET),
             "EXTENDED" => out.extend(Scheme::EXTENDED_SET),
             "ALL" => out.extend(Scheme::all()),
-            name => out.push(Scheme::by_name(name).ok_or_else(|| {
-                SpecError(format!(
-                    "unknown scheme {name:?} (registered: {})",
-                    crate::SchemeRegistry::names().join(", ")
-                ))
-            })?),
+            name => {
+                out.push(Scheme::by_name(name).ok_or_else(|| SpecError(Scheme::unknown(name)))?)
+            }
         }
     }
     // Membership dedup (macros overlap, e.g. PAPER+SLGF2): a repeated
@@ -379,6 +369,11 @@ mod tests {
             ("chaos=drop:p", "not k=v"),
             ("mobility=teleport", "unknown mobility model"),
             ("mobility=waypoint:speed=x", "not a number"),
+            ("chaos=drop:p=2", "must be finite"),
+            ("chaos=partition:len=1e30@round5", "must be finite"),
+            ("mobility=waypoint:ticks=1e30", "must be finite"),
+            ("mobility=waypoint:speed=0", "must be finite"),
+            ("mobility=waypoint:pace=3", "unknown key"),
         ] {
             let err = SweepSpec::parse(spec).expect_err(spec);
             assert!(err.to_string().contains(needle), "{spec}: {err}");

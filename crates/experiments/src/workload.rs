@@ -148,19 +148,10 @@ pub fn run_lifetime_with_chaos(
             // degraded snapshot, the incrementally-repaired safety
             // information, the rebuilt recovery structures, and — once,
             // not per packet — the scheme's router via the registry.
-            let mut topo = maint.network().clone();
             // Sever the links crossing every partition cut active this
             // round; the epoch is rebuilt when the active set changes.
             let epoch_cuts = cut_state(round);
-            let mut cut_edges = Vec::new();
-            for (cut, &on) in chaos.cuts().iter().zip(&epoch_cuts) {
-                if on {
-                    cut_edges.extend(topo.edges_crossing(cut.a, cut.b));
-                }
-            }
-            if !cut_edges.is_empty() {
-                topo = topo.without_edges(&cut_edges);
-            }
+            let topo = chaos.sever_cuts(maint.network().clone(), round);
             let info = maint.info();
             let gf = GfRouter::new(&topo);
             let gfg = GfgRouter::new(&topo);

@@ -12,12 +12,11 @@
 //!    count.
 
 use proptest::prelude::*;
-use sp_core::{construct_with_chaos, construct_with_threads};
+use sp_core::construct_with;
 use sp_experiments::{run_instance, ChaosRecipe, Scenario, Scheme, SweepConfig};
 use sp_net::deploy::DeploymentConfig;
 use sp_net::edge_nodes::edge_node_mask;
 use sp_net::Network;
-use sp_sim::FailurePlan;
 
 fn one_instance_cfg() -> SweepConfig {
     let mut cfg = SweepConfig::quick(Scenario::Ia);
@@ -54,7 +53,7 @@ fn every_chaos_class_is_deterministic_across_thread_counts() {
         let runs: Vec<_> = [1usize, 2, 3, 8]
             .iter()
             .map(|&t| {
-                construct_with_chaos(&net, pinned.clone(), plan.clone(), t)
+                construct_with(&net, pinned.clone(), plan.clone(), t)
                     .unwrap_or_else(|e| panic!("{spec} at {t} threads: {e}"))
             })
             .collect();
@@ -67,26 +66,6 @@ fn every_chaos_class_is_deterministic_across_thread_counts() {
                     "{spec}: tuple at {u} differs from threads=1"
                 );
             }
-        }
-    }
-}
-
-#[test]
-fn chaos_construction_at_rate_zero_matches_failure_plan_path() {
-    // The legacy FailurePlan entry point and a chaos plan holding the
-    // same schedule produce identical constructions at any thread count.
-    let dc = DeploymentConfig::paper_default(220);
-    let net = Network::from_positions(dc.deploy_uniform(9), dc.radius, dc.area);
-    let pinned = edge_node_mask(&net, net.radius());
-    let mut kills = FailurePlan::new();
-    kills.kill_at(2, net.node_ids().next().unwrap());
-    let chaos = sp_sim::ChaosPlan::from_failure_plan(kills.clone()).with_seed(3);
-    for threads in [1usize, 3] {
-        let legacy = construct_with_threads(&net, pinned.clone(), kills.clone(), threads).unwrap();
-        let chaotic = construct_with_chaos(&net, pinned.clone(), chaos.clone(), threads).unwrap();
-        assert_eq!(legacy.stats, chaotic.stats, "threads={threads}");
-        for u in net.node_ids() {
-            assert_eq!(legacy.info.tuple(u), chaotic.info.tuple(u), "at {u}");
         }
     }
 }

@@ -207,7 +207,7 @@ fn churn_run(addr: &str, args: &LoadArgs, nodes: u32, stop: &std::sync::Mutex<bo
     let mut errors = 0u64;
     let mut moves = Vec::with_capacity(args.churn);
     loop {
-        if *stop.lock().unwrap_or_else(|p| p.into_inner()) {
+        if *sp_sync::lock_recover(stop) {
             return (batches, errors);
         }
         moves.clear();
@@ -271,7 +271,7 @@ fn main() {
             }
         }
         let tallies: Vec<Tally> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        *stop_churn.lock().unwrap_or_else(|p| p.into_inner()) = true;
+        *sp_sync::lock_recover(&stop_churn) = true;
         let churn_result = churn_handle.map(|h| h.join().unwrap());
         (tallies, churn_result)
     });

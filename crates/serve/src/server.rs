@@ -46,12 +46,13 @@ use sp_core::{RoutingService, ServiceScheme, ServiceSession};
 use sp_experiments::ChaosRecipe;
 use sp_geom::Point;
 use sp_net::{Network, NodeId};
+use sp_sync::{lock_recover, wait_timeout_recover};
 use std::collections::VecDeque;
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 // sp-analyze: allow(concurrency, the server's stop flag is a single watched bool, not a work-sharing cursor)
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// Default listen address when `SP_SERVE_ADDR` is unset.
@@ -79,27 +80,6 @@ const STINT_FRAMES: usize = 64;
 /// `MOVE` republishes a whole epoch in milliseconds), so fairness
 /// must be priced in time too: one expensive frame ends the stint.
 const STINT_BUDGET: Duration = Duration::from_millis(5);
-
-/// Recovers a mutex guard even from a poisoned lock — a worker that
-/// panicked while holding the queue must not wedge the others.
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-/// [`Condvar::wait_timeout`] with the same poison recovery.
-fn wait_timeout_recover<'a, T>(
-    cv: &Condvar,
-    guard: MutexGuard<'a, T>,
-    dur: Duration,
-) -> MutexGuard<'a, T> {
-    match cv.wait_timeout(guard, dur) {
-        Ok((guard, _)) => guard,
-        Err(poisoned) => poisoned.into_inner().0,
-    }
-}
 
 /// Server configuration. [`ServeConfig::from_env`] reads the
 /// registered knobs; the builders override per instance (tests and
@@ -422,11 +402,13 @@ fn serve_stint(
             match conn.reader.next_frame() {
                 Ok(Some(frame)) => {
                     let flow = dispatch(shared, session, frame, out, moves, w);
-                    if write_frame(&mut conn.stream, out).is_err() {
-                        return Stint::Closed;
-                    }
+                    // Drain before the ack goes out, so a requester that
+                    // hears back always finds the server stopping.
                     if matches!(flow, Flow::Shutdown) {
                         shared.begin_shutdown();
+                    }
+                    if write_frame(&mut conn.stream, out).is_err() {
+                        return Stint::Closed;
                     }
                     served += 1;
                 }
@@ -602,9 +584,9 @@ fn dispatch(
             Flow::Continue
         }
         Request::Shutdown => {
-            // Acknowledge first; the caller flips the stop flag after
-            // this response is on the wire, so the requester always
-            // hears back.
+            // The caller starts draining before writing this ack, and
+            // draining keeps serving open connections, so the
+            // requester always hears back.
             encode_shutdown_ok(out, shared.service.epoch());
             Flow::Shutdown
         }

@@ -13,8 +13,9 @@
 //! unbounded load, and the steady-state record path stops allocating
 //! once each reservoir reaches capacity.
 
+use sp_sync::lock_recover;
 use std::io::Write;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::Mutex;
 
 /// Hop-histogram buckets: hops `0..=31` individually, bucket 32 for
 /// everything longer.
@@ -22,16 +23,6 @@ pub const HOP_BUCKETS: usize = 33;
 
 /// Per-worker latency reservoir capacity.
 pub const RESERVOIR_CAP: usize = 4096;
-
-/// Recovers a mutex guard even from a poisoned lock: counters stay
-/// valid (every update is a plain store) and telemetry must never
-/// take the server down.
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
 
 /// One worker's counters. Updated only by its owning worker, read by
 /// aggregation sweeps.

@@ -158,11 +158,21 @@ fn server_answers_garbage_with_named_errors_and_stays_alive() {
         }
         other => panic!("expected bad-coordinate, got {other:?}"),
     }
-    match client.chaos(1, 7, "definitely-not-a-chaos-class") {
-        Err(sp_serve::ClientError::Server { error, .. }) => {
-            assert_eq!(error.kind, ProtocolErrorKind::BadSpec)
+    // Hostile CHAOS parameters are parse errors, not worker panics.
+    let bad_specs = [
+        "definitely-not-a-chaos-class",
+        "drop:p=2",
+        "drop:p=NaN",
+        "drop:prob=0.5",
+        "partition:len=1e30@round5",
+    ];
+    for spec in bad_specs {
+        match client.chaos(1, 7, spec) {
+            Err(sp_serve::ClientError::Server { error, .. }) => {
+                assert_eq!(error.kind, ProtocolErrorKind::BadSpec, "{spec}")
+            }
+            other => panic!("expected bad-spec for {spec}, got {other:?}"),
         }
-        other => panic!("expected bad-spec, got {other:?}"),
     }
 
     // The same connection still serves valid queries afterwards.
@@ -173,7 +183,7 @@ fn server_answers_garbage_with_named_errors_and_stays_alive() {
 
     // And the error tally matches what we threw at it.
     let stats = handle.stats();
-    assert_eq!(stats.protocol_errors, 9);
+    assert_eq!(stats.protocol_errors, 13);
     assert_eq!(stats.queries, 1);
 
     handle.shutdown();

@@ -2,9 +2,8 @@
 //!
 //! §1 of the paper motivates unsafe areas with "node failures, signal
 //! fading, communication jamming, power exhaustion, interference, and
-//! node mobility" — a far richer adversary than the fixed kill schedule
-//! of [`FailurePlan`]. A [`ChaosPlan`] generalizes it into four
-//! composable failure classes:
+//! node mobility". A [`ChaosPlan`] is the simulators' one failure
+//! model, with four composable failure classes:
 //!
 //! 1. **Outages** — scheduled node kills (including correlated regional
 //!    bursts, built by the experiment layer from geometry).
@@ -24,20 +23,18 @@
 //!
 //! ```
 //! use sp_net::NodeId;
-//! use sp_sim::{ChaosPlan, FailurePlan};
+//! use sp_sim::ChaosPlan;
 //!
-//! let mut base = FailurePlan::new();
-//! base.kill_at(3, NodeId(7));
-//! let mut chaos = ChaosPlan::from_failure_plan(base).with_drop(0.01);
+//! let mut chaos = ChaosPlan::new().with_drop(0.01);
+//! chaos.kill_at(3, NodeId(7));
 //! chaos.revive_at(9, NodeId(7)); // flap: down at round 3, back at 9
 //! assert_eq!(chaos.kills_due_at(3), &[NodeId(7)]);
 //! assert_eq!(chaos.revivals_due_at(9), &[NodeId(7)]);
 //! assert_eq!(chaos.last_round(), Some(9));
 //! ```
 
-use crate::fault::FailurePlan;
 use sp_geom::{Point, Segment};
-use sp_net::NodeId;
+use sp_net::{Network, NodeId};
 use std::collections::BTreeMap;
 
 /// One partition event: every link whose segment crosses the cut line
@@ -66,6 +63,55 @@ impl CutWindow {
     }
 }
 
+/// A sparse round → nodes schedule: rounds ascending, nodes sorted and
+/// unique within a round, so lookups are binary searches and every
+/// order is deterministic regardless of scheduling order.
+#[derive(Debug, Clone, Default)]
+struct Schedule(Vec<(usize, Vec<NodeId>)>);
+
+impl Schedule {
+    fn insert(&mut self, round: usize, node: NodeId) {
+        match self.0.binary_search_by_key(&round, |e| e.0) {
+            Ok(i) => {
+                if let Err(j) = self.0[i].1.binary_search(&node) {
+                    self.0[i].1.insert(j, node);
+                }
+            }
+            Err(i) => self.0.insert(i, (round, vec![node])),
+        }
+    }
+
+    fn due_at(&self, round: usize) -> &[NodeId] {
+        match self.0.binary_search_by_key(&round, |e| e.0) {
+            Ok(i) => &self.0[i].1,
+            Err(_) => &[],
+        }
+    }
+
+    fn last_round(&self) -> Option<usize> {
+        self.0.last().map(|e| e.0)
+    }
+
+    fn merge(&mut self, other: &Schedule) {
+        for (round, nodes) in &other.0 {
+            for &node in nodes {
+                self.insert(*round, node);
+            }
+        }
+    }
+
+    /// Each scheduled node's latest round at or before `round`.
+    fn latest_by(&self, round: usize) -> BTreeMap<NodeId, usize> {
+        let mut latest = BTreeMap::new();
+        for (r, nodes) in self.0.iter().take_while(|e| e.0 <= round) {
+            for &node in nodes {
+                latest.insert(node, *r);
+            }
+        }
+        latest
+    }
+}
+
 /// A composable failure-injection schedule: kills, revivals, partition
 /// cuts, per-delivery drop probability, and async delay jitter.
 ///
@@ -75,9 +121,8 @@ impl CutWindow {
 #[derive(Debug, Clone, Default)]
 pub struct ChaosPlan {
     seed: u64,
-    kills: FailurePlan,
-    // Sparse map round -> rejoining nodes, sorted by round, victims sorted.
-    revivals: Vec<(usize, Vec<NodeId>)>,
+    kills: Schedule,
+    revivals: Schedule,
     drop_p: f64,
     jitter: f64,
     cuts: Vec<CutWindow>,
@@ -87,15 +132,6 @@ impl ChaosPlan {
     /// An empty plan: injects nothing, perturbs nothing.
     pub fn new() -> ChaosPlan {
         ChaosPlan::default()
-    }
-
-    /// Wraps an existing [`FailurePlan`] — the back-compat path for
-    /// callers that only schedule node deaths.
-    pub fn from_failure_plan(kills: FailurePlan) -> ChaosPlan {
-        ChaosPlan {
-            kills,
-            ..ChaosPlan::default()
-        }
     }
 
     /// Sets the seed of the dedicated chaos RNG stream.
@@ -131,21 +167,15 @@ impl ChaosPlan {
     }
 
     /// Schedules `victim` to fail at the start of `round` (class 1).
+    /// Duplicates collapse; victims within a round stay sorted.
     pub fn kill_at(&mut self, round: usize, victim: NodeId) {
-        self.kills.kill_at(round, victim);
+        self.kills.insert(round, victim);
     }
 
     /// Schedules `node` to rejoin at the start of `round` (class 4).
-    /// Duplicates collapse; victims within a round stay sorted.
+    /// Duplicates collapse; nodes within a round stay sorted.
     pub fn revive_at(&mut self, round: usize, node: NodeId) {
-        match self.revivals.binary_search_by_key(&round, |e| e.0) {
-            Ok(i) => {
-                if let Err(j) = self.revivals[i].1.binary_search(&node) {
-                    self.revivals[i].1.insert(j, node);
-                }
-            }
-            Err(i) => self.revivals.insert(i, (round, vec![node])),
-        }
+        self.revivals.insert(round, node);
     }
 
     /// Adds a partition cut window (class 2).
@@ -158,9 +188,9 @@ impl ChaosPlan {
         self.seed
     }
 
-    /// The scheduled kills.
-    pub fn kills(&self) -> &FailurePlan {
-        &self.kills
+    /// Rounds with scheduled kills, ascending, with their victims.
+    pub fn kills(&self) -> &[(usize, Vec<NodeId>)] {
+        &self.kills.0
     }
 
     /// Kills due at `round`.
@@ -170,15 +200,12 @@ impl ChaosPlan {
 
     /// Revivals due at `round`.
     pub fn revivals_due_at(&self, round: usize) -> &[NodeId] {
-        match self.revivals.binary_search_by_key(&round, |e| e.0) {
-            Ok(i) => &self.revivals[i].1,
-            Err(_) => &[],
-        }
+        self.revivals.due_at(round)
     }
 
     /// Rounds with scheduled revivals, ascending, with their nodes.
     pub fn revivals(&self) -> &[(usize, Vec<NodeId>)] {
-        &self.revivals
+        &self.revivals.0
     }
 
     /// The per-delivery drop probability.
@@ -199,8 +226,8 @@ impl ChaosPlan {
     /// True when the plan injects nothing at all: a plan for which
     /// every engine must behave bit-identically to having no plan.
     pub fn is_quiet(&self) -> bool {
-        self.kills.is_empty()
-            && self.revivals.is_empty()
+        self.kills.0.is_empty()
+            && self.revivals.0.is_empty()
             && self.cuts.is_empty()
             && self.drop_p == 0.0
             && self.jitter == 0.0
@@ -229,29 +256,34 @@ impl ChaosPlan {
     /// to the per-round deltas the engines consume via
     /// [`ChaosPlan::kills_due_at`] / [`ChaosPlan::revivals_due_at`].
     pub fn dead_as_of(&self, round: usize) -> Vec<NodeId> {
-        let mut last_kill: BTreeMap<NodeId, usize> = BTreeMap::new();
-        for (r, victims) in self.kills.entries() {
-            if *r > round {
-                break;
-            }
-            for &v in victims {
-                last_kill.insert(v, *r);
-            }
-        }
-        let mut last_revive: BTreeMap<NodeId, usize> = BTreeMap::new();
-        for (r, nodes) in &self.revivals {
-            if *r > round {
-                break;
-            }
-            for &v in nodes {
-                last_revive.insert(v, *r);
-            }
-        }
-        last_kill
+        let last_revive = self.revivals.latest_by(round);
+        self.kills
+            .latest_by(round)
             .into_iter()
             .filter(|(v, k)| last_revive.get(v).is_none_or(|r| r < k))
             .map(|(v, _)| v)
             .collect()
+    }
+
+    /// `net` as its survivors see it at `round`: every node down as of
+    /// that round ([`ChaosPlan::dead_as_of`]) isolated, and every link
+    /// crossing a cut active at that round severed. Ids stay
+    /// index-aligned with `net`.
+    pub fn degrade(&self, net: &Network, round: usize) -> Network {
+        self.sever_cuts(net.without_nodes(&self.dead_as_of(round)), round)
+    }
+
+    /// `net` with every link crossing a cut active at `round` severed.
+    pub fn sever_cuts(&self, net: Network, round: usize) -> Network {
+        let mut cut_edges = Vec::new();
+        for cut in self.cuts.iter().filter(|c| c.active_at(round)) {
+            cut_edges.extend(net.edges_crossing(cut.a, cut.b));
+        }
+        if cut_edges.is_empty() {
+            net
+        } else {
+            net.without_edges(&cut_edges)
+        }
     }
 
     /// The last round with a scheduled node event (kill or revival) —
@@ -259,25 +291,15 @@ impl ChaosPlan {
     /// not contribute: they only gate deliveries of messages already in
     /// flight, so with nothing pending they cause nothing to happen.
     pub fn last_round(&self) -> Option<usize> {
-        let kills = self.kills.last_round();
-        let revivals = self.revivals.last().map(|e| e.0);
-        kills.into_iter().chain(revivals).max()
+        self.kills.last_round().max(self.revivals.last_round())
     }
 
     /// Folds `other` into `self`: kills, revivals, and cuts append;
     /// drop probabilities combine as independent losses
     /// (`1 - (1-p)(1-q)`); jitters add. The seed of `self` wins.
     pub fn merge(&mut self, other: &ChaosPlan) {
-        for (round, victims) in other.kills.entries() {
-            for &v in victims {
-                self.kill_at(*round, v);
-            }
-        }
-        for (round, nodes) in &other.revivals {
-            for &n in nodes {
-                self.revive_at(*round, n);
-            }
-        }
+        self.kills.merge(&other.kills);
+        self.revivals.merge(&other.revivals);
         self.cuts.extend(other.cuts.iter().cloned());
         self.drop_p = 1.0 - (1.0 - self.drop_p) * (1.0 - other.drop_p);
         self.jitter += other.jitter;
@@ -296,18 +318,6 @@ mod tests {
         assert!(!plan.links_perturbed_at(0));
         assert!(plan.kills_due_at(5).is_empty());
         assert!(plan.revivals_due_at(5).is_empty());
-    }
-
-    #[test]
-    fn from_failure_plan_preserves_the_schedule() {
-        let mut base = FailurePlan::new();
-        base.kill_at(7, NodeId(2));
-        base.kill_at(3, NodeId(5));
-        let plan = ChaosPlan::from_failure_plan(base.clone());
-        assert_eq!(plan.kills_due_at(3), base.due_at(3));
-        assert_eq!(plan.kills_due_at(7), base.due_at(7));
-        assert_eq!(plan.last_round(), Some(7));
-        assert!(!plan.is_quiet());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! engine survives as [`crate::LegacyEngine`] so benchmarks and
 //! equivalence tests can always compare against it.
 
-use crate::{ChaosPlan, Ctx, FailurePlan, NodeProcess, RoundLog, SimStats};
+use crate::{ChaosPlan, Ctx, NodeProcess, RoundLog, SimStats};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use sp_net::{Network, NodeId};
@@ -153,7 +153,6 @@ pub struct Engine<'n, P: NodeProcess> {
     threads: usize,
     stats: SimStats,
     log: RoundLog,
-    failures: FailurePlan,
     chaos: ChaosPlan,
     /// Dedicated RNG for chaos drop sampling. Created lazily by
     /// [`Engine::set_chaos_plan`], so a chaos-free engine never owns an
@@ -185,7 +184,6 @@ impl<'n, P: NodeProcess> Engine<'n, P> {
             threads: auto_threads(n),
             stats: SimStats::default(),
             log: RoundLog::new(),
-            failures: FailurePlan::new(),
             chaos: ChaosPlan::new(),
             chaos_rng: None,
             round: 0,
@@ -193,17 +191,12 @@ impl<'n, P: NodeProcess> Engine<'n, P> {
         }
     }
 
-    /// Installs a failure plan (replacing any previous one). Rounds are
-    /// counted from the first [`Engine::step`] after initialization.
-    pub fn set_failure_plan(&mut self, plan: FailurePlan) {
-        self.failures = plan;
-    }
-
     /// Installs a chaos plan (replacing any previous one): scheduled
     /// kills and revivals, partition cut windows, and per-delivery
     /// drops, all sampled from a dedicated RNG seeded by the plan — the
     /// engine's own behavior at any thread count is unchanged by a
-    /// quiet plan ([`ChaosPlan::is_quiet`]).
+    /// quiet plan ([`ChaosPlan::is_quiet`]). Rounds are counted from
+    /// the first [`Engine::step`] after initialization.
     pub fn set_chaos_plan(&mut self, plan: ChaosPlan) {
         self.chaos_rng = if plan.drop_p() > 0.0 {
             Some(StdRng::seed_from_u64(plan.seed() ^ 0xc4a0_5eed))
@@ -269,25 +262,7 @@ impl<'n, P: NodeProcess> Engine<'n, P> {
         // Drop in-flight messages from/to the victim.
         self.pending
             .retain(|(from, to, _)| *from != victim && *to != Some(victim));
-        self.neighbor_scratch.clear();
-        self.neighbor_scratch
-            .extend_from_slice(self.net.neighbors(victim));
-        for k in 0..self.neighbor_scratch.len() {
-            let v = self.neighbor_scratch[k];
-            if !self.alive[v.index()] {
-                continue;
-            }
-            let mut ctx = Ctx {
-                id: v,
-                net: self.net,
-                alive: &self.alive,
-                outbox: self.outbox_pool.pop().unwrap_or_default(),
-            };
-            self.nodes[v.index()].on_neighbor_failed(&mut ctx, victim);
-            let mut outbox = ctx.outbox;
-            queue_outbox(&mut self.pending, &mut self.stats, v, &mut outbox);
-            self.outbox_pool.push(outbox);
-        }
+        self.notify_neighbors(victim, |p, ctx| p.on_neighbor_failed(ctx, victim));
     }
 
     /// Revives a previously-killed node (flapping recovery): the node
@@ -301,35 +276,37 @@ impl<'n, P: NodeProcess> Engine<'n, P> {
         }
         self.alive[node.index()] = true;
         debug_assert!(self.inboxes[node.index()].is_empty());
-        let mut ctx = Ctx {
-            id: node,
-            net: self.net,
-            alive: &self.alive,
-            outbox: self.outbox_pool.pop().unwrap_or_default(),
-        };
-        self.nodes[node.index()].on_rejoin(&mut ctx);
-        let mut outbox = ctx.outbox;
-        queue_outbox(&mut self.pending, &mut self.stats, node, &mut outbox);
-        self.outbox_pool.push(outbox);
+        self.run_callback(node, |p, ctx| p.on_rejoin(ctx));
+        self.notify_neighbors(node, |p, ctx| p.on_neighbor_recovered(ctx, node));
+    }
+
+    /// Runs `callback` on every live neighbor of `node` — the one local
+    /// repair path that kills and revivals share.
+    fn notify_neighbors(&mut self, node: NodeId, callback: impl Fn(&mut P, &mut Ctx<'_, P::Msg>)) {
         self.neighbor_scratch.clear();
         self.neighbor_scratch
             .extend_from_slice(self.net.neighbors(node));
         for k in 0..self.neighbor_scratch.len() {
             let v = self.neighbor_scratch[k];
-            if !self.alive[v.index()] {
-                continue;
+            if self.alive[v.index()] {
+                self.run_callback(v, &callback);
             }
-            let mut ctx = Ctx {
-                id: v,
-                net: self.net,
-                alive: &self.alive,
-                outbox: self.outbox_pool.pop().unwrap_or_default(),
-            };
-            self.nodes[v.index()].on_neighbor_recovered(&mut ctx, node);
-            let mut outbox = ctx.outbox;
-            queue_outbox(&mut self.pending, &mut self.stats, v, &mut outbox);
-            self.outbox_pool.push(outbox);
         }
+    }
+
+    /// Runs one process callback with a pooled outbox and queues what
+    /// it sent.
+    fn run_callback(&mut self, id: NodeId, callback: impl FnOnce(&mut P, &mut Ctx<'_, P::Msg>)) {
+        let mut ctx = Ctx {
+            id,
+            net: self.net,
+            alive: &self.alive,
+            outbox: self.outbox_pool.pop().unwrap_or_default(),
+        };
+        callback(&mut self.nodes[id.index()], &mut ctx);
+        let mut outbox = ctx.outbox;
+        queue_outbox(&mut self.pending, &mut self.stats, id, &mut outbox);
+        self.outbox_pool.push(outbox);
     }
 
     /// Runs [`NodeProcess::on_init`] on every live node. Called
@@ -340,33 +317,14 @@ impl<'n, P: NodeProcess> Engine<'n, P> {
         }
         self.initialized = true;
         for i in 0..self.nodes.len() {
-            if !self.alive[i] {
-                continue;
+            if self.alive[i] {
+                self.run_callback(NodeId::new(i), |p, ctx| p.on_init(ctx));
             }
-            let mut ctx = Ctx {
-                id: NodeId::new(i),
-                net: self.net,
-                alive: &self.alive,
-                outbox: self.outbox_pool.pop().unwrap_or_default(),
-            };
-            self.nodes[i].on_init(&mut ctx);
-            let mut outbox = ctx.outbox;
-            queue_outbox(
-                &mut self.pending,
-                &mut self.stats,
-                NodeId::new(i),
-                &mut outbox,
-            );
-            self.outbox_pool.push(outbox);
         }
     }
 
     fn pending_activity(&self) -> bool {
         !self.pending.is_empty()
-            || self
-                .failures
-                .last_round()
-                .is_some_and(|last| last >= self.round)
             || self
                 .chaos
                 .last_round()
@@ -390,8 +348,6 @@ where
         let chaos_round = self.round;
         self.due_scratch.clear();
         self.due_scratch
-            .extend_from_slice(self.failures.due_at(self.round));
-        self.due_scratch
             .extend_from_slice(self.chaos.kills_due_at(self.round));
         let mut had_events = !self.due_scratch.is_empty();
         for k in 0..self.due_scratch.len() {
@@ -410,12 +366,13 @@ where
         }
 
         if self.pending.is_empty() && !had_events {
-            // Idle round: if failures or chaos events are still
-            // scheduled ahead, time must advance toward them; otherwise
-            // the system is quiescent.
-            let future = |last: usize| last > chaos_round;
-            if self.failures.last_round().is_some_and(future)
-                || self.chaos.last_round().is_some_and(future)
+            // Idle round: if chaos events are still scheduled ahead,
+            // time must advance toward them; otherwise the system is
+            // quiescent.
+            if self
+                .chaos
+                .last_round()
+                .is_some_and(|last| last > chaos_round)
             {
                 self.round += 1;
                 self.stats.rounds = self.round;
@@ -770,9 +727,9 @@ mod tests {
     fn killed_node_partitions_relay() {
         let net = line_net(6);
         let mut engine = Engine::new(&net, |_| Relay { has_token: false });
-        let mut plan = FailurePlan::new();
+        let mut plan = ChaosPlan::new();
         plan.kill_at(2, NodeId(3));
-        engine.set_failure_plan(plan);
+        engine.set_chaos_plan(plan);
         let stats = engine.run_until_quiescent(100).unwrap();
         assert!(stats.quiesced);
         assert!(!engine.node(NodeId(4)).has_token, "token blocked at n3");
@@ -841,27 +798,27 @@ mod tests {
     #[test]
     fn threaded_engine_matches_legacy_bit_for_bit() {
         let net = line_net(40);
-        let run_legacy = |plan: &FailurePlan| {
+        let run_legacy = |plan: &ChaosPlan| {
             let mut engine = LegacyEngine::new(&net, |id| Gossip {
                 value: (id.index() as u64) * 3,
             });
-            engine.set_failure_plan(plan.clone());
+            engine.set_chaos_plan(plan.clone());
             let stats = engine.run_until_quiescent(1000).unwrap();
             let values: Vec<u64> = engine.nodes().iter().map(|g| g.value).collect();
             (stats, engine.round_log().per_round().to_vec(), values)
         };
-        let run_new = |plan: &FailurePlan, threads: usize| {
+        let run_new = |plan: &ChaosPlan, threads: usize| {
             let mut engine = Engine::new(&net, |id| Gossip {
                 value: (id.index() as u64) * 3,
             });
-            engine.set_failure_plan(plan.clone());
+            engine.set_chaos_plan(plan.clone());
             engine.set_threads(threads);
             let stats = engine.run_until_quiescent(1000).unwrap();
             let values: Vec<u64> = engine.nodes().iter().map(|g| g.value).collect();
             (stats, engine.round_log().per_round().to_vec(), values)
         };
-        let mut plans = vec![FailurePlan::new()];
-        let mut failing = FailurePlan::new();
+        let mut plans = vec![ChaosPlan::new()];
+        let mut failing = ChaosPlan::new();
         failing.kill_at(2, NodeId(7));
         failing.kill_at(5, NodeId(20));
         plans.push(failing);

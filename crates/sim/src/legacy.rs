@@ -20,7 +20,7 @@
 //! and a per-node reference slice is built on top before each
 //! [`NodeProcess::on_round`] call.
 
-use crate::{Ctx, FailurePlan, NodeProcess, RoundLog, SimError, SimStats};
+use crate::{ChaosPlan, Ctx, NodeProcess, RoundLog, SimError, SimStats};
 use sp_net::{Network, NodeId};
 
 /// The seed synchronous executor: clone-per-edge delivery, full-table
@@ -34,7 +34,7 @@ pub struct LegacyEngine<'n, P: NodeProcess> {
     pending: Vec<(NodeId, Option<NodeId>, P::Msg)>,
     stats: SimStats,
     log: RoundLog,
-    failures: FailurePlan,
+    failures: ChaosPlan,
     round: usize,
     initialized: bool,
 }
@@ -51,14 +51,16 @@ impl<'n, P: NodeProcess> LegacyEngine<'n, P> {
             pending: Vec::new(),
             stats: SimStats::default(),
             log: RoundLog::new(),
-            failures: FailurePlan::new(),
+            failures: ChaosPlan::new(),
             round: 0,
             initialized: false,
         }
     }
 
-    /// Installs a failure plan (replacing any previous one).
-    pub fn set_failure_plan(&mut self, plan: FailurePlan) {
+    /// Installs a failure plan (replacing any previous one). Only the
+    /// plan's kills apply — the pre-optimization engine predates
+    /// revivals, cuts and drops, so parity runs schedule kills alone.
+    pub fn set_chaos_plan(&mut self, plan: ChaosPlan) {
         self.failures = plan;
     }
 
@@ -154,18 +156,14 @@ impl<'n, P: NodeProcess> LegacyEngine<'n, P> {
     /// active.
     pub fn step(&mut self) -> bool {
         self.init();
-        let due: Vec<NodeId> = self.failures.due_at(self.round).to_vec();
+        let due: Vec<NodeId> = self.failures.kills_due_at(self.round).to_vec();
         let had_failures = !due.is_empty();
         for v in due {
             self.kill_node(v);
         }
 
         if self.pending.is_empty() && !had_failures {
-            if self
-                .failures
-                .last_round()
-                .is_some_and(|last| last > self.round)
-            {
+            if self.last_kill_round().is_some_and(|last| last > self.round) {
                 self.round += 1;
                 self.stats.rounds = self.round;
                 self.log.record(0);
@@ -240,9 +238,12 @@ impl<'n, P: NodeProcess> LegacyEngine<'n, P> {
     fn pending_activity(&self) -> bool {
         !self.pending.is_empty()
             || self
-                .failures
-                .last_round()
+                .last_kill_round()
                 .is_some_and(|last| last >= self.round)
+    }
+
+    fn last_kill_round(&self) -> Option<usize> {
+        self.failures.kills().last().map(|e| e.0)
     }
 }
 
@@ -297,9 +298,9 @@ mod tests {
         let mut engine = LegacyEngine::new(&net, |id| Gossip {
             value: id.index() as u64,
         });
-        let mut plan = FailurePlan::new();
+        let mut plan = ChaosPlan::new();
         plan.kill_at(1, NodeId(2));
-        engine.set_failure_plan(plan);
+        engine.set_chaos_plan(plan);
         let stats = engine.run_until_quiescent(100).unwrap();
         assert!(stats.quiesced);
         assert!(!engine.is_alive(NodeId(2)));

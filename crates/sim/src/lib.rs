@@ -8,10 +8,12 @@
 //! [`Engine`] advances everyone in lock-step rounds while counting every
 //! transmission — the construction-cost metric of ablation A1.
 //!
-//! The engine also injects failures ([`FailurePlan`]): the paper motivates
-//! unsafe areas with "node failures, signal fading, communication jamming,
-//! power exhaustion" (§1), and ablation A6 measures how the information
-//! model recovers when nodes die after construction.
+//! The engines also inject failures through one model, the [`ChaosPlan`]
+//! (scheduled kills and revivals, partition cuts, lossy links): the paper
+//! motivates unsafe areas with "node failures, signal fading,
+//! communication jamming, power exhaustion" (§1), and ablation A6
+//! measures how the information model recovers when nodes die after
+//! construction.
 //!
 //! # Example
 //!
@@ -59,7 +61,6 @@
 pub mod async_engine;
 pub mod chaos;
 pub mod engine;
-pub mod fault;
 pub mod legacy;
 pub mod process;
 pub mod stats;
@@ -67,7 +68,6 @@ pub mod stats;
 pub use async_engine::{AsyncConfig, AsyncEngine, AsyncStats};
 pub use chaos::{ChaosPlan, CutWindow};
 pub use engine::{auto_threads, Engine, SimError, PARALLEL_NODE_THRESHOLD, THREADS_ENV};
-pub use fault::FailurePlan;
 pub use legacy::LegacyEngine;
 pub use process::{Ctx, NodeProcess};
 pub use stats::{RoundLog, SimStats};

@@ -21,6 +21,9 @@
 //! * [`knobs`] — the declared registry of every `SP_*` environment
 //!   variable the workspace reads. `sp-analyze` fails CI when a knob
 //!   is read outside this registry or missing from the README.
+//! * [`lock_recover`] / [`wait_timeout_recover`] — the one poison
+//!   recovery for `std` locks whose guarded data stays valid at every
+//!   step, so a panicked worker cannot wedge the others.
 //! * [`check`] — a vendored mini-loom: a deterministic, exhaustive
 //!   interleaving explorer that model-checks the claim/merge protocol
 //!   (and the other lock-free idioms the routing stack relies on)
@@ -33,7 +36,9 @@ pub mod check;
 mod epoch;
 pub mod knobs;
 mod queue;
+mod recover;
 
 pub use epoch::{EpochCell, Pinned};
 pub use knobs::{configured_threads_for, env_flag, env_var};
 pub use queue::WorkQueue;
+pub use recover::{lock_recover, wait_timeout_recover};

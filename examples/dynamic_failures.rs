@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::{seq::SliceRandom, SeedableRng};
 use straightpath::net::edge_nodes::edge_node_mask;
 use straightpath::prelude::*;
-use straightpath::sim::FailurePlan;
+use straightpath::sim::ChaosPlan;
 
 fn main() {
     let cfg = DeploymentConfig::paper_default(550);
@@ -40,11 +40,12 @@ fn main() {
         .collect();
     interior.shuffle(&mut rng);
     let victims: Vec<NodeId> = interior.into_iter().take(25).collect();
-    let mut plan = FailurePlan::new();
+    let mut plan = ChaosPlan::new();
     for (i, &v) in victims.iter().enumerate() {
         plan.kill_at(clean.stats.rounds + 2 + i / 5, v);
     }
-    let repaired = straightpath::core::construct_with(&net, pinned, plan).expect("repair quiesces");
+    let repaired =
+        straightpath::core::construct_with(&net, pinned, plan, 1).expect("repair quiesces");
     println!(
         "with {} failures injected: {} total rounds, {} broadcasts \
          (repair overhead {} broadcasts)",

@@ -54,5 +54,5 @@ pub mod prelude {
         deploy::DeploymentConfig, EnergyLedger, FaModel, Network, NodeId, Obstacle, RadioModel,
         RandomWaypoint,
     };
-    pub use sp_sim::{ChaosPlan, CutWindow, FailurePlan};
+    pub use sp_sim::{ChaosPlan, CutWindow};
 }
