@@ -15,8 +15,8 @@
 //! * **Recovery** — `chaos_recovery`: the incremental maintenance
 //!   path (`InfoMaintainer::kill_many` + per-node `revive`) absorbing
 //!   a correlated regional outage and the subsequent rejoin.
-//!   `messages_per_recovery` is repair-worklist entries per victim —
-//!   the maintenance engine's unit of protocol work.
+//!   `messages_per_recovery` is the labeling engine's node
+//!   evaluations per victim (`RepairReport::work_items`).
 //!
 //! Medians (`*_seconds`) are gated by `ci/bench_gate` against the
 //! committed BENCH_chaos.json; the ratio/round/message keys are

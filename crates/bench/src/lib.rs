@@ -1,7 +1,7 @@
 //! Benchmark-only crate: see the `benches/` directory. Each bench
-//! regenerates one of the paper's figures at reduced scale and times
-//! the pipeline that produces it; `repro-figures` (in
-//! `sp-experiments`) produces the full-scale tables.
+//! writes one `BENCH_*.json` artifact at the repository root, which the
+//! CI `bench-gate` job compares against its committed baseline;
+//! `repro-figures` (in `sp-experiments`) produces the paper's figures.
 //!
 //! The library part holds the shared wall-clock sampling helper every
 //! `BENCH_*.json` writer uses, so all baselines carry the same

@@ -140,17 +140,8 @@ impl LabelingProcess {
             .collect();
 
         if !self.pinned {
-            for q in Quadrant::ALL {
-                if !self.tuple.is_safe(q) {
-                    continue;
-                }
-                let has_safe = live.iter().any(|&(v, pv)| {
-                    Quadrant::of(my_pos, pv) == Some(q) && self.neighbor_tuple(v).is_safe(q)
-                });
-                if !has_safe {
-                    self.tuple.mark_unsafe(q);
-                }
-            }
+            let view = live.iter().map(|&(v, pv)| (pv, self.neighbor_tuple(v)));
+            self.tuple = self.tuple & SafetyTuple::support(my_pos, view);
         }
 
         // Chain endpoints for every unsafe type (Algo. 2 step 3).

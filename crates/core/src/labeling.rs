@@ -5,19 +5,106 @@
 //! > safe neighbor in the type-i forwarding zone; that is,
 //! > `∀v ∈ N(u) ∩ Q_i(u), S_i(v) = 0`."
 //!
-//! The update is monotone (bits only flip safe → unsafe), so iterating
-//! from `(1,1,1,1)` everywhere converges to the *greatest* fixed point.
-//! We iterate in synchronous (Jacobi) sweeps, mirroring the paper's
-//! round-based system, so the reported round count is comparable with the
-//! distributed protocol in [`crate::distributed`].
-//!
 //! Edge nodes of the interest area are *pinned* to `(1,1,1,1)` (§3: "each
 //! edge node will always keep its status tuple as (1,1,1,1)"), preventing
 //! the area border from cascading unsafe labels inward.
+//!
+//! **One engine.** `relabel` is the only loop that iterates the rule
+//! ([`SafetyTuple::support`]); the full build here and the failure repair
+//! of [`crate::InfoMaintainer::kill`] are its two entry shapes. It is a
+//! level-synchronous worklist: round `r` re-evaluates only the neighbors
+//! of nodes that flipped in round `r − 1` (every seed in round 1), reads
+//! round `r − 1`'s tuples, and applies the round's flips together. A node
+//! none of whose neighbors flipped has the same support as when it was
+//! last evaluated, so a synchronous (Jacobi) sweep over every node would
+//! flip exactly the same statuses in each round: [`SafetyMap::rounds`]
+//! stays the paper's round count, comparable with the distributed
+//! protocol in [`crate::distributed`], while the work tracks the flips.
+//!
+//! **One fixed point.** A type-`q` support edge `u → v` (`v ∈ Q_q(u)`)
+//! strictly raises a potential: `x + y` for type 1, `y − x` for type 2,
+//! `−x − y` for type 3 and `x − y` for type 4. The quadrant test decides
+//! on the signs of `dx` and `dy`, and the sign of a float difference is
+//! exact, so this holds in floating point too. Each type's
+//! support graph is therefore acyclic, and Definition 1 has exactly one
+//! fixed point per pinned mask: any start above it (all-safe, or the
+//! labels before a failure) runs down to it, and
+//! [`SafetyMap::check_fixed_point`] characterises it completely.
 
-use crate::SafetyTuple;
+use crate::{RepairReport, SafetyTuple};
 use sp_geom::Quadrant;
 use sp_net::{edge_nodes::edge_node_mask, Network, NodeId};
+
+/// Definition 1's rule at `u`, reading the neighbors' statuses from
+/// `tuples`.
+fn support(net: &Network, tuples: &[SafetyTuple], u: NodeId) -> SafetyTuple {
+    let neighbors = net.neighbors(u).iter();
+    SafetyTuple::support(
+        net.position(u),
+        neighbors.map(|&v| (net.position(v), tuples[v.index()])),
+    )
+}
+
+/// Runs Definition 1 down from `tuples` to its fixed point and returns
+/// the number of rounds that flipped a status, with what the run did:
+/// `work_items` counts node evaluations and `relabeled_nodes` counts a
+/// node once per round in which it flips.
+///
+/// Every unpinned node outside `seeds` must already agree with its
+/// support: `tuples` is all-safe with every node seeded, or a previous
+/// fixed point seeded with the nodes whose neighborhood changed.
+pub(crate) fn relabel(
+    net: &Network,
+    pinned: &[bool],
+    tuples: &mut [SafetyTuple],
+    seeds: impl IntoIterator<Item = NodeId>,
+) -> (usize, RepairReport) {
+    let mut queued = vec![false; net.len()];
+    let mut frontier = Vec::new();
+    enqueue(&mut frontier, &mut queued, pinned, seeds);
+    let mut flips = Vec::new();
+    let mut rounds = 0;
+    let mut report = RepairReport::default();
+    while !frontier.is_empty() {
+        report.work_items += frontier.len();
+        flips.clear();
+        for &u in &frontier {
+            queued[u.index()] = false;
+            let new = tuples[u.index()] & support(net, tuples, u);
+            if new != tuples[u.index()] {
+                flips.push((u, new));
+            }
+        }
+        if flips.is_empty() {
+            break;
+        }
+        rounds += 1;
+        for &(u, new) in &flips {
+            let old = std::mem::replace(&mut tuples[u.index()], new);
+            report.flipped_statuses += (old.safe_count() - new.safe_count()) as usize;
+        }
+        report.relabeled_nodes += flips.len();
+        // A flip may strip support from every neighbor of the flipped node.
+        frontier.clear();
+        let touched = flips.iter().flat_map(|&(u, _)| net.neighbors(u));
+        enqueue(&mut frontier, &mut queued, pinned, touched.copied());
+    }
+    (rounds, report)
+}
+
+/// Appends the unpinned nodes of `nodes` not queued yet to `frontier`.
+fn enqueue(
+    frontier: &mut Vec<NodeId>,
+    queued: &mut [bool],
+    pinned: &[bool],
+    nodes: impl IntoIterator<Item = NodeId>,
+) {
+    for v in nodes {
+        if !pinned[v.index()] && !std::mem::replace(&mut queued[v.index()], true) {
+            frontier.push(v);
+        }
+    }
+}
 
 /// The stabilized safety tuples of every node, plus convergence metadata.
 #[derive(Debug, Clone)]
@@ -43,36 +130,8 @@ impl SafetyMap {
     /// Panics if `pinned.len() != net.len()`.
     pub fn label_with_pinned(net: &Network, pinned: Vec<bool>) -> SafetyMap {
         assert_eq!(pinned.len(), net.len(), "pinned mask must cover all nodes");
-        let n = net.len();
-        let mut tuples = vec![SafetyTuple::all_safe(); n];
-        let mut rounds = 0;
-        loop {
-            let mut next = tuples.clone();
-            let mut changed = false;
-            for u in net.node_ids() {
-                if pinned[u.index()] {
-                    continue;
-                }
-                let pu = net.position(u);
-                for q in Quadrant::ALL {
-                    if !tuples[u.index()].is_safe(q) {
-                        continue;
-                    }
-                    let has_safe_forward = net.neighbors(u).iter().any(|&v| {
-                        Quadrant::of(pu, net.position(v)) == Some(q) && tuples[v.index()].is_safe(q)
-                    });
-                    if !has_safe_forward {
-                        next[u.index()].mark_unsafe(q);
-                        changed = true;
-                    }
-                }
-            }
-            if !changed {
-                break;
-            }
-            tuples = next;
-            rounds += 1;
-        }
+        let mut tuples = vec![SafetyTuple::all_safe(); net.len()];
+        let (rounds, _) = relabel(net, &pinned, &mut tuples, net.node_ids());
         SafetyMap {
             tuples,
             pinned,
@@ -118,7 +177,8 @@ impl SafetyMap {
         &self.pinned
     }
 
-    /// Synchronous rounds until the fixed point stabilized.
+    /// Synchronous rounds until the fixed point stabilized: the rounds
+    /// in which some status flipped.
     pub fn rounds(&self) -> usize {
         self.rounds
     }
@@ -139,38 +199,25 @@ impl SafetyMap {
     }
 
     /// Verifies the Definition-1 fixed point (used by tests and
-    /// debug assertions):
-    ///
-    /// * an unpinned node safe in `q` has a type-`q` safe neighbor in
-    ///   `Q_q(u)`;
-    /// * a node unsafe in `q` has **no** type-`q` safe neighbor in
-    ///   `Q_q(u)` (i.e. flipping it back would violate Definition 1).
+    /// debug assertions): a pinned node is all-safe, and an unpinned
+    /// node's tuple equals its support — safe in `q` exactly when a
+    /// type-`q` safe neighbor lies in `Q_q(u)`. The fixed point is
+    /// unique (see the module docs), so a map passing this check is the
+    /// labeling.
     ///
     /// Returns the first violating `(node, quadrant)` if any.
     pub fn check_fixed_point(&self, net: &Network) -> Option<(NodeId, Quadrant)> {
-        for u in net.node_ids() {
-            let pu = net.position(u);
-            for q in Quadrant::ALL {
-                let has_safe_forward = net
-                    .neighbors(u)
-                    .iter()
-                    .any(|&v| Quadrant::of(pu, net.position(v)) == Some(q) && self.is_safe(v, q));
-                let safe = self.is_safe(u, q);
-                if self.pinned[u.index()] {
-                    if !safe {
-                        return Some((u, q));
-                    }
-                    continue;
-                }
-                if safe && !has_safe_forward {
-                    return Some((u, q)); // should have been labeled unsafe
-                }
-                if !safe && has_safe_forward {
-                    return Some((u, q)); // labeled too aggressively
-                }
-            }
-        }
-        None
+        net.node_ids().find_map(|u| {
+            let expected = if self.pinned[u.index()] {
+                SafetyTuple::all_safe()
+            } else {
+                support(net, &self.tuples, u)
+            };
+            Quadrant::ALL
+                .into_iter()
+                .find(|&q| self.is_safe(u, q) != expected.is_safe(q))
+                .map(|q| (u, q))
+        })
     }
 }
 

@@ -11,16 +11,17 @@
 //!
 //! The key property making this cheap is monotonicity: removing a node
 //! only removes forwarding support, so statuses can only flip safe →
-//! unsafe. Re-running the fixed point *seeded from the current labels*
-//! (a chaotic iteration from an upper bound of the new greatest fixed
-//! point) converges to exactly the labels a full rebuild would produce —
-//! the equivalence the property tests check — while touching only the
-//! neighborhood the failure actually influenced.
+//! unsafe. The repair runs the one labeling engine of
+//! [`crate::labeling`] from the current labels (an upper bound of the new
+//! fixed point), seeded with the victim's neighbors, so it touches only
+//! the neighborhood the failure actually influenced. Definition 1 has a
+//! single fixed point per pinned mask (the labeling module docs give the
+//! acyclicity argument), so the repair lands on exactly the labels a full
+//! rebuild produces — the equivalence the property tests check.
 
+use crate::labeling::relabel;
 use crate::{SafetyInfo, SafetyMap, SafetyTuple, ShapeMap};
-use sp_geom::Quadrant;
 use sp_net::{edge_nodes::edge_node_mask, Network, NodeId};
-use std::collections::VecDeque;
 
 /// What one [`InfoMaintainer::kill`] repair did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -29,7 +30,8 @@ pub struct RepairReport {
     pub flipped_statuses: usize,
     /// Distinct nodes whose tuple changed (excluding the victim).
     pub relabeled_nodes: usize,
-    /// Worklist entries processed (a proxy for repair cost).
+    /// Node evaluations the labeling engine ran, summed over its rounds
+    /// (a proxy for repair cost).
     pub work_items: usize,
 }
 
@@ -114,6 +116,12 @@ impl InfoMaintainer {
     /// Kills `victim` and repairs the labeling incrementally.
     /// Killing an already-dead node is a no-op.
     ///
+    /// A node flips at most one status per kill: a type-`q` flip at `u`
+    /// traces back along type-`q` support edges to the victim, and
+    /// quadrant cones are transitive, so the victim lies in `Q_q(u)`,
+    /// and it lies in one quadrant only. So the engine's flips are
+    /// distinct nodes and the report counts them exactly.
+    ///
     /// # Panics
     ///
     /// Panics if `victim` is out of range.
@@ -124,55 +132,12 @@ impl InfoMaintainer {
         self.repairs += 1;
         self.dead[victim.index()] = true;
         self.pinned[victim.index()] = false;
-
-        // Neighbors lose an edge: they are the seed of the repair.
-        let seeds: Vec<NodeId> = self.net.neighbors(victim).to_vec();
-        self.net = self.net.without_nodes(&[victim]);
         self.tuples[victim.index()] = SafetyTuple::all_unsafe();
-
-        let mut report = RepairReport::default();
-        let mut flipped = vec![false; self.net.len()];
-        let mut queue: VecDeque<NodeId> = seeds.into();
-        let mut queued = vec![false; self.net.len()];
-        for w in &queue {
-            queued[w.index()] = true;
-        }
-        while let Some(w) = queue.pop_front() {
-            queued[w.index()] = false;
-            report.work_items += 1;
-            if self.dead[w.index()] || self.pinned[w.index()] {
-                continue;
-            }
-            let pw = self.net.position(w);
-            let mut flipped_here = false;
-            for q in Quadrant::ALL {
-                if !self.tuples[w.index()].is_safe(q) {
-                    continue;
-                }
-                let has_support = self.net.neighbors(w).iter().any(|&v| {
-                    Quadrant::of(pw, self.net.position(v)) == Some(q)
-                        && self.tuples[v.index()].is_safe(q)
-                });
-                if !has_support {
-                    self.tuples[w.index()].mark_unsafe(q);
-                    report.flipped_statuses += 1;
-                    flipped_here = true;
-                }
-            }
-            if flipped_here {
-                if !flipped[w.index()] {
-                    flipped[w.index()] = true;
-                    report.relabeled_nodes += 1;
-                }
-                // w's loss may strip support from every neighbor.
-                for &v in self.net.neighbors(w) {
-                    if !queued[v.index()] {
-                        queued[v.index()] = true;
-                        queue.push_back(v);
-                    }
-                }
-            }
-        }
+        let net = self.net.without_nodes(&[victim]);
+        // The victim's neighbors lose an edge: they seed the repair.
+        let seeds = self.net.neighbors(victim).iter().copied();
+        let (_, report) = relabel(&net, &self.pinned, &mut self.tuples, seeds);
+        self.net = net;
         report
     }
 
@@ -180,10 +145,11 @@ impl InfoMaintainer {
     /// (and hull pinning, when the node was pinned at construction).
     ///
     /// Unlike [`InfoMaintainer::kill`], revival is **anti-monotone** —
-    /// statuses can flip unsafe → safe, so the cheap worklist repair
-    /// does not apply. The labeling is recomputed from scratch on the
-    /// new ghost network; the method exists for API completeness (node
-    /// redeployments, battery swaps) and its cost is one full rebuild.
+    /// statuses can flip unsafe → safe, so the current labels are no
+    /// upper bound to repair down from. The labeling is recomputed from
+    /// all-safe on the new ghost network; the method exists for API
+    /// completeness (node redeployments, battery swaps) and its cost is
+    /// one full rebuild.
     /// Reviving a live node is a no-op.
     pub fn revive(&mut self, node: NodeId) {
         if !self.dead[node.index()] {
@@ -199,12 +165,10 @@ impl InfoMaintainer {
             .collect();
         self.net = self.original.without_nodes(&dead_now);
         self.pinned[node.index()] = self.original_pinned[node.index()];
-        let map = SafetyMap::label_with_pinned(&self.net, self.pinned.clone());
-        self.tuples = map.tuples().to_vec();
-        self.tuples[node.index()] = map.tuple(node);
-        for v in &dead_now {
-            self.tuples[v.index()] = SafetyTuple::all_unsafe();
-        }
+        // Dead nodes are isolated and unpinned, so they relabel all-unsafe.
+        self.tuples.fill(SafetyTuple::all_safe());
+        let every_node = self.net.node_ids();
+        relabel(&self.net, &self.pinned, &mut self.tuples, every_node);
     }
 
     /// Kills several nodes, folding the repair reports.
@@ -232,6 +196,7 @@ impl InfoMaintainer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sp_geom::Quadrant;
     use sp_net::DeploymentConfig;
 
     fn built(nodes: usize, seed: u64) -> (Network, InfoMaintainer) {

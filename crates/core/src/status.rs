@@ -6,7 +6,7 @@
 //! only ever flip to unsafe during labeling — the tuple is monotone,
 //! which is what makes Definition 1 a fixed point computation.
 
-use sp_geom::Quadrant;
+use sp_geom::{Point, Quadrant};
 
 /// A node's safety tuple; bit `i` is `S_i(u)`.
 ///
@@ -43,7 +43,7 @@ impl SafetyTuple {
     }
 
     /// Flips `S_i(u)` to unsafe. Returns `true` when the bit actually
-    /// changed (drives the labeling worklist).
+    /// changed.
     pub fn mark_unsafe(&mut self, q: Quadrant) -> bool {
         let bit = 1u8 << q.array_index();
         let changed = self.0 & bit != 0;
@@ -51,10 +51,26 @@ impl SafetyTuple {
         changed
     }
 
-    /// Restores `S_i(u)` to safe (used only when re-labeling after
-    /// topology changes rebuilds from scratch).
-    pub fn mark_safe(&mut self, q: Quadrant) {
-        self.0 |= 1 << q.array_index();
+    /// Definition 1's local rule, the one place it is written: the
+    /// types `q` for which a neighbor in `Q_q(at)` is itself type-`q`
+    /// safe, in one pass over the neighbors' `(position, tuple)` pairs.
+    /// An unpinned node keeps the safe types its tuple shares with this
+    /// support. Quadrants are [`Quadrant::of`]'s half-open ones, so a
+    /// co-located neighbor supports nothing.
+    pub fn support(
+        at: Point,
+        neighbors: impl IntoIterator<Item = (Point, SafetyTuple)>,
+    ) -> SafetyTuple {
+        let mut found = 0;
+        for (p, t) in neighbors {
+            if let Some(q) = Quadrant::of(at, p) {
+                found |= t.0 & (1 << q.array_index());
+                if found == SafetyTuple::all_safe().0 {
+                    break;
+                }
+            }
+        }
+        SafetyTuple(found)
     }
 
     /// True when at least one type is safe (`∃ S_i(u) > 0`), the backup
@@ -82,6 +98,15 @@ impl SafetyTuple {
     /// The quadrants in which this node is safe, in type order.
     pub fn safe_types(self) -> impl Iterator<Item = Quadrant> {
         Quadrant::ALL.into_iter().filter(move |q| self.is_safe(*q))
+    }
+}
+
+impl std::ops::BitAnd for SafetyTuple {
+    type Output = SafetyTuple;
+
+    /// The types safe in both tuples.
+    fn bitand(self, rhs: SafetyTuple) -> SafetyTuple {
+        SafetyTuple(self.0 & rhs.0)
     }
 }
 
@@ -141,11 +166,22 @@ mod tests {
     }
 
     #[test]
-    fn mark_safe_restores() {
-        let mut t = SafetyTuple::all_unsafe();
-        t.mark_safe(Quadrant::II);
-        assert!(t.is_safe(Quadrant::II));
-        assert_eq!(t.safe_types().collect::<Vec<_>>(), vec![Quadrant::II]);
+    fn support_follows_the_half_open_quadrants() {
+        // Axis-aligned neighbors fall in the quadrant on the `≥` side; a
+        // co-located one falls in none.
+        let at = Point::new(5.0, 5.0);
+        let cases = [
+            (Point::new(5.0, 9.0), Some(Quadrant::I)),
+            (Point::new(9.0, 5.0), Some(Quadrant::I)),
+            (Point::new(1.0, 5.0), Some(Quadrant::II)),
+            (Point::new(5.0, 1.0), Some(Quadrant::IV)),
+            (at, None),
+        ];
+        for (p, q) in cases {
+            let support = SafetyTuple::support(at, [(p, SafetyTuple::all_safe())]);
+            let types: Vec<_> = support.safe_types().collect();
+            assert_eq!(types, Vec::from_iter(q), "neighbor at {p:?}");
+        }
     }
 
     #[test]

@@ -6,15 +6,90 @@
 //! and kill sequences and compare against `SafetyMap::label_with_pinned`
 //! on the degraded (ghost) network, for both tuples and the derived
 //! shape estimates.
+//!
+//! The labeling engine itself is checked against `jacobi_reference`, the
+//! synchronous sweep the library used to run, in tuples and in rounds.
 
 use proptest::prelude::*;
-use sp_core::{InfoMaintainer, SafetyInfo, SafetyMap};
-use sp_geom::Quadrant;
-use sp_net::{DeploymentConfig, Network, NodeId};
+use sp_core::{InfoMaintainer, SafetyInfo, SafetyMap, SafetyTuple};
+use sp_geom::{Point, Quadrant};
+use sp_net::{DeploymentConfig, FaModel, Network, NodeId};
 
 fn network(n: usize, seed: u64) -> Network {
     let cfg = DeploymentConfig::paper_default(n);
     Network::from_positions(cfg.deploy_uniform(seed), cfg.radius, cfg.area)
+}
+
+/// The synchronous (Jacobi) sweep `SafetyMap::label_with_pinned` used to
+/// run, kept verbatim as the engine's reference: every round clones the
+/// tuple array and re-evaluates every node. Returns the tuples and the
+/// number of rounds that changed something.
+fn jacobi_reference(net: &Network, pinned: &[bool]) -> (Vec<SafetyTuple>, usize) {
+    let n = net.len();
+    let mut tuples = vec![SafetyTuple::all_safe(); n];
+    let mut rounds = 0;
+    loop {
+        let mut next = tuples.clone();
+        let mut changed = false;
+        for u in net.node_ids() {
+            if pinned[u.index()] {
+                continue;
+            }
+            let pu = net.position(u);
+            for q in Quadrant::ALL {
+                if !tuples[u.index()].is_safe(q) {
+                    continue;
+                }
+                let has_safe_forward = net.neighbors(u).iter().any(|&v| {
+                    Quadrant::of(pu, net.position(v)) == Some(q) && tuples[v.index()].is_safe(q)
+                });
+                if !has_safe_forward {
+                    next[u.index()].mark_unsafe(q);
+                    changed = true;
+                }
+            }
+        }
+        if !changed {
+            break;
+        }
+        tuples = next;
+        rounds += 1;
+    }
+    (tuples, rounds)
+}
+
+/// An IA or FA (`fa`) deployment, snapped to a `grid`-metre lattice when
+/// `grid > 0`, so co-located nodes and axis-aligned neighbors (the
+/// `Quadrant::of` boundary cases) occur.
+fn field(n: usize, seed: u64, fa: bool, grid: f64) -> Network {
+    let cfg = DeploymentConfig::paper_default(n);
+    let positions = if fa {
+        let obstacles = FaModel::paper_default().generate_obstacles(&cfg, seed);
+        cfg.deploy_with_obstacles(&obstacles, seed)
+    } else {
+        cfg.deploy_uniform(seed)
+    };
+    let snap = |x: f64| {
+        if grid > 0.0 {
+            (x / grid).round() * grid
+        } else {
+            x
+        }
+    };
+    let positions = positions
+        .into_iter()
+        .map(|p| Point::new(snap(p.x), snap(p.y)))
+        .collect();
+    Network::from_positions(positions, cfg.radius, cfg.area)
+}
+
+/// A pinned mask: the hull nodes when `hull`, plus every `every`-th node
+/// (none for `every == 0`).
+fn pin_mask(net: &Network, hull: bool, every: usize) -> Vec<bool> {
+    let edge = sp_net::edge_nodes::edge_node_mask(net, net.radius());
+    net.node_ids()
+        .map(|u| (hull && edge[u.index()]) || (every > 0 && u.index() % every == 0))
+        .collect()
 }
 
 fn ghost_pinned(maint: &InfoMaintainer) -> Vec<bool> {
@@ -107,6 +182,62 @@ proptest! {
             prop_assert_eq!(a.tuple(u), b.tuple(u), "at {}", u);
         }
         victims.clear(); // silence unused-mut lint paths
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The labeling engine equals the Jacobi reference in tuples and in
+    /// rounds on IA and FA fields, gridded or not, under random pinned
+    /// masks, and its output is a Definition-1 fixed point.
+    #[test]
+    fn engine_matches_the_jacobi_reference(
+        seed in 0u64..1000,
+        n in 60usize..320,
+        fa in 0u8..2,
+        grid in prop::sample::select(vec![0.0, 2.0, 8.0]),
+        hull in 0u8..2,
+        every in 0usize..12,
+    ) {
+        let net = field(n, seed, fa == 1, grid);
+        let pinned = pin_mask(&net, hull == 1, every);
+        let (tuples, rounds) = jacobi_reference(&net, &pinned);
+        let map = SafetyMap::label_with_pinned(&net, pinned);
+        prop_assert_eq!(map.tuples(), &tuples[..]);
+        prop_assert_eq!(map.rounds(), rounds);
+        prop_assert_eq!(map.check_fixed_point(&net), None);
+    }
+
+    /// Each kill's report counts exactly the statuses and the nodes whose
+    /// tuple the kill changed (the victim's own excluded), statuses only
+    /// flip safe → unsafe, and every repaired labeling is a fixed point.
+    #[test]
+    fn repair_reports_count_the_tuple_differences(
+        seed in 0u64..500,
+        n in 100usize..260,
+        fa in 0u8..2,
+        grid in prop::sample::select(vec![0.0, 8.0]),
+        kills in prop::collection::vec(0usize..260, 1..12),
+    ) {
+        let net = field(n, seed, fa == 1, grid);
+        let mut maint = InfoMaintainer::new(net.clone());
+        for k in kills {
+            let victim = NodeId::new(k % n);
+            let before: Vec<SafetyTuple> = net.node_ids().map(|u| maint.tuple(u)).collect();
+            let report = maint.kill(victim);
+            let (mut nodes, mut statuses) = (0, 0);
+            for u in net.node_ids().filter(|&u| u != victim) {
+                let (old, new) = (before[u.index()], maint.tuple(u));
+                prop_assert!(new.safe_types().all(|q| old.is_safe(q)), "{} regained a status", u);
+                let flipped = Quadrant::ALL.iter().filter(|&&q| old.is_safe(q) != new.is_safe(q)).count();
+                nodes += usize::from(flipped > 0);
+                statuses += flipped;
+            }
+            prop_assert_eq!(report.relabeled_nodes, nodes, "kill of {}", victim);
+            prop_assert_eq!(report.flipped_statuses, statuses, "kill of {}", victim);
+            prop_assert_eq!(maint.info().safety().check_fixed_point(maint.network()), None);
+        }
     }
 }
 

@@ -425,9 +425,10 @@ pub fn async_cost_figure(cfg: &SweepConfig, instances: usize) -> Figure {
 }
 
 /// A9: incremental repair cost of the safety information per node
-/// failure, against the cost of a full rebuild (node recomputations of
-/// the Definition-1 sweep). Each instance kills `kills` random non-hull
-/// nodes one at a time.
+/// failure, against the cost of a full rebuild modelled as a
+/// synchronous Definition-1 sweep (every node recomputed once per
+/// round). Each instance kills `kills` random non-hull nodes one at a
+/// time.
 pub fn maintenance_cost_figure(
     scenario: Scenario,
     node_counts: &[usize],
@@ -459,7 +460,10 @@ pub fn maintenance_cost_figure(
             for &v in victims.iter().take(kills) {
                 let report = maint.kill(v);
                 inc_work.push(report.work_items as f64);
-                // A full rebuild sweeps every node once per Jacobi round.
+                // The textbook cost of a synchronous (Jacobi) rebuild:
+                // every node once per round. The library's labeling
+                // engine re-evaluates only neighbors of flipped nodes,
+                // so this series is a model, not a measured count.
                 let mask =
                     sp_net::edge_nodes::edge_node_mask(maint.network(), maint.network().radius());
                 let pinned: Vec<bool> = mask

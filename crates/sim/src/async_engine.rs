@@ -183,9 +183,9 @@ pub struct AsyncEngine<'n, P: NodeProcess> {
     /// Scratch for the equal-timestamp batch drained per step.
     batch: Vec<Event<P::Msg>>,
     neighbor_scratch: Vec<NodeId>,
-    /// `kill_node`'s own neighbor scratch — it dispatches outboxes
+    /// `notify_neighbors`' own neighbor scratch — it dispatches outboxes
     /// mid-iteration, which clobbers `neighbor_scratch`.
-    kill_scratch: Vec<NodeId>,
+    notify_scratch: Vec<NodeId>,
     /// Recycled outbox buffers handed to `Ctx` (one delivery at a time,
     /// so the pool stays tiny).
     outbox_pool: Vec<Vec<(Option<NodeId>, P::Msg)>>,
@@ -218,7 +218,7 @@ impl<'n, P: NodeProcess> AsyncEngine<'n, P> {
             queue: BinaryHeap::new(),
             batch: Vec::new(),
             neighbor_scratch: Vec::new(),
-            kill_scratch: Vec::new(),
+            notify_scratch: Vec::new(),
             outbox_pool: Vec::new(),
             rng: StdRng::seed_from_u64(cfg.seed),
             chaos: ChaosPlan::new(),
@@ -381,25 +381,7 @@ impl<'n, P: NodeProcess> AsyncEngine<'n, P> {
             .filter(|e| e.to != victim && e.from != victim)
             .collect();
         self.queue = keep.into_iter().collect();
-        self.kill_scratch.clear();
-        self.kill_scratch
-            .extend_from_slice(self.net.neighbors(victim));
-        for k in 0..self.kill_scratch.len() {
-            let v = self.kill_scratch[k];
-            if !self.alive[v.index()] {
-                continue;
-            }
-            let mut ctx = Ctx {
-                id: v,
-                net: self.net,
-                alive: &self.alive,
-                outbox: self.outbox_pool.pop().unwrap_or_default(),
-            };
-            self.nodes[v.index()].on_neighbor_failed(&mut ctx, victim);
-            let mut outbox = ctx.outbox;
-            self.dispatch_outbox(v, &mut outbox);
-            self.outbox_pool.push(outbox);
-        }
+        self.notify_neighbors(victim, |p, ctx| p.on_neighbor_failed(ctx, victim));
     }
 
     /// Revives a previously-killed node (flapping recovery): the node
@@ -411,35 +393,37 @@ impl<'n, P: NodeProcess> AsyncEngine<'n, P> {
             return;
         }
         self.alive[node.index()] = true;
+        self.run_callback(node, |p, ctx| p.on_rejoin(ctx));
+        self.notify_neighbors(node, |p, ctx| p.on_neighbor_recovered(ctx, node));
+    }
+
+    /// Runs `callback` on every live neighbor of `node` — the one local
+    /// repair path that kills and revivals share.
+    fn notify_neighbors(&mut self, node: NodeId, callback: impl Fn(&mut P, &mut Ctx<'_, P::Msg>)) {
+        self.notify_scratch.clear();
+        self.notify_scratch
+            .extend_from_slice(self.net.neighbors(node));
+        for k in 0..self.notify_scratch.len() {
+            let v = self.notify_scratch[k];
+            if self.alive[v.index()] {
+                self.run_callback(v, &callback);
+            }
+        }
+    }
+
+    /// Runs one process callback with a pooled outbox and dispatches
+    /// what it sent.
+    fn run_callback(&mut self, id: NodeId, callback: impl FnOnce(&mut P, &mut Ctx<'_, P::Msg>)) {
         let mut ctx = Ctx {
-            id: node,
+            id,
             net: self.net,
             alive: &self.alive,
             outbox: self.outbox_pool.pop().unwrap_or_default(),
         };
-        self.nodes[node.index()].on_rejoin(&mut ctx);
+        callback(&mut self.nodes[id.index()], &mut ctx);
         let mut outbox = ctx.outbox;
-        self.dispatch_outbox(node, &mut outbox);
+        self.dispatch_outbox(id, &mut outbox);
         self.outbox_pool.push(outbox);
-        self.kill_scratch.clear();
-        self.kill_scratch
-            .extend_from_slice(self.net.neighbors(node));
-        for k in 0..self.kill_scratch.len() {
-            let v = self.kill_scratch[k];
-            if !self.alive[v.index()] {
-                continue;
-            }
-            let mut ctx = Ctx {
-                id: v,
-                net: self.net,
-                alive: &self.alive,
-                outbox: self.outbox_pool.pop().unwrap_or_default(),
-            };
-            self.nodes[v.index()].on_neighbor_recovered(&mut ctx, node);
-            let mut outbox = ctx.outbox;
-            self.dispatch_outbox(v, &mut outbox);
-            self.outbox_pool.push(outbox);
-        }
     }
 
     /// Runs [`NodeProcess::on_init`] on every node (idempotent).
@@ -449,19 +433,9 @@ impl<'n, P: NodeProcess> AsyncEngine<'n, P> {
         }
         self.initialized = true;
         for i in 0..self.nodes.len() {
-            if !self.alive[i] {
-                continue;
+            if self.alive[i] {
+                self.run_callback(NodeId::new(i), |p, ctx| p.on_init(ctx));
             }
-            let mut ctx = Ctx {
-                id: NodeId::new(i),
-                net: self.net,
-                alive: &self.alive,
-                outbox: self.outbox_pool.pop().unwrap_or_default(),
-            };
-            self.nodes[i].on_init(&mut ctx);
-            let mut outbox = ctx.outbox;
-            self.dispatch_outbox(NodeId::new(i), &mut outbox);
-            self.outbox_pool.push(outbox);
         }
     }
 
@@ -504,16 +478,7 @@ impl<'n, P: NodeProcess> AsyncEngine<'n, P> {
             }
             self.stats.deliveries += 1;
             let inbox = [(ev.from, ev.msg.get())];
-            let mut ctx = Ctx {
-                id: ev.to,
-                net: self.net,
-                alive: &self.alive,
-                outbox: self.outbox_pool.pop().unwrap_or_default(),
-            };
-            self.nodes[ev.to.index()].on_round(&mut ctx, &inbox);
-            let mut outbox = ctx.outbox;
-            self.dispatch_outbox(ev.to, &mut outbox);
-            self.outbox_pool.push(outbox);
+            self.run_callback(ev.to, |p, ctx| p.on_round(ctx, &inbox));
         }
         self.batch = batch;
         popped
