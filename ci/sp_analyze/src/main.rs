@@ -13,8 +13,9 @@
 //!   through `sp_sync::WorkQueue`; every thread count through
 //!   `sp_sync::configured_threads_for`.
 //! * **env** — every `SP_*` knob is registered in
-//!   `sp_sync::knobs::ENV_KNOBS`, documented in the README, and read
-//!   through the registry.
+//!   `sp_sync::knobs::ENV_KNOBS` and read through the registry, and
+//!   the README's knob table is exactly the one the registry
+//!   generates.
 //!
 //! Intentional exceptions carry
 //! `// sp-analyze: allow(<rule>, <reason>)` on the offending line,
@@ -34,6 +35,9 @@ const MANIFEST_PATH: &str = "ci/sp_analyze/hot_functions.txt";
 /// Relative path of the env-knob registry source (exempt from the
 /// raw-read ban: it *is* the blessed read).
 const REGISTRY_PATH: &str = "crates/sync/src/knobs.rs";
+
+/// The README line before and after the generated knob table.
+const KNOB_MARKER: &str = "<!-- sp-analyze:knobs -->";
 
 fn main() {
     std::process::exit(run(std::env::args().skip(1).collect()));
@@ -185,21 +189,51 @@ fn analyze(files: &[(String, String)], manifest: &Manifest, readme: &str) -> Vec
             }
         }
     }
-    for k in sp_sync::knobs::ENV_KNOBS {
-        if !readme.contains(k.name) {
-            diags.push(Diagnostic {
-                file: "README.md".to_owned(),
-                line: 1,
-                rule: "env",
-                message: format!(
-                    "registered knob {} is missing from the README — regenerate the \
-                     knob table with `cargo run -p sp-analyze -- --knob-table`",
-                    k.name
-                ),
-            });
-        }
-    }
+    diags.extend(check_knob_table(readme));
     diags
+}
+
+/// The README's knob table (the lines between the two
+/// [`KNOB_MARKER`]s) must be exactly `markdown_table()`: a stale row,
+/// a missing one or an edited default or summary is reported at the
+/// first README line that differs.
+fn check_knob_table(readme: &str) -> Option<Diagnostic> {
+    let table = sp_sync::knobs::markdown_table();
+    let want: Vec<&str> = table.lines().collect();
+    let mut parts = readme.splitn(3, KNOB_MARKER);
+    let head = parts.next().unwrap_or_default();
+    let (line, message) = match (parts.next(), parts.next()) {
+        (Some(block), Some(_)) => {
+            let have: Vec<&str> = block.trim_start_matches('\n').lines().collect();
+            if have == want {
+                return None;
+            }
+            let row = (0..=have.len().max(want.len()))
+                .find(|&i| have.get(i) != want.get(i))
+                .unwrap_or_default();
+            let show = |l: Option<&&str>| l.map_or("nothing".to_owned(), |l| format!("`{l}`"));
+            (
+                head.lines().count() + 2 + row,
+                format!(
+                    "knob table differs from the registry: found {}, expected {}",
+                    show(have.get(row)),
+                    show(want.get(row))
+                ),
+            )
+        }
+        _ => (
+            1,
+            format!("no knob table between two `{KNOB_MARKER}` lines"),
+        ),
+    };
+    Some(Diagnostic {
+        file: "README.md".to_owned(),
+        line,
+        rule: "env",
+        message: format!(
+            "{message} — regenerate it with `cargo run -p sp-analyze -- --knob-table`"
+        ),
+    })
 }
 
 /// `--fix-manifest`: prints a hot-function manifest skeleton seeded
@@ -275,10 +309,13 @@ fn run_self_test() -> i32 {
                 .to_owned(),
         ),
     ];
+    // A README with the exact knob table, so every diagnostic comes
+    // from the seeded source, not from a missing table.
+    let readme = readme_with_table();
     let mut failed = false;
     for (rule, src) in &fixtures {
         let files = vec![("crates/selftest/src/lib.rs".to_owned(), src.clone())];
-        let diags = analyze(&files, &manifest, "");
+        let diags = analyze(&files, &manifest, &readme);
         let hit = diags.iter().any(|d| d.rule == *rule);
         if hit {
             println!("self-test [{rule}]: caught");
@@ -293,11 +330,6 @@ fn run_self_test() -> i32 {
         "pub fn walk_into(v: &mut [u32]) -> usize { v.iter().copied().sum::<u32>() as usize }"
             .to_owned(),
     )];
-    let readme: String = sp_sync::knobs::ENV_KNOBS
-        .iter()
-        .map(|k| k.name)
-        .collect::<Vec<_>>()
-        .join("\n");
     let residue = analyze(&clean, &manifest, &readme);
     if residue.is_empty() {
         println!("self-test [clean]: no false positives");
@@ -313,6 +345,14 @@ fn run_self_test() -> i32 {
     }
 }
 
+/// A README holding exactly the generated knob table.
+fn readme_with_table() -> String {
+    format!(
+        "# Knobs\n\n{KNOB_MARKER}\n{}{KNOB_MARKER}\n",
+        sp_sync::knobs::markdown_table()
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,10 +366,36 @@ mod tests {
     fn missing_readme_entry_is_reported() {
         let manifest = Manifest::parse("walk_into\n").unwrap();
         let diags = analyze(&[], &manifest, "no knobs documented here");
-        assert_eq!(diags.len(), sp_sync::knobs::ENV_KNOBS.len());
-        assert!(diags
-            .iter()
-            .all(|d| d.rule == "env" && d.file == "README.md"));
+        assert_eq!(diags.len(), 1);
+        assert!(diags[0].rule == "env" && diags[0].file == "README.md");
+        let dropped = readme_with_table().replace("| `SP_NET_THREADS` |", "| `SP_OTHER` |");
+        let diags = analyze(&[], &manifest, &dropped);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert!(diags[0].message.contains("SP_NET_THREADS"), "{diags:?}");
+    }
+
+    #[test]
+    fn stale_readme_row_is_reported() {
+        let manifest = Manifest::parse("walk_into\n").unwrap();
+        let table = sp_sync::knobs::markdown_table();
+        let stale = "| `SP_SERVICE_CHURN` | 100 | Movers per background epoch publish. |\n";
+        let readme = readme_with_table().replace(&table, &format!("{table}{stale}"));
+        let diags = analyze(&[], &manifest, &readme);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert!(diags[0].message.contains("SP_SERVICE_CHURN"), "{diags:?}");
+        // "# Knobs", a blank line, the marker, the two header lines and
+        // one line per registered knob come before the stale row.
+        assert_eq!(diags[0].line, 6 + sp_sync::knobs::ENV_KNOBS.len());
+    }
+
+    #[test]
+    fn edited_readme_default_is_reported() {
+        let manifest = Manifest::parse("walk_into\n").unwrap();
+        let readme = readme_with_table().replace("| 127.0.0.1:4617 |", "| 0.0.0.0:4617 |");
+        let diags = analyze(&[], &manifest, &readme);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert!(diags[0].message.contains("0.0.0.0:4617"), "{diags:?}");
+        assert!(analyze(&[], &manifest, &readme_with_table()).is_empty());
     }
 
     #[test]

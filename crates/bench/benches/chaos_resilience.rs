@@ -2,7 +2,7 @@
 //! three currencies the chaos engine exists to measure.
 //!
 //! * **Delivery** — `chaos_delivery`: a streaming lifetime workload
-//!   (`run_lifetime_with_chaos`) under the `SP_CHAOS_SPEC` recipe vs
+//!   (`run_lifetime_with_chaos`) under the [`CHAOS_SPEC`] recipe vs
 //!   the identical clean run. Reports the chaotic `delivery_ratio`
 //!   (delivered / attempted) next to the clean one, plus the wall
 //!   median for both runs.
@@ -20,7 +20,7 @@
 //!
 //! Medians (`*_seconds`) are gated by `ci/bench_gate` against the
 //! committed BENCH_chaos.json; the ratio/round/message keys are
-//! informational. Knob: `SP_CHAOS_SPEC` swaps the injected recipe.
+//! informational.
 //!
 //! Run with: `cargo bench -p sp-bench --bench chaos_resilience`
 
@@ -37,12 +37,16 @@ const NODES: usize = 1_000;
 const RUNS: usize = 5;
 const SEED: u64 = 0xc4a0;
 
-/// The injected recipe: `SP_CHAOS_SPEC`, defaulting to a correlated
-/// regional outage at round 5 on top of 1% lossy links.
-fn chaos_spec() -> String {
-    sp_sync::env_var("SP_CHAOS_SPEC")
-        .filter(|v| !v.trim().is_empty())
-        .unwrap_or_else(|| "region:r=0.15@round5+drop:p=0.01".to_string())
+/// The injected recipe: a correlated regional outage at round 5 on
+/// top of 1% lossy links. Every row embeds it as its `spec` key.
+const CHAOS_SPEC: &str = "region:r=0.15@round5+drop:p=0.01";
+
+/// [`CHAOS_SPEC`] built over `net`.
+fn chaos_plan(net: &Network) -> ChaosPlan {
+    ChaosRecipe::parse(CHAOS_SPEC)
+        // sp-analyze: allow(panic, a bench whose fixed recipe stops parsing must fail loudly)
+        .expect("CHAOS_SPEC parses")
+        .build(net, SEED)
 }
 
 fn bench_net() -> Network {
@@ -64,11 +68,8 @@ fn timed<R>(mut f: impl FnMut() -> R) -> (SampleStats, R) {
 }
 
 /// Row 1: streaming delivery under chaos vs the identical clean run.
-fn delivery_row(net: &Network, spec: &str) -> String {
-    let plan = ChaosRecipe::parse(spec)
-        // sp-analyze: allow(panic, the spec was validated before any row ran)
-        .expect("validated spec")
-        .build(net, SEED);
+fn delivery_row(net: &Network) -> String {
+    let plan = chaos_plan(net);
     let cfg = StreamingConfig::default_for_lifetime();
     let (clean_wall, clean) = timed(|| run_lifetime(net, Scheme::Slgf2, &cfg, SEED));
     let (wall, chaotic) = timed(|| run_lifetime_with_chaos(net, Scheme::Slgf2, &cfg, &plan, SEED));
@@ -85,7 +86,7 @@ fn delivery_row(net: &Network, spec: &str) -> String {
         "chaos must not improve delivery"
     );
     format!(
-        "    {{\"case\": \"chaos_delivery\", \"scheme\": \"SLGF2\", \"nodes\": {NODES}, \"runs\": {RUNS}, \"spec\": \"{spec}\", \"delivery_ratio\": {:.4}, \"clean_delivery_ratio\": {:.4}, \"rounds\": {}, {}, {}}}",
+        "    {{\"case\": \"chaos_delivery\", \"scheme\": \"SLGF2\", \"nodes\": {NODES}, \"runs\": {RUNS}, \"spec\": \"{CHAOS_SPEC}\", \"delivery_ratio\": {:.4}, \"clean_delivery_ratio\": {:.4}, \"rounds\": {}, {}, {}}}",
         ratio(&chaotic),
         ratio(&clean),
         chaotic.rounds,
@@ -95,11 +96,8 @@ fn delivery_row(net: &Network, spec: &str) -> String {
 }
 
 /// Row 2: distributed construction with mid-protocol strikes.
-fn construction_row(net: &Network, spec: &str) -> String {
-    let plan = ChaosRecipe::parse(spec)
-        // sp-analyze: allow(panic, the spec was validated before any row ran)
-        .expect("validated spec")
-        .build(net, SEED);
+fn construction_row(net: &Network) -> String {
+    let plan = chaos_plan(net);
     let pinned = edge_node_mask(net, net.radius());
     let threads = sp_sync::configured_threads_for("SP_SIM_THREADS");
     let (clean_wall, clean) = timed(|| {
@@ -119,7 +117,7 @@ fn construction_row(net: &Network, spec: &str) -> String {
         .transmissions()
         .saturating_sub(clean.stats.transmissions());
     format!(
-        "    {{\"case\": \"chaos_construction\", \"nodes\": {NODES}, \"runs\": {RUNS}, \"spec\": \"{spec}\", \"restabilize_rounds\": {extra_rounds}, \"chaos_extra_messages\": {extra_msgs}, {}, {}}}",
+        "    {{\"case\": \"chaos_construction\", \"nodes\": {NODES}, \"runs\": {RUNS}, \"spec\": \"{CHAOS_SPEC}\", \"restabilize_rounds\": {extra_rounds}, \"chaos_extra_messages\": {extra_msgs}, {}, {}}}",
         wall.json_fields("run"),
         clean_wall.json_fields("clean_run"),
     )
@@ -154,14 +152,9 @@ fn recovery_row(net: &Network) -> String {
 
 fn chaos_benches(c: &mut Criterion) {
     let net = bench_net();
-    let spec = chaos_spec();
-    ChaosRecipe::parse(&spec)
-        // sp-analyze: allow(panic, a bench with an unparseable knob value must fail loudly)
-        .unwrap_or_else(|e| panic!("SP_CHAOS_SPEC {spec:?}: {e}"));
-
     let rows = [
-        delivery_row(&net, &spec),
-        construction_row(&net, &spec),
+        delivery_row(&net),
+        construction_row(&net),
         recovery_row(&net),
     ];
 
@@ -173,10 +166,7 @@ fn chaos_benches(c: &mut Criterion) {
     std::fs::write(out, &json).expect("write BENCH_chaos.json");
     eprintln!("wrote {out}");
 
-    let plan = ChaosRecipe::parse(&spec)
-        // sp-analyze: allow(panic, validated above)
-        .expect("validated spec")
-        .build(&net, SEED);
+    let plan = chaos_plan(&net);
     let cfg = StreamingConfig::default_for_lifetime();
     let mut group = c.benchmark_group("chaos_resilience");
     group.sample_size(10);

@@ -6,8 +6,10 @@
 //! The library part holds the shared wall-clock sampling helper every
 //! `BENCH_*.json` writer uses, so all baselines carry the same
 //! `samples` / median / stddev statistics the CI `bench-gate` binary
-//! compares.
+//! compares, and the JSON rendering of per-event latency percentiles
+//! read from the workspace's one estimator, [`LatencyHistogram`].
 
+use sp_sync::LatencyHistogram;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -60,61 +62,26 @@ impl SampleStats {
     }
 }
 
-/// Tail-latency percentiles of a per-event sample population, in
-/// seconds — what the `service_latency` bench records for per-query
-/// serving latency. Unlike [`SampleStats`] (repeat-samples of one
-/// routine, gated on the median), these summarize *every* event in a
-/// sustained stream, so the p95/p99 capture the tail a median hides.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LatencyStats {
-    /// Number of events summarized.
-    pub count: usize,
-    /// Median (50th percentile) seconds.
-    pub p50: f64,
-    /// 95th-percentile seconds.
-    pub p95: f64,
-    /// 99th-percentile seconds.
-    pub p99: f64,
-}
-
-impl LatencyStats {
-    /// Summarizes raw per-event seconds (any order; sorted internally).
-    pub fn of(samples: &[f64]) -> LatencyStats {
-        let mut sorted = samples.to_vec();
-        sorted.sort_by(|a, b| a.total_cmp(b));
-        LatencyStats {
-            count: sorted.len(),
-            p50: percentile(&sorted, 0.50),
-            p95: percentile(&sorted, 0.95),
-            p99: percentile(&sorted, 0.99),
-        }
-    }
-
-    /// The `"<prefix>_latency_count": n, "<prefix>_p50_seconds": …,
-    /// "<prefix>_p95_seconds": …, "<prefix>_p99_seconds": …` JSON
-    /// fragment for one latency population. The `*_p50/p95/p99_seconds`
-    /// keys are gated by `ci/bench_gate` like every other `*_seconds`
-    /// metric, with the tighter `--latency-slack` absolute floor
-    /// (percentiles live at microsecond scale, far below the wall-clock
-    /// slack). Nine decimals keep nanosecond resolution in the
-    /// artifact.
-    pub fn json_fields(&self, prefix: &str) -> String {
-        format!(
-            "\"{prefix}_latency_count\": {}, \"{prefix}_p50_seconds\": {:.9}, \"{prefix}_p95_seconds\": {:.9}, \"{prefix}_p99_seconds\": {:.9}",
-            self.count, self.p50, self.p95, self.p99
-        )
-    }
-}
-
-/// Nearest-rank percentile of an **ascending-sorted** sample slice:
-/// the smallest element such that at least `q` of the population is at
-/// or below it. Empty input yields 0.
-pub fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = (q * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
+/// The `"<prefix>_latency_count": n, "<prefix>_p50_seconds": …,
+/// "<prefix>_p95_seconds": …, "<prefix>_p99_seconds": …` JSON fragment
+/// for one latency population — what the `service_latency` bench
+/// records for per-query serving latency. Unlike [`SampleStats`]
+/// (repeat-samples of one routine, gated on the median), the histogram
+/// counts *every* event in a sustained stream, so the p95/p99 capture
+/// the tail a median hides. The `*_p50/p95/p99_seconds` keys are gated
+/// by `ci/bench_gate` like every other `*_seconds` metric, with the
+/// tighter `--latency-slack` absolute floor (percentiles live at
+/// microsecond scale, far below the wall-clock slack). Nine decimals
+/// keep nanosecond resolution in the artifact.
+pub fn latency_json_fields(prefix: &str, latency: &LatencyHistogram) -> String {
+    let secs = |q| latency.quantile(q).as_secs_f64();
+    format!(
+        "\"{prefix}_latency_count\": {}, \"{prefix}_p50_seconds\": {:.9}, \"{prefix}_p95_seconds\": {:.9}, \"{prefix}_p99_seconds\": {:.9}",
+        latency.count(),
+        secs(0.50),
+        secs(0.95),
+        secs(0.99)
+    )
 }
 
 /// The `"<prefix>csr_bytes_per_node": …, "<prefix>total_bytes_per_node": …,
@@ -198,35 +165,17 @@ mod tests {
     }
 
     #[test]
-    fn percentiles_use_nearest_rank_on_sorted_input() {
-        let sorted: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        assert_eq!(percentile(&sorted, 0.50), 50.0);
-        assert_eq!(percentile(&sorted, 0.95), 95.0);
-        assert_eq!(percentile(&sorted, 0.99), 99.0);
-        assert_eq!(percentile(&sorted, 1.0), 100.0);
-        assert_eq!(percentile(&[], 0.5), 0.0);
-        assert_eq!(percentile(&[7.0], 0.99), 7.0);
-    }
-
-    #[test]
-    fn latency_stats_sort_before_ranking() {
-        let mut backwards: Vec<f64> = (1..=200).rev().map(|i| i as f64 * 1e-6).collect();
-        let l = LatencyStats::of(&backwards);
-        assert_eq!(l.count, 200);
-        assert!((l.p50 - 100e-6).abs() < 1e-12);
-        assert!((l.p95 - 190e-6).abs() < 1e-12);
-        assert!((l.p99 - 198e-6).abs() < 1e-12);
-        backwards.clear();
-        assert_eq!(LatencyStats::of(&backwards).p99, 0.0);
-    }
-
-    #[test]
     fn latency_json_fields_carry_nanosecond_resolution() {
-        let l = LatencyStats::of(&[2e-6, 1e-6, 3e-6, 4e-6]);
+        let mut l = LatencyHistogram::new();
+        for us in [2, 1, 3, 4] {
+            l.record(std::time::Duration::from_micros(us));
+        }
+        // Each percentile reads its bucket's upper edge: 2,000 ns sits
+        // in a bucket 8 ns wide, 4,000 ns in one 16 ns wide.
         assert_eq!(
-            l.json_fields("query"),
-            "\"query_latency_count\": 4, \"query_p50_seconds\": 0.000002000, \
-             \"query_p95_seconds\": 0.000004000, \"query_p99_seconds\": 0.000004000"
+            latency_json_fields("query", &l),
+            "\"query_latency_count\": 4, \"query_p50_seconds\": 0.000002007, \
+             \"query_p95_seconds\": 0.000004015, \"query_p99_seconds\": 0.000004015"
         );
     }
 

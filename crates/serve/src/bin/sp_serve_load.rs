@@ -11,9 +11,11 @@
 //! with a hop trace); an optional churn thread applies `M`-node `MOVE`
 //! batches the whole time, and `--chaos` injects one recipe at the
 //! halfway mark. The run then cross-checks the server's `STATS`
-//! against its own tally — total queries, delivered counts, and the
-//! epoch invariant (every answer's epoch at most the final epoch,
-//! nondecreasing per connection) — and exits nonzero on any mismatch.
+//! against its own tally — total queries, delivered counts, the
+//! latency count and percentile order of the merged latency
+//! histogram, and the epoch invariant (every answer's epoch at most
+//! the final epoch, nondecreasing per connection) — and exits nonzero
+//! on any mismatch.
 //! With `--spawn` it launches a sibling `sp-served` on an ephemeral
 //! port first and shuts it down after (the CI serve-smoke step).
 
@@ -308,13 +310,14 @@ fn main() {
     );
     println!(
         "server stats: queries={} delivered={} traced={} protocol_errors={} \
-         move_batches={} p50={:.1}us p99={:.1}us",
+         move_batches={} p50={:.1}us p95={:.1}us p99={:.1}us",
         stats.stats.queries,
         stats.stats.delivered,
         stats.stats.traced,
         stats.stats.protocol_errors,
         stats.stats.move_batches,
         stats.stats.latency_p50 * 1e6,
+        stats.stats.latency_p95 * 1e6,
         stats.stats.latency_p99 * 1e6,
     );
 
@@ -353,6 +356,15 @@ fn main() {
     check(
         stats.stats.move_batches == churn_batches,
         "server move-batch count matches the churn tally",
+    );
+    check(
+        stats.stats.latency_count == total.queries,
+        "server latency count matches the client query tally",
+    );
+    check(
+        stats.stats.latency_p50 <= stats.stats.latency_p95
+            && stats.stats.latency_p95 <= stats.stats.latency_p99,
+        "server latency percentiles are ordered p50 <= p95 <= p99",
     );
 
     if args.shutdown || args.spawn {

@@ -13,7 +13,8 @@
 //!   [`ServiceSession`](sp_core::ServiceSession)s, epoch-stamped
 //!   responses, graceful draining shutdown;
 //! * [`telemetry`] — per-worker counter cells, hop histogram, latency
-//!   reservoir, `STATS` aggregation and periodic JSONL export;
+//!   histogram (merged across workers), `STATS` aggregation and
+//!   periodic JSONL export;
 //! * [`client`] — the blocking client the load generator, benches and
 //!   end-to-end tests drive the server with.
 //!

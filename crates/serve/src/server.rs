@@ -630,7 +630,7 @@ fn serve_query(
     }
     let start = Instant::now();
     let a = session.route_with(scheme, NodeId(q.src), NodeId(q.dst));
-    let latency = start.elapsed().as_secs_f64();
+    let latency = start.elapsed();
     let wire = AnswerWire {
         epoch: a.epoch,
         outcome: a.outcome,

@@ -8,21 +8,20 @@
 //! exporter call [`Telemetry::aggregate`], which sweeps the cells one
 //! short lock at a time.
 //!
-//! Latency percentiles come from a bounded per-worker reservoir
-//! (Algorithm R, [`RESERVOIR_CAP`] samples): constant memory under
-//! unbounded load, and the steady-state record path stops allocating
-//! once each reservoir reaches capacity.
+//! Latency percentiles come from one [`LatencyHistogram`] per worker:
+//! constant memory under unbounded load, and recording a query is one
+//! bucket increment that never allocates. [`Telemetry::aggregate`]
+//! merges the per-worker histograms, so each worker counts in
+//! proportion to the queries it served.
 
-use sp_sync::lock_recover;
+use sp_sync::{lock_recover, LatencyHistogram};
 use std::io::Write;
 use std::sync::Mutex;
+use std::time::Duration;
 
 /// Hop-histogram buckets: hops `0..=31` individually, bucket 32 for
 /// everything longer.
 pub const HOP_BUCKETS: usize = 33;
-
-/// Per-worker latency reservoir capacity.
-pub const RESERVOIR_CAP: usize = 4096;
 
 /// One worker's counters. Updated only by its owning worker, read by
 /// aggregation sweeps.
@@ -44,17 +43,12 @@ pub struct WorkerTelemetry {
     pub chaos_batches: u64,
     /// Hop histogram (bucket `min(hops, 32)`).
     pub hops_hist: [u64; HOP_BUCKETS],
-    /// Latency samples offered to the reservoir (the true count, not
-    /// the retained count).
-    seen: u64,
-    /// Reservoir-sampled per-query latencies, in seconds.
-    reservoir: Vec<f64>,
-    /// LCG state for reservoir replacement.
-    rng: u64,
+    /// Per-query serving latencies.
+    latency: LatencyHistogram,
 }
 
 impl WorkerTelemetry {
-    fn new(seed: u64) -> WorkerTelemetry {
+    fn new() -> WorkerTelemetry {
         WorkerTelemetry {
             queries: 0,
             delivered: 0,
@@ -64,22 +58,12 @@ impl WorkerTelemetry {
             moved_nodes: 0,
             chaos_batches: 0,
             hops_hist: [0; HOP_BUCKETS],
-            seen: 0,
-            reservoir: Vec::new(),
-            rng: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1,
+            latency: LatencyHistogram::new(),
         }
     }
 
-    fn next_rng(&mut self) -> u64 {
-        self.rng = self
-            .rng
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.rng >> 11
-    }
-
     /// Records one answered query.
-    pub fn record_query(&mut self, delivered: bool, hops: usize, traced: bool, latency_s: f64) {
+    pub fn record_query(&mut self, delivered: bool, hops: usize, traced: bool, latency: Duration) {
         self.queries += 1;
         if delivered {
             self.delivered += 1;
@@ -91,15 +75,7 @@ impl WorkerTelemetry {
         if let Some(slot) = self.hops_hist.get_mut(bucket) {
             *slot += 1;
         }
-        self.seen += 1;
-        if self.reservoir.len() < RESERVOIR_CAP {
-            self.reservoir.push(latency_s);
-        } else {
-            let j = (self.next_rng() % self.seen) as usize;
-            if let Some(slot) = self.reservoir.get_mut(j) {
-                *slot = latency_s;
-            }
-        }
+        self.latency.record(latency);
     }
 
     /// Records one malformed request.
@@ -138,9 +114,9 @@ pub struct StatsSnapshot {
     pub moved_nodes: u64,
     /// `CHAOS` recipes applied.
     pub chaos_batches: u64,
-    /// Latency samples offered (true stream count).
+    /// Latency samples recorded (every answered query).
     pub latency_count: u64,
-    /// Median per-query latency over the pooled reservoirs, seconds.
+    /// Median per-query latency over the merged histograms, seconds.
     pub latency_p50: f64,
     /// 95th-percentile latency, seconds.
     pub latency_p95: f64,
@@ -196,18 +172,6 @@ impl StatsSnapshot {
     }
 }
 
-/// Nearest-rank percentile over a sorted sample (mirrors
-/// `sp_bench::LatencyStats`; duplicated so the server does not pull
-/// the bench harness into its dependency tree).
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    let idx = rank.clamp(1, sorted.len()) - 1;
-    sorted.get(idx).copied().unwrap_or(0.0)
-}
-
 /// The server's telemetry: one [`WorkerTelemetry`] cell per worker.
 #[derive(Debug)]
 pub struct Telemetry {
@@ -219,7 +183,7 @@ impl Telemetry {
     pub fn new(workers: usize) -> Telemetry {
         Telemetry {
             cells: (0..workers)
-                .map(|w| Mutex::new(WorkerTelemetry::new(w as u64 + 1)))
+                .map(|_| Mutex::new(WorkerTelemetry::new()))
                 .collect(),
         }
     }
@@ -239,14 +203,14 @@ impl Telemetry {
     }
 
     /// Sweeps every cell (one short lock each) into a pooled
-    /// [`StatsSnapshot`].
+    /// [`StatsSnapshot`], merging the per-worker latency histograms.
     pub fn aggregate(&self) -> StatsSnapshot {
         let mut snap = StatsSnapshot {
             workers: self.cells.len() as u32,
             hops_hist: vec![0; HOP_BUCKETS],
             ..StatsSnapshot::default()
         };
-        let mut pooled: Vec<f64> = Vec::new();
+        let mut latency = LatencyHistogram::new();
         for cell in &self.cells {
             let cell = lock_recover(cell);
             snap.queries += cell.queries;
@@ -256,16 +220,15 @@ impl Telemetry {
             snap.move_batches += cell.move_batches;
             snap.moved_nodes += cell.moved_nodes;
             snap.chaos_batches += cell.chaos_batches;
-            snap.latency_count += cell.seen;
             for (agg, &bucket) in snap.hops_hist.iter_mut().zip(cell.hops_hist.iter()) {
                 *agg += bucket;
             }
-            pooled.extend_from_slice(&cell.reservoir);
+            latency.merge(&cell.latency);
         }
-        pooled.sort_by(f64::total_cmp);
-        snap.latency_p50 = percentile(&pooled, 50.0);
-        snap.latency_p95 = percentile(&pooled, 95.0);
-        snap.latency_p99 = percentile(&pooled, 99.0);
+        snap.latency_count = latency.count();
+        snap.latency_p50 = latency.quantile(0.50).as_secs_f64();
+        snap.latency_p95 = latency.quantile(0.95).as_secs_f64();
+        snap.latency_p99 = latency.quantile(0.99).as_secs_f64();
         snap
     }
 
@@ -288,8 +251,12 @@ mod tests {
     #[test]
     fn aggregate_pools_counters_across_workers() {
         let t = Telemetry::new(3);
-        t.with(0, |c| c.record_query(true, 4, false, 0.001));
-        t.with(1, |c| c.record_query(false, 40, true, 0.002));
+        t.with(0, |c| {
+            c.record_query(true, 4, false, Duration::from_millis(1))
+        });
+        t.with(1, |c| {
+            c.record_query(false, 40, true, Duration::from_millis(2))
+        });
         t.with(2, |c| {
             c.record_move(7);
             c.record_chaos();
@@ -308,28 +275,41 @@ mod tests {
         assert_eq!(s.latency_count, 2);
         assert_eq!(s.hops_hist[4], 1);
         assert_eq!(s.hops_hist[HOP_BUCKETS - 1], 1, "40 hops overflows");
-        assert!(s.latency_p50 > 0.0 && s.latency_p99 <= 0.002);
+        assert!(s.latency_p50 >= 0.001 && s.latency_p99 >= 0.002);
+        assert!(s.latency_p99 <= 0.002 * (1.0 + 1.0 / 128.0));
     }
 
     #[test]
-    fn reservoir_stays_bounded_under_load() {
-        let t = Telemetry::new(1);
-        for i in 0..3 * RESERVOIR_CAP {
-            t.with(0, |c| c.record_query(true, 3, false, i as f64 * 1e-6));
-        }
+    fn merged_latency_weighs_workers_by_queries_served() {
+        // A busy slow worker and a nearly idle fast one: the merged
+        // median is the busy worker's latency, not a per-worker blend.
+        let t = Telemetry::new(2);
         t.with(0, |c| {
-            assert_eq!(c.reservoir.len(), RESERVOIR_CAP);
-            assert_eq!(c.seen, 3 * RESERVOIR_CAP as u64);
+            for _ in 0..100_000 {
+                c.record_query(true, 3, false, Duration::from_millis(1));
+            }
+        });
+        t.with(1, |c| {
+            for _ in 0..4_096 {
+                c.record_query(true, 3, false, Duration::from_micros(10));
+            }
         });
         let s = t.aggregate();
-        assert_eq!(s.latency_count, 3 * RESERVOIR_CAP as u64);
+        assert_eq!(s.latency_count, 104_096);
+        assert!(
+            (0.001..=0.001 * (1.0 + 1.0 / 128.0)).contains(&s.latency_p50),
+            "p50 {} s",
+            s.latency_p50
+        );
         assert!(s.latency_p50 <= s.latency_p95 && s.latency_p95 <= s.latency_p99);
     }
 
     #[test]
     fn jsonl_line_is_valid_shape() {
         let t = Telemetry::new(2);
-        t.with(0, |c| c.record_query(true, 2, false, 0.0005));
+        t.with(0, |c| {
+            c.record_query(true, 2, false, Duration::from_micros(500))
+        });
         let line = t.aggregate().jsonl_line(9, 1_700_000_000_000);
         assert!(line.starts_with('{') && line.ends_with('}'));
         for key in [
@@ -350,14 +330,5 @@ mod tests {
         let t = Telemetry::new(1);
         t.with(5, |c| c.record_chaos());
         assert_eq!(t.aggregate().chaos_batches, 0);
-    }
-
-    #[test]
-    fn percentile_is_nearest_rank() {
-        let sorted: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        assert_eq!(percentile(&sorted, 50.0), 50.0);
-        assert_eq!(percentile(&sorted, 95.0), 95.0);
-        assert_eq!(percentile(&sorted, 99.0), 99.0);
-        assert_eq!(percentile(&[], 50.0), 0.0);
     }
 }

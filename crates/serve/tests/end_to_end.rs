@@ -260,7 +260,7 @@ fn shutdown_drains_open_connections() {
 }
 
 /// `STATS` agree with an external tally across two clients, and the
-/// hop histogram + latency reservoir account for every query.
+/// hop histogram + merged latency histogram account for every query.
 #[test]
 fn stats_match_an_external_tally() {
     let base = make_net(180, 41);

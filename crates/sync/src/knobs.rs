@@ -7,8 +7,8 @@
 //! in [`ENV_KNOBS`], every read goes through [`env_var`] /
 //! [`env_flag`] / [`configured_threads_for`] (which refuse
 //! unregistered names), and the `sp-analyze` CI pass fails the build
-//! when an `SP_*` literal appears outside this file or is missing
-//! from the README's generated knob table ([`markdown_table`]).
+//! when an `SP_*` literal appears outside this file or the README's
+//! knob table differs from the generated one ([`markdown_table`]).
 
 /// One declared environment knob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,18 +52,6 @@ pub const ENV_KNOBS: &[EnvKnob] = &[
         summary: "Worker threads for `RoutingService` query batches and the \
                   `service_latency` bench's session workers (sp-core).",
         default: "available parallelism",
-    },
-    EnvKnob {
-        name: "SP_SERVICE_CHURN",
-        summary: "Movers per background epoch publish in the `service_latency` \
-                  bench's churn thread.",
-        default: "100",
-    },
-    EnvKnob {
-        name: "SP_CHAOS_SPEC",
-        summary: "Chaos recipe (grammar: `class:k=v[@roundN]+…`) injected by the \
-                  `chaos_resilience` bench's delivery and construction rows.",
-        default: "region:r=0.15@round5+drop:p=0.01",
     },
     EnvKnob {
         name: "SP_SERVE_THREADS",
@@ -145,8 +133,9 @@ pub fn configured_threads_for(env: &str) -> usize {
 }
 
 /// The generated markdown knob table the README embeds between its
-/// `<!-- sp-analyze:knobs -->` markers; `sp-analyze` regenerates and
-/// cross-checks it so the docs can never drift from the registry.
+/// `<!-- sp-analyze:knobs -->` markers; `sp-analyze` requires the
+/// README's copy to equal it line for line, so the docs can never
+/// drift from the registry.
 pub fn markdown_table() -> String {
     let mut out = String::from("| Knob | Default | Controls |\n|---|---|---|\n");
     for k in ENV_KNOBS {

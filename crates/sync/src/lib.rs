@@ -18,6 +18,12 @@
 //!   `sp_core`'s `RoutingService`: writers publish fully-formed values
 //!   (fill-then-publish), readers pin `(epoch, Arc)` pairs wait-free in
 //!   the steady state.
+//! * [`LatencyHistogram`] — the one latency estimator: a fixed
+//!   log-linear bucket histogram that records without allocating,
+//!   merges per-worker histograms exactly and reads nearest-rank
+//!   quantiles within 1/128. The server's `STATS` percentiles and the
+//!   benches' latency rows both come from it; it lives here because
+//!   this is the one crate `sp-serve` and `sp-bench` both depend on.
 //! * [`knobs`] — the declared registry of every `SP_*` environment
 //!   variable the workspace reads. `sp-analyze` fails CI when a knob
 //!   is read outside this registry or missing from the README.
@@ -34,11 +40,13 @@
 
 pub mod check;
 mod epoch;
+mod histogram;
 pub mod knobs;
 mod queue;
 mod recover;
 
 pub use epoch::{EpochCell, Pinned};
+pub use histogram::LatencyHistogram;
 pub use knobs::{configured_threads_for, env_flag, env_var};
 pub use queue::WorkQueue;
 pub use recover::{lock_recover, wait_timeout_recover};
