@@ -11,7 +11,7 @@
 //!   panicking; hot paths don't use may-panic indexing silently.
 //! * **concurrency** — every scoped-thread/atomic-cursor scan goes
 //!   through `sp_sync::WorkQueue`; every thread count through
-//!   `sp_sync::configured_threads_for`.
+//!   `sp_sync::configured_threads_for` or `sp_sync::default_threads`.
 //! * **env** — every `SP_*` knob is registered in
 //!   `sp_sync::knobs::ENV_KNOBS` and read through the registry, and
 //!   the README's knob table is exactly the one the registry

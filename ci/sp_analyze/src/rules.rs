@@ -366,8 +366,8 @@ impl SourceFile {
                     out,
                     "concurrency",
                     t.line,
-                    "thread counts come from sp_sync::configured_threads_for(<knob>), \
-                     not raw available_parallelism"
+                    "thread counts come from sp_sync::configured_threads_for(<knob>) \
+                     or sp_sync::default_threads(), not raw available_parallelism"
                         .to_owned(),
                 );
             }

@@ -95,8 +95,8 @@ fn throughput_benches(c: &mut Criterion) {
         let report = serial.run(&router, &flows);
         assert_eq!(report.records.len(), flows.len(), "{class}");
         assert_eq!(auto.run(&router, &flows), report, "{class}: thread parity");
-        let mean_hops = report.stats.mean_hops();
-        assert!(report.stats.delivery_ratio() > 0.99, "{class}");
+        let mean_hops = report.quality.mean_hops();
+        assert!(report.quality.delivery_ratio() > 0.99, "{class}");
 
         // The legacy per-call path: a fresh O(n) allocation per packet.
         let per_call = sample_stats(15, || {
@@ -150,7 +150,7 @@ fn throughput_benches(c: &mut Criterion) {
         ));
 
         group.bench_function(BenchmarkId::new("batched", class), |b| {
-            b.iter(|| serial.run(&router, &flows).stats.delivered)
+            b.iter(|| serial.run(&router, &flows).quality.delivered)
         });
     }
     group.finish();
@@ -202,8 +202,11 @@ fn large_batch_row(rows: &mut Vec<String>) {
     assert!(flows.len() >= LARGE_FLOWS / 2, "too few large flows built");
 
     let report = serial.run(&router, &flows);
-    let mean_hops = report.stats.mean_hops();
-    assert!(report.stats.delivery_ratio() > 0.99, "large batch delivery");
+    let mean_hops = report.quality.mean_hops();
+    assert!(
+        report.quality.delivery_ratio() > 0.99,
+        "large batch delivery"
+    );
 
     let runs = 5;
     let batched = sample_stats(runs, || {

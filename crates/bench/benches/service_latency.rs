@@ -28,7 +28,7 @@
 //! CI `bench-gate` baseline (BENCH_service.json); the percentile keys
 //! are gated with the tighter `--latency-slack` floor.
 //!
-//! Knob: `SP_SERVICE_THREADS` pins the worker count.
+//! Workers: one per available core (`sp_sync::default_threads`).
 //!
 //! Run with: `cargo bench -p sp-bench --bench service_latency`
 
@@ -227,12 +227,12 @@ fn row(case: &str, workers: usize, churn: bool, run: impl Fn(bool) -> RunMeasure
     )
 }
 
-fn service_benches(c: &mut Criterion) {
+fn service_benches(_c: &mut Criterion) {
     let cfg = DeploymentConfig::paper_density(NODES);
     let net = Network::from_positions(cfg.deploy_uniform(42), cfg.radius, cfg.area);
     let queries = query_mix(&net);
     let service = Arc::new(RoutingService::new(net.clone()));
-    let workers = service.threads();
+    let workers = sp_sync::default_threads();
 
     // The wire rows hit the same service through a loopback sp-serve
     // front end with a matching worker-pool size.
@@ -256,7 +256,7 @@ fn service_benches(c: &mut Criterion) {
                 let mut session = service.session();
                 move |src, dst| {
                     let a = session.route(src, dst);
-                    (a.epoch, a.delivered())
+                    (session.epoch(), a.delivered())
                 }
             },
             || {
@@ -315,13 +315,6 @@ fn service_benches(c: &mut Criterion) {
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_service.json");
     std::fs::write(out, &json).expect("write BENCH_service.json");
     eprintln!("wrote {out}");
-
-    let mut group = c.benchmark_group("service_latency");
-    group.sample_size(10);
-    group.bench_function("steady_batch", |b| {
-        b.iter(|| service.run_batch(&queries).answers.len())
-    });
-    group.finish();
 }
 
 criterion_group!(benches, service_benches);

@@ -74,7 +74,7 @@ fn intern_body(tuple: SafetyTuple, chains: [Option<ChainInfo>; 4]) -> Arc<Announ
 /// redundant — the asynchronous extension the paper calls "easy" does
 /// hide this one detail.)
 ///
-/// The payload rides behind a shared [`AnnounceBody`], so caching an
+/// The payload rides behind a shared `AnnounceBody`, so caching an
 /// announcement costs 16 bytes per receiver, not a payload clone.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Announce {

@@ -74,14 +74,9 @@ pub use router::{
     closer_than_entry, default_ttl, greedy_pick, perimeter_sweep, set_phase, walk, walk_into,
     zone_candidates, zone_type, HopPolicy, RouteBuffer, RouteRef, Routing,
 };
-pub use service::{
-    RoutingService, ServiceAnswer, ServiceBatch, ServiceScheme, ServiceSession, ServiceSnapshot,
-    SERVICE_THREADS_ENV,
-};
+pub use service::{RoutingService, ServiceScheme, ServiceSession, ServiceSnapshot};
 pub use shape::{greedy_region, ShapeEstimate, ShapeMap};
 pub use slgf::SlgfRouter;
 pub use slgf2::Slgf2Router;
 pub use status::SafetyTuple;
-pub use traffic::{
-    RouteRecord, RouteSession, TrafficEngine, TrafficReport, TrafficStats, TRAFFIC_THREADS_ENV,
-};
+pub use traffic::{RouteQuality, RouteRecord, TrafficEngine, TrafficReport, HOP_BUCKETS};

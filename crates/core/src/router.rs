@@ -144,8 +144,9 @@ pub trait Routing {
     ) -> RouteRef<'b>;
 
     /// One-shot convenience: routes through a fresh [`RouteBuffer`] and
-    /// returns the owned trace. Prefer [`Routing::route_into`] (or a
-    /// [`crate::RouteSession`]) anywhere more than one packet flows.
+    /// returns the owned trace. Prefer [`Routing::route_into`] with a
+    /// reused buffer (or a [`crate::TrafficEngine`] batch) anywhere
+    /// more than one packet flows.
     fn route(&self, net: &Network, src: NodeId, dst: NodeId) -> RouteResult {
         let mut buf = RouteBuffer::new();
         let r = self.route_into(net, src, dst, &mut buf);

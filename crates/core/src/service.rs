@@ -18,36 +18,31 @@
 //!   path/phase vectors) across queries, and re-pins only when the
 //!   service's epoch counter moved — the steady-state query path is
 //!   one atomic load plus the route walk, no locks, no allocation;
-//! * every [`ServiceAnswer`] is stamped with the epoch it was computed
-//!   against, so consistency is checkable end to end: an answer's
-//!   epoch never exceeds [`RoutingService::epoch`], and its path is
-//!   valid against exactly that epoch's adjacency (property-tested in
+//! * every query answers with the same [`RouteRecord`] an offline
+//!   [`crate::TrafficEngine`] batch produces, and the epoch it was
+//!   computed against is [`ServiceSession::epoch`] read right after
+//!   the call (a session has one owner, so nothing re-pins it in
+//!   between). Consistency is checkable end to end: that epoch never
+//!   exceeds [`RoutingService::epoch`], and the answer's path is valid
+//!   against exactly that epoch's adjacency (property-tested in
 //!   `tests/service_consistency.rs`).
 //!
-//! [`RoutingService::run_batch`] serves whole query batches through the
-//! shared [`sp_sync::WorkQueue`], pinning one snapshot for the batch —
-//! answers merge in query order and are bit-identical to serial
-//! execution at any thread count, exactly like [`crate::TrafficEngine`].
+//! A batch pinned to one epoch is a [`crate::TrafficEngine`] run over
+//! a [`RoutingService::snapshot`] pin — the pinned snapshot's network
+//! and router — tagged with the pin's epoch. A publish racing the batch
+//! affects the *next* pin, never tears this one, and the answers are
+//! bit-identical to serial execution at any thread count.
 //!
 //! The `service_latency` bench drives this module with worker threads
 //! querying under a background churner and gates sustained
 //! queries/sec plus p50/p95/p99 per-query latency in CI
 //! (`BENCH_service.json`).
 
-use crate::{
-    LgfRouter, RouteBuffer, RouteOutcome, RouteResult, Routing, SafetyInfo, Slgf2Router, SlgfRouter,
-};
+use crate::{LgfRouter, RouteBuffer, RouteRecord, Routing, SafetyInfo, Slgf2Router, SlgfRouter};
 use sp_geom::Point;
 use sp_net::{Network, NodeId};
 use sp_sim::ChaosPlan;
-use sp_sync::{EpochCell, Pinned, WorkQueue};
-
-/// The thread-count environment knob read by [`RoutingService::new`].
-pub const SERVICE_THREADS_ENV: &str = "SP_SERVICE_THREADS";
-
-/// Queries per work-queue claim in [`RoutingService::run_batch`] —
-/// same granularity trade-off as the traffic engine's flow chunks.
-const QUERY_CHUNK: usize = 64;
+use sp_sync::{EpochCell, Pinned};
 
 /// One immutable epoch of the served world: the topology and the
 /// safety information SLGF2 routes with, built together so a query can
@@ -134,47 +129,6 @@ impl ServiceScheme {
     }
 }
 
-/// Everything the service records about one answered query.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ServiceAnswer {
-    /// The epoch of the snapshot this answer was computed against.
-    /// Never exceeds [`RoutingService::epoch`] at any point after the
-    /// answer is produced.
-    pub epoch: u64,
-    /// The query's source.
-    pub src: NodeId,
-    /// The query's destination.
-    pub dst: NodeId,
-    /// Terminal status of the route.
-    pub outcome: RouteOutcome,
-    /// Hops walked.
-    pub hops: usize,
-    /// Euclidean path length walked.
-    pub length: f64,
-    /// Perimeter-phase entries.
-    pub perimeter_entries: usize,
-    /// Backup-phase entries.
-    pub backup_entries: usize,
-}
-
-impl ServiceAnswer {
-    /// True when the query's packet reached its destination.
-    pub fn delivered(&self) -> bool {
-        self.outcome == RouteOutcome::Delivered
-    }
-}
-
-/// One served batch: per-query answers in query order (bit-identical
-/// to serial execution at any thread count) plus the epoch the whole
-/// batch was pinned to.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServiceBatch {
-    /// The epoch every answer in this batch was computed against.
-    pub epoch: u64,
-    /// One answer per input query, in input order.
-    pub answers: Vec<ServiceAnswer>,
-}
-
 /// The long-lived routing service: an epoch-versioned topology owner
 /// answering queries while mobility churns underneath.
 ///
@@ -188,24 +142,22 @@ pub struct ServiceBatch {
 ///
 /// let mut session = service.session();
 /// let a = session.route(NodeId(0), NodeId(299));
-/// assert_eq!(a.epoch, 0);
+/// assert_eq!((a.src, session.epoch()), (NodeId(0), 0));
 ///
 /// // Mobility: build epoch 1 off to the side, publish, keep serving.
 /// let p = service.snapshot().value.network().position(NodeId(5));
 /// let moved = service.apply_moves(&[(NodeId(5), sp_geom::Point::new(p.x + 1.0, p.y))]);
 /// assert_eq!(moved, 1);
-/// assert_eq!(session.route(NodeId(0), NodeId(299)).epoch, 1);
+/// session.route(NodeId(0), NodeId(299));
+/// assert_eq!(session.epoch(), 1);
 /// ```
 #[derive(Debug)]
 pub struct RoutingService {
     cell: EpochCell<ServiceSnapshot>,
-    threads: usize,
 }
 
 impl RoutingService {
-    /// A service over `net` at epoch 0, with the default thread policy
-    /// for batches: `SP_SERVICE_THREADS` when set to a positive
-    /// integer, otherwise available parallelism.
+    /// A service over `net` at epoch 0.
     pub fn new(net: Network) -> RoutingService {
         RoutingService::from_snapshot(ServiceSnapshot::build(net))
     }
@@ -214,24 +166,11 @@ impl RoutingService {
     pub fn from_snapshot(snapshot: ServiceSnapshot) -> RoutingService {
         RoutingService {
             cell: EpochCell::new(snapshot),
-            threads: sp_sync::configured_threads_for(SERVICE_THREADS_ENV),
         }
     }
 
-    /// Pins the batch worker count (1 = serial; same answers either
-    /// way).
-    pub fn with_threads(mut self, threads: usize) -> RoutingService {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// The configured batch worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The current epoch — one atomic load. Monotonic; every
-    /// [`ServiceAnswer::epoch`] ever produced is `<=` this.
+    /// The current epoch — one atomic load. Monotonic; every epoch a
+    /// [`ServiceSession`] ever answered from is `<=` this.
     pub fn epoch(&self) -> u64 {
         self.cell.epoch()
     }
@@ -293,71 +232,6 @@ impl RoutingService {
             buf: RouteBuffer::with_capacity(cap),
         }
     }
-
-    /// Serves a whole query batch against **one** pinned snapshot,
-    /// sharded over the shared work queue: answers come back in query
-    /// order and are bit-identical to serial execution at any thread
-    /// count (the consistency property tests enforce this). The batch
-    /// pins its snapshot once at entry, so a publish racing the batch
-    /// affects the *next* batch, never tears this one.
-    pub fn run_batch(&self, queries: &[(NodeId, NodeId)]) -> ServiceBatch {
-        let pinned = self.cell.load();
-        let snap = &*pinned.value;
-        let answers = WorkQueue::chunked(QUERY_CHUNK).run_with(
-            self.threads,
-            queries.len(),
-            || RouteBuffer::with_capacity(snap.network().len()),
-            |buf, i| {
-                let (src, dst) = queries[i];
-                answer(snap, pinned.epoch, src, dst, buf)
-            },
-        );
-        ServiceBatch {
-            epoch: pinned.epoch,
-            answers,
-        }
-    }
-}
-
-/// Routes one query against `snap` and stamps `epoch` on the answer.
-fn answer(
-    snap: &ServiceSnapshot,
-    epoch: u64,
-    src: NodeId,
-    dst: NodeId,
-    buf: &mut RouteBuffer,
-) -> ServiceAnswer {
-    answer_with(snap, ServiceScheme::Slgf2, epoch, src, dst, buf)
-}
-
-/// Routes one query with the requested scheme against `snap` and
-/// stamps `epoch` on the answer. The trace stays behind in `buf`
-/// ([`RouteBuffer::path`]) so callers that stream it out — the
-/// `sp-serve` `TRACE` responses — never clone the path.
-fn answer_with(
-    snap: &ServiceSnapshot,
-    scheme: ServiceScheme,
-    epoch: u64,
-    src: NodeId,
-    dst: NodeId,
-    buf: &mut RouteBuffer,
-) -> ServiceAnswer {
-    let net = snap.network();
-    let r = match scheme {
-        ServiceScheme::Slgf2 => snap.router().route_into(net, src, dst, buf),
-        ServiceScheme::Slgf => SlgfRouter::new(snap.info()).route_into(net, src, dst, buf),
-        ServiceScheme::Lgf => LgfRouter::new().route_into(net, src, dst, buf),
-    };
-    ServiceAnswer {
-        epoch,
-        src,
-        dst,
-        outcome: r.outcome,
-        hops: r.hops(),
-        length: r.length(net),
-        perimeter_entries: r.perimeter_entries,
-        backup_entries: r.backup_entries,
-    }
 }
 
 /// A per-worker reader of the service: one pinned snapshot, one reused
@@ -372,7 +246,9 @@ pub struct ServiceSession<'s> {
 }
 
 impl ServiceSession<'_> {
-    /// The epoch this session currently serves from.
+    /// The epoch this session currently serves from. Read right after
+    /// a `route*` call, it is the epoch that answer was computed
+    /// against.
     pub fn epoch(&self) -> u64 {
         self.pinned.epoch
     }
@@ -395,59 +271,50 @@ impl ServiceSession<'_> {
         true
     }
 
-    /// Answers one query against the **current** epoch (re-pinning
-    /// first if the service published since the last query).
-    pub fn route(&mut self, src: NodeId, dst: NodeId) -> ServiceAnswer {
-        self.refresh();
-        self.route_pinned(src, dst)
+    /// Answers one SLGF2 query against the **current** epoch
+    /// (re-pinning first if the service published since the last
+    /// query).
+    pub fn route(&mut self, src: NodeId, dst: NodeId) -> RouteRecord {
+        self.route_with(ServiceScheme::Slgf2, src, dst)
     }
 
-    /// Answers one query against the epoch already pinned, without
-    /// checking for a newer one — the building block for multi-query
-    /// consistency (pin once via [`ServiceSession::refresh`], then ask
-    /// related queries against one world).
-    pub fn route_pinned(&mut self, src: NodeId, dst: NodeId) -> ServiceAnswer {
-        answer(
-            &self.pinned.value,
-            self.pinned.epoch,
-            src,
-            dst,
-            &mut self.buf,
-        )
-    }
-
-    /// [`ServiceSession::route`] returning the full owned trace next
-    /// to the epoch stamp — what the consistency tests validate paths
-    /// with.
-    pub fn route_traced(&mut self, src: NodeId, dst: NodeId) -> (u64, RouteResult) {
-        self.refresh();
-        let snap = &*self.pinned.value;
-        let r = snap
-            .router()
-            .route_into(snap.network(), src, dst, &mut self.buf);
-        (self.pinned.epoch, r.to_result())
+    /// Answers one SLGF2 query against the epoch already pinned,
+    /// without checking for a newer one — the building block for
+    /// multi-query consistency (pin once via
+    /// [`ServiceSession::refresh`], then ask related queries against
+    /// one world).
+    pub fn route_pinned(&mut self, src: NodeId, dst: NodeId) -> RouteRecord {
+        self.answer(ServiceScheme::Slgf2, src, dst)
     }
 
     /// [`ServiceSession::route`] with per-query scheme selection —
     /// the entry point the `sp-serve` wire front end dispatches `QUERY`
-    /// frames through. Identical epoch semantics; SLGF2 answers are
-    /// bit-identical to [`ServiceSession::route`].
-    pub fn route_with(&mut self, scheme: ServiceScheme, src: NodeId, dst: NodeId) -> ServiceAnswer {
+    /// frames through. Identical epoch semantics.
+    pub fn route_with(&mut self, scheme: ServiceScheme, src: NodeId, dst: NodeId) -> RouteRecord {
         self.refresh();
-        answer_with(
-            &self.pinned.value,
-            scheme,
-            self.pinned.epoch,
-            src,
-            dst,
-            &mut self.buf,
-        )
+        self.answer(scheme, src, dst)
+    }
+
+    /// Routes one query with `scheme` against the pinned snapshot. The
+    /// trace stays behind in the session's buffer
+    /// ([`ServiceSession::last_path`]) so callers that stream it out —
+    /// the `sp-serve` `TRACE` responses — never clone the path.
+    fn answer(&mut self, scheme: ServiceScheme, src: NodeId, dst: NodeId) -> RouteRecord {
+        let snap = &*self.pinned.value;
+        let (net, buf) = (snap.network(), &mut self.buf);
+        let r = match scheme {
+            ServiceScheme::Slgf2 => snap.router().route_into(net, src, dst, buf),
+            ServiceScheme::Slgf => SlgfRouter::new(snap.info()).route_into(net, src, dst, buf),
+            ServiceScheme::Lgf => LgfRouter::new().route_into(net, src, dst, buf),
+        };
+        RouteRecord::from_trace(net, src, dst, &r)
     }
 
     /// The hop trace of the most recent query answered by this session,
     /// borrowed from the session's reused buffer: source inclusive,
-    /// valid against the answer's stamped epoch. Lets trace consumers
-    /// stream the path without an owned [`RouteResult`] allocation.
+    /// valid against [`ServiceSession::epoch`]. Lets trace consumers
+    /// stream the path without an owned [`crate::RouteResult`]
+    /// allocation.
     pub fn last_path(&self) -> &[NodeId] {
         self.buf.path()
     }
@@ -500,7 +367,7 @@ mod tests {
         let mut session = service.session();
         for (s, d) in some_queries(service.snapshot().value.network(), 10) {
             let a = session.route(s, d);
-            assert_eq!(a.epoch, 0);
+            assert_eq!(session.epoch(), 0);
             assert_eq!((a.src, a.dst), (s, d));
         }
     }
@@ -528,7 +395,8 @@ mod tests {
         let service = RoutingService::new(net);
         let mut session = service.session();
         let (s, d) = some_queries(session.snapshot().network(), 1)[0];
-        assert_eq!(session.route(s, d).epoch, 0);
+        session.route(s, d);
+        assert_eq!(session.epoch(), 0);
 
         let moves = jitter(session.snapshot().network(), 2.0);
         assert!(!moves.is_empty());
@@ -537,8 +405,7 @@ mod tests {
 
         // The stale session transparently re-pins on its next query.
         assert_eq!(session.epoch(), 0);
-        let a = session.route(s, d);
-        assert_eq!(a.epoch, 1);
+        session.route(s, d);
         assert_eq!(session.epoch(), 1);
     }
 
@@ -553,39 +420,13 @@ mod tests {
         // route_pinned never refreshes: all answers stay at epoch 0
         // even though the service moved on.
         for &(s, d) in &queries {
-            assert_eq!(session.route_pinned(s, d).epoch, 0);
+            session.route_pinned(s, d);
+            assert_eq!(session.epoch(), 0);
         }
         assert_eq!(service.epoch(), 1);
         assert!(session.refresh());
-        assert_eq!(session.route_pinned(queries[0].0, queries[0].1).epoch, 1);
-    }
-
-    #[test]
-    fn run_batch_is_bit_identical_across_thread_counts() {
-        let net = prepared(350, 11);
-        let queries = some_queries(&net, 150);
-        let service = RoutingService::new(net);
-        let serial = service.with_threads(1);
-        let want = serial.run_batch(&queries);
-        assert_eq!(want.answers.len(), queries.len());
-        for threads in [2, 3, 8] {
-            let service = RoutingService::from_snapshot(serial.snapshot().value.as_ref().clone())
-                .with_threads(threads);
-            let got = service.run_batch(&queries);
-            assert_eq!(want.answers, got.answers, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn batch_answers_agree_with_session_answers() {
-        let net = prepared(300, 13);
-        let queries = some_queries(&net, 40);
-        let service = RoutingService::new(net).with_threads(2);
-        let batch = service.run_batch(&queries);
-        let mut session = service.session();
-        for (i, &(s, d)) in queries.iter().enumerate() {
-            assert_eq!(batch.answers[i], session.route(s, d), "query {i}");
-        }
+        session.route_pinned(queries[0].0, queries[0].1);
+        assert_eq!(session.epoch(), 1);
     }
 
     #[test]
@@ -596,20 +437,13 @@ mod tests {
         let queries = some_queries(session.snapshot().network(), 6);
         for round in 0..4u64 {
             for &(s, d) in &queries {
-                let a = session.route(s, d);
-                assert!(a.epoch <= service.epoch());
-                assert_eq!(a.epoch, round);
+                session.route(s, d);
+                assert!(session.epoch() <= service.epoch());
+                assert_eq!(session.epoch(), round);
             }
             let moves = jitter(session.snapshot().network(), 1.5);
             service.apply_moves(&moves);
         }
-    }
-
-    #[test]
-    fn thread_knob_floors_at_one() {
-        let net = prepared(60, 1);
-        let service = RoutingService::new(net).with_threads(0);
-        assert_eq!(service.threads(), 1);
     }
 
     #[test]

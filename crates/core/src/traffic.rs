@@ -1,90 +1,45 @@
-//! Batched traffic: reusable [`RouteSession`]s and the parallel
-//! [`TrafficEngine`].
+//! Batched traffic: the per-route [`RouteRecord`], its mergeable
+//! [`RouteQuality`] fold, and the parallel [`TrafficEngine`].
 //!
 //! The paper motivates straightforward paths with streaming WASN
 //! workloads that push "large amount of data" over fixed flows; serving
 //! that regime means routing *batches* of packets, not one-shot
-//! queries. Two layers close the gap over the buffered
-//! [`crate::Routing::route_into`] API:
+//! queries. A streaming caller owns one [`crate::RouteBuffer`] and
+//! routes packet after packet through [`crate::Routing::route_into`]:
+//! the buffer's generation-stamped visited set and retained-capacity
+//! path/phase vectors make that allocation-free after the first
+//! packet. On top of the buffered API:
 //!
-//! * [`RouteSession`] pins one router to one [`crate::RouteBuffer`], so
-//!   a long-lived flow (or a harness loop) routes packet after packet
-//!   with zero allocations after warm-up;
+//! * [`RouteRecord`] is the one per-route record — outcome, hops,
+//!   length, perimeter and backup entries — and
+//!   [`RouteRecord::from_trace`] is the one place a borrowed trace
+//!   becomes one, for offline batches and served queries alike;
+//! * [`RouteQuality`] folds records into integer counts and a hop
+//!   histogram. Folds merge exactly in any order, so a batch folded
+//!   here and the `sp-serve` workers' per-thread folds report the same
+//!   numbers for the same routes;
 //! * [`TrafficEngine`] takes a whole batch of `(src, dst)` flows and
-//!   shards it across threads over a std-only atomic-cursor work queue
-//!   — each worker owns a thread-local buffer, chunks merge back in
+//!   shards it across threads over the shared [`sp_sync::WorkQueue`] —
+//!   each worker owns a thread-local buffer, chunks merge back in
 //!   flow order, and the output is **bit-identical to serial execution
 //!   at any thread count** (the parity property tests enforce this).
-//!   `SP_TRAFFIC_THREADS` pins the worker count; the default follows
-//!   the workspace-wide thread policy.
+//!   The default worker count is [`sp_sync::default_threads`]. A batch
+//!   pinned to one [`crate::RoutingService`] epoch is this engine over
+//!   the pinned snapshot's network and router.
 
 use crate::{RouteBuffer, RouteOutcome, RouteRef, Routing};
 use sp_net::{Network, NodeId};
 use sp_sync::WorkQueue;
 
-/// The thread-count environment knob read by [`TrafficEngine::new`].
-pub const TRAFFIC_THREADS_ENV: &str = "SP_TRAFFIC_THREADS";
-
 /// Flows per work-queue claim. Large enough that the atomic cursor is
 /// cold, small enough that stragglers rebalance.
 const FLOW_CHUNK: usize = 64;
 
-/// One router bound to one reusable buffer: the session object of the
-/// streaming API. Every [`RouteSession::route`] call reuses the
-/// generation-stamped visited set and the retained-capacity path/phase
-/// vectors, so routing is allocation-free after the first packet.
-///
-/// ```
-/// use sp_core::{RouteSession, SafetyInfo, Slgf2Router};
-/// use sp_net::{deploy::DeploymentConfig, Network, NodeId};
-///
-/// let cfg = DeploymentConfig::paper_default(300);
-/// let net = Network::from_positions(cfg.deploy_uniform(7), cfg.radius, cfg.area);
-/// let info = SafetyInfo::build(&net);
-/// let router = Slgf2Router::new(&info);
-/// let mut session = RouteSession::new(&router);
-/// for dst in [NodeId(100), NodeId(200), NodeId(299)] {
-///     let r = session.route(&net, NodeId(0), dst); // one buffer, reused
-///     assert_eq!(r.path.first(), Some(&NodeId(0)));
-/// }
-/// ```
-#[derive(Debug)]
-pub struct RouteSession<'r, R: Routing + ?Sized> {
-    router: &'r R,
-    buf: RouteBuffer,
-}
+/// Hop-histogram buckets of [`RouteQuality`]: hops `0..=31`
+/// individually, bucket 32 for everything longer.
+pub const HOP_BUCKETS: usize = 33;
 
-impl<'r, R: Routing + ?Sized> RouteSession<'r, R> {
-    /// A session over `router` with an empty buffer.
-    pub fn new(router: &'r R) -> RouteSession<'r, R> {
-        RouteSession {
-            router,
-            buf: RouteBuffer::new(),
-        }
-    }
-
-    /// A session pre-sized for networks of `n` nodes.
-    pub fn with_capacity(router: &'r R, n: usize) -> RouteSession<'r, R> {
-        RouteSession {
-            router,
-            buf: RouteBuffer::with_capacity(n),
-        }
-    }
-
-    /// The router this session drives.
-    pub fn router(&self) -> &'r R {
-        self.router
-    }
-
-    /// Routes one packet through the session buffer. The returned
-    /// [`RouteRef`] borrows the buffer, so read (or
-    /// [`RouteRef::to_result`]) it before the next call.
-    pub fn route(&mut self, net: &Network, src: NodeId, dst: NodeId) -> RouteRef<'_> {
-        self.router.route_into(net, src, dst, &mut self.buf)
-    }
-}
-
-/// Everything the engine records about one routed flow.
+/// Everything recorded about one routed flow or served query.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RouteRecord {
     /// The flow's source.
@@ -104,51 +59,99 @@ pub struct RouteRecord {
 }
 
 impl RouteRecord {
+    /// The record of `trace`, a route from `src` to `dst` over `net`.
+    pub fn from_trace(
+        net: &Network,
+        src: NodeId,
+        dst: NodeId,
+        trace: &RouteRef<'_>,
+    ) -> RouteRecord {
+        RouteRecord {
+            src,
+            dst,
+            outcome: trace.outcome,
+            hops: trace.hops(),
+            length: trace.length(net),
+            perimeter_entries: trace.perimeter_entries,
+            backup_entries: trace.backup_entries,
+        }
+    }
+
     /// True when the flow's packet reached its destination.
     pub fn delivered(&self) -> bool {
         self.outcome == RouteOutcome::Delivered
     }
 }
 
-/// Aggregates folded over one [`TrafficEngine::run`] batch.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct TrafficStats {
-    /// Flows routed.
-    pub flows: usize,
-    /// Flows whose packet was delivered.
-    pub delivered: usize,
-    /// Hops summed over delivered flows.
-    pub delivered_hops: usize,
-    /// Euclidean length summed over delivered flows.
-    pub delivered_length: f64,
-    /// Perimeter-phase entries summed over all flows.
-    pub perimeter_entries: usize,
-    /// Backup-phase entries summed over all flows.
-    pub backup_entries: usize,
+/// The mergeable fold of [`RouteRecord`]s. Every field is an integer
+/// count, so [`RouteQuality::merge`] gives the same result in any
+/// order — per-worker folds pool exactly.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RouteQuality {
+    /// Routes attempted.
+    pub routes: u64,
+    /// Routes whose packet was delivered.
+    pub delivered: u64,
+    /// Hops summed over delivered routes.
+    pub delivered_hops: u64,
+    /// Perimeter-phase entries summed over every route.
+    pub perimeter_entries: u64,
+    /// Backup-phase entries summed over every route.
+    pub backup_entries: u64,
+    /// Routes by hop count over every route: bucket `min(hops, 32)`.
+    pub hops_hist: [u64; HOP_BUCKETS],
 }
 
-impl TrafficStats {
-    fn add(&mut self, r: &RouteRecord) {
-        self.flows += 1;
-        self.perimeter_entries += r.perimeter_entries;
-        self.backup_entries += r.backup_entries;
+impl Default for RouteQuality {
+    fn default() -> RouteQuality {
+        RouteQuality {
+            routes: 0,
+            delivered: 0,
+            delivered_hops: 0,
+            perimeter_entries: 0,
+            backup_entries: 0,
+            hops_hist: [0; HOP_BUCKETS],
+        }
+    }
+}
+
+impl RouteQuality {
+    /// Folds one record in.
+    pub fn add(&mut self, r: &RouteRecord) {
+        self.routes += 1;
+        self.perimeter_entries += r.perimeter_entries as u64;
+        self.backup_entries += r.backup_entries as u64;
         if r.delivered() {
             self.delivered += 1;
-            self.delivered_hops += r.hops;
-            self.delivered_length += r.length;
+            self.delivered_hops += r.hops as u64;
+        }
+        if let Some(slot) = self.hops_hist.get_mut(r.hops.min(HOP_BUCKETS - 1)) {
+            *slot += 1;
         }
     }
 
-    /// Delivered / routed, in `[0, 1]` (0 for an empty batch).
+    /// Folds another fold in, as if its records had been added here.
+    pub fn merge(&mut self, other: &RouteQuality) {
+        self.routes += other.routes;
+        self.delivered += other.delivered;
+        self.delivered_hops += other.delivered_hops;
+        self.perimeter_entries += other.perimeter_entries;
+        self.backup_entries += other.backup_entries;
+        for (mine, theirs) in self.hops_hist.iter_mut().zip(&other.hops_hist) {
+            *mine += theirs;
+        }
+    }
+
+    /// Delivered / attempted, in `[0, 1]` (0 when nothing was routed).
     pub fn delivery_ratio(&self) -> f64 {
-        if self.flows == 0 {
+        if self.routes == 0 {
             0.0
         } else {
-            self.delivered as f64 / self.flows as f64
+            self.delivered as f64 / self.routes as f64
         }
     }
 
-    /// Mean hops over delivered flows (0 when none delivered).
+    /// Mean hops over delivered routes (0 when none delivered).
     pub fn mean_hops(&self) -> f64 {
         if self.delivered == 0 {
             0.0
@@ -156,24 +159,15 @@ impl TrafficStats {
             self.delivered_hops as f64 / self.delivered as f64
         }
     }
-
-    /// Mean path length over delivered flows (0 when none delivered).
-    pub fn mean_length(&self) -> f64 {
-        if self.delivered == 0 {
-            0.0
-        } else {
-            self.delivered_length / self.delivered as f64
-        }
-    }
 }
 
-/// One completed batch: per-flow records in flow order plus aggregates.
+/// One completed batch: per-flow records in flow order plus their fold.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrafficReport {
     /// One record per input flow, in input order.
     pub records: Vec<RouteRecord>,
-    /// Aggregates over the batch.
-    pub stats: TrafficStats,
+    /// The records folded.
+    pub quality: RouteQuality,
 }
 
 /// Routes whole batches of flows over one network, sharded across
@@ -189,7 +183,7 @@ pub struct TrafficReport {
 /// let flows: Vec<_> = (1..40).map(|i| (NodeId(0), NodeId(i))).collect();
 /// let report = TrafficEngine::new(&net).run(&LgfRouter::new(), &flows);
 /// assert_eq!(report.records.len(), flows.len());
-/// assert_eq!(report.stats.flows, flows.len());
+/// assert_eq!(report.quality.routes, flows.len() as u64);
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct TrafficEngine<'n> {
@@ -198,13 +192,11 @@ pub struct TrafficEngine<'n> {
 }
 
 impl<'n> TrafficEngine<'n> {
-    /// An engine over `net` with the default thread policy:
-    /// `SP_TRAFFIC_THREADS` when set to a positive integer, otherwise
-    /// [`std::thread::available_parallelism`].
+    /// An engine over `net` with [`sp_sync::default_threads`] workers.
     pub fn new(net: &'n Network) -> TrafficEngine<'n> {
         TrafficEngine {
             net,
-            threads: sp_sync::configured_threads_for(TRAFFIC_THREADS_ENV),
+            threads: sp_sync::default_threads(),
         }
     }
 
@@ -253,33 +245,28 @@ impl<'n> TrafficEngine<'n> {
     }
 
     /// Routes every flow, returning per-flow [`RouteRecord`]s (in flow
-    /// order) plus folded [`TrafficStats`] in one pass.
+    /// order) plus their [`RouteQuality`] fold.
     pub fn run<R>(&self, router: &R, flows: &[(NodeId, NodeId)]) -> TrafficReport
     where
         R: Routing + Sync + ?Sized,
     {
         let net = self.net;
-        let records = self.run_map(router, flows, |_, (src, dst), r| RouteRecord {
-            src,
-            dst,
-            outcome: r.outcome,
-            hops: r.hops(),
-            length: r.length(net),
-            perimeter_entries: r.perimeter_entries,
-            backup_entries: r.backup_entries,
+        let records = self.run_map(router, flows, |_, (src, dst), r| {
+            RouteRecord::from_trace(net, src, dst, &r)
         });
-        let mut stats = TrafficStats::default();
+        let mut quality = RouteQuality::default();
         for r in &records {
-            stats.add(r);
+            quality.add(r);
         }
-        TrafficReport { records, stats }
+        TrafficReport { records, quality }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{LgfRouter, SafetyInfo, Slgf2Router};
+    use crate::LgfRouter;
+    use proptest::prelude::*;
     use sp_net::deploy::DeploymentConfig;
 
     fn prepared(n: usize, seed: u64) -> Network {
@@ -298,20 +285,6 @@ mod tests {
             })
             .filter(|(s, d)| s != d)
             .collect()
-    }
-
-    #[test]
-    fn session_matches_one_shot_route() {
-        let net = prepared(300, 3);
-        let info = SafetyInfo::build(&net);
-        let router = Slgf2Router::new(&info);
-        let mut session = RouteSession::with_capacity(&router, net.len());
-        for (s, d) in some_flows(&net, 12) {
-            let owned = router.route(&net, s, d);
-            let buffered = session.route(&net, s, d);
-            assert_eq!(buffered.to_result(), owned, "{s}->{d}");
-        }
-        assert_eq!(session.router().info().rounds(), info.rounds());
     }
 
     #[test]
@@ -336,19 +309,83 @@ mod tests {
         let net = prepared(300, 9);
         let flows = some_flows(&net, 40);
         let report = TrafficEngine::new(&net).run(&LgfRouter::new(), &flows);
+        let q = &report.quality;
         let delivered = report.records.iter().filter(|r| r.delivered()).count();
-        assert_eq!(report.stats.flows, flows.len());
-        assert_eq!(report.stats.delivered, delivered);
-        assert!(report.stats.delivery_ratio() > 0.0);
-        assert!(report.stats.mean_hops() >= 1.0);
-        assert!(report.stats.mean_length() > 0.0);
+        assert_eq!(q.routes, flows.len() as u64);
+        assert_eq!(q.delivered, delivered as u64);
+        assert!(q.delivery_ratio() > 0.0);
+        assert!(q.mean_hops() >= 1.0);
         let hops: usize = report
             .records
             .iter()
             .filter(|r| r.delivered())
             .map(|r| r.hops)
             .sum();
-        assert_eq!(report.stats.delivered_hops, hops);
+        assert_eq!(q.delivered_hops, hops as u64);
+        assert_eq!(q.hops_hist.iter().sum::<u64>(), q.routes);
+    }
+
+    /// A random record: any outcome, hops past the histogram's end.
+    fn record() -> impl Strategy<Value = RouteRecord> {
+        (0u8..3, 0usize..48, 0usize..4, 0usize..4).prop_map(|(o, hops, pe, be)| RouteRecord {
+            src: NodeId(0),
+            dst: NodeId(1),
+            outcome: match o {
+                0 => RouteOutcome::Delivered,
+                1 => RouteOutcome::Stuck(NodeId(2)),
+                _ => RouteOutcome::TtlExhausted,
+            },
+            hops,
+            length: hops as f64,
+            perimeter_entries: pe,
+            backup_entries: be,
+        })
+    }
+
+    fn fold(records: &[RouteRecord]) -> RouteQuality {
+        let mut q = RouteQuality::default();
+        for r in records {
+            q.add(r);
+        }
+        q
+    }
+
+    proptest! {
+        /// Merging two folds equals folding the concatenated records,
+        /// so per-worker folds pool exactly.
+        #[test]
+        fn merge_equals_folding_the_concatenation(
+            a in prop::collection::vec(record(), 0..40),
+            b in prop::collection::vec(record(), 0..40),
+        ) {
+            let mut merged = fold(&a);
+            merged.merge(&fold(&b));
+            let both: Vec<RouteRecord> = a.iter().chain(&b).copied().collect();
+            prop_assert_eq!(merged, fold(&both));
+        }
+    }
+
+    #[test]
+    fn long_routes_land_in_the_last_hop_bucket() {
+        let mut q = RouteQuality::default();
+        for hops in [31, 32, 33, 500] {
+            q.add(&RouteRecord {
+                src: NodeId(0),
+                dst: NodeId(1),
+                outcome: RouteOutcome::TtlExhausted,
+                hops,
+                length: 0.0,
+                perimeter_entries: 0,
+                backup_entries: 0,
+            });
+        }
+        assert_eq!(
+            q.hops_hist[HOP_BUCKETS - 2],
+            1,
+            "31 hops has its own bucket"
+        );
+        assert_eq!(q.hops_hist[HOP_BUCKETS - 1], 3, "32 hops and longer");
+        assert_eq!(q.delivered_hops, 0, "undelivered hops are not summed");
     }
 
     #[test]
@@ -369,8 +406,8 @@ mod tests {
         let net = prepared(50, 1);
         let report = TrafficEngine::new(&net).run(&LgfRouter::new(), &[]);
         assert!(report.records.is_empty());
-        assert_eq!(report.stats, TrafficStats::default());
-        assert_eq!(report.stats.delivery_ratio(), 0.0);
+        assert_eq!(report.quality, RouteQuality::default());
+        assert_eq!(report.quality.delivery_ratio(), 0.0);
     }
 
     #[test]

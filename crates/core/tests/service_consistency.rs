@@ -12,13 +12,13 @@
 //!    admitted. This is the thread-level counterpart of the
 //!    schedule-exhaustive `EpochSwap` model in `sp-sync`'s
 //!    interleavings suite.
-//! 2. **Batch determinism for a fixed epoch schedule** — replaying the
-//!    same mobility schedule, `RoutingService::run_batch` answers are
-//!    bit-identical between serial and any thread count at every epoch
-//!    along the way.
+//! 2. **Batch determinism for a fixed epoch schedule** — along a
+//!    mobility schedule, a `TrafficEngine` batch over each epoch's
+//!    pinned snapshot is bit-identical between serial and any thread
+//!    count, and agrees answer for answer with a live session.
 
 use proptest::prelude::*;
-use sp_core::{RoutingService, ServiceSnapshot};
+use sp_core::{RoutingService, ServiceSnapshot, TrafficEngine, TrafficReport};
 use sp_geom::Point;
 use sp_net::{deploy::DeploymentConfig, Network, NodeId};
 
@@ -63,7 +63,26 @@ fn jitter(net: &Network, round: usize, movers: usize, delta: f64) -> Vec<(NodeId
         .collect()
 }
 
-/// A path stamped with epoch `e` must be walkable on exactly epoch
+/// One reader's traced answer: epoch, source, destination, delivered,
+/// hop path.
+type Traced = (u64, NodeId, NodeId, bool, Vec<NodeId>);
+
+/// A batch pinned to the service's current epoch: `queries` through a
+/// `TrafficEngine` with `threads` workers over the pinned snapshot,
+/// tagged with that epoch.
+fn pinned_batch(
+    service: &RoutingService,
+    queries: &[(NodeId, NodeId)],
+    threads: usize,
+) -> (u64, TrafficReport) {
+    let pin = service.snapshot();
+    let report = TrafficEngine::new(pin.value.network())
+        .with_threads(threads)
+        .run(&pin.value.router(), queries);
+    (pin.epoch, report)
+}
+
+/// A path answered at epoch `e` must be walkable on exactly epoch
 /// `e`'s adjacency: consecutive hops are edges *of that network*, the
 /// walk starts at the source, and a delivered walk ends at the
 /// destination.
@@ -72,14 +91,11 @@ fn assert_path_valid_on(
     epoch: u64,
     src: NodeId,
     dst: NodeId,
-    result: &sp_core::RouteResult,
+    delivered: bool,
+    path: &[NodeId],
 ) {
-    assert_eq!(
-        result.path.first(),
-        Some(&src),
-        "epoch {epoch}: wrong start"
-    );
-    for w in result.path.windows(2) {
+    assert_eq!(path.first(), Some(&src), "epoch {epoch}: wrong start");
+    for w in path.windows(2) {
         assert!(
             net.has_edge(w[0], w[1]),
             "epoch {epoch}: hop {:?}->{:?} is not an edge of its stamped epoch",
@@ -87,9 +103,9 @@ fn assert_path_valid_on(
             w[1]
         );
     }
-    if result.delivered() {
+    if delivered {
         assert_eq!(
-            result.path.last(),
+            path.last(),
             Some(&dst),
             "epoch {epoch}: delivered but did not end at the destination"
         );
@@ -115,7 +131,7 @@ proptest! {
         // Publisher keeps each epoch's snapshot pinned so paths can be
         // validated against exactly the epoch they claim; readers
         // trace-route the query list concurrently.
-        let mut traced: Vec<Vec<(u64, NodeId, NodeId, sp_core::RouteResult)>> = Vec::new();
+        let mut traced: Vec<Vec<Traced>> = Vec::new();
         let mut published = vec![service.snapshot()];
         std::thread::scope(|s| {
             let publisher = s.spawn(|| {
@@ -141,12 +157,14 @@ proptest! {
                         let mut out = Vec::with_capacity(2 * qs.len());
                         for pass in 0..2 {
                             for &(src, dst) in qs.iter().skip((r + pass) % 2) {
-                                let (epoch, result) = session.route_traced(src, dst);
+                                let a = session.route(src, dst);
+                                let epoch = session.epoch();
                                 assert!(
                                     epoch <= service.epoch(),
                                     "stamp ran ahead of the service epoch"
                                 );
-                                out.push((epoch, src, dst, result));
+                                let path = session.last_path().to_vec();
+                                out.push((epoch, src, dst, a.delivered(), path));
                             }
                         }
                         out
@@ -163,45 +181,36 @@ proptest! {
         for (e, pin) in published.iter().enumerate() {
             prop_assert_eq!(pin.epoch, e as u64, "publisher history has a gap");
         }
-        for (epoch, src, dst, result) in traced.into_iter().flatten() {
+        for (epoch, src, dst, delivered, path) in traced.into_iter().flatten() {
             let pin = &published[epoch as usize];
-            assert_path_valid_on(pin.value.network(), epoch, src, dst, &result);
+            assert_path_valid_on(pin.value.network(), epoch, src, dst, delivered, &path);
         }
     }
 
-    /// Guarantee 2: for a fixed mobility schedule, batched answers are
-    /// bit-identical between serial and threaded execution at every
-    /// epoch along the schedule.
+    /// Guarantee 2: for a fixed mobility schedule, batches over each
+    /// epoch's pinned snapshot are bit-identical between serial and
+    /// threaded execution at every epoch along the schedule.
     #[test]
-    fn run_batch_is_deterministic_across_threads_per_epoch(
+    fn pinned_batches_are_deterministic_across_threads_per_epoch(
         seed in 0u64..1000,
         epochs in 1usize..4,
     ) {
         let net = prepared(seed);
         let qs = queries(&net, 40, 3);
         prop_assume!(qs.len() >= 8);
-        let serial = RoutingService::new(net.clone()).with_threads(1);
-        let threaded: Vec<RoutingService> = THREADS[1..]
-            .iter()
-            .map(|&t| RoutingService::new(net.clone()).with_threads(t))
-            .collect();
+        let service = RoutingService::new(net);
 
         for round in 0..=epochs {
-            let want = serial.run_batch(&qs);
-            prop_assert_eq!(want.epoch, round as u64);
-            prop_assert_eq!(want.answers.len(), qs.len());
-            for (service, &t) in threaded.iter().zip(&THREADS[1..]) {
-                let got = service.run_batch(&qs);
+            let (epoch, want) = pinned_batch(&service, &qs, THREADS[0]);
+            prop_assert_eq!(epoch, round as u64);
+            prop_assert_eq!(want.records.len(), qs.len());
+            for &t in &THREADS[1..] {
+                let (_, got) = pinned_batch(&service, &qs, t);
                 prop_assert_eq!(&want, &got, "threads={} epoch={}", t, round);
             }
             if round < epochs {
-                // The same epoch schedule applied to every service: the
-                // deterministic jitter keeps them in lockstep.
-                let moves = jitter(serial.snapshot().value.network(), round, 10, 1.5);
-                prop_assert_eq!(serial.apply_moves(&moves), round as u64 + 1);
-                for service in &threaded {
-                    prop_assert_eq!(service.apply_moves(&moves), round as u64 + 1);
-                }
+                let moves = jitter(service.snapshot().value.network(), round, 10, 1.5);
+                prop_assert_eq!(service.apply_moves(&moves), round as u64 + 1);
             }
         }
     }
@@ -212,17 +221,18 @@ proptest! {
 #[test]
 fn session_and_batch_agree_after_churn() {
     let net = prepared(77);
-    let service = RoutingService::new(net).with_threads(3);
+    let service = RoutingService::new(net);
     for round in 0..3 {
         let moves = jitter(service.snapshot().value.network(), round, 12, 2.5);
         service.apply_moves(&moves);
     }
     let qs = queries(service.snapshot().value.network(), 30, 5);
-    let batch = service.run_batch(&qs);
-    assert_eq!(batch.epoch, 3);
+    let (epoch, batch) = pinned_batch(&service, &qs, 3);
+    assert_eq!(epoch, 3);
     let mut session = service.session();
     for (i, &(src, dst)) in qs.iter().enumerate() {
-        assert_eq!(batch.answers[i], session.route(src, dst), "query {i}");
+        assert_eq!(batch.records[i], session.route(src, dst), "query {i}");
+        assert_eq!(session.epoch(), epoch, "query {i}");
     }
 }
 
@@ -233,7 +243,7 @@ fn session_and_batch_agree_after_churn() {
 fn from_snapshot_matches_new() {
     let net = prepared(5);
     let qs = queries(&net, 12, 1);
-    let a = RoutingService::new(net.clone()).with_threads(2);
-    let b = RoutingService::from_snapshot(ServiceSnapshot::build(net)).with_threads(2);
-    assert_eq!(a.run_batch(&qs), b.run_batch(&qs));
+    let a = RoutingService::new(net.clone());
+    let b = RoutingService::from_snapshot(ServiceSnapshot::build(net));
+    assert_eq!(pinned_batch(&a, &qs, 2), pinned_batch(&b, &qs, 2));
 }

@@ -71,7 +71,7 @@ pub use mobility_model::MobilityRecipe;
 pub use registry::Handle;
 pub use runner::{
     random_connected_pair, run_instance, run_sweep, RouteRecord, SchemePoint, SweepPoint,
-    SweepResults, SWEEP_THREADS_ENV,
+    SweepResults,
 };
 pub use scenario::{Scenario, ScenarioBuild};
 pub use scenarios::{all_scenarios, PaperScenario};

@@ -239,10 +239,8 @@ pub fn run_sweep(cfg: &SweepConfig, schemes: &[Scheme]) -> SweepResults {
     }
 }
 
-/// Environment knob pinning the sweep worker count.
-pub const SWEEP_THREADS_ENV: &str = "SP_SWEEP_THREADS";
-
-/// Executes the instance jobs across worker threads.
+/// Executes the instance jobs across [`sp_sync::default_threads`]
+/// worker threads.
 ///
 /// Workers pull jobs off the shared [`sp_sync::WorkQueue`] cursor, so
 /// load balances dynamically even when instance sizes differ widely;
@@ -252,7 +250,7 @@ fn run_jobs(
     schemes: &[Scheme],
     jobs: &[(usize, usize, u64)],
 ) -> Vec<(usize, Vec<RouteRecord>)> {
-    let workers = sp_sync::configured_threads_for(SWEEP_THREADS_ENV).min(jobs.len().max(1));
+    let workers = sp_sync::default_threads().min(jobs.len().max(1));
     WorkQueue::new().run(workers, jobs.len(), |i| {
         let (point_idx, n, seed) = jobs[i];
         (point_idx, run_instance(cfg, schemes, n, seed))

@@ -10,7 +10,7 @@
 //!   at thread counts {1, 2, 3, 8}.
 
 use proptest::prelude::*;
-use sp_core::{RouteBuffer, RouteSession, Routing, TrafficEngine};
+use sp_core::{RouteBuffer, Routing, TrafficEngine};
 use sp_experiments::{PreparedNetwork, Scheme, SchemeFamily};
 use sp_net::{deploy::DeploymentConfig, Network, NodeId};
 use std::sync::OnceLock;
@@ -40,7 +40,8 @@ fn prepared(n: usize, seed: u64) -> PreparedNetwork {
 }
 
 /// Deterministic flow draw over the largest component (including some
-/// src == dst and repeated-endpoint flows — sessions must not care).
+/// src == dst and repeated-endpoint flows — reused buffers must not
+/// care).
 fn flows(net: &Network, count: usize, seed: u64) -> Vec<(NodeId, NodeId)> {
     let comp = net.largest_component();
     let mut state = seed ^ 0x7aff_1c5e;
@@ -92,21 +93,6 @@ proptest! {
                 prop_assert_eq!(buffered.perimeter_entries, legacy.perimeter_entries);
                 prop_assert_eq!(buffered.backup_entries, legacy.backup_entries);
                 prop_assert_eq!(buffered.to_result(), legacy);
-            }
-        }
-    }
-
-    /// Sessions are the same contract with the buffer owned inside.
-    #[test]
-    fn sessions_match_legacy_route(seed in 0u64..2_000) {
-        let prep = prepared(300, seed);
-        let ctx = prep.ctx();
-        for &scheme in &[Scheme::Slgf2, Scheme::Gf, Scheme::Gfg] {
-            let router = scheme.build(&ctx);
-            let mut session = RouteSession::with_capacity(&router, prep.net.len());
-            for (s, d) in flows(&prep.net, 5, seed ^ 0x5e55) {
-                let legacy = router.route(&prep.net, s, d);
-                prop_assert_eq!(session.route(&prep.net, s, d).to_result(), legacy);
             }
         }
     }

@@ -52,7 +52,8 @@ pub struct PlanarGraph {
 impl PlanarGraph {
     /// Extracts the planar subgraph of `net`.
     ///
-    /// Witness candidates come from the network's [`SpatialIndex`]
+    /// Witness candidates come from the network's
+    /// [`SpatialIndex`](crate::spatial::SpatialIndex)
     /// ([`Network::index`]): a Gabriel witness lies inside the disk of
     /// diameter `uv` — i.e. within `|uv|/2` of the edge midpoint — and
     /// an RNG witness lies within `|uv|` of `u`, so a single range

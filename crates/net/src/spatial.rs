@@ -381,25 +381,15 @@ impl SpatialIndex {
         SpatialIndex::configured_threads()
     }
 
-    /// The raw thread-count policy behind [`auto_threads`], without the
-    /// node-count gate: the [`THREADS_ENV`] (`SP_NET_THREADS`)
-    /// environment knob when set to a positive integer, otherwise
+    /// The raw thread-count policy behind
+    /// [`auto_threads`](Self::auto_threads), without the node-count
+    /// gate: the [`THREADS_ENV`] (`SP_NET_THREADS`) environment knob
+    /// when set to a positive integer, otherwise
     /// [`std::thread::available_parallelism`]. Used by callers whose
     /// parallelism trigger is not total node count (e.g. incremental
     /// repair keyed on mover-batch size).
     pub fn configured_threads() -> usize {
-        SpatialIndex::configured_threads_for(THREADS_ENV)
-    }
-
-    /// [`configured_threads`](Self::configured_threads) parameterized
-    /// by the environment knob, so every `*_THREADS` variable in the
-    /// workspace (e.g. `sp-sim`'s `SP_SIM_THREADS`) shares one parsing
-    /// and fallback policy — since the concurrency layer moved into
-    /// `sp-sync`, this simply delegates to the workspace-wide
-    /// [`sp_sync::configured_threads_for`] (the knob must be declared
-    /// in [`sp_sync::knobs::ENV_KNOBS`]).
-    pub fn configured_threads_for(env: &str) -> usize {
-        sp_sync::configured_threads_for(env)
+        sp_sync::configured_threads_for(THREADS_ENV)
     }
 
     /// Forward cell offsets covering each unordered pair of nearby cells

@@ -12,9 +12,10 @@
 //! * [`server`] — accept queue, per-worker
 //!   [`ServiceSession`](sp_core::ServiceSession)s, epoch-stamped
 //!   responses, graceful draining shutdown;
-//! * [`telemetry`] — per-worker counter cells, hop histogram, latency
-//!   histogram (merged across workers), `STATS` aggregation and
-//!   periodic JSONL export;
+//! * [`telemetry`] — per-worker counter cells, the route-quality fold
+//!   ([`RouteQuality`](sp_core::RouteQuality): deliveries, hop
+//!   histogram) and latency histogram, merged across workers into
+//!   `STATS` and periodic JSONL export;
 //! * [`client`] — the blocking client the load generator, benches and
 //!   end-to-end tests drive the server with.
 //!

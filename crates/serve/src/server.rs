@@ -4,14 +4,14 @@
 //! Shape:
 //!
 //! * one **accept thread** feeds connections into a `Mutex`+`Condvar`
-//!   queue; each queued [`Conn`] carries its own [`FrameReader`], so
+//!   queue; each queued `Conn` carries its own [`FrameReader`], so
 //!   partially-read frames survive a hand-off between workers;
 //! * `SP_SERVE_THREADS` **workers** each own one
 //!   [`ServiceSession`] (pinned snapshot + reused route buffer) and a
-//!   [`ConnScratch`] of reusable buffers, and serve connections in
+//!   `ConnScratch` of reusable buffers, and serve connections in
 //!   bounded **stints**: a worker stays on a connection while frames
 //!   flow, and yields it back to the queue once it idles (or after
-//!   [`STINT_FRAMES`] frames or [`STINT_BUDGET`] of wall time, so one
+//!   `STINT_FRAMES` frames or `STINT_BUDGET` of wall time, so one
 //!   epoch-publishing `MOVE` cannot buy a second stint for free)
 //!   whenever other connections are waiting —
 //!   so any number of concurrent connections make progress on a pool
@@ -632,7 +632,7 @@ fn serve_query(
     let a = session.route_with(scheme, NodeId(q.src), NodeId(q.dst));
     let latency = start.elapsed();
     let wire = AnswerWire {
-        epoch: a.epoch,
+        epoch: session.epoch(),
         outcome: a.outcome,
         hops: a.hops as u32,
         length: a.length,
@@ -644,9 +644,9 @@ fn serve_query(
     } else {
         encode_query_ok(out, &wire, None);
     }
-    shared.telemetry.with(w, |c| {
-        c.record_query(a.delivered(), a.hops, q.trace, latency)
-    });
+    shared
+        .telemetry
+        .with(w, |c| c.record_query(&a, q.trace, latency));
 }
 
 /// Appends one telemetry JSONL line every `interval` until shutdown,

@@ -8,29 +8,31 @@
 //! exporter call [`Telemetry::aggregate`], which sweeps the cells one
 //! short lock at a time.
 //!
+//! Route quality is the same [`RouteQuality`] fold an offline
+//! [`sp_core::TrafficEngine`] batch reports: each worker adds every
+//! answered [`RouteRecord`] to its own fold, and aggregation merges
+//! the folds, so `STATS` `queries`, `delivered` and `hops_hist` equal
+//! an offline batch's `routes`, `delivered` and `hops_hist` over the
+//! same queries.
+//!
 //! Latency percentiles come from one [`LatencyHistogram`] per worker:
 //! constant memory under unbounded load, and recording a query is one
 //! bucket increment that never allocates. [`Telemetry::aggregate`]
 //! merges the per-worker histograms, so each worker counts in
 //! proportion to the queries it served.
 
+use sp_core::{RouteQuality, RouteRecord};
 use sp_sync::{lock_recover, LatencyHistogram};
 use std::io::Write;
 use std::sync::Mutex;
 use std::time::Duration;
 
-/// Hop-histogram buckets: hops `0..=31` individually, bucket 32 for
-/// everything longer.
-pub const HOP_BUCKETS: usize = 33;
-
 /// One worker's counters. Updated only by its owning worker, read by
 /// aggregation sweeps.
 #[derive(Debug)]
 pub struct WorkerTelemetry {
-    /// `QUERY` requests answered.
-    pub queries: u64,
-    /// Queries whose packet reached its destination.
-    pub delivered: u64,
+    /// Every answered `QUERY` folded.
+    pub quality: RouteQuality,
     /// Queries answered with a streamed hop trace.
     pub traced: u64,
     /// Malformed requests answered with a named protocol error.
@@ -41,8 +43,6 @@ pub struct WorkerTelemetry {
     pub moved_nodes: u64,
     /// `CHAOS` recipes applied.
     pub chaos_batches: u64,
-    /// Hop histogram (bucket `min(hops, 32)`).
-    pub hops_hist: [u64; HOP_BUCKETS],
     /// Per-query serving latencies.
     latency: LatencyHistogram,
 }
@@ -50,30 +50,21 @@ pub struct WorkerTelemetry {
 impl WorkerTelemetry {
     fn new() -> WorkerTelemetry {
         WorkerTelemetry {
-            queries: 0,
-            delivered: 0,
+            quality: RouteQuality::default(),
             traced: 0,
             protocol_errors: 0,
             move_batches: 0,
             moved_nodes: 0,
             chaos_batches: 0,
-            hops_hist: [0; HOP_BUCKETS],
             latency: LatencyHistogram::new(),
         }
     }
 
     /// Records one answered query.
-    pub fn record_query(&mut self, delivered: bool, hops: usize, traced: bool, latency: Duration) {
-        self.queries += 1;
-        if delivered {
-            self.delivered += 1;
-        }
+    pub fn record_query(&mut self, answer: &RouteRecord, traced: bool, latency: Duration) {
+        self.quality.add(answer);
         if traced {
             self.traced += 1;
-        }
-        let bucket = hops.min(HOP_BUCKETS - 1);
-        if let Some(slot) = self.hops_hist.get_mut(bucket) {
-            *slot += 1;
         }
         self.latency.record(latency);
     }
@@ -122,7 +113,7 @@ pub struct StatsSnapshot {
     pub latency_p95: f64,
     /// 99th-percentile latency, seconds.
     pub latency_p99: f64,
-    /// Pooled hop histogram ([`HOP_BUCKETS`] buckets).
+    /// Pooled hop histogram ([`sp_core::HOP_BUCKETS`] buckets).
     pub hops_hist: Vec<u64>,
 }
 
@@ -203,28 +194,28 @@ impl Telemetry {
     }
 
     /// Sweeps every cell (one short lock each) into a pooled
-    /// [`StatsSnapshot`], merging the per-worker latency histograms.
+    /// [`StatsSnapshot`], merging the per-worker route-quality folds
+    /// and latency histograms.
     pub fn aggregate(&self) -> StatsSnapshot {
         let mut snap = StatsSnapshot {
             workers: self.cells.len() as u32,
-            hops_hist: vec![0; HOP_BUCKETS],
             ..StatsSnapshot::default()
         };
+        let mut quality = RouteQuality::default();
         let mut latency = LatencyHistogram::new();
         for cell in &self.cells {
             let cell = lock_recover(cell);
-            snap.queries += cell.queries;
-            snap.delivered += cell.delivered;
+            quality.merge(&cell.quality);
             snap.traced += cell.traced;
             snap.protocol_errors += cell.protocol_errors;
             snap.move_batches += cell.move_batches;
             snap.moved_nodes += cell.moved_nodes;
             snap.chaos_batches += cell.chaos_batches;
-            for (agg, &bucket) in snap.hops_hist.iter_mut().zip(cell.hops_hist.iter()) {
-                *agg += bucket;
-            }
             latency.merge(&cell.latency);
         }
+        snap.queries = quality.routes;
+        snap.delivered = quality.delivered;
+        snap.hops_hist = quality.hops_hist.to_vec();
         snap.latency_count = latency.count();
         snap.latency_p50 = latency.quantile(0.50).as_secs_f64();
         snap.latency_p95 = latency.quantile(0.95).as_secs_f64();
@@ -247,15 +238,33 @@ impl Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sp_core::{RouteOutcome, HOP_BUCKETS};
+    use sp_net::NodeId;
+
+    fn answer(delivered: bool, hops: usize) -> RouteRecord {
+        RouteRecord {
+            src: NodeId(0),
+            dst: NodeId(1),
+            outcome: if delivered {
+                RouteOutcome::Delivered
+            } else {
+                RouteOutcome::TtlExhausted
+            },
+            hops,
+            length: hops as f64,
+            perimeter_entries: 0,
+            backup_entries: 0,
+        }
+    }
 
     #[test]
     fn aggregate_pools_counters_across_workers() {
         let t = Telemetry::new(3);
         t.with(0, |c| {
-            c.record_query(true, 4, false, Duration::from_millis(1))
+            c.record_query(&answer(true, 4), false, Duration::from_millis(1))
         });
         t.with(1, |c| {
-            c.record_query(false, 40, true, Duration::from_millis(2))
+            c.record_query(&answer(false, 40), true, Duration::from_millis(2))
         });
         t.with(2, |c| {
             c.record_move(7);
@@ -286,12 +295,12 @@ mod tests {
         let t = Telemetry::new(2);
         t.with(0, |c| {
             for _ in 0..100_000 {
-                c.record_query(true, 3, false, Duration::from_millis(1));
+                c.record_query(&answer(true, 3), false, Duration::from_millis(1));
             }
         });
         t.with(1, |c| {
             for _ in 0..4_096 {
-                c.record_query(true, 3, false, Duration::from_micros(10));
+                c.record_query(&answer(true, 3), false, Duration::from_micros(10));
             }
         });
         let s = t.aggregate();
@@ -308,7 +317,7 @@ mod tests {
     fn jsonl_line_is_valid_shape() {
         let t = Telemetry::new(2);
         t.with(0, |c| {
-            c.record_query(true, 2, false, Duration::from_micros(500))
+            c.record_query(&answer(true, 2), false, Duration::from_micros(500))
         });
         let line = t.aggregate().jsonl_line(9, 1_700_000_000_000);
         assert!(line.starts_with('{') && line.ends_with('}'));

@@ -261,13 +261,18 @@ fn shutdown_drains_open_connections() {
 
 /// `STATS` agree with an external tally across two clients, and the
 /// hop histogram + merged latency histogram account for every query.
+/// The same queries routed offline through a `TrafficEngine` over the
+/// server's epoch-0 snapshot fold to the same route quality.
 #[test]
 fn stats_match_an_external_tally() {
     let base = make_net(180, 41);
-    let handle = serve(base, ServeConfig::ephemeral(3)).expect("bind");
+    let service = std::sync::Arc::new(sp_core::RoutingService::new(base.clone()));
+    let epoch0 = service.snapshot();
+    let handle = sp_serve::serve_with(service, base, ServeConfig::ephemeral(3)).expect("bind");
 
     let mut delivered = 0u64;
-    let mut hops_hist = vec![0u64; sp_serve::telemetry::HOP_BUCKETS];
+    let mut hops_hist = vec![0u64; sp_core::HOP_BUCKETS];
+    let mut queries = Vec::new();
     for c in 0..2u32 {
         let mut client = ServeClient::connect(handle.addr()).expect("connect");
         for k in 0..60u32 {
@@ -278,8 +283,9 @@ fn stats_match_an_external_tally() {
             if reply.delivered() {
                 delivered += 1;
             }
-            let bucket = (reply.hops as usize).min(sp_serve::telemetry::HOP_BUCKETS - 1);
+            let bucket = (reply.hops as usize).min(sp_core::HOP_BUCKETS - 1);
             hops_hist[bucket] += 1;
+            queries.push((NodeId(src), NodeId(dst)));
         }
     }
 
@@ -290,6 +296,14 @@ fn stats_match_an_external_tally() {
     assert_eq!(stats.hops_hist, hops_hist);
     assert_eq!(stats.latency_count, 120);
     assert!(stats.latency_p50 >= 0.0 && stats.latency_p50 <= stats.latency_p99);
+
+    // Offline equals online: one fold, two producers.
+    let offline = sp_core::TrafficEngine::new(epoch0.value.network())
+        .run(&epoch0.value.router(), &queries)
+        .quality;
+    assert_eq!(stats.queries, offline.routes);
+    assert_eq!(stats.delivered, offline.delivered);
+    assert_eq!(stats.hops_hist, offline.hops_hist);
 
     // The wire STATS frame carries the same aggregation.
     let mut client = ServeClient::connect(handle.addr()).expect("connect");

@@ -44,7 +44,7 @@ pub fn auto_threads(node_count: usize) -> usize {
     if node_count < PARALLEL_NODE_THRESHOLD {
         return 1;
     }
-    sp_net::SpatialIndex::configured_threads_for(THREADS_ENV)
+    sp_sync::configured_threads_for(THREADS_ENV)
 }
 
 /// An outbox drained by a worker shard, tagged with the node that

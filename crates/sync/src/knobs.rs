@@ -38,22 +38,6 @@ pub const ENV_KNOBS: &[EnvKnob] = &[
         default: "available parallelism",
     },
     EnvKnob {
-        name: "SP_TRAFFIC_THREADS",
-        summary: "Worker threads for `TrafficEngine` flow batches (sp-core).",
-        default: "available parallelism",
-    },
-    EnvKnob {
-        name: "SP_SWEEP_THREADS",
-        summary: "Worker threads for sweep instance jobs (sp-experiments).",
-        default: "available parallelism",
-    },
-    EnvKnob {
-        name: "SP_SERVICE_THREADS",
-        summary: "Worker threads for `RoutingService` query batches and the \
-                  `service_latency` bench's session workers (sp-core).",
-        default: "available parallelism",
-    },
-    EnvKnob {
         name: "SP_SERVE_THREADS",
         summary: "Worker threads in the `sp-serve` TCP front end's connection pool \
                   (one `ServiceSession` + reused route buffer per worker).",
@@ -108,12 +92,12 @@ pub fn env_flag(name: &str, value: &str) -> bool {
 
 /// The workspace-wide thread-count policy, parameterized by the
 /// `SP_*_THREADS` knob that pins it: the knob's value when set to a
-/// positive integer, otherwise [`std::thread::available_parallelism`].
+/// positive integer, otherwise [`default_threads`].
 ///
-/// Every thread-count decision in the workspace routes through here
-/// (enforced by `sp-analyze`'s concurrency rule), so pinning a knob to
-/// `1` always yields the serial path and the parity tests can sweep
-/// thread counts deterministically.
+/// Every thread-count decision in the workspace routes through here or
+/// [`default_threads`] (enforced by `sp-analyze`'s concurrency rule),
+/// so pinning a knob to `1` always yields the serial path and the
+/// parity tests can sweep thread counts deterministically.
 ///
 /// # Panics
 ///
@@ -126,6 +110,14 @@ pub fn configured_threads_for(env: &str) -> usize {
             }
         }
     }
+    default_threads()
+}
+
+/// The knob-free thread count: [`std::thread::available_parallelism`],
+/// or 1 when the host cannot report it. Callers without a pin knob of
+/// their own (`TrafficEngine`, the sweep runner) take their worker
+/// count from here and pin it in code when they need a fixed one.
+pub fn default_threads() -> usize {
     // sp-analyze: allow(concurrency, this is the single blessed available_parallelism fallback)
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -183,14 +175,14 @@ mod tests {
     fn thread_policy_reads_the_pin_knob() {
         // Serializes with other env-reading tests via a throwaway var:
         // the test suite only mutates this one knob.
-        std::env::set_var("SP_SWEEP_THREADS", "3");
-        assert_eq!(configured_threads_for("SP_SWEEP_THREADS"), 3);
-        std::env::set_var("SP_SWEEP_THREADS", "0");
-        assert!(configured_threads_for("SP_SWEEP_THREADS") >= 1);
-        std::env::set_var("SP_SWEEP_THREADS", "nonsense");
-        assert!(configured_threads_for("SP_SWEEP_THREADS") >= 1);
-        std::env::remove_var("SP_SWEEP_THREADS");
-        assert!(configured_threads_for("SP_SWEEP_THREADS") >= 1);
+        std::env::set_var("SP_SIM_THREADS", "3");
+        assert_eq!(configured_threads_for("SP_SIM_THREADS"), 3);
+        std::env::set_var("SP_SIM_THREADS", "0");
+        assert!(configured_threads_for("SP_SIM_THREADS") >= 1);
+        std::env::set_var("SP_SIM_THREADS", "nonsense");
+        assert!(configured_threads_for("SP_SIM_THREADS") >= 1);
+        std::env::remove_var("SP_SIM_THREADS");
+        assert!(configured_threads_for("SP_SIM_THREADS") >= 1);
     }
 
     #[test]

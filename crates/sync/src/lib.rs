@@ -13,7 +13,7 @@
 //!   [`WorkQueue::run_owned`] for pre-partitioned `&mut` work items).
 //! * [`configured_threads_for`] — the one thread-count policy behind
 //!   every `SP_*_THREADS` knob (explicit env pin, else
-//!   [`std::thread::available_parallelism`]).
+//!   [`default_threads`], the host's available parallelism).
 //! * [`EpochCell`] — the epoch-versioned `Arc` snapshot slot behind
 //!   `sp_core`'s `RoutingService`: writers publish fully-formed values
 //!   (fill-then-publish), readers pin `(epoch, Arc)` pairs wait-free in
@@ -47,6 +47,6 @@ mod recover;
 
 pub use epoch::{EpochCell, Pinned};
 pub use histogram::LatencyHistogram;
-pub use knobs::{configured_threads_for, env_flag, env_var};
+pub use knobs::{configured_threads_for, default_threads, env_flag, env_var};
 pub use queue::WorkQueue;
 pub use recover::{lock_recover, wait_timeout_recover};

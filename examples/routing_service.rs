@@ -6,8 +6,9 @@
 //! keeps applying mobility batches, each publishing a new epoch with
 //! one `Arc` swap. The example doubles as the CI `service-smoke` step:
 //! it serves ~10k queries under live churn and asserts the service
-//! invariant on every single answer — the stamped epoch never exceeds
-//! the epoch the service admits to (`answer.epoch <= service.epoch()`).
+//! invariant on every single answer — the epoch the answer used (the
+//! session's epoch, read right after the call) never exceeds the epoch
+//! the service admits to (`session.epoch() <= service.epoch()`).
 //!
 //! ```sh
 //! cargo run --release --example routing_service
@@ -38,9 +39,11 @@ fn main() {
         .collect();
 
     let service = RoutingService::new(net);
-    // At least two reader threads so the smoke test actually races the
-    // churner, whatever the host's parallelism.
-    let workers = service.threads().max(2);
+    // One reader per core, and at least two so the smoke test actually
+    // races the churner, whatever the host's parallelism.
+    let workers = std::thread::available_parallelism()
+        .map_or(1, |n| n.get())
+        .max(2);
     println!(
         "serving {} queries over n={NODES} with {workers} workers under churn ({MOVERS} movers/epoch)",
         queries.len()
@@ -89,19 +92,19 @@ fn main() {
                             break;
                         };
                         let a = session.route(src, dst);
+                        let epoch = session.epoch();
                         // The invariant this smoke test exists to hold
                         // under real scheduling: an answer can never be
-                        // stamped with an epoch the service has not
+                        // computed against an epoch the service has not
                         // admitted yet.
                         assert!(
-                            a.epoch <= service.epoch(),
-                            "query {i}: answer epoch {} > service epoch {}",
-                            a.epoch,
+                            epoch <= service.epoch(),
+                            "query {i}: answer epoch {epoch} > service epoch {}",
                             service.epoch()
                         );
                         served += 1;
                         delivered += usize::from(a.delivered());
-                        max_epoch = max_epoch.max(a.epoch);
+                        max_epoch = max_epoch.max(epoch);
                     }
                     (served, delivered, max_epoch)
                 })

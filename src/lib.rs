@@ -46,7 +46,7 @@ pub mod prelude {
     pub use sp_baselines::{GfRouter, GfgRouter, HoleAtlas, Slgf2FaceRouter};
     pub use sp_core::{
         construct_distributed, explain_route, Hand, InfoMaintainer, LgfRouter, RouteOutcome,
-        RoutePhase, RouteResult, Routing, RoutingService, SafetyInfo, SafetyTuple, ServiceAnswer,
+        RoutePhase, RouteRecord, RouteResult, Routing, RoutingService, SafetyInfo, SafetyTuple,
         Slgf2Router, SlgfRouter,
     };
     pub use sp_geom::{Point, Quadrant, Rect};
