@@ -7,8 +7,9 @@
 //! Besides the criterion output, the measured repeat-sample statistics
 //! (samples / median / stddev, ROADMAP "criterion stub fidelity") land
 //! in `BENCH_construction.json` at the workspace root, including the
-//! speedup the tentpole acceptance criterion reads (≥ 5× at
-//! n = 10000). The committed copy is the CI `bench-gate` baseline.
+//! grid-over-brute-force speedup. The acceptance bar (≥ 5× at
+//! n = 10000) is asserted before the file is written. The committed
+//! copy is the CI `bench-gate` baseline.
 //!
 //! Run with: `cargo bench -p sp-bench --bench grid_vs_bruteforce`
 
@@ -17,6 +18,10 @@ use sp_bench::{memory_json_fields, sample_stats};
 use sp_net::{DeploymentConfig, Network};
 
 const SIZES: [usize; 3] = [500, 2000, 10_000];
+
+/// The acceptance bar: at n = 10000 the grid path must beat brute
+/// force at least this many times over.
+const MIN_SPEEDUP_AT_10K: f64 = 5.0;
 
 /// The paper's density at scale `n` (area grows with the node count).
 fn deployment(n: usize) -> DeploymentConfig {
@@ -47,6 +52,10 @@ fn construction_benches(c: &mut Criterion) {
             Network::from_positions_brute_force(positions.clone(), cfg.radius, cfg.area)
         });
         let speedup = brute_s.median / grid_s.median;
+        assert!(
+            n != 10_000 || speedup >= MIN_SPEEDUP_AT_10K,
+            "grid speedup {speedup:.2}x at n={n} is under the {MIN_SPEEDUP_AT_10K}x acceptance bar"
+        );
         // Memory estimator: the CSR arena must strictly undercut the
         // legacy per-node-Vec layout at every benchmarked size.
         let footprint = grid.memory_footprint();

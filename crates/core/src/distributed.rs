@@ -19,9 +19,7 @@
 use crate::{SafetyInfo, SafetyMap, SafetyTuple, ShapeEstimate, ShapeMap};
 use sp_geom::{ccw_order_in_quadrant, Point, Quadrant, Rect};
 use sp_net::{edge_nodes::edge_node_mask, Network, NodeId};
-use sp_sim::{
-    AsyncConfig, AsyncEngine, AsyncStats, ChaosPlan, Ctx, Engine, NodeProcess, SimError, SimStats,
-};
+use sp_sim::{AsyncConfig, AsyncEngine, ChaosPlan, Ctx, Engine, NodeProcess, SimError, SimStats};
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
@@ -277,13 +275,14 @@ impl NodeProcess for LabelingProcess {
     }
 }
 
-/// Outcome of a distributed construction run.
+/// Outcome of a distributed construction run, on either engine.
 #[derive(Debug, Clone)]
 pub struct ConstructionRun {
     /// The assembled safety information (tuples + shape estimates).
     pub info: SafetyInfo,
     /// Simulation cost: rounds and message counts — the construction
     /// cost the paper cites as "proved to be the minimum in \[7\]".
+    /// An asynchronous run counts no rounds.
     pub stats: SimStats,
 }
 
@@ -364,15 +363,6 @@ fn round_budget(net: &Network, chaos: &ChaosPlan) -> usize {
     chaos.last_round().unwrap_or(0) + 4 * net.len() + 16
 }
 
-/// Outcome of an asynchronous construction run.
-#[derive(Debug, Clone)]
-pub struct AsyncConstructionRun {
-    /// The assembled safety information.
-    pub info: SafetyInfo,
-    /// Event-level cost of the asynchronous execution.
-    pub stats: AsyncStats,
-}
-
 /// Runs Algorithm 2 on the **asynchronous** engine: every message copy is
 /// delivered with its own random delay, so no synchronized rounds exist.
 /// The paper's §3 claims the schemes "can be extended easily to an
@@ -384,7 +374,7 @@ pub struct AsyncConstructionRun {
 /// Returns [`SimError::EventLimitExceeded`] if the protocol is still
 /// active after a generous per-node event budget (it never should be:
 /// statuses flip monotonically, so re-announcements are finite).
-pub fn construct_async(net: &Network, seed: u64) -> Result<AsyncConstructionRun, SimError> {
+pub fn construct_async(net: &Network, seed: u64) -> Result<ConstructionRun, SimError> {
     construct_async_with(
         net,
         edge_node_mask(net, net.radius()),
@@ -397,7 +387,7 @@ pub fn construct_async_with(
     net: &Network,
     pinned: Vec<bool>,
     cfg: AsyncConfig,
-) -> Result<AsyncConstructionRun, SimError> {
+) -> Result<ConstructionRun, SimError> {
     assert_eq!(pinned.len(), net.len(), "pinned mask must cover all nodes");
     let mut engine = AsyncEngine::new(net, cfg, |id| LabelingProcess::new(pinned[id.index()]));
     // Budget: every delivery can trigger at most one re-announcement and
@@ -406,7 +396,7 @@ pub fn construct_async_with(
     // deployments in scope.
     let budget = (net.len() * net.len()).max(10_000) * 8;
     let stats = engine.run_until_quiescent(budget)?;
-    Ok(AsyncConstructionRun {
+    Ok(ConstructionRun {
         info: assemble(net, engine.nodes(), pinned, 0),
         stats,
     })

@@ -59,7 +59,7 @@ pub mod traffic;
 
 pub use distributed::{
     construct_async, construct_async_with, construct_distributed, construct_legacy, construct_with,
-    AsyncConstructionRun, ChainInfo, ConstructionRun, LabelingProcess,
+    ChainInfo, ConstructionRun, LabelingProcess,
 };
 pub use explain::explain_route;
 pub use info::SafetyInfo;

@@ -218,7 +218,7 @@ fn chaotic_async_engine_trajectory_is_pinned() {
     let stats = engine.run_until_quiescent(1_000_000).unwrap();
     assert!(stats.quiesced);
     assert_eq!(
-        (stats.broadcasts, stats.unicasts, stats.deliveries),
+        (stats.broadcasts, stats.unicasts, stats.receptions),
         (574, 571, 2859)
     );
     assert_eq!(engine.now().to_bits(), 0x404c_d9ab_1be2_6352);
@@ -238,7 +238,7 @@ fn async_construction_costs_are_pinned() {
         let run = construct_async(&net, seed).unwrap();
         assert!(run.stats.quiesced, "seed={seed}");
         assert_eq!(
-            (run.stats.transmissions(), run.stats.deliveries),
+            (run.stats.transmissions(), run.stats.receptions),
             (tx, rx),
             "seed={seed}"
         );

@@ -8,13 +8,10 @@
 //! each copy of a broadcast takes its own independently-sampled delay, so
 //! no two nodes ever observe a synchronized "round".
 //!
-//! Two scale features keep large runs cheap: broadcast payloads are
-//! stored once behind an [`Arc`] and every queued copy shares the
-//! handle (one allocation per transmission, not per edge), and the
-//! event loop drains all heap entries sharing the minimal timestamp in
-//! one batch — equal-time events are delivered in enqueue (`seq`)
-//! order, exactly as repeated single pops would, so trajectories are
-//! unchanged.
+//! Only the delay heap is this engine's own. Node callbacks, kills and
+//! revivals run on the node runtime it shares with [`crate::Engine`],
+//! every copy passes the same link-chaos rule, and a run reports the
+//! same [`SimStats`].
 //!
 //! The equivalence tests in `sp-core::distributed` run the Algorithm-2
 //! labeling protocol on this engine and verify the stabilized information
@@ -23,7 +20,9 @@
 //! statuses flip monotonically and recomputation is idempotent over the
 //! cached neighbor view.
 
-use crate::{ChaosPlan, Ctx, NodeProcess, SimError};
+use crate::chaos::LinkChaos;
+use crate::nodes::{receivers, Nodes};
+use crate::{ChaosPlan, Ctx, NodeProcess, SimError, SimStats};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use sp_net::{Network, NodeId};
@@ -67,52 +66,14 @@ impl Default for AsyncConfig {
     }
 }
 
-/// Counters of one asynchronous run.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct AsyncStats {
-    /// Messages delivered (each broadcast copy counts once).
-    pub deliveries: usize,
-    /// Broadcast transmissions.
-    pub broadcasts: usize,
-    /// Unicast transmissions.
-    pub unicasts: usize,
-    /// Virtual time of the last delivery.
-    pub virtual_time: f64,
-    /// Whether the run drained its event queue (vs hitting the limit).
-    pub quiesced: bool,
-}
-
-impl AsyncStats {
-    /// Total transmissions of any kind.
-    pub fn transmissions(&self) -> usize {
-        self.broadcasts + self.unicasts
-    }
-}
-
-/// An event's message payload: unicasts move the message inline (no
-/// extra allocation over the pre-sharing engine), broadcast copies
-/// share one `Arc` so the payload is allocated once per transmission
-/// regardless of degree.
-enum Payload<M> {
-    Owned(M),
-    Shared(Arc<M>),
-}
-
-impl<M> Payload<M> {
-    fn get(&self) -> &M {
-        match self {
-            Payload::Owned(m) => m,
-            Payload::Shared(m) => m,
-        }
-    }
-}
-
+/// One message copy in flight. Every copy of a transmission shares its
+/// payload.
 struct Event<M> {
     time: f64,
     seq: u64,
     to: NodeId,
     from: NodeId,
-    msg: Payload<M>,
+    msg: Arc<M>,
 }
 
 impl<M> PartialEq for Event<M> {
@@ -136,11 +97,65 @@ impl<M> Ord for Event<M> {
     }
 }
 
+/// The copies in flight, and everything that times them.
+struct DelayHeap<M> {
+    events: BinaryHeap<Event<M>>,
+    /// Samples the base delays; link chaos draws from its own RNG, so a
+    /// quiet plan leaves this stream untouched.
+    rng: StdRng,
+    cfg: AsyncConfig,
+    chaos: LinkChaos,
+    stats: SimStats,
+    seq: u64,
+    now: f64,
+}
+
+impl<M> DelayHeap<M> {
+    /// Drains a callback's outbox onto the heap: one shared payload per
+    /// transmission, one independently delayed copy per live receiver
+    /// the link rule lets through. Each copy draws its link fate, then
+    /// its delay, then its jitter. Cut windows read the virtual time as
+    /// rounds.
+    fn push(&mut self, ctx: &mut Ctx<'_, M>) {
+        let (from, net, alive) = (ctx.id, ctx.net, ctx.alive);
+        let tick = self.now as usize;
+        for (to, msg) in ctx.outbox.drain(..) {
+            match to {
+                None => self.stats.broadcasts += 1,
+                Some(_) => self.stats.unicasts += 1,
+            }
+            let msg = Arc::new(msg);
+            for v in receivers(net, alive, from, &to) {
+                if self.chaos.lost(tick, net.position(from), net.position(v)) {
+                    continue;
+                }
+                let base = if self.cfg.min_delay == self.cfg.max_delay {
+                    self.cfg.min_delay
+                } else {
+                    self.rng
+                        .random_range(self.cfg.min_delay..self.cfg.max_delay)
+                };
+                let delay = base + self.chaos.jitter();
+                self.seq += 1;
+                self.events.push(Event {
+                    time: self.now + delay,
+                    seq: self.seq,
+                    to: v,
+                    from,
+                    msg: Arc::clone(&msg),
+                });
+            }
+        }
+    }
+}
+
 /// Asynchronous executor of one [`NodeProcess`] per node.
 ///
 /// Each queued message is delivered alone, at its own randomly-delayed
 /// virtual time; the receiving process sees an inbox of exactly one
-/// message. Quiescence is an empty event queue.
+/// message. Quiescence is an empty event queue. The reported
+/// [`SimStats`] count no rounds; the virtual clock is
+/// [`AsyncEngine::now`].
 ///
 /// ```
 /// use sp_net::{Network, NodeId};
@@ -176,30 +191,8 @@ impl<M> Ord for Event<M> {
 /// assert!(engine.nodes().iter().all(|n| n.seen));
 /// ```
 pub struct AsyncEngine<'n, P: NodeProcess> {
-    net: &'n Network,
-    nodes: Vec<P>,
-    alive: Vec<bool>,
-    queue: BinaryHeap<Event<P::Msg>>,
-    /// Scratch for the equal-timestamp batch drained per step.
-    batch: Vec<Event<P::Msg>>,
-    neighbor_scratch: Vec<NodeId>,
-    /// `notify_neighbors`' own neighbor scratch — it dispatches outboxes
-    /// mid-iteration, which clobbers `neighbor_scratch`.
-    notify_scratch: Vec<NodeId>,
-    /// Recycled outbox buffers handed to `Ctx` (one delivery at a time,
-    /// so the pool stays tiny).
-    outbox_pool: Vec<Vec<(Option<NodeId>, P::Msg)>>,
-    rng: StdRng,
-    /// Link-chaos state: the plan's drop/jitter/cut classes, sampled
-    /// from a dedicated RNG so the base delay stream (`rng`) is
-    /// untouched — a quiet plan is bit-identical to no plan.
-    chaos: ChaosPlan,
-    chaos_rng: Option<StdRng>,
-    cfg: AsyncConfig,
-    stats: AsyncStats,
-    seq: u64,
-    now: f64,
-    initialized: bool,
+    nodes: Nodes<'n, P>,
+    heap: DelayHeap<P::Msg>,
 }
 
 impl<'n, P: NodeProcess> AsyncEngine<'n, P> {
@@ -208,57 +201,50 @@ impl<'n, P: NodeProcess> AsyncEngine<'n, P> {
     /// # Panics
     ///
     /// Panics if `cfg` has non-positive or inverted delays.
-    pub fn new(net: &'n Network, cfg: AsyncConfig, mut make: impl FnMut(NodeId) -> P) -> Self {
+    pub fn new(net: &'n Network, cfg: AsyncConfig, make: impl FnMut(NodeId) -> P) -> Self {
         cfg.validate();
-        let n = net.len();
         AsyncEngine {
-            net,
-            nodes: (0..n).map(|i| make(NodeId::new(i))).collect(),
-            alive: vec![true; n],
-            queue: BinaryHeap::new(),
-            batch: Vec::new(),
-            neighbor_scratch: Vec::new(),
-            notify_scratch: Vec::new(),
-            outbox_pool: Vec::new(),
-            rng: StdRng::seed_from_u64(cfg.seed),
-            chaos: ChaosPlan::new(),
-            chaos_rng: None,
-            cfg,
-            stats: AsyncStats::default(),
-            seq: 0,
-            now: 0.0,
-            initialized: false,
+            nodes: Nodes::new(net, make),
+            heap: DelayHeap {
+                events: BinaryHeap::new(),
+                rng: StdRng::seed_from_u64(cfg.seed),
+                cfg,
+                chaos: LinkChaos::new(ChaosPlan::new()),
+                stats: SimStats::default(),
+                seq: 0,
+                now: 0.0,
+            },
         }
     }
 
     /// Immutable access to the per-node processes.
     pub fn nodes(&self) -> &[P] {
-        &self.nodes
+        &self.nodes.procs
     }
 
     /// The process running on one node.
     pub fn node(&self, u: NodeId) -> &P {
-        &self.nodes[u.index()]
+        &self.nodes.procs[u.index()]
     }
 
     /// Whether a node is alive.
     pub fn is_alive(&self, u: NodeId) -> bool {
-        self.alive[u.index()]
+        self.nodes.alive[u.index()]
     }
 
-    /// Statistics so far.
-    pub fn stats(&self) -> AsyncStats {
-        self.stats
+    /// Statistics so far. `rounds` stays 0: this engine has no rounds.
+    pub fn stats(&self) -> SimStats {
+        self.heap.stats
     }
 
-    /// Current virtual time.
+    /// Current virtual time: the timestamp of the last delivered event.
     pub fn now(&self) -> f64 {
-        self.now
+        self.heap.now
     }
 
     /// The network being simulated.
     pub fn network(&self) -> &Network {
-        self.net
+        self.nodes.net
     }
 
     /// Installs a chaos plan. The asynchronous engine honors the **link
@@ -269,119 +255,23 @@ impl<'n, P: NodeProcess> AsyncEngine<'n, P> {
     /// revivals are driven explicitly via [`AsyncEngine::kill_node`] /
     /// [`AsyncEngine::revive_node`] since the engine has no round clock.
     pub fn set_chaos_plan(&mut self, plan: ChaosPlan) {
-        self.chaos_rng = if plan.drop_p() > 0.0 || plan.jitter() > 0.0 {
-            Some(StdRng::seed_from_u64(plan.seed() ^ 0xc4a0_5eed))
-        } else {
-            None
-        };
-        self.chaos = plan;
+        self.heap.chaos = LinkChaos::new(plan);
     }
 
     /// The installed chaos plan (quiet by default).
     pub fn chaos_plan(&self) -> &ChaosPlan {
-        &self.chaos
-    }
-
-    fn sample_delay(&mut self) -> f64 {
-        if self.cfg.min_delay == self.cfg.max_delay {
-            self.cfg.min_delay
-        } else {
-            self.rng
-                .random_range(self.cfg.min_delay..self.cfg.max_delay)
-        }
-    }
-
-    /// Whether link chaos swallows a copy addressed `from -> to` right
-    /// now: an active cut severing the link, or a Bernoulli drop. Quiet
-    /// plans short-circuit without touching any RNG.
-    fn chaos_blocks(&mut self, from: NodeId, to: NodeId) -> bool {
-        let tick = self.now as usize;
-        if !self.chaos.links_perturbed_at(tick) {
-            return false;
-        }
-        if self
-            .chaos
-            .severed_at(tick, self.net.position(from), self.net.position(to))
-        {
-            return true;
-        }
-        let p = self.chaos.drop_p();
-        p > 0.0
-            && self
-                .chaos_rng
-                .as_mut()
-                .is_some_and(|rng| rng.random_bool(p))
-    }
-
-    fn enqueue(&mut self, from: NodeId, to: NodeId, msg: Payload<P::Msg>) {
-        if self.chaos_blocks(from, to) {
-            return;
-        }
-        let mut delay = self.sample_delay();
-        let jitter = self.chaos.jitter();
-        if jitter > 0.0 {
-            if let Some(rng) = self.chaos_rng.as_mut() {
-                delay += rng.random_range(0.0..jitter);
-            }
-        }
-        self.seq += 1;
-        self.queue.push(Event {
-            time: self.now + delay,
-            seq: self.seq,
-            to,
-            from,
-            msg,
-        });
-    }
-
-    /// Drains `outbox` into the event queue; the caller returns the
-    /// emptied buffer to `outbox_pool`.
-    fn dispatch_outbox(&mut self, from: NodeId, outbox: &mut Vec<(Option<NodeId>, P::Msg)>) {
-        for (to, msg) in outbox.drain(..) {
-            match to {
-                None => {
-                    self.stats.broadcasts += 1;
-                    // One shared payload allocation per broadcast; every
-                    // copy still takes its own delay — the defining
-                    // difference from the synchronous engine.
-                    let msg = Arc::new(msg);
-                    self.neighbor_scratch.clear();
-                    self.neighbor_scratch.extend(
-                        self.net
-                            .neighbors(from)
-                            .iter()
-                            .copied()
-                            .filter(|v| self.alive[v.index()]),
-                    );
-                    for k in 0..self.neighbor_scratch.len() {
-                        let v = self.neighbor_scratch[k];
-                        self.enqueue(from, v, Payload::Shared(Arc::clone(&msg)));
-                    }
-                }
-                Some(v) => {
-                    self.stats.unicasts += 1;
-                    if self.alive[v.index()] && self.net.has_edge(from, v) {
-                        self.enqueue(from, v, Payload::Owned(msg));
-                    }
-                }
-            }
-        }
+        self.heap.chaos.plan()
     }
 
     /// Kills a node immediately: its queued deliveries are dropped and
     /// live neighbors get [`NodeProcess::on_neighbor_failed`].
     pub fn kill_node(&mut self, victim: NodeId) {
-        if !self.alive[victim.index()] {
-            return;
+        if self.nodes.kill(victim) {
+            self.heap
+                .events
+                .retain(|e| e.to != victim && e.from != victim);
+            self.nodes.notify_failed(victim, |ctx| self.heap.push(ctx));
         }
-        self.alive[victim.index()] = false;
-        let keep: Vec<Event<P::Msg>> = self
-            .queue
-            .drain()
-            .filter(|e| e.to != victim && e.from != victim)
-            .collect();
-        self.queue = keep.into_iter().collect();
-        self.notify_neighbors(victim, |p, ctx| p.on_neighbor_failed(ctx, victim));
     }
 
     /// Revives a previously-killed node (flapping recovery): the node
@@ -389,118 +279,68 @@ impl<'n, P: NodeProcess> AsyncEngine<'n, P> {
     /// [`NodeProcess::on_neighbor_recovered`]. Reviving a live node is
     /// a no-op.
     pub fn revive_node(&mut self, node: NodeId) {
-        if self.alive[node.index()] {
-            return;
-        }
-        self.alive[node.index()] = true;
-        self.run_callback(node, |p, ctx| p.on_rejoin(ctx));
-        self.notify_neighbors(node, |p, ctx| p.on_neighbor_recovered(ctx, node));
-    }
-
-    /// Runs `callback` on every live neighbor of `node` — the one local
-    /// repair path that kills and revivals share.
-    fn notify_neighbors(&mut self, node: NodeId, callback: impl Fn(&mut P, &mut Ctx<'_, P::Msg>)) {
-        self.notify_scratch.clear();
-        self.notify_scratch
-            .extend_from_slice(self.net.neighbors(node));
-        for k in 0..self.notify_scratch.len() {
-            let v = self.notify_scratch[k];
-            if self.alive[v.index()] {
-                self.run_callback(v, &callback);
-            }
-        }
-    }
-
-    /// Runs one process callback with a pooled outbox and dispatches
-    /// what it sent.
-    fn run_callback(&mut self, id: NodeId, callback: impl FnOnce(&mut P, &mut Ctx<'_, P::Msg>)) {
-        let mut ctx = Ctx {
-            id,
-            net: self.net,
-            alive: &self.alive,
-            outbox: self.outbox_pool.pop().unwrap_or_default(),
-        };
-        callback(&mut self.nodes[id.index()], &mut ctx);
-        let mut outbox = ctx.outbox;
-        self.dispatch_outbox(id, &mut outbox);
-        self.outbox_pool.push(outbox);
+        self.nodes.revive(node, |ctx| self.heap.push(ctx));
     }
 
     /// Runs [`NodeProcess::on_init`] on every node (idempotent).
     pub fn init(&mut self) {
-        if self.initialized {
-            return;
-        }
-        self.initialized = true;
-        for i in 0..self.nodes.len() {
-            if self.alive[i] {
-                self.run_callback(NodeId::new(i), |p, ctx| p.on_init(ctx));
-            }
-        }
+        self.nodes.init(|ctx| self.heap.push(ctx));
     }
 
     /// Delivers every event at the next pending timestamp (usually one;
     /// several under fixed-delay configs). Returns `false` when the
     /// queue is empty.
     pub fn step(&mut self) -> bool {
-        self.step_batch(usize::MAX) > 0
-    }
-
-    /// Drains up to `budget` heap entries sharing the minimal timestamp
-    /// and delivers them in `seq` order — the exact order repeated
-    /// single pops would produce, minus the per-event heap rebalances.
-    /// Events beyond the budget stay queued (they resume at the same
-    /// timestamp on the next call), so delivery budgets are honored to
-    /// the event, not to the batch. Returns the number of events
-    /// popped.
-    fn step_batch(&mut self, budget: usize) -> usize {
-        if budget == 0 {
-            return 0;
-        }
         self.init();
-        let Some(ev) = self.queue.pop() else {
-            return 0;
+        let Some(time) = self.heap.events.peek().map(|e| e.time) else {
+            return false;
         };
-        let time = ev.time;
-        self.batch.clear();
-        self.batch.push(ev);
-        while self.batch.len() < budget && self.queue.peek().is_some_and(|next| next.time == time) {
-            let next = self.queue.pop().expect("peeked event exists"); // sp-analyze: allow(panic, pop follows a successful peek under exclusive access)
-            self.batch.push(next);
+        // Delays are strictly positive, so no delivery schedules an
+        // event at the instant being drained.
+        while self.heap.events.peek().is_some_and(|e| e.time == time) {
+            self.deliver_next();
         }
-        self.now = time;
-        self.stats.virtual_time = time;
-        let popped = self.batch.len();
-        let mut batch = std::mem::take(&mut self.batch);
-        for ev in batch.drain(..) {
-            if !self.alive[ev.to.index()] {
-                continue; // message into the void
-            }
-            self.stats.deliveries += 1;
-            let inbox = [(ev.from, ev.msg.get())];
-            self.run_callback(ev.to, |p, ctx| p.on_round(ctx, &inbox));
-        }
-        self.batch = batch;
-        popped
+        true
     }
 
-    /// Runs until the event queue drains or `max_events` deliveries.
+    /// Pops the earliest event and delivers it, unless its receiver died
+    /// after the copy was sent. Returns `false` when the queue is empty.
+    fn deliver_next(&mut self) -> bool {
+        let Some(ev) = self.heap.events.pop() else {
+            return false;
+        };
+        self.heap.now = ev.time;
+        let inbox = [(ev.from, &*ev.msg)];
+        if self.nodes.run(
+            ev.to,
+            |ctx| self.heap.push(ctx),
+            |p, ctx| p.on_round(ctx, &inbox),
+        ) {
+            self.heap.stats.receptions += 1;
+        }
+        true
+    }
+
+    /// Runs until the event queue drains or `max_events` events have
+    /// been popped, copies addressed to nodes that died after sending
+    /// included.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::EventLimitExceeded`] when the protocol is
-    /// still exchanging messages after `max_events` deliveries.
-    pub fn run_until_quiescent(&mut self, max_events: usize) -> Result<AsyncStats, SimError> {
+    /// still exchanging messages after `max_events` events.
+    pub fn run_until_quiescent(&mut self, max_events: usize) -> Result<SimStats, SimError> {
         self.init();
-        let mut delivered = 0usize;
-        while !self.queue.is_empty() {
-            if delivered >= max_events {
-                return Err(SimError::EventLimitExceeded { limit: max_events });
+        for _ in 0..max_events {
+            if !self.deliver_next() {
+                break;
             }
-            delivered += self.step_batch(max_events - delivered);
         }
-        self.stats.quiesced = true;
-        Ok(self.stats)
+        if !self.heap.events.is_empty() {
+            return Err(SimError::EventLimitExceeded { limit: max_events });
+        }
+        self.heap.stats.quiesced = true;
+        Ok(self.heap.stats)
     }
 }
 
@@ -545,7 +385,7 @@ mod tests {
             });
             let stats = engine.run_until_quiescent(100_000).unwrap();
             assert!(stats.quiesced);
-            assert!(stats.virtual_time > 0.0);
+            assert!(engine.now() > 0.0);
             for n in engine.nodes() {
                 assert_eq!(n.value, 70, "seed {seed}");
             }
@@ -559,17 +399,15 @@ mod tests {
             let mut engine = AsyncEngine::new(&net, AsyncConfig::jittered(seed), |id| Gossip {
                 value: id.index() as u64,
             });
-            engine.run_until_quiescent(100_000).unwrap()
+            let stats = engine.run_until_quiescent(100_000).unwrap();
+            (stats, engine.now())
         };
         assert_eq!(run(3), run(3));
         // Different seeds almost surely deliver in different orders;
         // final state is the same but the trace differs.
         let a = run(1);
         let b = run(2);
-        assert_ne!(
-            (a.deliveries, a.virtual_time),
-            (b.deliveries, b.virtual_time)
-        );
+        assert_ne!((a.0.receptions, a.1), (b.0.receptions, b.1));
     }
 
     #[test]
@@ -656,7 +494,7 @@ mod tests {
         engine.init();
         assert!(engine.step(), "first instant delivers");
         // All init-wave copies share time 2.0: 0->1, 1->0, 1->2, 2->1.
-        assert_eq!(engine.stats().deliveries, 4);
+        assert_eq!(engine.stats().receptions, 4);
         assert_eq!(engine.now(), 2.0);
     }
 
@@ -677,10 +515,10 @@ mod tests {
                 value: id.index() as u64,
             });
             let stats = engine.run_until_quiescent(100_000).unwrap();
-            // `deliveries` excludes messages into the void; with no
+            // `receptions` excludes messages into the void; with no
             // failures every popped event is delivered, so the count
             // equals the events the run needs.
-            stats.deliveries
+            stats.receptions
         };
         let run = |budget| {
             let mut engine = AsyncEngine::new(&net, cfg, |id| Gossip {
@@ -707,7 +545,7 @@ mod tests {
             }
             let stats = engine.run_until_quiescent(100_000).unwrap();
             let values: Vec<u64> = engine.nodes().iter().map(|n| n.value).collect();
-            (stats, values)
+            (stats, engine.now(), values)
         };
         // A seeded but eventless plan must not perturb the delay stream.
         assert_eq!(run(None), run(Some(ChaosPlan::new().with_seed(99))));
@@ -722,7 +560,7 @@ mod tests {
         engine.set_chaos_plan(ChaosPlan::new().with_seed(8).with_drop(1.0));
         let stats = engine.run_until_quiescent(100_000).unwrap();
         assert!(stats.quiesced);
-        assert_eq!(stats.deliveries, 0, "every copy drops at enqueue");
+        assert_eq!(stats.receptions, 0, "every copy drops at enqueue");
         for (i, n) in engine.nodes().iter().enumerate() {
             assert_eq!(n.value, i as u64, "nobody ever heard a neighbor");
         }
@@ -766,7 +604,7 @@ mod tests {
             for n in engine.nodes() {
                 assert_eq!(n.value, 7);
             }
-            stats.virtual_time
+            engine.now()
         };
         assert_ne!(run(0.0), run(3.0), "jitter stretches the schedule");
     }

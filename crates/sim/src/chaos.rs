@@ -16,10 +16,13 @@
 //!    nodes, re-announcing through [`crate::NodeProcess::on_rejoin`] so
 //!    incremental re-labeling reacts.
 //!
-//! All chaos randomness is drawn from a **dedicated RNG stream** seeded
-//! by [`ChaosPlan::seed`], never from the engines' own RNGs, and every
-//! class short-circuits when inactive — so a plan at rate 0 (no events,
-//! `drop_p == 0`) is bit-identical to running with no plan at all.
+//! Both engines apply the link classes through one crate-private rule,
+//! `LinkChaos`: the plan bound to a **dedicated RNG stream** seeded by
+//! [`ChaosPlan::seed`], never the engines' own RNGs. Per message copy it
+//! answers whether the copy is lost (an active cut first, then the drop
+//! draw) and how much jitter it gets. Every class short-circuits when
+//! inactive, so a plan at rate 0 (no events, `drop_p == 0`) is
+//! bit-identical to running with no plan at all.
 //!
 //! ```
 //! use sp_net::NodeId;
@@ -33,6 +36,8 @@
 //! assert_eq!(chaos.last_round(), Some(9));
 //! ```
 
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
 use sp_geom::{Point, Segment};
 use sp_net::{Network, NodeId};
 use std::collections::BTreeMap;
@@ -115,9 +120,10 @@ impl Schedule {
 /// A composable failure-injection schedule: kills, revivals, partition
 /// cuts, per-delivery drop probability, and async delay jitter.
 ///
-/// The plan is pure data — engines own the RNG that samples drops and
-/// jitter (seeded from [`ChaosPlan::seed`]), so the same plan replays
-/// identically on any engine and at any thread count.
+/// The plan is pure data. The engines sample its drops and jitter
+/// through one link rule that binds the plan to an RNG seeded from
+/// [`ChaosPlan::seed`], so the same plan replays identically on any
+/// engine and at any thread count.
 #[derive(Debug, Clone, Default)]
 pub struct ChaosPlan {
     seed: u64,
@@ -303,6 +309,46 @@ impl ChaosPlan {
         self.cuts.extend(other.cuts.iter().cloned());
         self.drop_p = 1.0 - (1.0 - self.drop_p) * (1.0 - other.drop_p);
         self.jitter += other.jitter;
+    }
+}
+
+/// A [`ChaosPlan`] bound to the RNG that samples its drops and jitter:
+/// the one link rule both engines apply to every message copy.
+pub(crate) struct LinkChaos {
+    plan: ChaosPlan,
+    /// Seeded only when the plan drops or jitters.
+    rng: Option<StdRng>,
+}
+
+impl LinkChaos {
+    pub(crate) fn new(plan: ChaosPlan) -> LinkChaos {
+        let rng = (plan.drop_p > 0.0 || plan.jitter > 0.0)
+            .then(|| StdRng::seed_from_u64(plan.seed ^ 0xc4a0_5eed));
+        LinkChaos { plan, rng }
+    }
+
+    pub(crate) fn plan(&self) -> &ChaosPlan {
+        &self.plan
+    }
+
+    /// Whether the copy sent from `a` to `b` is lost at `round`: an
+    /// active cut severs it without a draw; otherwise one Bernoulli
+    /// draw decides a drop.
+    pub(crate) fn lost(&mut self, round: usize, a: Point, b: Point) -> bool {
+        if self.plan.severed_at(round, a, b) {
+            return true;
+        }
+        let p = self.plan.drop_p;
+        p > 0.0 && self.rng.as_mut().is_some_and(|rng| rng.random_bool(p))
+    }
+
+    /// The extra delay of one copy: uniform in `[0, jitter)`, or 0
+    /// (with no draw) when the plan has no jitter.
+    pub(crate) fn jitter(&mut self) -> f64 {
+        match self.rng.as_mut() {
+            Some(rng) if self.plan.jitter > 0.0 => rng.random_range(0.0..self.plan.jitter),
+            _ => 0.0,
+        }
     }
 }
 

@@ -5,13 +5,15 @@
 //! per transmission, never per edge), rounds only visit the *frontier*
 //! of nodes that actually received mail, steady-state rounds reuse all
 //! scratch buffers, and large frontiers can be sharded across threads
-//! with output bit-identical to the serial path. The pre-optimization
-//! engine survives as [`crate::LegacyEngine`] so benchmarks and
-//! equivalence tests can always compare against it.
+//! with output bit-identical to the serial path. Node callbacks, kills
+//! and revivals run on the node runtime it shares with
+//! [`crate::AsyncEngine`], and every copy passes the same link-chaos
+//! rule. The pre-optimization engine survives as [`crate::LegacyEngine`]
+//! so benchmarks and equivalence tests can always compare against it.
 
+use crate::chaos::LinkChaos;
+use crate::nodes::{receivers, Nodes, Outbox};
 use crate::{ChaosPlan, Ctx, NodeProcess, RoundLog, SimStats};
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 use sp_net::{Network, NodeId};
 use sp_sync::WorkQueue;
 
@@ -29,12 +31,6 @@ const MIN_PARALLEL_FRONTIER: usize = 32;
 /// (mirroring `SP_NET_THREADS` for the spatial index).
 pub const THREADS_ENV: &str = "SP_SIM_THREADS";
 
-/// Most recycled outbox buffers the engine retains. The serial path
-/// cycles one buffer per callback, but the threaded merge returns a
-/// whole frontier's worth per round; the cap keeps that from
-/// accumulating unboundedly across rounds.
-const OUTBOX_POOL_CAP: usize = 64;
-
 /// The thread count [`Engine::new`] configures by default: 1 below
 /// [`PARALLEL_NODE_THRESHOLD`] nodes, otherwise the [`THREADS_ENV`]
 /// (`SP_SIM_THREADS`) environment knob when set to a positive integer,
@@ -49,7 +45,7 @@ pub fn auto_threads(node_count: usize) -> usize {
 
 /// An outbox drained by a worker shard, tagged with the node that
 /// emitted it (merged back in ascending node order).
-type TaggedOutbox<M> = (u32, Vec<(Option<NodeId>, M)>);
+type TaggedOutbox<M> = (u32, Outbox<M>);
 
 /// Errors the engine can report.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,7 +56,7 @@ pub enum SimError {
         /// The budget that was exhausted.
         limit: usize,
     },
-    /// The asynchronous engine delivered `limit` events without draining
+    /// The asynchronous engine popped `limit` events without draining
     /// its queue.
     EventLimitExceeded {
         /// The budget that was exhausted.
@@ -75,7 +71,7 @@ impl std::fmt::Display for SimError {
                 write!(f, "protocol did not quiesce within {limit} rounds")
             }
             SimError::EventLimitExceeded { limit } => {
-                write!(f, "protocol did not quiesce within {limit} deliveries")
+                write!(f, "protocol did not quiesce within {limit} events")
             }
         }
     }
@@ -125,9 +121,7 @@ impl std::error::Error for SimError {}
 /// engine; make its state thread-safe (every process in this
 /// workspace already is).
 pub struct Engine<'n, P: NodeProcess> {
-    net: &'n Network,
-    nodes: Vec<P>,
-    alive: Vec<bool>,
+    nodes: Nodes<'n, P>,
     /// Messages buffered during the current round, delivered at the
     /// start of the next one. One entry per transmission.
     pending: Vec<(NodeId, Option<NodeId>, P::Msg)>,
@@ -141,9 +135,6 @@ pub struct Engine<'n, P: NodeProcess> {
     /// processing.
     frontier: Vec<u32>,
     in_frontier: Vec<bool>,
-    /// Recycled outbox buffers handed to `Ctx`.
-    outbox_pool: Vec<Vec<(Option<NodeId>, P::Msg)>>,
-    neighbor_scratch: Vec<NodeId>,
     due_scratch: Vec<NodeId>,
     /// Capacity carried between rounds for the per-round inbox-ref
     /// scratch (the vector itself borrows the round's arena, so it
@@ -153,41 +144,30 @@ pub struct Engine<'n, P: NodeProcess> {
     threads: usize,
     stats: SimStats,
     log: RoundLog,
-    chaos: ChaosPlan,
-    /// Dedicated RNG for chaos drop sampling. Created lazily by
-    /// [`Engine::set_chaos_plan`], so a chaos-free engine never owns an
-    /// RNG and the delivery path stays draw-free.
-    chaos_rng: Option<StdRng>,
+    chaos: LinkChaos,
     round: usize,
-    initialized: bool,
 }
 
 impl<'n, P: NodeProcess> Engine<'n, P> {
     /// Creates one process per node with the given factory. The thread
     /// count defaults to [`auto_threads`]; pin it with
     /// [`Engine::set_threads`].
-    pub fn new(net: &'n Network, mut make: impl FnMut(NodeId) -> P) -> Engine<'n, P> {
+    pub fn new(net: &'n Network, make: impl FnMut(NodeId) -> P) -> Engine<'n, P> {
         let n = net.len();
         Engine {
-            net,
-            nodes: (0..n).map(|i| make(NodeId::new(i))).collect(),
-            alive: vec![true; n],
+            nodes: Nodes::new(net, make),
             pending: Vec::new(),
             delivering: Vec::new(),
             inboxes: vec![Vec::new(); n],
             frontier: Vec::new(),
             in_frontier: vec![false; n],
-            outbox_pool: Vec::new(),
-            neighbor_scratch: Vec::new(),
             due_scratch: Vec::new(),
             refs_capacity: 0,
             threads: auto_threads(n),
             stats: SimStats::default(),
             log: RoundLog::new(),
-            chaos: ChaosPlan::new(),
-            chaos_rng: None,
+            chaos: LinkChaos::new(ChaosPlan::new()),
             round: 0,
-            initialized: false,
         }
     }
 
@@ -198,17 +178,12 @@ impl<'n, P: NodeProcess> Engine<'n, P> {
     /// quiet plan ([`ChaosPlan::is_quiet`]). Rounds are counted from
     /// the first [`Engine::step`] after initialization.
     pub fn set_chaos_plan(&mut self, plan: ChaosPlan) {
-        self.chaos_rng = if plan.drop_p() > 0.0 {
-            Some(StdRng::seed_from_u64(plan.seed() ^ 0xc4a0_5eed))
-        } else {
-            None
-        };
-        self.chaos = plan;
+        self.chaos = LinkChaos::new(plan);
     }
 
     /// The installed chaos plan (quiet by default).
     pub fn chaos_plan(&self) -> &ChaosPlan {
-        &self.chaos
+        self.chaos.plan()
     }
 
     /// Pins the number of worker threads the processing phase may use
@@ -224,17 +199,17 @@ impl<'n, P: NodeProcess> Engine<'n, P> {
 
     /// Immutable access to the per-node processes.
     pub fn nodes(&self) -> &[P] {
-        &self.nodes
+        &self.nodes.procs
     }
 
     /// The process running on one node.
     pub fn node(&self, u: NodeId) -> &P {
-        &self.nodes[u.index()]
+        &self.nodes.procs[u.index()]
     }
 
     /// Whether a node is still alive.
     pub fn is_alive(&self, u: NodeId) -> bool {
-        self.alive[u.index()]
+        self.nodes.alive[u.index()]
     }
 
     /// Statistics accumulated so far.
@@ -249,20 +224,20 @@ impl<'n, P: NodeProcess> Engine<'n, P> {
 
     /// The network being simulated.
     pub fn network(&self) -> &Network {
-        self.net
+        self.nodes.net
     }
 
     /// Kills a node immediately and notifies its live neighbors.
     pub fn kill_node(&mut self, victim: NodeId) {
-        if !self.alive[victim.index()] {
-            return;
+        if self.nodes.kill(victim) {
+            self.inboxes[victim.index()].clear();
+            // Drop in-flight messages from/to the victim.
+            self.pending
+                .retain(|(from, to, _)| *from != victim && *to != Some(victim));
+            self.nodes.notify_failed(victim, |ctx| {
+                queue_outbox(&mut self.pending, &mut self.stats, ctx.id, &mut ctx.outbox)
+            });
         }
-        self.alive[victim.index()] = false;
-        self.inboxes[victim.index()].clear();
-        // Drop in-flight messages from/to the victim.
-        self.pending
-            .retain(|(from, to, _)| *from != victim && *to != Some(victim));
-        self.notify_neighbors(victim, |p, ctx| p.on_neighbor_failed(ctx, victim));
     }
 
     /// Revives a previously-killed node (flapping recovery): the node
@@ -271,62 +246,24 @@ impl<'n, P: NodeProcess> Engine<'n, P> {
     /// path `on_neighbor_failed` uses, in the other direction. Reviving
     /// a live node is a no-op.
     pub fn revive_node(&mut self, node: NodeId) {
-        if self.alive[node.index()] {
-            return;
-        }
-        self.alive[node.index()] = true;
         debug_assert!(self.inboxes[node.index()].is_empty());
-        self.run_callback(node, |p, ctx| p.on_rejoin(ctx));
-        self.notify_neighbors(node, |p, ctx| p.on_neighbor_recovered(ctx, node));
-    }
-
-    /// Runs `callback` on every live neighbor of `node` — the one local
-    /// repair path that kills and revivals share.
-    fn notify_neighbors(&mut self, node: NodeId, callback: impl Fn(&mut P, &mut Ctx<'_, P::Msg>)) {
-        self.neighbor_scratch.clear();
-        self.neighbor_scratch
-            .extend_from_slice(self.net.neighbors(node));
-        for k in 0..self.neighbor_scratch.len() {
-            let v = self.neighbor_scratch[k];
-            if self.alive[v.index()] {
-                self.run_callback(v, &callback);
-            }
-        }
-    }
-
-    /// Runs one process callback with a pooled outbox and queues what
-    /// it sent.
-    fn run_callback(&mut self, id: NodeId, callback: impl FnOnce(&mut P, &mut Ctx<'_, P::Msg>)) {
-        let mut ctx = Ctx {
-            id,
-            net: self.net,
-            alive: &self.alive,
-            outbox: self.outbox_pool.pop().unwrap_or_default(),
-        };
-        callback(&mut self.nodes[id.index()], &mut ctx);
-        let mut outbox = ctx.outbox;
-        queue_outbox(&mut self.pending, &mut self.stats, id, &mut outbox);
-        self.outbox_pool.push(outbox);
+        self.nodes.revive(node, |ctx| {
+            queue_outbox(&mut self.pending, &mut self.stats, ctx.id, &mut ctx.outbox)
+        });
     }
 
     /// Runs [`NodeProcess::on_init`] on every live node. Called
     /// automatically by the run/step methods; calling it twice is a no-op.
     pub fn init(&mut self) {
-        if self.initialized {
-            return;
-        }
-        self.initialized = true;
-        for i in 0..self.nodes.len() {
-            if self.alive[i] {
-                self.run_callback(NodeId::new(i), |p, ctx| p.on_init(ctx));
-            }
-        }
+        self.nodes
+            .init(|ctx| queue_outbox(&mut self.pending, &mut self.stats, ctx.id, &mut ctx.outbox));
     }
 
     fn pending_activity(&self) -> bool {
         !self.pending.is_empty()
             || self
                 .chaos
+                .plan()
                 .last_round()
                 .is_some_and(|last| last >= self.round)
     }
@@ -348,7 +285,7 @@ where
         let chaos_round = self.round;
         self.due_scratch.clear();
         self.due_scratch
-            .extend_from_slice(self.chaos.kills_due_at(self.round));
+            .extend_from_slice(self.chaos.plan().kills_due_at(self.round));
         let mut had_events = !self.due_scratch.is_empty();
         for k in 0..self.due_scratch.len() {
             let v = self.due_scratch[k];
@@ -358,7 +295,7 @@ where
         // a node killed and revived at the same round ends up alive.
         self.due_scratch.clear();
         self.due_scratch
-            .extend_from_slice(self.chaos.revivals_due_at(self.round));
+            .extend_from_slice(self.chaos.plan().revivals_due_at(self.round));
         had_events |= !self.due_scratch.is_empty();
         for k in 0..self.due_scratch.len() {
             let v = self.due_scratch[k];
@@ -371,6 +308,7 @@ where
             // quiescent.
             if self
                 .chaos
+                .plan()
                 .last_round()
                 .is_some_and(|last| last > chaos_round)
             {
@@ -400,65 +338,22 @@ where
         // the RNG stream: no draws happen) untouched. Delivery is
         // serial, so drop draws occur in arena order at every thread
         // count.
-        let perturbed = self.chaos.links_perturbed_at(chaos_round);
-        let drop_p = self.chaos.drop_p();
+        let perturbed = self.chaos.plan().links_perturbed_at(chaos_round);
+        let net = self.nodes.net;
         for (idx, (from, to, _)) in self.delivering.iter().enumerate() {
-            match *to {
-                None => {
-                    for &v in self.net.neighbors(*from) {
-                        if self.alive[v.index()] {
-                            if perturbed {
-                                if self.chaos.severed_at(
-                                    chaos_round,
-                                    self.net.position(*from),
-                                    self.net.position(v),
-                                ) {
-                                    continue;
-                                }
-                                if drop_p > 0.0
-                                    && self
-                                        .chaos_rng
-                                        .as_mut()
-                                        .is_some_and(|rng| rng.random_bool(drop_p))
-                                {
-                                    continue;
-                                }
-                            }
-                            self.inboxes[v.index()].push((*from, idx as u32));
-                            self.stats.receptions += 1;
-                            if !self.in_frontier[v.index()] {
-                                self.in_frontier[v.index()] = true;
-                                self.frontier.push(v.index() as u32);
-                            }
-                        }
-                    }
+            for v in receivers(net, &self.nodes.alive, *from, to) {
+                if perturbed
+                    && self
+                        .chaos
+                        .lost(chaos_round, net.position(*from), net.position(v))
+                {
+                    continue;
                 }
-                Some(v) => {
-                    if self.alive[v.index()] && self.net.has_edge(*from, v) {
-                        if perturbed {
-                            if self.chaos.severed_at(
-                                chaos_round,
-                                self.net.position(*from),
-                                self.net.position(v),
-                            ) {
-                                continue;
-                            }
-                            if drop_p > 0.0
-                                && self
-                                    .chaos_rng
-                                    .as_mut()
-                                    .is_some_and(|rng| rng.random_bool(drop_p))
-                            {
-                                continue;
-                            }
-                        }
-                        self.inboxes[v.index()].push((*from, idx as u32));
-                        self.stats.receptions += 1;
-                        if !self.in_frontier[v.index()] {
-                            self.in_frontier[v.index()] = true;
-                            self.frontier.push(v.index() as u32);
-                        }
-                    }
+                self.inboxes[v.index()].push((*from, idx as u32));
+                self.stats.receptions += 1;
+                if !self.in_frontier[v.index()] {
+                    self.in_frontier[v.index()] = true;
+                    self.frontier.push(v.index() as u32);
                 }
             }
         }
@@ -488,7 +383,7 @@ where
         let mut refs: Vec<(NodeId, &P::Msg)> = Vec::with_capacity(self.refs_capacity);
         for k in 0..self.frontier.len() {
             let i = self.frontier[k] as usize;
-            if !self.alive[i] || self.inboxes[i].is_empty() {
+            if self.inboxes[i].is_empty() {
                 continue;
             }
             refs.clear();
@@ -497,21 +392,11 @@ where
                     .iter()
                     .map(|&(from, m)| (from, &self.delivering[m as usize].2)),
             );
-            let mut ctx = Ctx {
-                id: NodeId::new(i),
-                net: self.net,
-                alive: &self.alive,
-                outbox: self.outbox_pool.pop().unwrap_or_default(),
-            };
-            self.nodes[i].on_round(&mut ctx, &refs);
-            let mut outbox = ctx.outbox;
-            queue_outbox(
-                &mut self.pending,
-                &mut self.stats,
+            self.nodes.run(
                 NodeId::new(i),
-                &mut outbox,
+                |ctx| queue_outbox(&mut self.pending, &mut self.stats, ctx.id, &mut ctx.outbox),
+                |p, ctx| p.on_round(ctx, &refs),
             );
-            self.outbox_pool.push(outbox);
         }
         self.refs_capacity = refs.capacity();
     }
@@ -530,12 +415,12 @@ where
         let frontier = &self.frontier;
         let inboxes = &self.inboxes;
         let delivering = &self.delivering;
-        let alive = &self.alive;
-        let net = self.net;
+        let alive = &self.nodes.alive;
+        let net = self.nodes.net;
         // One owned work item per chunk: its frontier ids, the disjoint
         // mutable node range covering them, and the range's base id.
         let mut chunks: Vec<(&[u32], &mut [P], usize)> = Vec::with_capacity(threads);
-        let mut rest: &mut [P] = &mut self.nodes;
+        let mut rest: &mut [P] = &mut self.nodes.procs;
         let mut offset = 0usize;
         for ids in frontier.chunks(chunk_len) {
             let lo = ids[0] as usize;
@@ -582,12 +467,9 @@ where
                     NodeId::new(*id as usize),
                     outbox,
                 );
-                // Workers allocate their own buffers; recycle a bounded
-                // number into the pool for the serial paths and drop
-                // the rest.
-                if self.outbox_pool.len() < OUTBOX_POOL_CAP {
-                    self.outbox_pool.push(std::mem::take(outbox));
-                }
+                // Workers allocate their own buffers; the runtime keeps
+                // a bounded number for the serial paths.
+                self.nodes.recycle(std::mem::take(outbox));
             }
         }
     }
@@ -615,11 +497,11 @@ where
 /// Drains `outbox` into the engine's buffered-message queue, counting
 /// transmissions. A free function so callers can hold disjoint borrows
 /// of other engine fields (e.g. the message arena) while queueing.
-pub(crate) fn queue_outbox<M>(
+fn queue_outbox<M>(
     pending: &mut Vec<(NodeId, Option<NodeId>, M)>,
     stats: &mut SimStats,
     from: NodeId,
-    outbox: &mut Vec<(Option<NodeId>, M)>,
+    outbox: &mut Outbox<M>,
 ) {
     for (to, msg) in outbox.drain(..) {
         match to {

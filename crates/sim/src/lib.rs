@@ -1,4 +1,5 @@
-//! Synchronous round-based distributed-protocol simulator.
+//! Synchronous round-based and asynchronous distributed-protocol
+//! simulators.
 //!
 //! §3 of the paper: "we describe all the schemes in a synchronous,
 //! round-based system. All the schemes presented in this paper can be
@@ -6,7 +7,10 @@
 //! that system: each node runs a local state machine
 //! ([`NodeProcess`]), exchanges messages only with UDG neighbors, and the
 //! [`Engine`] advances everyone in lock-step rounds while counting every
-//! transmission — the construction-cost metric of ablation A1.
+//! transmission — the construction-cost metric of ablation A1. The
+//! [`AsyncEngine`] instead delays each message copy at random. Both
+//! drive one node runtime (callbacks, kills, revivals) and report one
+//! [`SimStats`]; each keeps only its schedule (round arena, delay heap).
 //!
 //! The engines also inject failures through one model, the [`ChaosPlan`]
 //! (scheduled kills and revivals, partition cuts, lossy links): the paper
@@ -62,10 +66,11 @@ pub mod async_engine;
 pub mod chaos;
 pub mod engine;
 pub mod legacy;
+mod nodes;
 pub mod process;
 pub mod stats;
 
-pub use async_engine::{AsyncConfig, AsyncEngine, AsyncStats};
+pub use async_engine::{AsyncConfig, AsyncEngine};
 pub use chaos::{ChaosPlan, CutWindow};
 pub use engine::{auto_threads, Engine, SimError, PARALLEL_NODE_THRESHOLD, THREADS_ENV};
 pub use legacy::LegacyEngine;

@@ -2,12 +2,13 @@
 //!
 //! The paper claims (§5) "the construction cost of safety information has
 //! been proved to be the minimum in \[7\]"; ablation A1 measures that cost
-//! empirically, so the engine counts every radio event.
+//! empirically, so both engines count every radio event.
 
-/// Aggregate counters for one simulation run.
+/// Aggregate counters for one simulation run, on either engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SimStats {
-    /// Rounds executed (excluding the init round).
+    /// Rounds executed (excluding the init round). Always 0 on the
+    /// asynchronous engine, which has no rounds.
     pub rounds: usize,
     /// Broadcast transmissions (one per `broadcast` call).
     pub broadcasts: usize,
@@ -16,7 +17,7 @@ pub struct SimStats {
     /// Message receptions summed over all receivers.
     pub receptions: usize,
     /// Whether the run ended because no messages remained in flight
-    /// (as opposed to hitting the round limit).
+    /// (as opposed to hitting the round or event limit).
     pub quiesced: bool,
 }
 
