@@ -25,7 +25,7 @@
 //!
 //! On a connected planar subgraph this scheme has the guaranteed-delivery
 //! property of \[2\] — the strongest baseline in the suite, used by the
-//! extended comparison A8 of `DESIGN.md`.
+//! extended comparison A8 (`repro-figures a8`).
 
 use sp_core::{
     default_ttl, walk_into, FaceState, HopPolicy, Mode, PacketState, RouteBuffer, RoutePhase,

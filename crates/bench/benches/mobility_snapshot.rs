@@ -3,6 +3,13 @@
 //! when a small fraction of nodes moves, and row-sharded parallel bulk
 //! adjacency versus the serial scan at 10⁵ nodes.
 //!
+//! The write path of the routing service rides along: a 100-mover
+//! `RoutingService::apply_moves` publish, whose labels, pinned mask and
+//! shape estimates are derived from the previous epoch, beside a full
+//! `ServiceSnapshot::build` of the same networks (`publish_delta` and
+//! `publish_full` rows, at 10⁴ FA and 10⁵ IA, plus 10⁶ IA under
+//! `SP_BENCH_SCALE=large`).
+//!
 //! Deployments keep the paper's density (radius 20 m, ~500 nodes per
 //! 200 m × 200 m) while the area grows with `n`. The measured
 //! repeat-sample statistics (samples / median / stddev) land in
@@ -17,8 +24,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sp_bench::{sample_stats, SampleStats};
-use sp_geom::Point;
-use sp_net::{DeploymentConfig, Network, NodeId, SpatialIndex};
+use sp_core::{RoutingService, ServiceSnapshot};
+use sp_geom::{Point, Quadrant};
+use sp_net::{DeploymentConfig, FaModel, Network, NodeId, SpatialIndex};
 use std::time::Instant;
 
 /// Node count for the incremental-vs-rebuild comparison.
@@ -27,6 +35,23 @@ const SNAPSHOT_N: usize = 10_000;
 const MOVER_FRACTION: f64 = 0.01;
 /// Node count for the serial-vs-parallel adjacency comparison.
 const ADJACENCY_N: usize = 100_000;
+
+/// Movers per publish in the write-path rows, each nudged 1 m: the
+/// batch of perfbench's `publish_fa` workload.
+const PUBLISH_MOVERS: usize = 100;
+/// Publishes timed per write-path row, alternating nudge and return.
+const PUBLISHES: usize = 120;
+/// Publishes timed at 10⁶ nodes, where the row reports the median only.
+const LARGE_PUBLISHES: usize = 16;
+/// Node count of the `SP_BENCH_SCALE=large` write-path rows.
+const LARGE_N: usize = 1_000_000;
+
+/// True when `SP_BENCH_SCALE=large` asks for the million-node rows; the
+/// committed baseline is generated with the toggle on (as in the CI
+/// bench-gate job), so the gate's row counts match.
+fn large_scale() -> bool {
+    sp_sync::env_flag("SP_BENCH_SCALE", "large")
+}
 
 /// The paper's density at scale `n` (area grows with the node count).
 fn deployment(n: usize) -> DeploymentConfig {
@@ -172,10 +197,141 @@ fn adjacency_benches(c: &mut Criterion, rows: &mut Vec<String>) {
     group.finish();
 }
 
+/// A field at the paper's density: uniform (IA), or with forbidden areas
+/// at `FaModel::paper_default`'s density of 3 per 200 m × 200 m (FA).
+fn publish_field(n: usize, fa: bool, seed: u64) -> Network {
+    let cfg = deployment(n);
+    let positions = if fa {
+        let tile = FaModel::paper_default();
+        let tiles = cfg.area.area() / (200.0 * 200.0);
+        let model = FaModel {
+            obstacle_count: (tile.obstacle_count as f64 * tiles).round() as usize,
+            ..tile
+        };
+        cfg.deploy_with_obstacles(&model.generate_obstacles(&cfg, seed), seed)
+    } else {
+        cfg.deploy_uniform(seed)
+    };
+    Network::from_positions(positions, cfg.radius, cfg.area)
+}
+
+/// `PUBLISH_MOVERS` evenly spread nodes nudged 1 m, each in its own
+/// direction and clamped to the area, and the batch that puts them back.
+fn nudge_batches(net: &Network) -> [Vec<(NodeId, Point)>; 2] {
+    let stride = net.len() / PUBLISH_MOVERS;
+    let movers = (0..PUBLISH_MOVERS).map(|k| NodeId::new(k * stride));
+    let nudge = movers
+        .map(|u| {
+            let (p, angle) = (net.position(u), u.index() as f64);
+            let to = Point::new(p.x + angle.cos(), p.y + angle.sin());
+            (u, net.area().clamp_point(to))
+        })
+        .collect::<Vec<_>>();
+    let back = nudge.iter().map(|&(u, _)| (u, net.position(u))).collect();
+    [nudge, back]
+}
+
+/// Asserts that the service's current epoch equals a full build of its
+/// network in tuples, pinned mask and every shape estimate.
+fn assert_equals_full_build(service: &RoutingService, what: &str) {
+    let pin = service.snapshot();
+    let net = pin.value.network();
+    let full = ServiceSnapshot::build(net.clone());
+    let (got, want) = (pin.value.info(), full.info());
+    assert_eq!(
+        got.safety().pinned(),
+        want.safety().pinned(),
+        "{what}: pinned mask"
+    );
+    assert_eq!(
+        got.safety().tuples(),
+        want.safety().tuples(),
+        "{what}: tuples"
+    );
+    for u in net.node_ids() {
+        for q in Quadrant::ALL {
+            assert_eq!(
+                got.estimate(u, q),
+                want.estimate(u, q),
+                "{what}: estimate at {u} {q}"
+            );
+        }
+    }
+}
+
+/// One `publish_full` and one `publish_delta` row for `net`: a full
+/// `ServiceSnapshot::build` against `publishes` timed
+/// `RoutingService::apply_moves` calls alternating nudge and return.
+/// The delta row carries the p90 when at least ten publishes lie beyond
+/// it.
+fn publish_rows(rows: &mut Vec<String>, field: &str, net: Network, publishes: usize) {
+    let n = net.len();
+    let batches = nudge_batches(&net);
+    let full_runs = if n >= LARGE_N { 3 } else { 7 };
+    let full: Vec<f64> = (0..full_runs)
+        .map(|_| {
+            let copy = net.clone();
+            let start = Instant::now();
+            std::hint::black_box(ServiceSnapshot::build(copy));
+            start.elapsed().as_secs_f64()
+        })
+        .collect();
+    let full_s = SampleStats::of(&full);
+
+    // Correctness gate before timing: both derived epochs equal a full
+    // build.
+    let service = RoutingService::new(net);
+    for (batch, what) in batches.iter().zip(["nudge", "return"]) {
+        service.apply_moves(batch);
+        assert_equals_full_build(&service, &format!("{field} n={n} {what}"));
+    }
+    let mut samples: Vec<f64> = (0..publishes)
+        .map(|k| {
+            let start = Instant::now();
+            service.apply_moves(&batches[k % 2]);
+            start.elapsed().as_secs_f64()
+        })
+        .collect();
+    let delta_s = SampleStats::of(&samples);
+    let speedup = full_s.median / delta_s.median;
+    eprintln!(
+        "{field} n={n}, movers={PUBLISH_MOVERS}: full build {:.3} ms | derived publish {:.3} ms | {speedup:.1}x",
+        full_s.median * 1e3,
+        delta_s.median * 1e3
+    );
+    rows.push(format!(
+        "    {{\"case\": \"publish_full\", \"field\": \"{field}\", \"n\": {n}, \"movers\": {PUBLISH_MOVERS}, {}}}",
+        full_s.json_fields("time")
+    ));
+    let tail = if publishes >= 100 {
+        samples.sort_by(f64::total_cmp);
+        let at = (samples.len() * 9).div_ceil(10) - 1;
+        format!(", \"p90_seconds\": {:.6}", samples[at])
+    } else {
+        String::new()
+    };
+    rows.push(format!(
+        "    {{\"case\": \"publish_delta\", \"field\": \"{field}\", \"n\": {n}, \"movers\": {PUBLISH_MOVERS}, {}{tail}, \"speedup_vs_full\": {speedup:.2}}}",
+        delta_s.json_fields("time")
+    ));
+}
+
+fn publish_benches(rows: &mut Vec<String>) {
+    publish_rows(rows, "FA", publish_field(SNAPSHOT_N, true, 42), PUBLISHES);
+    publish_rows(rows, "IA", publish_field(ADJACENCY_N, false, 43), PUBLISHES);
+    if large_scale() {
+        let net = publish_field(LARGE_N, false, 44);
+        publish_rows(rows, "IA", net, LARGE_PUBLISHES);
+    } else {
+        eprintln!("n={LARGE_N} publish rows: skipped (set SP_BENCH_SCALE=large to measure)");
+    }
+}
+
 fn mobility_benches(c: &mut Criterion) {
     let mut rows = Vec::new();
     snapshot_benches(c, &mut rows);
     adjacency_benches(c, &mut rows);
+    publish_benches(&mut rows);
 
     let json = format!(
         "{{\n  \"benchmark\": \"mobility_snapshot\",\n  \"unit\": \"seconds (median over samples)\",\n  \"results\": [\n{}\n  ]\n}}\n",

@@ -6,7 +6,8 @@
 //! `ServiceSession` and answer a sustained query stream while a
 //! background churner keeps publishing new epochs (deterministic
 //! jitter moves through `RoutingService::apply_moves` — clone-repair
-//! the topology off to the side, relabel, one `Arc` swap). Four rows:
+//! the topology off to the side, derive labels and shape estimates from
+//! the previous epoch, one `Arc` swap). Four rows:
 //!
 //! * `service_steady` — no churn: the epoch check is always a hit, so
 //!   this is the floor the epoch machinery must not lift;
@@ -46,8 +47,10 @@ use std::time::{Duration, Instant};
 const NODES: usize = 10_000;
 const QUERIES: usize = 8_192;
 const RUNS: usize = 3;
-/// Pause between epoch publishes, bounding the churn rate so the
-/// (single-threaded) relabel step cannot monopolize small hosts.
+/// Pause between epoch publishes, bounding the churn rate. A publish
+/// derives its epoch from the previous one in about 2 ms at this size,
+/// so without the pause the churn thread would publish back to back and
+/// hold a whole core of a small host.
 const CHURN_PAUSE: Duration = Duration::from_millis(2);
 /// Movers per background epoch publish in the churn rows.
 const CHURN_MOVERS: usize = 100;

@@ -9,27 +9,40 @@
 //! edge node will always keep its status tuple as (1,1,1,1)"), preventing
 //! the area border from cascading unsafe labels inward.
 //!
-//! **One engine.** `relabel` is the only loop that iterates the rule
-//! ([`SafetyTuple::support`]); the full build here and the failure repair
-//! of [`crate::InfoMaintainer::kill`] are its two entry shapes. It is a
-//! level-synchronous worklist: round `r` re-evaluates only the neighbors
-//! of nodes that flipped in round `r − 1` (every seed in round 1), reads
-//! round `r − 1`'s tuples, and applies the round's flips together. A node
-//! none of whose neighbors flipped has the same support as when it was
-//! last evaluated, so a synchronous (Jacobi) sweep over every node would
-//! flip exactly the same statuses in each round: [`SafetyMap::rounds`]
-//! stays the paper's round count, comparable with the distributed
-//! protocol in [`crate::distributed`], while the work tracks the flips.
-//!
 //! **One fixed point.** A type-`q` support edge `u → v` (`v ∈ Q_q(u)`)
 //! strictly raises a potential: `x + y` for type 1, `y − x` for type 2,
 //! `−x − y` for type 3 and `x − y` for type 4. The quadrant test decides
 //! on the signs of `dx` and `dy`, and the sign of a float difference is
 //! exact, so this holds in floating point too. Each type's
 //! support graph is therefore acyclic, and Definition 1 has exactly one
-//! fixed point per pinned mask: any start above it (all-safe, or the
-//! labels before a failure) runs down to it, and
-//! [`SafetyMap::check_fixed_point`] characterises it completely.
+//! fixed point per pinned mask, which
+//! [`SafetyMap::check_fixed_point`] characterises completely.
+//!
+//! **One engine, any start.** `relabel` is the only loop that iterates
+//! the rule ([`SafetyTuple::support`]). It is a level-synchronous
+//! worklist: round `r` re-evaluates only the neighbors of nodes that
+//! flipped in round `r − 1` (every seed in round 1), sets each of them to
+//! its support read from round `r − 1`'s tuples, and applies the round's
+//! flips together. A node none of whose neighbors flipped has the same
+//! support as when it was last evaluated, so as long as every unpinned
+//! node outside the seeds starts equal to its support, a synchronous
+//! (Jacobi) sweep over every node would flip exactly the same statuses
+//! in each round. Because the support graphs are acyclic, that sweep
+//! reaches the one fixed point from *any* start: a node with no
+//! type-`q` successor is final after one round, and a node whose longest
+//! support chain has `h` edges after `h + 1`. Statuses may therefore
+//! rise as well as fall, and the engine has four callers:
+//!
+//! * the full build ([`SafetyMap::label_with_pinned`]): all-safe, every
+//!   node seeded; [`SafetyMap::rounds`] is then the paper's round count,
+//!   comparable with the distributed protocol in [`crate::distributed`];
+//! * a failure ([`crate::InfoMaintainer::kill`]): the labels before it,
+//!   seeded with the victim's neighbors;
+//! * a revival ([`crate::InfoMaintainer::revive`]): the labels before it,
+//!   seeded with the revived node and its restored neighbors;
+//! * a mobility epoch (`SafetyMap::derive`, behind
+//!   [`crate::RoutingService::apply_moves`]): the previous epoch's labels
+//!   on the next epoch's network, seeded with the batch's neighborhood.
 
 use crate::{RepairReport, SafetyTuple};
 use sp_geom::Quadrant;
@@ -45,14 +58,16 @@ fn support(net: &Network, tuples: &[SafetyTuple], u: NodeId) -> SafetyTuple {
     )
 }
 
-/// Runs Definition 1 down from `tuples` to its fixed point and returns
-/// the number of rounds that flipped a status, with what the run did:
-/// `work_items` counts node evaluations and `relabeled_nodes` counts a
-/// node once per round in which it flips.
+/// Runs Definition 1 from `tuples` to its fixed point and returns the
+/// number of rounds that flipped a status, with what the run did:
+/// `work_items` counts node evaluations, `relabeled_nodes` counts a node
+/// once per round in which it flips, and `flipped_statuses` counts the
+/// quadrant bits those flips changed.
 ///
-/// Every unpinned node outside `seeds` must already agree with its
-/// support: `tuples` is all-safe with every node seeded, or a previous
-/// fixed point seeded with the nodes whose neighborhood changed.
+/// Pinned nodes must hold all-safe, and every unpinned node outside
+/// `seeds` must already agree with its support: `tuples` is all-safe
+/// with every node seeded, or a previous fixed point seeded with every
+/// node whose neighborhood or own pin changed.
 pub(crate) fn relabel(
     net: &Network,
     pinned: &[bool],
@@ -70,7 +85,7 @@ pub(crate) fn relabel(
         flips.clear();
         for &u in &frontier {
             queued[u.index()] = false;
-            let new = tuples[u.index()] & support(net, tuples, u);
+            let new = support(net, tuples, u);
             if new != tuples[u.index()] {
                 flips.push((u, new));
             }
@@ -81,10 +96,12 @@ pub(crate) fn relabel(
         rounds += 1;
         for &(u, new) in &flips {
             let old = std::mem::replace(&mut tuples[u.index()], new);
-            report.flipped_statuses += (old.safe_count() - new.safe_count()) as usize;
+            let differs = |q: &Quadrant| old.is_safe(*q) != new.is_safe(*q);
+            report.flipped_statuses += Quadrant::ALL.into_iter().filter(differs).count();
         }
         report.relabeled_nodes += flips.len();
-        // A flip may strip support from every neighbor of the flipped node.
+        // A flip may change the support of every neighbor of the flipped
+        // node.
         frontier.clear();
         let touched = flips.iter().flat_map(|&(u, _)| net.neighbors(u));
         enqueue(&mut frontier, &mut queued, pinned, touched.copied());
@@ -139,6 +156,43 @@ impl SafetyMap {
         }
     }
 
+    /// Epoch `k + 1`'s labeling of `net`, derived from `self`, epoch
+    /// `k`'s labeling, after a mobility batch. `touched` lists every node
+    /// whose neighborhood the batch changed: the movers and their
+    /// neighbors in both epochs.
+    ///
+    /// The engine starts from epoch `k`'s tuples under epoch `k + 1`'s
+    /// pinned mask, with newly pinned nodes raised to all-safe. It is
+    /// seeded with `touched`, every node whose pin changed and that
+    /// node's neighbors: a hull change can pin a node no mover touched,
+    /// and raising its tuple changes its neighbors' support. Every other
+    /// node keeps its neighborhood and its neighbors' tuples, so it still
+    /// agrees with its support, and the engine lands on the same fixed
+    /// point as [`SafetyMap::label`].
+    pub(crate) fn derive(&self, net: &Network, touched: &[NodeId]) -> SafetyMap {
+        let pinned = edge_node_mask(net, net.radius());
+        let mut tuples = self.tuples.clone();
+        let mut repinned = Vec::new();
+        for (i, (&was, &is)) in self.pinned.iter().zip(&pinned).enumerate() {
+            if was != is {
+                repinned.push(NodeId::new(i));
+                if is {
+                    tuples[i] = SafetyTuple::all_safe();
+                }
+            }
+        }
+        let around_repinned = repinned
+            .iter()
+            .flat_map(|&u| std::iter::once(u).chain(net.neighbors(u).iter().copied()));
+        let seeds = touched.iter().copied().chain(around_repinned);
+        let (rounds, _) = relabel(net, &pinned, &mut tuples, seeds);
+        SafetyMap {
+            tuples,
+            pinned,
+            rounds,
+        }
+    }
+
     /// Builds a map directly from tuples (used by the distributed
     /// protocol once it quiesces).
     pub fn from_tuples(tuples: Vec<SafetyTuple>, pinned: Vec<bool>, rounds: usize) -> SafetyMap {
@@ -178,7 +232,10 @@ impl SafetyMap {
     }
 
     /// Synchronous rounds until the fixed point stabilized: the rounds
-    /// in which some status flipped.
+    /// in which some status flipped. For a map labeled from all-safe
+    /// ([`SafetyMap::label`]) this is the paper's round count. A map that
+    /// [`crate::RoutingService::apply_moves`] derived from the previous
+    /// epoch reports the rounds its repair took instead.
     pub fn rounds(&self) -> usize {
         self.rounds
     }

@@ -9,15 +9,15 @@
 //! dies, the Definition-1 labeling is **repaired in place** instead of
 //! recomputed from scratch.
 //!
-//! The key property making this cheap is monotonicity: removing a node
-//! only removes forwarding support, so statuses can only flip safe →
-//! unsafe. The repair runs the one labeling engine of
-//! [`crate::labeling`] from the current labels (an upper bound of the new
-//! fixed point), seeded with the victim's neighbors, so it touches only
-//! the neighborhood the failure actually influenced. Definition 1 has a
-//! single fixed point per pinned mask (the labeling module docs give the
-//! acyclicity argument), so the repair lands on exactly the labels a full
-//! rebuild produces — the equivalence the property tests check.
+//! Both directions are repairs. A kill or a revival changes only the
+//! neighborhoods of the node itself and its neighbors, so the one
+//! labeling engine of [`crate::labeling`] runs from the current labels,
+//! seeded with just those nodes, and touches only the neighborhood the
+//! change actually influenced. Definition 1 has a single fixed point per
+//! pinned mask, which the engine reaches from any start (the labeling
+//! module docs give the acyclicity argument), so the repair lands on
+//! exactly the labels a full rebuild produces — the equivalence the
+//! property tests check.
 
 use crate::labeling::relabel;
 use crate::{SafetyInfo, SafetyMap, SafetyTuple, ShapeMap};
@@ -26,7 +26,8 @@ use sp_net::{edge_nodes::edge_node_mask, Network, NodeId};
 /// What one [`InfoMaintainer::kill`] repair did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RepairReport {
-    /// Safety statuses flipped safe → unsafe (excluding the victim's).
+    /// Safety statuses flipped (excluding the victim's); after a kill,
+    /// every flip is safe → unsafe.
     pub flipped_statuses: usize,
     /// Distinct nodes whose tuple changed (excluding the victim).
     pub relabeled_nodes: usize,
@@ -142,14 +143,10 @@ impl InfoMaintainer {
     }
 
     /// Revives a previously-killed node, restoring its original edges
-    /// (and hull pinning, when the node was pinned at construction).
-    ///
-    /// Unlike [`InfoMaintainer::kill`], revival is **anti-monotone** —
-    /// statuses can flip unsafe → safe, so the current labels are no
-    /// upper bound to repair down from. The labeling is recomputed from
-    /// all-safe on the new ghost network; the method exists for API
-    /// completeness (node redeployments, battery swaps) and its cost is
-    /// one full rebuild.
+    /// (and hull pinning, when the node was pinned at construction), and
+    /// repairs the labeling incrementally: statuses may flip back to
+    /// safe, and the engine reaches the new fixed point from the current
+    /// labels, seeded with the revived node and its restored neighbors.
     /// Reviving a live node is a no-op.
     pub fn revive(&mut self, node: NodeId) {
         if !self.dead[node.index()] {
@@ -164,11 +161,12 @@ impl InfoMaintainer {
             .map(|(i, _)| NodeId::new(i))
             .collect();
         self.net = self.original.without_nodes(&dead_now);
-        self.pinned[node.index()] = self.original_pinned[node.index()];
-        // Dead nodes are isolated and unpinned, so they relabel all-unsafe.
-        self.tuples.fill(SafetyTuple::all_safe());
-        let every_node = self.net.node_ids();
-        relabel(&self.net, &self.pinned, &mut self.tuples, every_node);
+        if self.original_pinned[node.index()] {
+            self.pinned[node.index()] = true;
+            self.tuples[node.index()] = SafetyTuple::all_safe();
+        }
+        let seeds = std::iter::once(node).chain(self.net.neighbors(node).iter().copied());
+        relabel(&self.net, &self.pinned, &mut self.tuples, seeds);
     }
 
     /// Kills several nodes, folding the repair reports.

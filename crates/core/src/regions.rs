@@ -10,8 +10,8 @@
 //! The same ray decides the *either-hand rule*: the packet routes around
 //! `E_i(v)` on the destination's side of the blockage, by committing to a
 //! left- or right-hand traversal and sticking with it (Algo. 3 steps
-//! 3–5). Our deterministic realisation compares the two around-the-
-//! rectangle detour costs (`DESIGN.md` §2 item 5).
+//! 3–5). Our deterministic realisation takes the side whose
+//! around-the-rectangle detour is shorter ([`choose_hand`]).
 
 use crate::ShapeEstimate;
 use sp_geom::{AngularSweep, Point, Quadrant, Ray, Side};

@@ -10,9 +10,12 @@
 //! * [`RoutingService`] owns an epoch-versioned [`ServiceSnapshot`]
 //!   (topology + safety information) behind an
 //!   [`sp_sync::EpochCell`]: mobility updates build the **next**
-//!   snapshot off to the side ([`Network::next_snapshot`] +
-//!   [`SafetyInfo::build`]) and publish it with one `Arc` swap, so
-//!   readers never wait on a rebuild;
+//!   snapshot off to the side and publish it with one `Arc` swap, so
+//!   readers never wait on a rebuild. The next topology is
+//!   [`Network::next_snapshot`]; its labels, pinned mask and shape
+//!   estimates are derived from the pinned epoch's, repairing only
+//!   around the batch, and equal a full [`SafetyInfo::build`] bit for
+//!   bit;
 //! * [`ServiceSession`] is the per-worker reader: it pins a snapshot,
 //!   reuses one [`RouteBuffer`] (generation-stamped visited set, warm
 //!   path/phase vectors) across queries, and re-pins only when the
@@ -54,10 +57,14 @@ pub struct ServiceSnapshot {
 }
 
 impl ServiceSnapshot {
-    /// Builds the snapshot for `net`: labels the network and derives
-    /// the shape estimates ([`SafetyInfo::build`]). This is the
-    /// expensive step mobility pays **off to the side**, before the
-    /// `Arc` swap makes the snapshot visible.
+    /// Builds the snapshot for `net` from scratch: labels the network
+    /// and derives the shape estimates ([`SafetyInfo::build`]). This is
+    /// the expensive step, paid **off to the side** before the `Arc`
+    /// swap makes the snapshot visible, by epoch 0,
+    /// [`RoutingService::publish`] and [`RoutingService::apply_chaos`],
+    /// which have no batch relative to the previous epoch.
+    /// [`RoutingService::apply_moves`] derives its epoch from the
+    /// previous one instead.
     pub fn build(net: Network) -> ServiceSnapshot {
         let info = SafetyInfo::build(&net);
         ServiceSnapshot { net, info }
@@ -183,18 +190,30 @@ impl RoutingService {
     }
 
     /// Applies a mobility tick: builds the next topology off to the
-    /// side ([`Network::next_snapshot`]), relabels it, publishes the
-    /// new epoch with one `Arc` swap, and returns the new epoch number.
-    /// Readers pinned to earlier epochs are never blocked and never see
-    /// a half-built snapshot.
+    /// side ([`Network::next_snapshot`]), derives its safety
+    /// information from the pinned epoch's, publishes the new epoch
+    /// with one `Arc` swap, and returns the new epoch number. Readers
+    /// pinned to earlier epochs are never blocked and never see a
+    /// half-built snapshot.
+    ///
+    /// The derivation costs the batch, not the field: labels and shape
+    /// estimates are repaired only around the movers, their neighbors
+    /// in both epochs and any node whose pin changed. Every published
+    /// snapshot equals [`ServiceSnapshot::build`] of its network in
+    /// tuples, pinned mask and estimates (property-tested in
+    /// `tests/service_consistency.rs`); only [`SafetyInfo::rounds`]
+    /// reports the repair's rounds instead of the paper's.
     ///
     /// # Panics
     ///
     /// Panics if any moved id is out of range.
     pub fn apply_moves(&self, moves: &[(NodeId, Point)]) -> u64 {
         let current = self.cell.load();
-        let next = current.value.network().next_snapshot(moves);
-        self.cell.publish(ServiceSnapshot::build(next))
+        let prev = &*current.value;
+        let net = prev.network().next_snapshot(moves);
+        let movers: Vec<NodeId> = moves.iter().map(|&(u, _)| u).collect();
+        let info = prev.info().derive(prev.network(), &net, &movers);
+        self.cell.publish(ServiceSnapshot { net, info })
     }
 
     /// Publishes a fully rebuilt topology as the next epoch (the

@@ -11,19 +11,26 @@
 //! then `u^{(1)} = u^{(2)} = u`; otherwise `u^{(1)} = v_1^{(1)}` and
 //! `u^{(2)} = v_2^{(2)}` where `v_1`/`v_2` are the first/last type-i
 //! unsafe neighbors in the counter-clockwise scan of `Q_i(u)`. We compute
-//! the identical values centrally by processing nodes in decreasing
-//! quadrant depth (every chain step strictly increases
-//! `s_x·x + s_y·y`, so dependencies are acyclic).
+//! the identical values centrally with one deepest-first engine: a
+//! max-heap pops nodes in decreasing quadrant depth (every chain step
+//! strictly increases `s_x·x + s_y·y`, so a node's chain targets settle
+//! before it), and a node whose estimate changed queues its unsafe
+//! predecessors. [`ShapeMap::build`] seeds it with every unsafe node; a
+//! mobility epoch seeds it with the nodes its batch touched, starting
+//! from the previous epoch's estimates.
 //!
 //! The paper spells out the corner assignment for type 1 only, where the
 //! first-scanned chain hugs the x-axis and the last hugs the y-axis. For
 //! types 2 and 4 the scan starts at the *y*-axis, so the roles swap:
 //! there the x-extent comes from `u^{(2)}` and the y-extent from
-//! `u^{(1)}` (`DESIGN.md` §2 item 4).
+//! `u^{(1)}`. In every type, the chain nearer the x-axis supplies the
+//! x-extent.
 
 use crate::SafetyMap;
 use sp_geom::{ccw_order_in_quadrant, Point, Quadrant, Rect};
 use sp_net::{Network, NodeId};
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// The estimated shape of the unsafe area seen from one type-i unsafe
 /// node.
@@ -47,53 +54,57 @@ pub struct ShapeMap {
 }
 
 impl ShapeMap {
-    /// Computes every estimate from a stabilized [`SafetyMap`].
+    /// Computes every estimate from a stabilized [`SafetyMap`]: the
+    /// estimate engine seeded with every unsafe `(node, type)` pair over
+    /// an empty map.
     pub fn build(net: &Network, safety: &SafetyMap) -> ShapeMap {
-        let n = net.len();
-        let mut per_type: [Vec<Option<ShapeEstimate>>; 4] = std::array::from_fn(|_| vec![None; n]);
+        let mut shapes = ShapeMap {
+            per_type: std::array::from_fn(|_| vec![None; net.len()]),
+        };
         for q in Quadrant::ALL {
-            let mut unsafe_ids: Vec<NodeId> = safety.unsafe_nodes(q);
-            // Deepest-in-quadrant first: chain targets resolve before
-            // their predecessors.
-            let (sx, sy) = q.signs();
-            let key = |u: NodeId| {
-                let p = net.position(u);
-                sx * p.x + sy * p.y
-            };
-            unsafe_ids.sort_by(|&a, &b| key(b).total_cmp(&key(a)).then_with(|| a.cmp(&b)));
+            let estimates = &mut shapes.per_type[q.array_index()];
+            settle(net, safety, q, estimates, safety.unsafe_nodes(q));
+        }
+        shapes
+    }
 
-            // Chain endpoints per node for this type.
-            let mut first_far: Vec<Option<NodeId>> = vec![None; n];
-            let mut last_far: Vec<Option<NodeId>> = vec![None; n];
-            for &u in &unsafe_ids {
-                let pu = net.position(u);
-                let in_zone: Vec<(usize, Point)> = net
-                    .neighbor_points(u)
-                    .filter(|&(v, _)| !safety.is_safe(NodeId::new(v), q))
-                    .collect();
-                let order = ccw_order_in_quadrant(pu, q, in_zone);
-                match (order.first(), order.last()) {
-                    (Some(&v1), Some(&v2)) => {
-                        let f = first_far[v1].expect("chain target processed first (depth order)"); // sp-analyze: allow(panic, depth-sorted sweep fills chain targets before their dependents)
-                        let l = last_far[v2].expect("chain target processed first (depth order)"); // sp-analyze: allow(panic, depth-sorted sweep fills chain targets before their dependents)
-                        first_far[u.index()] = Some(f);
-                        last_far[u.index()] = Some(l);
-                    }
-                    _ => {
-                        // Empty type-i forwarding zone: u is its own bound.
-                        first_far[u.index()] = Some(u);
-                        last_far[u.index()] = Some(u);
-                    }
+    /// Epoch `k + 1`'s estimates over `net` and `safety`, derived from
+    /// `self`, epoch `k`'s estimates under the labels `prev`. `touched`
+    /// lists every node whose neighborhood the mobility batch changed:
+    /// the movers and their neighbors in both epochs.
+    ///
+    /// Nodes that turned type-`q` safe lose their estimate. The engine
+    /// is seeded with the type-`q` unsafe nodes of `touched` and every
+    /// node that turned type-`q` unsafe. Any other node keeps its
+    /// neighborhood and the statuses of its `Q_q` neighbors: a type-`q`
+    /// unsafe node with a `Q_q` neighbor that flipped either is
+    /// `touched` or has flipped itself (Definition 1). So its estimate
+    /// can only change through a chain target's, which the engine
+    /// propagates.
+    pub(crate) fn derive(
+        &self,
+        net: &Network,
+        prev: &SafetyMap,
+        safety: &SafetyMap,
+        touched: &[NodeId],
+    ) -> ShapeMap {
+        let flipped: Vec<NodeId> = net
+            .node_ids()
+            .filter(|&u| prev.tuple(u) != safety.tuple(u))
+            .collect();
+        let mut shapes = self.clone();
+        for q in Quadrant::ALL {
+            let estimates = &mut shapes.per_type[q.array_index()];
+            for &u in &flipped {
+                if safety.is_safe(u, q) {
+                    estimates[u.index()] = None;
                 }
             }
-
-            for &u in &unsafe_ids {
-                let u1 = first_far[u.index()].expect("every unsafe node got a chain"); // sp-analyze: allow(panic, the loop above assigned a chain to every unsafe id)
-                let u2 = last_far[u.index()].expect("every unsafe node got a chain"); // sp-analyze: allow(panic, the loop above assigned a chain to every unsafe id)
-                per_type[q.array_index()][u.index()] = Some(make_estimate(net, u, q, u1, u2));
-            }
+            let seeds = touched.iter().chain(&flipped).copied();
+            let seeds = seeds.filter(|&u| !safety.is_safe(u, q));
+            settle(net, safety, q, estimates, seeds);
         }
-        ShapeMap { per_type }
+        shapes
     }
 
     /// Computes the **exact** unsafe-area shapes: for every unsafe
@@ -210,6 +221,109 @@ fn make_estimate(
         far_corner,
     }
 }
+
+/// The estimate engine behind [`ShapeMap::build`] and
+/// [`ShapeMap::derive`], for type `q`: pops the deepest queued node,
+/// recomputes its estimate from its chain targets' (Algo. 2), and when
+/// the estimate changed, queues the node's type-`q` unsafe predecessors.
+///
+/// A chain step goes strictly deeper (see [`Deepest`]), so every node
+/// the popped one depends on is final by then. Each node pops at most
+/// once: anything queued later is a predecessor of a node popped
+/// earlier, so it is shallower than every node popped so far. Every
+/// type-`q` unsafe node outside `seeds` must hold its estimate for
+/// `safety` unless a chain target's estimate changes.
+fn settle(
+    net: &Network,
+    safety: &SafetyMap,
+    q: Quadrant,
+    estimates: &mut [Option<ShapeEstimate>],
+    seeds: impl IntoIterator<Item = NodeId>,
+) {
+    let mut queued = vec![false; net.len()];
+    let mut heap = BinaryHeap::new();
+    for u in seeds {
+        if !std::mem::replace(&mut queued[u.index()], true) {
+            heap.push(Deepest::of(net, q, u));
+        }
+    }
+    while let Some(Deepest { node: u, .. }) = heap.pop() {
+        let pu = net.position(u);
+        let unsafe_zone = net
+            .neighbor_points(u)
+            .filter(|&(v, _)| !safety.is_safe(NodeId::new(v), q));
+        let order = ccw_order_in_quadrant(pu, q, unsafe_zone);
+        let (first, last) = match (order.first(), order.last()) {
+            (Some(&v1), Some(&v2)) => {
+                let first = estimates[v1].expect("chain target settled first (depth order)"); // sp-analyze: allow(panic, the deepest-first heap settles chain targets before their dependents)
+                let last = estimates[v2].expect("chain target settled first (depth order)"); // sp-analyze: allow(panic, the deepest-first heap settles chain targets before their dependents)
+                (first.first_far, last.last_far)
+            }
+            // Empty type-i forwarding zone: u is its own bound.
+            _ => (u, u),
+        };
+        let estimate = Some(make_estimate(net, u, q, first, last));
+        if estimates[u.index()] != estimate {
+            estimates[u.index()] = estimate;
+            // A full build queued every unsafe node up front: testing
+            // `queued` first spares it the quadrant test.
+            for (w, pw) in net.neighbor_points(u) {
+                let w = NodeId::new(w);
+                if !queued[w.index()] && !safety.is_safe(w, q) && Quadrant::of(pw, pu) == Some(q) {
+                    queued[w.index()] = true;
+                    heap.push(Deepest::of(net, q, w));
+                }
+            }
+        }
+    }
+}
+
+/// A node's place in [`settle`]'s deepest-first order for one type:
+/// by the quadrant potential `s_x·x + s_y·y`, ties broken by `s_x·x`,
+/// then `s_y·y`, then the smaller id. A chain step `u → v` with
+/// `v ∈ Q_q(u)` never lowers `s_x·x` or `s_y·y` and raises one of them,
+/// so `v` is strictly deeper even where the potential's sum rounds to a
+/// tie.
+#[derive(Debug, Clone, Copy)]
+struct Deepest {
+    key: [f64; 3],
+    node: NodeId,
+}
+
+impl Deepest {
+    fn of(net: &Network, q: Quadrant, node: NodeId) -> Deepest {
+        let (sx, sy) = q.signs();
+        let p = net.position(node);
+        Deepest {
+            key: [sx * p.x + sy * p.y, sx * p.x, sy * p.y],
+            node,
+        }
+    }
+}
+
+impl Ord for Deepest {
+    fn cmp(&self, other: &Deepest) -> Ordering {
+        let [a, b] = [self.key, other.key];
+        a[0].total_cmp(&b[0])
+            .then(a[1].total_cmp(&b[1]))
+            .then(a[2].total_cmp(&b[2]))
+            .then_with(|| other.node.cmp(&self.node))
+    }
+}
+
+impl PartialOrd for Deepest {
+    fn partial_cmp(&self, other: &Deepest) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Deepest {
+    fn eq(&self, other: &Deepest) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Deepest {}
 
 /// The exact greedy region `G_i(u)`: all type-`q` unsafe nodes reachable
 /// from `u` through type-`q` unsafe nodes by steps into `Q_q` (used by

@@ -27,7 +27,7 @@ use sp_net::{Network, NodeId};
 /// Algorithm 3: safety-information routing with shape estimates.
 ///
 /// The two extensions over SLGF can be disabled individually for the
-/// ablations A3/A4 of `DESIGN.md`:
+/// ablations A3/A4 (`repro-figures a3` and `a4`):
 /// [`Slgf2Router::without_superseding`] and
 /// [`Slgf2Router::without_backup`].
 ///

@@ -54,9 +54,11 @@ impl SafetyTuple {
     /// Definition 1's local rule, the one place it is written: the
     /// types `q` for which a neighbor in `Q_q(at)` is itself type-`q`
     /// safe, in one pass over the neighbors' `(position, tuple)` pairs.
-    /// An unpinned node keeps the safe types its tuple shares with this
-    /// support. Quadrants are [`Quadrant::of`]'s half-open ones, so a
-    /// co-located neighbor supports nothing.
+    /// At the fixed point an unpinned node's tuple equals its support;
+    /// the paper's process, which starts all-safe, gets there by keeping
+    /// the safe types its tuple shares with it. Quadrants are
+    /// [`Quadrant::of`]'s half-open ones, so a co-located neighbor
+    /// supports nothing.
     pub fn support(
         at: Point,
         neighbors: impl IntoIterator<Item = (Point, SafetyTuple)>,

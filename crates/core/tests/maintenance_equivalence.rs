@@ -1,11 +1,11 @@
 //! Property tests: incremental repair of the safety information under
 //! node failures is indistinguishable from a full rebuild.
 //!
-//! `InfoMaintainer::kill` repairs the Definition-1 labeling with a
-//! monotone worklist; these tests drive it with randomized deployments
-//! and kill sequences and compare against `SafetyMap::label_with_pinned`
-//! on the degraded (ghost) network, for both tuples and the derived
-//! shape estimates.
+//! `InfoMaintainer::kill` and `InfoMaintainer::revive` repair the
+//! Definition-1 labeling with the one worklist engine; these tests drive
+//! them with randomized deployments and kill/revive sequences and
+//! compare against `SafetyMap::label_with_pinned` on the degraded (ghost)
+//! network, for both tuples and the derived shape estimates.
 //!
 //! The labeling engine itself is checked against `jacobi_reference`, the
 //! synchronous sweep the library used to run, in tuples and in rounds.
@@ -101,27 +101,46 @@ fn ghost_pinned(maint: &InfoMaintainer) -> Vec<bool> {
         .collect()
 }
 
+/// The maintained tuples equal `label_with_pinned` on the ghost network,
+/// and dead nodes are all-unsafe.
+fn tuples_match_rebuild(maint: &InfoMaintainer) -> Result<(), TestCaseError> {
+    let rebuilt = SafetyMap::label_with_pinned(maint.network(), ghost_pinned(maint));
+    for u in maint.network().node_ids() {
+        if maint.is_dead(u) {
+            prop_assert!(maint.tuple(u).fully_unsafe());
+        } else {
+            prop_assert_eq!(maint.tuple(u), rebuilt.tuple(u), "at {}", u);
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Tuples after arbitrary kill sequences equal a fresh rebuild.
+    /// Tuples along arbitrary kill sequences, with revivals interleaved,
+    /// equal a fresh rebuild after every step. After kill `i`, the
+    /// `revivals[i]`-th node still dead is revived, when there is one.
     #[test]
     fn incremental_tuples_match_rebuild(
         seed in 0u64..500,
         n in 120usize..280,
         kills in prop::collection::vec(0usize..120, 1..10),
+        revivals in prop::collection::vec(0usize..6, 9..10),
     ) {
         let net = network(n, seed);
         let mut maint = InfoMaintainer::new(net.clone());
-        for k in kills {
-            maint.kill(NodeId::new(k % n));
-        }
-        let rebuilt = SafetyMap::label_with_pinned(maint.network(), ghost_pinned(&maint));
-        for u in maint.network().node_ids() {
-            if maint.is_dead(u) {
-                prop_assert!(maint.tuple(u).fully_unsafe());
-            } else {
-                prop_assert_eq!(maint.tuple(u), rebuilt.tuple(u), "at {}", u);
+        let mut dead = Vec::new();
+        for (k, r) in kills.into_iter().zip(revivals) {
+            let victim = NodeId::new(k % n);
+            maint.kill(victim);
+            if !dead.contains(&victim) {
+                dead.push(victim);
+            }
+            tuples_match_rebuild(&maint)?;
+            if r < dead.len() {
+                maint.revive(dead.swap_remove(r));
+                tuples_match_rebuild(&maint)?;
             }
         }
     }

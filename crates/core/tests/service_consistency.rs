@@ -16,11 +16,16 @@
 //!    mobility schedule, a `TrafficEngine` batch over each epoch's
 //!    pinned snapshot is bit-identical between serial and any thread
 //!    count, and agrees answer for answer with a live session.
+//!
+//! A third property holds the publish path to the paper's definitions:
+//! every epoch `apply_moves` derives from the previous one equals a full
+//! `SafetyInfo::build` of its network, in tuples, pinned mask and every
+//! shape estimate.
 
 use proptest::prelude::*;
-use sp_core::{RoutingService, ServiceSnapshot, TrafficEngine, TrafficReport};
-use sp_geom::Point;
-use sp_net::{deploy::DeploymentConfig, Network, NodeId};
+use sp_core::{RoutingService, SafetyInfo, ServiceSnapshot, TrafficEngine, TrafficReport};
+use sp_geom::{Point, Quadrant};
+use sp_net::{deploy::DeploymentConfig, FaModel, Network, NodeId};
 
 const NODES: usize = 150;
 /// Thread counts the determinism property sweeps (the workspace's
@@ -246,4 +251,156 @@ fn from_snapshot_matches_new() {
     let a = RoutingService::new(net.clone());
     let b = RoutingService::from_snapshot(ServiceSnapshot::build(net));
     assert_eq!(pinned_batch(&a, &qs, 2), pinned_batch(&b, &qs, 2));
+}
+
+/// SplitMix64: the seeded generator behind the random fields and
+/// mobility batches of [`derived_epochs_equal_full_builds`].
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    /// Uniform in `[lo, hi]`.
+    fn within(&mut self, lo: f64, hi: f64) -> f64 {
+        lo + (hi - lo) * ((self.next() >> 11) as f64 / ((1u64 << 53) - 1) as f64)
+    }
+}
+
+/// An IA or FA field of `n` nodes, at the paper's fixed 200 m area or at
+/// its density, snapped to a `grid`-metre lattice when `grid > 0`.
+fn mobility_field(n: usize, seed: u64, fa: bool, dense: bool, grid: f64) -> Network {
+    let cfg = if dense {
+        DeploymentConfig::paper_density(n)
+    } else {
+        DeploymentConfig::paper_default(n)
+    };
+    let positions = if fa {
+        let obstacles = FaModel::paper_default().generate_obstacles(&cfg, seed);
+        cfg.deploy_with_obstacles(&obstacles, seed)
+    } else {
+        cfg.deploy_uniform(seed)
+    };
+    let positions = positions.into_iter().map(|p| snap(p, grid)).collect();
+    Network::from_positions(positions, cfg.radius, cfg.area)
+}
+
+fn snap(p: Point, grid: f64) -> Point {
+    if grid > 0.0 {
+        Point::new((p.x / grid).round() * grid, (p.y / grid).round() * grid)
+    } else {
+        p
+    }
+}
+
+/// One random batch of 1–8 movers, each jumping to a random point, onto
+/// the area's border, onto another node, or 30 m away.
+fn random_batch(net: &Network, rng: &mut SplitMix, grid: f64) -> Vec<(NodeId, Point)> {
+    let (lo, hi) = (net.area().min(), net.area().max());
+    (0..1 + rng.below(8))
+        .map(|_| {
+            let u = NodeId::new(rng.below(net.len()));
+            let p = net.position(u);
+            let to = match rng.below(4) {
+                0 => Point::new(rng.within(lo.x, hi.x), rng.within(lo.y, hi.y)),
+                1 => {
+                    let along = rng.within(0.0, 1.0);
+                    let (x, y) = (lo.x + along * (hi.x - lo.x), lo.y + along * (hi.y - lo.y));
+                    match rng.below(4) {
+                        0 => Point::new(lo.x, y),
+                        1 => Point::new(hi.x, y),
+                        2 => Point::new(x, lo.y),
+                        _ => Point::new(x, hi.y),
+                    }
+                }
+                2 => net.position(NodeId::new(rng.below(net.len()))),
+                _ => {
+                    let angle = rng.within(0.0, std::f64::consts::TAU);
+                    let x = (p.x + 30.0 * angle.cos()).clamp(lo.x, hi.x);
+                    let y = (p.y + 30.0 * angle.sin()).clamp(lo.y, hi.y);
+                    Point::new(x, y)
+                }
+            };
+            (u, snap(to, grid))
+        })
+        .collect()
+}
+
+/// The published snapshot equals a full build of its network: every
+/// tuple, the pinned mask and every `(node, type)` estimate.
+fn assert_equals_full_build(snapshot: &ServiceSnapshot, case: &str) {
+    let net = snapshot.network();
+    let (got, want) = (snapshot.info(), SafetyInfo::build(net));
+    for u in net.node_ids() {
+        let (safety, full) = (got.safety(), want.safety());
+        assert_eq!(safety.is_pinned(u), full.is_pinned(u), "{case}: pin of {u}");
+        assert_eq!(safety.tuple(u), full.tuple(u), "{case}: tuple of {u}");
+        for q in Quadrant::ALL {
+            assert_eq!(
+                got.estimate(u, q),
+                want.estimate(u, q),
+                "{case}: estimate at {u} {q}"
+            );
+        }
+    }
+}
+
+/// Every epoch `apply_moves` derives from the previous one is
+/// bit-identical to a full build, over IA and FA fields of 20–420 nodes
+/// at both densities, lattice-snapped or not, and random batches whose
+/// movers jump anywhere. The sweep must also change pins, including a
+/// pin of a node that did not move (a hull vertex appears or vanishes),
+/// since that is where a derived epoch departs most from its parent. It
+/// is a seeded sweep rather than a `proptest!` block so that it can count
+/// those pin changes over all of its batches.
+#[test]
+fn derived_epochs_equal_full_builds() {
+    const FIELDS: u64 = 160;
+    const BATCHES: usize = 6;
+    let mut rng = SplitMix(0x5EED);
+    let (mut batches, mut pin_changed, mut bystander_pin_changed) = (0, 0, 0);
+    for field in 0..FIELDS {
+        let n = 20 + rng.below(401);
+        let (fa, dense) = (field % 2 == 1, field % 4 >= 2);
+        let grid = [0.0, 0.0, 2.0, 8.0][rng.below(4)];
+        let service = RoutingService::new(mobility_field(n, field, fa, dense, grid));
+        for batch in 0..BATCHES {
+            let before = service.snapshot();
+            let moves = random_batch(before.value.network(), &mut rng, grid);
+            service.apply_moves(&moves);
+            let after = service.snapshot();
+            let case = format!(
+                "field {field} (n {n}, fa {fa}, dense {dense}, grid {grid}), batch {batch}"
+            );
+            assert_equals_full_build(&after.value, &case);
+            let (was, is) = (before.value.info().safety(), after.value.info().safety());
+            let repinned: Vec<NodeId> = before
+                .value
+                .network()
+                .node_ids()
+                .filter(|&u| was.is_pinned(u) != is.is_pinned(u))
+                .collect();
+            batches += 1;
+            pin_changed += usize::from(!repinned.is_empty());
+            let moved = |u: &NodeId| moves.iter().any(|(m, _)| m == u);
+            bystander_pin_changed += usize::from(repinned.iter().any(|u| !moved(u)));
+        }
+    }
+    eprintln!(
+        "{batches} batches: {pin_changed} changed a pin, {bystander_pin_changed} a non-mover's pin"
+    );
+    assert!(pin_changed > 0, "no batch changed a pin");
+    assert!(
+        bystander_pin_changed > 0,
+        "no batch changed a non-mover's pin"
+    );
 }

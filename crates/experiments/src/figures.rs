@@ -3,7 +3,8 @@
 //! Fig. 5 reports the **maximum** number of hops over the sampled
 //! networks, Fig. 6 the **average** hops, Fig. 7 the **average path
 //! length**; each figure has an IA panel (a) and an FA panel (b). The
-//! ablation figures (A1–A6 of `DESIGN.md`) extend the evaluation.
+//! ablation figures A1–A17 (`repro-figures a1` to `a17`) extend the
+//! evaluation.
 
 use crate::{ChaosRecipe, PreparedNetwork, Scenario, Scheme, SweepConfig, SweepResults};
 use rand::rngs::StdRng;

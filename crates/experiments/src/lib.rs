@@ -4,7 +4,8 @@
 //! counts 400–800, 100 seeded networks per point, a registered
 //! deployment [`Scenario`]); [`run_sweep`] routes every [`Scheme`] over
 //! every instance in parallel; [`figures`] folds the records into the
-//! exact curves of Figs. 5–7 plus the ablations A1–A15 of `DESIGN.md`;
+//! exact curves of Figs. 5–7 plus the ablations A1–A17 (`repro-figures
+//! a1` to `a17`);
 //! [`scenarios`] rebuilds the paper's hand-drawn figures as executable
 //! networks; and [`workload`] streams flows against per-node batteries
 //! for the lifetime experiment.

@@ -3,9 +3,9 @@
 //! Every routing decision in the paper is typed by the quadrant that the
 //! destination occupies relative to the current node: quadrant I is the
 //! Northeast, II the Northwest, III the Southwest and IV the Southeast. The
-//! paper leaves boundary inclusion unspecified; we fix the half-open
-//! convention of `DESIGN.md` §2 so that every point other than the origin
-//! belongs to exactly one quadrant:
+//! paper leaves boundary inclusion unspecified; we fix a half-open
+//! convention so that every point other than the origin belongs to
+//! exactly one quadrant:
 //!
 //! * `Q1`: `dx ≥ 0 ∧ dy ≥ 0`
 //! * `Q2`: `dx < 0 ∧ dy ≥ 0`
@@ -138,9 +138,9 @@ impl Quadrant {
     }
 
     /// Unit vector along the axis that bounds the quadrant clockwise —
-    /// the direction a counter-clockwise scan of the quadrant starts from
-    /// (`DESIGN.md` §2 item 3): east for `Q1`, north for `Q2`, west for
-    /// `Q3`, south for `Q4`.
+    /// the direction a counter-clockwise scan of the quadrant starts from,
+    /// so the scan sweeps the quadrant without leaving it: east for `Q1`,
+    /// north for `Q2`, west for `Q3`, south for `Q4`.
     pub fn scan_start_axis(self) -> Vec2 {
         match self {
             Quadrant::I => Vec2::new(1.0, 0.0),

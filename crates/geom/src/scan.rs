@@ -9,7 +9,8 @@
 //! * Algo. 2 step 3 picks "the first and the last type-i unsafe neighbors
 //!   hit by a ray from `u` when scanning `Q_i(u)` in counter-clockwise
 //!   order" — [`ccw_order_in_quadrant`] produces that order, starting from
-//!   the quadrant's clockwise boundary axis (`DESIGN.md` §2 item 3).
+//!   the quadrant's clockwise boundary axis
+//!   ([`Quadrant::scan_start_axis`]).
 //!
 //! Ordering is total and deterministic: by CCW rotation from the start
 //! direction, then by distance (nearer first — the rotating ray hits the

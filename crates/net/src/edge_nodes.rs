@@ -10,23 +10,46 @@
 //! deployment **or** within one margin (by default the radio radius) of
 //! the interest-area border. Pinning this conservative superset keeps the
 //! area boundary from cascading unsafe labels inward, which is all the
-//! paper requires (see `DESIGN.md` §1).
+//! paper asks of its edge nodes: they exist so that the border never
+//! starts an unsafe cascade.
 
 use crate::{Network, NodeId};
-use sp_geom::convex_hull;
+use sp_geom::{convex_hull, Point};
 
-/// Boolean mask over node ids: `true` for interest-area edge nodes.
+/// Boolean mask over node ids: `true` for interest-area edge nodes, the
+/// convex-hull vertices plus the *band* of nodes not strictly inside the
+/// area shrunk by `margin`.
+///
+/// The hull's sort is skipped when it cannot change the mask: when each
+/// corner of the shrunk rectangle has band nodes in all four open
+/// quadrants around it. No line through such a corner has every band
+/// node on one side, so the corner lies strictly inside the band's hull.
+/// Then so does the whole rectangle, no node strictly inside it is a
+/// hull vertex, and the mask is the band alone, found in one pass.
 pub fn edge_node_mask(net: &Network, margin: f64) -> Vec<bool> {
+    let inner = net.area().inflate(-margin);
+    let (lo, hi) = (inner.min(), inner.max());
+    let corners = [lo, Point::new(hi.x, lo.y), hi, Point::new(lo.x, hi.y)];
     let mut mask = vec![false; net.len()];
-    for &i in &convex_hull(&net.positions_vec()) {
-        mask[i] = true;
-    }
-    let area = net.area();
-    let inner = area.inflate(-margin);
+    // Bit `4c + k` is set once a band node lies in open quadrant `k`
+    // around corner `c`.
+    let mut around = 0u16;
     for u in net.node_ids() {
         let p = net.position(u);
-        if !inner.contains_strict(p) {
-            mask[u.index()] = true;
+        if inner.contains_strict(p) {
+            continue;
+        }
+        mask[u.index()] = true;
+        for (c, corner) in corners.iter().enumerate() {
+            if p.x != corner.x && p.y != corner.y {
+                let k = usize::from(p.x < corner.x) + 2 * usize::from(p.y < corner.y);
+                around |= 1 << (4 * c + k);
+            }
+        }
+    }
+    if around != u16::MAX {
+        for &i in &convex_hull(&net.positions_vec()) {
+            mask[i] = true;
         }
     }
     mask

@@ -4,7 +4,7 @@
 //! a path that "avoids wasting energy in detours" and one where "less
 //! interference occurs in other transmissions when fewer nodes are
 //! involved in the transmission". This module quantifies both claims so
-//! the experiment harness can report them (ablation A7 of `DESIGN.md`):
+//! the experiment harness can report them (ablation A7, `repro-figures a7`):
 //!
 //! * [`RadioModel`] — the standard first-order radio model: transmitting
 //!   `k` bits over distance `d` costs `E_elec·k + ε_amp·k·d^α`, receiving

@@ -183,6 +183,97 @@ proptest! {
     }
 }
 
+/// `edge_node_mask` as it was before its sort-free path: the strict
+/// convex hull's vertices plus every node not strictly inside the area
+/// shrunk by `margin`.
+fn hull_plus_band(net: &Network, margin: f64) -> Vec<bool> {
+    let mut mask = vec![false; net.len()];
+    for &i in &sp_geom::convex_hull(&net.positions_vec()) {
+        mask[i] = true;
+    }
+    let inner = net.area().inflate(-margin);
+    for u in net.node_ids() {
+        if !inner.contains_strict(net.position(u)) {
+            mask[u.index()] = true;
+        }
+    }
+    mask
+}
+
+/// Whether `edge_node_mask` may skip the hull: each corner of the shrunk
+/// area has band nodes in all four open quadrants around it.
+fn corners_enclosed(net: &Network, margin: f64) -> bool {
+    let inner = net.area().inflate(-margin);
+    let (lo, hi) = (inner.min(), inner.max());
+    let corners = [lo, Point::new(hi.x, lo.y), hi, Point::new(lo.x, hi.y)];
+    corners.iter().all(|c| {
+        let band = net
+            .node_ids()
+            .map(|u| net.position(u))
+            .filter(|&p| !inner.contains_strict(p) && p.x != c.x && p.y != c.y);
+        let mut seen = [false; 4];
+        for p in band {
+            seen[usize::from(p.x < c.x) + 2 * usize::from(p.y < c.y)] = true;
+        }
+        seen == [true; 4]
+    })
+}
+
+/// The edge mask equals the hull-plus-band reference on IA and FA
+/// fields of 8 to 10⁴ nodes, at the paper's fixed area and at its
+/// density, lattice-snapped or not, with the default margin and with
+/// margins that leave a thin band or no interior at all. The mix takes
+/// both of the mask's paths.
+#[test]
+fn edge_mask_equals_hull_plus_band() {
+    let mut paths = [0usize; 2];
+    for n in [8usize, 13, 30, 90, 300, 1_000, 3_000, 10_000] {
+        for (fa, dense, grid) in [
+            (false, false, 0.0),
+            (false, true, 2.0),
+            (true, false, 8.0),
+            (true, true, 0.0),
+            (false, false, 8.0),
+            (true, true, 2.0),
+        ] {
+            let seed = n as u64 + 31 * u64::from(fa) + 7 * u64::from(dense);
+            let cfg = if dense {
+                DeploymentConfig::paper_density(n)
+            } else {
+                paper_cfg(n)
+            };
+            let positions = if fa {
+                let obstacles = FaModel::paper_default().generate_obstacles(&cfg, seed);
+                cfg.deploy_with_obstacles(&obstacles, seed)
+            } else {
+                cfg.deploy_uniform(seed)
+            };
+            let snap = |x: f64| {
+                if grid > 0.0 {
+                    (x / grid).round() * grid
+                } else {
+                    x
+                }
+            };
+            let positions = positions.iter().map(|p| Point::new(snap(p.x), snap(p.y)));
+            let net = Network::from_positions(positions.collect(), cfg.radius, cfg.area);
+            for margin in [cfg.radius, 1.0, 0.0, 1e4] {
+                assert_eq!(
+                    edge_node_mask(&net, margin),
+                    hull_plus_band(&net, margin),
+                    "n {n}, fa {fa}, dense {dense}, grid {grid}, margin {margin}"
+                );
+                paths[usize::from(corners_enclosed(&net, margin))] += 1;
+            }
+        }
+    }
+    eprintln!("{} fields took the sort, {} skipped it", paths[0], paths[1]);
+    assert!(
+        paths.iter().all(|&p| p > 0),
+        "sort / sort-free fields: {paths:?}"
+    );
+}
+
 #[test]
 fn paper_density_regime_is_connected_enough() {
     // At the paper's densest setting the giant component should dominate.

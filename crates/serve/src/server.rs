@@ -527,14 +527,17 @@ fn dispatch(
                     ));
                     break;
                 }
-                if !x.is_finite() || !y.is_finite() {
+                // Non-finite and out-of-area positions alike: §3 keeps
+                // all communication inside the interest area.
+                let p = Point::new(x, y);
+                if !shared.base.area().contains(p) {
                     bad = Some(ProtocolError::new(
                         ProtocolErrorKind::BadCoordinate,
                         node as u64,
                     ));
                     break;
                 }
-                moves.push((NodeId(node), Point::new(x, y)));
+                moves.push((NodeId(node), p));
             }
             if let Some(err) = bad {
                 shared.telemetry.with(w, |c| c.record_protocol_error());

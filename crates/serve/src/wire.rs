@@ -81,7 +81,8 @@ pub enum ProtocolErrorKind {
     TrailingBytes = 8,
     /// Response status/tag bytes that fit no known shape (client side).
     BadResponse = 9,
-    /// A `MOVE` coordinate was NaN or infinite.
+    /// A `MOVE` position was NaN, infinite or outside the deployment
+    /// area.
     BadCoordinate = 10,
 }
 

@@ -158,6 +158,24 @@ fn server_answers_garbage_with_named_errors_and_stays_alive() {
         }
         other => panic!("expected bad-coordinate, got {other:?}"),
     }
+    // Out-of-area positions too (the field is 200 m square), and a batch
+    // with one bad entry stays wholly unapplied.
+    let (epoch, ..) = client.info().expect("info");
+    let out_of_area: [&[(u32, f64, f64)]; 2] =
+        [&[(3, 250.0, 1.0)], &[(4, 10.0, 10.0), (5, 100.0, -0.5)]];
+    for batch in out_of_area {
+        match client.move_batch(batch) {
+            Err(sp_serve::ClientError::Server { error, .. }) => {
+                assert_eq!(error.kind, ProtocolErrorKind::BadCoordinate, "{batch:?}")
+            }
+            other => panic!("expected bad-coordinate for {batch:?}, got {other:?}"),
+        }
+    }
+    assert_eq!(
+        client.info().expect("info").0,
+        epoch,
+        "a rejected MOVE published"
+    );
     // Hostile CHAOS parameters are parse errors, not worker panics.
     let bad_specs = [
         "definitely-not-a-chaos-class",
@@ -183,7 +201,7 @@ fn server_answers_garbage_with_named_errors_and_stays_alive() {
 
     // And the error tally matches what we threw at it.
     let stats = handle.stats();
-    assert_eq!(stats.protocol_errors, 13);
+    assert_eq!(stats.protocol_errors, 15);
     assert_eq!(stats.queries, 1);
 
     handle.shutdown();

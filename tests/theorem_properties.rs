@@ -187,8 +187,8 @@ proptest! {
 
 /// Theorem 2 flavor: every estimate `E_q(u)` spans from `u` to the far
 /// corner assembled from its chain endpoints — x extent from the
-/// x-axis-hugging chain, y extent from the y-axis-hugging one
-/// (`DESIGN.md` §2 item 4).
+/// x-axis-hugging chain, y extent from the y-axis-hugging one (the
+/// per-type corner mapping of the `sp_core::shape` module docs).
 #[test]
 fn estimates_assemble_far_corner_from_chains() {
     for seed in [3u64, 17, 99] {
