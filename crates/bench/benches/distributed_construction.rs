@@ -230,12 +230,6 @@ fn scale_bench_at(case: &str, n: usize, runs: usize, rows: &mut Vec<String>) {
     // walks the CSR arena nearly sequentially.
     let (net, _remap) = net.spatially_sorted();
     let footprint = net.memory_footprint();
-    assert!(
-        footprint.adjacency_bytes_per_node() < footprint.legacy_adjacency_bytes_per_node(),
-        "CSR ({:.1} B/node) must beat the per-node-Vec layout ({:.1} B/node) at n={n}",
-        footprint.adjacency_bytes_per_node(),
-        footprint.legacy_adjacency_bytes_per_node()
-    );
     let run = construct_distributed(&net).expect("scale construction quiesces");
     assert!(run.stats.quiesced, "scale run must drain its messages");
 
@@ -243,13 +237,12 @@ fn scale_bench_at(case: &str, n: usize, runs: usize, rows: &mut Vec<String>) {
         construct_distributed(&net).expect("scale construction quiesces")
     });
     eprintln!(
-        "construct n={n}: {} rounds, {} tx, {} rx, quiesced in {:.2} s, {:.1} B/node CSR vs {:.1} legacy",
+        "construct n={n}: {} rounds, {} tx, {} rx, quiesced in {:.2} s, {:.1} B/node CSR",
         run.stats.rounds,
         run.stats.transmissions(),
         run.stats.receptions,
         scale_s.median,
-        footprint.adjacency_bytes_per_node(),
-        footprint.legacy_adjacency_bytes_per_node()
+        footprint.adjacency_bytes_per_node()
     );
     rows.push(format!(
         "    {{\"case\": \"{case}\", \"n\": {n}, \"rounds\": {}, \"transmissions\": {}, \"receptions\": {}, \"quiesced\": true, {}, {}}}",

@@ -56,21 +56,12 @@ fn construction_benches(c: &mut Criterion) {
             n != 10_000 || speedup >= MIN_SPEEDUP_AT_10K,
             "grid speedup {speedup:.2}x at n={n} is under the {MIN_SPEEDUP_AT_10K}x acceptance bar"
         );
-        // Memory estimator: the CSR arena must strictly undercut the
-        // legacy per-node-Vec layout at every benchmarked size.
         let footprint = grid.memory_footprint();
-        assert!(
-            footprint.adjacency_bytes_per_node() < footprint.legacy_adjacency_bytes_per_node(),
-            "CSR ({:.1} B/node) must beat the per-node-Vec layout ({:.1} B/node) at n={n}",
-            footprint.adjacency_bytes_per_node(),
-            footprint.legacy_adjacency_bytes_per_node()
-        );
         eprintln!(
-            "n={n}: grid {:.3} ms | brute {:.3} ms | speedup {speedup:.1}x | {:.1} B/node CSR vs {:.1} legacy",
+            "n={n}: grid {:.3} ms | brute {:.3} ms | speedup {speedup:.1}x | {:.1} B/node CSR",
             grid_s.median * 1e3,
             brute_s.median * 1e3,
-            footprint.adjacency_bytes_per_node(),
-            footprint.legacy_adjacency_bytes_per_node()
+            footprint.adjacency_bytes_per_node()
         );
         rows.push(format!(
             "    {{\"n\": {}, \"edges\": {}, {}, {}, \"speedup\": {:.2}, {}}}",

@@ -1,7 +1,9 @@
 //! The mobility re-snapshot hot path (ROADMAP "parallel + incremental
 //! SpatialIndex"): incremental topology repair versus a full rebuild
 //! when a small fraction of nodes moves, and row-sharded parallel bulk
-//! adjacency versus the serial scan at 10⁵ nodes.
+//! adjacency versus the serial scan at 10⁵ nodes. The incremental
+//! repair must beat the rebuild at least 3× at 10⁴ nodes, asserted
+//! before the file is written.
 //!
 //! The write path of the routing service rides along: a 100-mover
 //! `RoutingService::apply_moves` publish, whose labels, pinned mask and
@@ -35,6 +37,9 @@ const SNAPSHOT_N: usize = 10_000;
 const MOVER_FRACTION: f64 = 0.01;
 /// Node count for the serial-vs-parallel adjacency comparison.
 const ADJACENCY_N: usize = 100_000;
+/// The acceptance bar: at `SNAPSHOT_N` nodes the incremental tick must
+/// beat the full rebuild at least this many times over.
+const MIN_INCREMENTAL_SPEEDUP: f64 = 3.0;
 
 /// Movers per publish in the write-path rows, each nudged 1 m: the
 /// batch of perfbench's `publish_fa` workload.
@@ -120,6 +125,11 @@ fn snapshot_benches(c: &mut Criterion, rows: &mut Vec<String>) {
         "n={SNAPSHOT_N}, movers={movers}: full {:.3} ms | incremental {:.3} ms | {speedup:.1}x",
         full_s.median * 1e3,
         inc_s.median * 1e3
+    );
+    assert!(
+        speedup >= MIN_INCREMENTAL_SPEEDUP,
+        "incremental speedup {speedup:.2}x at n={SNAPSHOT_N} is under the \
+         {MIN_INCREMENTAL_SPEEDUP}x acceptance bar"
     );
     rows.push(format!(
         "    {{\"case\": \"snapshot_full_rebuild\", \"n\": {}, \"movers\": {}, {}}}",

@@ -5,9 +5,9 @@
 //! one measures the **serving shape**: worker threads each hold a
 //! `ServiceSession` and answer a sustained query stream while a
 //! background churner keeps publishing new epochs (deterministic
-//! jitter moves through `RoutingService::apply_moves` — clone-repair
-//! the topology off to the side, derive labels and shape estimates from
-//! the previous epoch, one `Arc` swap). Four rows:
+//! jitter moves through `RoutingService::apply_moves` — repair the
+//! topology off to the side, derive labels and shape estimates from the
+//! previous epoch, one `Arc` swap). Four rows:
 //!
 //! * `service_steady` — no churn: the epoch check is always a hit, so
 //!   this is the floor the epoch machinery must not lift;

@@ -84,20 +84,16 @@ pub fn latency_json_fields(prefix: &str, latency: &LatencyHistogram) -> String {
     )
 }
 
-/// The `"<prefix>csr_bytes_per_node": …, "<prefix>total_bytes_per_node": …,
-/// "<prefix>legacy_bytes_per_node": …, "<prefix>adjacency_compression": …`
+/// The `"<prefix>csr_bytes_per_node": …, "<prefix>total_bytes_per_node": …`
 /// JSON fragment for one [`sp_net::TopologyFootprint`] — the memory
 /// estimator rows in `BENCH_construction.json` / `BENCH_distributed.json`
 /// embed. The `*_bytes_per_node` keys are gated by `ci/bench_gate`
 /// exactly like the `*_seconds` medians (memory regressions fail CI the
-/// same way time regressions do); the compression ratio
-/// (legacy per-node-`Vec` bytes over CSR bytes) is informational.
+/// same way time regressions do).
 pub fn memory_json_fields(prefix: &str, f: &sp_net::TopologyFootprint) -> String {
-    let csr = f.adjacency_bytes_per_node();
-    let legacy = f.legacy_adjacency_bytes_per_node();
-    let compression = if csr > 0.0 { legacy / csr } else { 0.0 };
     format!(
-        "\"{prefix}csr_bytes_per_node\": {csr:.1}, \"{prefix}total_bytes_per_node\": {:.1}, \"{prefix}legacy_bytes_per_node\": {legacy:.1}, \"{prefix}adjacency_compression\": {compression:.2}",
+        "\"{prefix}csr_bytes_per_node\": {:.1}, \"{prefix}total_bytes_per_node\": {:.1}",
+        f.adjacency_bytes_per_node(),
         f.bytes_per_node()
     )
 }
@@ -158,10 +154,6 @@ mod tests {
         let s = memory_json_fields("mem_", &net.memory_footprint());
         assert!(s.contains("\"mem_csr_bytes_per_node\": "), "{s}");
         assert!(s.contains("\"mem_total_bytes_per_node\": "), "{s}");
-        assert!(s.contains("\"mem_legacy_bytes_per_node\": "), "{s}");
-        // The CSR arena must undercut the per-node-Vec layout.
-        let f = net.memory_footprint();
-        assert!(f.adjacency_bytes_per_node() < f.legacy_adjacency_bytes_per_node());
     }
 
     #[test]

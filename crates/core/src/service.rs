@@ -191,10 +191,12 @@ impl RoutingService {
 
     /// Applies a mobility tick: builds the next topology off to the
     /// side ([`Network::next_snapshot`]), derives its safety
-    /// information from the pinned epoch's, publishes the new epoch
+    /// information from the current epoch's, publishes the new epoch
     /// with one `Arc` swap, and returns the new epoch number. Readers
     /// pinned to earlier epochs are never blocked and never see a
-    /// half-built snapshot.
+    /// half-built snapshot. Concurrent writers serialize
+    /// ([`EpochCell::update`]): each tick derives from the epoch the
+    /// previous one published, so no batch is lost.
     ///
     /// The derivation costs the batch, not the field: labels and shape
     /// estimates are repaired only around the movers, their neighbors
@@ -208,12 +210,12 @@ impl RoutingService {
     ///
     /// Panics if any moved id is out of range.
     pub fn apply_moves(&self, moves: &[(NodeId, Point)]) -> u64 {
-        let current = self.cell.load();
-        let prev = &*current.value;
-        let net = prev.network().next_snapshot(moves);
-        let movers: Vec<NodeId> = moves.iter().map(|&(u, _)| u).collect();
-        let info = prev.info().derive(prev.network(), &net, &movers);
-        self.cell.publish(ServiceSnapshot { net, info })
+        self.cell.update(|prev| {
+            let net = prev.network().next_snapshot(moves);
+            let movers: Vec<NodeId> = moves.iter().map(|&(u, _)| u).collect();
+            let info = prev.info().derive(prev.network(), &net, &movers);
+            ServiceSnapshot { net, info }
+        })
     }
 
     /// Publishes a fully rebuilt topology as the next epoch (the

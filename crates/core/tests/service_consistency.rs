@@ -20,7 +20,10 @@
 //! A third property holds the publish path to the paper's definitions:
 //! every epoch `apply_moves` derives from the previous one equals a full
 //! `SafetyInfo::build` of its network, in tuples, pinned mask and every
-//! shape estimate.
+//! shape estimate, and its adjacency equals a brute-force rebuild at
+//! the moved positions while the pinned previous epoch stays as it was.
+//! A fourth holds writers to each other: two threads applying moves at
+//! once lose none of them.
 
 use proptest::prelude::*;
 use sp_core::{RoutingService, SafetyInfo, ServiceSnapshot, TrafficEngine, TrafficReport};
@@ -375,13 +378,35 @@ fn derived_epochs_equal_full_builds() {
         let service = RoutingService::new(mobility_field(n, field, fa, dense, grid));
         for batch in 0..BATCHES {
             let before = service.snapshot();
-            let moves = random_batch(before.value.network(), &mut rng, grid);
+            let old = before.value.network();
+            let (old_adjacency, old_positions) = (old.adjacency().clone(), old.positions_vec());
+            let moves = random_batch(old, &mut rng, grid);
             service.apply_moves(&moves);
             let after = service.snapshot();
             let case = format!(
                 "field {field} (n {n}, fa {fa}, dense {dense}, grid {grid}), batch {batch}"
             );
             assert_equals_full_build(&after.value, &case);
+            let mut positions = old_positions.clone();
+            for &(u, to) in &moves {
+                positions[u.index()] = to;
+            }
+            let net = after.value.network();
+            assert_eq!(net.positions_vec(), positions, "{case}: positions");
+            let brute = Network::from_positions_brute_force(positions, net.radius(), net.area());
+            for u in net.node_ids() {
+                assert_eq!(
+                    net.neighbors(u),
+                    brute.neighbors(u),
+                    "{case}: neighbors of {u}"
+                );
+            }
+            assert_eq!(old.adjacency(), &old_adjacency, "{case}: pinned adjacency");
+            assert_eq!(
+                old.positions_vec(),
+                old_positions,
+                "{case}: pinned positions"
+            );
             let (was, is) = (before.value.info().safety(), after.value.info().safety());
             let repinned: Vec<NodeId> = before
                 .value
@@ -403,4 +428,41 @@ fn derived_epochs_equal_full_builds() {
         bystander_pin_changed > 0,
         "no batch changed a non-mover's pin"
     );
+}
+
+/// Two threads applying single-node moves at once lose none of them:
+/// each publish derives from the epoch the other's last publish left,
+/// so after 100 moves the service is at epoch 100 with every node at
+/// its target.
+#[test]
+fn concurrent_movers_lose_no_moves() {
+    let cfg = DeploymentConfig::paper_default(400);
+    let net = Network::from_positions(cfg.deploy_uniform(11), cfg.radius, cfg.area);
+    let targets: Vec<(NodeId, Point)> = (0..100)
+        .map(|k| {
+            let u = NodeId::new(4 * k);
+            let p = net.position(u);
+            (u, net.area().clamp_point(Point::new(p.x + 3.0, p.y - 2.0)))
+        })
+        .collect();
+    let service = RoutingService::new(net);
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|s| {
+        for half in targets.chunks(50) {
+            let (service, start) = (&service, &start);
+            s.spawn(move || {
+                start.wait();
+                for &mv in half {
+                    service.apply_moves(&[mv]);
+                }
+            });
+        }
+    });
+    let pin = service.snapshot();
+    let lost: Vec<NodeId> = targets
+        .iter()
+        .filter(|&&(u, to)| pin.value.network().position(u) != to)
+        .map(|&(u, _)| u)
+        .collect();
+    assert_eq!((pin.epoch, lost.len()), (100, 0), "moves lost: {lost:?}");
 }

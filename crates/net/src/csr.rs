@@ -9,11 +9,10 @@
 //! arena — so `neighbors(u)` is two loads into the same hot arrays for
 //! every `u`, and a full frontier sweep streams the arena linearly.
 //!
-//! Incremental topology repair would naively force an `O(E)` arena
-//! rewrite per mover; [`CsrPatch`] keeps the `O(1)`-per-move economics
-//! by overlaying the touched nodes' lists for the duration of one
-//! repair epoch and compacting the arena exactly once per
-//! [`apply_moves`](crate::Network::apply_moves) commit.
+//! Mobility never edits an arena in place: a mover batch writes the
+//! next arena in one pass over the current one
+//! ([`Network::apply_moves`](crate::Network::apply_moves)), so the
+//! arena stays one contiguous block and a pinned epoch keeps its own.
 //!
 //! [`NodeRemap`] rounds the module out with the id permutation produced
 //! by the construction-time spatial sort
@@ -59,19 +58,33 @@ impl CsrAdjacency {
         }
     }
 
-    /// Packs legacy per-node lists into one arena. Lists are copied
+    /// Packs per-node lists into one arena. Lists are copied
     /// as-is (callers keep them sorted).
     pub fn from_lists(lists: &[Vec<NodeId>]) -> CsrAdjacency {
-        let total: usize = lists.iter().map(Vec::len).sum();
-        assert!(
-            total <= u32::MAX as usize,
-            "directed edge count {total} overflows the u32 offset table"
-        );
-        let mut offsets = Vec::with_capacity(lists.len() + 1);
-        let mut edges = Vec::with_capacity(total);
+        let total = lists.iter().map(Vec::len).sum();
+        CsrAdjacency::from_fn(lists.len(), total, |u, edges| {
+            edges.extend_from_slice(&lists[u.index()]);
+        })
+    }
+
+    /// Writes an arena node by node: `fill(u, edges)` appends `u`'s
+    /// sorted list to `edges`, for every `u` in id order. `capacity` is
+    /// the expected directed edge count.
+    pub(crate) fn from_fn(
+        n: usize,
+        capacity: usize,
+        mut fill: impl FnMut(NodeId, &mut Vec<NodeId>),
+    ) -> CsrAdjacency {
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut edges = Vec::with_capacity(capacity);
         offsets.push(0u32);
-        for list in lists {
-            edges.extend_from_slice(list);
+        for u in 0..n {
+            fill(NodeId::new(u), &mut edges);
+            assert!(
+                edges.len() <= u32::MAX as usize,
+                "directed edge count {} overflows the u32 offset table",
+                edges.len()
+            );
             offsets.push(edges.len() as u32);
         }
         CsrAdjacency { offsets, edges }
@@ -168,37 +181,15 @@ impl CsrAdjacency {
         self.edges.len() / 2
     }
 
-    /// The legacy per-node-`Vec` form, for equivalence tests and
-    /// callers that need owned lists.
-    pub fn to_lists(&self) -> Vec<Vec<NodeId>> {
-        (0..self.node_count())
-            .map(|u| {
-                let (start, end) = self.range(u);
-                self.edges[start..end].to_vec()
-            })
-            .collect()
-    }
-
     /// A copy with every edge touching a dead node removed (dead nodes
     /// keep their offset slots, so ids stay dense and index-aligned).
     pub fn without_nodes(&self, is_dead: &[bool]) -> CsrAdjacency {
-        let n = self.node_count();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut edges = Vec::with_capacity(self.edges.len());
-        offsets.push(0u32);
-        for u in 0..n {
-            if !is_dead[u] {
-                let (start, end) = self.range(u);
-                edges.extend(
-                    self.edges[start..end]
-                        .iter()
-                        .copied()
-                        .filter(|v| !is_dead[v.index()]),
-                );
+        CsrAdjacency::from_fn(self.node_count(), self.edges.len(), |u, edges| {
+            if !is_dead[u.index()] {
+                let live = self.neighbors(u).iter().filter(|v| !is_dead[v.index()]);
+                edges.extend(live);
             }
-            offsets.push(edges.len() as u32);
-        }
-        CsrAdjacency { offsets, edges }
+        })
     }
 
     /// A copy with the listed undirected edges removed. `cut` must hold
@@ -206,23 +197,12 @@ impl CsrAdjacency {
     /// entries of each listed edge disappear, everything else is kept.
     pub fn without_edges(&self, cut: &[(NodeId, NodeId)]) -> CsrAdjacency {
         debug_assert!(cut.windows(2).all(|w| w[0] < w[1]), "cut list sorted");
-        let n = self.node_count();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut edges = Vec::with_capacity(self.edges.len());
-        offsets.push(0u32);
-        for u in 0..n {
-            let (start, end) = self.range(u);
-            edges.extend(self.edges[start..end].iter().copied().filter(|v| {
-                let key = if u < v.index() {
-                    (NodeId::new(u), *v)
-                } else {
-                    (*v, NodeId::new(u))
-                };
+        CsrAdjacency::from_fn(self.node_count(), self.edges.len(), |u, edges| {
+            edges.extend(self.neighbors(u).iter().filter(|&&v| {
+                let key = if u < v { (u, v) } else { (v, u) };
                 cut.binary_search(&key).is_err()
             }));
-            offsets.push(edges.len() as u32);
-        }
-        CsrAdjacency { offsets, edges }
+        })
     }
 
     /// Relabels the adjacency under `remap`: internal node `k` takes
@@ -231,21 +211,12 @@ impl CsrAdjacency {
     pub fn permuted(&self, remap: &NodeRemap) -> CsrAdjacency {
         let n = self.node_count();
         assert_eq!(n, remap.len(), "remap length must match node count");
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut edges = Vec::with_capacity(self.edges.len());
-        offsets.push(0u32);
-        for k in 0..n {
-            let external = remap.to_external(NodeId::new(k));
+        CsrAdjacency::from_fn(n, self.edges.len(), |k, edges| {
             let start = edges.len();
-            edges.extend(
-                self.neighbors(external)
-                    .iter()
-                    .map(|&v| remap.to_internal(v)),
-            );
+            let external = self.neighbors(remap.to_external(k));
+            edges.extend(external.iter().map(|&v| remap.to_internal(v)));
             edges[start..].sort_unstable();
-            offsets.push(edges.len() as u32);
-        }
-        CsrAdjacency { offsets, edges }
+        })
     }
 
     /// Heap bytes held by the offset table and edge arena (by length,
@@ -253,136 +224,6 @@ impl CsrAdjacency {
     pub fn heap_bytes(&self) -> usize {
         self.offsets.len() * std::mem::size_of::<u32>()
             + self.edges.len() * std::mem::size_of::<NodeId>()
-    }
-
-    /// Heap bytes the same adjacency would occupy in the legacy
-    /// per-node-`Vec` layout: one `Vec` header (`3 × usize`) per node
-    /// plus its ids. The `bytes_per_node` bench metric reports both so
-    /// the CSR win is a measured number, not a claim.
-    pub fn legacy_layout_bytes(&self) -> usize {
-        self.node_count() * 3 * std::mem::size_of::<usize>()
-            + self.edges.len() * std::mem::size_of::<NodeId>()
-    }
-
-    /// Rewrites the arena with every patched node's list replacing its
-    /// old range — the once-per-commit compaction that lets
-    /// [`CsrPatch`] keep per-move repair `O(1)`. `O(n + E)` regardless
-    /// of how many nodes the patch touched.
-    pub fn compact(&mut self, patch: &CsrPatch) {
-        if patch.touched().is_empty() {
-            return;
-        }
-        let n = self.node_count();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut acc: u64 = 0;
-        offsets.push(0u32);
-        for u in 0..n {
-            let id = NodeId::new(u);
-            let d = match patch.get(id) {
-                Some(list) => list.len(),
-                None => self.degree(id),
-            };
-            acc += d as u64;
-            assert!(
-                acc <= u64::from(u32::MAX),
-                "directed edge count {acc} overflows the u32 offset table"
-            );
-            offsets.push(acc as u32);
-        }
-        let mut edges = Vec::with_capacity(acc as usize);
-        for u in 0..n {
-            let id = NodeId::new(u);
-            match patch.get(id) {
-                Some(list) => edges.extend_from_slice(list),
-                None => edges.extend_from_slice(self.neighbors(id)),
-            }
-        }
-        self.offsets = offsets;
-        self.edges = edges;
-    }
-}
-
-/// A per-epoch overlay of modified adjacency lists on top of a
-/// [`CsrAdjacency`].
-///
-/// Incremental repair ([`Network::apply_moves`](crate::Network::apply_moves))
-/// touches `O(m · k)` lists for `m` movers; rewriting the dense arena
-/// for each would cost `O(E)` per mover. The patch instead snapshots a
-/// node's list into a pooled `Vec` the first time an epoch edits it
-/// (copy-on-first-touch), serves reads for touched nodes from the
-/// overlay, and hands the whole edit set to
-/// [`CsrAdjacency::compact`] for a single `O(n + E)` rewrite at commit.
-///
-/// Epochs are stamp-based ([`CsrPatch::begin`] bumps a counter), so
-/// clearing the overlay between mover batches is `O(1)` and the pooled
-/// list capacity is retained across the whole mobility sweep.
-#[derive(Debug, Clone, Default)]
-pub struct CsrPatch {
-    epoch: u32,
-    stamp: Vec<u32>,
-    slot: Vec<u32>,
-    lists: Vec<Vec<NodeId>>,
-    live: usize,
-    touched: Vec<NodeId>,
-}
-
-impl CsrPatch {
-    /// An empty patch; [`begin`](Self::begin) sizes it lazily.
-    pub fn new() -> CsrPatch {
-        CsrPatch::default()
-    }
-
-    /// Opens a new edit epoch over `n` nodes, invalidating every slot
-    /// of the previous epoch in `O(1)` (stamp bump) while keeping the
-    /// pooled list allocations.
-    pub fn begin(&mut self, n: usize) {
-        if self.stamp.len() != n {
-            self.stamp = vec![0; n];
-            self.slot = vec![0; n];
-            self.epoch = 0;
-        }
-        if self.epoch == u32::MAX {
-            self.stamp.fill(0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-        self.live = 0;
-        self.touched.clear();
-    }
-
-    /// The overlaid list of `u`, or `None` when this epoch has not
-    /// touched it (read it from the CSR instead).
-    #[inline]
-    pub fn get(&self, u: NodeId) -> Option<&[NodeId]> {
-        if self.stamp.get(u.index()) == Some(&self.epoch) {
-            Some(&self.lists[self.slot[u.index()] as usize])
-        } else {
-            None
-        }
-    }
-
-    /// Mutable access to `u`'s list, snapshotting it out of `csr` on
-    /// the first touch of the epoch.
-    pub fn edit(&mut self, csr: &CsrAdjacency, u: NodeId) -> &mut Vec<NodeId> {
-        let i = u.index();
-        if self.stamp[i] != self.epoch {
-            self.stamp[i] = self.epoch;
-            if self.live == self.lists.len() {
-                self.lists.push(Vec::new());
-            }
-            self.slot[i] = self.live as u32;
-            let list = &mut self.lists[self.live];
-            self.live += 1;
-            list.clear();
-            list.extend_from_slice(csr.neighbors(u));
-            self.touched.push(u);
-        }
-        &mut self.lists[self.slot[i] as usize]
-    }
-
-    /// Nodes touched this epoch, in first-touch order.
-    pub fn touched(&self) -> &[NodeId] {
-        &self.touched
     }
 }
 
@@ -483,8 +324,9 @@ mod tests {
         assert_eq!(csr.node_count(), 4);
         assert_eq!(csr.directed_len(), 6);
         assert_eq!(csr.edge_count(), 3);
-        assert_eq!(csr.to_lists(), lists);
-        assert_eq!(csr.neighbors(NodeId(0)), &[NodeId(1), NodeId(3)]);
+        for (u, list) in lists.iter().enumerate() {
+            assert_eq!(csr.neighbors(NodeId::new(u)), list.as_slice());
+        }
         assert_eq!(csr.degree(NodeId(2)), 1);
     }
 
@@ -507,52 +349,6 @@ mod tests {
         assert_eq!(degraded.neighbors(NodeId(0)), &[NodeId(3)]);
         assert_eq!(degraded.degree(NodeId(1)), 0);
         assert_eq!(degraded.degree(NodeId(2)), 0);
-    }
-
-    #[test]
-    fn patch_overlays_and_compacts() {
-        let mut csr = CsrAdjacency::from_lists(&demo_lists());
-        let mut patch = CsrPatch::new();
-        patch.begin(csr.node_count());
-        assert!(patch.get(NodeId(0)).is_none());
-        // Disconnect 0-1, connect 2-3.
-        patch.edit(&csr, NodeId(0)).retain(|&v| v != NodeId(1));
-        patch.edit(&csr, NodeId(1)).retain(|&v| v != NodeId(0));
-        patch.edit(&csr, NodeId(2)).push(NodeId(3));
-        let l3 = patch.edit(&csr, NodeId(3));
-        l3.push(NodeId(2));
-        l3.sort_unstable();
-        assert_eq!(patch.get(NodeId(0)), Some(&[NodeId(3)][..]));
-        csr.compact(&patch);
-        assert_eq!(csr.neighbors(NodeId(0)), &[NodeId(3)]);
-        assert_eq!(csr.neighbors(NodeId(1)), &[NodeId(2)]);
-        assert_eq!(csr.neighbors(NodeId(2)), &[NodeId(1), NodeId(3)]);
-        assert_eq!(csr.neighbors(NodeId(3)), &[NodeId(0), NodeId(2)]);
-    }
-
-    #[test]
-    fn patch_epochs_reset_in_constant_time() {
-        let csr = CsrAdjacency::from_lists(&demo_lists());
-        let mut patch = CsrPatch::new();
-        patch.begin(csr.node_count());
-        patch.edit(&csr, NodeId(0)).clear();
-        assert_eq!(patch.touched(), &[NodeId(0)]);
-        patch.begin(csr.node_count());
-        // The previous epoch's edit is invisible.
-        assert!(patch.get(NodeId(0)).is_none());
-        assert!(patch.touched().is_empty());
-        // And the pooled list is reused with its original content reset.
-        assert_eq!(patch.edit(&csr, NodeId(2)), &vec![NodeId(1)]);
-    }
-
-    #[test]
-    fn empty_patch_compact_is_a_noop() {
-        let mut csr = CsrAdjacency::from_lists(&demo_lists());
-        let reference = csr.clone();
-        let mut patch = CsrPatch::new();
-        patch.begin(csr.node_count());
-        csr.compact(&patch);
-        assert_eq!(csr, reference);
     }
 
     #[test]
@@ -588,10 +384,10 @@ mod tests {
     #[test]
     fn memory_layouts_compared() {
         let csr = CsrAdjacency::from_lists(&demo_lists());
-        // 5 offsets × 4B + 6 ids × 4B vs 4 Vec headers × 24B + 6 × 4B.
+        // 5 offsets × 4B + 6 ids × 4B, under the per-node-Vec layout's
+        // 4 Vec headers × 24B + 6 × 4B.
         assert_eq!(csr.heap_bytes(), 5 * 4 + 6 * 4);
-        assert_eq!(csr.legacy_layout_bytes(), 4 * 24 + 6 * 4);
-        assert!(csr.heap_bytes() < csr.legacy_layout_bytes());
+        assert!(csr.heap_bytes() < 4 * 24 + 6 * 4);
     }
 
     #[test]

@@ -6,18 +6,10 @@
 //! Dijkstra Euclidean shortest paths ("ideal routing path" in Fig. 1(a)) —
 //! and connectivity queries used to filter valid source/destination pairs.
 
-use crate::{CsrAdjacency, CsrPatch, NodeId, NodeRemap, PositionTable, SpatialIndex};
+use crate::{CsrAdjacency, NodeId, NodeRemap, PositionTable, SpatialIndex};
 use sp_geom::{Point, Rect, Segment};
-use sp_sync::WorkQueue;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
-
-/// Mover-batch size at which [`Network::update_adjacency_for`] shards
-/// its reattachment range queries across threads (the
-/// [`SpatialIndex::configured_threads`] policy; `SP_NET_THREADS` to
-/// pin). Below this, a mover batch repairs faster inline than any
-/// thread spawn can amortize.
-pub const PARALLEL_REPAIR_THRESHOLD: usize = 512;
 
 /// An immutable wireless ad hoc sensor network snapshot.
 ///
@@ -47,11 +39,6 @@ pub const PARALLEL_REPAIR_THRESHOLD: usize = 512;
 pub struct Network {
     // One contiguous CSR arena; `neighbors(u)` is a slice into it.
     adjacency: CsrAdjacency,
-    // The per-epoch edit overlay incremental repair writes through;
-    // compacted back into `adjacency` at the end of every
-    // `apply_moves` commit. Retained so its pooled list capacity
-    // survives across mobility ticks.
-    patch: CsrPatch,
     // The position table lives in (and is shared with) the index; all
     // position accessors delegate, so incremental moves applied through
     // the index are never observed half-synced.
@@ -100,7 +87,6 @@ impl Network {
         let adjacency = index.adjacency_within_threaded(radius, threads);
         Network {
             adjacency,
-            patch: CsrPatch::new(),
             index,
             radius,
             area,
@@ -135,7 +121,6 @@ impl Network {
         );
         Network {
             adjacency: CsrAdjacency::from_lists(&lists),
-            patch: CsrPatch::new(),
             index,
             radius,
             area,
@@ -421,7 +406,6 @@ impl Network {
         }
         Network {
             adjacency: self.adjacency.without_nodes(&is_dead),
-            patch: CsrPatch::new(),
             index: self.index.clone(),
             radius: self.radius,
             area: self.area,
@@ -452,7 +436,6 @@ impl Network {
         normalized.dedup();
         Network {
             adjacency: self.adjacency.without_edges(&normalized),
-            patch: CsrPatch::new(),
             index: self.index.clone(),
             radius: self.radius,
             area: self.area,
@@ -477,7 +460,6 @@ impl Network {
         (
             Network {
                 adjacency,
-                patch: CsrPatch::new(),
                 index,
                 radius: self.radius,
                 area: self.area,
@@ -488,188 +470,46 @@ impl Network {
 
     /// Moves the given nodes to new positions and repairs adjacency
     /// incrementally: each point relocates between grid cells in `O(1)`
-    /// ([`SpatialIndex::move_point`]) and only the touched neighborhoods
-    /// are recomputed ([`Network::update_adjacency_for`]) through the
-    /// per-epoch [`CsrPatch`] overlay, which is compacted back into the
-    /// dense arena once per call — so a mobility tick where `m` of `n`
-    /// nodes moved costs `O(n + m · k)` instead of the full `O(n · k)`
-    /// rebuild. The result is identical to rebuilding from scratch at
-    /// the new positions.
+    /// ([`SpatialIndex::move_point`]), each distinct mover is
+    /// range-queried once at its final position, and the arena is
+    /// rewritten in one pass in which only the movers and their old and
+    /// new neighbors do more than copy their slice. A mobility tick
+    /// where `m` of `n` nodes moved costs `m` range queries plus that
+    /// copy instead of the rebuild's cell scan over all `n` nodes, and
+    /// the result is identical to rebuilding from scratch at the new
+    /// positions. Duplicate ids are tolerated; the last position wins.
     ///
     /// Intended for *live* snapshots; applying moves to a
     /// [`Network::without_nodes`]-degraded copy resurrects the dead
-    /// nodes' edges.
+    /// nodes' edges to the movers.
     ///
     /// # Panics
     ///
     /// Panics if any id is out of range.
     pub fn apply_moves(&mut self, moves: &[(NodeId, Point)]) {
-        self.apply_moves_threaded(moves, Network::repair_threads(moves.len()));
+        self.adjacency = repair(&self.adjacency, &mut self.index, self.radius, moves);
     }
 
     /// The off-to-the-side mobility handoff for epoch-versioned
-    /// serving: clones this snapshot and applies `moves` to the clone
-    /// ([`Network::apply_moves`]), leaving `self` untouched — readers
+    /// serving: the next snapshot with `moves` applied (as by
+    /// [`Network::apply_moves`]), leaving `self` untouched — readers
     /// keep routing on the old topology for as long as they hold it
-    /// while the next epoch builds beside them. The position table's
-    /// `Arc` copy-on-write sharing means the clone pays for the CSR
-    /// arena but not a second position copy until a move touches it.
+    /// while the next epoch builds beside them. The next epoch copies
+    /// the spatial index's cells and, once a move lands, its position
+    /// table; its arena is written straight from this epoch's, never
+    /// copied first.
     ///
     /// # Panics
     ///
     /// Panics if any id is out of range.
     pub fn next_snapshot(&self, moves: &[(NodeId, Point)]) -> Network {
-        let mut next = self.clone();
-        next.apply_moves(moves);
-        next
-    }
-
-    /// [`Network::apply_moves`] with a pinned repair thread count.
-    /// Every count produces identical adjacency (property-tested); the
-    /// knob only trades wall-clock on large mover batches.
-    pub fn apply_moves_threaded(&mut self, moves: &[(NodeId, Point)], threads: usize) {
-        for &(id, p) in moves {
-            self.index.move_point(id, p);
+        let mut index = self.index.clone();
+        Network {
+            adjacency: repair(&self.adjacency, &mut index, self.radius, moves),
+            index,
+            radius: self.radius,
+            area: self.area,
         }
-        let moved: Vec<NodeId> = moves.iter().map(|&(id, _)| id).collect();
-        self.update_adjacency_for_threaded(&moved, threads);
-    }
-
-    /// The repair thread count [`Network::apply_moves`] and
-    /// [`Network::update_adjacency_for`] auto-select: 1 below
-    /// [`PARALLEL_REPAIR_THRESHOLD`] movers, otherwise
-    /// [`SpatialIndex::configured_threads`].
-    pub fn repair_threads(mover_count: usize) -> usize {
-        if mover_count < PARALLEL_REPAIR_THRESHOLD {
-            1
-        } else {
-            SpatialIndex::configured_threads()
-        }
-    }
-
-    /// Recomputes adjacency for `moved` nodes (whose positions in the
-    /// attached [`SpatialIndex`] already changed) and their old and new
-    /// neighbors, leaving every other list untouched. Duplicate ids are
-    /// tolerated. See [`Network::apply_moves`] for the usual entry
-    /// point.
-    ///
-    /// Above [`PARALLEL_REPAIR_THRESHOLD`] movers, the reattachment
-    /// range queries are sharded across threads (see
-    /// [`Network::update_adjacency_for_threaded`]).
-    pub fn update_adjacency_for(&mut self, moved: &[NodeId]) {
-        self.update_adjacency_for_threaded(moved, Network::repair_threads(moved.len()));
-    }
-
-    /// [`Network::update_adjacency_for`] with a pinned thread count.
-    ///
-    /// The repair has three phases: *detach* and *reattach* edit
-    /// touched lists through the [`CsrPatch`] overlay and stay serial,
-    /// while the per-mover range queries between them — the dominant
-    /// cost of a large batch — are sharded across `threads` workers
-    /// pulling movers from an atomic cursor (the same std-only
-    /// work-queue pattern as
-    /// [`SpatialIndex::adjacency_within_threaded`]). Each mover's
-    /// candidate list is identical to the serial query, and candidates
-    /// are applied in mover order, so the result is bit-identical to
-    /// the serial path at any thread count. The patch is compacted back
-    /// into the CSR arena (one `O(n + E)` rewrite) before returning.
-    pub fn update_adjacency_for_threaded(&mut self, moved: &[NodeId], threads: usize) {
-        let mut is_moved = vec![false; self.len()];
-        let mut uniq: Vec<NodeId> = Vec::with_capacity(moved.len());
-        for &u in moved {
-            if !is_moved[u.index()] {
-                is_moved[u.index()] = true;
-                uniq.push(u);
-            }
-        }
-        if uniq.is_empty() {
-            return;
-        }
-        self.patch.begin(self.adjacency.node_count());
-        // Detach every moved node: clear its overlay list and delete it
-        // from each unmoved old neighbor's overlay (moved neighbors are
-        // rebuilt anyway).
-        let mut old_buf: Vec<NodeId> = Vec::new();
-        for &u in &uniq {
-            {
-                let list = self.patch.edit(&self.adjacency, u);
-                old_buf.clear();
-                old_buf.extend_from_slice(list);
-                list.clear();
-            }
-            for &v in &old_buf {
-                if is_moved[v.index()] {
-                    continue;
-                }
-                let list = self.patch.edit(&self.adjacency, v);
-                if let Ok(at) = list.binary_search(&u) {
-                    list.remove(at);
-                }
-            }
-        }
-        // Reattach from range queries at the new positions. The serial
-        // path interleaves query and apply through one reused candidate
-        // buffer (the small-batch hot path of mobility snapshots pays
-        // one allocation per *batch*, not per mover); the threaded path
-        // precomputes all candidate lists in parallel first. Either
-        // way, candidates per mover are identical, and application
-        // order is mover order, so results match at any thread count.
-        let threads = threads.clamp(1, uniq.len());
-        if threads <= 1 {
-            let mut candidates: Vec<NodeId> = Vec::new();
-            for &u in &uniq {
-                candidates.clear();
-                candidates.extend(
-                    self.index
-                        .within_radius(self.index.position(u), self.radius),
-                );
-                self.reattach_one(u, &candidates, &is_moved);
-            }
-        } else {
-            let all = self.repair_candidates_threaded(&uniq, threads);
-            for (k, &u) in uniq.iter().enumerate() {
-                self.reattach_one(u, &all[k], &is_moved);
-            }
-        }
-        for &u in &uniq {
-            self.patch.edit(&self.adjacency, u).sort_unstable();
-        }
-        self.adjacency.compact(&self.patch);
-    }
-
-    /// Inserts the edges of one repaired mover given its radius-query
-    /// `candidates`, writing through the patch overlay. A pair of moved
-    /// endpoints shows up in both movers' queries; the smaller id owns
-    /// it so each edge lands exactly once.
-    fn reattach_one(&mut self, u: NodeId, candidates: &[NodeId], is_moved: &[bool]) {
-        let pu = self.index.position(u);
-        let r_sq = self.radius * self.radius;
-        for &v in candidates {
-            if v == u || (is_moved[v.index()] && v < u) {
-                continue;
-            }
-            debug_assert!(self.index.position(v).distance_sq(pu) <= r_sq);
-            self.patch.edit(&self.adjacency, u).push(v);
-            if is_moved[v.index()] {
-                self.patch.edit(&self.adjacency, v).push(u);
-            } else {
-                let list = self.patch.edit(&self.adjacency, v);
-                if let Err(at) = list.binary_search(&u) {
-                    list.insert(at, u);
-                }
-            }
-        }
-    }
-
-    /// The per-mover radius-query results behind the threaded
-    /// reattachment, sharded across `threads` workers pulling movers
-    /// from the shared [`sp_sync::WorkQueue`] cursor. Content and
-    /// order per mover are identical to the serial queries.
-    fn repair_candidates_threaded(&self, uniq: &[NodeId], threads: usize) -> Vec<Vec<NodeId>> {
-        WorkQueue::new().run(threads, uniq.len(), |k| {
-            let pu = self.index.position(uniq[k]);
-            self.index.within_radius(pu, self.radius).collect()
-        })
     }
 
     /// Byte-level accounting of the topology storage — the numbers the
@@ -680,9 +520,100 @@ impl Network {
             csr_bytes: self.adjacency.heap_bytes(),
             position_bytes: self.position_table().heap_bytes(),
             grid_bytes: self.index.grid_heap_bytes(),
-            legacy_adjacency_bytes: self.adjacency.legacy_layout_bytes(),
         }
     }
+}
+
+/// What one mobility batch does to a node's list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Touch {
+    /// No mover among its old or new neighbors: the list is copied.
+    None,
+    /// An old or new neighbor of a mover: its moved neighbors drop out
+    /// and the movers now in range join.
+    Near,
+    /// A mover: the list is its range query at its final position.
+    Mover,
+}
+
+/// The adjacency `old` becomes once `moves` land in `index`, identical
+/// to a rebuild at the new positions. Each distinct mover is
+/// range-queried once, at its final position, and the next arena is
+/// written in one pass over `old`: an untouched node copies its slice,
+/// a mover takes its fresh sorted list, and every other node drops its
+/// moved neighbors and merges in the movers now in range.
+fn repair(
+    old: &CsrAdjacency,
+    index: &mut SpatialIndex,
+    radius: f64,
+    moves: &[(NodeId, Point)],
+) -> CsrAdjacency {
+    for &(u, p) in moves {
+        index.move_point(u, p);
+    }
+    let mut movers: Vec<NodeId> = moves.iter().map(|&(u, _)| u).collect();
+    movers.sort_unstable();
+    movers.dedup();
+    let mut touch = vec![Touch::None; old.node_count()];
+    for &u in &movers {
+        touch[u.index()] = Touch::Mover;
+    }
+    // `(owner, neighbor)` pairs sorted by owner: each mover's fresh
+    // list, and each non-mover's movers now in range.
+    let mut fresh: Vec<(NodeId, NodeId)> = Vec::new();
+    let mut gained: Vec<(NodeId, NodeId)> = Vec::new();
+    for &u in &movers {
+        let start = fresh.len();
+        let found = index.within_radius(index.position(u), radius);
+        fresh.extend(found.filter(|&v| v != u).map(|v| (u, v)));
+        fresh[start..].sort_unstable();
+        for &(_, v) in &fresh[start..] {
+            if touch[v.index()] != Touch::Mover {
+                touch[v.index()] = Touch::Near;
+                gained.push((v, u));
+            }
+        }
+        for &v in old.neighbors(u) {
+            if touch[v.index()] == Touch::None {
+                touch[v.index()] = Touch::Near;
+            }
+        }
+    }
+    gained.sort_unstable();
+    let capacity = old.directed_len() + 2 * fresh.len();
+    let (mut fresh, mut gained) = (fresh.as_slice(), gained.as_slice());
+    CsrAdjacency::from_fn(old.node_count(), capacity, |v, edges| {
+        match touch[v.index()] {
+            Touch::None => edges.extend_from_slice(old.neighbors(v)),
+            Touch::Mover => edges.extend(take_run(&mut fresh, v)),
+            Touch::Near => {
+                // Merge the neighbors that stayed with the movers now in
+                // range; both runs are sorted.
+                let mut joined = take_run(&mut gained, v).peekable();
+                for &w in old.neighbors(v) {
+                    if touch[w.index()] != Touch::Mover {
+                        while let Some(u) = joined.next_if(|&u| u < w) {
+                            edges.push(u);
+                        }
+                        edges.push(w);
+                    }
+                }
+                edges.extend(joined);
+            }
+        }
+    })
+}
+
+/// The neighbors `owner` holds at the front of `pairs` (sorted by
+/// owner), advancing `pairs` past them.
+fn take_run<'a>(
+    pairs: &mut &'a [(NodeId, NodeId)],
+    owner: NodeId,
+) -> impl Iterator<Item = NodeId> + 'a {
+    let run = pairs.iter().take_while(|&&(o, _)| o == owner).count();
+    let (mine, rest) = pairs.split_at(run);
+    *pairs = rest;
+    mine.iter().map(|&(_, v)| v)
 }
 
 /// Heap-byte breakdown of one [`Network`]'s topology storage, from
@@ -697,9 +628,6 @@ pub struct TopologyFootprint {
     pub position_bytes: usize,
     /// The spatial-index grid cells.
     pub grid_bytes: usize,
-    /// What the same adjacency would cost in the legacy per-node-`Vec`
-    /// layout (one `Vec` header per node plus its ids).
-    pub legacy_adjacency_bytes: usize,
 }
 
 impl TopologyFootprint {
@@ -719,16 +647,6 @@ impl TopologyFootprint {
             return 0.0;
         }
         self.csr_bytes as f64 / self.nodes as f64
-    }
-
-    /// Legacy per-node-`Vec` adjacency bytes per node, for the
-    /// strictly-lower comparison the acceptance criteria demand; 0 for
-    /// an empty network.
-    pub fn legacy_adjacency_bytes_per_node(&self) -> f64 {
-        if self.nodes == 0 {
-            return 0.0;
-        }
-        self.legacy_adjacency_bytes as f64 / self.nodes as f64
     }
 }
 
@@ -975,7 +893,9 @@ mod tests {
         // 6 offsets × 4B + 6 directed edges × 4B.
         assert_eq!(fp.csr_bytes, 6 * 4 + 6 * 4);
         assert_eq!(fp.position_bytes, 5 * 16);
-        assert!(fp.adjacency_bytes_per_node() < fp.legacy_adjacency_bytes_per_node());
+        // A per-node-Vec layout would hold one 24-byte header per node
+        // plus the same ids.
+        assert!(fp.csr_bytes < 5 * 24 + 6 * 4);
         assert!(fp.bytes_per_node() > 0.0);
     }
 }

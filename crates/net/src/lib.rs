@@ -17,10 +17,9 @@
 //!   to pin) and supports `O(1)` incremental point moves;
 //! * [`csr`] — the cache-dense [`CsrAdjacency`] edge arena every
 //!   [`Network`] stores its topology in (one contiguous `u32` offset
-//!   table + [`NodeId`] arena), the [`CsrPatch`] overlay that keeps
-//!   incremental repair `O(1)` per move, and the [`NodeRemap`]
-//!   produced by the construction-time spatial sort
-//!   ([`Network::spatially_sorted`]);
+//!   table + [`NodeId`] arena; a mover batch rewrites it in one pass,
+//!   [`Network::apply_moves`]), and the [`NodeRemap`] produced by the
+//!   construction-time spatial sort ([`Network::spatially_sorted`]);
 //! * [`positions`] — the structure-of-arrays [`PositionTable`]
 //!   (`xs`/`ys` slices) every [`SpatialIndex`] owns, so range scans
 //!   stream two dense `f64` arrays;
@@ -61,12 +60,12 @@ pub mod positions;
 pub mod radio;
 pub mod spatial;
 
-pub use csr::{CsrAdjacency, CsrPatch, NodeRemap};
+pub use csr::{CsrAdjacency, NodeRemap};
 pub use deploy::{
     CityBlockModel, ClusterModel, CorridorModel, DeploymentConfig, FaModel, Obstacle,
 };
 pub use edge_nodes::edge_node_ids;
-pub use graph::{Network, TopologyFootprint, PARALLEL_REPAIR_THRESHOLD};
+pub use graph::{Network, TopologyFootprint};
 pub use mobility::RandomWaypoint;
 pub use node::NodeId;
 pub use planar::{PlanarGraph, Planarization};

@@ -188,8 +188,9 @@ impl RandomWaypoint {
     /// The unit-disk-graph snapshot of the current positions,
     /// maintained *incrementally*: the first call builds the topology
     /// once, every later call relocates only the nodes that moved since
-    /// the previous call ([`Network::apply_moves`]) — `O(n + m · k)`
-    /// for `m` movers instead of the full `O(n · k)` rebuild, the win
+    /// the previous call ([`Network::apply_moves`]) — `m` range queries
+    /// and one arena copy for `m` movers instead of the full rebuild's
+    /// `n` range queries, the win
     /// that makes dense mobility sweeps affordable (§1's "node
     /// mobility" dynamic factor at 10⁴–10⁵ nodes).
     ///

@@ -300,8 +300,8 @@ impl SpatialIndex {
     /// and sorting one list per node.
     ///
     /// Kept *only* as the reference the CSR equivalence property tests
-    /// and the memory-layout comparison measure against; production
-    /// paths use [`adjacency_within`](Self::adjacency_within).
+    /// compare against; production paths use
+    /// [`adjacency_within`](Self::adjacency_within).
     #[doc(hidden)]
     pub fn adjacency_lists_within(&self, radius: f64) -> Vec<Vec<NodeId>> {
         let r_sq = radius * radius;
@@ -378,17 +378,6 @@ impl SpatialIndex {
         if node_count < PARALLEL_NODE_THRESHOLD {
             return 1;
         }
-        SpatialIndex::configured_threads()
-    }
-
-    /// The raw thread-count policy behind
-    /// [`auto_threads`](Self::auto_threads), without the node-count
-    /// gate: the [`THREADS_ENV`] (`SP_NET_THREADS`) environment knob
-    /// when set to a positive integer, otherwise
-    /// [`std::thread::available_parallelism`]. Used by callers whose
-    /// parallelism trigger is not total node count (e.g. incremental
-    /// repair keyed on mover-batch size).
-    pub fn configured_threads() -> usize {
         sp_sync::configured_threads_for(THREADS_ENV)
     }
 
@@ -682,7 +671,8 @@ mod tests {
         let pts = scatter(350, 31337);
         let index = SpatialIndex::build(&pts, demo_area(), 20.0);
         let csr = index.adjacency_within(20.0);
-        assert_eq!(csr.to_lists(), index.adjacency_lists_within(20.0));
+        let lists = index.adjacency_lists_within(20.0);
+        assert_eq!(csr, CsrAdjacency::from_lists(&lists));
     }
 
     #[test]

@@ -11,20 +11,22 @@
 use proptest::prelude::*;
 use sp_geom::Point;
 use sp_net::{
-    deploy::DeploymentConfig, CityBlockModel, ClusterModel, Network, NodeId, SpatialIndex,
+    deploy::DeploymentConfig, CityBlockModel, ClusterModel, CsrAdjacency, Network, NodeId,
+    SpatialIndex,
 };
 
 fn paper_cfg(n: usize) -> DeploymentConfig {
     DeploymentConfig::paper_default(n)
 }
 
-/// The legacy adjacency, order-normalized (each list sorted).
-fn legacy_lists(index: &SpatialIndex, radius: f64) -> Vec<Vec<NodeId>> {
+/// The legacy adjacency, order-normalized (each list sorted) and
+/// packed into an arena.
+fn legacy_csr(index: &SpatialIndex, radius: f64) -> CsrAdjacency {
     let mut lists = index.adjacency_lists_within(radius);
     for l in &mut lists {
         l.sort_unstable();
     }
-    lists
+    CsrAdjacency::from_lists(&lists)
 }
 
 /// A deterministic mover batch: every `stride`-th node displaced by a
@@ -64,12 +66,12 @@ proptest! {
         ];
         for pos in deployments {
             let index = SpatialIndex::build(&pos, cfg.area, cfg.radius);
-            let want = legacy_lists(&index, cfg.radius);
+            let want = legacy_csr(&index, cfg.radius);
             for threads in [1usize, 2, 3, 8] {
                 let csr = index.adjacency_within_threaded(cfg.radius, threads);
                 prop_assert_eq!(
-                    csr.to_lists(),
-                    want.clone(),
+                    &csr,
+                    &want,
                     "CSR != legacy at n={}, threads={}",
                     n,
                     threads
@@ -78,9 +80,9 @@ proptest! {
         }
     }
 
-    /// After a batch of moves lands (patch overlay + compact), the
-    /// network's CSR equals a from-scratch legacy build of the moved
-    /// positions — and a second (inverse) batch restores the original.
+    /// After a batch of moves lands, the network's CSR equals a
+    /// from-scratch legacy build of the moved positions — and a second
+    /// (inverse) batch restores the original, twice over.
     #[test]
     fn csr_stays_equivalent_through_move_batches(seed in 0u64..2_000) {
         let n = 300;
@@ -92,15 +94,15 @@ proptest! {
             .iter()
             .map(|&(id, _)| (id, pos[id.index()]))
             .collect();
-        for threads in [1usize, 3] {
-            net.apply_moves_threaded(&moves, threads);
+        for round in 0..2 {
+            net.apply_moves(&moves);
             let moved_index = SpatialIndex::build(&net.positions_vec(), cfg.area, cfg.radius);
-            let want = legacy_lists(&moved_index, cfg.radius);
-            prop_assert_eq!(net.adjacency().to_lists(), want, "forward batch, threads={}", threads);
-            net.apply_moves_threaded(&inverse, threads);
+            let want = legacy_csr(&moved_index, cfg.radius);
+            prop_assert_eq!(net.adjacency(), &want, "forward batch, round {}", round);
+            net.apply_moves(&inverse);
         }
         let back_index = SpatialIndex::build(&pos, cfg.area, cfg.radius);
-        prop_assert_eq!(net.adjacency().to_lists(), legacy_lists(&back_index, cfg.radius));
+        prop_assert_eq!(net.adjacency(), &legacy_csr(&back_index, cfg.radius));
     }
 
     /// `spatially_sorted` is a relabeling isomorphism: mapping the

@@ -22,17 +22,24 @@
 //! * publication ordering that keeps the counter invariant: the epoch
 //!   number is advanced **before** the pointer swap (both inside the
 //!   writer-side critical section), so no reader can observe a value
-//!   stamped later than the counter it reads.
+//!   stamped later than the counter it reads;
+//! * serialized writers: [`EpochCell::update`] derives the next value
+//!   from the current one under a writer lock that
+//!   [`EpochCell::publish`] also takes, so two updates never derive
+//!   from the same epoch and drop each other's change. Readers never
+//!   touch that lock.
 //!
 //! Readers sharing one session cache the [`Pinned`] pair and re-load
 //! only when [`EpochCell::epoch`] moved — the steady-state query path
 //! is one relaxed-ordering-free atomic load, no lock. The swap protocol
 //! itself (fill → bump → publish, and the seeded publish-before-fill
-//! bug the explorer must catch) is model-checked schedule-exhaustively
-//! in this crate's `interleavings` test suite.
+//! bug the explorer must catch) and the serialized load → derive →
+//! publish of two updaters (with a seeded unserialized variant that
+//! loses an update) are model-checked schedule-exhaustively in this
+//! crate's `interleavings` test suite.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 /// One loaded `(epoch, value)` pair: the snapshot a reader pinned and
 /// the epoch it was published at. Cloning clones the `Arc`, not the
@@ -78,6 +85,10 @@ pub struct EpochCell<T> {
     /// The published snapshot. The lock is held only to swap or clone
     /// the `Arc` — never while a snapshot is being built or queried.
     slot: RwLock<Arc<T>>,
+    /// Serializes writers: held by `update` from its load through its
+    /// swap, and by `publish` around its swap. It guards no data, so a
+    /// writer that panicked while holding it leaves nothing half-done.
+    writer: Mutex<()>,
 }
 
 impl<T> EpochCell<T> {
@@ -86,6 +97,7 @@ impl<T> EpochCell<T> {
         EpochCell {
             epoch: AtomicU64::new(0),
             slot: RwLock::new(Arc::new(value)),
+            writer: Mutex::new(()),
         }
     }
 
@@ -111,13 +123,13 @@ impl<T> EpochCell<T> {
     }
 
     /// Publishes a fully-formed `value` as the next epoch and returns
-    /// its epoch number. Concurrent publishers serialize on the write
-    /// lock; readers holding earlier pins are unaffected — their `Arc`
-    /// keeps the old snapshot alive.
+    /// its epoch number. Concurrent publishers and updaters serialize
+    /// on the writer lock; readers holding earlier pins are unaffected
+    /// — their `Arc` keeps the old snapshot alive.
     ///
     /// Build the value **before** calling this (the fill-then-publish
-    /// discipline): the write lock is held only for the counter bump
-    /// and the pointer swap.
+    /// discipline): the writer lock and the slot's write lock are held
+    /// only for the counter bump and the pointer swap.
     pub fn publish(&self, value: T) -> u64 {
         self.publish_arc(Arc::new(value))
     }
@@ -125,6 +137,28 @@ impl<T> EpochCell<T> {
     /// [`EpochCell::publish`] for a value the caller already wrapped in
     /// an `Arc` (e.g. one shared with bookkeeping outside the cell).
     pub fn publish_arc(&self, value: Arc<T>) -> u64 {
+        let _writer = crate::lock_recover(&self.writer);
+        self.swap(value)
+    }
+
+    /// Derives the next epoch from the current one and publishes it:
+    /// `f` gets the current value, and what it returns becomes the next
+    /// epoch, whose number is returned. The writer lock is held from
+    /// the load through the swap, so no other update or publish lands
+    /// in between and no update is lost. Readers keep loading the
+    /// current epoch while `f` runs.
+    ///
+    /// `f` must not publish to or update this cell: the writer lock is
+    /// not reentrant.
+    pub fn update(&self, f: impl FnOnce(&T) -> T) -> u64 {
+        let _writer = crate::lock_recover(&self.writer);
+        let next = f(&self.load().value);
+        self.swap(Arc::new(next))
+    }
+
+    /// Bumps the epoch and swaps `value` in; the caller holds the
+    /// writer lock.
+    fn swap(&self, value: Arc<T>) -> u64 {
         let mut slot = self.slot.write().unwrap_or_else(PoisonError::into_inner);
         // Bump first, then swap: a reader that observes the new value
         // (reachable only after the swap) therefore also observes a
@@ -192,6 +226,17 @@ mod tests {
         }
         writer.join().unwrap();
         assert_eq!(cell.epoch(), 200);
+    }
+
+    #[test]
+    fn update_derives_from_the_current_value() {
+        let cell = EpochCell::new(vec![1]);
+        let pinned = cell.load();
+        assert_eq!(cell.update(|v| [v.as_slice(), &[2]].concat()), 1);
+        cell.publish(vec![7]);
+        assert_eq!(cell.update(|v| [v.as_slice(), &[8]].concat()), 3);
+        assert_eq!(*cell.load().value, vec![7, 8]);
+        assert_eq!(*pinned.value, vec![1]);
     }
 
     #[test]

@@ -28,8 +28,7 @@ pub struct EnvKnob {
 pub const ENV_KNOBS: &[EnvKnob] = &[
     EnvKnob {
         name: "SP_NET_THREADS",
-        summary: "Worker threads for spatial-index adjacency construction and \
-                  incremental mobility repair (sp-net).",
+        summary: "Worker threads for bulk spatial-index adjacency construction (sp-net).",
         default: "available parallelism",
     },
     EnvKnob {

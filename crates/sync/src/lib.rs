@@ -16,8 +16,9 @@
 //!   [`default_threads`], the host's available parallelism).
 //! * [`EpochCell`] — the epoch-versioned `Arc` snapshot slot behind
 //!   `sp_core`'s `RoutingService`: writers publish fully-formed values
-//!   (fill-then-publish), readers pin `(epoch, Arc)` pairs wait-free in
-//!   the steady state.
+//!   (fill-then-publish) or derive the next from the current one under
+//!   a writer lock ([`EpochCell::update`]), readers pin `(epoch, Arc)`
+//!   pairs wait-free in the steady state.
 //! * [`LatencyHistogram`] — the one latency estimator: a fixed
 //!   log-linear bucket histogram that records without allocating,
 //!   merges per-worker histograms exactly and reads nearest-rank

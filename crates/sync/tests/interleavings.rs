@@ -1,4 +1,4 @@
-//! Exhaustive interleaving checks for the workspace's four lock-free
+//! Exhaustive interleaving checks for the workspace's five concurrency
 //! protocols, driven by the [`sp_sync::check`] mini-loom.
 //!
 //! Each model mirrors one real protocol at the granularity of its
@@ -18,6 +18,10 @@
 //!    then bump the epoch counter and swap the slot inside the write
 //!    critical section, while readers pin `(epoch, Arc)` pairs and
 //!    probe the counter wait-free.
+//! 5. [`TwoUpdaters`] — [`sp_sync::EpochCell::update`] behind
+//!    `RoutingService::apply_moves`: each updater loads the current
+//!    value, derives the next from it and publishes, all under the
+//!    writer lock, so neither update is lost.
 //!
 //! The explorer walks **every** schedule of 2–3 modeled threads and
 //! checks the invariants at every reachable state, so a pass here is a
@@ -877,4 +881,141 @@ fn epoch_model_catches_swap_before_bump() {
     let err = explore(&SwapBeforeBump(EpochSwap::new(1)))
         .expect_err("swapping before bumping must let a stamp outrun the counter");
     assert!(err.message.contains("stamped epoch"), "{err}");
+}
+
+// ---------------------------------------------------------------------
+// Model 5: EpochCell::update, a serialized load -> derive -> publish.
+// ---------------------------------------------------------------------
+
+/// Updater program counter for [`TwoUpdaters`]. The real `update` holds
+/// the writer lock from its load through its swap; the swap (bump, then
+/// store) is one step here, since Model 4 checks its inner order.
+#[derive(Clone, Copy, PartialEq)]
+enum UpdaterPc {
+    /// Take the writer lock.
+    Acquire,
+    /// Load the current value.
+    Load,
+    /// Publish the loaded value plus this updater's batch as the next
+    /// epoch.
+    Publish,
+    /// Drop the writer lock.
+    Release,
+    Done,
+}
+
+/// Two updaters each publish the current value plus their own batch —
+/// the shape of two `RoutingService::apply_moves` calls racing. The
+/// invariant, at every reachable state: the published value holds one
+/// batch per published epoch, so no update was derived from a stale
+/// epoch and lost.
+#[derive(Clone)]
+struct TwoUpdaters {
+    epoch: u32,
+    /// Bit `t` set: updater `t`'s batch is in the published value.
+    batches: u8,
+    locked: bool,
+    pcs: [UpdaterPc; 2],
+    loaded: [u8; 2],
+}
+
+impl TwoUpdaters {
+    fn new() -> TwoUpdaters {
+        TwoUpdaters {
+            epoch: 0,
+            batches: 0,
+            locked: false,
+            pcs: [UpdaterPc::Acquire; 2],
+            loaded: [0; 2],
+        }
+    }
+}
+
+impl Interleave for TwoUpdaters {
+    fn runnable(&self) -> Vec<usize> {
+        (0..2)
+            .filter(|&t| {
+                let pc = self.pcs[t];
+                pc != UpdaterPc::Done && !(pc == UpdaterPc::Acquire && self.locked)
+            })
+            .collect()
+    }
+
+    fn step(&mut self, tid: usize) {
+        self.pcs[tid] = match self.pcs[tid] {
+            UpdaterPc::Acquire => {
+                self.locked = true;
+                UpdaterPc::Load
+            }
+            UpdaterPc::Load => {
+                self.loaded[tid] = self.batches;
+                UpdaterPc::Publish
+            }
+            UpdaterPc::Publish => {
+                self.epoch += 1;
+                self.batches = self.loaded[tid] | (1 << tid);
+                UpdaterPc::Release
+            }
+            UpdaterPc::Release => {
+                self.locked = false;
+                UpdaterPc::Done
+            }
+            UpdaterPc::Done => unreachable!("a done updater is not runnable"),
+        };
+    }
+
+    fn done(&self) -> bool {
+        self.pcs.iter().all(|&pc| pc == UpdaterPc::Done)
+    }
+
+    fn invariants(&self) -> Result<(), String> {
+        let held = self.batches.count_ones();
+        if held != self.epoch {
+            return Err(format!(
+                "epoch {} holds {held} batches: an update was lost",
+                self.epoch
+            ));
+        }
+        Ok(())
+    }
+}
+
+#[test]
+fn epoch_cell_updates_never_lose_a_batch() {
+    let report = explore(&TwoUpdaters::new()).unwrap_or_else(|v| panic!("{v}"));
+    assert_explored("two updaters", report);
+}
+
+#[test]
+fn update_model_catches_an_unserialized_load_derive_publish() {
+    /// The same updaters loading, deriving and publishing without the
+    /// writer lock — the shape of `apply_moves` as a bare `load` then
+    /// `publish`. Both can load epoch 0, and the second publish drops
+    /// the first one's batch.
+    #[derive(Clone)]
+    struct Unserialized(TwoUpdaters);
+
+    impl Interleave for Unserialized {
+        fn runnable(&self) -> Vec<usize> {
+            self.0.runnable()
+        }
+        fn step(&mut self, tid: usize) {
+            match self.0.pcs[tid] {
+                // BUG: no writer lock around the load and the publish.
+                UpdaterPc::Acquire => self.0.pcs[tid] = UpdaterPc::Load,
+                UpdaterPc::Release => self.0.pcs[tid] = UpdaterPc::Done,
+                _ => self.0.step(tid),
+            }
+        }
+        fn done(&self) -> bool {
+            self.0.done()
+        }
+        fn invariants(&self) -> Result<(), String> {
+            self.0.invariants()
+        }
+    }
+
+    let err = explore(&Unserialized(TwoUpdaters::new()))
+        .expect_err("an unserialized load-derive-publish must lose an update");
+    assert!(err.message.contains("was lost"), "{err}");
 }
