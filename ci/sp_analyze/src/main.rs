@@ -368,10 +368,10 @@ mod tests {
         let diags = analyze(&[], &manifest, "no knobs documented here");
         assert_eq!(diags.len(), 1);
         assert!(diags[0].rule == "env" && diags[0].file == "README.md");
-        let dropped = readme_with_table().replace("| `SP_NET_THREADS` |", "| `SP_OTHER` |");
+        let dropped = readme_with_table().replace("| `SP_SERVE_THREADS` |", "| `SP_OTHER` |");
         let diags = analyze(&[], &manifest, &dropped);
         assert_eq!(diags.len(), 1, "{diags:?}");
-        assert!(diags[0].message.contains("SP_NET_THREADS"), "{diags:?}");
+        assert!(diags[0].message.contains("SP_SERVE_THREADS"), "{diags:?}");
     }
 
     #[test]

@@ -851,7 +851,7 @@ mod tests {
 
     #[test]
     fn env_rule_accepts_registered_knobs_via_the_registry() {
-        let src = "fn f() -> usize { sp_sync::configured_threads_for(\"SP_NET_THREADS\") }";
+        let src = "fn f() -> usize { sp_sync::configured_threads_for(\"SP_SERVE_THREADS\") }";
         let sf = lib_file(src);
         let mut out = Vec::new();
         sf.check_env(&knob_registry, false, &mut out);

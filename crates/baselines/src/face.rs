@@ -27,10 +27,7 @@
 //! property of \[2\] — the strongest baseline in the suite, used by the
 //! extended comparison A8 (`repro-figures a8`).
 
-use sp_core::{
-    default_ttl, walk_into, FaceState, HopPolicy, Mode, PacketState, RouteBuffer, RoutePhase,
-    RouteRef, Routing,
-};
+use sp_core::{closer_neighbors, greedy_pick, FaceState, Mode, PacketState, RoutePhase, Routing};
 use sp_geom::Segment;
 use sp_net::{Network, NodeId, PlanarGraph, Planarization};
 
@@ -71,22 +68,6 @@ impl GfgRouter {
     /// The planar graph the face walks run on.
     pub fn planar(&self) -> &PlanarGraph {
         &self.planar
-    }
-
-    /// Greedy pick: strictly-closer neighbor with the most progress.
-    fn greedy_step(&self, net: &Network, u: NodeId, d: NodeId) -> Option<NodeId> {
-        let pd = net.position(d);
-        let du = net.position(u).distance_sq(pd);
-        net.neighbors(u)
-            .iter()
-            .copied()
-            .filter(|&v| net.position(v).distance_sq(pd) < du)
-            .min_by(|&a, &b| {
-                net.position(a)
-                    .distance_sq(pd)
-                    .total_cmp(&net.position(b).distance_sq(pd))
-                    .then_with(|| a.cmp(&b))
-            })
     }
 
     /// One face-mode hop from `u`: right-hand pivot, then the FACE-2
@@ -160,7 +141,7 @@ impl GfgRouter {
     }
 }
 
-impl HopPolicy for GfgRouter {
+impl Routing for GfgRouter {
     fn name(&self) -> &'static str {
         "GFG"
     }
@@ -184,7 +165,7 @@ impl HopPolicy for GfgRouter {
         }
 
         if pkt.mode == Mode::Greedy {
-            if let Some(v) = self.greedy_step(net, u, d) {
+            if let Some(v) = greedy_pick(net, d, closer_neighbors(net, u, d)) {
                 pkt.phase = RoutePhase::Greedy;
                 return Some(v);
             }
@@ -199,22 +180,6 @@ impl HopPolicy for GfgRouter {
 
         pkt.phase = RoutePhase::Perimeter;
         self.face_step(net, pkt, false)
-    }
-}
-
-impl Routing for GfgRouter {
-    fn name(&self) -> &'static str {
-        "GFG"
-    }
-
-    fn route_into<'b>(
-        &self,
-        net: &Network,
-        src: NodeId,
-        dst: NodeId,
-        buf: &'b mut RouteBuffer,
-    ) -> RouteRef<'b> {
-        walk_into(self, net, src, dst, default_ttl(net), buf)
     }
 }
 

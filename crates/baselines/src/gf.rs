@@ -7,7 +7,9 @@
 //! routing. When the stuck node lies on no detected boundary, the router
 //! falls back to right-hand face routing on the Gabriel planarization
 //! (Bose et al. \[2\], as in GPSR). Recovery ends when the packet is
-//! closer to the destination than the stuck node was.
+//! closer to the destination than the stuck node was. The alternation
+//! is sp-core's [`greedy_with_recovery`], the same hop LGF and SLGF run;
+//! GF supplies the unrestricted greedy pick and its recovery step.
 //!
 //! The face walk implements the greedy/face alternation without GPSR's
 //! mid-face edge-crossing restarts; the rare topologies where that
@@ -15,10 +17,7 @@
 //! rather than mis-measured.
 
 use crate::boundhole::HoleAtlas;
-use sp_core::{
-    default_ttl, walk_into, HopPolicy, Mode, PacketState, RouteBuffer, RoutePhase, RouteRef,
-    RouteResult, Routing,
-};
+use sp_core::{closer_neighbors, greedy_pick, greedy_with_recovery, PacketState, Routing};
 use sp_net::{Network, NodeId, PlanarGraph, Planarization};
 
 /// How GF recovers from a local minimum.
@@ -80,22 +79,6 @@ impl GfRouter {
         self.recovery
     }
 
-    /// Pure greedy pick: strictly-closer neighbor with most progress.
-    fn greedy_step(&self, net: &Network, u: NodeId, d: NodeId) -> Option<NodeId> {
-        let pd = net.position(d);
-        let du = net.position(u).distance_sq(pd);
-        net.neighbors(u)
-            .iter()
-            .copied()
-            .filter(|&v| net.position(v).distance_sq(pd) < du)
-            .min_by(|&a, &b| {
-                net.position(a)
-                    .distance_sq(pd)
-                    .total_cmp(&net.position(b).distance_sq(pd))
-                    .then_with(|| a.cmp(&b))
-            })
-    }
-
     /// One recovery hop.
     fn recovery_step(&self, net: &Network, pkt: &PacketState, entering: bool) -> Option<NodeId> {
         let u = pkt.current;
@@ -125,70 +108,19 @@ impl GfRouter {
     }
 }
 
-impl HopPolicy for GfRouter {
-    fn name(&self) -> &'static str {
-        "GF"
-    }
-
-    fn next_hop(&self, net: &Network, pkt: &mut PacketState) -> Option<NodeId> {
-        let u = pkt.current;
-        let d = pkt.dst;
-
-        if net.has_edge(u, d) {
-            pkt.resume_greedy();
-            pkt.phase = RoutePhase::Greedy;
-            return Some(d);
-        }
-
-        // Recovery exit: closer than the stuck anchor.
-        if let Mode::Perimeter { entry_dist } = pkt.mode {
-            let du = net.position(u).distance(net.position(d));
-            if du < entry_dist {
-                if let Some(v) = self.greedy_step(net, u, d) {
-                    pkt.resume_greedy();
-                    pkt.phase = RoutePhase::Greedy;
-                    return Some(v);
-                }
-                pkt.mode = Mode::Perimeter { entry_dist: du };
-            }
-        }
-
-        if pkt.mode == Mode::Greedy {
-            if let Some(v) = self.greedy_step(net, u, d) {
-                pkt.phase = RoutePhase::Greedy;
-                return Some(v);
-            }
-            let du = net.position(u).distance(net.position(d));
-            pkt.enter_perimeter(du);
-            pkt.phase = RoutePhase::Perimeter;
-            return self.recovery_step(net, pkt, true);
-        }
-
-        pkt.phase = RoutePhase::Perimeter;
-        self.recovery_step(net, pkt, false)
-    }
-}
-
 impl Routing for GfRouter {
     fn name(&self) -> &'static str {
         "GF"
     }
 
-    fn route_into<'b>(
-        &self,
-        net: &Network,
-        src: NodeId,
-        dst: NodeId,
-        buf: &'b mut RouteBuffer,
-    ) -> RouteRef<'b> {
-        walk_into(self, net, src, dst, default_ttl(net), buf)
+    fn next_hop(&self, net: &Network, pkt: &mut PacketState) -> Option<NodeId> {
+        greedy_with_recovery(
+            net,
+            pkt,
+            |u, d| greedy_pick(net, d, closer_neighbors(net, u, d)),
+            |pkt, entering| self.recovery_step(net, pkt, entering),
+        )
     }
-}
-
-/// One-call convenience used by examples: build recovery structures and
-/// route a single packet.
-pub fn route_gf(net: &Network, src: NodeId, dst: NodeId) -> RouteResult {
-    GfRouter::new(net).route(net, src, dst)
 }
 
 #[cfg(test)]

@@ -23,8 +23,7 @@
 
 use crate::GfgRouter;
 use sp_core::{
-    closer_than_entry, default_ttl, walk_into, FaceState, HopPolicy, Mode, PacketState,
-    RouteBuffer, RoutePhase, RouteRef, Routing, SafetyInfo, Slgf2Router,
+    closer_than_entry, FaceState, Mode, PacketState, RoutePhase, Routing, SafetyInfo, Slgf2Router,
 };
 use sp_net::{Network, NodeId};
 
@@ -70,7 +69,7 @@ impl<'a> Slgf2FaceRouter<'a> {
     }
 }
 
-impl HopPolicy for Slgf2FaceRouter<'_> {
+impl Routing for Slgf2FaceRouter<'_> {
     fn name(&self) -> &'static str {
         "SLGF2-F"
     }
@@ -107,22 +106,6 @@ impl HopPolicy for Slgf2FaceRouter<'_> {
             return self.face.face_step(net, pkt, true);
         }
         decision
-    }
-}
-
-impl Routing for Slgf2FaceRouter<'_> {
-    fn name(&self) -> &'static str {
-        "SLGF2-F"
-    }
-
-    fn route_into<'b>(
-        &self,
-        net: &Network,
-        src: NodeId,
-        dst: NodeId,
-        buf: &'b mut RouteBuffer,
-    ) -> RouteRef<'b> {
-        walk_into(self, net, src, dst, default_ttl(net), buf)
     }
 }
 

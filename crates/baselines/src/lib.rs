@@ -28,6 +28,6 @@ pub mod tent;
 
 pub use boundhole::{pivot_ccw, pivot_dir, Boundary, HoleAtlas};
 pub use face::GfgRouter;
-pub use gf::{route_gf, GfRouter, RecoveryMode};
+pub use gf::{GfRouter, RecoveryMode};
 pub use hybrid::Slgf2FaceRouter;
 pub use tent::{is_stuck_node, stuck_nodes, wide_gaps, AngularGap, TENT_THRESHOLD};

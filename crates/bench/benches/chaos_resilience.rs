@@ -99,7 +99,7 @@ fn delivery_row(net: &Network) -> String {
 fn construction_row(net: &Network) -> String {
     let plan = chaos_plan(net);
     let pinned = edge_node_mask(net, net.radius());
-    let threads = sp_sync::configured_threads_for("SP_SIM_THREADS");
+    let threads = sp_sync::default_threads();
     let (clean_wall, clean) = timed(|| {
         construct_with(net, pinned.clone(), ChaosPlan::new(), threads)
             // sp-analyze: allow(panic, a bench cannot proceed past a failed construction)

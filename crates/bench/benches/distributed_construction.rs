@@ -25,7 +25,6 @@
 //! root; the committed copy is the CI `bench-gate` baseline.
 //!
 //! Run with: `cargo bench -p sp-bench --bench distributed_construction`
-//! (`SP_SIM_THREADS` pins the optimized engine's round-shard count.)
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sp_bench::{memory_json_fields, sample_stats};

@@ -22,7 +22,6 @@
 //! per tick without the benchmark paying a network clone per sample.
 //!
 //! Run with: `cargo bench -p sp-bench --bench mobility_snapshot`
-//! (`SP_NET_THREADS` pins the parallel case's thread count.)
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sp_bench::{sample_stats, SampleStats};

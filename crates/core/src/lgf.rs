@@ -6,11 +6,12 @@
 //! `ud` counter-clockwise until the first untried node `v ∈ N(u)` is hit
 //! by the ray". The perimeter phase ends when the packet is closer to the
 //! destination than the stuck node that started it (the standard
-//! greedy/perimeter alternation of \[2\]).
+//! greedy/perimeter alternation of \[2\]). The alternation itself is the
+//! shared [`greedy_with_recovery`] hop; LGF supplies the zone-limited
+//! greedy pick and the counter-clockwise sweep.
 
 use crate::{
-    closer_than_entry, default_ttl, greedy_pick, perimeter_sweep, walk_into, zone_candidates, Hand,
-    HopPolicy, Mode, PacketState, RouteBuffer, RoutePhase, RouteRef, Routing,
+    greedy_pick, greedy_with_recovery, perimeter_sweep, zone_candidates, Hand, PacketState, Routing,
 };
 use sp_net::{Network, NodeId};
 
@@ -38,72 +39,25 @@ impl LgfRouter {
     }
 }
 
-impl HopPolicy for LgfRouter {
-    fn name(&self) -> &'static str {
-        "LGF"
-    }
-
-    fn next_hop(&self, net: &Network, pkt: &mut PacketState) -> Option<NodeId> {
-        let u = pkt.current;
-        let d = pkt.dst;
-
-        // Algo. 1 step 1: deliver directly when the destination is a
-        // neighbor.
-        if net.has_edge(u, d) {
-            pkt.resume_greedy();
-            pkt.phase = RoutePhase::Greedy;
-            return Some(d);
-        }
-
-        // Perimeter exit: closer than the stuck node and a zone
-        // candidate exists again.
-        if closer_than_entry(net, pkt) {
-            if let Some(v) = greedy_pick(net, d, zone_candidates(net, u, d)) {
-                pkt.resume_greedy();
-                pkt.phase = RoutePhase::Greedy;
-                return Some(v);
-            }
-            // Still blocked: tighten the anchor to the new closest point.
-            let du = net.position(u).distance(net.position(d));
-            pkt.mode = Mode::Perimeter { entry_dist: du };
-        }
-
-        if pkt.mode == Mode::Greedy {
-            // Algo. 1 steps 2-3: greedy advance inside Z_k(u, d).
-            if let Some(v) = greedy_pick(net, d, zone_candidates(net, u, d)) {
-                pkt.phase = RoutePhase::Greedy;
-                return Some(v);
-            }
-            // Step 4: local minimum; enter perimeter routing.
-            let du = net.position(u).distance(net.position(d));
-            pkt.enter_perimeter(du);
-        }
-
-        pkt.phase = RoutePhase::Perimeter;
-        perimeter_sweep(net, pkt, Hand::Ccw)
-    }
-}
-
 impl Routing for LgfRouter {
     fn name(&self) -> &'static str {
         "LGF"
     }
 
-    fn route_into<'b>(
-        &self,
-        net: &Network,
-        src: NodeId,
-        dst: NodeId,
-        buf: &'b mut RouteBuffer,
-    ) -> RouteRef<'b> {
-        walk_into(self, net, src, dst, default_ttl(net), buf)
+    fn next_hop(&self, net: &Network, pkt: &mut PacketState) -> Option<NodeId> {
+        greedy_with_recovery(
+            net,
+            pkt,
+            |u, d| greedy_pick(net, d, zone_candidates(net, u, d)),
+            |pkt, _| perimeter_sweep(net, pkt, Hand::Ccw),
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RouteOutcome;
+    use crate::{RouteOutcome, RoutePhase};
     use sp_geom::{Point, Rect};
 
     fn area() -> Rect {

@@ -69,10 +69,10 @@ pub use maintenance::{InfoMaintainer, RepairReport};
 pub use packet::{
     FaceState, HopScratch, Mode, PacketState, RouteOutcome, RoutePhase, RouteResult, VisitedSet,
 };
-pub use regions::{choose_hand, hand_order, Hand, RegionSplit};
+pub use regions::{choose_hand, hand_first, Hand, RegionSplit};
 pub use router::{
-    closer_than_entry, default_ttl, greedy_pick, perimeter_sweep, set_phase, walk, walk_into,
-    zone_candidates, zone_type, HopPolicy, RouteBuffer, RouteRef, Routing,
+    closer_neighbors, closer_than_entry, default_ttl, greedy_pick, greedy_with_recovery,
+    perimeter_sweep, walk_into, zone_candidates, zone_type, RouteBuffer, RouteRef, Routing,
 };
 pub use service::{RoutingService, ServiceScheme, ServiceSession, ServiceSnapshot};
 pub use shape::{greedy_region, ShapeEstimate, ShapeMap};

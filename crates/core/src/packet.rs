@@ -129,7 +129,7 @@ impl VisitedSet {
     }
 }
 
-/// Retained-capacity per-hop scratch vectors for forwarding policies.
+/// Retained-capacity per-hop scratch vectors for the schemes' hops.
 ///
 /// A hop decision like [`crate::Slgf2Router`]'s safe forwarding filters
 /// the zone candidates, collects nearby unsafe-area estimate
@@ -148,8 +148,6 @@ pub struct HopScratch {
     pub filtered: Vec<NodeId>,
     /// Unsafe-area estimate rectangles collected near the current node.
     pub rects: Vec<Rect>,
-    /// Indexed candidate positions for angular-sweep hand ordering.
-    pub points: Vec<(usize, Point)>,
 }
 
 /// Mutable state carried by one packet during a route computation.
@@ -171,13 +169,14 @@ pub struct PacketState {
     /// Face-walk state while a planar face-routing scheme is recovering
     /// (`None` outside such a phase).
     pub face: Option<FaceState>,
-    /// Phase of the hop most recently decided (set by the policy).
+    /// Phase of the hop most recently decided (set by the scheme's
+    /// [`crate::Routing::next_hop`]).
     pub phase: RoutePhase,
     /// How many times a perimeter phase was entered.
     pub perimeter_entries: usize,
     /// How many times a backup phase was entered (SLGF2).
     pub backup_entries: usize,
-    /// Retained-capacity per-hop scratch for the forwarding policy.
+    /// Retained-capacity per-hop scratch for the scheme's hop.
     pub scratch: HopScratch,
 }
 

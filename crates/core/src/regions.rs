@@ -11,10 +11,13 @@
 //! `E_i(v)` on the destination's side of the blockage, by committing to a
 //! left- or right-hand traversal and sticking with it (Algo. 3 steps
 //! 3–5). Our deterministic realisation takes the side whose
-//! around-the-rectangle detour is shorter ([`choose_hand`]).
+//! around-the-rectangle detour is shorter ([`choose_hand`]), and every
+//! hand-committed hop (SLGF2's backup and perimeter phases, the
+//! LGF/SLGF perimeter sweep) takes the first candidate the committed
+//! hand's rotating ray hits ([`hand_first`]), found in one pass.
 
 use crate::ShapeEstimate;
-use sp_geom::{AngularSweep, Point, Quadrant, Ray, Side};
+use sp_geom::{ccw_scan_from, Point, Quadrant, Ray, Side, Vec2};
 
 /// A committed traversal direction for the either-hand rule.
 ///
@@ -144,28 +147,28 @@ pub fn choose_hand(u: Point, d: Point, est: &ShapeEstimate) -> Hand {
     }
 }
 
-/// Candidates ordered by the committed hand: rotating the ray `u -> d`
-/// counter-clockwise (`Hand::Ccw`) or clockwise (`Hand::Cw`), nearest
-/// rotation first. Returns candidate ids in traversal order.
-pub fn hand_order(
+/// The first candidate the committed hand's sweep hits: rotating the
+/// ray `u -> d` counter-clockwise (`Hand::Ccw`) or clockwise
+/// (`Hand::Cw`), least rotation first, then nearest, then lowest id.
+/// One pass over the candidates, no allocation.
+pub fn hand_first(
     u: Point,
     d: Point,
     hand: Hand,
     candidates: impl IntoIterator<Item = (usize, Point)>,
-) -> Vec<usize> {
+) -> Option<usize> {
     let dir = d - u;
     match hand {
-        Hand::Ccw => AngularSweep::new(u, dir, candidates).ids().collect(),
-        Hand::Cw => {
-            // Mirror the plane about the horizontal through u: a CW sweep
-            // of the original is a CCW sweep of the mirror.
-            let mirrored: Vec<(usize, Point)> = candidates
+        Hand::Ccw => ccw_scan_from(u, dir, candidates),
+        // Mirror the plane about the horizontal through u: a CW sweep
+        // of the original is a CCW sweep of the mirror.
+        Hand::Cw => ccw_scan_from(
+            u,
+            Vec2::new(dir.x, -dir.y),
+            candidates
                 .into_iter()
-                .map(|(id, p)| (id, Point::new(p.x, 2.0 * u.y - p.y)))
-                .collect();
-            let mdir = sp_geom::Vec2::new(dir.x, -dir.y);
-            AngularSweep::new(u, mdir, mirrored).ids().collect()
-        }
+                .map(|(id, p)| (id, Point::new(p.x, 2.0 * u.y - p.y))),
+        ),
     }
 }
 
@@ -237,7 +240,7 @@ mod tests {
     }
 
     #[test]
-    fn hand_order_ccw_and_cw_mirror() {
+    fn hand_first_ccw_and_cw_mirror() {
         let u = Point::new(0.0, 0.0);
         let d = Point::new(10.0, 0.0); // east
         let cands = vec![
@@ -245,10 +248,16 @@ mod tests {
             (1, Point::new(5.0, -5.0)), // SE, 45° CW (=315° CCW)
             (2, Point::new(-5.0, 0.0)), // W, 180°
         ];
-        let ccw = hand_order(u, d, Hand::Ccw, cands.clone());
-        assert_eq!(ccw, vec![0, 2, 1]);
-        let cw = hand_order(u, d, Hand::Cw, cands);
-        assert_eq!(cw, vec![1, 2, 0]);
+        assert_eq!(hand_first(u, d, Hand::Ccw, cands.clone()), Some(0));
+        assert_eq!(hand_first(u, d, Hand::Cw, cands.clone()), Some(1));
+        // Without the first hit, each hand reaches W before the other
+        // diagonal.
+        assert_eq!(hand_first(u, d, Hand::Ccw, cands[1..].to_vec()), Some(2));
+        assert_eq!(
+            hand_first(u, d, Hand::Cw, vec![cands[0], cands[2]]),
+            Some(2)
+        );
+        assert_eq!(hand_first(u, d, Hand::Cw, vec![(3, u)]), None);
     }
 
     #[test]

@@ -1,11 +1,20 @@
-//! The routing trait and the shared packet walker.
+//! The routing trait, the shared packet walker and the Algorithm-1 hop
+//! skeleton.
 //!
-//! All schemes — GF in `sp-baselines`, LGF/SLGF/SLGF2 here — expose the
-//! same [`Routing`] interface so the experiment harness can sweep them
-//! uniformly. The LGF family shares the [`HopPolicy`] walker: a policy
-//! picks one successor per hop from purely local state, and
-//! [`walk_into`] moves the packet until delivery, a dead end, or TTL
-//! exhaustion.
+//! Every scheme — GF and GFG in `sp-baselines`, LGF/SLGF/SLGF2 here —
+//! implements the one [`Routing`] trait so the experiment harness can
+//! sweep them uniformly. A scheme supplies its [`Routing::name`] and its
+//! per-hop choice, [`Routing::next_hop`], which picks one successor from
+//! purely local state; the provided [`Routing::route_into`] hands it to
+//! [`walk_into`], which moves the packet until delivery, a dead end, or
+//! TTL exhaustion. `walk_into` is generic over the scheme, so each
+//! scheme's per-hop call is dispatched statically.
+//!
+//! LGF, SLGF and GF share one hop, [`greedy_with_recovery`]: deliver to a
+//! neighboring destination, advance greedily while the scheme's pick
+//! succeeds, and at a local minimum hand the hop to the scheme's
+//! recovery until the packet is closer to the destination than where it
+//! got stuck (the greedy/perimeter alternation of Bose et al. \[2\]).
 //!
 //! Routing is buffered: [`Routing::route_into`] writes the trace into a
 //! caller-owned [`RouteBuffer`] and returns a borrowed [`RouteRef`], so
@@ -14,13 +23,16 @@
 //! instead of allocating an O(n) `PacketState` per packet.
 //! [`Routing::route`] stays as the one-shot convenience wrapper.
 
-use crate::{HopScratch, Mode, PacketState, RouteOutcome, RoutePhase, RouteResult, VisitedSet};
-use sp_geom::{Point, Quadrant, Rect};
+use crate::{
+    hand_first, Hand, HopScratch, Mode, PacketState, RouteOutcome, RoutePhase, RouteResult,
+    VisitedSet,
+};
+use sp_geom::{Quadrant, Rect};
 use sp_net::{Network, NodeId};
 
 /// Reusable per-packet scratch: the generation-stamped visited set,
 /// retained-capacity path/phase vectors, and the [`HopScratch`] the
-/// hop policies decide successors with. One buffer serves any number
+/// schemes decide successors with. One buffer serves any number
 /// of consecutive [`Routing::route_into`] calls (on any networks — it
 /// regrows as needed); reuse costs O(path walked), not O(n).
 #[derive(Debug, Clone, Default)]
@@ -127,9 +139,24 @@ impl RouteRef<'_> {
 }
 
 /// A complete routing scheme: source to destination, full trace out.
+///
+/// A scheme implements [`Routing::name`] and [`Routing::next_hop`];
+/// [`Routing::route_into`] walks the packet with them and
+/// [`Routing::route`] wraps that in a one-shot buffer.
 pub trait Routing {
     /// Scheme name as used in the paper's figures ("GF", "LGF", …).
     fn name(&self) -> &'static str;
+
+    /// Chooses the successor at `pkt.current`, mutating packet mode /
+    /// hand / phase bookkeeping. `None` means stuck: no recovery option
+    /// remains at this node.
+    fn next_hop(&self, net: &Network, pkt: &mut PacketState) -> Option<NodeId>;
+
+    /// The hop budget on `net`: [`default_ttl`] unless the scheme sets
+    /// its own.
+    fn ttl(&self, net: &Network) -> usize {
+        default_ttl(net)
+    }
 
     /// Routes one packet into a caller-owned buffer; never panics on
     /// disconnected pairs (reports [`RouteOutcome::Stuck`] or TTL
@@ -141,7 +168,9 @@ pub trait Routing {
         src: NodeId,
         dst: NodeId,
         buf: &'b mut RouteBuffer,
-    ) -> RouteRef<'b>;
+    ) -> RouteRef<'b> {
+        walk_into(self, net, src, dst, self.ttl(net), buf)
+    }
 
     /// One-shot convenience: routes through a fresh [`RouteBuffer`] and
     /// returns the owned trace. Prefer [`Routing::route_into`] with a
@@ -164,6 +193,14 @@ impl<T: Routing + ?Sized> Routing for &T {
         (**self).name()
     }
 
+    fn next_hop(&self, net: &Network, pkt: &mut PacketState) -> Option<NodeId> {
+        (**self).next_hop(net, pkt)
+    }
+
+    fn ttl(&self, net: &Network) -> usize {
+        (**self).ttl(net)
+    }
+
     fn route_into<'b>(
         &self,
         net: &Network,
@@ -172,10 +209,6 @@ impl<T: Routing + ?Sized> Routing for &T {
         buf: &'b mut RouteBuffer,
     ) -> RouteRef<'b> {
         (**self).route_into(net, src, dst, buf)
-    }
-
-    fn route(&self, net: &Network, src: NodeId, dst: NodeId) -> RouteResult {
-        (**self).route(net, src, dst)
     }
 }
 
@@ -185,6 +218,14 @@ impl<T: Routing + ?Sized> Routing for Box<T> {
         (**self).name()
     }
 
+    fn next_hop(&self, net: &Network, pkt: &mut PacketState) -> Option<NodeId> {
+        (**self).next_hop(net, pkt)
+    }
+
+    fn ttl(&self, net: &Network) -> usize {
+        (**self).ttl(net)
+    }
+
     fn route_into<'b>(
         &self,
         net: &Network,
@@ -194,21 +235,6 @@ impl<T: Routing + ?Sized> Routing for Box<T> {
     ) -> RouteRef<'b> {
         (**self).route_into(net, src, dst, buf)
     }
-
-    fn route(&self, net: &Network, src: NodeId, dst: NodeId) -> RouteResult {
-        (**self).route(net, src, dst)
-    }
-}
-
-/// Per-hop successor policy for the LGF-family walker.
-pub trait HopPolicy {
-    /// Scheme name for reports.
-    fn name(&self) -> &'static str;
-
-    /// Chooses the successor at `pkt.current`, mutating packet mode /
-    /// hand / phase bookkeeping. `None` means stuck: no recovery option
-    /// remains at this node.
-    fn next_hop(&self, net: &Network, pkt: &mut PacketState) -> Option<NodeId>;
 }
 
 /// Default hop budget: generous enough that only genuine loops hit it.
@@ -216,13 +242,13 @@ pub fn default_ttl(net: &Network) -> usize {
     4 * net.len().max(1)
 }
 
-/// Drives a [`HopPolicy`] from `src` to `dst` into a caller-owned
-/// buffer — the engine behind every scheme's
+/// Walks a packet from `src` to `dst` with `router`'s
+/// [`Routing::next_hop`] into a caller-owned buffer — the engine behind
 /// [`Routing::route_into`]. The buffer's visited set is re-generationed
 /// (not cleared) and its vectors keep their capacity, so a warm buffer
 /// allocates nothing.
-pub fn walk_into<'b>(
-    policy: &dyn HopPolicy,
+pub fn walk_into<'b, R: Routing + ?Sized>(
+    router: &R,
     net: &Network,
     src: NodeId,
     dst: NodeId,
@@ -240,7 +266,7 @@ pub fn walk_into<'b>(
         outcome = RouteOutcome::Delivered;
     } else {
         for _ in 0..ttl {
-            match policy.next_hop(net, &mut pkt) {
+            match router.next_hop(net, &mut pkt) {
                 None => {
                     outcome = RouteOutcome::Stuck(pkt.current);
                     break;
@@ -249,7 +275,7 @@ pub fn walk_into<'b>(
                     debug_assert!(
                         net.has_edge(pkt.current, next),
                         "{}: illegal hop {} -> {}",
-                        policy.name(),
+                        router.name(),
                         pkt.current,
                         next
                     );
@@ -277,22 +303,6 @@ pub fn walk_into<'b>(
     }
 }
 
-/// One-shot [`walk_into`]: routes through a fresh buffer and moves the
-/// trace out (the compat shape every scheme's [`Routing::route`] had
-/// before buffered routing).
-pub fn walk(
-    policy: &dyn HopPolicy,
-    net: &Network,
-    src: NodeId,
-    dst: NodeId,
-    ttl: usize,
-) -> RouteResult {
-    let mut buf = RouteBuffer::new();
-    let r = walk_into(policy, net, src, dst, ttl, &mut buf);
-    let (outcome, pe, be) = (r.outcome, r.perimeter_entries, r.backup_entries);
-    buf.take_result(outcome, pe, be)
-}
-
 /// Neighbors of `u` inside the request zone `Z_k(u, d)` (LAR scheme 1):
 /// the rectangle with `u` and `d` at opposite corners, borders inclusive,
 /// `u` itself excluded.
@@ -308,6 +318,21 @@ pub fn zone_candidates<'a>(
         .iter()
         .copied()
         .filter(move |&v| v != u && zone.contains(net.position(v)))
+}
+
+/// Neighbors of `u` strictly closer to `d` than `u` itself — the
+/// candidates of unrestricted greedy forwarding (GF, GFG).
+pub fn closer_neighbors<'a>(
+    net: &'a Network,
+    u: NodeId,
+    d: NodeId,
+) -> impl Iterator<Item = NodeId> + 'a {
+    let pd = net.position(d);
+    let du = net.position(u).distance_sq(pd);
+    net.neighbors(u)
+        .iter()
+        .copied()
+        .filter(move |&v| net.position(v).distance_sq(pd) < du)
 }
 
 /// Greedy pick: the candidate closest to the destination, ties broken by
@@ -335,20 +360,15 @@ pub fn zone_type(net: &Network, u: NodeId, d: NodeId) -> Option<Quadrant> {
 /// The perimeter-phase sweep of Algo. 1 step 4: rotate the ray `ud`
 /// counter-clockwise (or clockwise, per the committed hand) and take the
 /// first *untried* neighbor hit.
-pub fn perimeter_sweep(net: &Network, pkt: &PacketState, hand: crate::Hand) -> Option<NodeId> {
+pub fn perimeter_sweep(net: &Network, pkt: &PacketState, hand: Hand) -> Option<NodeId> {
     let u = pkt.current;
-    let pu = net.position(u);
-    let pd = net.position(pkt.dst);
-    let candidates: Vec<(usize, Point)> = net
+    let untried = net
         .neighbor_points(u)
-        .filter(|&(v, _)| !pkt.tried(NodeId::new(v)))
-        .collect();
-    crate::hand_order(pu, pd, hand, candidates)
-        .first()
-        .map(|&id| NodeId::new(id))
+        .filter(|&(v, _)| !pkt.tried(NodeId::new(v)));
+    hand_first(net.position(u), net.position(pkt.dst), hand, untried).map(NodeId::new)
 }
 
-/// Shared perimeter-exit test of the LGF/SLGF recovery: leave perimeter
+/// Shared perimeter-exit test of the face recovery: leave perimeter
 /// mode when strictly closer to the destination than at the stuck node.
 pub fn closer_than_entry(net: &Network, pkt: &PacketState) -> bool {
     match pkt.mode {
@@ -359,10 +379,54 @@ pub fn closer_than_entry(net: &Network, pkt: &PacketState) -> bool {
     }
 }
 
-/// Marks the hop being decided with its phase (helper keeping policies
-/// terse).
-pub fn set_phase(pkt: &mut PacketState, phase: RoutePhase) {
-    pkt.phase = phase;
+/// One hop of Algorithm 1's greedy-then-recover alternation, the
+/// skeleton LGF, SLGF and GF share; the scheme supplies its greedy
+/// `pick` (called with the current node and the destination) and its
+/// `recover` hop (called with `entering` true on the hop that enters
+/// recovery).
+///
+/// 1. A neighboring destination is delivered to directly (Algo. 1
+///    step 1).
+/// 2. In recovery, once the packet is strictly closer to the
+///    destination than the anchor where it got stuck, a successful
+///    `pick` resumes greedy forwarding; a failed one tightens the
+///    anchor to the current distance.
+/// 3. In greedy mode, `pick` advances the packet (steps 2-3); at a
+///    local minimum the packet enters recovery anchored here (step 4).
+/// 4. Otherwise the hop is `recover`'s.
+pub fn greedy_with_recovery(
+    net: &Network,
+    pkt: &mut PacketState,
+    pick: impl Fn(NodeId, NodeId) -> Option<NodeId>,
+    recover: impl FnOnce(&mut PacketState, bool) -> Option<NodeId>,
+) -> Option<NodeId> {
+    let (u, d) = (pkt.current, pkt.dst);
+    if net.has_edge(u, d) {
+        pkt.resume_greedy();
+        pkt.phase = RoutePhase::Greedy;
+        return Some(d);
+    }
+    let du = net.position(u).distance(net.position(d));
+    if let Mode::Perimeter { entry_dist } = pkt.mode {
+        if du < entry_dist {
+            if let Some(v) = pick(u, d) {
+                pkt.resume_greedy();
+                pkt.phase = RoutePhase::Greedy;
+                return Some(v);
+            }
+            pkt.mode = Mode::Perimeter { entry_dist: du };
+        }
+    }
+    let entering = pkt.mode == Mode::Greedy;
+    if entering {
+        if let Some(v) = pick(u, d) {
+            pkt.phase = RoutePhase::Greedy;
+            return Some(v);
+        }
+        pkt.enter_perimeter(du);
+    }
+    pkt.phase = RoutePhase::Perimeter;
+    recover(pkt, entering)
 }
 
 #[cfg(test)]
@@ -410,60 +474,64 @@ mod tests {
         assert_eq!(zone_type(&n, NodeId(0), NodeId(0)), None);
     }
 
+    /// A scheme that never finds a successor.
+    struct Never;
+
+    impl Routing for Never {
+        fn name(&self) -> &'static str {
+            "never"
+        }
+
+        fn next_hop(&self, _net: &Network, _pkt: &mut PacketState) -> Option<NodeId> {
+            None
+        }
+    }
+
     #[test]
     fn walk_trivial_same_node() {
-        struct Never;
-        impl HopPolicy for Never {
-            fn name(&self) -> &'static str {
-                "never"
-            }
-            fn next_hop(&self, _net: &Network, _pkt: &mut PacketState) -> Option<NodeId> {
-                None
-            }
-        }
         let n = net();
-        let r = walk(&Never, &n, NodeId(0), NodeId(0), 10);
+        let r = Never.route(&n, NodeId(0), NodeId(0));
         assert!(r.delivered());
         assert_eq!(r.hops(), 0);
     }
 
     #[test]
     fn walk_stuck_reports_position() {
-        struct Never;
-        impl HopPolicy for Never {
-            fn name(&self) -> &'static str {
-                "never"
-            }
-            fn next_hop(&self, _net: &Network, _pkt: &mut PacketState) -> Option<NodeId> {
-                None
-            }
-        }
         let n = net();
-        let r = walk(&Never, &n, NodeId(0), NodeId(3), 10);
+        let r = Never.route(&n, NodeId(0), NodeId(3));
         assert_eq!(r.outcome, RouteOutcome::Stuck(NodeId(0)));
         assert_eq!(r.path, vec![NodeId(0)]);
     }
 
     #[test]
     fn walk_ttl_stops_loops() {
+        /// Bounces between 0 and 1 forever, with a hop budget of 7.
         struct PingPong;
-        impl HopPolicy for PingPong {
+
+        impl Routing for PingPong {
             fn name(&self) -> &'static str {
                 "pingpong"
             }
+
             fn next_hop(&self, _net: &Network, pkt: &mut PacketState) -> Option<NodeId> {
-                // Bounce between 0 and 1 forever.
                 Some(if pkt.current == NodeId(0) {
                     NodeId(1)
                 } else {
                     NodeId(0)
                 })
             }
+
+            fn ttl(&self, _net: &Network) -> usize {
+                7
+            }
         }
         let n = net();
-        let r = walk(&PingPong, &n, NodeId(0), NodeId(3), 7);
+        let r = PingPong.route(&n, NodeId(0), NodeId(3));
         assert_eq!(r.outcome, RouteOutcome::TtlExhausted);
         assert_eq!(r.hops(), 7);
+        // A boxed router walks with the boxed scheme's own budget.
+        let boxed: Box<dyn Routing> = Box::new(PingPong);
+        assert_eq!(boxed.route(&n, NodeId(0), NodeId(3)).hops(), 7);
     }
 
     #[test]
@@ -473,12 +541,12 @@ mod tests {
         // Mark the straight-ahead candidate as tried.
         pkt.visited.insert(NodeId(2));
         pkt.visited.remove(NodeId(1));
-        let nxt = perimeter_sweep(&n, &pkt, crate::Hand::Ccw).unwrap();
+        let nxt = perimeter_sweep(&n, &pkt, Hand::Ccw).unwrap();
         assert_ne!(nxt, NodeId(2));
         // Everything tried -> None.
         for v in 0..n.len() {
             pkt.visited.insert(NodeId::new(v));
         }
-        assert_eq!(perimeter_sweep(&n, &pkt, crate::Hand::Ccw), None);
+        assert_eq!(perimeter_sweep(&n, &pkt, Hand::Ccw), None);
     }
 }

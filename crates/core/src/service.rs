@@ -28,7 +28,13 @@
 //!   between). Consistency is checkable end to end: that epoch never
 //!   exceeds [`RoutingService::epoch`], and the answer's path is valid
 //!   against exactly that epoch's adjacency (property-tested in
-//!   `tests/service_consistency.rs`).
+//!   `tests/service_consistency.rs`);
+//! * CHAOS and MOVE compose into one world:
+//!   [`RoutingService::apply_chaos`] degrades the topology at the
+//!   current positions and leaves its plan in force in the snapshot,
+//!   and every later [`RoutingService::apply_moves`] degrades the moved
+//!   topology by that plan again, until a full
+//!   [`RoutingService::publish`] clears it.
 //!
 //! A batch pinned to one epoch is a [`crate::TrafficEngine`] run over
 //! a [`RoutingService::snapshot`] pin — the pinned snapshot's network
@@ -54,6 +60,10 @@ use sp_sync::{EpochCell, Pinned};
 pub struct ServiceSnapshot {
     net: Network,
     info: SafetyInfo,
+    /// The chaos plan in force and its round: set by
+    /// [`RoutingService::apply_chaos`], re-applied by every later
+    /// [`RoutingService::apply_moves`], cleared by a full publish.
+    chaos: Option<(ChaosPlan, usize)>,
 }
 
 impl ServiceSnapshot {
@@ -67,7 +77,11 @@ impl ServiceSnapshot {
     /// previous one instead.
     pub fn build(net: Network) -> ServiceSnapshot {
         let info = SafetyInfo::build(&net);
-        ServiceSnapshot { net, info }
+        ServiceSnapshot {
+            net,
+            info,
+            chaos: None,
+        }
     }
 
     /// The epoch's topology.
@@ -206,39 +220,59 @@ impl RoutingService {
     /// `tests/service_consistency.rs`); only [`SafetyInfo::rounds`]
     /// reports the repair's rounds instead of the paper's.
     ///
+    /// A chaos plan in force ([`RoutingService::apply_chaos`]) stays in
+    /// force: the moved topology is degraded by it again, so dead nodes
+    /// stay isolated and active cuts stay severed. Only links that touch
+    /// a mover can change, so the repair's seeds stay exact.
+    ///
     /// # Panics
     ///
     /// Panics if any moved id is out of range.
     pub fn apply_moves(&self, moves: &[(NodeId, Point)]) -> u64 {
         self.cell.update(|prev| {
-            let net = prev.network().next_snapshot(moves);
+            let mut net = prev.network().next_snapshot(moves);
+            if let Some((plan, round)) = &prev.chaos {
+                net = plan.degrade(&net, *round);
+            }
             let movers: Vec<NodeId> = moves.iter().map(|&(u, _)| u).collect();
             let info = prev.info().derive(prev.network(), &net, &movers);
-            ServiceSnapshot { net, info }
+            ServiceSnapshot {
+                net,
+                info,
+                chaos: prev.chaos.clone(),
+            }
         })
     }
 
     /// Publishes a fully rebuilt topology as the next epoch (the
-    /// non-incremental handoff — e.g. a re-deployment). Returns the new
-    /// epoch number.
+    /// non-incremental handoff — e.g. a re-deployment), with no chaos
+    /// plan in force. Returns the new epoch number.
     pub fn publish(&self, net: Network) -> u64 {
         self.cell.publish(ServiceSnapshot::build(net))
     }
 
-    /// Applies a chaos tick: degrades the **pristine** `base` topology
-    /// to the plan's state as of `round` — cumulative kills minus
-    /// revivals ([`ChaosPlan::dead_as_of`]) plus every link crossing a
-    /// cut active that round — relabels it off to the side, and
-    /// publishes the new epoch. Returns the new epoch number.
+    /// Applies a chaos tick: rebuilds the topology at the **current**
+    /// positions, degrades it to the plan's state as of `round` —
+    /// cumulative kills minus revivals ([`ChaosPlan::dead_as_of`]) plus
+    /// every link crossing a cut active that round — relabels it off to
+    /// the side, and publishes the new epoch with the plan in force.
+    /// Returns the new epoch number.
     ///
-    /// The caller supplies `base` (rather than the service degrading
-    /// its own current snapshot) because chaos is not monotone: a
-    /// flapped node's edges must come *back* on revival, and the
-    /// current snapshot no longer has them. Quiet plans still publish —
-    /// an undamaged epoch, bit-identical to `publish(base.clone())`.
-    pub fn apply_chaos(&self, base: &Network, chaos: &ChaosPlan, round: usize) -> u64 {
-        self.cell
-            .publish(ServiceSnapshot::build(chaos.degrade(base, round)))
+    /// Rebuilding rather than degrading the current snapshot matters
+    /// because chaos is not monotone: a flapped node's edges must come
+    /// *back* on revival, and the current snapshot no longer has them.
+    /// Earlier MOVEs are kept, and later ones keep the plan in force
+    /// ([`RoutingService::apply_moves`]). Quiet plans still publish —
+    /// an undamaged epoch at the current positions.
+    pub fn apply_chaos(&self, chaos: &ChaosPlan, round: usize) -> u64 {
+        self.cell.update(|prev| {
+            let now = prev.network();
+            let positions = now.index().shared_positions();
+            let net = Network::from_position_table(positions, now.radius(), now.area());
+            let mut snap = ServiceSnapshot::build(chaos.degrade(&net, round));
+            snap.chaos = Some((chaos.clone(), round));
+            snap
+        })
     }
 
     /// A new reader session pinned to the current snapshot. Sessions
@@ -476,15 +510,15 @@ mod tests {
         chaos.revive_at(3, victim);
         let service = RoutingService::new(base.clone());
 
-        let e1 = service.apply_chaos(&base, &chaos, 1);
+        let e1 = service.apply_chaos(&chaos, 1);
         assert_eq!(e1, 1);
         let down = service.snapshot();
         assert_eq!(down.value.network().degree(victim), 0, "victim isolated");
 
         // After the revival round the degraded topology heals: the
-        // pristine base is re-degraded from scratch, so the flapped
-        // node's edges come back.
-        let e2 = service.apply_chaos(&base, &chaos, 3);
+        // topology is rebuilt at the current positions and re-degraded,
+        // so the flapped node's edges come back.
+        let e2 = service.apply_chaos(&chaos, 3);
         assert_eq!(e2, 2);
         let up = service.snapshot();
         assert_eq!(
@@ -498,7 +532,7 @@ mod tests {
     fn quiet_chaos_epoch_matches_plain_publish() {
         let base = prepared(80, 5);
         let service = RoutingService::new(base.clone());
-        service.apply_chaos(&base, &ChaosPlan::new(), 0);
+        service.apply_chaos(&ChaosPlan::new(), 0);
         let chaotic = service.snapshot();
         let plain = RoutingService::new(base.clone());
         plain.publish(base);

@@ -7,11 +7,12 @@
 //! blocked while safe nodes are used. When no safe successor exists
 //! (unsafe source neighborhood or unsafe destination), SLGF falls back to
 //! the same right-hand perimeter routing as LGF — the gap SLGF2 closes
-//! with its backup-path and shape-estimate machinery.
+//! with its backup-path and shape-estimate machinery. Both run the
+//! shared [`greedy_with_recovery`] hop and differ only in the pick.
 
 use crate::{
-    closer_than_entry, default_ttl, greedy_pick, perimeter_sweep, walk_into, zone_candidates, Hand,
-    HopPolicy, Mode, PacketState, RouteBuffer, RoutePhase, RouteRef, Routing, SafetyInfo,
+    greedy_pick, greedy_with_recovery, perimeter_sweep, zone_candidates, Hand, PacketState,
+    Routing, SafetyInfo,
 };
 use sp_geom::Quadrant;
 use sp_net::{Network, NodeId};
@@ -59,66 +60,25 @@ impl<'a> SlgfRouter<'a> {
     }
 }
 
-impl HopPolicy for SlgfRouter<'_> {
-    fn name(&self) -> &'static str {
-        "SLGF"
-    }
-
-    fn next_hop(&self, net: &Network, pkt: &mut PacketState) -> Option<NodeId> {
-        let u = pkt.current;
-        let d = pkt.dst;
-
-        if net.has_edge(u, d) {
-            pkt.resume_greedy();
-            pkt.phase = RoutePhase::Greedy;
-            return Some(d);
-        }
-
-        // Perimeter exit: closer than the stuck anchor *and* safe
-        // forwarding is possible again.
-        if closer_than_entry(net, pkt) {
-            if let Some(v) = self.safe_pick(net, u, d) {
-                pkt.resume_greedy();
-                pkt.phase = RoutePhase::Greedy;
-                return Some(v);
-            }
-            let du = net.position(u).distance(net.position(d));
-            pkt.mode = Mode::Perimeter { entry_dist: du };
-        }
-
-        if pkt.mode == Mode::Greedy {
-            if let Some(v) = self.safe_pick(net, u, d) {
-                pkt.phase = RoutePhase::Greedy;
-                return Some(v);
-            }
-            let du = net.position(u).distance(net.position(d));
-            pkt.enter_perimeter(du);
-        }
-
-        pkt.phase = RoutePhase::Perimeter;
-        perimeter_sweep(net, pkt, Hand::Ccw)
-    }
-}
-
 impl Routing for SlgfRouter<'_> {
     fn name(&self) -> &'static str {
         "SLGF"
     }
 
-    fn route_into<'b>(
-        &self,
-        net: &Network,
-        src: NodeId,
-        dst: NodeId,
-        buf: &'b mut RouteBuffer,
-    ) -> RouteRef<'b> {
-        walk_into(self, net, src, dst, default_ttl(net), buf)
+    fn next_hop(&self, net: &Network, pkt: &mut PacketState) -> Option<NodeId> {
+        greedy_with_recovery(
+            net,
+            pkt,
+            |u, d| self.safe_pick(net, u, d),
+            |pkt, _| perimeter_sweep(net, pkt, Hand::Ccw),
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RoutePhase;
     use sp_geom::{Point, Rect};
     use sp_net::DeploymentConfig;
 

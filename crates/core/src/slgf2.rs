@@ -18,8 +18,8 @@
 //!    plus the rectangular estimates keep it near the unsafe area).
 
 use crate::{
-    choose_hand, greedy_pick, hand_order, walk_into, zone_candidates, Hand, HopPolicy, Mode,
-    PacketState, RouteBuffer, RoutePhase, RouteRef, Routing, SafetyInfo,
+    choose_hand, greedy_pick, hand_first, zone_candidates, Hand, Mode, PacketState, RoutePhase,
+    Routing, SafetyInfo,
 };
 use sp_geom::{Quadrant, Rect};
 use sp_net::{Network, NodeId};
@@ -113,7 +113,8 @@ impl<'a> Slgf2Router<'a> {
     /// instead — applying it to provably-safe candidates only deflects
     /// them from the greedy line and lengthens the path.)
     /// The candidate/rect vectors live in `pkt.scratch` (cleared, never
-    /// shrunk), so a warm [`RouteBuffer`] makes this hop allocation-free.
+    /// shrunk), so a warm [`crate::RouteBuffer`] makes this hop
+    /// allocation-free.
     fn safe_pick(&self, net: &Network, pkt: &mut PacketState) -> Option<NodeId> {
         let (u, d) = (pkt.current, pkt.dst);
         let pd = net.position(d);
@@ -174,39 +175,27 @@ impl<'a> Slgf2Router<'a> {
     /// phases: [`choose_hand`] puts the traversal on the destination's
     /// side of the blocking estimate, and the packet then sticks with
     /// it — re-sorting candidates against the regions at every hop
-    /// would reintroduce exactly the oscillation Algo. 3 forbids.
+    /// would reintroduce exactly the oscillation Algo. 3 forbids. The
+    /// hand is committed only when a candidate exists.
     fn hand_step(
         &self,
         net: &Network,
         pkt: &mut PacketState,
         mut keep: impl FnMut(NodeId) -> bool,
     ) -> Option<NodeId> {
-        let u = pkt.current;
-        let d = pkt.dst;
-        let pu = net.position(u);
-        let pd = net.position(d);
-        let PacketState {
-            visited,
-            scratch,
-            hand,
-            ..
-        } = pkt;
-        scratch.points.clear();
-        scratch.points.extend(
-            net.neighbor_points(u)
-                .filter(|&(v, _)| !visited.contains(NodeId::new(v)) && keep(NodeId::new(v))),
-        );
-        if scratch.points.is_empty() {
-            return None;
-        }
+        let (u, d) = (pkt.current, pkt.dst);
+        let PacketState { visited, hand, .. } = pkt;
+        let mut candidates = net
+            .neighbor_points(u)
+            .filter(|&(v, _)| !visited.contains(NodeId::new(v)) && keep(NodeId::new(v)))
+            .peekable();
+        candidates.peek()?;
         let hand = *hand.get_or_insert_with(|| self.pick_hand(net, u, d));
-        hand_order(pu, pd, hand, scratch.points.iter().copied())
-            .first()
-            .map(|&id| NodeId::new(id))
+        hand_first(net.position(u), net.position(d), hand, candidates).map(NodeId::new)
     }
 }
 
-impl HopPolicy for Slgf2Router<'_> {
+impl Routing for Slgf2Router<'_> {
     fn name(&self) -> &'static str {
         "SLGF2"
     }
@@ -258,23 +247,11 @@ impl HopPolicy for Slgf2Router<'_> {
         pkt.phase = RoutePhase::Perimeter;
         self.hand_step(net, pkt, |_| true)
     }
-}
 
-impl Routing for Slgf2Router<'_> {
-    fn name(&self) -> &'static str {
-        "SLGF2"
-    }
-
-    fn route_into<'b>(
-        &self,
-        net: &Network,
-        src: NodeId,
-        dst: NodeId,
-        buf: &'b mut RouteBuffer,
-    ) -> RouteRef<'b> {
-        // At the default multiplier of 4.0 this equals default_ttl(net).
-        let ttl = ((self.ttl_multiplier * net.len().max(1) as f64).ceil() as usize).max(1);
-        walk_into(self, net, src, dst, ttl, buf)
+    /// `multiplier × n` hops; at the default multiplier of 4.0 this
+    /// equals [`crate::default_ttl`].
+    fn ttl(&self, net: &Network) -> usize {
+        ((self.ttl_multiplier * net.len().max(1) as f64).ceil() as usize).max(1)
     }
 }
 

@@ -23,12 +23,14 @@
 //! shape estimate, and its adjacency equals a brute-force rebuild at
 //! the moved positions while the pinned previous epoch stays as it was.
 //! A fourth holds writers to each other: two threads applying moves at
-//! once lose none of them.
+//! once lose none of them. A fifth holds CHAOS and MOVE to one world: a
+//! CHAOS keeps earlier moves, and a MOVE keeps the plan in force.
 
 use proptest::prelude::*;
 use sp_core::{RoutingService, SafetyInfo, ServiceSnapshot, TrafficEngine, TrafficReport};
 use sp_geom::{Point, Quadrant};
 use sp_net::{deploy::DeploymentConfig, FaModel, Network, NodeId};
+use sp_sim::ChaosPlan;
 
 const NODES: usize = 150;
 /// Thread counts the determinism property sweeps (the workspace's
@@ -465,4 +467,63 @@ fn concurrent_movers_lose_no_moves() {
         .map(|&(u, _)| u)
         .collect();
     assert_eq!((pin.epoch, lost.len()), (100, 0), "moves lost: {lost:?}");
+}
+
+/// The neighbors of every node in `net` equal those in `want`.
+fn assert_same_adjacency(net: &Network, want: &Network, case: &str) {
+    for u in net.node_ids() {
+        assert_eq!(
+            net.neighbors(u),
+            want.neighbors(u),
+            "{case}: neighbors of {u}"
+        );
+    }
+}
+
+/// A CHAOS degrades the topology at the current positions: even a quiet
+/// plan after a MOVE publishes the mover where it moved to, with the
+/// adjacency of a rebuild there.
+#[test]
+fn chaos_after_move_keeps_the_move() {
+    let net = prepared(41);
+    let mover = NodeId(7);
+    let p = net.position(mover);
+    let to = net.area().clamp_point(Point::new(p.x + 9.0, p.y + 4.0));
+    let service = RoutingService::new(net);
+    service.apply_moves(&[(mover, to)]);
+    service.apply_chaos(&ChaosPlan::new(), 0);
+    let pin = service.snapshot();
+    let net = pin.value.network();
+    assert_eq!(net.position(mover), to, "the CHAOS reverted the MOVE");
+    let rebuilt =
+        Network::from_positions_brute_force(net.positions_vec(), net.radius(), net.area());
+    assert_same_adjacency(net, &rebuilt, "quiet chaos after a move");
+    assert_equals_full_build(&pin.value, "quiet chaos after a move");
+}
+
+/// A MOVE after a CHAOS keeps the plan in force: a node moved next to a
+/// killed one gives it no edge, the topology equals the plan applied to
+/// a rebuild at the moved positions, and the derived labels equal a
+/// full build.
+#[test]
+fn move_after_chaos_keeps_the_dead_isolated() {
+    let net = prepared(43);
+    let victim = net.largest_component()[0];
+    let mut plan = ChaosPlan::new();
+    plan.kill_at(1, victim);
+    let service = RoutingService::new(net.clone());
+    service.apply_chaos(&plan, 1);
+    let mover = net
+        .node_ids()
+        .find(|&u| u != victim && !net.has_edge(u, victim))
+        .expect("a node out of the victim's range");
+    let pv = net.position(victim);
+    let to = net.area().clamp_point(Point::new(pv.x + 1.0, pv.y + 1.0));
+    service.apply_moves(&[(mover, to)]);
+    let pin = service.snapshot();
+    let moved = pin.value.network();
+    assert_eq!(moved.degree(victim), 0, "the dead node got an edge");
+    let rebuilt = Network::from_positions(moved.positions_vec(), moved.radius(), moved.area());
+    assert_same_adjacency(moved, &plan.degrade(&rebuilt, 1), "move after chaos");
+    assert_equals_full_build(&pin.value, "move after chaos");
 }

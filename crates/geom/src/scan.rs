@@ -55,6 +55,43 @@ pub struct SweepEntry {
     pub distance: f64,
 }
 
+impl SweepEntry {
+    /// The sweep order: rotation, then distance, then id.
+    fn order(&self, other: &SweepEntry) -> std::cmp::Ordering {
+        self.rotation
+            .total_cmp(&other.rotation)
+            .then_with(|| self.distance.total_cmp(&other.distance))
+            .then_with(|| self.id.cmp(&other.id))
+    }
+}
+
+/// The candidates of a sweep from `origin`, each with its rotation from
+/// `start` (east when `start` is zero) and its distance; candidates at
+/// `origin` itself have no direction and are skipped.
+fn sweep_entries(
+    origin: Point,
+    start: Vec2,
+    candidates: impl IntoIterator<Item = (usize, Point)>,
+) -> impl Iterator<Item = SweepEntry> {
+    let start_angle = if start.is_zero() {
+        Angle::new(0.0)
+    } else {
+        Angle::of_vec(start)
+    };
+    candidates
+        .into_iter()
+        .filter(move |&(_, p)| p != origin)
+        .map(move |(id, p)| {
+            let v = p - origin;
+            SweepEntry {
+                id,
+                point: p,
+                rotation: Angle::of_vec(v).ccw_from(start_angle),
+                distance: v.norm(),
+            }
+        })
+}
+
 impl AngularSweep {
     /// Builds the sweep. Candidates located exactly at `origin` are
     /// skipped (they have no direction). A zero `start` direction is
@@ -64,30 +101,8 @@ impl AngularSweep {
         start: Vec2,
         candidates: impl IntoIterator<Item = (usize, Point)>,
     ) -> AngularSweep {
-        let start_angle = if start.is_zero() {
-            Angle::new(0.0)
-        } else {
-            Angle::of_vec(start)
-        };
-        let mut entries: Vec<SweepEntry> = candidates
-            .into_iter()
-            .filter(|&(_, p)| p != origin)
-            .map(|(id, p)| {
-                let v = p - origin;
-                SweepEntry {
-                    id,
-                    point: p,
-                    rotation: Angle::of_vec(v).ccw_from(start_angle),
-                    distance: v.norm(),
-                }
-            })
-            .collect();
-        entries.sort_by(|a, b| {
-            a.rotation
-                .total_cmp(&b.rotation)
-                .then_with(|| a.distance.total_cmp(&b.distance))
-                .then_with(|| a.id.cmp(&b.id))
-        });
+        let mut entries: Vec<SweepEntry> = sweep_entries(origin, start, candidates).collect();
+        entries.sort_by(SweepEntry::order);
         AngularSweep { entries }
     }
 
@@ -119,15 +134,16 @@ impl AngularSweep {
 }
 
 /// First candidate hit when rotating a ray counter-clockwise from
-/// `start`, or `None` when there are no candidates off-origin.
+/// `start` — the first entry of the [`AngularSweep`], found in one pass
+/// without sorting or allocating — or `None` when there are no
+/// candidates off-origin.
 pub fn ccw_scan_from(
     origin: Point,
     start: Vec2,
     candidates: impl IntoIterator<Item = (usize, Point)>,
 ) -> Option<usize> {
-    AngularSweep::new(origin, start, candidates)
-        .entries()
-        .first()
+    sweep_entries(origin, start, candidates)
+        .min_by(SweepEntry::order)
         .map(|e| e.id)
 }
 

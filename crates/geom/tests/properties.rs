@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use sp_geom::{
-    ccw_order_in_quadrant, convex_hull, normalize_angle, point_in_polygon, pseudo_angle, Angle,
-    Point, Quadrant, Ray, Rect, Segment, Side, Vec2, TAU,
+    ccw_order_in_quadrant, ccw_scan_from, convex_hull, normalize_angle, point_in_polygon,
+    pseudo_angle, Angle, Point, Quadrant, Ray, Rect, Segment, Side, Vec2, TAU,
 };
 
 fn finite_coord() -> impl Strategy<Value = f64> {
@@ -147,7 +147,10 @@ proptest! {
         q in prop::sample::select(vec![Quadrant::I, Quadrant::II, Quadrant::III, Quadrant::IV]),
     ) {
         let cands: Vec<(usize, Point)> = pts.iter().copied().enumerate().collect();
-        let order = ccw_order_in_quadrant(o, q, cands);
+        let order = ccw_order_in_quadrant(o, q, cands.clone());
+        // The one-pass scan finds the sorted sweep's first entry.
+        let inside = cands.into_iter().filter(|&(_, p)| Quadrant::of(o, p) == Some(q));
+        prop_assert_eq!(ccw_scan_from(o, q.scan_start_axis(), inside), order.first().copied());
         // Every returned id is in the quadrant.
         for &id in &order {
             prop_assert_eq!(Quadrant::of(o, pts[id]), Some(q));

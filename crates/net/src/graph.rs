@@ -58,7 +58,7 @@ impl Network {
     /// [`Network::from_positions_brute_force`]). Above
     /// [`sp_net::spatial::PARALLEL_NODE_THRESHOLD`](crate::spatial::PARALLEL_NODE_THRESHOLD)
     /// nodes the cell-pair scan is sharded across threads
-    /// ([`SpatialIndex::auto_threads`]; pin with `SP_NET_THREADS`) with
+    /// ([`SpatialIndex::auto_threads`]) with
     /// output identical to the serial scan.
     ///
     /// # Panics

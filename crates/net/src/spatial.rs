@@ -21,8 +21,8 @@
 //! arrays; bulk adjacency construction emits straight into a
 //! [`CsrAdjacency`] arena, sharding contiguous *bands* of cell rows
 //! across threads ([`SpatialIndex::adjacency_within_threaded`],
-//! automatic above [`PARALLEL_NODE_THRESHOLD`] nodes, `SP_NET_THREADS`
-//! to pin) so each worker touches a disjoint cache range; and points
+//! automatic above [`PARALLEL_NODE_THRESHOLD`] nodes) so each worker
+//! touches a disjoint cache range; and points
 //! relocate incrementally in `O(1)` ([`SpatialIndex::move_point`]) so a
 //! mobility tick re-buckets only the nodes that moved instead of
 //! rebuilding the grid.
@@ -36,10 +36,6 @@ use std::sync::Arc;
 /// more than one thread. Below this the whole adjacency fits in cache
 /// and thread spawn/merge overhead dominates any sharding win.
 pub const PARALLEL_NODE_THRESHOLD: usize = 8_192;
-
-/// The thread-count environment knob read by
-/// [`SpatialIndex::auto_threads`].
-pub const THREADS_ENV: &str = "SP_NET_THREADS";
 
 /// Contiguous row-bands handed to each construction worker are sized
 /// so roughly this many land on every thread: small enough to balance
@@ -371,14 +367,13 @@ impl SpatialIndex {
 
     /// The thread count [`Network::from_positions`](crate::Network)
     /// hands to [`adjacency_within_threaded`](Self::adjacency_within_threaded):
-    /// 1 below [`PARALLEL_NODE_THRESHOLD`] nodes, otherwise the
-    /// [`THREADS_ENV`] (`SP_NET_THREADS`) environment knob when set to a
-    /// positive integer, otherwise [`std::thread::available_parallelism`].
+    /// 1 below [`PARALLEL_NODE_THRESHOLD`] nodes, otherwise
+    /// [`sp_sync::default_threads`] (the host's available parallelism).
     pub fn auto_threads(node_count: usize) -> usize {
         if node_count < PARALLEL_NODE_THRESHOLD {
             return 1;
         }
-        sp_sync::configured_threads_for(THREADS_ENV)
+        sp_sync::default_threads()
     }
 
     /// Forward cell offsets covering each unordered pair of nearby cells

@@ -27,7 +27,10 @@
 //! service's consistency contract — `answer.epoch <=`
 //! [`RoutingService::epoch`] — survives the wire hop; the
 //! `end_to_end` test races concurrent clients against live `MOVE` /
-//! `CHAOS` churn to hold it.
+//! `CHAOS` churn to hold it. A `CHAOS` recipe is drawn against the
+//! current epoch and degrades the topology at the current positions
+//! ([`RoutingService::apply_chaos`]), so it keeps earlier `MOVE`s, and
+//! later `MOVE`s keep its plan in force.
 //!
 //! Shutdown is graceful by construction: `SHUTDOWN` is acknowledged
 //! first, then the stop flag flips, the accept loop is woken with a
@@ -44,7 +47,7 @@ use crate::wire::{
 };
 use sp_core::{RoutingService, ServiceScheme, ServiceSession};
 use sp_experiments::ChaosRecipe;
-use sp_geom::Point;
+use sp_geom::{Point, Rect};
 use sp_net::{Network, NodeId};
 use sp_sync::{lock_recover, wait_timeout_recover};
 use std::collections::VecDeque;
@@ -135,11 +138,10 @@ impl ServeConfig {
 /// State shared by the accept loop, the workers, and the handle.
 struct Shared {
     service: Arc<RoutingService>,
-    /// The pristine epoch-0 topology: chaos re-degrades from here
-    /// (failures are not monotone — revivals need the original edges),
-    /// and its node count is the wire-validation bound (node ids stay
-    /// index-aligned across every epoch).
-    base: Network,
+    /// The interest area every `MOVE` position must lie in.
+    area: Rect,
+    /// The wire-validation bound on node ids (ids stay index-aligned
+    /// across every epoch).
     nodes: usize,
     telemetry: Telemetry,
     // sp-analyze: allow(concurrency, the server's stop flag is a single watched bool, not a work-sharing cursor)
@@ -235,9 +237,9 @@ pub fn serve(net: Network, cfg: ServeConfig) -> std::io::Result<ServerHandle> {
     serve_with(Arc::new(RoutingService::new(net.clone())), net, cfg)
 }
 
-/// [`serve`] over an existing service plus its pristine base topology
-/// (`base` must be the epoch-0 network: chaos re-degrades from it and
-/// node-id validation uses its node count).
+/// [`serve`] over an existing service plus its epoch-0 topology
+/// (`base` gives the area `MOVE` positions must lie in and the node
+/// count ids are checked against).
 pub fn serve_with(
     service: Arc<RoutingService>,
     base: Network,
@@ -246,11 +248,10 @@ pub fn serve_with(
     let listener = TcpListener::bind(&cfg.addr)?;
     let addr = listener.local_addr()?;
     let workers = cfg.threads.max(1);
-    let nodes = base.len();
     let shared = Arc::new(Shared {
         service,
-        base,
-        nodes,
+        area: base.area(),
+        nodes: base.len(),
         telemetry: Telemetry::new(workers),
         // sp-analyze: allow(concurrency, the server's stop flag is a single watched bool, not a work-sharing cursor)
         stop: AtomicBool::new(false),
@@ -530,7 +531,7 @@ fn dispatch(
                 // Non-finite and out-of-area positions alike: §3 keeps
                 // all communication inside the interest area.
                 let p = Point::new(x, y);
-                if !shared.base.area().contains(p) {
+                if !shared.area.contains(p) {
                     bad = Some(ProtocolError::new(
                         ProtocolErrorKind::BadCoordinate,
                         node as u64,
@@ -554,10 +555,8 @@ fn dispatch(
         Request::Chaos { round, seed, spec } => {
             match ChaosRecipe::parse(spec) {
                 Ok(recipe) => {
-                    let plan = recipe.build(&shared.base, seed);
-                    let epoch = shared
-                        .service
-                        .apply_chaos(&shared.base, &plan, round as usize);
+                    let plan = recipe.build(shared.service.snapshot().value.network(), seed);
+                    let epoch = shared.service.apply_chaos(&plan, round as usize);
                     shared.telemetry.with(w, |c| c.record_chaos());
                     encode_epoch_ok(out, OP_CHAOS, epoch, recipe.clauses.len() as u32);
                 }

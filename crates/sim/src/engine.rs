@@ -27,20 +27,15 @@ pub const PARALLEL_NODE_THRESHOLD: usize = 8_192;
 /// with a handful of active nodes never pay a thread spawn.
 const MIN_PARALLEL_FRONTIER: usize = 32;
 
-/// The thread-count environment knob read by [`auto_threads`]
-/// (mirroring `SP_NET_THREADS` for the spatial index).
-pub const THREADS_ENV: &str = "SP_SIM_THREADS";
-
 /// The thread count [`Engine::new`] configures by default: 1 below
-/// [`PARALLEL_NODE_THRESHOLD`] nodes, otherwise the [`THREADS_ENV`]
-/// (`SP_SIM_THREADS`) environment knob when set to a positive integer,
-/// otherwise [`std::thread::available_parallelism`]. Any count yields
-/// bit-identical results; the knob only trades wall-clock.
+/// [`PARALLEL_NODE_THRESHOLD`] nodes, otherwise
+/// [`sp_sync::default_threads`] (the host's available parallelism). Any
+/// count yields bit-identical results; it only trades wall-clock.
 pub fn auto_threads(node_count: usize) -> usize {
     if node_count < PARALLEL_NODE_THRESHOLD {
         return 1;
     }
-    sp_sync::configured_threads_for(THREADS_ENV)
+    sp_sync::default_threads()
 }
 
 /// An outbox drained by a worker shard, tagged with the node that
@@ -105,8 +100,8 @@ impl std::error::Error for SimError {}
 ///
 /// # Threaded rounds
 ///
-/// With [`Engine::set_threads`] (or the [`THREADS_ENV`] knob picked up
-/// by [`auto_threads`]) above 1, the processing phase shards the
+/// With [`Engine::set_threads`] (or [`auto_threads`] on a large
+/// network) above 1, the processing phase shards the
 /// frontier across scoped worker threads over disjoint
 /// `split_at_mut` node ranges and merges outboxes in ascending node
 /// order — the buffered-message order, [`SimStats`], [`RoundLog`], and

@@ -27,16 +27,6 @@ pub struct EnvKnob {
 /// knob anywhere — `sp-analyze` enforces both.
 pub const ENV_KNOBS: &[EnvKnob] = &[
     EnvKnob {
-        name: "SP_NET_THREADS",
-        summary: "Worker threads for bulk spatial-index adjacency construction (sp-net).",
-        default: "available parallelism",
-    },
-    EnvKnob {
-        name: "SP_SIM_THREADS",
-        summary: "Worker threads for distributed-construction round processing (sp-sim).",
-        default: "available parallelism",
-    },
-    EnvKnob {
         name: "SP_SERVE_THREADS",
         summary: "Worker threads in the `sp-serve` TCP front end's connection pool \
                   (one `ServiceSession` + reused route buffer per worker).",
@@ -160,7 +150,7 @@ mod tests {
 
     #[test]
     fn lookup_finds_registered_knobs_only() {
-        assert!(knob("SP_NET_THREADS").is_some());
+        assert!(knob("SP_SERVE_THREADS").is_some());
         assert!(knob("SP_NOT_A_KNOB").is_none());
     }
 
@@ -174,14 +164,14 @@ mod tests {
     fn thread_policy_reads_the_pin_knob() {
         // Serializes with other env-reading tests via a throwaway var:
         // the test suite only mutates this one knob.
-        std::env::set_var("SP_SIM_THREADS", "3");
-        assert_eq!(configured_threads_for("SP_SIM_THREADS"), 3);
-        std::env::set_var("SP_SIM_THREADS", "0");
-        assert!(configured_threads_for("SP_SIM_THREADS") >= 1);
-        std::env::set_var("SP_SIM_THREADS", "nonsense");
-        assert!(configured_threads_for("SP_SIM_THREADS") >= 1);
-        std::env::remove_var("SP_SIM_THREADS");
-        assert!(configured_threads_for("SP_SIM_THREADS") >= 1);
+        std::env::set_var("SP_SERVE_THREADS", "3");
+        assert_eq!(configured_threads_for("SP_SERVE_THREADS"), 3);
+        std::env::set_var("SP_SERVE_THREADS", "0");
+        assert!(configured_threads_for("SP_SERVE_THREADS") >= 1);
+        std::env::set_var("SP_SERVE_THREADS", "nonsense");
+        assert!(configured_threads_for("SP_SERVE_THREADS") >= 1);
+        std::env::remove_var("SP_SERVE_THREADS");
+        assert!(configured_threads_for("SP_SERVE_THREADS") >= 1);
     }
 
     #[test]
