@@ -13,10 +13,12 @@
 //!   construction on the same network; `chaos_extra_messages` the
 //!   extra transmissions.
 //! * **Recovery** — `chaos_recovery`: the incremental maintenance
-//!   path (`InfoMaintainer::kill_many` + per-node `revive`) absorbing
-//!   a correlated regional outage and the subsequent rejoin.
-//!   `messages_per_recovery` is the labeling engine's node
-//!   evaluations per victim (`RepairReport::work_items`).
+//!   path absorbing a correlated regional outage and the subsequent
+//!   rejoin, one `ServiceSnapshot::derive` per victim's failure and
+//!   then per victim's revival. `messages_per_recovery` is the
+//!   labeling engine's node evaluations per failure
+//!   (`RepairReport::work_items`, the failed node's own evaluation
+//!   included).
 //!
 //! Medians (`*_seconds`) are gated by `ci/bench_gate` against the
 //! committed BENCH_chaos.json; the ratio/round/message keys are
@@ -26,10 +28,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sp_bench::SampleStats;
-use sp_core::{construct_with, InfoMaintainer};
+use sp_core::{construct_with, ServiceSnapshot};
 use sp_experiments::{run_lifetime, run_lifetime_with_chaos, ChaosRecipe, Scheme, StreamingConfig};
 use sp_net::edge_nodes::edge_node_mask;
-use sp_net::{deploy::DeploymentConfig, Network};
+use sp_net::{deploy::DeploymentConfig, Network, TopologyDelta};
 use sp_sim::ChaosPlan;
 use std::time::Instant;
 
@@ -135,12 +137,21 @@ fn recovery_row(net: &Network) -> String {
         .collect();
     assert!(!victims.is_empty(), "the outage region must hit someone");
     let (wall, work) = timed(|| {
-        let mut maint = InfoMaintainer::new(net.clone());
-        let report = maint.kill_many(&victims);
+        // Each victim fails, then each comes back, one derive apiece.
+        let mut snap = ServiceSnapshot::build(net.clone());
+        let (mut work, mut delta) = (0, TopologyDelta::default());
         for &v in &victims {
-            maint.revive(v);
+            delta.down = vec![v];
+            let report;
+            (snap, report) = snap.derive(&delta);
+            work += report.work_items;
         }
-        report.work_items
+        delta.down.clear();
+        for &v in &victims {
+            delta.up = vec![v];
+            snap = snap.derive(&delta).0;
+        }
+        work
     });
     format!(
         "    {{\"case\": \"chaos_recovery\", \"nodes\": {NODES}, \"runs\": {RUNS}, \"victims\": {}, \"messages_per_recovery\": {:.1}, {}}}",

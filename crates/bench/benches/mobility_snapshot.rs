@@ -10,7 +10,13 @@
 //! shape estimates are derived from the previous epoch, beside a full
 //! `ServiceSnapshot::build` of the same networks (`publish_delta` and
 //! `publish_full` rows, at 10⁴ FA and 10⁵ IA, plus 10⁶ IA under
-//! `SP_BENCH_SCALE=large`).
+//! `SP_BENCH_SCALE=large`). Two chaos rows per field price a plan in
+//! force, each timed interleaved with quiet `publish_delta` publishes so
+//! host drift hits both: `publish_delta_chaos` is the same 100-mover
+//! publish with 50 nodes down and one full-width cut open, and
+//! `publish_chaos` a CHAOS publish alternating a 50-kill plan and a
+//! quiet one (`RoutingService::apply_chaos`). Each reports its ratio to
+//! the interleaved quiet publishes (`ratio_vs_quiet`).
 //!
 //! Deployments keep the paper's density (radius 20 m, ~500 nodes per
 //! 200 m × 200 m) while the area grows with `n`. The measured
@@ -26,8 +32,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sp_bench::{sample_stats, SampleStats};
 use sp_core::{RoutingService, ServiceSnapshot};
+use sp_experiments::ChaosRecipe;
 use sp_geom::{Point, Quadrant};
 use sp_net::{DeploymentConfig, FaModel, Network, NodeId, SpatialIndex};
+use sp_sim::ChaosPlan;
 use std::time::Instant;
 
 /// Node count for the incremental-vs-rebuild comparison.
@@ -49,6 +57,8 @@ const PUBLISHES: usize = 120;
 const LARGE_PUBLISHES: usize = 16;
 /// Node count of the `SP_BENCH_SCALE=large` write-path rows.
 const LARGE_N: usize = 1_000_000;
+/// Nodes a chaos plan of the chaos publish rows takes down.
+const CHAOS_KILLS: usize = 50;
 
 /// True when `SP_BENCH_SCALE=large` asks for the million-node rows; the
 /// committed baseline is generated with the toggle on (as in the CI
@@ -268,11 +278,26 @@ fn assert_equals_full_build(service: &RoutingService, what: &str) {
     }
 }
 
+/// The plan of the chaos rows, drawn by the chaos grammar: `CHAOS_KILLS`
+/// seeded random nodes down at round 1 and, when `cut`, one seeded
+/// full-width partition cut open then.
+fn chaos_plan(net: &Network, cut: bool) -> ChaosPlan {
+    let cut = if cut { "+partition:len=9@round1" } else { "" };
+    let spec = format!("flap:n={CHAOS_KILLS},down=9@round1{cut}");
+    // sp-analyze: allow(panic, a bench whose fixed recipe stops parsing must fail loudly)
+    ChaosRecipe::parse(&spec).expect("chaos spec").build(net, 7)
+}
+
 /// One `publish_full` and one `publish_delta` row for `net`: a full
 /// `ServiceSnapshot::build` against `publishes` timed
 /// `RoutingService::apply_moves` calls alternating nudge and return.
 /// The delta row carries the p90 when at least ten publishes lie beyond
-/// it.
+/// it. Below 10⁶ nodes two chaos rows follow, each write timed right
+/// after one quiet publish so host drift hits both, and each reports
+/// its median against the quiet ones: `publish_delta_chaos`, the same
+/// batches with [`chaos_plan`]'s kills and cut in force, and
+/// `publish_chaos`, CHAOS publishes alternating its kills and a quiet
+/// plan.
 fn publish_rows(rows: &mut Vec<String>, field: &str, net: Network, publishes: usize) {
     let n = net.len();
     let batches = nudge_batches(&net);
@@ -287,21 +312,38 @@ fn publish_rows(rows: &mut Vec<String>, field: &str, net: Network, publishes: us
         .collect();
     let full_s = SampleStats::of(&full);
 
-    // Correctness gate before timing: both derived epochs equal a full
-    // build.
-    let service = RoutingService::new(net);
-    for (batch, what) in batches.iter().zip(["nudge", "return"]) {
-        service.apply_moves(batch);
-        assert_equals_full_build(&service, &format!("{field} n={n} {what}"));
-    }
-    let mut samples: Vec<f64> = (0..publishes)
-        .map(|k| {
-            let start = Instant::now();
-            service.apply_moves(&batches[k % 2]);
-            start.elapsed().as_secs_f64()
-        })
+    // Writer 0 is the quiet publish, writers 1 and 2 the chaos rows'.
+    let writers = if n < LARGE_N { 3 } else { 1 };
+    let services: Vec<_> = (0..writers)
+        .map(|_| RoutingService::new(net.clone()))
         .collect();
-    let delta_s = SampleStats::of(&samples);
+    let plans = [chaos_plan(&net, false), ChaosPlan::new()];
+    drop(net);
+    if let Some(service) = services.get(1) {
+        service.apply_chaos(|net| chaos_plan(net, true), 1);
+    }
+    let write = |w: usize, k: usize| match w {
+        2 => services[2].apply_chaos(|_| plans[k % 2].clone(), 1),
+        _ => services[w].apply_moves(&batches[k % 2]),
+    };
+    // Correctness gate before timing: every derived epoch equals a full
+    // build.
+    for (w, service) in services.iter().enumerate() {
+        for k in 0..2 {
+            write(w, k);
+            assert_equals_full_build(service, &format!("{field} n={n} writer {w}, {k}"));
+        }
+    }
+    let mut samples = vec![Vec::with_capacity(publishes); writers];
+    for k in 0..publishes {
+        for (w, times) in samples.iter_mut().enumerate() {
+            let start = Instant::now();
+            write(w, k);
+            times.push(start.elapsed().as_secs_f64());
+        }
+    }
+    let stats: Vec<SampleStats> = samples.iter().map(|s| SampleStats::of(s)).collect();
+    let delta_s = stats[0];
     let speedup = full_s.median / delta_s.median;
     eprintln!(
         "{field} n={n}, movers={PUBLISH_MOVERS}: full build {:.3} ms | derived publish {:.3} ms | {speedup:.1}x",
@@ -313,9 +355,9 @@ fn publish_rows(rows: &mut Vec<String>, field: &str, net: Network, publishes: us
         full_s.json_fields("time")
     ));
     let tail = if publishes >= 100 {
-        samples.sort_by(f64::total_cmp);
-        let at = (samples.len() * 9).div_ceil(10) - 1;
-        format!(", \"p90_seconds\": {:.6}", samples[at])
+        samples[0].sort_by(f64::total_cmp);
+        let at = (samples[0].len() * 9).div_ceil(10) - 1;
+        format!(", \"p90_seconds\": {:.6}", samples[0][at])
     } else {
         String::new()
     };
@@ -323,6 +365,24 @@ fn publish_rows(rows: &mut Vec<String>, field: &str, net: Network, publishes: us
         "    {{\"case\": \"publish_delta\", \"field\": \"{field}\", \"n\": {n}, \"movers\": {PUBLISH_MOVERS}, {}{tail}, \"speedup_vs_full\": {speedup:.2}}}",
         delta_s.json_fields("time")
     ));
+    let chaos_rows = [
+        (
+            "publish_delta_chaos",
+            format!("\"movers\": {PUBLISH_MOVERS}, \"kills\": {CHAOS_KILLS}, \"cuts\": 1"),
+        ),
+        ("publish_chaos", format!("\"kills\": {CHAOS_KILLS}")),
+    ];
+    for ((case, keys), s) in chaos_rows.iter().zip(&stats[1..]) {
+        let ratio = s.median / delta_s.median;
+        eprintln!(
+            "{field} n={n} {case}: {:.3} ms | {ratio:.2}x the quiet publish",
+            s.median * 1e3
+        );
+        rows.push(format!(
+            "    {{\"case\": \"{case}\", \"field\": \"{field}\", \"n\": {n}, {keys}, {}, \"ratio_vs_quiet\": {ratio:.2}}}",
+            s.json_fields("time")
+        ));
+    }
 }
 
 fn publish_benches(rows: &mut Vec<String>) {

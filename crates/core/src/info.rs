@@ -52,25 +52,6 @@ impl SafetyInfo {
         SafetyInfo { safety, shapes }
     }
 
-    /// Epoch `k + 1`'s information for `net`, derived from `self`, epoch
-    /// `k`'s information for `prev`, after `net = prev` with `movers`
-    /// moved. Labels, pinned mask and estimates all equal
-    /// [`SafetyInfo::build`]'s on `net`; [`SafetyInfo::rounds`] counts the
-    /// repair's rounds.
-    pub(crate) fn derive(&self, prev: &Network, net: &Network, movers: &[NodeId]) -> SafetyInfo {
-        // Every node whose neighborhood the batch changed.
-        let touched: Vec<NodeId> = movers
-            .iter()
-            .flat_map(|&m| {
-                let around = prev.neighbors(m).iter().chain(net.neighbors(m));
-                std::iter::once(m).chain(around.copied())
-            })
-            .collect();
-        let safety = self.safety.derive(net, &touched);
-        let shapes = self.shapes.derive(net, &self.safety, &safety, &touched);
-        SafetyInfo { safety, shapes }
-    }
-
     /// Wraps precomputed parts (used by the distributed construction).
     pub fn from_parts(safety: SafetyMap, shapes: ShapeMap) -> SafetyInfo {
         SafetyInfo { safety, shapes }
@@ -106,8 +87,8 @@ impl SafetyInfo {
 
     /// Rounds the labeling took to stabilize: the paper's round count
     /// after a full build, the repair's rounds for an epoch that
-    /// [`crate::RoutingService::apply_moves`] derived from the previous
-    /// one (see [`SafetyMap::rounds`]).
+    /// [`crate::ServiceSnapshot::derive`] derived from the previous one
+    /// (see [`SafetyMap::rounds`]).
     pub fn rounds(&self) -> usize {
         self.safety.rounds()
     }

@@ -31,18 +31,22 @@
 //! reaches the one fixed point from *any* start: a node with no
 //! type-`q` successor is final after one round, and a node whose longest
 //! support chain has `h` edges after `h + 1`. Statuses may therefore
-//! rise as well as fall, and the engine has four callers:
+//! rise as well as fall, and the engine has two callers:
 //!
 //! * the full build ([`SafetyMap::label_with_pinned`]): all-safe, every
 //!   node seeded; [`SafetyMap::rounds`] is then the paper's round count,
 //!   comparable with the distributed protocol in [`crate::distributed`];
-//! * a failure ([`crate::InfoMaintainer::kill`]): the labels before it,
-//!   seeded with the victim's neighbors;
-//! * a revival ([`crate::InfoMaintainer::revive`]): the labels before it,
-//!   seeded with the revived node and its restored neighbors;
-//! * a mobility epoch (`SafetyMap::derive`, behind
-//!   [`crate::RoutingService::apply_moves`]): the previous epoch's labels
-//!   on the next epoch's network, seeded with the batch's neighborhood.
+//! * the one derive behind every epoch writer (`SafetyMap::derive`, run
+//!   by [`crate::ServiceSnapshot::derive`] for MOVE batches, CHAOS
+//!   publishes and node failures alike): the previous epoch's labels on
+//!   the next epoch's network, seeded with the nodes whose links the
+//!   [`sp_net::TopologyDelta`] changed.
+//!
+//! **Down nodes are never pinned.** Definition 1 labels *healthy* nodes,
+//! so [`SafetyMap::label`] pins the edge nodes that are up. The edge
+//! mask stays a function of positions alone, so a node going down or
+//! coming back changes only its own pin. A down node has no links, so
+//! it holds all-unsafe, and no live node's support reads it.
 
 use crate::{RepairReport, SafetyTuple};
 use sp_geom::Quadrant;
@@ -123,6 +127,14 @@ fn enqueue(
     }
 }
 
+/// The pin rule of [`SafetyMap::label`]: the interest-area edge nodes
+/// (margin = radio radius) that are up.
+fn pin_mask(net: &Network) -> Vec<bool> {
+    let mut pinned = edge_node_mask(net, net.radius());
+    net.down().iter().for_each(|u| pinned[u.index()] = false);
+    pinned
+}
+
 /// The stabilized safety tuples of every node, plus convergence metadata.
 #[derive(Debug, Clone)]
 pub struct SafetyMap {
@@ -133,10 +145,10 @@ pub struct SafetyMap {
 
 impl SafetyMap {
     /// Runs Definition 1 to its fixed point over `net`, pinning the
-    /// interest-area edge nodes found with margin = radio radius.
+    /// interest-area edge nodes found with margin = radio radius that
+    /// are up: a down node is never pinned (see the module docs).
     pub fn label(net: &Network) -> SafetyMap {
-        let pinned = edge_node_mask(net, net.radius());
-        SafetyMap::label_with_pinned(net, pinned)
+        SafetyMap::label_with_pinned(net, pin_mask(net))
     }
 
     /// Runs Definition 1 with an explicit pinned mask (exposed for tests
@@ -157,20 +169,19 @@ impl SafetyMap {
     }
 
     /// Epoch `k + 1`'s labeling of `net`, derived from `self`, epoch
-    /// `k`'s labeling, after a mobility batch. `touched` lists every node
-    /// whose neighborhood the batch changed: the movers and their
-    /// neighbors in both epochs.
+    /// `k`'s labeling, and what the repair did. `touched` lists every
+    /// node whose links the topology delta changed.
     ///
     /// The engine starts from epoch `k`'s tuples under epoch `k + 1`'s
-    /// pinned mask, with newly pinned nodes raised to all-safe. It is
-    /// seeded with `touched`, every node whose pin changed and that
-    /// node's neighbors: a hull change can pin a node no mover touched,
-    /// and raising its tuple changes its neighbors' support. Every other
-    /// node keeps its neighborhood and its neighbors' tuples, so it still
-    /// agrees with its support, and the engine lands on the same fixed
-    /// point as [`SafetyMap::label`].
-    pub(crate) fn derive(&self, net: &Network, touched: &[NodeId]) -> SafetyMap {
-        let pinned = edge_node_mask(net, net.radius());
+    /// pinned mask ([`SafetyMap::label`]'s rule), with newly pinned nodes
+    /// raised to all-safe. It is seeded with `touched`, every node whose
+    /// pin changed and that node's neighbors: a hull change can pin a
+    /// node no delta touched, and raising its tuple changes its
+    /// neighbors' support. Every other node keeps its links and its
+    /// neighbors' tuples, so it still agrees with its support, and the
+    /// engine lands on the same fixed point as [`SafetyMap::label`].
+    pub(crate) fn derive(&self, net: &Network, touched: &[NodeId]) -> (SafetyMap, RepairReport) {
+        let pinned = pin_mask(net);
         let mut tuples = self.tuples.clone();
         let mut repinned = Vec::new();
         for (i, (&was, &is)) in self.pinned.iter().zip(&pinned).enumerate() {
@@ -185,12 +196,13 @@ impl SafetyMap {
             .iter()
             .flat_map(|&u| std::iter::once(u).chain(net.neighbors(u).iter().copied()));
         let seeds = touched.iter().copied().chain(around_repinned);
-        let (rounds, _) = relabel(net, &pinned, &mut tuples, seeds);
-        SafetyMap {
+        let (rounds, report) = relabel(net, &pinned, &mut tuples, seeds);
+        let map = SafetyMap {
             tuples,
             pinned,
             rounds,
-        }
+        };
+        (map, report)
     }
 
     /// Builds a map directly from tuples (used by the distributed
@@ -234,8 +246,8 @@ impl SafetyMap {
     /// Synchronous rounds until the fixed point stabilized: the rounds
     /// in which some status flipped. For a map labeled from all-safe
     /// ([`SafetyMap::label`]) this is the paper's round count. A map that
-    /// [`crate::RoutingService::apply_moves`] derived from the previous
-    /// epoch reports the rounds its repair took instead.
+    /// [`crate::ServiceSnapshot::derive`] derived from the previous epoch
+    /// reports the rounds its repair took instead.
     pub fn rounds(&self) -> usize {
         self.rounds
     }

@@ -65,7 +65,7 @@ pub use explain::explain_route;
 pub use info::SafetyInfo;
 pub use labeling::SafetyMap;
 pub use lgf::LgfRouter;
-pub use maintenance::{InfoMaintainer, RepairReport};
+pub use maintenance::RepairReport;
 pub use packet::{
     FaceState, HopScratch, Mode, PacketState, RouteOutcome, RoutePhase, RouteResult, VisitedSet,
 };

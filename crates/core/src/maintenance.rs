@@ -3,279 +3,144 @@
 //! The paper's §1 lists the dynamic factors that create local minima at
 //! runtime — "node failures, signal fading, communication jamming, power
 //! exhaustion, interference, and node mobility" — and §6 names more
-//! adaptive information as future work. This module provides the
-//! centralized counterpart of the distributed repair that
-//! [`crate::distributed`] performs via `on_neighbor_failed`: when a node
-//! dies, the Definition-1 labeling is **repaired in place** instead of
-//! recomputed from scratch.
-//!
-//! Both directions are repairs. A kill or a revival changes only the
-//! neighborhoods of the node itself and its neighbors, so the one
+//! adaptive information as future work. A failure, a revival, a cut
+//! window and a mobility batch all change the links of a known set of
+//! nodes, so they share one repair: a [`sp_net::TopologyDelta`] applied
+//! by [`crate::ServiceSnapshot::derive`]. The topology is repaired
+//! around the nodes the delta requeries ([`sp_net::Network::derive`]),
+//! and the Definition-1 labeling and the shape estimates are **repaired
+//! in place** from the previous epoch's instead of recomputed: the one
 //! labeling engine of [`crate::labeling`] runs from the current labels,
-//! seeded with just those nodes, and touches only the neighborhood the
-//! change actually influenced. Definition 1 has a single fixed point per
-//! pinned mask, which the engine reaches from any start (the labeling
-//! module docs give the acyclicity argument), so the repair lands on
-//! exactly the labels a full rebuild produces — the equivalence the
-//! property tests check.
+//! seeded with the nodes whose links changed, and touches only the
+//! neighborhood the change actually influenced. Definition 1 has a
+//! single fixed point per pinned mask, which the engine reaches from any
+//! start (the labeling module docs give the acyclicity argument), so the
+//! repair lands on exactly the labels a full rebuild produces — the
+//! equivalence the property tests check. This module's [`RepairReport`]
+//! says what one repair did; the distributed counterpart is
+//! [`crate::distributed`]'s `on_neighbor_failed`.
+//!
+//! A node going down loses its pin (Definition 1 labels healthy nodes)
+//! and every link, so it turns all-unsafe, and its former neighbors seed
+//! the repair. A node coming back regains its links and, if it is an
+//! edge node, its pin; statuses may flip back to safe.
 
-use crate::labeling::relabel;
-use crate::{SafetyInfo, SafetyMap, SafetyTuple, ShapeMap};
-use sp_net::{edge_nodes::edge_node_mask, Network, NodeId};
-
-/// What one [`InfoMaintainer::kill`] repair did.
+/// What one labeling repair did
+/// ([`crate::ServiceSnapshot::derive`]).
+///
+/// After a failure a node flips at most one status, the failed node
+/// itself aside: a type-`q` flip at `u` traces back along type-`q`
+/// support edges to the failed node, and quadrant cones are transitive,
+/// so the failed node lies in `Q_q(u)`, and it lies in one quadrant
+/// only. The failed node has no links left, so it flips once, in the
+/// first round. So after a failure the engine's flips are distinct
+/// nodes, and the report counts exactly the tuples that changed, the
+/// failed node's own included.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RepairReport {
-    /// Safety statuses flipped (excluding the victim's); after a kill,
-    /// every flip is safe → unsafe.
+    /// Safety statuses flipped, summed over the repair's rounds.
     pub flipped_statuses: usize,
-    /// Distinct nodes whose tuple changed (excluding the victim).
+    /// Nodes whose tuple flipped, counted once per round in which they
+    /// flip.
     pub relabeled_nodes: usize,
     /// Node evaluations the labeling engine ran, summed over its rounds
     /// (a proxy for repair cost).
     pub work_items: usize,
 }
 
-/// Safety information that tracks node failures incrementally.
-///
-/// Holds the current *ghost network* (dead nodes keep their ids but lose
-/// every edge), the pinned mask, and the maintained safety tuples. Shape
-/// estimates are derived on demand by [`InfoMaintainer::info`].
-///
-/// ```
-/// use sp_core::{InfoMaintainer, Slgf2Router, Routing};
-/// use sp_net::{deploy::DeploymentConfig, Network, NodeId};
-///
-/// let cfg = DeploymentConfig::paper_default(400);
-/// let net = Network::from_positions(cfg.deploy_uniform(2), cfg.radius, cfg.area);
-/// let mut maint = InfoMaintainer::new(net);
-/// let report = maint.kill(NodeId(100));
-/// let info = maint.info();
-/// let r = Slgf2Router::new(&info).route(maint.network(), NodeId(0), NodeId(399));
-/// assert_eq!(r.path.first(), Some(&NodeId(0)));
-/// # let _ = report;
-/// ```
-#[derive(Debug, Clone)]
-pub struct InfoMaintainer {
-    net: Network,
-    original: Network,
-    pinned: Vec<bool>,
-    original_pinned: Vec<bool>,
-    tuples: Vec<SafetyTuple>,
-    dead: Vec<bool>,
-    repairs: usize,
-}
-
-impl InfoMaintainer {
-    /// Builds initial information for `net` with hull pinning (the §3
-    /// interest-area convention).
-    pub fn new(net: Network) -> InfoMaintainer {
-        let pinned = edge_node_mask(&net, net.radius());
-        InfoMaintainer::with_pinned(net, pinned)
-    }
-
-    /// Builds initial information with an explicit pinned mask.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pinned.len() != net.len()`.
-    pub fn with_pinned(net: Network, pinned: Vec<bool>) -> InfoMaintainer {
-        let map = SafetyMap::label_with_pinned(&net, pinned.clone());
-        let tuples = map.tuples().to_vec();
-        InfoMaintainer {
-            dead: vec![false; net.len()],
-            original: net.clone(),
-            net,
-            original_pinned: pinned.clone(),
-            pinned,
-            tuples,
-            repairs: 0,
-        }
-    }
-
-    /// The current ghost network (dead nodes isolated, ids preserved).
-    /// Route over this, not the original deployment.
-    pub fn network(&self) -> &Network {
-        &self.net
-    }
-
-    /// Whether `u` has been killed.
-    pub fn is_dead(&self, u: NodeId) -> bool {
-        self.dead[u.index()]
-    }
-
-    /// Number of kills applied so far.
-    pub fn repairs(&self) -> usize {
-        self.repairs
-    }
-
-    /// The maintained tuple of `u` (all-unsafe for dead nodes).
-    pub fn tuple(&self, u: NodeId) -> SafetyTuple {
-        self.tuples[u.index()]
-    }
-
-    /// Kills `victim` and repairs the labeling incrementally.
-    /// Killing an already-dead node is a no-op.
-    ///
-    /// A node flips at most one status per kill: a type-`q` flip at `u`
-    /// traces back along type-`q` support edges to the victim, and
-    /// quadrant cones are transitive, so the victim lies in `Q_q(u)`,
-    /// and it lies in one quadrant only. So the engine's flips are
-    /// distinct nodes and the report counts them exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `victim` is out of range.
-    pub fn kill(&mut self, victim: NodeId) -> RepairReport {
-        if self.dead[victim.index()] {
-            return RepairReport::default();
-        }
-        self.repairs += 1;
-        self.dead[victim.index()] = true;
-        self.pinned[victim.index()] = false;
-        self.tuples[victim.index()] = SafetyTuple::all_unsafe();
-        let net = self.net.without_nodes(&[victim]);
-        // The victim's neighbors lose an edge: they seed the repair.
-        let seeds = self.net.neighbors(victim).iter().copied();
-        let (_, report) = relabel(&net, &self.pinned, &mut self.tuples, seeds);
-        self.net = net;
-        report
-    }
-
-    /// Revives a previously-killed node, restoring its original edges
-    /// (and hull pinning, when the node was pinned at construction), and
-    /// repairs the labeling incrementally: statuses may flip back to
-    /// safe, and the engine reaches the new fixed point from the current
-    /// labels, seeded with the revived node and its restored neighbors.
-    /// Reviving a live node is a no-op.
-    pub fn revive(&mut self, node: NodeId) {
-        if !self.dead[node.index()] {
-            return;
-        }
-        self.dead[node.index()] = false;
-        let dead_now: Vec<NodeId> = self
-            .dead
-            .iter()
-            .enumerate()
-            .filter(|&(_, &d)| d)
-            .map(|(i, _)| NodeId::new(i))
-            .collect();
-        self.net = self.original.without_nodes(&dead_now);
-        if self.original_pinned[node.index()] {
-            self.pinned[node.index()] = true;
-            self.tuples[node.index()] = SafetyTuple::all_safe();
-        }
-        let seeds = std::iter::once(node).chain(self.net.neighbors(node).iter().copied());
-        relabel(&self.net, &self.pinned, &mut self.tuples, seeds);
-    }
-
-    /// Kills several nodes, folding the repair reports.
-    pub fn kill_many(&mut self, victims: &[NodeId]) -> RepairReport {
-        let mut total = RepairReport::default();
-        for &v in victims {
-            let r = self.kill(v);
-            total.flipped_statuses += r.flipped_statuses;
-            total.relabeled_nodes += r.relabeled_nodes;
-            total.work_items += r.work_items;
-        }
-        total
-    }
-
-    /// Assembles a routable [`SafetyInfo`] snapshot: the maintained
-    /// tuples plus freshly derived shape estimates over the ghost
-    /// network.
-    pub fn info(&self) -> SafetyInfo {
-        let map = SafetyMap::from_tuples(self.tuples.clone(), self.pinned.clone(), 0);
-        let shapes = ShapeMap::build(&self.net, &map);
-        SafetyInfo::from_parts(map, shapes)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{SafetyInfo, ServiceSnapshot};
     use sp_geom::Quadrant;
-    use sp_net::DeploymentConfig;
+    use sp_net::{DeploymentConfig, Network, NodeId, TopologyDelta};
 
-    fn built(nodes: usize, seed: u64) -> (Network, InfoMaintainer) {
+    fn built(nodes: usize, seed: u64) -> (Network, ServiceSnapshot) {
         let cfg = DeploymentConfig::paper_default(nodes);
         let net = Network::from_positions(cfg.deploy_uniform(seed), cfg.radius, cfg.area);
-        let maint = InfoMaintainer::new(net.clone());
-        (net, maint)
+        let snap = ServiceSnapshot::build(net.clone());
+        (net, snap)
     }
 
-    /// Incremental repair must equal a full rebuild on the ghost network
-    /// with dead nodes unpinned.
-    fn assert_matches_rebuild(maint: &InfoMaintainer) {
-        let rebuilt = SafetyMap::label_with_pinned(
-            maint.network(),
-            (0..maint.network().len())
-                .map(|i| maint.pinned[i])
-                .collect(),
-        );
-        for u in maint.network().node_ids() {
-            if maint.is_dead(u) {
-                assert!(
-                    maint.tuple(u).fully_unsafe(),
-                    "dead node {u} must be all-unsafe"
-                );
-                continue;
+    fn kill(snap: &ServiceSnapshot, victims: &[NodeId]) -> (ServiceSnapshot, RepairReport) {
+        snap.derive(&TopologyDelta {
+            down: victims.to_vec(),
+            ..TopologyDelta::default()
+        })
+    }
+
+    fn revive(snap: &ServiceSnapshot, node: NodeId) -> (ServiceSnapshot, RepairReport) {
+        snap.derive(&TopologyDelta {
+            up: vec![node],
+            ..TopologyDelta::default()
+        })
+    }
+
+    /// The repaired epoch equals a full rebuild of its network, in which
+    /// the down nodes are unpinned and all-unsafe.
+    fn assert_matches_rebuild(snap: &ServiceSnapshot) {
+        let (net, info) = (snap.network(), snap.info());
+        let rebuilt = SafetyInfo::build(net);
+        for u in net.node_ids() {
+            if net.is_down(u) {
+                assert!(info.tuple(u).fully_unsafe(), "down node {u} all-unsafe");
+                assert!(!info.safety().is_pinned(u), "down node {u} unpinned");
             }
             assert_eq!(
-                maint.tuple(u),
+                info.tuple(u),
                 rebuilt.tuple(u),
                 "incremental != rebuild at {u}"
             );
+            assert_eq!(info.safety().is_pinned(u), rebuilt.safety().is_pinned(u));
         }
     }
 
     #[test]
     fn single_kill_matches_full_rebuild() {
-        let (net, mut maint) = built(300, 1);
+        let (net, snap) = built(300, 1);
         // Kill a well-connected interior node.
         let victim = net
             .node_ids()
             .max_by_key(|&u| net.degree(u))
             .expect("non-empty");
-        let report = maint.kill(victim);
-        assert!(maint.is_dead(victim));
+        let (snap, report) = kill(&snap, &[victim]);
+        assert!(snap.network().is_down(victim));
         assert!(report.work_items >= net.degree(victim));
-        assert_matches_rebuild(&maint);
+        assert_matches_rebuild(&snap);
     }
 
     #[test]
     fn sequential_kills_match_full_rebuild() {
-        let (net, mut maint) = built(250, 7);
+        let (net, mut snap) = built(250, 7);
         let victims: Vec<NodeId> = net.node_ids().step_by(17).take(12).collect();
-        let report = maint.kill_many(&victims);
-        assert_eq!(maint.repairs(), victims.len());
         for &v in &victims {
-            assert!(maint.is_dead(v));
+            snap = kill(&snap, &[v]).0;
         }
-        assert_matches_rebuild(&maint);
-        let _ = report;
+        assert_eq!(snap.network().down(), victims.as_slice());
+        assert_matches_rebuild(&snap);
     }
 
     #[test]
     fn killing_twice_is_a_noop() {
-        let (_, mut maint) = built(150, 3);
-        let first = maint.kill(NodeId(10));
-        let second = maint.kill(NodeId(10));
-        assert_eq!(second, RepairReport::default());
-        assert_eq!(maint.repairs(), 1);
-        let _ = first;
+        let (_, snap) = built(150, 3);
+        let (first, _) = kill(&snap, &[NodeId(10)]);
+        let (second, report) = kill(&first, &[NodeId(10)]);
+        assert_eq!(report, RepairReport::default());
+        assert_eq!(second.network().down(), &[NodeId(10)]);
+        assert_eq!(second.network().adjacency(), first.network().adjacency());
     }
 
     #[test]
     fn killing_a_pinned_hull_node_unpins_it() {
-        let (net, mut maint) = built(200, 5);
+        let (net, snap) = built(200, 5);
         let hull = net
             .node_ids()
-            .find(|&u| maint.pinned[u.index()])
+            .find(|&u| snap.info().safety().is_pinned(u))
             .expect("hull nodes exist");
-        maint.kill(hull);
-        assert!(maint.tuple(hull).fully_unsafe());
-        assert_matches_rebuild(&maint);
+        let (snap, _) = kill(&snap, &[hull]);
+        assert!(snap.info().tuple(hull).fully_unsafe());
+        assert!(!snap.info().safety().is_pinned(hull));
+        assert_matches_rebuild(&snap);
     }
 
     #[test]
@@ -283,34 +148,30 @@ mod tests {
         // In a dense network, killing one node rarely flips anyone else:
         // every neighbor has other safe support. The report shows the
         // repair touched only the 1-hop neighborhood.
-        let (net, mut maint) = built(700, 11);
+        let (net, snap) = built(700, 11);
         let victim = net
             .node_ids()
             .max_by_key(|&u| net.degree(u))
             .expect("non-empty");
         let deg = net.degree(victim);
-        let report = maint.kill(victim);
+        let (snap, report) = kill(&snap, &[victim]);
         assert!(
             report.work_items <= 8 * deg.max(1),
             "repair should stay near the victim: {report:?} (deg {deg})"
         );
-        assert_matches_rebuild(&maint);
+        assert_matches_rebuild(&snap);
     }
 
     #[test]
     fn info_snapshot_estimates_match_rebuild() {
-        let (net, mut maint) = built(220, 13);
+        let (net, snap) = built(220, 13);
         let victims: Vec<NodeId> = net.node_ids().step_by(31).take(6).collect();
-        maint.kill_many(&victims);
-        let info = maint.info();
-        let central = SafetyInfo::build_with_pinned(maint.network(), maint.pinned.clone());
-        for u in maint.network().node_ids() {
-            if maint.is_dead(u) {
-                continue;
-            }
-            assert_eq!(info.tuple(u), central.tuple(u), "tuple at {u}");
+        let (snap, _) = kill(&snap, &victims);
+        let central = SafetyInfo::build(snap.network());
+        for u in snap.network().node_ids() {
+            assert_eq!(snap.info().tuple(u), central.tuple(u), "tuple at {u}");
             for q in Quadrant::ALL {
-                match (info.estimate(u, q), central.estimate(u, q)) {
+                match (snap.info().estimate(u, q), central.estimate(u, q)) {
                     (None, None) => {}
                     (Some(a), Some(b)) => {
                         assert_eq!(a.rect, b.rect, "estimate at {u} {q}");
@@ -323,54 +184,56 @@ mod tests {
 
     #[test]
     fn revive_restores_the_pre_kill_state() {
-        let (net, mut maint) = built(200, 21);
-        let reference = InfoMaintainer::new(net.clone());
+        let (net, reference) = built(200, 21);
         let victim = net
             .node_ids()
             .max_by_key(|&u| net.degree(u))
             .expect("non-empty");
-        maint.kill(victim);
-        assert!(maint.is_dead(victim));
-        maint.revive(victim);
-        assert!(!maint.is_dead(victim));
+        let (snap, _) = kill(&reference, &[victim]);
+        assert!(snap.network().is_down(victim));
+        let (snap, _) = revive(&snap, victim);
+        assert!(!snap.network().is_down(victim));
         for u in net.node_ids() {
             assert_eq!(
-                maint.tuple(u),
-                reference.tuple(u),
+                snap.info().tuple(u),
+                reference.info().tuple(u),
                 "tuple mismatch at {u} after kill+revive"
             );
         }
         assert_eq!(
-            maint.network().edge_count(),
-            net.edge_count(),
+            snap.network().adjacency(),
+            net.adjacency(),
             "all edges restored"
         );
     }
 
     #[test]
     fn revive_with_other_nodes_still_dead_matches_rebuild() {
-        let (net, mut maint) = built(180, 23);
+        let (net, snap) = built(180, 23);
         let victims: Vec<NodeId> = net.node_ids().step_by(13).take(5).collect();
-        maint.kill_many(&victims);
-        maint.revive(victims[2]);
-        assert!(!maint.is_dead(victims[2]));
+        let (snap, _) = kill(&snap, &victims);
+        let (snap, _) = revive(&snap, victims[2]);
+        assert!(!snap.network().is_down(victims[2]));
         for (i, &v) in victims.iter().enumerate() {
             if i != 2 {
-                assert!(maint.is_dead(v));
-                assert!(maint.tuple(v).fully_unsafe());
+                assert!(snap.network().is_down(v));
+                assert!(snap.info().tuple(v).fully_unsafe());
             }
         }
-        assert_matches_rebuild(&maint);
+        assert_matches_rebuild(&snap);
         // Reviving a live node is a no-op.
-        let before = maint.tuple(victims[2]);
-        maint.revive(victims[2]);
-        assert_eq!(maint.tuple(victims[2]), before);
+        let (again, report) = revive(&snap, victims[2]);
+        assert_eq!(report, RepairReport::default());
+        assert_eq!(
+            again.info().tuple(victims[2]),
+            snap.info().tuple(victims[2])
+        );
     }
 
     #[test]
     fn routing_works_on_maintained_info() {
-        use crate::{Routing, Slgf2Router};
-        let (net, mut maint) = built(500, 17);
+        use crate::Routing;
+        let (net, snap) = built(500, 17);
         let comp = net.largest_component();
         let (s, d) = (comp[0], comp[comp.len() - 1]);
         let victims: Vec<NodeId> = comp
@@ -380,12 +243,11 @@ mod tests {
             .step_by(41)
             .take(8)
             .collect();
-        maint.kill_many(&victims);
-        if !maint.network().connected(s, d) {
+        let (snap, _) = kill(&snap, &victims);
+        if !snap.network().connected(s, d) {
             return; // topology break, not a routing concern
         }
-        let info = maint.info();
-        let r = Slgf2Router::new(&info).route(maint.network(), s, d);
+        let r = snap.router().route(snap.network(), s, d);
         assert!(r.delivered(), "outcome {:?}", r.outcome);
         for &v in &victims {
             assert!(!r.path.contains(&v), "routed through dead node {v}");

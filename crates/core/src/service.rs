@@ -9,12 +9,14 @@
 //!
 //! * [`RoutingService`] owns an epoch-versioned [`ServiceSnapshot`]
 //!   (topology + safety information) behind an
-//!   [`sp_sync::EpochCell`]: mobility updates build the **next**
-//!   snapshot off to the side and publish it with one `Arc` swap, so
-//!   readers never wait on a rebuild. The next topology is
-//!   [`Network::next_snapshot`]; its labels, pinned mask and shape
+//!   [`sp_sync::EpochCell`]: every writer builds the **next** snapshot
+//!   off to the side and publishes it with one `Arc` swap, so readers
+//!   never wait on a rebuild. Every writer is one
+//!   [`ServiceSnapshot::derive`] of a [`TopologyDelta`]: the topology is
+//!   repaired around the nodes the delta requeries
+//!   ([`Network::derive`]), and the labels, pinned mask and shape
 //!   estimates are derived from the pinned epoch's, repairing only
-//!   around the batch, and equal a full [`SafetyInfo::build`] bit for
+//!   around the change, and equal a full [`SafetyInfo::build`] bit for
 //!   bit;
 //! * [`ServiceSession`] is the per-worker reader: it pins a snapshot,
 //!   reuses one [`RouteBuffer`] (generation-stamped visited set, warm
@@ -29,12 +31,12 @@
 //!   exceeds [`RoutingService::epoch`], and the answer's path is valid
 //!   against exactly that epoch's adjacency (property-tested in
 //!   `tests/service_consistency.rs`);
-//! * CHAOS and MOVE compose into one world:
-//!   [`RoutingService::apply_chaos`] degrades the topology at the
-//!   current positions and leaves its plan in force in the snapshot,
-//!   and every later [`RoutingService::apply_moves`] degrades the moved
-//!   topology by that plan again, until a full
-//!   [`RoutingService::publish`] clears it.
+//! * CHAOS and MOVE compose into one world: the network itself carries
+//!   its down nodes and open cut chords, so
+//!   [`RoutingService::apply_chaos`] moves the current epoch to the
+//!   plan's state and every later [`RoutingService::apply_moves`] keeps
+//!   that state in force, until the next CHAOS or a full
+//!   [`RoutingService::publish`] replaces it.
 //!
 //! A batch pinned to one epoch is a [`crate::TrafficEngine`] run over
 //! a [`RoutingService::snapshot`] pin — the pinned snapshot's network
@@ -47,9 +49,11 @@
 //! queries/sec plus p50/p95/p99 per-query latency in CI
 //! (`BENCH_service.json`).
 
-use crate::{LgfRouter, RouteBuffer, RouteRecord, Routing, SafetyInfo, Slgf2Router, SlgfRouter};
+use crate::{
+    LgfRouter, RepairReport, RouteBuffer, RouteRecord, Routing, SafetyInfo, Slgf2Router, SlgfRouter,
+};
 use sp_geom::Point;
-use sp_net::{Network, NodeId};
+use sp_net::{Network, NodeId, TopologyDelta};
 use sp_sim::ChaosPlan;
 use sp_sync::{EpochCell, Pinned};
 
@@ -60,28 +64,51 @@ use sp_sync::{EpochCell, Pinned};
 pub struct ServiceSnapshot {
     net: Network,
     info: SafetyInfo,
-    /// The chaos plan in force and its round: set by
-    /// [`RoutingService::apply_chaos`], re-applied by every later
-    /// [`RoutingService::apply_moves`], cleared by a full publish.
-    chaos: Option<(ChaosPlan, usize)>,
 }
 
 impl ServiceSnapshot {
     /// Builds the snapshot for `net` from scratch: labels the network
     /// and derives the shape estimates ([`SafetyInfo::build`]). This is
     /// the expensive step, paid **off to the side** before the `Arc`
-    /// swap makes the snapshot visible, by epoch 0,
-    /// [`RoutingService::publish`] and [`RoutingService::apply_chaos`],
-    /// which have no batch relative to the previous epoch.
-    /// [`RoutingService::apply_moves`] derives its epoch from the
-    /// previous one instead.
+    /// swap makes the snapshot visible, by epoch 0 and
+    /// [`RoutingService::publish`], which have no delta relative to the
+    /// previous epoch. Every other epoch is a
+    /// [`ServiceSnapshot::derive`].
     pub fn build(net: Network) -> ServiceSnapshot {
         let info = SafetyInfo::build(&net);
-        ServiceSnapshot {
-            net,
-            info,
-            chaos: None,
-        }
+        ServiceSnapshot { net, info }
+    }
+
+    /// The next epoch: `delta` applied to the topology in one repair
+    /// ([`Network::derive`]), with the safety information derived from
+    /// this epoch's around the nodes the repair requeried, and what the
+    /// labeling repair did. Movers, failures, revivals and cut windows
+    /// all take this one path, and the result equals
+    /// [`ServiceSnapshot::build`] of its network in tuples, pinned mask
+    /// and estimates (property-tested in `tests/service_consistency.rs`);
+    /// only [`SafetyInfo::rounds`] reports the repair's rounds instead of
+    /// the paper's. It costs the change, not the field: labels and
+    /// estimates are repaired only around the requeried nodes, their
+    /// neighbors in both epochs and any node whose pin changed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any id in `delta` is out of range.
+    pub fn derive(&self, delta: &TopologyDelta) -> (ServiceSnapshot, RepairReport) {
+        let (net, requeried) = self.net.derive(delta);
+        // Every node whose links the delta changed: the requeried nodes
+        // and their neighbors in both epochs.
+        let touched: Vec<NodeId> = (requeried.iter())
+            .flat_map(|&u| {
+                let around = self.net.neighbors(u).iter().chain(net.neighbors(u));
+                std::iter::once(u).chain(around.copied())
+            })
+            .collect();
+        let (was, shapes) = (self.info.safety(), self.info.shapes());
+        let (safety, report) = was.derive(&net, &touched);
+        let shapes = shapes.derive(&net, was, &safety, &touched);
+        let info = SafetyInfo::from_parts(safety, shapes);
+        (ServiceSnapshot { net, info }, report)
     }
 
     /// The epoch's topology.
@@ -203,75 +230,46 @@ impl RoutingService {
         self.cell.load()
     }
 
-    /// Applies a mobility tick: builds the next topology off to the
-    /// side ([`Network::next_snapshot`]), derives its safety
-    /// information from the current epoch's, publishes the new epoch
-    /// with one `Arc` swap, and returns the new epoch number. Readers
-    /// pinned to earlier epochs are never blocked and never see a
-    /// half-built snapshot. Concurrent writers serialize
-    /// ([`EpochCell::update`]): each tick derives from the epoch the
-    /// previous one published, so no batch is lost.
-    ///
-    /// The derivation costs the batch, not the field: labels and shape
-    /// estimates are repaired only around the movers, their neighbors
-    /// in both epochs and any node whose pin changed. Every published
-    /// snapshot equals [`ServiceSnapshot::build`] of its network in
-    /// tuples, pinned mask and estimates (property-tested in
-    /// `tests/service_consistency.rs`); only [`SafetyInfo::rounds`]
-    /// reports the repair's rounds instead of the paper's.
-    ///
-    /// A chaos plan in force ([`RoutingService::apply_chaos`]) stays in
-    /// force: the moved topology is degraded by it again, so dead nodes
-    /// stay isolated and active cuts stay severed. Only links that touch
-    /// a mover can change, so the repair's seeds stay exact.
+    /// Applies a mobility tick: derives the next epoch from the current
+    /// one ([`ServiceSnapshot::derive`] of the moves), publishes it with
+    /// one `Arc` swap, and returns the new epoch number. Readers pinned
+    /// to earlier epochs are never blocked and never see a half-built
+    /// snapshot. Concurrent writers serialize ([`EpochCell::update`]):
+    /// each tick derives from the epoch the previous one published, so
+    /// no batch is lost. Down nodes and open cut chords stay in force.
     ///
     /// # Panics
     ///
     /// Panics if any moved id is out of range.
     pub fn apply_moves(&self, moves: &[(NodeId, Point)]) -> u64 {
-        self.cell.update(|prev| {
-            let mut net = prev.network().next_snapshot(moves);
-            if let Some((plan, round)) = &prev.chaos {
-                net = plan.degrade(&net, *round);
-            }
-            let movers: Vec<NodeId> = moves.iter().map(|&(u, _)| u).collect();
-            let info = prev.info().derive(prev.network(), &net, &movers);
-            ServiceSnapshot {
-                net,
-                info,
-                chaos: prev.chaos.clone(),
-            }
-        })
+        self.cell
+            .update(|prev| prev.derive(&TopologyDelta::moving(moves)).0)
     }
 
     /// Publishes a fully rebuilt topology as the next epoch (the
-    /// non-incremental handoff — e.g. a re-deployment), with no chaos
-    /// plan in force. Returns the new epoch number.
+    /// non-incremental handoff — e.g. a re-deployment), with the down
+    /// nodes and chords `net` carries. Returns the new epoch number.
     pub fn publish(&self, net: Network) -> u64 {
         self.cell.publish(ServiceSnapshot::build(net))
     }
 
-    /// Applies a chaos tick: rebuilds the topology at the **current**
-    /// positions, degrades it to the plan's state as of `round` —
-    /// cumulative kills minus revivals ([`ChaosPlan::dead_as_of`]) plus
-    /// every link crossing a cut active that round — relabels it off to
-    /// the side, and publishes the new epoch with the plan in force.
-    /// Returns the new epoch number.
+    /// Applies a chaos tick: `plan` draws the chaos plan on the epoch
+    /// it will degrade (under the writer lock, so a MOVE landing first
+    /// is seen by it), and the next epoch is derived from that one in
+    /// the plan's state as of `round` ([`ChaosPlan::delta`]): down
+    /// exactly the nodes [`ChaosPlan::dead_as_of`] names, and every link
+    /// crossing a cut active that round severed. Returns the new epoch
+    /// number.
     ///
-    /// Rebuilding rather than degrading the current snapshot matters
-    /// because chaos is not monotone: a flapped node's edges must come
-    /// *back* on revival, and the current snapshot no longer has them.
-    /// Earlier MOVEs are kept, and later ones keep the plan in force
-    /// ([`RoutingService::apply_moves`]). Quiet plans still publish —
-    /// an undamaged epoch at the current positions.
-    pub fn apply_chaos(&self, chaos: &ChaosPlan, round: usize) -> u64 {
+    /// Chaos is not monotone: a revived node takes a fresh range query,
+    /// so a flapped node's links come *back*, and a closed cut gives its
+    /// links back. Earlier MOVEs are kept, and later ones keep the plan's
+    /// state in force ([`RoutingService::apply_moves`]). Quiet plans
+    /// still publish — an undamaged epoch at the current positions.
+    pub fn apply_chaos(&self, plan: impl FnOnce(&Network) -> ChaosPlan, round: usize) -> u64 {
         self.cell.update(|prev| {
-            let now = prev.network();
-            let positions = now.index().shared_positions();
-            let net = Network::from_position_table(positions, now.radius(), now.area());
-            let mut snap = ServiceSnapshot::build(chaos.degrade(&net, round));
-            snap.chaos = Some((chaos.clone(), round));
-            snap
+            let plan = plan(prev.network());
+            prev.derive(&plan.delta(prev.network(), round)).0
         })
     }
 
@@ -510,15 +508,15 @@ mod tests {
         chaos.revive_at(3, victim);
         let service = RoutingService::new(base.clone());
 
-        let e1 = service.apply_chaos(&chaos, 1);
+        let e1 = service.apply_chaos(|_| chaos.clone(), 1);
         assert_eq!(e1, 1);
         let down = service.snapshot();
         assert_eq!(down.value.network().degree(victim), 0, "victim isolated");
 
         // After the revival round the degraded topology heals: the
-        // topology is rebuilt at the current positions and re-degraded,
-        // so the flapped node's edges come back.
-        let e2 = service.apply_chaos(&chaos, 3);
+        // revived node is requeried at its position, so the flapped
+        // node's edges come back.
+        let e2 = service.apply_chaos(|_| chaos.clone(), 3);
         assert_eq!(e2, 2);
         let up = service.snapshot();
         assert_eq!(
@@ -529,10 +527,37 @@ mod tests {
     }
 
     #[test]
+    fn chaos_plans_are_drawn_on_the_epoch_they_degrade() {
+        let base = prepared(150, 29);
+        let mover = NodeId(3);
+        let p = base.position(mover);
+        let to = base.area().clamp_point(Point::new(p.x + 12.0, p.y - 7.0));
+        let service = RoutingService::new(base.clone());
+        service.apply_moves(&[(mover, to)]);
+        let mut plan = ChaosPlan::new();
+        service.apply_chaos(
+            |net| {
+                // A region recipe would pick its victims from here.
+                assert_eq!(net.position(mover), to, "the builder saw a stale epoch");
+                plan.kill_at(2, mover);
+                plan.kill_at(4, NodeId(9));
+                plan.revive_at(3, mover);
+                plan.clone()
+            },
+            4,
+        );
+        let pin = service.snapshot();
+        let net = pin.value.network();
+        assert_eq!(net.down(), plan.dead_as_of(4).as_slice());
+        assert_eq!(net.down(), &[NodeId(9)]);
+        assert_eq!(net.position(mover), to);
+    }
+
+    #[test]
     fn quiet_chaos_epoch_matches_plain_publish() {
         let base = prepared(80, 5);
         let service = RoutingService::new(base.clone());
-        service.apply_chaos(&ChaosPlan::new(), 0);
+        service.apply_chaos(|_| ChaosPlan::new(), 0);
         let chaotic = service.snapshot();
         let plain = RoutingService::new(base.clone());
         plain.publish(base);

@@ -1,19 +1,21 @@
 //! Property tests: incremental repair of the safety information under
 //! node failures is indistinguishable from a full rebuild.
 //!
-//! `InfoMaintainer::kill` and `InfoMaintainer::revive` repair the
-//! Definition-1 labeling with the one worklist engine; these tests drive
-//! them with randomized deployments and kill/revive sequences and
-//! compare against `SafetyMap::label_with_pinned` on the degraded (ghost)
-//! network, for both tuples and the derived shape estimates.
+//! A failure or a revival is a `TopologyDelta` applied by
+//! `ServiceSnapshot::derive`, which repairs the Definition-1 labeling
+//! with the one worklist engine; these tests drive it with randomized
+//! deployments and kill/revive sequences and compare against
+//! `SafetyInfo::build` of the same network, which carries its down set
+//! (down nodes are never pinned), for both tuples and the derived shape
+//! estimates.
 //!
 //! The labeling engine itself is checked against `jacobi_reference`, the
 //! synchronous sweep the library used to run, in tuples and in rounds.
 
 use proptest::prelude::*;
-use sp_core::{InfoMaintainer, SafetyInfo, SafetyMap, SafetyTuple};
+use sp_core::{RepairReport, SafetyInfo, SafetyMap, SafetyTuple, ServiceSnapshot};
 use sp_geom::{Point, Quadrant};
-use sp_net::{DeploymentConfig, FaModel, Network, NodeId};
+use sp_net::{DeploymentConfig, FaModel, Network, NodeId, TopologyDelta};
 
 fn network(n: usize, seed: u64) -> Network {
     let cfg = DeploymentConfig::paper_default(n);
@@ -92,24 +94,31 @@ fn pin_mask(net: &Network, hull: bool, every: usize) -> Vec<bool> {
         .collect()
 }
 
-fn ghost_pinned(maint: &InfoMaintainer) -> Vec<bool> {
-    // The maintainer unpins dead nodes; mirror that for the rebuild.
-    maint
-        .network()
-        .node_ids()
-        .map(|u| !maint.is_dead(u) && maint.info().safety().is_pinned(u))
-        .collect()
+fn kill(snap: &ServiceSnapshot, victim: NodeId) -> (ServiceSnapshot, RepairReport) {
+    snap.derive(&TopologyDelta {
+        down: vec![victim],
+        ..TopologyDelta::default()
+    })
 }
 
-/// The maintained tuples equal `label_with_pinned` on the ghost network,
+fn revive(snap: &ServiceSnapshot, node: NodeId) -> ServiceSnapshot {
+    let up = TopologyDelta {
+        up: vec![node],
+        ..TopologyDelta::default()
+    };
+    snap.derive(&up).0
+}
+
+/// The maintained tuples equal `SafetyMap::label` of the same network,
 /// and dead nodes are all-unsafe.
-fn tuples_match_rebuild(maint: &InfoMaintainer) -> Result<(), TestCaseError> {
-    let rebuilt = SafetyMap::label_with_pinned(maint.network(), ghost_pinned(maint));
-    for u in maint.network().node_ids() {
-        if maint.is_dead(u) {
-            prop_assert!(maint.tuple(u).fully_unsafe());
+fn tuples_match_rebuild(snap: &ServiceSnapshot) -> Result<(), TestCaseError> {
+    let net = snap.network();
+    let rebuilt = SafetyMap::label(net);
+    for u in net.node_ids() {
+        if net.is_down(u) {
+            prop_assert!(snap.info().tuple(u).fully_unsafe());
         } else {
-            prop_assert_eq!(maint.tuple(u), rebuilt.tuple(u), "at {}", u);
+            prop_assert_eq!(snap.info().tuple(u), rebuilt.tuple(u), "at {}", u);
         }
     }
     Ok(())
@@ -129,24 +138,24 @@ proptest! {
         revivals in prop::collection::vec(0usize..6, 9..10),
     ) {
         let net = network(n, seed);
-        let mut maint = InfoMaintainer::new(net.clone());
+        let mut snap = ServiceSnapshot::build(net);
         let mut dead = Vec::new();
         for (k, r) in kills.into_iter().zip(revivals) {
             let victim = NodeId::new(k % n);
-            maint.kill(victim);
+            snap = kill(&snap, victim).0;
             if !dead.contains(&victim) {
                 dead.push(victim);
             }
-            tuples_match_rebuild(&maint)?;
+            tuples_match_rebuild(&snap)?;
             if r < dead.len() {
-                maint.revive(dead.swap_remove(r));
-                tuples_match_rebuild(&maint)?;
+                snap = revive(&snap, dead.swap_remove(r));
+                tuples_match_rebuild(&snap)?;
             }
         }
     }
 
-    /// The assembled info (estimates included) matches a centralized
-    /// build over the ghost network.
+    /// The derived info (estimates included) matches a centralized
+    /// build over the same network.
     #[test]
     fn incremental_estimates_match_rebuild(
         seed in 0u64..200,
@@ -154,17 +163,14 @@ proptest! {
     ) {
         let n = 150;
         let net = network(n, seed);
-        let mut maint = InfoMaintainer::new(net);
+        let mut snap = ServiceSnapshot::build(net);
         for k in kills {
-            maint.kill(NodeId::new(k % n));
+            snap = kill(&snap, NodeId::new(k % n)).0;
         }
-        let info = maint.info();
-        let central = SafetyInfo::build_with_pinned(
-            maint.network(),
-            ghost_pinned(&maint),
-        );
-        for u in maint.network().node_ids() {
-            if maint.is_dead(u) {
+        let info = snap.info();
+        let central = SafetyInfo::build(snap.network());
+        for u in snap.network().node_ids() {
+            if snap.network().is_down(u) {
                 continue;
             }
             for q in Quadrant::ALL {
@@ -192,13 +198,17 @@ proptest! {
         let n = 140;
         let net = network(n, seed);
         let forward: Vec<NodeId> = victims.iter().map(|&v| NodeId::new(v)).collect();
-        let mut a = InfoMaintainer::new(net.clone());
-        a.kill_many(&forward);
+        let mut a = ServiceSnapshot::build(net.clone());
+        for &v in &forward {
+            a = kill(&a, v).0;
+        }
         let backward: Vec<NodeId> = victims.iter().rev().map(|&v| NodeId::new(v)).collect();
-        let mut b = InfoMaintainer::new(net);
-        b.kill_many(&backward);
+        let mut b = ServiceSnapshot::build(net);
+        for &v in &backward {
+            b = kill(&b, v).0;
+        }
         for u in a.network().node_ids() {
-            prop_assert_eq!(a.tuple(u), b.tuple(u), "at {}", u);
+            prop_assert_eq!(a.info().tuple(u), b.info().tuple(u), "at {}", u);
         }
         victims.clear(); // silence unused-mut lint paths
     }
@@ -229,8 +239,9 @@ proptest! {
     }
 
     /// Each kill's report counts exactly the statuses and the nodes whose
-    /// tuple the kill changed (the victim's own excluded), statuses only
-    /// flip safe → unsafe, and every repaired labeling is a fixed point.
+    /// tuple the kill changed (the victim's own included: it is unpinned
+    /// and relabeled all-unsafe by the same repair), statuses only flip
+    /// safe → unsafe, and every repaired labeling is a fixed point.
     #[test]
     fn repair_reports_count_the_tuple_differences(
         seed in 0u64..500,
@@ -240,14 +251,15 @@ proptest! {
         kills in prop::collection::vec(0usize..260, 1..12),
     ) {
         let net = field(n, seed, fa == 1, grid);
-        let mut maint = InfoMaintainer::new(net.clone());
+        let mut snap = ServiceSnapshot::build(net.clone());
         for k in kills {
             let victim = NodeId::new(k % n);
-            let before: Vec<SafetyTuple> = net.node_ids().map(|u| maint.tuple(u)).collect();
-            let report = maint.kill(victim);
+            let before: Vec<SafetyTuple> = snap.info().safety().tuples().to_vec();
+            let report;
+            (snap, report) = kill(&snap, victim);
             let (mut nodes, mut statuses) = (0, 0);
-            for u in net.node_ids().filter(|&u| u != victim) {
-                let (old, new) = (before[u.index()], maint.tuple(u));
+            for u in net.node_ids() {
+                let (old, new) = (before[u.index()], snap.info().tuple(u));
                 prop_assert!(new.safe_types().all(|q| old.is_safe(q)), "{} regained a status", u);
                 let flipped = Quadrant::ALL.iter().filter(|&&q| old.is_safe(q) != new.is_safe(q)).count();
                 nodes += usize::from(flipped > 0);
@@ -255,13 +267,13 @@ proptest! {
             }
             prop_assert_eq!(report.relabeled_nodes, nodes, "kill of {}", victim);
             prop_assert_eq!(report.flipped_statuses, statuses, "kill of {}", victim);
-            prop_assert_eq!(maint.info().safety().check_fixed_point(maint.network()), None);
+            prop_assert_eq!(snap.info().safety().check_fixed_point(snap.network()), None);
         }
     }
 }
 
 /// The distributed on_neighbor_failed repair and the centralized
-/// maintainer agree after the same failure.
+/// derive agree after the same failure.
 #[test]
 fn distributed_and_centralized_repair_agree() {
     use sp_core::construct_with;
@@ -280,17 +292,18 @@ fn distributed_and_centralized_repair_agree() {
     plan.kill_at(200, victim);
     let dist = construct_with(&net, pinned.clone(), plan, 1).expect("quiesces");
 
-    // Centralized maintainer.
-    let mut maint = InfoMaintainer::with_pinned(net, pinned);
-    maint.kill(victim);
+    // Centralized derive; its hull pins are the same mask.
+    let snap = ServiceSnapshot::build(net);
+    assert_eq!(snap.info().safety().pinned(), pinned.as_slice());
+    let (snap, _) = kill(&snap, victim);
 
-    for u in maint.network().node_ids() {
+    for u in snap.network().node_ids() {
         if u == victim {
             continue;
         }
         assert_eq!(
             dist.info.tuple(u),
-            maint.tuple(u),
+            snap.info().tuple(u),
             "distributed vs maintained tuple at {u}"
         );
     }

@@ -18,19 +18,21 @@
 //!    count, and agrees answer for answer with a live session.
 //!
 //! A third property holds the publish path to the paper's definitions:
-//! every epoch `apply_moves` derives from the previous one equals a full
-//! `SafetyInfo::build` of its network, in tuples, pinned mask and every
-//! shape estimate, and its adjacency equals a brute-force rebuild at
-//! the moved positions while the pinned previous epoch stays as it was.
-//! A fourth holds writers to each other: two threads applying moves at
-//! once lose none of them. A fifth holds CHAOS and MOVE to one world: a
-//! CHAOS keeps earlier moves, and a MOVE keeps the plan in force.
+//! every epoch a MOVE or a CHAOS derives from the previous one equals a
+//! full `SafetyInfo::build` of its network, in tuples, pinned mask and
+//! every shape estimate, and its adjacency equals a brute-force
+//! reference at the moved positions without the down nodes' links and
+//! the links an open cut chord meets, while the pinned previous epoch
+//! stays as it was. A fourth holds writers to each other: two threads
+//! applying moves at once lose none of them. A fifth holds CHAOS and
+//! MOVE to one world: a CHAOS keeps earlier moves, and a MOVE keeps the
+//! plan in force.
 
 use proptest::prelude::*;
 use sp_core::{RoutingService, SafetyInfo, ServiceSnapshot, TrafficEngine, TrafficReport};
-use sp_geom::{Point, Quadrant};
+use sp_geom::{Point, Quadrant, Segment};
 use sp_net::{deploy::DeploymentConfig, FaModel, Network, NodeId};
-use sp_sim::ChaosPlan;
+use sp_sim::{ChaosPlan, CutWindow};
 
 const NODES: usize = 150;
 /// Thread counts the determinism property sweeps (the workspace's
@@ -359,34 +361,175 @@ fn assert_equals_full_build(snapshot: &ServiceSnapshot, case: &str) {
     }
 }
 
-/// Every epoch `apply_moves` derives from the previous one is
+/// A random plan over `net`: one to six kills in rounds 0–5, about half
+/// of them revived one to three rounds later, and one or two cut
+/// windows of one to three rounds, each chord spanning the area
+/// across, spanning it top to bottom, or joining two random points
+/// around it.
+fn random_plan(net: &Network, rng: &mut SplitMix) -> ChaosPlan {
+    let mut plan = ChaosPlan::new();
+    for _ in 0..1 + rng.below(6) {
+        let (u, at) = (NodeId::new(rng.below(net.len())), rng.below(6));
+        plan.kill_at(at, u);
+        if rng.below(2) == 0 {
+            plan.revive_at(at + 1 + rng.below(3), u);
+        }
+    }
+    let (lo, hi) = (net.area().min(), net.area().max());
+    for _ in 0..1 + rng.below(2) {
+        let (a, b) = match rng.below(3) {
+            0 => {
+                let y = rng.within(lo.y, hi.y);
+                (Point::new(lo.x - 10.0, y), Point::new(hi.x + 10.0, y))
+            }
+            1 => {
+                let x = rng.within(lo.x, hi.x);
+                (Point::new(x, lo.y - 10.0), Point::new(x, hi.y + 10.0))
+            }
+            _ => {
+                let mut around = || {
+                    let x = rng.within(lo.x - 20.0, hi.x + 20.0);
+                    Point::new(x, rng.within(lo.y - 20.0, hi.y + 20.0))
+                };
+                (around(), around())
+            }
+        };
+        let from_round = rng.below(6);
+        let until_round = from_round + 1 + rng.below(3);
+        plan.add_cut(CutWindow {
+            a,
+            b,
+            from_round,
+            until_round,
+        });
+    }
+    plan
+}
+
+/// `p` mirrored across the line through chord `c`.
+fn reflect(p: Point, c: Segment) -> Point {
+    let d = c.b - c.a;
+    let foot = c.a + d * ((p - c.a).dot(d) / d.norm_sq());
+    foot + (foot - p)
+}
+
+/// Movers that test a plan in force: one jumping across an open chord
+/// and one landing beside a down node, when `net` has them.
+fn plan_movers(net: &Network, rng: &mut SplitMix, grid: f64) -> Vec<(NodeId, Point)> {
+    let mut out = Vec::new();
+    if let Some(&c) = net.chords().first() {
+        let u = NodeId::new(rng.below(net.len()));
+        let to = net.area().clamp_point(reflect(net.position(u), c));
+        out.push((u, snap(to, grid)));
+    }
+    if let Some(&d) = net.down().get(rng.below(net.down().len().max(1))) {
+        let (u, p) = (NodeId::new(rng.below(net.len())), net.position(d));
+        let to = net
+            .area()
+            .clamp_point(Point::new(p.x + 0.3 * net.radius(), p.y));
+        out.push((u, snap(to, grid)));
+    }
+    out
+}
+
+/// The reference adjacency, pair by pair: `u` and `v` are linked when
+/// they are at most `radius` apart, neither is down, and no open chord
+/// meets the segment between them.
+fn reference_lists(
+    positions: &[Point],
+    radius: f64,
+    down: &[NodeId],
+    chords: &[Segment],
+) -> Vec<Vec<NodeId>> {
+    let mut lists = vec![Vec::new(); positions.len()];
+    let up = |i: usize| !down.contains(&NodeId::new(i));
+    for i in (0..positions.len()).filter(|&i| up(i)) {
+        for j in (i + 1..positions.len()).filter(|&j| up(j)) {
+            let link = Segment::new(positions[i], positions[j]);
+            let cut = chords.iter().any(|c| link.intersects(c));
+            if positions[i].distance_sq(positions[j]) <= radius * radius && !cut {
+                lists[i].push(NodeId::new(j));
+                lists[j].push(NodeId::new(i));
+            }
+        }
+    }
+    lists
+}
+
+/// What the mixed sweep of [`derived_epochs_equal_full_builds`]
+/// exercised.
+#[derive(Debug, Default)]
+struct Sweep {
+    moves: usize,
+    chaos: usize,
+    pin_changed: usize,
+    bystander_pin_changed: usize,
+    opened: usize,
+    closed: usize,
+    revived: usize,
+    crossed_chord: usize,
+    beside_down: usize,
+}
+
+/// Every epoch a MOVE or a CHAOS derives from the previous one is
 /// bit-identical to a full build, over IA and FA fields of 20–420 nodes
-/// at both densities, lattice-snapped or not, and random batches whose
-/// movers jump anywhere. The sweep must also change pins, including a
-/// pin of a node that did not move (a hull vertex appears or vanishes),
-/// since that is where a derived epoch departs most from its parent. It
-/// is a seeded sweep rather than a `proptest!` block so that it can count
-/// those pin changes over all of its batches.
+/// at both densities, lattice-snapped or not. MOVE batches jump movers
+/// anywhere, across an open chord and next to a down node; CHAOS
+/// publishes move the field to a random plan's state at a random round
+/// (or to a quiet plan's), so nodes go down and come back and cut
+/// windows open and close in any order. After every publish the
+/// adjacency equals [`reference_lists`] at the tracked positions, down
+/// set and open chords, and the pinned previous epoch is unchanged. The
+/// sweep must also change pins, including a pin of a node that did not
+/// move (a hull vertex appears or vanishes), since that is where a
+/// derived epoch departs most from its parent. It is a seeded sweep
+/// rather than a `proptest!` block so that it can count what it
+/// exercised over all of its publishes.
 #[test]
 fn derived_epochs_equal_full_builds() {
     const FIELDS: u64 = 160;
-    const BATCHES: usize = 6;
+    const STEPS: usize = 9;
     let mut rng = SplitMix(0x5EED);
-    let (mut batches, mut pin_changed, mut bystander_pin_changed) = (0, 0, 0);
+    let mut sweep = Sweep::default();
     for field in 0..FIELDS {
         let n = 20 + rng.below(401);
         let (fa, dense) = (field % 2 == 1, field % 4 >= 2);
         let grid = [0.0, 0.0, 2.0, 8.0][rng.below(4)];
         let service = RoutingService::new(mobility_field(n, field, fa, dense, grid));
-        for batch in 0..BATCHES {
+        let plan = random_plan(service.snapshot().value.network(), &mut rng);
+        // The down nodes and open chords the last CHAOS left in force.
+        let (mut down, mut chords) = (Vec::new(), Vec::new());
+        for step in 0..STEPS {
             let before = service.snapshot();
             let old = before.value.network();
             let (old_adjacency, old_positions) = (old.adjacency().clone(), old.positions_vec());
-            let moves = random_batch(old, &mut rng, grid);
-            service.apply_moves(&moves);
+            let (old_down, old_chords) = (old.down().to_vec(), old.chords().to_vec());
+            let mut moves = Vec::new();
+            let what = if step % 3 == 1 {
+                let round = rng.below(9);
+                let plan = if rng.below(4) == 0 {
+                    ChaosPlan::new()
+                } else {
+                    plan.clone()
+                };
+                down = plan.dead_as_of(round);
+                chords = (plan.cuts().iter())
+                    .filter(|c| c.active_at(round))
+                    .map(|c| Segment::new(c.a, c.b))
+                    .collect();
+                service.apply_chaos(|_| plan, round);
+                sweep.chaos += 1;
+                format!("chaos at round {round}")
+            } else {
+                moves = random_batch(old, &mut rng, grid);
+                moves.extend(plan_movers(old, &mut rng, grid));
+                service.apply_moves(&moves);
+                sweep.moves += 1;
+                format!("moves {moves:?}")
+            };
             let after = service.snapshot();
             let case = format!(
-                "field {field} (n {n}, fa {fa}, dense {dense}, grid {grid}), batch {batch}"
+                "field {field} (n {n}, fa {fa}, dense {dense}, grid {grid}), step {step}: {what}"
             );
             assert_equals_full_build(&after.value, &case);
             let mut positions = old_positions.clone();
@@ -395,11 +538,14 @@ fn derived_epochs_equal_full_builds() {
             }
             let net = after.value.network();
             assert_eq!(net.positions_vec(), positions, "{case}: positions");
-            let brute = Network::from_positions_brute_force(positions, net.radius(), net.area());
+            assert_eq!(net.down(), down.as_slice(), "{case}: down set");
+            assert_eq!(net.chords().len(), chords.len(), "{case}: open chords");
+            assert!(chords.iter().all(|c| net.chords().contains(c)), "{case}");
+            let reference = reference_lists(&positions, net.radius(), &down, &chords);
             for u in net.node_ids() {
                 assert_eq!(
                     net.neighbors(u),
-                    brute.neighbors(u),
+                    reference[u.index()].as_slice(),
                     "{case}: neighbors of {u}"
                 );
             }
@@ -409,27 +555,45 @@ fn derived_epochs_equal_full_builds() {
                 old_positions,
                 "{case}: pinned positions"
             );
+            assert_eq!(old.down(), old_down.as_slice(), "{case}: pinned down set");
+            assert_eq!(old.chords(), old_chords.as_slice(), "{case}: pinned chords");
+
+            sweep.opened += usize::from(chords.iter().any(|c| !old_chords.contains(c)));
+            sweep.closed += usize::from(old_chords.iter().any(|c| !chords.contains(c)));
+            sweep.revived += usize::from(old_down.iter().any(|u| !down.contains(u)));
+            for &(u, to) in moves.iter().filter(|(u, _)| !down.contains(u)) {
+                let path = Segment::new(old_positions[u.index()], to);
+                sweep.crossed_chord += usize::from(chords.iter().any(|c| path.intersects(c)));
+                let beside =
+                    |d: &NodeId| *d != u && positions[d.index()].distance(to) <= net.radius();
+                sweep.beside_down += usize::from(down.iter().any(beside));
+            }
+            if moves.is_empty() {
+                continue;
+            }
             let (was, is) = (before.value.info().safety(), after.value.info().safety());
-            let repinned: Vec<NodeId> = before
-                .value
-                .network()
+            let repinned: Vec<NodeId> = net
                 .node_ids()
                 .filter(|&u| was.is_pinned(u) != is.is_pinned(u))
                 .collect();
-            batches += 1;
-            pin_changed += usize::from(!repinned.is_empty());
+            sweep.pin_changed += usize::from(!repinned.is_empty());
             let moved = |u: &NodeId| moves.iter().any(|(m, _)| m == u);
-            bystander_pin_changed += usize::from(repinned.iter().any(|u| !moved(u)));
+            sweep.bystander_pin_changed += usize::from(repinned.iter().any(|u| !moved(u)));
         }
     }
-    eprintln!(
-        "{batches} batches: {pin_changed} changed a pin, {bystander_pin_changed} a non-mover's pin"
-    );
-    assert!(pin_changed > 0, "no batch changed a pin");
+    eprintln!("{sweep:?}");
+    assert!(sweep.pin_changed > 0, "no batch changed a pin");
     assert!(
-        bystander_pin_changed > 0,
+        sweep.bystander_pin_changed > 0,
         "no batch changed a non-mover's pin"
     );
+    assert!(
+        sweep.opened > 0 && sweep.closed > 0,
+        "no chord opened or closed"
+    );
+    assert!(sweep.revived > 0, "no node came back");
+    assert!(sweep.crossed_chord > 0, "no mover crossed an open chord");
+    assert!(sweep.beside_down > 0, "no mover landed beside a down node");
 }
 
 /// Two threads applying single-node moves at once lose none of them:
@@ -491,7 +655,7 @@ fn chaos_after_move_keeps_the_move() {
     let to = net.area().clamp_point(Point::new(p.x + 9.0, p.y + 4.0));
     let service = RoutingService::new(net);
     service.apply_moves(&[(mover, to)]);
-    service.apply_chaos(&ChaosPlan::new(), 0);
+    service.apply_chaos(|_| ChaosPlan::new(), 0);
     let pin = service.snapshot();
     let net = pin.value.network();
     assert_eq!(net.position(mover), to, "the CHAOS reverted the MOVE");
@@ -512,7 +676,7 @@ fn move_after_chaos_keeps_the_dead_isolated() {
     let mut plan = ChaosPlan::new();
     plan.kill_at(1, victim);
     let service = RoutingService::new(net.clone());
-    service.apply_chaos(&plan, 1);
+    service.apply_chaos(|_| plan.clone(), 1);
     let mover = net
         .node_ids()
         .find(|&u| u != victim && !net.has_edge(u, victim))
@@ -524,6 +688,7 @@ fn move_after_chaos_keeps_the_dead_isolated() {
     let moved = pin.value.network();
     assert_eq!(moved.degree(victim), 0, "the dead node got an edge");
     let rebuilt = Network::from_positions(moved.positions_vec(), moved.radius(), moved.area());
-    assert_same_adjacency(moved, &plan.degrade(&rebuilt, 1), "move after chaos");
+    let degraded = rebuilt.derive(&plan.delta(&rebuilt, 1)).0;
+    assert_same_adjacency(moved, &degraded, "move after chaos");
     assert_equals_full_build(&pin.value, "move after chaos");
 }

@@ -454,25 +454,21 @@ pub fn maintenance_cost_figure(
             let seed = 0xa9_0000 ^ ((i as u64) << 20) ^ k as u64;
             let positions = scenario.deploy(&dc, seed);
             let net = Network::from_positions(positions, dc.radius, dc.area);
-            let mut maint = sp_core::InfoMaintainer::new(net.clone());
+            let mut snap = sp_core::ServiceSnapshot::build(net.clone());
             let mut rng = StdRng::seed_from_u64(seed ^ 0xfa11);
             let mut victims: Vec<sp_net::NodeId> = net.node_ids().collect();
             victims.shuffle(&mut rng);
+            let mut kill = sp_net::TopologyDelta::default();
             for &v in victims.iter().take(kills) {
-                let report = maint.kill(v);
+                kill.down = vec![v];
+                let report;
+                (snap, report) = snap.derive(&kill);
                 inc_work.push(report.work_items as f64);
                 // The textbook cost of a synchronous (Jacobi) rebuild:
                 // every node once per round. The library's labeling
                 // engine re-evaluates only neighbors of flipped nodes,
                 // so this series is a model, not a measured count.
-                let mask =
-                    sp_net::edge_nodes::edge_node_mask(maint.network(), maint.network().radius());
-                let pinned: Vec<bool> = mask
-                    .iter()
-                    .enumerate()
-                    .map(|(u, &p)| p && !maint.is_dead(sp_net::NodeId::new(u)))
-                    .collect();
-                let fresh = sp_core::SafetyMap::label_with_pinned(maint.network(), pinned);
+                let fresh = sp_core::SafetyMap::label(snap.network());
                 full_work.push((net.len() * fresh.rounds().max(1)) as f64);
             }
         }
@@ -760,7 +756,8 @@ pub fn chaos_delivery_family(
                             };
                             let dead = plan.dead_as_of(round);
                             let endpoint_dead = dead.contains(&s) || dead.contains(&d);
-                            (plan.degrade(&net, round), plan.drop_p(), endpoint_dead)
+                            let degraded = net.derive(&plan.delta(&net, round)).0;
+                            (degraded, plan.drop_p(), endpoint_dead)
                         }
                     };
                     if endpoint_dead {

@@ -288,7 +288,7 @@ pub fn run_instance(
     let mut drop_p = 0.0;
     if let Some(recipe) = &cfg.chaos {
         let plan = recipe.build(&net, seed);
-        net = plan.degrade(&net, observation_round(&plan));
+        net = net.derive(&plan.delta(&net, observation_round(&plan))).0;
         drop_p = plan.drop_p();
     }
     let prepared = PreparedNetwork::new(net);

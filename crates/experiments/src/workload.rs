@@ -6,17 +6,18 @@
 //! module closes the loop: fixed source/destination flows stream
 //! packets under one routing scheme, every hop debits the
 //! [`EnergyLedger`], depleted nodes drop out of the topology (and the
-//! safety information is repaired incrementally via
-//! [`InfoMaintainer`]), until the network can no longer carry a flow.
-//! The packets delivered until then are the scheme's *lifetime*.
+//! safety information is repaired incrementally: each failure is one
+//! [`ServiceSnapshot::derive`]), until the network can no longer carry
+//! a flow. The packets delivered until then are the scheme's
+//! *lifetime*.
 
 use crate::{RouterContext, Scheme};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use sp_baselines::{GfRouter, GfgRouter};
-use sp_core::{InfoMaintainer, RouteBuffer, Routing};
+use sp_core::{RouteBuffer, Routing, ServiceSnapshot};
 use sp_metrics::{Figure, Series};
-use sp_net::{radio::EnergyLedger, Network, RadioModel};
+use sp_net::{radio::EnergyLedger, Network, RadioModel, TopologyDelta};
 use sp_sim::ChaosPlan;
 
 /// Configuration of one streaming-lifetime run.
@@ -84,10 +85,12 @@ pub fn run_lifetime(
 /// [`run_lifetime`] under an injected [`ChaosPlan`].
 ///
 /// Chaos rounds are streaming rounds: kills and revivals due at round
-/// `r` strike at the top of round `r` (revivals repair through
-/// [`InfoMaintainer::revive`], so a flapped relay rejoins the ghost
-/// topology), partition cuts sever crossing links for exactly their
-/// window, and each delivered packet then survives independent per-hop
+/// `r` strike at the top of round `r` (one derive of the ghost
+/// snapshot, so a flapped relay rejoins the ghost topology), partition
+/// cuts sever crossing links for exactly their window (the routed view
+/// opens the active cuts' chords on the ghost topology, whose labels
+/// stay those of the uncut ghost), and each delivered packet then
+/// survives independent per-hop
 /// lossy-link draws at the plan's drop probability — a dropped packet
 /// still charges the ledger for the hops it walked. A chaos kill of a
 /// flow endpoint ends the run like a depletion death would: the
@@ -117,7 +120,11 @@ pub fn run_lifetime_with_chaos(
     // Lazily constructed so rate-0 runs never touch chaos randomness.
     let mut drops = (drop_p > 0.0).then(|| StdRng::seed_from_u64(chaos.seed() ^ 0xd20b_5eed));
 
-    let mut maint = InfoMaintainer::new(net.clone());
+    // The ghost: the deployment with every failed node down, and its
+    // safety information, derived failure by failure.
+    let mut ghost = ServiceSnapshot::build(net.clone());
+    // The failures and revivals the next epoch applies to the ghost.
+    let mut strike = TopologyDelta::default();
     let mut ledger = EnergyLedger::new(net.len(), cfg.node_energy_nj, RadioModel::first_order());
     let mut report = LifetimeReport {
         packets_delivered: 0,
@@ -138,8 +145,6 @@ pub fn run_lifetime_with_chaos(
     // false right after a chaos strike forced a new epoch at the top of
     // a round, so the freshly built epoch streams that same round.
     let mut advance_round = true;
-    let cut_state =
-        |round: usize| -> Vec<bool> { chaos.cuts().iter().map(|c| c.active_at(round)).collect() };
     if flows.is_empty() {
         report.rounds = cfg.max_rounds;
     } else {
@@ -150,14 +155,20 @@ pub fn run_lifetime_with_chaos(
             // not per packet — the scheme's router via the registry.
             // Sever the links crossing every partition cut active this
             // round; the epoch is rebuilt when the active set changes.
-            let epoch_cuts = cut_state(round);
-            let topo = chaos.sever_cuts(maint.network().clone(), round);
-            let info = maint.info();
+            if strike != TopologyDelta::default() {
+                ghost = ghost.derive(&std::mem::take(&mut strike)).0;
+            }
+            let open_cuts = TopologyDelta {
+                opened: chaos.chords_at(round),
+                ..TopologyDelta::default()
+            };
+            let topo = ghost.network().derive(&open_cuts).0;
+            let info = ghost.info();
             let gf = GfRouter::new(&topo);
             let gfg = GfgRouter::new(&topo);
             let ctx = RouterContext {
                 net: &topo,
-                info: &info,
+                info,
                 gf: &gf,
                 gfg: &gfg,
             };
@@ -171,20 +182,17 @@ pub fn run_lifetime_with_chaos(
                         round += 1;
                         report.rounds = round;
                         // Chaos strikes at the top of the round: node
-                        // events repair the maintainer, a cut window
-                        // opening or closing re-derives the topology.
+                        // events repair the ghost, a cut window opening
+                        // or closing re-derives the routed view.
                         let kills = chaos.kills_due_at(round);
                         let revivals = chaos.revivals_due_at(round);
                         if !kills.is_empty() || !revivals.is_empty() {
-                            let kills = kills.to_vec();
-                            maint.kill_many(&kills);
-                            for &v in revivals {
-                                maint.revive(v);
-                            }
+                            strike.down = kills.to_vec();
+                            strike.up = revivals.to_vec();
                             advance_round = false;
                             continue 'epochs;
                         }
-                        if cut_state(round) != epoch_cuts {
+                        if chaos.chords_at(round) != topo.chords() {
                             advance_round = false;
                             continue 'epochs;
                         }
@@ -192,7 +200,7 @@ pub fn run_lifetime_with_chaos(
                     advance_round = true;
                 }
                 let (s, d) = flows[flow_idx];
-                if maint.is_dead(s) || maint.is_dead(d) {
+                if ghost.network().is_down(s) || ghost.network().is_down(d) {
                     break 'epochs; // a flow endpoint died: end of lifetime
                 }
                 flow_idx = (flow_idx + 1) % flows.len();
@@ -204,7 +212,7 @@ pub fn run_lifetime_with_chaos(
                         // a transient partition — the flow resumes when
                         // the window closes. The run ends only when the
                         // ghost topology itself is severed.
-                        if maint.network().connected(s, d) {
+                        if ghost.network().connected(s, d) {
                             continue;
                         }
                         break 'epochs; // flow physically severed
@@ -232,9 +240,7 @@ pub fn run_lifetime_with_chaos(
                 };
                 let newly_dead = ledger.charge_path(&topo, charged_path, cfg.packet_bits);
                 if !newly_dead.is_empty() {
-                    for v in newly_dead {
-                        maint.kill(v);
-                    }
+                    strike.down = newly_dead;
                     continue 'epochs; // topology changed: new epoch
                 }
             }

@@ -9,9 +9,10 @@
 //! arena — so `neighbors(u)` is two loads into the same hot arrays for
 //! every `u`, and a full frontier sweep streams the arena linearly.
 //!
-//! Mobility never edits an arena in place: a mover batch writes the
-//! next arena in one pass over the current one
-//! ([`Network::apply_moves`](crate::Network::apply_moves)), so the
+//! A topology change never edits an arena in place: a
+//! [`TopologyDelta`](crate::TopologyDelta) — movers, failures,
+//! revivals, cut chords — writes the next arena in one pass over the
+//! current one ([`Network::derive`](crate::Network::derive)), so the
 //! arena stays one contiguous block and a pinned epoch keeps its own.
 //!
 //! [`NodeRemap`] rounds the module out with the id permutation produced
@@ -181,30 +182,6 @@ impl CsrAdjacency {
         self.edges.len() / 2
     }
 
-    /// A copy with every edge touching a dead node removed (dead nodes
-    /// keep their offset slots, so ids stay dense and index-aligned).
-    pub fn without_nodes(&self, is_dead: &[bool]) -> CsrAdjacency {
-        CsrAdjacency::from_fn(self.node_count(), self.edges.len(), |u, edges| {
-            if !is_dead[u.index()] {
-                let live = self.neighbors(u).iter().filter(|v| !is_dead[v.index()]);
-                edges.extend(live);
-            }
-        })
-    }
-
-    /// A copy with the listed undirected edges removed. `cut` must hold
-    /// normalized `(min, max)` pairs in sorted order; both directed
-    /// entries of each listed edge disappear, everything else is kept.
-    pub fn without_edges(&self, cut: &[(NodeId, NodeId)]) -> CsrAdjacency {
-        debug_assert!(cut.windows(2).all(|w| w[0] < w[1]), "cut list sorted");
-        CsrAdjacency::from_fn(self.node_count(), self.edges.len(), |u, edges| {
-            edges.extend(self.neighbors(u).iter().filter(|&&v| {
-                let key = if u < v { (u, v) } else { (v, u) };
-                cut.binary_search(&key).is_err()
-            }));
-        })
-    }
-
     /// Relabels the adjacency under `remap`: internal node `k` takes
     /// the edges of external node `remap.to_external(k)`, with every
     /// neighbor id translated to internal and each range re-sorted.
@@ -339,16 +316,6 @@ mod tests {
         ];
         let csr = CsrAdjacency::from_pair_rows(4, &rows);
         assert_eq!(csr, CsrAdjacency::from_lists(&demo_lists()));
-    }
-
-    #[test]
-    fn without_nodes_drops_incident_edges() {
-        let csr = CsrAdjacency::from_lists(&demo_lists());
-        let degraded = csr.without_nodes(&[false, true, false, false]);
-        assert_eq!(degraded.node_count(), 4);
-        assert_eq!(degraded.neighbors(NodeId(0)), &[NodeId(3)]);
-        assert_eq!(degraded.degree(NodeId(1)), 0);
-        assert_eq!(degraded.degree(NodeId(2)), 0);
     }
 
     #[test]

@@ -5,6 +5,15 @@
 //! *reference* measurements the evaluation needs — BFS hop distances and
 //! Dijkstra Euclidean shortest paths ("ideal routing path" in Fig. 1(a)) —
 //! and connectivity queries used to filter valid source/destination pairs.
+//!
+//! The dynamic factors of §1 — node failures, jamming, mobility — all
+//! change the links of a known set of nodes, so one [`TopologyDelta`]
+//! carries each of them (movers, nodes going down, nodes coming back,
+//! cut chords opened or closed) and one repair applies it
+//! ([`Network::derive`]). A network records its down nodes and open
+//! chords, so every later delta keeps them in force: an edge exists
+//! exactly when its endpoints are in range, both are up, and no open
+//! chord meets it.
 
 use crate::{CsrAdjacency, NodeId, NodeRemap, PositionTable, SpatialIndex};
 use sp_geom::{Point, Rect, Segment};
@@ -43,6 +52,10 @@ pub struct Network {
     // position accessors delegate, so incremental moves applied through
     // the index are never observed half-synced.
     index: SpatialIndex,
+    // The nodes down, ascending, and the open cut chords: every delta
+    // keeps them in force until a later one lifts them.
+    down: Vec<NodeId>,
+    chords: Vec<Segment>,
     radius: f64,
     area: Rect,
 }
@@ -88,6 +101,8 @@ impl Network {
         Network {
             adjacency,
             index,
+            down: Vec::new(),
+            chords: Vec::new(),
             radius,
             area,
         }
@@ -122,6 +137,8 @@ impl Network {
         Network {
             adjacency: CsrAdjacency::from_lists(&lists),
             index,
+            down: Vec::new(),
+            chords: Vec::new(),
             radius,
             area,
         }
@@ -170,6 +187,23 @@ impl Network {
     /// The interest area the network was deployed in.
     pub fn area(&self) -> Rect {
         self.area
+    }
+
+    /// The nodes down, ascending. A down node keeps its id and position
+    /// (the [`SpatialIndex`] still answers geometric queries over it) but
+    /// has no links.
+    pub fn down(&self) -> &[NodeId] {
+        &self.down
+    }
+
+    /// Whether `u` is down.
+    pub fn is_down(&self, u: NodeId) -> bool {
+        self.down.binary_search(&u).is_ok()
+    }
+
+    /// The open cut chords: no link whose segment meets one exists.
+    pub fn chords(&self) -> &[Segment] {
+        &self.chords
     }
 
     /// Location `L(u)` of a node.
@@ -390,55 +424,33 @@ impl Network {
         path.windows(2).map(|w| self.distance(w[0], w[1])).sum()
     }
 
-    /// A copy of the network with the given nodes failed: ids and
-    /// positions are preserved (so precomputed per-node information
-    /// stays index-aligned), but every edge touching a dead node is
-    /// removed, leaving the dead nodes isolated. Used by the
+    /// A copy of the network with the given nodes also down (one
+    /// [`Network::derive`]): ids and positions are preserved, so
+    /// precomputed per-node information stays index-aligned, but every
+    /// edge touching a down node is removed. Used by the
     /// failure-robustness experiments.
-    ///
-    /// The attached [`SpatialIndex`] keeps indexing the dead nodes'
-    /// positions — it answers geometric queries over the deployment,
-    /// not liveness queries, which stay with the adjacency lists.
     pub fn without_nodes(&self, dead: &[NodeId]) -> Network {
-        let mut is_dead = vec![false; self.len()];
-        for &d in dead {
-            is_dead[d.index()] = true;
-        }
-        Network {
-            adjacency: self.adjacency.without_nodes(&is_dead),
-            index: self.index.clone(),
-            radius: self.radius,
-            area: self.area,
-        }
+        let delta = TopologyDelta {
+            down: dead.to_vec(),
+            ..TopologyDelta::default()
+        };
+        self.derive(&delta).0
     }
 
-    /// Undirected edges whose segment crosses the segment `a`–`b`,
-    /// normalized `(min, max)` and sorted. This is the geometric core of
-    /// chaos-engine partitions: a cut line severs exactly the links that
-    /// cross it.
-    pub fn edges_crossing(&self, a: Point, b: Point) -> Vec<(NodeId, NodeId)> {
-        let cut = Segment::new(a, b);
-        self.edges()
-            .filter(|&(u, v)| Segment::new(self.position(u), self.position(v)).intersects(&cut))
-            .collect()
-    }
-
-    /// A copy of the network with the given undirected edges removed
-    /// (pairs in either order; duplicates tolerated). Nodes, ids, and
-    /// positions are untouched — only connectivity degrades. Used by the
-    /// chaos-engine partition experiments for cut-active snapshots.
-    pub fn without_edges(&self, cut: &[(NodeId, NodeId)]) -> Network {
-        let mut normalized: Vec<(NodeId, NodeId)> = cut
-            .iter()
-            .map(|&(u, v)| if u < v { (u, v) } else { (v, u) })
-            .collect();
-        normalized.sort_unstable();
-        normalized.dedup();
-        Network {
-            adjacency: self.adjacency.without_edges(&normalized),
-            index: self.index.clone(),
-            radius: self.radius,
-            area: self.area,
+    /// The delta that takes this network to exactly `down` down and
+    /// exactly `chords` open.
+    pub fn delta_to(&self, down: &[NodeId], chords: &[Segment]) -> TopologyDelta {
+        let mut target = down.to_vec();
+        target.sort_unstable();
+        fn missing<T: Copy>(from: &[T], lacks: impl Fn(&T) -> bool) -> Vec<T> {
+            from.iter().copied().filter(|x| lacks(x)).collect()
+        }
+        TopologyDelta {
+            moves: Vec::new(),
+            down: missing(&target, |u| !self.is_down(*u)),
+            up: missing(&self.down, |u| target.binary_search(u).is_err()),
+            opened: missing(chords, |c| !self.chords.contains(c)),
+            closed: missing(&self.chords, |c| !chords.contains(c)),
         }
     }
 
@@ -457,10 +469,14 @@ impl Network {
         let adjacency = self.adjacency.permuted(&remap);
         let index =
             SpatialIndex::build_table(Arc::new(positions), self.area, self.index.cell_size());
+        let mut down: Vec<NodeId> = self.down.iter().map(|&u| remap.to_internal(u)).collect();
+        down.sort_unstable();
         (
             Network {
                 adjacency,
                 index,
+                down,
+                chords: self.chords.clone(),
                 radius: self.radius,
                 area: self.area,
             },
@@ -469,7 +485,8 @@ impl Network {
     }
 
     /// Moves the given nodes to new positions and repairs adjacency
-    /// incrementally: each point relocates between grid cells in `O(1)`
+    /// incrementally ([`Network::derive`] in place): each point
+    /// relocates between grid cells in `O(1)`
     /// ([`SpatialIndex::move_point`]), each distinct mover is
     /// range-queried once at its final position, and the arena is
     /// rewritten in one pass in which only the movers and their old and
@@ -477,39 +494,158 @@ impl Network {
     /// where `m` of `n` nodes moved costs `m` range queries plus that
     /// copy instead of the rebuild's cell scan over all `n` nodes, and
     /// the result is identical to rebuilding from scratch at the new
-    /// positions. Duplicate ids are tolerated; the last position wins.
-    ///
-    /// Intended for *live* snapshots; applying moves to a
-    /// [`Network::without_nodes`]-degraded copy resurrects the dead
-    /// nodes' edges to the movers.
+    /// positions, with the down nodes and open chords kept in force.
+    /// Duplicate ids are tolerated; the last position wins.
     ///
     /// # Panics
     ///
     /// Panics if any id is out of range.
     pub fn apply_moves(&mut self, moves: &[(NodeId, Point)]) {
-        self.adjacency = repair(&self.adjacency, &mut self.index, self.radius, moves);
+        let old = std::mem::replace(&mut self.adjacency, CsrAdjacency::empty(0));
+        self.repair(&old, &TopologyDelta::moving(moves));
     }
 
     /// The off-to-the-side mobility handoff for epoch-versioned
     /// serving: the next snapshot with `moves` applied (as by
     /// [`Network::apply_moves`]), leaving `self` untouched — readers
     /// keep routing on the old topology for as long as they hold it
-    /// while the next epoch builds beside them. The next epoch copies
-    /// the spatial index's cells and, once a move lands, its position
-    /// table; its arena is written straight from this epoch's, never
-    /// copied first.
+    /// while the next epoch builds beside them.
     ///
     /// # Panics
     ///
     /// Panics if any id is out of range.
     pub fn next_snapshot(&self, moves: &[(NodeId, Point)]) -> Network {
-        let mut index = self.index.clone();
-        Network {
-            adjacency: repair(&self.adjacency, &mut index, self.radius, moves),
-            index,
-            radius: self.radius,
-            area: self.area,
+        self.derive(&TopologyDelta::moving(moves)).0
+    }
+
+    /// The next epoch with `delta` applied, leaving `self` untouched,
+    /// and the nodes the repair requeried, ascending: every link that
+    /// differs from this epoch's has one of them as an endpoint, so the
+    /// safety information can be repaired around them. The adjacency equals a
+    /// rebuild at the new positions with every link touching a down
+    /// node and every link meeting an open chord removed. The next
+    /// epoch copies the spatial index's cells and, once a move lands,
+    /// its position table; its arena is written straight from this
+    /// epoch's, never copied first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any id is out of range.
+    pub fn derive(&self, delta: &TopologyDelta) -> (Network, Vec<NodeId>) {
+        let mut next = Network {
+            adjacency: CsrAdjacency::empty(0),
+            index: self.index.clone(),
+            down: self.down.clone(),
+            chords: self.chords.clone(),
+            ..*self
+        };
+        let requeried = next.repair(&self.adjacency, delta);
+        (next, requeried)
+    }
+
+    /// Writes the adjacency `old` becomes under `delta`, with the down
+    /// set and open chords it leaves, and returns the requeried nodes,
+    /// ascending. The result is identical to a rebuild at the new
+    /// positions without the links that touch a down node or meet an
+    /// open chord.
+    ///
+    /// The requeried nodes are the movers, the nodes whose liveness
+    /// flips, and the nodes within one radius of a chord that opens or
+    /// closes: a link the chord meets is at most one radius long, so both
+    /// its endpoints lie that close to the chord, and they are found from
+    /// the grid cells along it ([`SpatialIndex::near_segment`]). Each
+    /// requeried node that is up takes a fresh range query at its final
+    /// position, keeping the neighbors that are up and linked across
+    /// every open chord; a down one gets no links. The next arena is
+    /// written in one pass over `old`: an untouched node copies its
+    /// slice, a requeried node takes its fresh list, and every other node
+    /// drops its requeried neighbors and merges in the ones now linked to
+    /// it. Any other link keeps both its endpoints, their liveness and
+    /// every chord it could meet, so it stays as it was.
+    fn repair(&mut self, old: &CsrAdjacency, delta: &TopologyDelta) -> Vec<NodeId> {
+        for &(u, p) in &delta.moves {
+            self.index.move_point(u, p);
         }
+        let mut requeried: Vec<NodeId> = delta.moves.iter().map(|&(u, _)| u).collect();
+        let mut up = delta.up.clone();
+        up.sort_unstable();
+        let was_down = std::mem::take(&mut self.down);
+        let failed = was_down.iter().chain(&delta.down).copied();
+        let mut down: Vec<NodeId> = failed.filter(|u| up.binary_search(u).is_err()).collect();
+        down.sort_unstable();
+        down.dedup();
+        let flipped =
+            |u: &&NodeId| was_down.binary_search(*u).is_ok() != down.binary_search(*u).is_ok();
+        requeried.extend(delta.down.iter().chain(&up).filter(flipped));
+        self.down = down;
+        self.chords.retain(|c| !delta.closed.contains(c));
+        self.chords.extend_from_slice(&delta.opened);
+        for &c in delta.closed.iter().chain(&delta.opened) {
+            requeried.extend(self.index.near_segment(c, self.radius));
+        }
+        requeried.sort_unstable();
+        requeried.dedup();
+
+        // Whether up node `u` links to `v` in range: `v` is up, and the
+        // link meets no open chord (tested from the smaller id, as a
+        // rebuild lists it).
+        let linked = |u: NodeId, v: NodeId| {
+            let (a, b) = (u.min(v), u.max(v));
+            let link = Segment::new(self.position(a), self.position(b));
+            v != u && !self.is_down(v) && !self.chords.iter().any(|c| link.intersects(c))
+        };
+        let mut touch = vec![Touch::None; old.node_count()];
+        for &u in &requeried {
+            touch[u.index()] = Touch::Requeried;
+        }
+        // `(owner, neighbor)` pairs sorted by owner: each requeried
+        // node's fresh list, and each other node's requeried nodes now
+        // linked.
+        let mut fresh: Vec<(NodeId, NodeId)> = Vec::new();
+        let mut gained: Vec<(NodeId, NodeId)> = Vec::new();
+        for &u in &requeried {
+            let start = fresh.len();
+            if !self.is_down(u) {
+                let found = self.index.within_radius(self.position(u), self.radius);
+                fresh.extend(found.filter(|&v| linked(u, v)).map(|v| (u, v)));
+                fresh[start..].sort_unstable();
+            }
+            for &(_, v) in &fresh[start..] {
+                if touch[v.index()] != Touch::Requeried {
+                    touch[v.index()] = Touch::Near;
+                    gained.push((v, u));
+                }
+            }
+            for &v in old.neighbors(u) {
+                if touch[v.index()] == Touch::None {
+                    touch[v.index()] = Touch::Near;
+                }
+            }
+        }
+        gained.sort_unstable();
+        let capacity = old.directed_len() + 2 * fresh.len();
+        let (mut fresh, mut gained) = (fresh.as_slice(), gained.as_slice());
+        self.adjacency = CsrAdjacency::from_fn(old.node_count(), capacity, |v, edges| {
+            match touch[v.index()] {
+                Touch::None => edges.extend_from_slice(old.neighbors(v)),
+                Touch::Requeried => edges.extend(take_run(&mut fresh, v)),
+                Touch::Near => {
+                    // Merge the neighbors that stayed with the requeried
+                    // nodes now linked; both runs are sorted.
+                    let mut joined = take_run(&mut gained, v).peekable();
+                    for &w in old.neighbors(v) {
+                        if touch[w.index()] != Touch::Requeried {
+                            while let Some(u) = joined.next_if(|&u| u < w) {
+                                edges.push(u);
+                            }
+                            edges.push(w);
+                        }
+                    }
+                    edges.extend(joined);
+                }
+            }
+        });
+        requeried
     }
 
     /// Byte-level accounting of the topology storage — the numbers the
@@ -524,84 +660,50 @@ impl Network {
     }
 }
 
-/// What one mobility batch does to a node's list.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Touch {
-    /// No mover among its old or new neighbors: the list is copied.
-    None,
-    /// An old or new neighbor of a mover: its moved neighbors drop out
-    /// and the movers now in range join.
-    Near,
-    /// A mover: the list is its range query at its final position.
-    Mover,
+/// One epoch's change to a [`Network`]'s topology, from any writer:
+/// mobility moves nodes, failures take nodes down and bring them back,
+/// and partitions open and close cut chords. [`Network::derive`]
+/// applies it in one repair, and the network keeps its down set and
+/// open chords in force for every later delta.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct TopologyDelta {
+    /// Nodes moving, with their new positions; the last entry per node
+    /// wins.
+    pub moves: Vec<(NodeId, Point)>,
+    /// Nodes going down: they keep their ids and positions but lose
+    /// every link.
+    pub down: Vec<NodeId>,
+    /// Nodes coming back up. Revivals land after failures, so a node in
+    /// both lists ends up.
+    pub up: Vec<NodeId>,
+    /// Cut chords opening: while one is open, no link whose segment
+    /// meets it exists.
+    pub opened: Vec<Segment>,
+    /// Cut chords closing: every open chord equal to one closes.
+    pub closed: Vec<Segment>,
 }
 
-/// The adjacency `old` becomes once `moves` land in `index`, identical
-/// to a rebuild at the new positions. Each distinct mover is
-/// range-queried once, at its final position, and the next arena is
-/// written in one pass over `old`: an untouched node copies its slice,
-/// a mover takes its fresh sorted list, and every other node drops its
-/// moved neighbors and merges in the movers now in range.
-fn repair(
-    old: &CsrAdjacency,
-    index: &mut SpatialIndex,
-    radius: f64,
-    moves: &[(NodeId, Point)],
-) -> CsrAdjacency {
-    for &(u, p) in moves {
-        index.move_point(u, p);
-    }
-    let mut movers: Vec<NodeId> = moves.iter().map(|&(u, _)| u).collect();
-    movers.sort_unstable();
-    movers.dedup();
-    let mut touch = vec![Touch::None; old.node_count()];
-    for &u in &movers {
-        touch[u.index()] = Touch::Mover;
-    }
-    // `(owner, neighbor)` pairs sorted by owner: each mover's fresh
-    // list, and each non-mover's movers now in range.
-    let mut fresh: Vec<(NodeId, NodeId)> = Vec::new();
-    let mut gained: Vec<(NodeId, NodeId)> = Vec::new();
-    for &u in &movers {
-        let start = fresh.len();
-        let found = index.within_radius(index.position(u), radius);
-        fresh.extend(found.filter(|&v| v != u).map(|v| (u, v)));
-        fresh[start..].sort_unstable();
-        for &(_, v) in &fresh[start..] {
-            if touch[v.index()] != Touch::Mover {
-                touch[v.index()] = Touch::Near;
-                gained.push((v, u));
-            }
-        }
-        for &v in old.neighbors(u) {
-            if touch[v.index()] == Touch::None {
-                touch[v.index()] = Touch::Near;
-            }
+impl TopologyDelta {
+    /// A delta that only moves nodes.
+    pub fn moving(moves: &[(NodeId, Point)]) -> TopologyDelta {
+        TopologyDelta {
+            moves: moves.to_vec(),
+            ..TopologyDelta::default()
         }
     }
-    gained.sort_unstable();
-    let capacity = old.directed_len() + 2 * fresh.len();
-    let (mut fresh, mut gained) = (fresh.as_slice(), gained.as_slice());
-    CsrAdjacency::from_fn(old.node_count(), capacity, |v, edges| {
-        match touch[v.index()] {
-            Touch::None => edges.extend_from_slice(old.neighbors(v)),
-            Touch::Mover => edges.extend(take_run(&mut fresh, v)),
-            Touch::Near => {
-                // Merge the neighbors that stayed with the movers now in
-                // range; both runs are sorted.
-                let mut joined = take_run(&mut gained, v).peekable();
-                for &w in old.neighbors(v) {
-                    if touch[w.index()] != Touch::Mover {
-                        while let Some(u) = joined.next_if(|&u| u < w) {
-                            edges.push(u);
-                        }
-                        edges.push(w);
-                    }
-                }
-                edges.extend(joined);
-            }
-        }
-    })
+}
+
+/// What one delta does to a node's list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Touch {
+    /// No requeried node among its old or new neighbors: the list is
+    /// copied.
+    None,
+    /// An old or new neighbor of a requeried node: its requeried
+    /// neighbors drop out and the ones now linked to it join.
+    Near,
+    /// Requeried: the list is a fresh range query.
+    Requeried,
 }
 
 /// The neighbors `owner` holds at the front of `pairs` (sorted by
@@ -838,32 +940,77 @@ mod tests {
     }
 
     #[test]
-    fn edges_crossing_finds_exactly_the_cut_links() {
-        let net = line_net();
-        // A vertical line between x=10 and x=20 crosses only edge 1–2.
-        let crossed = net.edges_crossing(Point::new(15.0, -5.0), Point::new(15.0, 5.0));
-        assert_eq!(crossed, vec![(NodeId(1), NodeId(2))]);
-        // A line off to the side crosses nothing.
-        assert!(net
-            .edges_crossing(Point::new(200.0, 0.0), Point::new(200.0, 50.0))
-            .is_empty());
+    fn down_nodes_stay_isolated_under_moves_until_revived() {
+        let mut net = line_net().without_nodes(&[NodeId(1)]);
+        assert_eq!(net.down(), &[NodeId(1)]);
+        // Node 4 lands next to the down node: it links to 0 and 2 only.
+        net.apply_moves(&[(NodeId(4), Point::new(10.0, 5.0))]);
+        assert_eq!(net.degree(NodeId(1)), 0);
+        assert_eq!(net.neighbors(NodeId(4)), &[NodeId(0), NodeId(2)]);
+        let up = TopologyDelta {
+            up: vec![NodeId(1)],
+            ..TopologyDelta::default()
+        };
+        let (revived, requeried) = net.derive(&up);
+        assert_eq!(requeried, vec![NodeId(1)]);
+        assert!(revived.down().is_empty());
+        let rebuilt = Network::from_positions(revived.positions_vec(), 15.0, area());
+        assert_eq!(revived.adjacency(), rebuilt.adjacency());
+        // Reviving a node that is up, or failing one twice, requeries
+        // nothing.
+        assert!(revived.derive(&up).1.is_empty());
+        assert!(net.without_nodes(&[NodeId(1)]).down() == [NodeId(1)]);
     }
 
     #[test]
-    fn without_edges_degrades_connectivity_only() {
+    fn an_opened_chord_severs_exactly_the_links_it_meets() {
         let net = line_net();
-        // Pass the pair reversed and duplicated; normalization handles both.
-        let degraded = net.without_edges(&[(NodeId(2), NodeId(1)), (NodeId(1), NodeId(2))]);
-        assert_eq!(degraded.len(), net.len());
-        assert!(!degraded.has_edge(NodeId(1), NodeId(2)));
-        assert!(degraded.has_edge(NodeId(0), NodeId(1)));
-        assert!(degraded.has_edge(NodeId(2), NodeId(3)));
-        assert!(!degraded.connected(NodeId(0), NodeId(3)));
-        assert_eq!(degraded.position(NodeId(2)), net.position(NodeId(2)));
-        // Composing the two: the cut line picks the edges, removal severs them.
-        let cut = net.edges_crossing(Point::new(15.0, -5.0), Point::new(15.0, 5.0));
-        let severed = net.without_edges(&cut);
-        assert!(!severed.connected(NodeId(0), NodeId(3)));
+        // A vertical chord between x=10 and x=20 meets only edge 1–2.
+        let chord = Segment::new(Point::new(15.0, -5.0), Point::new(15.0, 5.0));
+        let open = TopologyDelta {
+            opened: vec![chord],
+            ..TopologyDelta::default()
+        };
+        let (cut, requeried) = net.derive(&open);
+        assert_eq!(requeried, vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)]);
+        assert_eq!(cut.chords(), &[chord]);
+        assert_eq!(
+            cut.edges().collect::<Vec<_>>(),
+            vec![(NodeId(0), NodeId(1)), (NodeId(2), NodeId(3))]
+        );
+        assert!(!cut.connected(NodeId(0), NodeId(3)));
+        assert_eq!(cut.position(NodeId(2)), net.position(NodeId(2)));
+        // A chord off to the side requeries nothing and cuts nothing.
+        let aside = TopologyDelta {
+            opened: vec![Segment::new(
+                Point::new(200.0, 0.0),
+                Point::new(200.0, 50.0),
+            )],
+            ..TopologyDelta::default()
+        };
+        let (same, requeried) = net.derive(&aside);
+        assert!(requeried.is_empty());
+        assert_eq!(same.adjacency(), net.adjacency());
+    }
+
+    #[test]
+    fn a_chord_stays_open_under_moves_until_closed() {
+        let net = line_net();
+        let chord = Segment::new(Point::new(15.0, -5.0), Point::new(15.0, 5.0));
+        let mut cut = net.derive(&TopologyDelta {
+            opened: vec![chord],
+            ..TopologyDelta::default()
+        });
+        // Node 4 lands across the chord from node 1: no link to it.
+        cut.0.apply_moves(&[(NodeId(4), Point::new(18.0, 0.0))]);
+        assert_eq!(cut.0.neighbors(NodeId(4)), &[NodeId(2), NodeId(3)]);
+        assert_eq!(cut.0.delta_to(&[], &[chord]), TopologyDelta::default());
+        let close = cut.0.delta_to(&[], &[]);
+        assert_eq!(close.closed, vec![chord]);
+        cut = cut.0.derive(&close);
+        assert!(cut.0.chords().is_empty());
+        let rebuilt = Network::from_positions(cut.0.positions_vec(), 15.0, area());
+        assert_eq!(cut.0.adjacency(), rebuilt.adjacency());
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub use deploy::{
     CityBlockModel, ClusterModel, CorridorModel, DeploymentConfig, FaModel, Obstacle,
 };
 pub use edge_nodes::edge_node_ids;
-pub use graph::{Network, TopologyFootprint};
+pub use graph::{Network, TopologyDelta, TopologyFootprint};
 pub use mobility::RandomWaypoint;
 pub use node::NodeId;
 pub use planar::{PlanarGraph, Planarization};

@@ -28,7 +28,7 @@
 //! rebuilding the grid.
 
 use crate::{CsrAdjacency, NodeId, PositionTable};
-use sp_geom::{Point, Rect};
+use sp_geom::{Point, Rect, Segment};
 use sp_sync::WorkQueue;
 use std::sync::Arc;
 
@@ -166,12 +166,6 @@ impl SpatialIndex {
         &self.positions
     }
 
-    /// The shared position table (one allocation no matter how many
-    /// snapshots or index clones reference it).
-    pub fn shared_positions(&self) -> Arc<PositionTable> {
-        Arc::clone(&self.positions)
-    }
-
     /// Relocates one point to `new_pos` in `O(1)`: the position table is
     /// updated in place and the point moves between grid cells (cells
     /// keep ascending id order, so range queries stay deterministic).
@@ -232,6 +226,47 @@ impl SpatialIndex {
             .filter(move |&(x, y)| x >= 0 && x < cols && y >= 0 && y < rows)
             .flat_map(move |(x, y)| self.cells[(y * cols + x) as usize].iter().copied())
             .filter(move |id| self.positions.distance_sq_to(id.index(), center) <= r_sq)
+    }
+
+    /// Every indexed point within `radius` of the closed segment `seg`,
+    /// ascending by id — the nodes a cut chord can separate, since a link
+    /// no longer than `radius` that meets the chord has both endpoints
+    /// that close to it.
+    ///
+    /// Only the cells along the segment are scanned. Row by row, the
+    /// part of the segment that can lie within reach of the row (border
+    /// rows reach outward without bound, as clamped points live there)
+    /// bounds the columns scanned, widened by the reach; the reach keeps
+    /// one cell of slack for rounding. The distance test itself allows a
+    /// relative `1e-9` over `radius`, so a link the segment test reports
+    /// as meeting the chord is never missed to rounding.
+    pub fn near_segment(&self, seg: Segment, radius: f64) -> Vec<NodeId> {
+        let reach = ((radius / self.cell_size).ceil() + 1.0) * self.cell_size;
+        let near =
+            |id: &&NodeId| seg.distance_to_point(self.position(**id)) <= radius * (1.0 + 1e-9);
+        let (a, d) = (seg.a, seg.b - seg.a);
+        let mut found = Vec::new();
+        for row in 0..self.rows {
+            // The segment parameters whose ordinate lies within reach.
+            let top = self.origin.y + row as f64 * self.cell_size;
+            let (lo, hi) = (top - reach, top + self.cell_size + reach);
+            let lo = if row == 0 { f64::MIN } else { lo };
+            let hi = if row + 1 < self.rows { hi } else { f64::MAX };
+            let (t0, t1) = match ((lo - a.y) / d.y, (hi - a.y) / d.y) {
+                _ if d.y == 0.0 => (0.0, if (lo..=hi).contains(&a.y) { 1.0 } else { -1.0 }),
+                (s, e) => (s.min(e).max(0.0), s.max(e).min(1.0)),
+            };
+            if t0 > t1 {
+                continue;
+            }
+            let (x0, x1) = (a.x + d.x * t0, a.x + d.x * t1);
+            let col_of = |x: f64| self.cell_coords(Point::new(x, top)).0;
+            for col in col_of(x0.min(x1) - reach)..=col_of(x0.max(x1) + reach) {
+                found.extend(self.cells[row * self.cols + col].iter().filter(near));
+            }
+        }
+        found.sort_unstable();
+        found
     }
 
     /// The sorted CSR adjacency of the radius graph over all indexed
@@ -752,6 +787,33 @@ mod tests {
         assert_eq!(SpatialIndex::auto_threads(100), 1);
         assert_eq!(SpatialIndex::auto_threads(PARALLEL_NODE_THRESHOLD - 1), 1);
         assert!(SpatialIndex::auto_threads(PARALLEL_NODE_THRESHOLD) >= 1);
+    }
+
+    #[test]
+    fn near_segment_matches_brute_force() {
+        let pts = scatter(400, 31);
+        // Off-area points live clamped in the border cells.
+        let pts: Vec<Point> = pts
+            .into_iter()
+            .chain([Point::new(-30.0, 50.0), Point::new(120.0, 130.0)])
+            .collect();
+        let index = SpatialIndex::build(&pts, demo_area(), 20.0);
+        let segments = [
+            Segment::new(Point::new(0.0, 50.0), Point::new(100.0, 50.0)),
+            Segment::new(Point::new(10.0, 90.0), Point::new(95.0, 5.0)),
+            Segment::new(Point::new(50.0, -40.0), Point::new(50.0, 140.0)),
+            Segment::new(Point::new(-60.0, 40.0), Point::new(-20.0, 60.0)),
+            Segment::new(Point::new(33.0, 33.0), Point::new(33.0, 33.0)),
+        ];
+        for seg in segments {
+            for radius in [5.0, 20.0, 35.0] {
+                let brute: Vec<NodeId> = (0..pts.len())
+                    .filter(|&i| seg.distance_to_point(pts[i]) <= radius)
+                    .map(NodeId::new)
+                    .collect();
+                assert_eq!(index.near_segment(seg, radius), brute, "{seg} r={radius}");
+            }
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! latency count and percentile order of the merged latency
 //! histogram, and the epoch invariant (every answer's epoch at most
 //! the final epoch, nondecreasing per connection) — and exits nonzero
-//! on any mismatch.
+//! on any mismatch or failed request, the `CHAOS` included.
 //! With `--spawn` it launches a sibling `sp-served` on an ephemeral
 //! port first and shuts it down after (the CI serve-smoke step).
 
@@ -251,7 +251,7 @@ fn main() {
 
     let start = std::time::Instant::now();
     let stop_churn = std::sync::Mutex::new(false);
-    let (tallies, churn_result) = std::thread::scope(|s| {
+    let (tallies, churn_result, chaos_errors) = std::thread::scope(|s| {
         let churn_handle = (args.churn > 0).then(|| {
             let (addr, args, stop) = (&addr, &args, &stop_churn);
             s.spawn(move || churn_run(addr, args, nodes, stop))
@@ -262,6 +262,7 @@ fn main() {
                 s.spawn(move || client_run(addr, id, args, nodes))
             })
             .collect();
+        let mut chaos_errors = 0;
         if let Some(spec) = &args.chaos {
             // Inject at roughly the halfway mark of the query phase.
             std::thread::sleep(std::time::Duration::from_millis(50));
@@ -269,13 +270,16 @@ fn main() {
                 Ok((epoch, clauses)) => {
                     println!("chaos {spec:?}: epoch={epoch} clauses={clauses}")
                 }
-                Err(e) => eprintln!("chaos {spec:?} failed: {e}"),
+                Err(e) => {
+                    eprintln!("chaos {spec:?} failed: {e}");
+                    chaos_errors += 1;
+                }
             }
         }
         let tallies: Vec<Tally> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         *sp_sync::lock_recover(&stop_churn) = true;
         let churn_result = churn_handle.map(|h| h.join().unwrap());
-        (tallies, churn_result)
+        (tallies, churn_result, chaos_errors)
     });
     let elapsed = start.elapsed().as_secs_f64();
 
@@ -289,7 +293,7 @@ fn main() {
         total.max_epoch = total.max_epoch.max(t.max_epoch);
     }
     let (churn_batches, churn_errors) = churn_result.unwrap_or((0, 0));
-    total.errors += churn_errors;
+    total.errors += churn_errors + chaos_errors;
 
     let stats = probe.stats().unwrap_or_else(|e| {
         eprintln!("sp-serve-load: STATS failed: {e}");
@@ -328,7 +332,7 @@ fn main() {
             failed = true;
         }
     };
-    check(total.errors == 0, "no client or churn errors");
+    check(total.errors == 0, "no client, churn or chaos errors");
     check(
         total.epoch_regressions == 0,
         "per-connection answer epochs never regress",

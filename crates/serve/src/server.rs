@@ -27,10 +27,10 @@
 //! service's consistency contract — `answer.epoch <=`
 //! [`RoutingService::epoch`] — survives the wire hop; the
 //! `end_to_end` test races concurrent clients against live `MOVE` /
-//! `CHAOS` churn to hold it. A `CHAOS` recipe is drawn against the
-//! current epoch and degrades the topology at the current positions
-//! ([`RoutingService::apply_chaos`]), so it keeps earlier `MOVE`s, and
-//! later `MOVE`s keep its plan in force.
+//! `CHAOS` churn to hold it. A `CHAOS` recipe is drawn on the epoch it
+//! degrades, under the writer lock ([`RoutingService::apply_chaos`]),
+//! so it keeps earlier `MOVE`s, and later `MOVE`s keep its plan in
+//! force.
 //!
 //! Shutdown is graceful by construction: `SHUTDOWN` is acknowledged
 //! first, then the stop flag flips, the accept loop is woken with a
@@ -555,8 +555,8 @@ fn dispatch(
         Request::Chaos { round, seed, spec } => {
             match ChaosRecipe::parse(spec) {
                 Ok(recipe) => {
-                    let plan = recipe.build(shared.service.snapshot().value.network(), seed);
-                    let epoch = shared.service.apply_chaos(&plan, round as usize);
+                    let plan = |net: &Network| recipe.build(net, seed);
+                    let epoch = shared.service.apply_chaos(plan, round as usize);
                     shared.telemetry.with(w, |c| c.record_chaos());
                     encode_epoch_ok(out, OP_CHAOS, epoch, recipe.clauses.len() as u32);
                 }

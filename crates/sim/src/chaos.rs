@@ -24,6 +24,12 @@
 //! inactive, so a plan at rate 0 (no events, `drop_p == 0`) is
 //! bit-identical to running with no plan at all.
 //!
+//! Snapshot consumers — sweeps, figures and the routing service — see
+//! the plan's state at one round instead: [`ChaosPlan::delta`] is the
+//! [`TopologyDelta`] that takes a network to the nodes down and the cut
+//! chords open at that round, applied by the one topology repair of
+//! [`Network::derive`] like any mobility batch.
+//!
 //! ```
 //! use sp_net::NodeId;
 //! use sp_sim::ChaosPlan;
@@ -39,7 +45,7 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use sp_geom::{Point, Segment};
-use sp_net::{Network, NodeId};
+use sp_net::{Network, NodeId, TopologyDelta};
 use std::collections::BTreeMap;
 
 /// One partition event: every link whose segment crosses the cut line
@@ -258,9 +264,10 @@ impl ChaosPlan {
     /// kills), so a same-round flap leaves the node alive. Sorted by id.
     ///
     /// This is the *cumulative* view snapshot-based consumers need (the
-    /// routing service rebuilds a degraded topology from it), as opposed
-    /// to the per-round deltas the engines consume via
-    /// [`ChaosPlan::kills_due_at`] / [`ChaosPlan::revivals_due_at`].
+    /// routing service derives its degraded epochs from it, through
+    /// [`ChaosPlan::delta`]), as opposed to the per-round deltas the
+    /// engines consume via [`ChaosPlan::kills_due_at`] /
+    /// [`ChaosPlan::revivals_due_at`].
     pub fn dead_as_of(&self, round: usize) -> Vec<NodeId> {
         let last_revive = self.revivals.latest_by(round);
         self.kills
@@ -271,25 +278,20 @@ impl ChaosPlan {
             .collect()
     }
 
-    /// `net` as its survivors see it at `round`: every node down as of
-    /// that round ([`ChaosPlan::dead_as_of`]) isolated, and every link
-    /// crossing a cut active at that round severed. Ids stay
-    /// index-aligned with `net`.
-    pub fn degrade(&self, net: &Network, round: usize) -> Network {
-        self.sever_cuts(net.without_nodes(&self.dead_as_of(round)), round)
+    /// The chords of the cuts active at `round`, in plan order.
+    pub fn chords_at(&self, round: usize) -> Vec<Segment> {
+        (self.cuts.iter())
+            .filter(|c| c.active_at(round))
+            .map(|c| Segment::new(c.a, c.b))
+            .collect()
     }
 
-    /// `net` with every link crossing a cut active at `round` severed.
-    pub fn sever_cuts(&self, net: Network, round: usize) -> Network {
-        let mut cut_edges = Vec::new();
-        for cut in self.cuts.iter().filter(|c| c.active_at(round)) {
-            cut_edges.extend(net.edges_crossing(cut.a, cut.b));
-        }
-        if cut_edges.is_empty() {
-            net
-        } else {
-            net.without_edges(&cut_edges)
-        }
+    /// The [`TopologyDelta`] that takes `net` to the plan's state at
+    /// `round`: down exactly the nodes [`ChaosPlan::dead_as_of`] names
+    /// and open exactly the chords of the cuts active then, whatever
+    /// `net` had down or open before.
+    pub fn delta(&self, net: &Network, round: usize) -> TopologyDelta {
+        net.delta_to(&self.dead_as_of(round), &self.chords_at(round))
     }
 
     /// The last round with a scheduled node event (kill or revival) —

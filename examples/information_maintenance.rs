@@ -1,6 +1,7 @@
 //! Keep the safety information alive while the network dies under it:
-//! kill nodes one by one, repair the labeling incrementally, and watch
-//! SLGF2 keep routing — the dynamic-factors story of the paper's §1.
+//! kill nodes one by one, each failure one `ServiceSnapshot::derive`
+//! that repairs the labeling incrementally, and watch SLGF2 keep
+//! routing — the dynamic-factors story of the paper's §1.
 //!
 //! ```sh
 //! cargo run --example information_maintenance
@@ -8,7 +9,6 @@
 
 use rand::rngs::StdRng;
 use rand::{seq::SliceRandom, SeedableRng};
-use sp_core::InfoMaintainer;
 use straightpath::prelude::*;
 
 fn main() {
@@ -28,12 +28,12 @@ fn main() {
     };
     let (src, dst) = (corner(net.area().min()), corner(net.area().max()));
 
-    let mut maint = InfoMaintainer::new(net.clone());
+    let mut snap = ServiceSnapshot::build(net.clone());
     println!(
         "initial network: {} nodes, {} with an unsafe type",
         net.len(),
         net.node_ids()
-            .filter(|&u| !maint.tuple(u).fully_safe())
+            .filter(|&u| !snap.info().tuple(u).fully_safe())
             .count()
     );
 
@@ -47,20 +47,23 @@ fn main() {
         "\n{:<8} {:>9} {:>10} {:>12} {:>8}",
         "kill", "relabeled", "work items", "unsafe nodes", "hops"
     );
+    let mut kill = TopologyDelta::default();
     for (i, &victim) in victims.iter().enumerate() {
-        let report = maint.kill(victim);
-        if !maint.network().connected(src, dst) {
+        kill.down = vec![victim];
+        let report;
+        (snap, report) = snap.derive(&kill);
+        let net = snap.network();
+        if !net.connected(src, dst) {
             println!("network partitioned after kill #{i} — stopping");
             return;
         }
-        if i % 10 == 0 || report.relabeled_nodes > 0 {
-            let info = maint.info();
-            let unsafe_count = maint
-                .network()
+        // The victim's own flip to all-unsafe is one of the relabeled.
+        if i % 10 == 0 || report.relabeled_nodes > 1 {
+            let unsafe_count = net
                 .node_ids()
-                .filter(|&u| !maint.is_dead(u) && !info.tuple(u).fully_safe())
+                .filter(|&u| !net.is_down(u) && !snap.info().tuple(u).fully_safe())
                 .count();
-            let r = Slgf2Router::new(&info).route(maint.network(), src, dst);
+            let r = snap.router().route(net, src, dst);
             println!(
                 "{:<8} {:>9} {:>10} {:>12} {:>7}{}",
                 format!("#{i} {victim}"),
@@ -74,11 +77,9 @@ fn main() {
     }
 
     println!(
-        "\nafter {} kills: {} repairs, route still {} hops",
+        "\nafter {} kills: {} nodes down, route still {} hops",
         victims.len(),
-        maint.repairs(),
-        Slgf2Router::new(&maint.info())
-            .route(maint.network(), src, dst)
-            .hops()
+        snap.network().down().len(),
+        snap.router().route(snap.network(), src, dst).hops()
     );
 }

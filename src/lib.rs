@@ -45,14 +45,14 @@ pub use sp_viz as viz;
 pub mod prelude {
     pub use sp_baselines::{GfRouter, GfgRouter, HoleAtlas, Slgf2FaceRouter};
     pub use sp_core::{
-        construct_distributed, explain_route, Hand, InfoMaintainer, LgfRouter, RouteOutcome,
-        RoutePhase, RouteRecord, RouteResult, Routing, RoutingService, SafetyInfo, SafetyTuple,
-        Slgf2Router, SlgfRouter,
+        construct_distributed, explain_route, Hand, LgfRouter, RouteOutcome, RoutePhase,
+        RouteRecord, RouteResult, Routing, RoutingService, SafetyInfo, SafetyTuple,
+        ServiceSnapshot, Slgf2Router, SlgfRouter,
     };
     pub use sp_geom::{Point, Quadrant, Rect};
     pub use sp_net::{
         deploy::DeploymentConfig, EnergyLedger, FaModel, Network, NodeId, Obstacle, RadioModel,
-        RandomWaypoint,
+        RandomWaypoint, TopologyDelta,
     };
     pub use sp_sim::{ChaosPlan, CutWindow};
 }

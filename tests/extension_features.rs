@@ -3,7 +3,7 @@
 //! through the `straightpath` facade the way a downstream user would.
 
 use sp_baselines::Slgf2FaceRouter;
-use sp_core::{construct_async, InfoMaintainer};
+use sp_core::construct_async;
 use sp_net::{interference_count, RadioModel, RandomWaypoint};
 use sp_viz::ascii::{render_chart, ChartOptions};
 use sp_viz::chart::{render_figure_svg, FigureSvgOptions};
@@ -19,7 +19,6 @@ fn degraded_network_pipeline_end_to_end() {
     let comp = net.largest_component();
     let (s, d) = (comp[1], comp[comp.len() - 2]);
 
-    let mut maint = InfoMaintainer::new(net.clone());
     let victims: Vec<NodeId> = comp
         .iter()
         .copied()
@@ -27,23 +26,27 @@ fn degraded_network_pipeline_end_to_end() {
         .step_by(29)
         .take(12)
         .collect();
-    maint.kill_many(&victims);
-    if !maint.network().connected(s, d) {
+    let (snap, _) = ServiceSnapshot::build(net.clone()).derive(&TopologyDelta {
+        down: victims,
+        ..TopologyDelta::default()
+    });
+    let net = snap.network();
+    if !net.connected(s, d) {
         return;
     }
 
-    let info = maint.info();
-    let r = Slgf2Router::new(&info).route(maint.network(), s, d);
+    let info = snap.info();
+    let r = Slgf2Router::new(info).route(net, s, d);
     assert!(r.delivered(), "{:?}", r.outcome);
 
     let radio = RadioModel::first_order();
-    let energy = radio.path_energy(maint.network(), &r.path, 1024.0);
+    let energy = radio.path_energy(net, &r.path, 1024.0);
     assert!(energy > 0.0);
-    let overhearers = interference_count(maint.network(), &r.path);
+    let overhearers = interference_count(net, &r.path);
     assert!(overhearers > 0, "dense networks always have bystanders");
 
-    let svg = Scene::new(maint.network(), SceneOptions::default())
-        .with_safety(&info)
+    let svg = Scene::new(net, SceneOptions::default())
+        .with_safety(info)
         .with_route("SLGF2 after failures", &r)
         .with_mark(s, "s")
         .with_mark(d, "d")
