@@ -963,23 +963,20 @@ mod tests {
     }
 
     #[test]
-    fn an_opened_chord_severs_exactly_the_links_it_meets() {
+    fn edges_crossing_finds_exactly_the_cut_links() {
         let net = line_net();
-        // A vertical chord between x=10 and x=20 meets only edge 1–2.
+        // A vertical chord between x=10 and x=20 meets only edge 1–2:
+        // that is the one link an opened chord severs.
         let chord = Segment::new(Point::new(15.0, -5.0), Point::new(15.0, 5.0));
-        let open = TopologyDelta {
+        let (cut, requeried) = net.derive(&TopologyDelta {
             opened: vec![chord],
             ..TopologyDelta::default()
-        };
-        let (cut, requeried) = net.derive(&open);
+        });
         assert_eq!(requeried, vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)]);
         assert_eq!(cut.chords(), &[chord]);
-        assert_eq!(
-            cut.edges().collect::<Vec<_>>(),
-            vec![(NodeId(0), NodeId(1)), (NodeId(2), NodeId(3))]
-        );
-        assert!(!cut.connected(NodeId(0), NodeId(3)));
-        assert_eq!(cut.position(NodeId(2)), net.position(NodeId(2)));
+        let kept: Vec<_> = cut.edges().collect();
+        let severed: Vec<_> = net.edges().filter(|e| !kept.contains(e)).collect();
+        assert_eq!(severed, vec![(NodeId(1), NodeId(2))]);
         // A chord off to the side requeries nothing and cuts nothing.
         let aside = TopologyDelta {
             opened: vec![Segment::new(
@@ -991,6 +988,25 @@ mod tests {
         let (same, requeried) = net.derive(&aside);
         assert!(requeried.is_empty());
         assert_eq!(same.adjacency(), net.adjacency());
+    }
+
+    #[test]
+    fn without_edges_degrades_connectivity_only() {
+        let net = line_net();
+        let chord = Segment::new(Point::new(15.0, -5.0), Point::new(15.0, 5.0));
+        let (cut, _) = net.derive(&TopologyDelta {
+            opened: vec![chord],
+            ..TopologyDelta::default()
+        });
+        // The severed link goes; every node, position and other link stays.
+        assert_eq!(cut.len(), net.len());
+        assert!(!cut.has_edge(NodeId(1), NodeId(2)));
+        assert!(cut.has_edge(NodeId(0), NodeId(1)));
+        assert!(cut.has_edge(NodeId(2), NodeId(3)));
+        assert!(!cut.connected(NodeId(0), NodeId(3)));
+        for u in net.node_ids() {
+            assert_eq!(cut.position(u), net.position(u), "position of {u}");
+        }
     }
 
     #[test]
