@@ -6,7 +6,8 @@
 //! performance work depends on:
 //!
 //! * **alloc** — declared hot functions (see `hot_functions.txt`)
-//!   never allocate.
+//!   never allocate: no `Vec`/`Box`/`String` construction, `vec!`,
+//!   `format!`, owned copies or `.collect()`.
 //! * **panic** / **index** — library code returns errors instead of
 //!   panicking; hot paths don't use may-panic indexing silently.
 //! * **concurrency** — every scoped-thread/atomic-cursor scan goes
@@ -286,6 +287,10 @@ fn run_self_test() -> i32 {
         (
             "alloc",
             "fn walk_into(n: usize) -> Vec<u32> { let v = vec![0; n]; v }".to_owned(),
+        ),
+        (
+            "alloc",
+            "fn walk_into(v: &[u32]) -> Vec<u32> { v.iter().map(|x| x + 1).collect() }".to_owned(),
         ),
         (
             "index",

@@ -259,6 +259,10 @@ impl SourceFile {
                             && toks.get(i + 2).is_some_and(|b| b.text == ":")
                             && toks.get(i + 3).is_some_and(|c| c.text == tail)
                     };
+                    // `.collect()` and `.collect::<…>()` build a fresh
+                    // container.
+                    let collect =
+                        t.text == "collect" && prev_is_dot && (next_is("(") || next_is(":"));
                     let alloc: Option<&str> =
                         if path_call("Vec", "new") || path_call("Vec", "with_capacity") {
                             Some("Vec construction")
@@ -275,6 +279,8 @@ impl SourceFile {
                             && next_is("(")
                         {
                             Some("owned copy")
+                        } else if collect {
+                            Some("collect into a new container")
                         } else {
                             None
                         };
@@ -784,6 +790,8 @@ mod tests {
             ("let b = Box::new(3);", "Box"),
             ("let c = src.to_vec();", "copy"),
             ("let c = src.clone();", "copy"),
+            ("let c: Vec<u8> = src.iter().copied().collect();", "collect"),
+            ("let c = src.iter().collect::<Vec<_>>();", "collect"),
         ];
         for (stmt, tag) in cases {
             let src = format!("fn route_into(src: &[u8]) {{ {stmt} }}");

@@ -5,8 +5,10 @@
 //! starting into the wide angular gap's counter-clockwise edge, each step
 //! pivots counter-clockwise about the current node from the reverse of
 //! the arriving edge — the classic right-hand traversal on the full unit
-//! disk graph. Walks close back at their starting edge; the set of closed
-//! walks forms the hole atlas the GF baseline uses for recovery.
+//! disk graph. The pivot ([`pivot_ccw`]) is the rule the planar face
+//! walks use, [`sp_geom::face_pivot`], applied to every UDG neighbor.
+//! Walks close back at their starting edge; the set of closed walks
+//! forms the hole atlas the GF baseline uses for recovery.
 //!
 //! The published algorithm additionally repairs self-crossing boundaries;
 //! our walker instead caps the walk length and discards non-closing
@@ -15,7 +17,7 @@
 //! [`crate::GfRouter`]).
 
 use crate::tent::{wide_gaps, TENT_THRESHOLD};
-use sp_geom::{AngularSweep, Point, Vec2};
+use sp_geom::face_pivot;
 use sp_net::{Network, NodeId};
 
 /// A closed hole boundary: node loop without the repeated first node.
@@ -142,39 +144,16 @@ impl HoleAtlas {
 }
 
 /// Right-hand pivot on the **full** UDG: first neighbor of `x`
-/// counter-clockwise from the direction of `from`, excluding `from`
-/// unless it is the only neighbor.
+/// counter-clockwise from the direction of `from`
+/// ([`sp_geom::face_pivot`]), excluding `from` unless it is the only
+/// neighbor.
 pub fn pivot_ccw(net: &Network, x: NodeId, from: NodeId) -> Option<NodeId> {
-    pivot_dir(net, x, net.position(from) - net.position(x), Some(from))
-}
-
-/// Right-hand pivot from an arbitrary direction.
-pub fn pivot_dir(net: &Network, x: NodeId, dir: Vec2, exclude: Option<NodeId>) -> Option<NodeId> {
     let px = net.position(x);
-    let items: Vec<(usize, Point)> = net.neighbor_points(x).collect();
-    if items.is_empty() {
-        return None;
-    }
-    let sweep = AngularSweep::new(px, dir, items);
-    const EPS: f64 = 1e-12;
-    // Pass 1: strictly-rotated candidates, smallest rotation first. A
-    // zero-rotation candidate is collinear with the start direction
-    // (e.g. two neighbors due south in a line); treating it as "already
-    // hit" would short-circuit the sweep into a collinear trap, so it is
-    // deferred to pass 2.
-    for e in sweep.entries() {
-        if e.rotation <= EPS || Some(NodeId::new(e.id)) == exclude {
-            continue;
-        }
-        return Some(NodeId::new(e.id));
-    }
-    // Pass 2: collinear candidates (nearest first), then bounce back.
-    for e in sweep.entries() {
-        if Some(NodeId::new(e.id)) != exclude {
-            return Some(NodeId::new(e.id));
-        }
-    }
-    exclude.filter(|f| net.neighbors(x).contains(f))
+    let dir = net.position(from) - px;
+    let next = face_pivot(px, dir, Some(from.index()), net.neighbor_points(x));
+    // Dead end: bounce back.
+    next.map(NodeId::new)
+        .or_else(|| Some(from).filter(|f| net.neighbors(x).contains(f)))
 }
 
 /// One boundary walk from stuck node `start` entering at `first`.
@@ -217,7 +196,7 @@ fn same_loop(a: &[NodeId], b: &[NodeId]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sp_geom::Rect;
+    use sp_geom::{Point, Rect};
 
     fn area() -> Rect {
         Rect::from_corners(Point::new(0.0, 0.0), Point::new(200.0, 200.0))

@@ -95,7 +95,7 @@ impl GfgRouter {
             Some(prev) if !entering && self.planar.has_edge(u, prev) => {
                 self.planar.next_ccw(u, prev)?
             }
-            _ => self.planar.first_from_direction(u, pd - pu, true)?,
+            _ => self.planar.first_from_direction(u, pd - pu)?,
         };
 
         // FACE-2 face-change sweep: while the edge about to be traversed

@@ -103,7 +103,7 @@ impl GfRouter {
             Some(prev) if !entering && self.planar.has_edge(u, prev) => {
                 self.planar.next_ccw(u, prev)
             }
-            _ => self.planar.first_from_direction(u, dir, true),
+            _ => self.planar.first_from_direction(u, dir),
         }
     }
 }

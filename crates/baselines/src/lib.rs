@@ -26,7 +26,7 @@ pub mod gf;
 pub mod hybrid;
 pub mod tent;
 
-pub use boundhole::{pivot_ccw, pivot_dir, Boundary, HoleAtlas};
+pub use boundhole::{pivot_ccw, Boundary, HoleAtlas};
 pub use face::GfgRouter;
 pub use gf::{GfRouter, RecoveryMode};
 pub use hybrid::Slgf2FaceRouter;

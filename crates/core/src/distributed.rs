@@ -8,16 +8,20 @@
 //! Each node runs a [`LabelingProcess`]: it caches the last announcement
 //! of every neighbor, recomputes its own tuple (Definition 1) and chain
 //! endpoints (`u^{(1)}`, `u^{(2)}`), and re-broadcasts only on change.
-//! Because statuses flip monotonically safe→unsafe and chain dependencies
-//! are acyclic, the protocol quiesces and — as the equivalence tests
-//! verify — reproduces exactly the centralized [`SafetyInfo`].
+//! The chain ends come from the one-pass scan the central estimate
+//! engine uses ([`sp_geom::quadrant_ends`]), and the stabilized chains
+//! become estimates through the central build's corner rule
+//! ([`crate::shape`]). Because statuses flip monotonically safe→unsafe
+//! and chain dependencies are acyclic, the protocol quiesces and — as
+//! the equivalence tests verify — reproduces exactly the centralized
+//! [`SafetyInfo`].
 //!
 //! Node failures are handled incrementally: killing a node can only make
 //! neighborhoods *less* safe, so the same monotone recomputation repairs
 //! the information after each failure (ablation A6).
 
 use crate::{SafetyInfo, SafetyMap, SafetyTuple, ShapeEstimate, ShapeMap};
-use sp_geom::{ccw_order_in_quadrant, Point, Quadrant, Rect};
+use sp_geom::{quadrant_ends, Point, Quadrant};
 use sp_net::{edge_nodes::edge_node_mask, Network, NodeId};
 use sp_sim::{AsyncConfig, AsyncEngine, ChaosPlan, Ctx, Engine, NodeProcess, SimError, SimStats};
 use std::collections::BTreeMap;
@@ -148,19 +152,19 @@ impl LabelingProcess {
                 self.chains[q.array_index()] = None;
                 continue;
             }
-            let in_zone: Vec<(usize, Point)> = live
+            let in_zone = live
                 .iter()
                 .filter(|&&(v, _)| !self.neighbor_tuple(v).is_safe(q))
-                .map(|&(v, pv)| (v.index(), pv))
-                .collect();
-            let order = ccw_order_in_quadrant(my_pos, q, in_zone.iter().copied());
-            let chain = match (order.first(), order.last()) {
-                (Some(&f), Some(&l)) => {
-                    let first = self.resolve_chain_end(NodeId::new(f), q, true, &in_zone);
-                    let last = self.resolve_chain_end(NodeId::new(l), q, false, &in_zone);
-                    ChainInfo { first, last }
+                .map(|&(v, pv)| (v.index(), pv));
+            let chain = match quadrant_ends(my_pos, q, in_zone) {
+                Some((f, l)) => {
+                    let (f, l) = (NodeId::new(f), NodeId::new(l));
+                    ChainInfo {
+                        first: self.resolve_chain_end((f, ctx.position_of(f)), q, true),
+                        last: self.resolve_chain_end((l, ctx.position_of(l)), q, false),
+                    }
                 }
-                _ => ChainInfo {
+                None => ChainInfo {
                     first: (me, my_pos),
                     last: (me, my_pos),
                 },
@@ -185,32 +189,16 @@ impl LabelingProcess {
 
     /// `u^{(1)} = v_1^{(1)}` (or `u^{(2)} = v_2^{(2)}`): read the chain
     /// end from the neighbor's announcement, falling back to the
-    /// neighbor itself until its chain arrives.
-    fn resolve_chain_end(
-        &self,
-        v: NodeId,
-        q: Quadrant,
-        first: bool,
-        in_zone: &[(usize, Point)],
-    ) -> (NodeId, Point) {
-        let fallback = in_zone
-            .iter()
-            .find(|&&(id, _)| id == v.index())
-            .map(|&(id, p)| (NodeId::new(id), p))
-            .expect("chain target comes from the in-zone candidate list"); // sp-analyze: allow(panic, v is drawn from the same in-zone list being searched)
+    /// neighbor `v` itself (with its location) until its chain arrives.
+    fn resolve_chain_end(&self, v: (NodeId, Point), q: Quadrant, first: bool) -> (NodeId, Point) {
         match self
             .neighbor_view
-            .get(&v)
+            .get(&v.0)
             .and_then(|a| a.body.chains[q.array_index()])
         {
-            Some(chain) => {
-                if first {
-                    chain.first
-                } else {
-                    chain.last
-                }
-            }
-            None => fallback,
+            Some(chain) if first => chain.first,
+            Some(chain) => chain.last,
+            None => v,
         }
     }
 }
@@ -416,18 +404,8 @@ fn assemble(
         let pu = net.position(NodeId::new(i));
         for q in Quadrant::ALL {
             if let Some(chain) = proc_state.chains()[q.array_index()] {
-                let (first_id, first_pos) = chain.first;
-                let (last_id, last_pos) = chain.last;
-                let far_corner = match q {
-                    Quadrant::I | Quadrant::III => Point::new(first_pos.x, last_pos.y),
-                    Quadrant::II | Quadrant::IV => Point::new(last_pos.x, first_pos.y),
-                };
-                per_type[q.array_index()][i] = Some(ShapeEstimate {
-                    first_far: first_id,
-                    last_far: last_id,
-                    rect: Rect::from_corners(pu, far_corner),
-                    far_corner,
-                });
+                per_type[q.array_index()][i] =
+                    Some(ShapeEstimate::new(q, pu, chain.first, chain.last));
             }
         }
     }

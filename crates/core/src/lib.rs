@@ -11,8 +11,8 @@
 //! * [`SafetyInfo`] — the combined per-node information, buildable
 //!   centrally ([`SafetyInfo::build`]) or by the faithful distributed
 //!   protocol ([`construct_distributed`]) with message-cost accounting;
-//! * [`RegionSplit`] / [`Hand`] — the critical/forbidden split and the
-//!   either-hand rule of §4;
+//! * [`choose_hand`] / [`Hand`] — the either-hand rule of §4: the detour
+//!   around an estimate's cheaper side corner decides the committed hand;
 //! * [`LgfRouter`] (Algorithm 1), [`SlgfRouter`] (the earlier work \[7\])
 //!   and [`Slgf2Router`] (Algorithm 3) — all exposing the common
 //!   [`Routing`] trait used by the benchmark harness;
@@ -69,7 +69,7 @@ pub use maintenance::RepairReport;
 pub use packet::{
     FaceState, HopScratch, Mode, PacketState, RouteOutcome, RoutePhase, RouteResult, VisitedSet,
 };
-pub use regions::{choose_hand, hand_first, Hand, RegionSplit};
+pub use regions::{choose_hand, hand_first, Hand};
 pub use router::{
     closer_neighbors, closer_than_entry, default_ttl, greedy_pick, greedy_with_recovery,
     perimeter_sweep, walk_into, zone_candidates, zone_type, RouteBuffer, RouteRef, Routing,

@@ -1,23 +1,25 @@
-//! Critical/forbidden regions and the either-hand rule (§4).
+//! The either-hand rule (§4).
 //!
-//! Contribution (a) of the paper: "According to
-//! `E_i(v) : [x_v : x_{v^{(1)}}, y_v : y_{v^{(2)}}]`, `Q_i(v)` is divided
-//! by the ray `(x_v, y_v)(x_{v^{(1)}}, y_{v^{(2)}})` into two parts. The
-//! region with `d` is called critical region and the other is called
-//! forbidden region … The access of forbidden region will be avoided when
-//! the destination is inside the critical region."
+//! Contribution (a) of the paper divides `Q_i(v)` by "the ray
+//! `(x_v, y_v)(x_{v^{(1)}}, y_{v^{(2)}})`" of the estimate
+//! `E_i(v) : [x_v : x_{v^{(1)}}, y_v : y_{v^{(2)}}]` into a critical
+//! region holding `d` and a forbidden one, and the packet routes around
+//! `E_i(v)` on the destination's side, committing to a left- or
+//! right-hand traversal and sticking with it (Algo. 3 steps 3–5).
 //!
-//! The same ray decides the *either-hand rule*: the packet routes around
-//! `E_i(v)` on the destination's side of the blockage, by committing to a
-//! left- or right-hand traversal and sticking with it (Algo. 3 steps
-//! 3–5). Our deterministic realisation takes the side whose
-//! around-the-rectangle detour is shorter ([`choose_hand`]), and every
-//! hand-committed hop (SLGF2's backup and perimeter phases, the
-//! LGF/SLGF perimeter sweep) takes the first candidate the committed
-//! hand's rotating ray hits ([`hand_first`]), found in one pass.
+//! The code realises that side choice without building the two regions.
+//! [`choose_hand`] compares the detours around the two corners of
+//! `E_i(v)` beside `v`'s own, `(x_f, y_v)` and `(x_v, y_f)` for the far
+//! corner `f`, and commits to the hand that turns the ray `ud` toward
+//! the cheaper one. Every hand-committed hop (SLGF2's backup and
+//! perimeter phases, the LGF/SLGF perimeter sweep) then takes the first
+//! candidate the committed hand's rotating ray hits ([`hand_first`]):
+//! one pass of [`sp_geom::ccw_scan_from`], mirrored for the left hand.
+//! SLGF2's safe forwarding applies the superseding rule to the estimate
+//! rectangles themselves (see [`crate::Slgf2Router`]).
 
 use crate::ShapeEstimate;
-use sp_geom::{ccw_scan_from, Point, Quadrant, Ray, Side, Vec2};
+use sp_geom::{ccw_scan_from, Point, Ray, Side, Vec2};
 
 /// A committed traversal direction for the either-hand rule.
 ///
@@ -50,61 +52,6 @@ impl std::fmt::Display for Hand {
             Hand::Ccw => "right-hand (ccw)",
             Hand::Cw => "left-hand (cw)",
         })
-    }
-}
-
-/// The split of `Q_i(v)` into critical (destination-side) and forbidden
-/// regions, anchored at unsafe node `v`.
-#[derive(Debug, Clone, Copy)]
-pub struct RegionSplit {
-    anchor: Point,
-    quadrant: Quadrant,
-    ray: Ray,
-    critical_side: Side,
-}
-
-impl RegionSplit {
-    /// Builds the split for the estimate `E_q(v)` of unsafe node `v` at
-    /// `anchor`, with destination `d`.
-    ///
-    /// Returns `None` when the split constrains nothing:
-    /// * `d` is outside `Q_q(v)` (the estimate does not block this
-    ///   routing),
-    /// * the estimate is degenerate (`v^{(1)} = v^{(2)} = v`), or
-    /// * `d` lies exactly on the dividing ray.
-    pub fn new(anchor: Point, q: Quadrant, est: &ShapeEstimate, d: Point) -> Option<RegionSplit> {
-        if Quadrant::of(anchor, d) != Some(q) {
-            return None;
-        }
-        let ray = Ray::through(anchor, est.far_corner)?;
-        let critical_side = match ray.side_of(d) {
-            Side::On => return None,
-            side => side,
-        };
-        Some(RegionSplit {
-            anchor,
-            quadrant: q,
-            ray,
-            critical_side,
-        })
-    }
-
-    /// Is `p` inside the critical region (the destination's side of the
-    /// dividing ray, within `Q_q(v)`)?
-    pub fn in_critical(&self, p: Point) -> bool {
-        Quadrant::of(self.anchor, p) == Some(self.quadrant)
-            && self.ray.side_of(p) == self.critical_side
-    }
-
-    /// Is `p` inside the forbidden region?
-    pub fn in_forbidden(&self, p: Point) -> bool {
-        Quadrant::of(self.anchor, p) == Some(self.quadrant)
-            && self.ray.side_of(p) == self.critical_side.opposite()
-    }
-
-    /// Which side of the dividing ray the destination occupies.
-    pub fn critical_side(&self) -> Side {
-        self.critical_side
     }
 }
 
@@ -185,37 +132,6 @@ mod tests {
             rect: Rect::from_corners(v, far),
             far_corner: far,
         }
-    }
-
-    #[test]
-    fn split_identifies_critical_and_forbidden() {
-        // v at origin, E_1(v) = [0:10, 0:10]; destination high up north.
-        let v = Point::new(0.0, 0.0);
-        let est = ne_estimate(v, Point::new(10.0, 10.0));
-        let d = Point::new(5.0, 30.0); // above the diagonal -> Left side
-        let split = RegionSplit::new(v, Quadrant::I, &est, d).unwrap();
-        assert_eq!(split.critical_side(), Side::Left);
-        // A candidate east of the diagonal is forbidden.
-        assert!(split.in_forbidden(Point::new(20.0, 3.0)));
-        assert!(!split.in_critical(Point::new(20.0, 3.0)));
-        // A candidate north of the diagonal is critical.
-        assert!(split.in_critical(Point::new(3.0, 20.0)));
-        // Points outside Q1(v) are in neither region.
-        assert!(!split.in_forbidden(Point::new(-5.0, 5.0)));
-        assert!(!split.in_critical(Point::new(-5.0, 5.0)));
-    }
-
-    #[test]
-    fn split_inactive_when_destination_elsewhere() {
-        let v = Point::new(0.0, 0.0);
-        let est = ne_estimate(v, Point::new(10.0, 10.0));
-        // d southwest: the NE estimate does not constrain this routing.
-        assert!(RegionSplit::new(v, Quadrant::I, &est, Point::new(-5.0, -5.0)).is_none());
-        // d exactly on the dividing ray: no constraint either.
-        assert!(RegionSplit::new(v, Quadrant::I, &est, Point::new(20.0, 20.0)).is_none());
-        // Degenerate estimate (far corner == v).
-        let degenerate = ne_estimate(v, v);
-        assert!(RegionSplit::new(v, Quadrant::I, &degenerate, Point::new(5.0, 30.0)).is_none());
     }
 
     #[test]

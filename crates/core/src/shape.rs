@@ -15,19 +15,24 @@
 //! max-heap pops nodes in decreasing quadrant depth (every chain step
 //! strictly increases `s_x·x + s_y·y`, so a node's chain targets settle
 //! before it), and a node whose estimate changed queues its unsafe
-//! predecessors. [`ShapeMap::build`] seeds it with every unsafe node; a
-//! mobility epoch seeds it with the nodes its batch touched, starting
-//! from the previous epoch's estimates.
+//! predecessors. Each pop reads `v_1` and `v_2` in one pass
+//! ([`sp_geom::quadrant_ends`]), without sorting. [`ShapeMap::build`]
+//! seeds it with every unsafe node; a mobility epoch seeds it with the
+//! nodes its batch touched, starting from the previous epoch's
+//! estimates.
 //!
 //! The paper spells out the corner assignment for type 1 only, where the
 //! first-scanned chain hugs the x-axis and the last hugs the y-axis. For
 //! types 2 and 4 the scan starts at the *y*-axis, so the roles swap:
 //! there the x-extent comes from `u^{(2)}` and the y-extent from
 //! `u^{(1)}`. In every type, the chain nearer the x-axis supplies the
-//! x-extent.
+//! x-extent. That rule lives in one constructor, `ShapeEstimate::new`,
+//! which the estimate engine, the exact oracle
+//! ([`ShapeMap::build_exact`]) and the distributed protocol's assembly
+//! ([`crate::distributed`]) all call.
 
 use crate::SafetyMap;
-use sp_geom::{ccw_order_in_quadrant, Point, Quadrant, Rect};
+use sp_geom::{quadrant_ends, Point, Quadrant, Rect, Vec2};
 use sp_net::{Network, NodeId};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -42,9 +47,35 @@ pub struct ShapeEstimate {
     pub last_far: NodeId,
     /// `E_i(u)`: the rectangle estimating the unsafe area.
     pub rect: Rect,
-    /// The corner of `E_i(u)` opposite `u` — the target of the ray that
-    /// splits `Q_i(u)` into critical and forbidden regions (§4).
+    /// The corner of `E_i(u)` opposite `u`.
     pub far_corner: Point,
+}
+
+impl ShapeEstimate {
+    /// `E_q(u)` for a type-`q` unsafe node at `pu` whose chains end at
+    /// `first` (`u^{(1)}`) and `last` (`u^{(2)}`), each with its location.
+    /// This is the one home of the per-type corner rule: the chain nearer
+    /// the x-axis supplies the x-extent. For types I/III the scan starts
+    /// on the x-axis, so that is the *first* chain; for types II/IV the
+    /// scan starts on the y-axis, so it is the *last*.
+    pub(crate) fn new(
+        q: Quadrant,
+        pu: Point,
+        first: (NodeId, Point),
+        last: (NodeId, Point),
+    ) -> ShapeEstimate {
+        let ((first_far, pf), (last_far, pl)) = (first, last);
+        let far_corner = match q {
+            Quadrant::I | Quadrant::III => Point::new(pf.x, pl.y),
+            Quadrant::II | Quadrant::IV => Point::new(pl.x, pf.y),
+        };
+        ShapeEstimate {
+            first_far,
+            last_far,
+            rect: Rect::from_corners(pu, far_corner),
+            far_corner,
+        }
+    }
 }
 
 /// Shape estimates for every (node, type) pair that is unsafe.
@@ -123,39 +154,30 @@ impl ShapeMap {
         let n = net.len();
         let mut per_type: [Vec<Option<ShapeEstimate>>; 4] = std::array::from_fn(|_| vec![None; n]);
         for q in Quadrant::ALL {
-            let (sx, sy) = q.signs();
+            // The first-scanned chain hugs the scan's start axis and the
+            // last one the axis a quarter turn on, so the region nodes
+            // deepest along those axes stand in for `u^{(1)}` and
+            // `u^{(2)}`.
+            let start = q.scan_start_axis();
+            let end = start.perp();
             for u in safety.unsafe_nodes(q) {
                 let region = greedy_region(net, safety, u, q);
                 let pu = net.position(u);
-                // The region node deepest along each axis (quadrant
-                // signs orient "deepest"); ties break by id for
-                // determinism.
-                let deepest = |key: &dyn Fn(Point) -> f64| -> (NodeId, Point) {
+                // The region node deepest along `axis`; ties break by id
+                // for determinism.
+                let deepest = |axis: Vec2| -> (NodeId, Point) {
+                    let depth = |p: Point| axis.x * p.x + axis.y * p.y;
                     let mut best = (u, pu);
                     for &v in &region {
                         let pv = net.position(v);
-                        if key(pv) > key(best.1) + 1e-12 {
+                        if depth(pv) > depth(best.1) + 1e-12 {
                             best = (v, pv);
                         }
                     }
                     best
                 };
-                let (x_node, x_pos) = deepest(&|p: Point| sx * p.x);
-                let (y_node, y_pos) = deepest(&|p: Point| sy * p.y);
-                let far_corner = Point::new(x_pos.x, y_pos.y);
-                // Same roles as make_estimate: the "first" chain
-                // supplies the x-extent for types I/III and the
-                // y-extent for II/IV.
-                let (first, last) = match q {
-                    Quadrant::I | Quadrant::III => (x_node, y_node),
-                    Quadrant::II | Quadrant::IV => (y_node, x_node),
-                };
-                per_type[q.array_index()][u.index()] = Some(ShapeEstimate {
-                    first_far: first,
-                    last_far: last,
-                    rect: Rect::from_corners(pu, far_corner),
-                    far_corner,
-                });
+                per_type[q.array_index()][u.index()] =
+                    Some(ShapeEstimate::new(q, pu, deepest(start), deepest(end)));
             }
         }
         ShapeMap { per_type }
@@ -196,32 +218,6 @@ impl ShapeMap {
     }
 }
 
-/// Builds one estimate, applying the per-type corner mapping.
-fn make_estimate(
-    net: &Network,
-    u: NodeId,
-    q: Quadrant,
-    first: NodeId,
-    last: NodeId,
-) -> ShapeEstimate {
-    let pu = net.position(u);
-    let pf = net.position(first);
-    let pl = net.position(last);
-    // The chain nearer the x-axis supplies the x-extent. For types I/III
-    // the scan starts on the x-axis, so that is the *first* chain; for
-    // types II/IV the scan starts on the y-axis, so it is the *last*.
-    let far_corner = match q {
-        Quadrant::I | Quadrant::III => Point::new(pf.x, pl.y),
-        Quadrant::II | Quadrant::IV => Point::new(pl.x, pf.y),
-    };
-    ShapeEstimate {
-        first_far: first,
-        last_far: last,
-        rect: Rect::from_corners(pu, far_corner),
-        far_corner,
-    }
-}
-
 /// The estimate engine behind [`ShapeMap::build`] and
 /// [`ShapeMap::derive`], for type `q`: pops the deepest queued node,
 /// recomputes its estimate from its chain targets' (Algo. 2), and when
@@ -252,17 +248,17 @@ fn settle(
         let unsafe_zone = net
             .neighbor_points(u)
             .filter(|&(v, _)| !safety.is_safe(NodeId::new(v), q));
-        let order = ccw_order_in_quadrant(pu, q, unsafe_zone);
-        let (first, last) = match (order.first(), order.last()) {
-            (Some(&v1), Some(&v2)) => {
+        let (first, last) = match quadrant_ends(pu, q, unsafe_zone) {
+            Some((v1, v2)) => {
                 let first = estimates[v1].expect("chain target settled first (depth order)"); // sp-analyze: allow(panic, the deepest-first heap settles chain targets before their dependents)
                 let last = estimates[v2].expect("chain target settled first (depth order)"); // sp-analyze: allow(panic, the deepest-first heap settles chain targets before their dependents)
                 (first.first_far, last.last_far)
             }
             // Empty type-i forwarding zone: u is its own bound.
-            _ => (u, u),
+            None => (u, u),
         };
-        let estimate = Some(make_estimate(net, u, q, first, last));
+        let (pf, pl) = (net.position(first), net.position(last));
+        let estimate = Some(ShapeEstimate::new(q, pu, (first, pf), (last, pl)));
         if estimates[u.index()] != estimate {
             estimates[u.index()] = estimate;
             // A full build queued every unsafe node up front: testing

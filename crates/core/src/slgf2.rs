@@ -5,10 +5,11 @@
 //! 1. **Direct delivery** (Algo. 1 step 1).
 //! 2. **Safe forwarding**: a request-zone candidate that is safe toward
 //!    the destination from its own position (`S_k̄(v) = 1`).
-//! 3. **Either-hand superseding rule**: among candidates, prefer those
-//!    outside the *forbidden region* of any unsafe-area estimate
-//!    collected from `u` or its unsafe neighbors, whenever the
-//!    destination sits in the *critical region* (contribution (a)).
+//! 3. **Either-hand superseding rule** (contribution (a)): among safe
+//!    candidates, prefer those outside every unsafe-area estimate
+//!    `E_i(v)` collected from `u` and its neighbors; in the
+//!    hand-committed phases below, the estimate decides which hand the
+//!    packet commits to ([`crate::choose_hand`]).
 //! 4. **Backup-path forwarding**: with no safe successor, escort the
 //!    packet around the unsafe area through neighbors that are safe in
 //!    *some* type (`∃ S_i(v) > 0`), committing to one hand rule until a
@@ -108,10 +109,11 @@ impl<'a> Slgf2Router<'a> {
     /// The superseding preference here uses the estimate *rectangles*:
     /// by Theorem 2 a type-`i` forwarding is blocked iff it uses a node
     /// inside `E_i(v)`, so candidates strictly inside a neighboring
-    /// estimate are deprioritized. (The half-plane forbidden region of
-    /// the critical/forbidden split steers the *hand-committed* phases
-    /// instead — applying it to provably-safe candidates only deflects
-    /// them from the greedy line and lengthens the path.)
+    /// estimate are deprioritized. The paper's critical/forbidden split
+    /// acts only in the *hand-committed* phases, as the hand
+    /// [`choose_hand`] commits to: no half-plane region is tested here,
+    /// because deflecting provably-safe candidates off the greedy line
+    /// only lengthens the path.
     /// The candidate/rect vectors live in `pkt.scratch` (cleared, never
     /// shrunk), so a warm [`crate::RouteBuffer`] makes this hop
     /// allocation-free.

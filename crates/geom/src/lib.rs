@@ -8,11 +8,11 @@
 //! * [`Rect`] — the `[x1 : x2, y1 : y2]` rectangle notation of §3, used for
 //!   request zones and unsafe-area shape estimates `E_i(u)`;
 //! * [`Quadrant`] — the four forwarding-zone types `Q_1..Q_4` (§3, Fig. 2);
-//! * [`Ray`] with left/right side tests — the critical/forbidden split and
-//!   the "either-hand rule" of §4;
+//! * [`Ray`] with left/right side tests — the "either-hand rule" of §4;
 //! * counter-clockwise angular scans ([`scan`]) — successor selection in the
 //!   perimeter phase ("rotate the ray `ud` counter-clockwise until the first
-//!   untried node is hit") and the first/last-neighbor chains of Algo. 2;
+//!   untried node is hit"), the first/last-neighbor chains of Algo. 2 and
+//!   the right-hand pivot of face routing;
 //! * [`hull`] — the "hull algorithm" used to pin interest-area edge nodes;
 //! * [`Segment`] / [`Circle`] — planarization witnesses (Gabriel / RNG) for
 //!   the perimeter-routing substrate.
@@ -55,5 +55,5 @@ pub use point::{Point, Vec2};
 pub use quadrant::Quadrant;
 pub use ray::{Ray, Side};
 pub use rect::Rect;
-pub use scan::{ccw_order_in_quadrant, ccw_scan_from, AngularSweep};
+pub use scan::{ccw_scan_from, face_pivot, quadrant_ends};
 pub use segment::Segment;

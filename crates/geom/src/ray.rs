@@ -1,10 +1,8 @@
 //! Rays and left/right side tests.
 //!
-//! §4 of the paper splits a forwarding zone `Q_i(v)` into a *critical* and
-//! a *forbidden* region by "the ray `(x_v, y_v)(x_{v(1)}, y_{v(2)})`", and
-//! the "either-hand rule" commits a packet to the left- or right-hand side
-//! of such a ray. [`Ray::side_of`] provides the orientation predicate both
-//! decisions are built on.
+//! The "either-hand rule" of §4 commits a packet to the left- or
+//! right-hand side of the ray `ud` around an unsafe area. [`Ray::side_of`]
+//! is the orientation predicate that choice is built on.
 
 use crate::{Point, Vec2};
 

@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use sp_geom::{
-    ccw_order_in_quadrant, ccw_scan_from, convex_hull, normalize_angle, point_in_polygon,
-    pseudo_angle, Angle, Point, Quadrant, Ray, Rect, Segment, Side, Vec2, TAU,
+    ccw_scan_from, convex_hull, face_pivot, normalize_angle, point_in_polygon, pseudo_angle,
+    quadrant_ends, Angle, Point, Quadrant, Ray, Rect, Segment, Side, Vec2, TAU,
 };
 
 fn finite_coord() -> impl Strategy<Value = f64> {
@@ -12,6 +12,97 @@ fn finite_coord() -> impl Strategy<Value = f64> {
 
 fn arb_point() -> impl Strategy<Value = Point> {
     (finite_coord(), finite_coord()).prop_map(|(x, y)| Point::new(x, y))
+}
+
+/// A small-integer lattice point: candidates drawn from it tie exactly
+/// on rays, on axes and in position, and land on the origin.
+fn lattice_point() -> impl Strategy<Value = Point> {
+    (-3i32..=3, -3i32..=3).prop_map(|(x, y)| Point::new(x as f64, y as f64))
+}
+
+/// One candidate of the reference sweep.
+#[derive(Debug, Clone, Copy)]
+struct SweepEntry {
+    id: usize,
+    rotation: f64,
+    distance: f64,
+}
+
+/// The reference the one-pass rules of `sp_geom::scan` are held to: the
+/// candidates off `origin`, sorted by counter-clockwise rotation from
+/// `start` (east when zero), then distance, then id.
+fn reference_sweep(origin: Point, start: Vec2, candidates: &[(usize, Point)]) -> Vec<SweepEntry> {
+    let start_angle = if start.is_zero() {
+        Angle::new(0.0)
+    } else {
+        Angle::of_vec(start)
+    };
+    let mut entries: Vec<SweepEntry> = candidates
+        .iter()
+        .filter(|&&(_, p)| p != origin)
+        .map(|&(id, p)| {
+            let v = p - origin;
+            SweepEntry {
+                id,
+                rotation: Angle::of_vec(v).ccw_from(start_angle),
+                distance: v.norm(),
+            }
+        })
+        .collect();
+    entries.sort_by(|a, b| {
+        a.rotation
+            .total_cmp(&b.rotation)
+            .then_with(|| a.distance.total_cmp(&b.distance))
+            .then_with(|| a.id.cmp(&b.id))
+    });
+    entries
+}
+
+/// Reference quadrant scan: the sorted sweep of the candidates inside
+/// `q`, from the quadrant's clockwise boundary axis.
+fn reference_quadrant_order(
+    origin: Point,
+    q: Quadrant,
+    candidates: &[(usize, Point)],
+) -> Vec<usize> {
+    let inside: Vec<(usize, Point)> = candidates
+        .iter()
+        .copied()
+        .filter(|&(_, p)| Quadrant::of(origin, p) == Some(q))
+        .collect();
+    reference_sweep(origin, q.scan_start_axis(), &inside)
+        .iter()
+        .map(|e| e.id)
+        .collect()
+}
+
+/// Reference face pivot: the two-pass loop over the sorted sweep, strictly
+/// rotated candidates first, then collinear ones; never `exclude`.
+fn reference_pivot(
+    origin: Point,
+    start: Vec2,
+    exclude: Option<usize>,
+    candidates: &[(usize, Point)],
+) -> Option<usize> {
+    let sweep = reference_sweep(origin, start, candidates);
+    const EPS: f64 = 1e-12;
+    for e in &sweep {
+        if e.rotation <= EPS || Some(e.id) == exclude {
+            continue;
+        }
+        return Some(e.id);
+    }
+    for e in &sweep {
+        if Some(e.id) != exclude {
+            return Some(e.id);
+        }
+    }
+    None
+}
+
+/// First and last entries of an order.
+fn ends(order: &[usize]) -> Option<(usize, usize)> {
+    Some((*order.first()?, *order.last()?))
 }
 
 proptest! {
@@ -147,8 +238,9 @@ proptest! {
         q in prop::sample::select(vec![Quadrant::I, Quadrant::II, Quadrant::III, Quadrant::IV]),
     ) {
         let cands: Vec<(usize, Point)> = pts.iter().copied().enumerate().collect();
-        let order = ccw_order_in_quadrant(o, q, cands.clone());
-        // The one-pass scan finds the sorted sweep's first entry.
+        let order = reference_quadrant_order(o, q, &cands);
+        // The one-pass rules find the sorted sweep's ends.
+        prop_assert_eq!(quadrant_ends(o, q, cands.iter().copied()), ends(&order));
         let inside = cands.into_iter().filter(|&(_, p)| Quadrant::of(o, p) == Some(q));
         prop_assert_eq!(ccw_scan_from(o, q.scan_start_axis(), inside), order.first().copied());
         // Every returned id is in the quadrant.
@@ -191,6 +283,48 @@ proptest! {
                 let w = p - o;
                 prop_assert_eq!(v.cross(w), 0.0);
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Lattice candidates tie exactly: on the start ray, collinear at
+    /// several distances, several ids at one position, at the origin and
+    /// on a quadrant's half-open axes. The one-pass rules must break
+    /// every tie as the sorted reference does. Ids are scrambled by `salt`
+    /// so the id tie-break disagrees with the input order.
+    #[test]
+    fn one_pass_rules_match_the_sorted_reference_on_lattice_ties(
+        o in lattice_point(),
+        pts in prop::collection::vec(lattice_point(), 0..24),
+        start in prop::sample::select(vec![
+            Vec2::new(1.0, 0.0), Vec2::new(1.0, 1.0), Vec2::new(0.0, 1.0),
+            Vec2::new(-1.0, 1.0), Vec2::new(-1.0, 0.0), Vec2::new(-1.0, -1.0),
+            Vec2::new(0.0, -1.0), Vec2::new(1.0, -1.0), Vec2::new(0.0, 0.0),
+        ]),
+        salt in 0usize..64,
+        pick in 0usize..28,
+    ) {
+        let cands: Vec<(usize, Point)> =
+            pts.iter().enumerate().map(|(i, &p)| (i ^ salt, p)).collect();
+        // Exclude a present candidate, or none.
+        let exclude = cands.get(pick).map(|&(id, _)| id);
+        let sweep = reference_sweep(o, start, &cands);
+        prop_assert_eq!(
+            ccw_scan_from(o, start, cands.iter().copied()),
+            sweep.first().map(|e| e.id)
+        );
+        prop_assert_eq!(
+            face_pivot(o, start, exclude, cands.iter().copied()),
+            reference_pivot(o, start, exclude, &cands)
+        );
+        for q in Quadrant::ALL {
+            prop_assert_eq!(
+                quadrant_ends(o, q, cands.iter().copied()),
+                ends(&reference_quadrant_order(o, q, &cands))
+            );
         }
     }
 }

@@ -5,10 +5,12 @@
 //! (§1, citing Bose et al. \[2\]) needs two ingredients this module
 //! provides: a planar connected spanning subgraph of the UDG, and the
 //! angular pivot that picks "the first edge counter-clockwise about `x`
-//! from edge `(x, u)`".
+//! from edge `(x, u)`". Every face walk in the stack (GFG, GF's planar
+//! recovery, SLGF2-F) is right-handed, so the pivots only rotate
+//! counter-clockwise; the rotation rule itself is [`sp_geom::face_pivot`].
 
 use crate::{Network, NodeId};
-use sp_geom::{in_gabriel_disk, in_rng_lune, AngularSweep, Point, Vec2};
+use sp_geom::{face_pivot, in_gabriel_disk, in_rng_lune, Point, Vec2};
 
 /// Which planar subgraph to extract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -163,65 +165,24 @@ impl PlanarGraph {
     ///
     /// Returns `None` only when `x` has no neighbors at all.
     pub fn next_ccw(&self, x: NodeId, from: NodeId) -> Option<NodeId> {
-        self.pivot(x, self.position(from) - self.position(x), Some(from), true)
+        self.pivot(x, self.position(from) - self.position(x), Some(from))
     }
 
-    /// The left-hand-rule pivot: first neighbor clockwise about `x` from
-    /// the direction of `from`.
-    pub fn next_cw(&self, x: NodeId, from: NodeId) -> Option<NodeId> {
-        self.pivot(x, self.position(from) - self.position(x), Some(from), false)
+    /// First neighbor counter-clockwise about `x` starting from an
+    /// arbitrary direction; used to enter a face walk along the `x -> d`
+    /// line.
+    pub fn first_from_direction(&self, x: NodeId, dir: Vec2) -> Option<NodeId> {
+        self.pivot(x, dir, None)
     }
 
-    /// First neighbor counter-clockwise (or clockwise when `ccw` is
-    /// false) about `x` starting from an arbitrary direction; used to
-    /// enter a face walk along the `x -> d` line.
-    pub fn first_from_direction(&self, x: NodeId, dir: Vec2, ccw: bool) -> Option<NodeId> {
-        self.pivot(x, dir, None, ccw)
-    }
-
-    fn pivot(&self, x: NodeId, dir: Vec2, exclude: Option<NodeId>, ccw: bool) -> Option<NodeId> {
-        let px = self.position(x);
+    fn pivot(&self, x: NodeId, dir: Vec2, exclude: Option<NodeId>) -> Option<NodeId> {
         let neigh = self.neighbors(x);
-        if neigh.is_empty() {
-            return None;
-        }
-        // For a clockwise pivot, mirror the rotation by sweeping from the
-        // mirrored direction over mirrored points; equivalently, use the
-        // CW rotation = TAU - CCW rotation. Implemented by negating the y
-        // axis of both direction and displacement.
-        let items: Vec<(usize, Point)> = neigh
-            .iter()
-            .map(|&v| {
-                let p = self.position(v);
-                if ccw {
-                    (v.index(), p)
-                } else {
-                    (v.index(), Point::new(p.x, 2.0 * px.y - p.y))
-                }
-            })
-            .collect();
-        let sweep_dir = if ccw { dir } else { Vec2::new(dir.x, -dir.y) };
-        let sweep = AngularSweep::new(px, sweep_dir, items);
-        // Pass 1: strictly-rotated candidates. Zero-rotation candidates
-        // are collinear with the start direction; taking them eagerly
-        // would trap face walks in collinear triangles, so they wait for
-        // pass 2 (planarization usually removes such pairs, but the
-        // pivot must not rely on it).
-        const EPS: f64 = 1e-12;
-        for e in sweep.entries() {
-            if e.rotation <= EPS || Some(NodeId::new(e.id)) == exclude {
-                continue;
-            }
-            return Some(NodeId::new(e.id));
-        }
-        // Pass 2: collinear candidates (nearest first), then the
-        // dead-end bounce back to the predecessor.
-        for e in sweep.entries() {
-            if Some(NodeId::new(e.id)) != exclude {
-                return Some(NodeId::new(e.id));
-            }
-        }
-        exclude.filter(|f| neigh.contains(f))
+        let candidates = neigh.iter().map(|&v| (v.index(), self.position(v)));
+        let skip = exclude.map(NodeId::index);
+        let next = face_pivot(self.position(x), dir, skip, candidates);
+        // Dead end: bounce back to the predecessor.
+        next.map(NodeId::new)
+            .or_else(|| exclude.filter(|f| neigh.contains(f)))
     }
 }
 
@@ -387,16 +348,6 @@ mod tests {
     }
 
     #[test]
-    fn cw_pivot_reverses_ccw() {
-        let net = cross_net();
-        let pg = PlanarGraph::build(&net, Planarization::Gabriel);
-        assert_eq!(pg.next_cw(NodeId(0), NodeId(1)), Some(NodeId(4)));
-        assert_eq!(pg.next_cw(NodeId(0), NodeId(4)), Some(NodeId(3)));
-        assert_eq!(pg.next_cw(NodeId(0), NodeId(3)), Some(NodeId(2)));
-        assert_eq!(pg.next_cw(NodeId(0), NodeId(2)), Some(NodeId(1)));
-    }
-
-    #[test]
     fn dead_end_bounces_back() {
         let net = Network::from_positions(
             vec![Point::new(0.0, 0.0), Point::new(10.0, 0.0)],
@@ -406,7 +357,6 @@ mod tests {
         let pg = PlanarGraph::build(&net, Planarization::Gabriel);
         // Node 1's only neighbor is 0; arriving from 0 we must bounce.
         assert_eq!(pg.next_ccw(NodeId(1), NodeId(0)), Some(NodeId(0)));
-        assert_eq!(pg.next_cw(NodeId(1), NodeId(0)), Some(NodeId(0)));
     }
 
     #[test]
@@ -414,16 +364,9 @@ mod tests {
         let net = cross_net();
         let pg = PlanarGraph::build(&net, Planarization::Gabriel);
         // From the center looking halfway between east and north (45°),
-        // the first CCW edge is north; the first CW edge is east.
+        // the first CCW edge is north.
         let dir = Vec2::new(1.0, 1.0);
-        assert_eq!(
-            pg.first_from_direction(NodeId(0), dir, true),
-            Some(NodeId(2))
-        );
-        assert_eq!(
-            pg.first_from_direction(NodeId(0), dir, false),
-            Some(NodeId(1))
-        );
+        assert_eq!(pg.first_from_direction(NodeId(0), dir), Some(NodeId(2)));
     }
 
     #[test]
@@ -435,7 +378,7 @@ mod tests {
         );
         let pg = PlanarGraph::build(&net, Planarization::Gabriel);
         assert_eq!(
-            pg.first_from_direction(NodeId(0), Vec2::new(1.0, 0.0), true),
+            pg.first_from_direction(NodeId(0), Vec2::new(1.0, 0.0)),
             None
         );
     }
