@@ -34,10 +34,10 @@ fn sweep_benches(c: &mut Criterion) {
     for (tag, spec_str) in SPECS {
         let spec = SweepSpec::parse(spec_str).expect("bench specs parse");
         let results = spec.run();
-        let routes: usize = results
+        let routes: u64 = results
             .points
             .iter()
-            .flat_map(|p| p.schemes.iter().map(|s| s.total))
+            .flat_map(|p| p.schemes.iter().map(|s| s.quality.routes))
             .sum();
         assert!(routes > 0, "{tag}: sweep produced no routes");
 

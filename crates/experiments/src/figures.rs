@@ -6,12 +6,18 @@
 //! ablation figures A1–A17 (`repro-figures a1` to `a17`) extend the
 //! evaluation.
 
-use crate::{ChaosRecipe, PreparedNetwork, Scenario, Scheme, SweepConfig, SweepResults};
+use crate::runner::LinkLoss;
+use crate::{
+    ChaosRecipe, PreparedNetwork, Scenario, Scheme, SweepConfig, SweepRecord, SweepResults,
+};
 use rand::rngs::StdRng;
-use rand::{seq::SliceRandom, RngExt, SeedableRng};
-use sp_core::{construct_distributed, Routing, SafetyInfo, Slgf2Router};
+use rand::{seq::SliceRandom, SeedableRng};
+use sp_core::{
+    construct_distributed, RouteBuffer, RouteOutcome, RouteQuality, RouteRecord, Routing,
+    SafetyInfo, Slgf2Router,
+};
 use sp_metrics::{Figure, Series};
-use sp_net::Network;
+use sp_net::{Network, NodeId};
 
 /// Which aggregate of a sweep a figure plots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,17 +80,25 @@ pub fn figure_from_sweep(results: &SweepResults, metric: Metric, title: &str) ->
             let Some(sp) = point.scheme(scheme) else {
                 continue;
             };
+            let q = &sp.quality;
+            let per_route = |entries: u64| match q.routes {
+                0 => 0.0,
+                routes => entries as f64 / routes as f64,
+            };
+            let delivered = |f: fn(&SweepRecord) -> f64| {
+                sp_metrics::Summary::of(&sp.delivered_routes.iter().map(f).collect::<Vec<_>>())
+            };
             let y = match metric {
-                Metric::MaxHops => sp.hops_summary().max,
-                Metric::MeanHops => sp.hops_summary().mean,
-                Metric::MeanLength => sp.length_summary().mean,
-                Metric::DeliveryRatio => sp.delivery_ratio(),
-                Metric::PerimeterEntries => sp.mean_perimeter_entries(),
-                Metric::BackupEntries => sp.mean_backup_entries(),
-                Metric::MeanEnergy => sp.energy_summary().mean,
-                Metric::MeanInterference => sp.interference_summary().mean,
-                Metric::MeanHopStretch => sp.hop_stretch_summary().mean,
-                Metric::MeanLengthStretch => sp.length_stretch_summary().mean,
+                Metric::DeliveryRatio => q.delivery_ratio(),
+                Metric::MeanHops => q.mean_hops(),
+                Metric::PerimeterEntries => per_route(q.perimeter_entries),
+                Metric::BackupEntries => per_route(q.backup_entries),
+                Metric::MaxHops => delivered(|r| r.route.hops as f64).max,
+                Metric::MeanLength => delivered(|r| r.route.length).mean,
+                Metric::MeanEnergy => delivered(|r| r.energy_uj).mean,
+                Metric::MeanInterference => delivered(|r| r.interference as f64).mean,
+                Metric::MeanHopStretch => delivered(|r| r.hop_stretch).mean,
+                Metric::MeanLengthStretch => delivered(|r| r.length_stretch).mean,
             };
             series.push(point.node_count as f64, y);
         }
@@ -245,9 +259,8 @@ pub fn mobility_staleness_figure(
     // times, taking incremental snapshots along the way — only the nodes
     // that moved since the previous sample are re-bucketed and re-wired
     // (RandomWaypoint::snapshot_incremental), not the whole topology.
-    let mut ok = vec![[0usize; 3]; sample_times.len()];
-    let mut hop_sum = vec![[0usize; 3]; sample_times.len()];
-    let mut total = vec![0usize; sample_times.len()];
+    let mut quality = vec![<[RouteQuality; 3]>::default(); sample_times.len()];
+    let mut buf = RouteBuffer::new();
     for k in 0..instances {
         let seed = 0xa13_000 + k as u64;
         let start = dc.deploy_uniform(seed);
@@ -256,7 +269,7 @@ pub fn mobility_staleness_figure(
         let mut rw =
             sp_net::RandomWaypoint::new(start, dc.area, dc.radius, speed.0, speed.1, 0.0, seed);
         let mut prev_t = 0.0;
-        for (ti, &t) in sample_times.iter().enumerate() {
+        for (&t, folds) in sample_times.iter().zip(&mut quality) {
             assert!(
                 t >= prev_t,
                 "sample times must be ascending (got {t} after {prev_t})"
@@ -265,33 +278,27 @@ pub fn mobility_staleness_figure(
             prev_t = t;
             let snapshot = rw.snapshot_incremental();
             let fresh_info = SafetyInfo::build(snapshot);
+            let stale = Slgf2Router::new(&info0);
+            let fresh = Slgf2Router::new(&fresh_info);
             let gfg = GfgRouter::new(snapshot);
+            let routers: [&dyn Routing; 3] = [&stale, &fresh, &gfg];
             let mut rng = StdRng::seed_from_u64(seed ^ 0x517e);
             for _ in 0..pairs_per_snapshot {
-                let Some((s, d)) = crate::random_connected_pair(snapshot, &mut rng) else {
+                let Some(pair) = crate::random_connected_pair(snapshot, &mut rng) else {
                     continue;
                 };
-                total[ti] += 1;
-                let runs = [
-                    Slgf2Router::new(&info0).route(snapshot, s, d),
-                    Slgf2Router::new(&fresh_info).route(snapshot, s, d),
-                    gfg.route(snapshot, s, d),
-                ];
-                for (j, r) in runs.iter().enumerate() {
-                    if r.delivered() {
-                        ok[ti][j] += 1;
-                        hop_sum[ti][j] += r.hops();
-                    }
+                for (router, fold) in routers.iter().zip(folds.iter_mut()) {
+                    fold.add(&record(*router, snapshot, pair, &mut buf));
                 }
             }
         }
     }
-    for (ti, &t) in sample_times.iter().enumerate() {
-        if total[ti] > 0 {
-            for j in 0..3 {
-                delivery[j].push(t, ok[ti][j] as f64 / total[ti] as f64);
-                if ok[ti][j] > 0 {
-                    hops[j].push(t, hop_sum[ti][j] as f64 / ok[ti][j] as f64);
+    for (&t, folds) in sample_times.iter().zip(&quality) {
+        for ((q, delivery), hops) in folds.iter().zip(&mut delivery).zip(&mut hops) {
+            if q.routes > 0 {
+                delivery.push(t, q.delivery_ratio());
+                if q.delivered > 0 {
+                    hops.push(t, q.mean_hops());
                 }
             }
         }
@@ -588,10 +595,10 @@ pub fn failure_robustness_figure(
     let mut stale = Series::new("SLGF2 stale info");
     let mut fresh = Series::new("SLGF2 rebuilt info");
     let dc = sp_net::deploy::DeploymentConfig::paper_default(node_count);
+    let mut buf = RouteBuffer::new();
     for &frac in kill_fractions {
-        let mut stale_ok = 0usize;
-        let mut fresh_ok = 0usize;
-        let mut total = 0usize;
+        let mut stale_q = RouteQuality::default();
+        let mut fresh_q = RouteQuality::default();
         for k in 0..instances {
             let seed = 0xa6_0000 + k as u64;
             let positions = scenario.deploy(&dc, seed);
@@ -610,21 +617,19 @@ pub fn failure_robustness_figure(
             if !degraded.connected(s, d) {
                 continue; // topology (not routing) failure: skip
             }
-            total += 1;
-            if Slgf2Router::new(&info).route(&degraded, s, d).delivered() {
-                stale_ok += 1;
-            }
             let rebuilt = SafetyInfo::build(&degraded);
-            if Slgf2Router::new(&rebuilt)
-                .route(&degraded, s, d)
-                .delivered()
-            {
-                fresh_ok += 1;
+            for (info, fold) in [(&info, &mut stale_q), (&rebuilt, &mut fresh_q)] {
+                fold.add(&record(
+                    &Slgf2Router::new(info),
+                    &degraded,
+                    (s, d),
+                    &mut buf,
+                ));
             }
         }
-        if total > 0 {
-            stale.push(frac * 100.0, stale_ok as f64 / total as f64);
-            fresh.push(frac * 100.0, fresh_ok as f64 / total as f64);
+        if stale_q.routes > 0 {
+            stale.push(frac * 100.0, stale_q.delivery_ratio());
+            fresh.push(frac * 100.0, fresh_q.delivery_ratio());
         }
     }
     fig.push_series(stale);
@@ -719,6 +724,7 @@ pub fn chaos_delivery_family(
     ];
     let dc = sp_net::deploy::DeploymentConfig::paper_default(node_count);
     let names = Scheme::display_names(schemes);
+    let mut buf = RouteBuffer::new();
     panels
         .into_iter()
         .map(|(tag, x_label, ladder, mid_outage)| {
@@ -727,15 +733,13 @@ pub fn chaos_delivery_family(
                 x_label,
                 "delivery ratio",
             );
-            let mut delivered = vec![Vec::new(); schemes.len()]; // per scheme: per rung count
-            let mut attempts = Vec::new();
+            let mut series: Vec<Series> = names.iter().map(|n| Series::new(n.as_ref())).collect();
             for &(x, spec) in &ladder {
                 let recipe = spec.map(|s| {
                     // sp-analyze: allow(panic, static spec strings validated by the chaos grammar tests)
                     ChaosRecipe::parse(s).expect("A17 ladder specs are well-formed")
                 });
-                let mut ok = vec![0usize; schemes.len()];
-                let mut total = 0usize;
+                let mut quality = vec![RouteQuality::default(); schemes.len()];
                 for k in 0..instances {
                     let seed = 0xa17_0000 + k as u64;
                     let net =
@@ -744,7 +748,6 @@ pub fn chaos_delivery_family(
                     let Some((s, d)) = crate::random_connected_pair(&net, &mut rng) else {
                         continue;
                     };
-                    total += 1;
                     let (degraded, drop_p, endpoint_dead) = match &recipe {
                         None => (net.clone(), 0.0, false),
                         Some(recipe) => {
@@ -761,40 +764,54 @@ pub fn chaos_delivery_family(
                         }
                     };
                     if endpoint_dead {
-                        continue; // attempt counted, nobody delivers
+                        // Every scheme attempted the pair and none can
+                        // deliver: the packet never leaves its source.
+                        let lost = RouteRecord {
+                            src: s,
+                            dst: d,
+                            outcome: RouteOutcome::Stuck(s),
+                            hops: 0,
+                            length: 0.0,
+                            perimeter_entries: 0,
+                            backup_entries: 0,
+                        };
+                        for fold in &mut quality {
+                            fold.add(&lost);
+                        }
+                        continue;
                     }
                     let prepared = PreparedNetwork::new(degraded);
                     let ctx = prepared.ctx();
-                    let mut drops =
-                        (drop_p > 0.0).then(|| StdRng::seed_from_u64(seed ^ 0xd20b_5eed));
-                    for (i, &scheme) in schemes.iter().enumerate() {
-                        let route = scheme.build(&ctx).route(&prepared.net, s, d);
-                        let mut good = route.delivered();
-                        if let (true, Some(drops)) = (good, drops.as_mut()) {
-                            good = !(0..route.hops()).any(|_| drops.random_bool(drop_p));
-                        }
-                        if good {
-                            ok[i] += 1;
-                        }
+                    let mut loss = LinkLoss::new(seed, drop_p);
+                    for (&scheme, fold) in schemes.iter().zip(&mut quality) {
+                        let trace = scheme.build(&ctx).route_into(&prepared.net, s, d, &mut buf);
+                        let mut route = RouteRecord::from_trace(&prepared.net, s, d, &trace);
+                        loss.strike(&mut route, trace.path);
+                        fold.add(&route);
                     }
                 }
-                for (i, &n) in ok.iter().enumerate() {
-                    delivered[i].push((x, n));
+                for (series, q) in series.iter_mut().zip(&quality) {
+                    if q.routes > 0 {
+                        series.push(x, q.delivery_ratio());
+                    }
                 }
-                attempts.push(total);
             }
-            for ((scheme_ok, name), _) in delivered.iter().zip(&names).zip(schemes) {
-                let mut series = Series::new(name.to_string());
-                for (rung, &(x, n)) in scheme_ok.iter().enumerate() {
-                    if attempts[rung] > 0 {
-                        series.push(x, n as f64 / attempts[rung] as f64);
-                    }
-                }
-                fig.push_series(series);
+            for s in series {
+                fig.push_series(s);
             }
             fig
         })
         .collect()
+}
+
+/// The record of routing `src` to `dst` with `router` over `net`.
+fn record(
+    router: &(impl Routing + ?Sized),
+    net: &Network,
+    (src, dst): (NodeId, NodeId),
+    buf: &mut RouteBuffer,
+) -> RouteRecord {
+    RouteRecord::from_trace(net, src, dst, &router.route_into(net, src, dst, buf))
 }
 
 #[cfg(test)]

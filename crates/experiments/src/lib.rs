@@ -71,7 +71,7 @@ pub use config::SweepConfig;
 pub use mobility_model::MobilityRecipe;
 pub use registry::Handle;
 pub use runner::{
-    random_connected_pair, run_instance, run_sweep, RouteRecord, SchemePoint, SweepPoint,
+    random_connected_pair, run_instance, run_sweep, SchemePoint, SweepPoint, SweepRecord,
     SweepResults,
 };
 pub use scenario::{Scenario, ScenarioBuild};

@@ -1,18 +1,21 @@
 //! The parallel sweep runner.
 //!
 //! Fans network instances out over worker threads (the shared
-//! [`sp_sync::WorkQueue`]), routes every scheme's flow batch through
-//! a [`TrafficEngine`] session on every instance, and folds the
-//! per-instance records into per-point statistics. Scheme display
-//! names resolve **once per sweep** ([`Scheme::display_names`]) and are
-//! stamped onto the aggregates, so nothing in the hot loop touches the
-//! registry.
+//! [`sp_sync::WorkQueue`]) and routes every flow of an instance through
+//! every scheme, in sweep order, with one reused [`RouteBuffer`]. Each
+//! route becomes the same [`sp_core::RouteRecord`] a served query
+//! answers with, plus the energy, interference and stretches only a
+//! sweep measures ([`SweepRecord`]). Each point folds its records
+//! through [`RouteQuality`], the fold behind a server's `STATS`, and
+//! keeps the records of its delivered routes for the figures that
+//! summarize more than counts. Scheme display names resolve **once per
+//! sweep** ([`Scheme::display_names`]) and are stamped onto the
+//! aggregates, so nothing in the hot loop touches the registry.
 
 use crate::{PreparedNetwork, Scheme, SweepConfig};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use sp_core::TrafficEngine;
-use sp_metrics::Summary;
+use sp_core::{RouteBuffer, RouteOutcome, RouteQuality, RouteRecord, Routing};
 use sp_net::{interference_count, Network, NodeId, RadioModel};
 use sp_sim::ChaosPlan;
 use sp_sync::WorkQueue;
@@ -22,23 +25,19 @@ use std::sync::Arc;
 /// sensor data frame; only the *relative* energy of the schemes matters.
 pub const PACKET_BITS: f64 = 1024.0;
 
-/// Everything recorded for one (instance, scheme) routing.
+/// One routed flow of a sweep: the served record plus what only a
+/// sweep measures.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RouteRecord {
+pub struct SweepRecord {
     /// The scheme that produced the route.
     pub scheme: Scheme,
     /// Node count of the instance (figure x value).
     pub node_count: usize,
-    /// Whether the packet reached the destination.
-    pub delivered: bool,
-    /// Hops walked (only meaningful for delivered packets).
-    pub hops: usize,
-    /// Euclidean path length walked.
-    pub length: f64,
-    /// Perimeter-phase entries.
-    pub perimeter_entries: usize,
-    /// Backup-phase entries (SLGF2 family).
-    pub backup_entries: usize,
+    /// The route, recorded as a served query records it. A packet a
+    /// lossy link dropped is [`RouteOutcome::Stuck`] at the node whose
+    /// transmission was lost; its hops and length are still those of
+    /// the route its scheme chose.
+    pub route: RouteRecord,
     /// First-order radio energy of one [`PACKET_BITS`]-bit packet over
     /// the walked path, in microjoules (A7).
     pub energy_uj: f64,
@@ -48,7 +47,8 @@ pub struct RouteRecord {
     /// delivered routes, 0 when undelivered).
     pub hop_stretch: f64,
     /// Walked length over the Dijkstra-shortest length — the "ideal
-    /// routing path" of the paper's Fig. 1(a) (A11).
+    /// routing path" of the paper's Fig. 1(a) (A11; 0 when
+    /// undelivered).
     pub length_stretch: f64,
 }
 
@@ -60,109 +60,12 @@ pub struct SchemePoint {
     /// The scheme's display name, resolved once when the sweep started
     /// (shared across points; figure assembly reads it lock-free).
     pub scheme_name: Arc<str>,
-    /// Hop counts of delivered routes.
-    pub hops: Vec<f64>,
-    /// Path lengths of delivered routes.
-    pub lengths: Vec<f64>,
-    /// Perimeter entries of all routes.
-    pub perimeter_entries: Vec<f64>,
-    /// Backup entries of all routes.
-    pub backup_entries: Vec<f64>,
-    /// Packet energies (µJ) of delivered routes (A7).
-    pub energies: Vec<f64>,
-    /// Interference set sizes of delivered routes (A7).
-    pub interference: Vec<f64>,
-    /// Hop stretches of delivered routes (A11).
-    pub hop_stretches: Vec<f64>,
-    /// Length stretches of delivered routes (A11).
-    pub length_stretches: Vec<f64>,
-    /// Delivered / total routes.
-    pub delivered: usize,
-    /// Total routes attempted.
-    pub total: usize,
-}
-
-impl SchemePoint {
-    fn new(scheme: Scheme, scheme_name: Arc<str>) -> SchemePoint {
-        SchemePoint {
-            scheme,
-            scheme_name,
-            hops: Vec::new(),
-            lengths: Vec::new(),
-            perimeter_entries: Vec::new(),
-            backup_entries: Vec::new(),
-            energies: Vec::new(),
-            interference: Vec::new(),
-            hop_stretches: Vec::new(),
-            length_stretches: Vec::new(),
-            delivered: 0,
-            total: 0,
-        }
-    }
-
-    fn add(&mut self, r: &RouteRecord) {
-        self.total += 1;
-        self.perimeter_entries.push(r.perimeter_entries as f64);
-        self.backup_entries.push(r.backup_entries as f64);
-        if r.delivered {
-            self.delivered += 1;
-            self.hops.push(r.hops as f64);
-            self.lengths.push(r.length);
-            self.energies.push(r.energy_uj);
-            self.interference.push(r.interference as f64);
-            self.hop_stretches.push(r.hop_stretch);
-            self.length_stretches.push(r.length_stretch);
-        }
-    }
-
-    /// Delivery ratio in `[0, 1]`.
-    pub fn delivery_ratio(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.delivered as f64 / self.total as f64
-        }
-    }
-
-    /// Summary of delivered hop counts.
-    pub fn hops_summary(&self) -> Summary {
-        Summary::of(&self.hops)
-    }
-
-    /// Summary of delivered path lengths.
-    pub fn length_summary(&self) -> Summary {
-        Summary::of(&self.lengths)
-    }
-
-    /// Mean perimeter entries per route.
-    pub fn mean_perimeter_entries(&self) -> f64 {
-        Summary::of(&self.perimeter_entries).mean
-    }
-
-    /// Mean backup entries per route.
-    pub fn mean_backup_entries(&self) -> f64 {
-        Summary::of(&self.backup_entries).mean
-    }
-
-    /// Summary of delivered packet energies (µJ).
-    pub fn energy_summary(&self) -> Summary {
-        Summary::of(&self.energies)
-    }
-
-    /// Summary of delivered interference set sizes.
-    pub fn interference_summary(&self) -> Summary {
-        Summary::of(&self.interference)
-    }
-
-    /// Summary of delivered hop stretches (walked / BFS-minimum).
-    pub fn hop_stretch_summary(&self) -> Summary {
-        Summary::of(&self.hop_stretches)
-    }
-
-    /// Summary of delivered length stretches (walked / Dijkstra).
-    pub fn length_stretch_summary(&self) -> Summary {
-        Summary::of(&self.length_stretches)
-    }
+    /// Every route of the point folded: routes, deliveries, delivered
+    /// hops and phase entries, counted as a server's `STATS` counts
+    /// them.
+    pub quality: RouteQuality,
+    /// The records of the delivered routes, in sweep order.
+    pub delivered_routes: Vec<SweepRecord>,
 }
 
 /// One x-axis point of a sweep: all schemes at one node count.
@@ -219,7 +122,12 @@ pub fn run_sweep(cfg: &SweepConfig, schemes: &[Scheme]) -> SweepResults {
             schemes: schemes
                 .iter()
                 .zip(&names)
-                .map(|(&s, name)| SchemePoint::new(s, Arc::clone(name)))
+                .map(|(&scheme, name)| SchemePoint {
+                    scheme,
+                    scheme_name: Arc::clone(name),
+                    quality: RouteQuality::default(),
+                    delivered_routes: Vec::new(),
+                })
                 .collect(),
         })
         .collect();
@@ -230,7 +138,10 @@ pub fn run_sweep(cfg: &SweepConfig, schemes: &[Scheme]) -> SweepResults {
                 .iter_mut()
                 .find(|s| s.scheme == r.scheme)
                 .expect("record scheme was in the sweep set"); // sp-analyze: allow(panic, records are produced only from the schemes this sweep was given)
-            sp.add(&r);
+            sp.quality.add(&r.route);
+            if r.route.delivered() {
+                sp.delivered_routes.push(r);
+            }
         }
     }
     SweepResults {
@@ -249,7 +160,7 @@ fn run_jobs(
     cfg: &SweepConfig,
     schemes: &[Scheme],
     jobs: &[(usize, usize, u64)],
-) -> Vec<(usize, Vec<RouteRecord>)> {
+) -> Vec<(usize, Vec<SweepRecord>)> {
     let workers = sp_sync::default_threads().min(jobs.len().max(1));
     WorkQueue::new().run(workers, jobs.len(), |i| {
         let (point_idx, n, seed) = jobs[i];
@@ -260,25 +171,25 @@ fn run_jobs(
 /// Generates one network instance and routes every scheme over the same
 /// source/destination flows.
 ///
-/// The flow batch (`flows=` when set, otherwise `pairs=` many flows) is
-/// drawn up front, then each scheme routes the whole batch through a
-/// [`TrafficEngine`] — reused per-worker route buffers, metrics folded
-/// off the borrowed traces, no per-packet allocation. Records keep the
-/// historical flow-major order: all schemes for flow 0, then flow 1, …
+/// The flows (`flows=` when set, otherwise `pairs=` many) are drawn up
+/// front; then each flow routes through every scheme in turn, all
+/// through one reused [`RouteBuffer`], so records come out flow-major:
+/// all schemes for flow 0, then flow 1, …
 ///
 /// When the config carries a [`crate::MobilityRecipe`] the deployed
 /// positions are perturbed before the network is built; when it carries
 /// a [`crate::ChaosRecipe`] the instance is **degraded at the chaos
 /// observation round** (every scheduled outage struck, active partition
 /// cuts severed) before routing, and each delivered route then survives
-/// a per-hop lossy-link draw at the plan's drop probability. With both
-/// fields `None` this function is bit-identical to the pristine runner.
+/// a per-hop lossy-link draw at the plan's drop probability
+/// ([`LinkLoss`]). With both fields `None` this function is
+/// bit-identical to the pristine runner.
 pub fn run_instance(
     cfg: &SweepConfig,
     schemes: &[Scheme],
     node_count: usize,
     seed: u64,
-) -> Vec<RouteRecord> {
+) -> Vec<SweepRecord> {
     let dc = cfg.deployment_config(node_count);
     let mut positions = cfg.deployment.deploy(&dc, seed);
     if let Some(mobility) = &cfg.mobility {
@@ -292,89 +203,84 @@ pub fn run_instance(
         drop_p = plan.drop_p();
     }
     let prepared = PreparedNetwork::new(net);
+    let net = &prepared.net;
     let ctx = prepared.ctx();
     // Resolve each scheme's router once per instance — the registry
     // lookup (a read lock) and router construction stay out of the
     // per-packet loop.
     let routers: Vec<_> = schemes.iter().map(|s| s.build(&ctx)).collect();
     let mut rng = StdRng::seed_from_u64(seed ^ 0x7a1c_5eed);
-    let flow_target = cfg.flow_count();
-    let mut flows = Vec::with_capacity(flow_target);
-    for _ in 0..flow_target {
-        if let Some(pair) = random_connected_pair(&prepared.net, &mut rng) {
-            flows.push(pair);
-        }
-    }
-    // References for the stretch metrics, one per flow: BFS hop minimum
-    // and the Dijkstra "ideal routing path" of Fig. 1(a).
-    let refs: Vec<(Option<f64>, Option<f64>)> = flows
-        .iter()
-        .map(|&(s, d)| {
-            (
-                prepared.net.bfs_hops(s)[d.index()].map(f64::from),
-                prepared.net.shortest_path(s, d).map(|(_, len)| len),
-            )
-        })
+    let flows: Vec<(NodeId, NodeId)> = (0..cfg.flow_count())
+        .filter_map(|_| random_connected_pair(net, &mut rng))
         .collect();
     let radio = RadioModel::first_order();
-    // One engine worker: the sweep is already instance-parallel
-    // (run_jobs saturates the host), so nesting threads here would
-    // only oversubscribe. Direct batched callers wanting in-batch
-    // parallelism drive `TrafficEngine` themselves.
-    let engine = TrafficEngine::new(&prepared.net).with_threads(1);
-    let mut per_scheme = Vec::with_capacity(schemes.len());
-    for (&scheme, router) in schemes.iter().zip(&routers) {
-        per_scheme.push(engine.run_map(router.as_ref(), &flows, |i, _, r| {
-            let delivered = r.delivered();
-            let (min_hops, ideal_len) = refs[i];
-            let hop_stretch = match (delivered, min_hops) {
-                (true, Some(m)) if m > 0.0 => r.hops() as f64 / m,
-                _ => 0.0,
-            };
-            let length = r.length(&prepared.net);
-            let length_stretch = match (delivered, ideal_len) {
-                (true, Some(l)) if l > 0.0 => length / l,
-                _ => 0.0,
-            };
-            RouteRecord {
+    let mut loss = LinkLoss::new(seed, drop_p);
+    let mut buf = RouteBuffer::with_capacity(net.len());
+    let mut out = Vec::with_capacity(schemes.len() * flows.len());
+    for &(src, dst) in &flows {
+        // References for the stretch metrics: the BFS hop minimum and
+        // the Dijkstra "ideal routing path" of Fig. 1(a).
+        let min_hops = net.bfs_hops(src)[dst.index()].map(f64::from);
+        let ideal_len = net.shortest_path(src, dst).map(|(_, len)| len);
+        for (&scheme, router) in schemes.iter().zip(&routers) {
+            let trace = router.route_into(net, src, dst, &mut buf);
+            let mut route = RouteRecord::from_trace(net, src, dst, &trace);
+            loss.strike(&mut route, trace.path);
+            out.push(SweepRecord {
                 scheme,
                 node_count,
-                delivered,
-                hops: r.hops(),
-                length,
-                perimeter_entries: r.perimeter_entries,
-                backup_entries: r.backup_entries,
-                energy_uj: radio.path_energy(&prepared.net, r.path, PACKET_BITS) / 1000.0,
-                interference: interference_count(&prepared.net, r.path),
-                hop_stretch,
-                length_stretch,
-            }
-        }));
-    }
-    // Interleave back to flow-major order — the shape downstream
-    // consumers (and the seed tests) have always read.
-    let mut out = Vec::with_capacity(schemes.len() * flows.len());
-    for i in 0..flows.len() {
-        for recs in &per_scheme {
-            out.push(recs[i]);
-        }
-    }
-    if drop_p > 0.0 {
-        // Lossy links: a delivered route survives only if every hop
-        // beats an independent drop draw. The RNG is created only on
-        // this branch (its own salted stream) so `chaos=None` sweeps
-        // never construct it — the rate-0 bit-identity guarantee.
-        let mut drops = StdRng::seed_from_u64(seed ^ 0xd20b_5eed);
-        for r in &mut out {
-            if r.delivered {
-                let lost = (0..r.hops).any(|_| drops.random_bool(drop_p));
-                if lost {
-                    r.delivered = false;
-                }
-            }
+                route,
+                energy_uj: radio.path_energy(net, trace.path, PACKET_BITS) / 1000.0,
+                interference: interference_count(net, trace.path),
+                hop_stretch: stretch(&route, route.hops as f64, min_hops),
+                length_stretch: stretch(&route, route.length, ideal_len),
+            });
         }
     }
     out
+}
+
+/// `walked` over `optimal` for a delivered `route`; 0 when the route
+/// was not delivered or the optimum is unknown or zero.
+fn stretch(route: &RouteRecord, walked: f64, optimal: Option<f64>) -> f64 {
+    match optimal {
+        Some(optimal) if route.delivered() && optimal > 0.0 => walked / optimal,
+        _ => 0.0,
+    }
+}
+
+/// Lossy links: each transmission of a delivered route is lost with a
+/// plan's drop probability, drawn hop by hop on a stream of its own
+/// salted from the instance seed. The stream is seeded only when the
+/// probability is positive, so a rate-0 plan draws nothing and routes
+/// bit-identically to no plan at all. The sweep, the A17 family and the
+/// lifetime workload all draw through [`LinkLoss::lost_hop`].
+pub(crate) struct LinkLoss(Option<(StdRng, f64)>);
+
+impl LinkLoss {
+    /// The loss stream of instance `seed` at drop probability `p`.
+    pub(crate) fn new(seed: u64, p: f64) -> LinkLoss {
+        LinkLoss((p > 0.0).then(|| (StdRng::seed_from_u64(seed ^ 0xd20b_5eed), p)))
+    }
+
+    /// The first of a route's `hops` transmissions whose link loses the
+    /// packet. Draws stop at the first loss.
+    pub(crate) fn lost_hop(&mut self, hops: usize) -> Option<usize> {
+        let (drops, p) = self.0.as_mut()?;
+        (0..hops).find(|_| drops.random_bool(*p))
+    }
+
+    /// Sends a delivered `route` over the links of `path`: a lost
+    /// transmission leaves the packet stuck at its sender. An
+    /// undelivered route draws nothing.
+    pub(crate) fn strike(&mut self, route: &mut RouteRecord, path: &[NodeId]) {
+        if !route.delivered() {
+            return;
+        }
+        if let Some(hop) = self.lost_hop(route.hops) {
+            route.outcome = RouteOutcome::Stuck(path[hop]);
+        }
+    }
 }
 
 /// A [`ChaosPlan`]'s **observation round**: the latest round any
@@ -434,8 +340,8 @@ mod tests {
         for p in &res.points {
             assert_eq!(p.schemes.len(), 4);
             for sp in &p.schemes {
-                assert_eq!(sp.total, 3, "{}", sp.scheme);
-                assert!(sp.delivery_ratio() > 0.0, "{}", sp.scheme);
+                assert_eq!(sp.quality.routes, 3, "{}", sp.scheme);
+                assert!(sp.quality.delivery_ratio() > 0.0, "{}", sp.scheme);
             }
             assert!(p.scheme(Scheme::Slgf2).is_some());
         }
@@ -447,8 +353,11 @@ mod tests {
         let a = run_sweep(&cfg, &[Scheme::Slgf2]);
         let b = run_sweep(&cfg, &[Scheme::Slgf2]);
         for (pa, pb) in a.points.iter().zip(&b.points) {
-            assert_eq!(pa.schemes[0].hops, pb.schemes[0].hops);
-            assert_eq!(pa.schemes[0].delivered, pb.schemes[0].delivered);
+            assert_eq!(
+                pa.schemes[0].delivered_routes,
+                pb.schemes[0].delivered_routes
+            );
+            assert_eq!(pa.schemes[0].quality, pb.schemes[0].quality);
         }
     }
 
@@ -471,7 +380,7 @@ mod tests {
         cfg.chaos = Some(crate::ChaosRecipe::parse("drop:p=1").unwrap());
         let recs = run_instance(&cfg, &Scheme::PAPER_SET, 400, cfg.instance_seed(0, 0));
         assert!(!recs.is_empty());
-        assert!(recs.iter().all(|r| !r.delivered));
+        assert!(recs.iter().all(|r| !r.route.delivered()));
     }
 
     #[test]
@@ -481,12 +390,23 @@ mod tests {
         let a = run_sweep(&cfg, &[Scheme::Gf]);
         let b = run_sweep(&cfg, &[Scheme::Gf]);
         for (pa, pb) in a.points.iter().zip(&b.points) {
-            assert_eq!(pa.schemes[0].delivered, pb.schemes[0].delivered);
-            assert_eq!(pa.schemes[0].hops, pb.schemes[0].hops);
+            assert_eq!(pa.schemes[0].quality, pb.schemes[0].quality);
+            assert_eq!(
+                pa.schemes[0].delivered_routes,
+                pb.schemes[0].delivered_routes
+            );
         }
         let pristine = run_sweep(&tiny_sweep(Scenario::Ia), &[Scheme::Gf]);
-        let chaotic: usize = a.points.iter().map(|p| p.schemes[0].delivered).sum();
-        let clean: usize = pristine.points.iter().map(|p| p.schemes[0].delivered).sum();
+        let chaotic: u64 = a
+            .points
+            .iter()
+            .map(|p| p.schemes[0].quality.delivered)
+            .sum();
+        let clean: u64 = pristine
+            .points
+            .iter()
+            .map(|p| p.schemes[0].quality.delivered)
+            .sum();
         assert!(
             chaotic <= clean,
             "a regional outage plus lossy links must not improve delivery ({chaotic} > {clean})"
@@ -505,12 +425,43 @@ mod tests {
     }
 
     #[test]
+    fn sweep_fold_equals_the_traffic_engine_fold() {
+        let mut cfg = tiny_sweep(Scenario::Fa);
+        cfg.node_counts = vec![400];
+        cfg.networks_per_point = 1;
+        cfg.flows_per_network = 60;
+        let seed = cfg.instance_seed(0, 0);
+        let swept = run_sweep(&cfg, &[Scheme::Slgf2]).points[0].schemes[0]
+            .quality
+            .clone();
+        let recs = run_instance(&cfg, &[Scheme::Slgf2], 400, seed);
+        let flows: Vec<_> = recs.iter().map(|r| (r.route.src, r.route.dst)).collect();
+        let dc = cfg.deployment_config(400);
+        let prepared = PreparedNetwork::new(Network::from_positions(
+            cfg.deployment.deploy(&dc, seed),
+            dc.radius,
+            dc.area,
+        ));
+        let router = Scheme::Slgf2.build(&prepared.ctx());
+        let served = sp_core::TrafficEngine::new(&prepared.net).run(router.as_ref(), &flows);
+        assert_eq!(swept, served.quality);
+        let routes: Vec<RouteRecord> = recs.iter().map(|r| r.route).collect();
+        assert_eq!(routes, served.records);
+        assert_eq!(swept.routes, 60);
+        assert!(
+            swept.backup_entries > 0,
+            "the fold covers SLGF2's backup phase"
+        );
+    }
+
+    #[test]
     fn delivered_routes_have_sane_metrics() {
         let cfg = tiny_sweep(Scenario::Ia);
         let recs = run_instance(&cfg, &Scheme::PAPER_SET, 400, cfg.instance_seed(0, 0));
         assert_eq!(recs.len(), 4);
         for r in recs {
-            if r.delivered {
+            let r = r.route;
+            if r.delivered() {
                 assert!(r.hops >= 1);
                 assert!(r.length > 0.0);
                 // A hop never exceeds the radio range.

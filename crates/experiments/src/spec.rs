@@ -321,7 +321,7 @@ mod tests {
         let spec = SweepSpec::parse("scenario=IA;nodes=400;nets=2;flows=12;schemes=SLGF2").unwrap();
         let results = spec.run();
         // Every instance routes the whole 12-flow batch.
-        assert_eq!(results.points[0].schemes[0].total, 24);
+        assert_eq!(results.points[0].schemes[0].quality.routes, 24);
     }
 
     #[test]
@@ -423,6 +423,6 @@ mod tests {
         let results = spec.run();
         assert_eq!(results.deployment_tag, "clustered");
         assert_eq!(results.points.len(), 1);
-        assert_eq!(results.points[0].schemes[0].total, 2);
+        assert_eq!(results.points[0].schemes[0].quality.routes, 2);
     }
 }

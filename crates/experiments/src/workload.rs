@@ -11,6 +11,7 @@
 //! a flow. The packets delivered until then are the scheme's
 //! *lifetime*.
 
+use crate::runner::LinkLoss;
 use crate::{RouterContext, Scheme};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -116,9 +117,7 @@ pub fn run_lifetime_with_chaos(
         }
     }
 
-    let drop_p = chaos.drop_p();
-    // Lazily constructed so rate-0 runs never touch chaos randomness.
-    let mut drops = (drop_p > 0.0).then(|| StdRng::seed_from_u64(chaos.seed() ^ 0xd20b_5eed));
+    let mut loss = LinkLoss::new(chaos.seed(), chaos.drop_p());
 
     // The ghost: the deployment with every failed node down, and its
     // safety information, derived failure by failure.
@@ -221,14 +220,7 @@ pub fn run_lifetime_with_chaos(
                 }
                 // Lossy links: the packet dies on the first hop that
                 // loses its draw, charging only the hops it walked.
-                let walked = match &mut drops {
-                    Some(drops) => {
-                        let hops = route.path.len().saturating_sub(1);
-                        (0..hops).find(|_| drops.random_bool(drop_p))
-                    }
-                    None => None,
-                };
-                let charged_path = match walked {
+                let charged_path = match loss.lost_hop(route.hops()) {
                     Some(h) => {
                         report.packets_lost += 1;
                         &route.path[..h + 2]

@@ -45,7 +45,7 @@ fn spec_drives_a_registered_family_and_scenario_end_to_end() {
     for point in &results.points {
         assert_eq!(point.schemes.len(), 4);
         for sp in &point.schemes {
-            assert_eq!(sp.total, 3, "{}", sp.scheme);
+            assert_eq!(sp.quality.routes, 3, "{}", sp.scheme);
         }
     }
 
@@ -53,12 +53,19 @@ fn spec_drives_a_registered_family_and_scenario_end_to_end() {
     // can only lose routes relative to 4n, never gain, and the 4n
     // variant must agree with the stock SLGF2 (same multiplier).
     for point in &results.points {
-        let d1 = point.schemes[0].delivered;
-        let d4 = point.schemes[2].delivered;
-        let stock = point.schemes[3].delivered;
+        let d1 = point.schemes[0].quality.delivered;
+        let d4 = point.schemes[2].quality.delivered;
+        let stock = point.schemes[3].quality.delivered;
         assert!(d1 <= d4, "ttl=1n delivered {d1} > ttl=4n {d4}");
         assert_eq!(d4, stock, "ttl=4n must match stock SLGF2");
-        assert_eq!(point.schemes[2].hops, point.schemes[3].hops);
+        let hops = |i: usize| -> Vec<usize> {
+            point.schemes[i]
+                .delivered_routes
+                .iter()
+                .map(|r| r.route.hops)
+                .collect()
+        };
+        assert_eq!(hops(2), hops(3));
     }
 
     // Determinism holds through the spec path too.
@@ -68,11 +75,11 @@ fn spec_drives_a_registered_family_and_scenario_end_to_end() {
     .unwrap()
     .run();
     assert_eq!(
-        again.points[0].schemes[0].hops,
+        again.points[0].schemes[0].delivered_routes,
         results.points[0]
             .scheme(family[1])
             .expect("ttl=2n in first run")
-            .hops
+            .delivered_routes
     );
 }
 

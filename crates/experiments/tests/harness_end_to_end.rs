@@ -25,9 +25,8 @@ fn extended_sweep_is_deterministic_including_new_metrics() {
     for (pa, pb) in a.points.iter().zip(&b.points) {
         for (sa, sb) in pa.schemes.iter().zip(&pb.schemes) {
             assert_eq!(sa.scheme, sb.scheme);
-            assert_eq!(sa.hops, sb.hops);
-            assert_eq!(sa.energies, sb.energies);
-            assert_eq!(sa.interference, sb.interference);
+            assert_eq!(sa.quality, sb.quality);
+            assert_eq!(sa.delivered_routes, sb.delivered_routes);
         }
     }
 }
@@ -72,7 +71,7 @@ fn gfg_never_loses_a_route_in_the_sweep() {
     for p in &res.points {
         let sp = p.scheme(Scheme::Gfg).unwrap();
         assert_eq!(
-            sp.delivered, sp.total,
+            sp.quality.delivered, sp.quality.routes,
             "GFG delivery must be perfect at n={}",
             p.node_count
         );
@@ -111,12 +110,12 @@ fn slgf2_beats_lgf_on_fa_deployments() {
             for pair in recs.chunks(schemes.len()) {
                 let [lgf, slgf2] = pair else { continue };
                 total += 1;
-                lgf_delivered += lgf.delivered as usize;
-                slgf2_delivered += slgf2.delivered as usize;
-                if lgf.delivered && slgf2.delivered {
+                lgf_delivered += lgf.route.delivered() as usize;
+                slgf2_delivered += slgf2.route.delivered() as usize;
+                if lgf.route.delivered() && slgf2.route.delivered() {
                     both += 1;
-                    lgf_hops += lgf.hops;
-                    slgf2_hops += slgf2.hops;
+                    lgf_hops += lgf.route.hops;
+                    slgf2_hops += slgf2.route.hops;
                 }
             }
         }

@@ -30,9 +30,9 @@ fn ia_panel_shape_holds() {
     for p in &results.points {
         let slgf2 = p.scheme(Scheme::Slgf2).unwrap();
         assert!(
-            slgf2.delivery_ratio() >= 0.9,
+            slgf2.quality.delivery_ratio() >= 0.9,
             "SLGF2 delivery {:.2} at n={}",
-            slgf2.delivery_ratio(),
+            slgf2.quality.delivery_ratio(),
             p.node_count
         );
     }
@@ -147,13 +147,17 @@ fn ablation_schemes_flow_through_sweep() {
     let p = &results.points[0];
     for s in schemes {
         let sp = p.scheme(s).unwrap();
-        assert_eq!(sp.total, 8, "{s}");
-        assert!(sp.delivery_ratio() > 0.5, "{s} delivery too low");
+        assert_eq!(sp.quality.routes, 8, "{s}");
+        assert!(sp.quality.delivery_ratio() > 0.5, "{s} delivery too low");
     }
     // The full SLGF2 delivers at least as often as the backup-less
     // variant (removing a recovery mechanism cannot help delivery).
-    let full = p.scheme(Scheme::Slgf2).unwrap().delivery_ratio();
-    let no_bp = p.scheme(Scheme::Slgf2NoBackup).unwrap().delivery_ratio();
+    let full = p.scheme(Scheme::Slgf2).unwrap().quality.delivery_ratio();
+    let no_bp = p
+        .scheme(Scheme::Slgf2NoBackup)
+        .unwrap()
+        .quality
+        .delivery_ratio();
     assert!(full + 1e-9 >= no_bp - 0.13, "full {full} vs noBP {no_bp}");
 }
 
