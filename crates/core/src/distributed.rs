@@ -135,28 +135,28 @@ impl LabelingProcess {
     fn recompute_and_announce(&mut self, ctx: &mut Ctx<'_, Announce>) {
         let me = ctx.id();
         let my_pos = ctx.position();
-        let live: Vec<(NodeId, Point)> = ctx
-            .neighbors()
-            .filter(|v| !self.dead.contains(v))
-            .map(|v| (v, ctx.position_of(v)))
-            .collect();
+        let dead = &self.dead;
+        let live = || {
+            ctx.neighbors()
+                .filter(|v| !dead.contains(v))
+                .map(|v| (v, ctx.position_of(v)))
+        };
 
         if !self.pinned {
-            let view = live.iter().map(|&(v, pv)| (pv, self.neighbor_tuple(v)));
+            let view = live().map(|(v, pv)| (pv, self.neighbor_tuple(v)));
             self.tuple = self.tuple & SafetyTuple::support(my_pos, view);
         }
 
         // Chain endpoints for every unsafe type (Algo. 2 step 3).
-        for q in Quadrant::ALL {
+        let mut chains = [None; 4];
+        for (q, slot) in Quadrant::ALL.into_iter().zip(&mut chains) {
             if self.tuple.is_safe(q) {
-                self.chains[q.array_index()] = None;
                 continue;
             }
-            let in_zone = live
-                .iter()
-                .filter(|&&(v, _)| !self.neighbor_tuple(v).is_safe(q))
-                .map(|&(v, pv)| (v.index(), pv));
-            let chain = match quadrant_ends(my_pos, q, in_zone) {
+            let in_zone = live()
+                .filter(|&(v, _)| !self.neighbor_tuple(v).is_safe(q))
+                .map(|(v, pv)| (v.index(), pv));
+            *slot = Some(match quadrant_ends(my_pos, q, in_zone) {
                 Some((f, l)) => {
                     let (f, l) = (NodeId::new(f), NodeId::new(l));
                     ChainInfo {
@@ -168,9 +168,9 @@ impl LabelingProcess {
                     first: (me, my_pos),
                     last: (me, my_pos),
                 },
-            };
-            self.chains[q.array_index()] = Some(chain);
+            });
         }
+        self.chains = chains;
 
         let changed = match &self.last_sent {
             Some(prev) => prev.body.tuple != self.tuple || prev.body.chains != self.chains,
@@ -182,7 +182,7 @@ impl LabelingProcess {
                 body: intern_body(self.tuple, self.chains),
             };
             self.next_seq += 1;
-            self.last_sent = Some(announce.clone());
+            self.last_sent = Some(announce.clone()); // sp-analyze: allow(alloc, clones the 16-byte Arc handle only; the body is interned once above)
             ctx.broadcast(announce);
         }
     }
