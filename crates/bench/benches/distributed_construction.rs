@@ -149,7 +149,7 @@ fn construction_benches(c: &mut Criterion, rows: &mut Vec<String>) {
     let cfg = deployment(COMPARE_N);
     let net = Network::from_positions(cfg.deploy_uniform(13), cfg.radius, cfg.area);
     let pinned = edge_node_mask(&net, net.radius());
-    let threads = sp_sim::auto_threads(net.len());
+    let threads = sp_sync::auto_threads(net.len());
 
     // Correctness gate: identical stats and identical stabilized tuples.
     let legacy_run =

@@ -172,7 +172,7 @@ fn adjacency_benches(c: &mut Criterion, rows: &mut Vec<String>) {
     let cfg = deployment(ADJACENCY_N);
     let positions = cfg.deploy_uniform(17);
     let index = SpatialIndex::build(&positions, cfg.area, cfg.radius);
-    let threads = SpatialIndex::auto_threads(ADJACENCY_N);
+    let threads = sp_sync::auto_threads(ADJACENCY_N);
 
     // Sharding must not change the output at the benchmarked scale.
     assert_eq!(

@@ -287,7 +287,7 @@ pub fn construct_distributed(net: &Network) -> Result<ConstructionRun, SimError>
         net,
         edge_node_mask(net, net.radius()),
         ChaosPlan::new(),
-        sp_sim::auto_threads(net.len()),
+        sp_sync::auto_threads(net.len()),
     )
 }
 

@@ -497,7 +497,7 @@ pub fn maintenance_cost_figure(
 /// Each `(n, instances)` pair sets its own sample count, so the sweep
 /// can extend to 10⁶ nodes with fewer nets at the top sizes (one
 /// million-node instance costs more than the whole rest of the sweep).
-/// Sizes past [`sp_net::PARALLEL_NODE_THRESHOLD`] route through the
+/// Sizes past [`sp_sync::PARALLEL_NODE_THRESHOLD`] route through the
 /// construction-time spatial sort, matching how million-node
 /// topologies are meant to be built.
 pub fn construction_scale_figure(sizes: &[(usize, usize)]) -> Figure {
@@ -517,7 +517,7 @@ pub fn construction_scale_figure(sizes: &[(usize, usize)]) -> Figure {
         for k in 0..instances.max(1) {
             let seed = 0xa16_0000 ^ ((i as u64) << 20) ^ k as u64;
             let net = Network::from_positions(dc.deploy_uniform(seed), dc.radius, dc.area);
-            let net = if n >= sp_net::PARALLEL_NODE_THRESHOLD {
+            let net = if n >= sp_sync::PARALLEL_NODE_THRESHOLD {
                 net.spatially_sorted().0
             } else {
                 net

@@ -69,10 +69,9 @@ impl Network {
     /// occupancy `k` rather than `O(n²)` pairwise checks (the
     /// brute-force reference survives as
     /// [`Network::from_positions_brute_force`]). Above
-    /// [`sp_net::spatial::PARALLEL_NODE_THRESHOLD`](crate::spatial::PARALLEL_NODE_THRESHOLD)
-    /// nodes the cell-pair scan is sharded across threads
-    /// ([`SpatialIndex::auto_threads`]) with
-    /// output identical to the serial scan.
+    /// [`sp_sync::PARALLEL_NODE_THRESHOLD`] nodes the cell-pair scan is
+    /// sharded across threads ([`sp_sync::auto_threads`]) with output
+    /// identical to the serial scan.
     ///
     /// # Panics
     ///
@@ -96,7 +95,7 @@ impl Network {
     pub fn from_position_table(positions: Arc<PositionTable>, radius: f64, area: Rect) -> Network {
         assert!(radius > 0.0, "communication radius must be positive");
         let index = SpatialIndex::build_table(positions, area, radius);
-        let threads = SpatialIndex::auto_threads(index.len());
+        let threads = sp_sync::auto_threads(index.len());
         let adjacency = index.adjacency_within_threaded(radius, threads);
         Network {
             adjacency,

@@ -13,7 +13,7 @@
 //!   construction, planarization, and mobility re-snapshots
 //!   `O(n · density)` instead of `O(n²)`; every [`Network`] carries one
 //!   ([`Network::index`]). Bulk adjacency shards cell rows across
-//!   threads above [`PARALLEL_NODE_THRESHOLD`] nodes and supports
+//!   threads above [`sp_sync::PARALLEL_NODE_THRESHOLD`] nodes and supports
 //!   `O(1)` incremental point moves;
 //! * [`csr`] — the cache-dense [`CsrAdjacency`] edge arena every
 //!   [`Network`] stores its topology in (one contiguous `u32` offset
@@ -71,4 +71,4 @@ pub use node::NodeId;
 pub use planar::{PlanarGraph, Planarization};
 pub use positions::PositionTable;
 pub use radio::{interference_count, interference_set, EnergyLedger, RadioModel};
-pub use spatial::{SpatialIndex, PARALLEL_NODE_THRESHOLD};
+pub use spatial::SpatialIndex;

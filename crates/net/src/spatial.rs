@@ -21,7 +21,7 @@
 //! arrays; bulk adjacency construction emits straight into a
 //! [`CsrAdjacency`] arena, sharding contiguous *bands* of cell rows
 //! across threads ([`SpatialIndex::adjacency_within_threaded`],
-//! automatic above [`PARALLEL_NODE_THRESHOLD`] nodes) so each worker
+//! automatic above [`sp_sync::PARALLEL_NODE_THRESHOLD`] nodes) so each worker
 //! touches a disjoint cache range; and points
 //! relocate incrementally in `O(1)` ([`SpatialIndex::move_point`]) so a
 //! mobility tick re-buckets only the nodes that moved instead of
@@ -31,11 +31,6 @@ use crate::{CsrAdjacency, NodeId, PositionTable};
 use sp_geom::{Point, Rect, Segment};
 use sp_sync::WorkQueue;
 use std::sync::Arc;
-
-/// Node count at which [`SpatialIndex::auto_threads`] starts asking for
-/// more than one thread. Below this the whole adjacency fits in cache
-/// and thread spawn/merge overhead dominates any sharding win.
-pub const PARALLEL_NODE_THRESHOLD: usize = 8_192;
 
 /// Contiguous row-bands handed to each construction worker are sized
 /// so roughly this many land on every thread: small enough to balance
@@ -398,17 +393,6 @@ impl SpatialIndex {
             order.extend_from_slice(cell);
         }
         order
-    }
-
-    /// The thread count [`Network::from_positions`](crate::Network)
-    /// hands to [`adjacency_within_threaded`](Self::adjacency_within_threaded):
-    /// 1 below [`PARALLEL_NODE_THRESHOLD`] nodes, otherwise
-    /// [`sp_sync::default_threads`] (the host's available parallelism).
-    pub fn auto_threads(node_count: usize) -> usize {
-        if node_count < PARALLEL_NODE_THRESHOLD {
-            return 1;
-        }
-        sp_sync::default_threads()
     }
 
     /// Forward cell offsets covering each unordered pair of nearby cells
@@ -780,13 +764,6 @@ mod tests {
                 assert_eq!(w[0].1, w[1].0, "bands must tile the rows");
             }
         }
-    }
-
-    #[test]
-    fn auto_threads_serial_below_threshold() {
-        assert_eq!(SpatialIndex::auto_threads(100), 1);
-        assert_eq!(SpatialIndex::auto_threads(PARALLEL_NODE_THRESHOLD - 1), 1);
-        assert!(SpatialIndex::auto_threads(PARALLEL_NODE_THRESHOLD) >= 1);
     }
 
     #[test]

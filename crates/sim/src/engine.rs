@@ -17,26 +17,10 @@ use crate::{ChaosPlan, Ctx, NodeProcess, RoundLog, SimStats};
 use sp_net::{Network, NodeId};
 use sp_sync::WorkQueue;
 
-/// Node count at which [`auto_threads`] starts asking for more than one
-/// thread. Below this, rounds are small enough that thread spawn and
-/// merge overhead dominates any sharding win.
-pub const PARALLEL_NODE_THRESHOLD: usize = 8_192;
-
 /// Frontier size below which a round is processed inline even when the
 /// engine is configured with multiple threads — quiescing-tail rounds
 /// with a handful of active nodes never pay a thread spawn.
 const MIN_PARALLEL_FRONTIER: usize = 32;
-
-/// The thread count [`Engine::new`] configures by default: 1 below
-/// [`PARALLEL_NODE_THRESHOLD`] nodes, otherwise
-/// [`sp_sync::default_threads`] (the host's available parallelism). Any
-/// count yields bit-identical results; it only trades wall-clock.
-pub fn auto_threads(node_count: usize) -> usize {
-    if node_count < PARALLEL_NODE_THRESHOLD {
-        return 1;
-    }
-    sp_sync::default_threads()
-}
 
 /// An outbox drained by a worker shard, tagged with the node that
 /// emitted it (merged back in ascending node order).
@@ -100,7 +84,7 @@ impl std::error::Error for SimError {}
 ///
 /// # Threaded rounds
 ///
-/// With [`Engine::set_threads`] (or [`auto_threads`] on a large
+/// With [`Engine::set_threads`] (or [`sp_sync::auto_threads`] on a large
 /// network) above 1, the processing phase shards the
 /// frontier across scoped worker threads over disjoint
 /// `split_at_mut` node ranges and merges outboxes in ascending node
@@ -145,7 +129,7 @@ pub struct Engine<'n, P: NodeProcess> {
 
 impl<'n, P: NodeProcess> Engine<'n, P> {
     /// Creates one process per node with the given factory. The thread
-    /// count defaults to [`auto_threads`]; pin it with
+    /// count defaults to [`sp_sync::auto_threads`]; pin it with
     /// [`Engine::set_threads`].
     pub fn new(net: &'n Network, make: impl FnMut(NodeId) -> P) -> Engine<'n, P> {
         let n = net.len();
@@ -158,7 +142,7 @@ impl<'n, P: NodeProcess> Engine<'n, P> {
             in_frontier: vec![false; n],
             due_scratch: Vec::new(),
             refs_capacity: 0,
-            threads: auto_threads(n),
+            threads: sp_sync::auto_threads(n),
             stats: SimStats::default(),
             log: RoundLog::new(),
             chaos: LinkChaos::new(ChaosPlan::new()),

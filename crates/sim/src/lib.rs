@@ -72,7 +72,7 @@ pub mod stats;
 
 pub use async_engine::{AsyncConfig, AsyncEngine};
 pub use chaos::{ChaosPlan, CutWindow};
-pub use engine::{auto_threads, Engine, SimError, PARALLEL_NODE_THRESHOLD};
+pub use engine::{Engine, SimError};
 pub use legacy::LegacyEngine;
 pub use process::{Ctx, NodeProcess};
 pub use stats::{RoundLog, SimStats};

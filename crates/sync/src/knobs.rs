@@ -102,6 +102,23 @@ pub fn configured_threads_for(env: &str) -> usize {
     default_threads()
 }
 
+/// Node count at which [`auto_threads`] starts asking for more than one
+/// thread. Below this, a pass over the nodes (the spatial index's
+/// cell-pair scan, a construction round) is small enough that thread
+/// spawn and merge overhead dominates any sharding win.
+pub const PARALLEL_NODE_THRESHOLD: usize = 8_192;
+
+/// The thread count for a pass over `node_count` nodes: 1 below
+/// [`PARALLEL_NODE_THRESHOLD`] nodes, otherwise [`default_threads`].
+/// Its callers produce bit-identical results at any count; it only
+/// trades wall-clock.
+pub fn auto_threads(node_count: usize) -> usize {
+    if node_count < PARALLEL_NODE_THRESHOLD {
+        return 1;
+    }
+    default_threads()
+}
+
 /// The knob-free thread count: [`std::thread::available_parallelism`],
 /// or 1 when the host cannot report it. Callers without a pin knob of
 /// their own (`TrafficEngine`, the sweep runner) take their worker
@@ -158,6 +175,13 @@ mod tests {
     #[should_panic(expected = "not declared")]
     fn unregistered_read_panics() {
         let _ = env_var("SP_NOT_A_KNOB");
+    }
+
+    #[test]
+    fn auto_threads_serial_below_threshold() {
+        assert_eq!(auto_threads(100), 1);
+        assert_eq!(auto_threads(PARALLEL_NODE_THRESHOLD - 1), 1);
+        assert!(auto_threads(PARALLEL_NODE_THRESHOLD) >= 1);
     }
 
     #[test]

@@ -13,7 +13,10 @@
 //!   [`WorkQueue::run_owned`] for pre-partitioned `&mut` work items).
 //! * [`configured_threads_for`] — the one thread-count policy behind
 //!   every `SP_*_THREADS` knob (explicit env pin, else
-//!   [`default_threads`], the host's available parallelism).
+//!   [`default_threads`], the host's available parallelism), and
+//!   [`auto_threads`], the one size rule (serial below
+//!   [`PARALLEL_NODE_THRESHOLD`] nodes) behind the spatial index's
+//!   bulk scan and the round engine.
 //! * [`EpochCell`] — the epoch-versioned `Arc` snapshot slot behind
 //!   `sp_core`'s `RoutingService`: writers publish fully-formed values
 //!   (fill-then-publish) or derive the next from the current one under
@@ -48,6 +51,9 @@ mod recover;
 
 pub use epoch::{EpochCell, Pinned};
 pub use histogram::LatencyHistogram;
-pub use knobs::{configured_threads_for, default_threads, env_flag, env_var};
+pub use knobs::{
+    auto_threads, configured_threads_for, default_threads, env_flag, env_var,
+    PARALLEL_NODE_THRESHOLD,
+};
 pub use queue::WorkQueue;
 pub use recover::{lock_recover, wait_timeout_recover};
