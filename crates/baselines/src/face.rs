@@ -29,7 +29,7 @@
 
 use sp_core::{closer_neighbors, greedy_pick, FaceState, Mode, PacketState, RoutePhase, Routing};
 use sp_geom::Segment;
-use sp_net::{Network, NodeId, PlanarGraph, Planarization};
+use sp_net::{Network, NodeId, PlanarGraph};
 
 /// Greedy-Face-Greedy router (GFG \[2\] / GPSR) over the Gabriel
 /// planarization of the network.
@@ -54,14 +54,7 @@ impl GfgRouter {
     /// Builds the router over the Gabriel planarization of `net`.
     pub fn new(net: &Network) -> GfgRouter {
         GfgRouter {
-            planar: PlanarGraph::build(net, Planarization::Gabriel),
-        }
-    }
-
-    /// Builds the router over an explicit planarization.
-    pub fn with_planarization(net: &Network, kind: Planarization) -> GfgRouter {
-        GfgRouter {
-            planar: PlanarGraph::build(net, kind),
+            planar: PlanarGraph::build(net),
         }
     }
 
@@ -330,16 +323,5 @@ mod tests {
         let r = GfgRouter::new(&net).route(&net, NodeId(0), NodeId(1));
         assert_eq!(r.outcome, RouteOutcome::Stuck(NodeId(0)));
         assert_eq!(r.hops(), 0);
-    }
-
-    #[test]
-    fn rng_planarization_also_delivers() {
-        let cfg = DeploymentConfig::paper_default(500);
-        let net = Network::from_positions(cfg.deploy_uniform(11), cfg.radius, cfg.area);
-        let gfg = GfgRouter::with_planarization(&net, Planarization::Rng);
-        assert_eq!(gfg.planar().kind(), Planarization::Rng);
-        let comp = net.largest_component();
-        let r = gfg.route(&net, comp[0], comp[comp.len() - 1]);
-        assert!(r.delivered(), "{:?}", r.outcome);
     }
 }

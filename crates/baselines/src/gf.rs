@@ -4,9 +4,9 @@
 //! neighbor strictly closer to the destination, most progress first)
 //! falling back, at a local minimum, to hole-boundary traversal using
 //! the BOUNDHOLE "boundary information \[5\]" that §5 constructs before
-//! routing. When the stuck node lies on no detected boundary, the router
-//! falls back to right-hand face routing on the Gabriel planarization
-//! (Bose et al. \[2\], as in GPSR). Recovery ends when the packet is
+//! routing. GF always recovers this way; only when the stuck node lies
+//! on no detected boundary does the router fall back to right-hand face
+//! routing on the Gabriel planarization (Bose et al. \[2\], as in GPSR). Recovery ends when the packet is
 //! closer to the destination than the stuck node was. The alternation
 //! is sp-core's [`greedy_with_recovery`], the same hop LGF and SLGF run;
 //! GF supplies the unrestricted greedy pick and its recovery step.
@@ -18,18 +18,7 @@
 
 use crate::boundhole::HoleAtlas;
 use sp_core::{closer_neighbors, greedy_pick, greedy_with_recovery, PacketState, Routing};
-use sp_net::{Network, NodeId, PlanarGraph, Planarization};
-
-/// How GF recovers from a local minimum.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecoveryMode {
-    /// Follow the precomputed BOUNDHOLE boundary through the stuck node,
-    /// falling back to the planar face walk off-boundary (the paper's
-    /// §5 setup).
-    HoleBoundary,
-    /// Always use right-hand face routing on the Gabriel graph.
-    PlanarFace,
-}
+use sp_net::{Network, NodeId, PlanarGraph};
 
 /// The GF baseline router. Holds the per-network precomputed recovery
 /// structures (hole atlas + planar graph), mirroring the paper's
@@ -50,22 +39,15 @@ pub enum RecoveryMode {
 pub struct GfRouter {
     planar: PlanarGraph,
     atlas: HoleAtlas,
-    recovery: RecoveryMode,
 }
 
 impl GfRouter {
-    /// Builds the router with the paper's recovery setup
-    /// ([`RecoveryMode::HoleBoundary`]).
+    /// Builds the router with the paper's recovery setup: the BOUNDHOLE
+    /// hole atlas, and the Gabriel graph for the off-boundary face walk.
     pub fn new(net: &Network) -> GfRouter {
-        GfRouter::with_recovery(net, RecoveryMode::HoleBoundary)
-    }
-
-    /// Builds the router with an explicit recovery mode.
-    pub fn with_recovery(net: &Network, recovery: RecoveryMode) -> GfRouter {
         GfRouter {
-            planar: PlanarGraph::build(net, Planarization::Gabriel),
+            planar: PlanarGraph::build(net),
             atlas: HoleAtlas::build(net),
-            recovery,
         }
     }
 
@@ -74,24 +56,17 @@ impl GfRouter {
         &self.atlas
     }
 
-    /// The recovery mode in use.
-    pub fn recovery(&self) -> RecoveryMode {
-        self.recovery
-    }
-
     /// One recovery hop.
     fn recovery_step(&self, net: &Network, pkt: &PacketState, entering: bool) -> Option<NodeId> {
         let u = pkt.current;
-        if self.recovery == RecoveryMode::HoleBoundary {
-            if let Some(b) = self.atlas.boundary_of(u) {
-                // Continue the loop along the edge we arrived on; an arm
-                // of the hole visits nodes twice, so the (prev, current)
-                // pair — not current alone — selects the next hop.
-                let prev_on_loop = pkt.prev.filter(|&p| b.position_of(p).is_some());
-                if let Some(next) = b.next_after(prev_on_loop, u) {
-                    if net.has_edge(u, next) {
-                        return Some(next);
-                    }
+        if let Some(b) = self.atlas.boundary_of(u) {
+            // Continue the loop along the edge we arrived on; an arm of
+            // the hole visits nodes twice, so the (prev, current) pair —
+            // not current alone — selects the next hop.
+            let prev_on_loop = pkt.prev.filter(|&p| b.position_of(p).is_some());
+            if let Some(next) = b.next_after(prev_on_loop, u) {
+                if net.has_edge(u, next) {
+                    return Some(next);
                 }
             }
         }
@@ -216,15 +191,6 @@ mod tests {
         // The detour leaves the greedy path noticeably longer than the
         // straight line.
         assert!(r.length(&net) > net.position(NodeId(0)).distance(net.position(NodeId(1))));
-    }
-
-    #[test]
-    fn planar_face_mode_also_delivers_on_the_trap() {
-        let net = c_trap();
-        let gf = GfRouter::with_recovery(&net, RecoveryMode::PlanarFace);
-        assert_eq!(gf.recovery(), RecoveryMode::PlanarFace);
-        let r = gf.route(&net, NodeId(0), NodeId(1));
-        assert!(r.delivered(), "outcome {:?} path {:?}", r.outcome, r.path);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! * [`boundhole`] — BOUNDHOLE: closed hole-boundary construction from
 //!   every stuck node, deduplicated into a [`HoleAtlas`];
 //! * [`gf`] — the GF baseline: greedy forwarding with hole-boundary
-//!   recovery (and a Gabriel-face fallback/alternative);
+//!   recovery (and a Gabriel-face fallback off every boundary);
 //! * [`face`] — GFG/GPSR: greedy forwarding with *full* planar face
 //!   routing (face changes included), the guaranteed-delivery scheme of
 //!   Bose et al. \[2\] that the paper's perimeter phase descends from;
@@ -28,6 +28,6 @@ pub mod tent;
 
 pub use boundhole::{pivot_ccw, Boundary, HoleAtlas};
 pub use face::GfgRouter;
-pub use gf::{GfRouter, RecoveryMode};
+pub use gf::GfRouter;
 pub use hybrid::Slgf2FaceRouter;
 pub use tent::{is_stuck_node, stuck_nodes, wide_gaps, AngularGap, TENT_THRESHOLD};

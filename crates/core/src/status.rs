@@ -30,12 +30,6 @@ impl SafetyTuple {
         SafetyTuple(0b1111)
     }
 
-    /// The fully-unsafe tuple `(0,0,0,0)` that triggers the cautious
-    /// perimeter phase of §4.
-    pub const fn all_unsafe() -> SafetyTuple {
-        SafetyTuple(0)
-    }
-
     /// `S_i(u) = 1`?
     #[inline]
     pub fn is_safe(self, q: Quadrant) -> bool {
@@ -163,7 +157,6 @@ mod tests {
         }
         assert!(t.fully_unsafe());
         assert!(!t.any_safe());
-        assert_eq!(t, SafetyTuple::all_unsafe());
         assert_eq!(t.safe_types().count(), 0);
     }
 

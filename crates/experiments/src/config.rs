@@ -60,14 +60,6 @@ impl SweepConfig {
         }
     }
 
-    /// The paper's FA sweep.
-    pub fn paper_fa() -> SweepConfig {
-        SweepConfig {
-            deployment: Scenario::Fa,
-            ..SweepConfig::paper_ia()
-        }
-    }
-
     /// A reduced sweep for tests and smoke benchmarks: three node
     /// counts, a handful of networks.
     pub fn quick(deployment: Scenario) -> SweepConfig {
@@ -106,11 +98,6 @@ impl SweepConfig {
             .wrapping_add((i as u64) << 32)
             .wrapping_add(k as u64)
     }
-
-    /// Total number of network instances in the sweep.
-    pub fn total_instances(&self) -> usize {
-        self.node_counts.len() * self.networks_per_point
-    }
 }
 
 #[cfg(test)]
@@ -126,9 +113,6 @@ mod tests {
         );
         assert_eq!(ia.networks_per_point, 100);
         assert_eq!(ia.deployment.tag(), "IA");
-        let fa = SweepConfig::paper_fa();
-        assert_eq!(fa.deployment.tag(), "FA");
-        assert_eq!(fa.node_counts, ia.node_counts);
         let cfg = ia.deployment_config(500);
         assert_eq!(cfg.radius, 20.0);
         assert_eq!(cfg.area.width(), 200.0);
@@ -151,6 +135,5 @@ mod tests {
         let cfg = sweep.deployment_config(400);
         let pts = sweep.deployment.deploy(&cfg, 3);
         assert_eq!(pts.len(), 400);
-        assert_eq!(sweep.total_instances(), 24);
     }
 }

@@ -1,9 +1,8 @@
-//! Circles and the proximity witnesses used by graph planarization.
+//! Circles and the proximity witness used by graph planarization.
 //!
 //! The Gabriel graph keeps edge `(u, v)` only when no witness node lies in
-//! the closed disk with diameter `uv`; the relative neighborhood graph
-//! (RNG) uses the lune `max(|uw|, |wv|) < |uv|`. Both predicates live here
-//! so the planarizer in `sp-net` stays purely combinatorial.
+//! the open disk with diameter `uv`. The predicate lives here so the
+//! planarizer in `sp-net` stays purely combinatorial.
 
 use crate::Point;
 
@@ -37,15 +36,6 @@ impl Circle {
         Circle { center, radius }
     }
 
-    /// The circle having segment `ab` as a diameter — the Gabriel-graph
-    /// witness region for edge `(a, b)`.
-    pub fn with_diameter(a: Point, b: Point) -> Circle {
-        Circle {
-            center: a.midpoint(b),
-            radius: a.distance(b) / 2.0,
-        }
-    }
-
     /// Closed-disk membership (boundary included).
     pub fn contains(&self, p: Point) -> bool {
         self.center.distance_sq(p) <= self.radius * self.radius
@@ -68,16 +58,6 @@ impl Circle {
     }
 }
 
-/// The RNG lune witness predicate: is `w` strictly inside the lune of edge
-/// `(a, b)`, i.e. `max(|aw|, |wb|) < |ab|`?
-///
-/// An edge with such a witness is removed by relative-neighborhood-graph
-/// planarization.
-pub fn in_rng_lune(a: Point, b: Point, w: Point) -> bool {
-    let d = a.distance(b);
-    a.distance(w) < d && b.distance(w) < d
-}
-
 /// The Gabriel witness predicate: is `w` strictly inside the open disk with
 /// diameter `(a, b)`?
 ///
@@ -98,21 +78,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn diameter_circle_spans_endpoints() {
-        let a = Point::new(0.0, 0.0);
-        let b = Point::new(6.0, 8.0);
-        let c = Circle::with_diameter(a, b);
-        assert_eq!(c.radius, 5.0);
-        assert!(c.contains(a));
-        assert!(c.contains(b));
-        assert!(c.contains(a.midpoint(b)));
-    }
-
-    #[test]
     fn gabriel_predicate_matches_disk() {
         let a = Point::new(0.0, 0.0);
         let b = Point::new(10.0, 0.0);
-        let disk = Circle::with_diameter(a, b);
+        let disk = Circle::new(a.midpoint(b), a.distance(b) / 2.0);
         let inside = Point::new(5.0, 2.0);
         let outside = Point::new(5.0, 6.0);
         let boundary = Point::new(5.0, 5.0);
@@ -125,30 +94,10 @@ mod tests {
     }
 
     #[test]
-    fn rng_lune_is_wider_than_gabriel_disk() {
-        let a = Point::new(0.0, 0.0);
-        let b = Point::new(10.0, 0.0);
-        // This witness is outside the Gabriel disk but inside the lune.
-        let w = Point::new(5.0, 6.0);
-        assert!(!in_gabriel_disk(a, b, w));
-        assert!(in_rng_lune(a, b, w));
-        // Everything in the Gabriel disk is in the lune.
-        for i in 0..50 {
-            let t = i as f64 / 50.0;
-            let p = Point::new(1.0 + 8.0 * t, 2.0 * (0.5 - (t - 0.5).abs()));
-            if in_gabriel_disk(a, b, p) {
-                assert!(in_rng_lune(a, b, p), "disk point {p} not in lune");
-            }
-        }
-    }
-
-    #[test]
     fn endpoints_are_not_their_own_witnesses() {
         let a = Point::new(0.0, 0.0);
         let b = Point::new(4.0, 0.0);
         assert!(!in_gabriel_disk(a, b, a));
-        assert!(!in_rng_lune(a, b, a));
-        assert!(!in_rng_lune(a, b, b));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   untried node is hit"), the first/last-neighbor chains of Algo. 2 and
 //!   the right-hand pivot of face routing;
 //! * [`hull`] — the "hull algorithm" used to pin interest-area edge nodes;
-//! * [`Segment`] / [`Circle`] — planarization witnesses (Gabriel / RNG) for
+//! * [`Segment`] / [`Circle`] — planarization witnesses (the Gabriel disk) for
 //!   the perimeter-routing substrate.
 //!
 //! Everything is plain `f64` Euclidean geometry. Orderings that must be
@@ -49,7 +49,7 @@ pub mod scan;
 pub mod segment;
 
 pub use angle::{normalize_angle, pseudo_angle, Angle, TAU};
-pub use circle::{in_gabriel_disk, in_rng_lune, Circle};
+pub use circle::{in_gabriel_disk, Circle};
 pub use hull::{convex_hull, point_in_polygon, polygon_area};
 pub use point::{Point, Vec2};
 pub use quadrant::Quadrant;

@@ -4,7 +4,7 @@
 //! deployment edge crosses a forbidden area (FA model, §5) and walking
 //! faces of the planarized graph in the perimeter-routing baseline.
 
-use crate::{Point, Ray, Side};
+use crate::Point;
 
 /// A closed line segment between two points.
 ///
@@ -108,17 +108,6 @@ impl Segment {
         let t = (v.dot(p - self.a) / len_sq).clamp(0.0, 1.0);
         self.a + v * t
     }
-
-    /// True when the segment crosses the supporting line of `ray` strictly
-    /// (endpoints on opposite sides).
-    pub fn straddles_ray_line(&self, ray: &Ray) -> bool {
-        let sa = ray.side_of(self.a);
-        let sb = ray.side_of(self.b);
-        matches!(
-            (sa, sb),
-            (Side::Left, Side::Right) | (Side::Right, Side::Left)
-        )
-    }
 }
 
 impl std::fmt::Display for Segment {
@@ -142,7 +131,6 @@ fn on_segment(a: Point, b: Point, p: Point) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Vec2;
 
     #[test]
     fn proper_crossing_detected() {
@@ -192,14 +180,5 @@ mod tests {
         let s = Segment::new(Point::new(1.0, 1.0), Point::new(1.0, 1.0));
         assert_eq!(s.length(), 0.0);
         assert_eq!(s.distance_to_point(Point::new(4.0, 5.0)), 5.0);
-    }
-
-    #[test]
-    fn straddle_test() {
-        let ray = Ray::new(Point::ORIGIN, Vec2::new(1.0, 0.0)).unwrap();
-        let cross = Segment::new(Point::new(2.0, -1.0), Point::new(2.0, 1.0));
-        let above = Segment::new(Point::new(2.0, 1.0), Point::new(4.0, 2.0));
-        assert!(cross.straddles_ray_line(&ray));
-        assert!(!above.straddles_ray_line(&ray));
     }
 }

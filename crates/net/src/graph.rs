@@ -315,15 +315,6 @@ impl Network {
         self.bfs_hops(s)[d.index()].is_some()
     }
 
-    /// True when the whole network is one component (vacuously true for
-    /// fewer than two nodes).
-    pub fn is_connected(&self) -> bool {
-        if self.len() < 2 {
-            return true;
-        }
-        self.bfs_hops(NodeId(0)).iter().all(Option::is_some)
-    }
-
     /// Ids of the largest connected component, sorted ascending.
     pub fn largest_component(&self) -> Vec<NodeId> {
         let mut seen = vec![false; self.len()];
@@ -833,7 +824,6 @@ mod tests {
         assert_eq!(d[4], None);
         assert!(net.connected(NodeId(0), NodeId(3)));
         assert!(!net.connected(NodeId(0), NodeId(4)));
-        assert!(!net.is_connected());
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //!   stream two dense `f64` arrays;
 //! * [`graph`] — the [`Network`] type: adjacency, BFS hop counts,
 //!   Dijkstra reference paths, connectivity;
-//! * [`planar`] — Gabriel / RNG planarization plus the CCW/CW pivots that
+//! * [`planar`] — Gabriel-graph planarization plus the CCW pivots that
 //!   face routing ("right-hand rule" \[2\]) is built on;
 //! * [`edge_nodes`] — the interest-area edge detection that pins hull
 //!   nodes safe in the labeling process of §3;
@@ -68,7 +68,7 @@ pub use edge_nodes::edge_node_ids;
 pub use graph::{Network, TopologyDelta, TopologyFootprint};
 pub use mobility::RandomWaypoint;
 pub use node::NodeId;
-pub use planar::{PlanarGraph, Planarization};
+pub use planar::PlanarGraph;
 pub use positions::PositionTable;
 pub use radio::{interference_count, interference_set, EnergyLedger, RadioModel};
 pub use spatial::SpatialIndex;

@@ -1,33 +1,25 @@
-//! Graph planarization (Gabriel / RNG) and face-walk pivots.
+//! Gabriel-graph planarization and face-walk pivots.
 //!
 //! Perimeter routing "by the right-hand rule … along a face of the planar
 //! graph that represents the same connectivity as the original network"
 //! (§1, citing Bose et al. \[2\]) needs two ingredients this module
-//! provides: a planar connected spanning subgraph of the UDG, and the
+//! provides: a planar connected spanning subgraph of the UDG (the
+//! Gabriel graph, which every face walk in the stack uses), and the
 //! angular pivot that picks "the first edge counter-clockwise about `x`
-//! from edge `(x, u)`". Every face walk in the stack (GFG, GF's planar
-//! recovery, SLGF2-F) is right-handed, so the pivots only rotate
-//! counter-clockwise; the rotation rule itself is [`sp_geom::face_pivot`].
+//! from edge `(x, u)`". Every face walk in the stack (GFG, GF's
+//! off-boundary recovery, SLGF2-F) is right-handed, so the pivots only
+//! rotate counter-clockwise; the rotation rule itself is
+//! [`sp_geom::face_pivot`].
 
 use crate::{Network, NodeId};
-use sp_geom::{face_pivot, in_gabriel_disk, in_rng_lune, Point, Vec2};
+use sp_geom::{face_pivot, in_gabriel_disk, Point, Vec2};
 
-/// Which planar subgraph to extract.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Planarization {
-    /// Gabriel graph: keep `(u, v)` iff no witness lies strictly inside
-    /// the disk with diameter `uv`.
-    Gabriel,
-    /// Relative neighborhood graph: keep `(u, v)` iff no witness `w` has
-    /// `max(|uw|, |wv|) < |uv|`. A subgraph of the Gabriel graph.
-    Rng,
-}
-
-/// A planar spanning subgraph of a [`Network`], with the angular pivots
-/// used by face traversal.
+/// The Gabriel graph of a [`Network`] (keep `(u, v)` iff no witness
+/// lies strictly inside the disk with diameter `uv`), with the angular
+/// pivots used by face traversal.
 ///
 /// ```
-/// use sp_net::{Network, NodeId, PlanarGraph, Planarization};
+/// use sp_net::{Network, NodeId, PlanarGraph};
 /// use sp_geom::{Point, Rect};
 ///
 /// let area = Rect::from_corners(Point::new(0.0, 0.0), Point::new(100.0, 100.0));
@@ -40,7 +32,7 @@ pub enum Planarization {
 ///     20.0,
 ///     area,
 /// );
-/// let pg = PlanarGraph::build(&net, Planarization::Gabriel);
+/// let pg = PlanarGraph::build(&net);
 /// assert!(!pg.has_edge(NodeId(0), NodeId(1))); // removed by the witness
 /// assert!(pg.has_edge(NodeId(0), NodeId(2)));
 /// ```
@@ -48,30 +40,29 @@ pub enum Planarization {
 pub struct PlanarGraph {
     adjacency: Vec<Vec<NodeId>>,
     positions: Vec<Point>,
-    kind: Planarization,
 }
 
 impl PlanarGraph {
-    /// Extracts the planar subgraph of `net`.
+    /// Extracts the Gabriel graph of `net`.
     ///
     /// Witness candidates come from the network's
     /// [`SpatialIndex`](crate::spatial::SpatialIndex)
-    /// ([`Network::index`]): a Gabriel witness lies inside the disk of
-    /// diameter `uv` — i.e. within `|uv|/2` of the edge midpoint — and
-    /// an RNG witness lies within `|uv|` of `u`, so a single range
-    /// query per edge bounds the scan to the cells covering that disk
-    /// instead of the full neighbor list (or, worse, all `n` points).
+    /// ([`Network::index`]): a witness lies inside the disk of diameter
+    /// `uv` — i.e. within `|uv|/2` of the edge midpoint — so a single
+    /// range query per edge bounds the scan to the cells covering that
+    /// disk instead of the full neighbor list (or, worse, all `n`
+    /// points).
     /// The exact geometric predicates then filter the pruned candidates.
     ///
     /// A candidate only counts as a witness if it is a *neighbor of
     /// `u`* — the same rule the classic `N(u)` scan applies. In a fully
     /// live unit disk graph the distinction is vacuous (anything inside
-    /// the disk/lune is in range of `u`), but on degraded networks
+    /// the disk is in range of `u`), but on degraded networks
     /// ([`Network::without_nodes`]) the index still holds dead nodes'
     /// positions, and a dead node must not delete planar edges between
     /// live ones — that would disconnect the planar subgraph face
     /// routing relies on.
-    pub fn build(net: &Network, kind: Planarization) -> PlanarGraph {
+    pub fn build(net: &Network) -> PlanarGraph {
         let n = net.len();
         let index = net.index();
         let mut adjacency: Vec<Vec<NodeId>> = vec![Vec::new(); n];
@@ -82,32 +73,19 @@ impl PlanarGraph {
                     continue; // handle each undirected edge once
                 }
                 let pv = net.position(v);
-                let blocked = match kind {
-                    Planarization::Gabriel => {
-                        let mid = Point::new((pu.x + pv.x) / 2.0, (pu.y + pv.y) / 2.0);
-                        // Inflate the pruning radius a hair: the exact
-                        // dot-product predicate and the distance-to-
-                        // midpoint query round differently, and the
-                        // query must stay a *superset* of the predicate
-                        // for witnesses within ulps of the circle.
-                        let half = pu.distance(pv) / 2.0 * (1.0 + 1e-9);
-                        index.within_radius(mid, half).any(|w| {
-                            w != u
-                                && w != v
-                                && net.has_edge(u, w)
-                                && in_gabriel_disk(pu, pv, net.position(w))
-                        })
-                    }
-                    Planarization::Rng => {
-                        let len = pu.distance(pv);
-                        index.within_radius(pu, len).any(|w| {
-                            w != u
-                                && w != v
-                                && net.has_edge(u, w)
-                                && in_rng_lune(pu, pv, net.position(w))
-                        })
-                    }
-                };
+                let mid = Point::new((pu.x + pv.x) / 2.0, (pu.y + pv.y) / 2.0);
+                // Inflate the pruning radius a hair: the exact
+                // dot-product predicate and the distance-to-midpoint
+                // query round differently, and the query must stay a
+                // *superset* of the predicate for witnesses within ulps
+                // of the circle.
+                let half = pu.distance(pv) / 2.0 * (1.0 + 1e-9);
+                let blocked = index.within_radius(mid, half).any(|w| {
+                    w != u
+                        && w != v
+                        && net.has_edge(u, w)
+                        && in_gabriel_disk(pu, pv, net.position(w))
+                });
                 if !blocked {
                     adjacency[u.index()].push(v);
                     adjacency[v.index()].push(u);
@@ -120,13 +98,7 @@ impl PlanarGraph {
         PlanarGraph {
             adjacency,
             positions: net.positions_vec(),
-            kind,
         }
-    }
-
-    /// Which planarization produced this graph.
-    pub fn kind(&self) -> Planarization {
-        self.kind
     }
 
     /// Number of nodes (same id space as the source network).
@@ -214,17 +186,12 @@ mod tests {
     fn planar_graphs_are_subgraphs() {
         let cfg = crate::DeploymentConfig::paper_default(200);
         let net = Network::from_positions(cfg.deploy_uniform(5), cfg.radius, cfg.area);
-        let gg = PlanarGraph::build(&net, Planarization::Gabriel);
-        let rng = PlanarGraph::build(&net, Planarization::Rng);
+        let gg = PlanarGraph::build(&net);
         for u in net.node_ids() {
             for &v in gg.neighbors(u) {
                 assert!(net.has_edge(u, v), "GG edge {u}-{v} not in UDG");
             }
-            for &v in rng.neighbors(u) {
-                assert!(gg.has_edge(u, v), "RNG edge {u}-{v} not in GG");
-            }
         }
-        assert!(rng.edge_count() <= gg.edge_count());
         assert!(gg.edge_count() <= net.edge_count());
     }
 
@@ -234,7 +201,7 @@ mod tests {
         let positions = cfg.deploy_uniform(9);
         let net = Network::from_positions(positions.clone(), cfg.radius, cfg.area);
         let comp = net.largest_component();
-        let gg = PlanarGraph::build(&net, Planarization::Gabriel);
+        let gg = PlanarGraph::build(&net);
         // BFS over the planar graph restricted to the big component.
         let start = comp[0];
         let mut seen = vec![false; net.len()];
@@ -260,31 +227,23 @@ mod tests {
         // The index-pruned query must select exactly the same edges.
         let cfg = crate::DeploymentConfig::paper_default(300);
         let net = Network::from_positions(cfg.deploy_uniform(31), cfg.radius, cfg.area);
-        for kind in [Planarization::Gabriel, Planarization::Rng] {
-            let fast = PlanarGraph::build(&net, kind);
-            for u in net.node_ids() {
-                let pu = net.position(u);
-                for &v in net.neighbors(u) {
-                    if v < u {
-                        continue;
-                    }
-                    let pv = net.position(v);
-                    let blocked = net.neighbors(u).iter().any(|&w| {
-                        if w == u || w == v {
-                            return false;
-                        }
-                        let pw = net.position(w);
-                        match kind {
-                            Planarization::Gabriel => in_gabriel_disk(pu, pv, pw),
-                            Planarization::Rng => in_rng_lune(pu, pv, pw),
-                        }
-                    });
-                    assert_eq!(
-                        fast.has_edge(u, v),
-                        !blocked,
-                        "{kind:?} edge {u}-{v} disagrees with neighbor-scan witnesses"
-                    );
+        let fast = PlanarGraph::build(&net);
+        for u in net.node_ids() {
+            let pu = net.position(u);
+            for &v in net.neighbors(u) {
+                if v < u {
+                    continue;
                 }
+                let pv = net.position(v);
+                let blocked = net
+                    .neighbors(u)
+                    .iter()
+                    .any(|&w| w != u && w != v && in_gabriel_disk(pu, pv, net.position(w)));
+                assert_eq!(
+                    fast.has_edge(u, v),
+                    !blocked,
+                    "edge {u}-{v} disagrees with neighbor-scan witnesses"
+                );
             }
         }
     }
@@ -304,17 +263,15 @@ mod tests {
             15.0,
             area(),
         );
-        let live = PlanarGraph::build(&net, Planarization::Gabriel);
+        let live = PlanarGraph::build(&net);
         assert!(!live.has_edge(NodeId(0), NodeId(1)), "live witness prunes");
 
         let degraded = net.without_nodes(&[NodeId(2)]);
-        for kind in [Planarization::Gabriel, Planarization::Rng] {
-            let pg = PlanarGraph::build(&degraded, kind);
-            assert!(
-                pg.has_edge(NodeId(0), NodeId(1)),
-                "{kind:?}: dead node 2 must not delete the live 0-1 edge"
-            );
-        }
+        let pg = PlanarGraph::build(&degraded);
+        assert!(
+            pg.has_edge(NodeId(0), NodeId(1)),
+            "dead node 2 must not delete the live 0-1 edge"
+        );
     }
 
     #[test]
@@ -328,17 +285,16 @@ mod tests {
             20.0,
             area(),
         );
-        let gg = PlanarGraph::build(&net, Planarization::Gabriel);
+        let gg = PlanarGraph::build(&net);
         assert!(!gg.has_edge(NodeId(0), NodeId(1)));
         assert!(gg.has_edge(NodeId(0), NodeId(2)));
         assert!(gg.has_edge(NodeId(2), NodeId(1)));
-        assert_eq!(gg.kind(), Planarization::Gabriel);
     }
 
     #[test]
     fn ccw_pivot_walks_around_cross() {
         let net = cross_net();
-        let pg = PlanarGraph::build(&net, Planarization::Gabriel);
+        let pg = PlanarGraph::build(&net);
         // At the center, arriving from east: next CCW edge after east is
         // north, then west, then south.
         assert_eq!(pg.next_ccw(NodeId(0), NodeId(1)), Some(NodeId(2)));
@@ -354,7 +310,7 @@ mod tests {
             15.0,
             area(),
         );
-        let pg = PlanarGraph::build(&net, Planarization::Gabriel);
+        let pg = PlanarGraph::build(&net);
         // Node 1's only neighbor is 0; arriving from 0 we must bounce.
         assert_eq!(pg.next_ccw(NodeId(1), NodeId(0)), Some(NodeId(0)));
     }
@@ -362,7 +318,7 @@ mod tests {
     #[test]
     fn first_from_direction_enters_face() {
         let net = cross_net();
-        let pg = PlanarGraph::build(&net, Planarization::Gabriel);
+        let pg = PlanarGraph::build(&net);
         // From the center looking halfway between east and north (45°),
         // the first CCW edge is north.
         let dir = Vec2::new(1.0, 1.0);
@@ -376,7 +332,7 @@ mod tests {
             10.0,
             area(),
         );
-        let pg = PlanarGraph::build(&net, Planarization::Gabriel);
+        let pg = PlanarGraph::build(&net);
         assert_eq!(
             pg.first_from_direction(NodeId(0), Vec2::new(1.0, 0.0)),
             None

@@ -205,11 +205,6 @@ impl EnergyLedger {
         self.initial
     }
 
-    /// True when `u` has run out of energy.
-    pub fn is_depleted(&self, u: NodeId) -> bool {
-        self.remaining[u.index()] <= 0.0
-    }
-
     /// Ids of depleted nodes, ascending.
     pub fn depleted(&self) -> Vec<NodeId> {
         self.remaining
@@ -250,17 +245,6 @@ impl EnergyLedger {
         }
         let left: f64 = self.remaining.iter().map(|e| e.max(0.0)).sum();
         1.0 - left / total
-    }
-
-    /// The minimum remaining budget across live nodes (`None` if all
-    /// are depleted).
-    pub fn weakest(&self) -> Option<(NodeId, f64)> {
-        self.remaining
-            .iter()
-            .enumerate()
-            .filter(|&(_, &e)| e > 0.0)
-            .min_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, &e)| (NodeId::new(i), e))
     }
 }
 
@@ -443,8 +427,7 @@ mod tests {
         assert!(first.is_empty(), "one packet fits the budget");
         let second = ledger.charge_path(&net, &[NodeId(0), NodeId(1)], 1000.0);
         assert_eq!(second, vec![NodeId(0)], "the sender dies second packet");
-        assert!(ledger.is_depleted(NodeId(0)));
-        assert!(!ledger.is_depleted(NodeId(1)), "receiving is cheaper");
+        assert_eq!(ledger.depleted(), vec![NodeId(0)], "receiving is cheaper");
         let third = ledger.charge_path(&net, &[NodeId(0), NodeId(1)], 1000.0);
         assert_eq!(
             third,
@@ -462,8 +445,11 @@ mod tests {
         assert_eq!(ledger.initial(), 1_000_000.0);
         ledger.charge_path(&net, &[NodeId(0), NodeId(1), NodeId(2)], 1000.0);
         assert!(ledger.spent_fraction() > 0.0);
-        let (weakest, _) = ledger.weakest().unwrap();
-        assert_eq!(weakest, NodeId(1), "the relay is weakest");
+        let left = |i| ledger.remaining(NodeId(i));
+        assert!(
+            left(1) < left(0) && left(1) < left(2),
+            "the relay is weakest"
+        );
     }
 
     #[test]

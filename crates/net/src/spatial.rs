@@ -141,11 +141,6 @@ impl SpatialIndex {
         self.cell_size
     }
 
-    /// Grid dimensions as `(columns, rows)`.
-    pub fn grid_shape(&self) -> (usize, usize) {
-        (self.cols, self.rows)
-    }
-
     /// The indexed position of a node.
     ///
     /// # Panics
@@ -794,9 +789,18 @@ mod tests {
     }
 
     #[test]
+    fn auto_threads_serial_below_threshold() {
+        // The rule `Network::from_positions` hands the bulk scan.
+        use sp_sync::{auto_threads, PARALLEL_NODE_THRESHOLD};
+        assert_eq!(auto_threads(100), 1);
+        assert_eq!(auto_threads(PARALLEL_NODE_THRESHOLD - 1), 1);
+        assert!(auto_threads(PARALLEL_NODE_THRESHOLD) >= 1);
+    }
+
+    #[test]
     fn grid_shape_reflects_bounds() {
         let index = SpatialIndex::build(&[], demo_area(), 20.0);
-        assert_eq!(index.grid_shape(), (5, 5));
+        assert_eq!((index.cols, index.rows), (5, 5));
         assert_eq!(index.cell_size(), 20.0);
     }
 }

@@ -4,7 +4,6 @@ use proptest::prelude::*;
 use sp_geom::{Point, Rect};
 use sp_net::{
     deploy::DeploymentConfig, edge_nodes::edge_node_mask, FaModel, Network, NodeId, PlanarGraph,
-    Planarization,
 };
 
 fn paper_cfg(n: usize) -> DeploymentConfig {
@@ -124,7 +123,7 @@ proptest! {
     fn planar_subgraph_has_no_proper_crossings(seed in 0u64..100) {
         let cfg = paper_cfg(90);
         let net = Network::from_positions(cfg.deploy_uniform(seed), cfg.radius, cfg.area);
-        let gg = PlanarGraph::build(&net, Planarization::Gabriel);
+        let gg = PlanarGraph::build(&net);
         let edges: Vec<(NodeId, NodeId)> = (0..net.len())
             .map(NodeId::new)
             .flat_map(|u| {

@@ -178,13 +178,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_threads_serial_below_threshold() {
-        assert_eq!(auto_threads(100), 1);
-        assert_eq!(auto_threads(PARALLEL_NODE_THRESHOLD - 1), 1);
-        assert!(auto_threads(PARALLEL_NODE_THRESHOLD) >= 1);
-    }
-
-    #[test]
     fn thread_policy_reads_the_pin_knob() {
         // Serializes with other env-reading tests via a throwaway var:
         // the test suite only mutates this one knob.

@@ -63,11 +63,6 @@ impl WorkQueue {
         WorkQueue { chunk }
     }
 
-    /// Indices one cursor claim covers.
-    pub const fn chunk_size(&self) -> usize {
-        self.chunk
-    }
-
     /// Runs `work` over every index in `0..count` on up to `threads`
     /// workers, returning the outputs **in index order** — the exact
     /// vector `(0..count).map(work).collect()` produces.

@@ -105,17 +105,6 @@ impl<'a> Scene<'a> {
         self
     }
 
-    /// Draws every estimate stored for `u` in `info` (call
-    /// [`Scene::with_safety`] first or pass the same info here).
-    pub fn with_estimates_of(mut self, info: &SafetyInfo, u: NodeId) -> Scene<'a> {
-        for q in Quadrant::ALL {
-            if let Some(est) = info.estimate(u, q) {
-                self.estimates.push((u, q, est.rect));
-            }
-        }
-        self
-    }
-
     /// Overlays a route, phase-colored per hop. The label goes into the
     /// legend comment.
     pub fn with_route(mut self, label: impl Into<String>, route: &RouteResult) -> Scene<'a> {
@@ -439,9 +428,13 @@ mod tests {
             area,
         );
         let info = SafetyInfo::build_with_pinned(&network, vec![false; 5]);
-        let svg = Scene::new(&network, SceneOptions::default())
-            .with_estimates_of(&info, NodeId(0))
-            .render();
+        let mut scene = Scene::new(&network, SceneOptions::default());
+        for q in Quadrant::ALL {
+            if let Some(est) = info.estimate(NodeId(0), q) {
+                scene = scene.with_estimate(NodeId(0), q, est.rect);
+            }
+        }
+        let svg = scene.render();
         assert!(svg.contains("stroke-dasharray"));
         assert!(svg.contains("E_1(n0)"));
     }
