@@ -24,11 +24,10 @@ pub struct SweepConfig {
     pub networks_per_point: usize,
     /// Random source/destination pairs routed per network.
     pub pairs_per_network: usize,
-    /// Concurrent flows routed per network as **one batched
-    /// [`sp_core::TrafficEngine`] pass** per scheme (the `flows=` spec
-    /// clause). `0` (the default) routes `pairs_per_network` flows —
-    /// the paper's per-pair setup; a positive value supersedes it for
-    /// mixed streaming workloads.
+    /// Concurrent flows routed per network, each through every scheme
+    /// (the `flows=` spec clause). `0` (the default) routes
+    /// `pairs_per_network` flows — the paper's per-pair setup; a
+    /// positive value supersedes it for mixed streaming workloads.
     pub flows_per_network: usize,
     /// Deployment scenario (resolved through the scenario registry).
     pub deployment: Scenario,

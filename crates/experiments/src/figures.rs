@@ -5,6 +5,13 @@
 //! length**; each figure has an IA panel (a) and an FA panel (b). The
 //! ablation figures A1–A17 (`repro-figures a1` to `a17`) extend the
 //! evaluation.
+//!
+//! Counts come from one estimator. A sweep point's delivery ratio, mean
+//! hops and phase entries per route read its [`sp_core::RouteQuality`],
+//! the fold a server's `STATS` reports, and the A6, A13 and A17 figures
+//! fold their own routes into it the same way. Max hops, path length,
+//! energy, interference and the stretches summarize the records of the
+//! delivered routes.
 
 use crate::runner::LinkLoss;
 use crate::{

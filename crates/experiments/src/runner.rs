@@ -181,9 +181,8 @@ fn run_jobs(
 /// a [`crate::ChaosRecipe`] the instance is **degraded at the chaos
 /// observation round** (every scheduled outage struck, active partition
 /// cuts severed) before routing, and each delivered route then survives
-/// a per-hop lossy-link draw at the plan's drop probability
-/// ([`LinkLoss`]). With both fields `None` this function is
-/// bit-identical to the pristine runner.
+/// a per-hop lossy-link draw at the plan's drop probability. With both
+/// fields `None` this function is bit-identical to the pristine runner.
 pub fn run_instance(
     cfg: &SweepConfig,
     schemes: &[Scheme],

@@ -12,7 +12,7 @@
 //! | `nodes`    | `lo..hi:step` (inclusive), a comma list, or one value | the paper's `400..800:50` |
 //! | `nets`     | networks per node count                          | `100`   |
 //! | `pairs`    | source/destination pairs per network             | `1`     |
-//! | `flows`    | concurrent flows per network, routed as one batched `TrafficEngine` pass per scheme (supersedes `pairs`) | unset |
+//! | `flows`    | concurrent flows per network, each routed through every scheme (supersedes `pairs`) | unset |
 //! | `seed`     | base seed (decimal or `0x…`)                     | the paper sweeps' seed |
 //! | `schemes`  | `+`-separated scheme names; `PAPER`, `EXTENDED`, and `ALL` expand to the corresponding sets | `PAPER` |
 //! | `chaos`    | a `+`-joined [`ChaosRecipe`], e.g. `region:r=0.15@round5+drop:p=0.01` | none |
