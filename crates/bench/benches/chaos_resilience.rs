@@ -26,14 +26,12 @@
 //!
 //! Run with: `cargo bench -p sp-bench --bench chaos_resilience`
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use sp_bench::SampleStats;
+use sp_bench::{sample_stats, write_artifact, MEDIAN_UNIT};
 use sp_core::{construct_with, ServiceSnapshot};
 use sp_experiments::{run_lifetime, run_lifetime_with_chaos, ChaosRecipe, Scheme, StreamingConfig};
 use sp_net::edge_nodes::edge_node_mask;
 use sp_net::{deploy::DeploymentConfig, Network, TopologyDelta};
 use sp_sim::ChaosPlan;
-use std::time::Instant;
 
 const NODES: usize = 1_000;
 const RUNS: usize = 5;
@@ -56,25 +54,20 @@ fn bench_net() -> Network {
     Network::from_positions(cfg.deploy_uniform(SEED), cfg.radius, cfg.area)
 }
 
-/// Times `f` `RUNS` times, returning the wall stats and the last value.
-fn timed<R>(mut f: impl FnMut() -> R) -> (SampleStats, R) {
-    let mut walls = Vec::with_capacity(RUNS);
-    let mut last = None;
-    for _ in 0..RUNS {
-        let t = Instant::now();
-        last = Some(f());
-        walls.push(t.elapsed().as_secs_f64());
-    }
-    // sp-analyze: allow(panic, RUNS >= 1 so the loop always stores a value)
-    (SampleStats::of(&walls), last.expect("RUNS >= 1"))
-}
-
 /// Row 1: streaming delivery under chaos vs the identical clean run.
 fn delivery_row(net: &Network) -> String {
     let plan = chaos_plan(net);
     let cfg = StreamingConfig::default_for_lifetime();
-    let (clean_wall, clean) = timed(|| run_lifetime(net, Scheme::Slgf2, &cfg, SEED));
-    let (wall, chaotic) = timed(|| run_lifetime_with_chaos(net, Scheme::Slgf2, &cfg, &plan, SEED));
+    let (mut clean, mut chaotic) = (None, None);
+    let clean_wall = sample_stats(RUNS, || {
+        clean = Some(run_lifetime(net, Scheme::Slgf2, &cfg, SEED));
+    });
+    let wall = sample_stats(RUNS, || {
+        let run = run_lifetime_with_chaos(net, Scheme::Slgf2, &cfg, &plan, SEED);
+        chaotic = Some(run);
+    });
+    // sp-analyze: allow(panic, RUNS >= 1 so each timed closure stored its value)
+    let (clean, chaotic) = (clean.expect("RUNS >= 1"), chaotic.expect("RUNS >= 1"));
     let ratio = |r: &sp_experiments::LifetimeReport| {
         let attempted = r.packets_delivered + r.packets_lost;
         if attempted == 0 {
@@ -102,16 +95,19 @@ fn construction_row(net: &Network) -> String {
     let plan = chaos_plan(net);
     let pinned = edge_node_mask(net, net.radius());
     let threads = sp_sync::default_threads();
-    let (clean_wall, clean) = timed(|| {
-        construct_with(net, pinned.clone(), ChaosPlan::new(), threads)
-            // sp-analyze: allow(panic, a bench cannot proceed past a failed construction)
-            .expect("clean construction")
+    let (mut clean, mut chaotic) = (None, None);
+    let clean_wall = sample_stats(RUNS, || {
+        let run = construct_with(net, pinned.clone(), ChaosPlan::new(), threads);
+        // sp-analyze: allow(panic, a bench cannot proceed past a failed construction)
+        clean = Some(run.expect("clean construction"));
     });
-    let (wall, chaotic) = timed(|| {
-        construct_with(net, pinned.clone(), plan.clone(), threads)
-            // sp-analyze: allow(panic, a bench cannot proceed past a failed construction)
-            .expect("chaotic construction")
+    let wall = sample_stats(RUNS, || {
+        let run = construct_with(net, pinned.clone(), plan.clone(), threads);
+        // sp-analyze: allow(panic, a bench cannot proceed past a failed construction)
+        chaotic = Some(run.expect("chaotic construction"));
     });
+    // sp-analyze: allow(panic, RUNS >= 1 so each timed closure stored its value)
+    let (clean, chaotic) = (clean.expect("RUNS >= 1"), chaotic.expect("RUNS >= 1"));
     assert!(chaotic.stats.quiesced, "chaotic construction must quiesce");
     let extra_rounds = chaotic.stats.rounds.saturating_sub(clean.stats.rounds);
     let extra_msgs = chaotic
@@ -136,10 +132,12 @@ fn recovery_row(net: &Network) -> String {
         .flat_map(|(_, vs)| vs.iter().copied())
         .collect();
     assert!(!victims.is_empty(), "the outage region must hit someone");
-    let (wall, work) = timed(|| {
+    let mut work = 0;
+    let wall = sample_stats(RUNS, || {
         // Each victim fails, then each comes back, one derive apiece.
         let mut snap = ServiceSnapshot::build(net.clone());
-        let (mut work, mut delta) = (0, TopologyDelta::default());
+        let mut delta = TopologyDelta::default();
+        work = 0;
         for &v in &victims {
             delta.down = vec![v];
             let report;
@@ -151,7 +149,6 @@ fn recovery_row(net: &Network) -> String {
             delta.up = vec![v];
             snap = snap.derive(&delta).0;
         }
-        work
     });
     format!(
         "    {{\"case\": \"chaos_recovery\", \"nodes\": {NODES}, \"runs\": {RUNS}, \"victims\": {}, \"messages_per_recovery\": {:.1}, {}}}",
@@ -161,31 +158,12 @@ fn recovery_row(net: &Network) -> String {
     )
 }
 
-fn chaos_benches(c: &mut Criterion) {
+fn main() {
     let net = bench_net();
     let rows = [
         delivery_row(&net),
         construction_row(&net),
         recovery_row(&net),
     ];
-
-    let json = format!(
-        "{{\n  \"benchmark\": \"chaos_resilience\",\n  \"unit\": \"seconds (median over samples)\",\n  \"results\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n")
-    );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_chaos.json");
-    std::fs::write(out, &json).expect("write BENCH_chaos.json");
-    eprintln!("wrote {out}");
-
-    let plan = chaos_plan(&net);
-    let cfg = StreamingConfig::default_for_lifetime();
-    let mut group = c.benchmark_group("chaos_resilience");
-    group.sample_size(10);
-    group.bench_function("lifetime_under_chaos", |b| {
-        b.iter(|| run_lifetime_with_chaos(&net, Scheme::Slgf2, &cfg, &plan, SEED).packets_delivered)
-    });
-    group.finish();
+    write_artifact("BENCH_chaos.json", "chaos_resilience", MEDIAN_UNIT, &rows);
 }
-
-criterion_group!(benches, chaos_benches);
-criterion_main!(benches);

@@ -26,8 +26,7 @@
 //!
 //! Run with: `cargo bench -p sp-bench --bench distributed_construction`
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sp_bench::{memory_json_fields, sample_stats};
+use sp_bench::{large_scale, memory_json_fields, sample_stats, write_artifact, MEDIAN_UNIT};
 use sp_core::{construct_distributed, construct_legacy, construct_with};
 use sp_net::{edge_nodes::edge_node_mask, DeploymentConfig, Network, NodeId};
 use sp_sim::{ChaosPlan, Ctx, Engine, LegacyEngine, NodeProcess, SimStats};
@@ -40,19 +39,6 @@ const SCALE_N: usize = 100_000;
 const LARGE_N: usize = 1_000_000;
 /// Rounds of sustained broadcasting in the message-handling storm.
 const STORM_ROUNDS: usize = 8;
-
-/// True when `SP_BENCH_SCALE=large` asks for the million-node rows.
-/// The committed baselines are generated with the toggle ON (it is set
-/// in the CI bench-gate job), so the gate's row counts match; local
-/// runs without it produce a shorter artifact and skip the gate rows.
-fn large_scale() -> bool {
-    sp_sync::env_flag("SP_BENCH_SCALE", "large")
-}
-
-/// The paper's density at scale `n` (area grows with the node count).
-fn deployment(n: usize) -> DeploymentConfig {
-    DeploymentConfig::paper_density(n)
-}
 
 /// An `Announce`-sized opaque payload (240 bytes), so the storm pays
 /// the same per-clone cost Algorithm 2's real messages would.
@@ -99,8 +85,8 @@ fn storm_stats_engine(net: &Network) -> SimStats {
         .expect("storm quiesces after its round budget")
 }
 
-fn storm_benches(c: &mut Criterion, rows: &mut Vec<String>) {
-    let cfg = deployment(COMPARE_N);
+fn storm_benches(rows: &mut Vec<String>) {
+    let cfg = DeploymentConfig::paper_density(COMPARE_N);
     let net = Network::from_positions(cfg.deploy_uniform(11), cfg.radius, cfg.area);
 
     // Correctness gate before timing: both engines must do the exact
@@ -133,20 +119,10 @@ fn storm_benches(c: &mut Criterion, rows: &mut Vec<String>) {
         speedup,
         msgs_per_sec
     ));
-
-    let mut group = c.benchmark_group("round_msg_handling");
-    group.sample_size(7);
-    group.bench_function(BenchmarkId::new("legacy", COMPARE_N), |b| {
-        b.iter(|| storm_stats_legacy(&net));
-    });
-    group.bench_function(BenchmarkId::new("engine", COMPARE_N), |b| {
-        b.iter(|| storm_stats_engine(&net));
-    });
-    group.finish();
 }
 
-fn construction_benches(c: &mut Criterion, rows: &mut Vec<String>) {
-    let cfg = deployment(COMPARE_N);
+fn construction_benches(rows: &mut Vec<String>) {
+    let cfg = DeploymentConfig::paper_density(COMPARE_N);
     let net = Network::from_positions(cfg.deploy_uniform(13), cfg.radius, cfg.area);
     let pinned = edge_node_mask(&net, net.radius());
     let threads = sp_sync::auto_threads(net.len());
@@ -194,18 +170,6 @@ fn construction_benches(c: &mut Criterion, rows: &mut Vec<String>) {
         engine_s.json_fields("time"),
         speedup
     ));
-
-    let mut group = c.benchmark_group("distributed_construction");
-    group.sample_size(5);
-    group.bench_function(BenchmarkId::new("legacy", COMPARE_N), |b| {
-        b.iter(|| construct_legacy(&net, pinned.clone(), ChaosPlan::new()).expect("quiesces"));
-    });
-    group.bench_function(BenchmarkId::new("engine", COMPARE_N), |b| {
-        b.iter(|| {
-            construct_with(&net, pinned.clone(), ChaosPlan::new(), threads).expect("quiesces")
-        });
-    });
-    group.finish();
 }
 
 fn scale_bench(rows: &mut Vec<String>) {
@@ -222,7 +186,7 @@ fn scale_bench(rows: &mut Vec<String>) {
 }
 
 fn scale_bench_at(case: &str, n: usize, runs: usize, rows: &mut Vec<String>) {
-    let cfg = deployment(n);
+    let cfg = DeploymentConfig::paper_density(n);
     let net = Network::from_positions(cfg.deploy_uniform(17), cfg.radius, cfg.area);
     // The large rows route through the construction-time spatial sort:
     // grid tiles map to contiguous id ranges, so the frontier delivery
@@ -253,20 +217,15 @@ fn scale_bench_at(case: &str, n: usize, runs: usize, rows: &mut Vec<String>) {
     ));
 }
 
-fn distributed_benches(c: &mut Criterion) {
+fn main() {
     let mut rows = Vec::new();
-    storm_benches(c, &mut rows);
-    construction_benches(c, &mut rows);
+    storm_benches(&mut rows);
+    construction_benches(&mut rows);
     scale_bench(&mut rows);
-
-    let json = format!(
-        "{{\n  \"benchmark\": \"distributed_construction\",\n  \"unit\": \"seconds (median over samples)\",\n  \"results\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n")
+    write_artifact(
+        "BENCH_distributed.json",
+        "distributed_construction",
+        MEDIAN_UNIT,
+        &rows,
     );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_distributed.json");
-    std::fs::write(out, &json).expect("write BENCH_distributed.json");
-    eprintln!("wrote {out}");
 }
-
-criterion_group!(benches, distributed_benches);
-criterion_main!(benches);

@@ -29,8 +29,7 @@
 //!
 //! Run with: `cargo bench -p sp-bench --bench mobility_snapshot`
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sp_bench::{sample_stats, SampleStats};
+use sp_bench::{large_scale, sample_stats, write_artifact, SampleStats, MEDIAN_UNIT};
 use sp_core::{RoutingService, ServiceSnapshot};
 use sp_experiments::ChaosRecipe;
 use sp_geom::{Point, Quadrant};
@@ -60,18 +59,6 @@ const LARGE_N: usize = 1_000_000;
 /// Nodes a chaos plan of the chaos publish rows takes down.
 const CHAOS_KILLS: usize = 50;
 
-/// True when `SP_BENCH_SCALE=large` asks for the million-node rows; the
-/// committed baseline is generated with the toggle on (as in the CI
-/// bench-gate job), so the gate's row counts match.
-fn large_scale() -> bool {
-    sp_sync::env_flag("SP_BENCH_SCALE", "large")
-}
-
-/// The paper's density at scale `n` (area grows with the node count).
-fn deployment(n: usize) -> DeploymentConfig {
-    DeploymentConfig::paper_density(n)
-}
-
 /// Every `1/MOVER_FRACTION`-th node displaced by one radio radius —
 /// far enough that most movers change grid cells and rewire edges.
 fn mover_batch(cfg: &DeploymentConfig, positions: &[Point]) -> Vec<(NodeId, Point)> {
@@ -88,8 +75,8 @@ fn mover_batch(cfg: &DeploymentConfig, positions: &[Point]) -> Vec<(NodeId, Poin
         .collect()
 }
 
-fn snapshot_benches(c: &mut Criterion, rows: &mut Vec<String>) {
-    let cfg = deployment(SNAPSHOT_N);
+fn snapshot_benches(rows: &mut Vec<String>) {
+    let cfg = DeploymentConfig::paper_density(SNAPSHOT_N);
     let positions = cfg.deploy_uniform(13);
     let moves = mover_batch(&cfg, &positions);
     let movers = moves.len();
@@ -153,23 +140,10 @@ fn snapshot_benches(c: &mut Criterion, rows: &mut Vec<String>) {
         inc_s.json_fields("time"),
         speedup
     ));
-
-    let mut group = c.benchmark_group("mobility_snapshot");
-    group.sample_size(10);
-    group.bench_function(BenchmarkId::new("full_rebuild", SNAPSHOT_N), |b| {
-        b.iter(|| Network::from_positions(positions.clone(), cfg.radius, cfg.area));
-    });
-    group.bench_function(BenchmarkId::new("incremental", SNAPSHOT_N), |b| {
-        b.iter(|| {
-            net.apply_moves(&moves);
-            net.apply_moves(&inverse);
-        });
-    });
-    group.finish();
 }
 
-fn adjacency_benches(c: &mut Criterion, rows: &mut Vec<String>) {
-    let cfg = deployment(ADJACENCY_N);
+fn adjacency_benches(rows: &mut Vec<String>) {
+    let cfg = DeploymentConfig::paper_density(ADJACENCY_N);
     let positions = cfg.deploy_uniform(17);
     let index = SpatialIndex::build(&positions, cfg.area, cfg.radius);
     let threads = sp_sync::auto_threads(ADJACENCY_N);
@@ -204,22 +178,12 @@ fn adjacency_benches(c: &mut Criterion, rows: &mut Vec<String>) {
         parallel_s.json_fields("time"),
         speedup
     ));
-
-    let mut group = c.benchmark_group("bulk_adjacency");
-    group.sample_size(10);
-    group.bench_function(BenchmarkId::new("serial", ADJACENCY_N), |b| {
-        b.iter(|| index.adjacency_within(cfg.radius));
-    });
-    group.bench_function(BenchmarkId::new("threaded", ADJACENCY_N), |b| {
-        b.iter(|| index.adjacency_within_threaded(cfg.radius, threads));
-    });
-    group.finish();
 }
 
 /// A field at the paper's density: uniform (IA), or with forbidden areas
 /// at `FaModel::paper_default`'s density of 3 per 200 m × 200 m (FA).
 fn publish_field(n: usize, fa: bool, seed: u64) -> Network {
-    let cfg = deployment(n);
+    let cfg = DeploymentConfig::paper_density(n);
     let positions = if fa {
         let tile = FaModel::paper_default();
         let tiles = cfg.area.area() / (200.0 * 200.0);
@@ -396,20 +360,15 @@ fn publish_benches(rows: &mut Vec<String>) {
     }
 }
 
-fn mobility_benches(c: &mut Criterion) {
+fn main() {
     let mut rows = Vec::new();
-    snapshot_benches(c, &mut rows);
-    adjacency_benches(c, &mut rows);
+    snapshot_benches(&mut rows);
+    adjacency_benches(&mut rows);
     publish_benches(&mut rows);
-
-    let json = format!(
-        "{{\n  \"benchmark\": \"mobility_snapshot\",\n  \"unit\": \"seconds (median over samples)\",\n  \"results\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n")
+    write_artifact(
+        "BENCH_mobility.json",
+        "mobility_snapshot",
+        MEDIAN_UNIT,
+        &rows,
     );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_mobility.json");
-    std::fs::write(out, &json).expect("write BENCH_mobility.json");
-    eprintln!("wrote {out}");
 }
-
-criterion_group!(benches, mobility_benches);
-criterion_main!(benches);

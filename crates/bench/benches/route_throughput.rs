@@ -20,8 +20,7 @@
 //!
 //! Run with: `cargo bench -p sp-bench --bench route_throughput`
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sp_bench::sample_stats;
+use sp_bench::{large_scale, sample_stats, write_artifact, MEDIAN_UNIT};
 use sp_core::{Routing, SafetyInfo, Slgf2Router, TrafficEngine};
 use sp_net::{deploy::DeploymentConfig, Network, NodeId};
 
@@ -31,13 +30,6 @@ const FLOWS: usize = 4_096;
 const LARGE_NODES: usize = 1_000_000;
 /// Flows in the large batch (kept smaller: setup dominates otherwise).
 const LARGE_FLOWS: usize = 2_048;
-
-/// True when `SP_BENCH_SCALE=large` asks for the million-node row; the
-/// committed baseline is generated with the toggle ON (as in the CI
-/// bench-gate job), so the gate's row counts match.
-fn large_scale() -> bool {
-    sp_sync::env_flag("SP_BENCH_SCALE", "large")
-}
 
 /// Deterministic flow batches per class over the largest component.
 fn flow_classes(net: &Network) -> Vec<(&'static str, Vec<(NodeId, NodeId)>)> {
@@ -79,7 +71,7 @@ fn flow_classes(net: &Network) -> Vec<(&'static str, Vec<(NodeId, NodeId)>)> {
     ]
 }
 
-fn throughput_benches(c: &mut Criterion) {
+fn main() {
     let cfg = DeploymentConfig::paper_density(NODES);
     let net = Network::from_positions(cfg.deploy_uniform(42), cfg.radius, cfg.area);
     let info = SafetyInfo::build(&net);
@@ -88,8 +80,6 @@ fn throughput_benches(c: &mut Criterion) {
     let auto = TrafficEngine::new(&net);
 
     let mut rows = Vec::new();
-    let mut group = c.benchmark_group("route_throughput");
-    group.sample_size(10);
     for (class, flows) in flow_classes(&net) {
         // Identical results on every path (spot-check before timing).
         let report = serial.run(&router, &flows);
@@ -148,12 +138,7 @@ fn throughput_benches(c: &mut Criterion) {
             per_call.median / batched.median,
             per_call.median / threaded.median,
         ));
-
-        group.bench_function(BenchmarkId::new("batched", class), |b| {
-            b.iter(|| serial.run(&router, &flows).quality.delivered)
-        });
     }
-    group.finish();
 
     if large_scale() {
         large_batch_row(&mut rows);
@@ -161,13 +146,7 @@ fn throughput_benches(c: &mut Criterion) {
         eprintln!("n={LARGE_NODES} batch row: skipped (set SP_BENCH_SCALE=large to measure)");
     }
 
-    let json = format!(
-        "{{\n  \"benchmark\": \"route_throughput\",\n  \"unit\": \"seconds (median over samples)\",\n  \"results\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n")
-    );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_traffic.json");
-    std::fs::write(out, &json).expect("write BENCH_traffic.json");
-    eprintln!("wrote {out}");
+    write_artifact("BENCH_traffic.json", "route_throughput", MEDIAN_UNIT, &rows);
 }
 
 /// The million-node batch row: local telemetry flows (2–4 radio
@@ -240,6 +219,3 @@ fn large_batch_row(rows: &mut Vec<String>) {
         pps(threaded.median),
     ));
 }
-
-criterion_group!(benches, throughput_benches);
-criterion_main!(benches);

@@ -33,8 +33,7 @@
 //!
 //! Run with: `cargo bench -p sp-bench --bench service_latency`
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use sp_bench::{latency_json_fields, SampleStats};
+use sp_bench::{latency_json_fields, write_artifact, SampleStats};
 use sp_core::{RoutingService, ServiceScheme};
 use sp_geom::Point;
 use sp_net::{deploy::DeploymentConfig, Network, NodeId};
@@ -230,7 +229,7 @@ fn row(case: &str, workers: usize, churn: bool, run: impl Fn(bool) -> RunMeasure
     )
 }
 
-fn service_benches(_c: &mut Criterion) {
+fn main() {
     let cfg = DeploymentConfig::paper_density(NODES);
     let net = Network::from_positions(cfg.deploy_uniform(42), cfg.radius, cfg.area);
     let queries = query_mix(&net);
@@ -311,14 +310,10 @@ fn service_benches(_c: &mut Criterion) {
     server.shutdown();
     server.join();
 
-    let json = format!(
-        "{{\n  \"benchmark\": \"service_latency\",\n  \"unit\": \"seconds (median over samples; percentiles over all queries)\",\n  \"results\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n")
+    write_artifact(
+        "BENCH_service.json",
+        "service_latency",
+        "seconds (median over samples; percentiles over all queries)",
+        &rows,
     );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_service.json");
-    std::fs::write(out, &json).expect("write BENCH_service.json");
-    eprintln!("wrote {out}");
 }
-
-criterion_group!(benches, service_benches);
-criterion_main!(benches);

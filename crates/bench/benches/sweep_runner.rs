@@ -2,15 +2,13 @@
 //! registries plus the parallel `run_sweep` over each deployment
 //! scenario, at smoke scale.
 //!
-//! Besides the criterion output, the measured repeat-sample statistics
-//! (samples / median / stddev, ROADMAP "criterion stub fidelity") land
-//! in `BENCH_sweep.json` at the workspace root, one row per scenario;
-//! the committed copy is the CI `bench-gate` baseline.
+//! The measured repeat-sample statistics (samples / median / stddev)
+//! land in `BENCH_sweep.json` at the workspace root, one row per
+//! scenario; the committed copy is the CI `bench-gate` baseline.
 //!
 //! Run with: `cargo bench -p sp-bench --bench sweep_runner`
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sp_bench::sample_stats;
+use sp_bench::{sample_stats, write_artifact, MEDIAN_UNIT};
 use sp_experiments::SweepSpec;
 
 /// One smoke sweep per scenario: 2 node counts × 4 networks, the
@@ -27,10 +25,8 @@ const SPECS: [(&str, &str); 3] = [
     ),
 ];
 
-fn sweep_benches(c: &mut Criterion) {
+fn main() {
     let mut rows = Vec::new();
-    let mut group = c.benchmark_group("sweep_runner");
-    group.sample_size(10);
     for (tag, spec_str) in SPECS {
         let spec = SweepSpec::parse(spec_str).expect("bench specs parse");
         let results = spec.run();
@@ -56,21 +52,6 @@ fn sweep_benches(c: &mut Criterion) {
             sweep_s.json_fields("sweep"),
             parse_s.json_fields("parse")
         ));
-
-        group.bench_function(BenchmarkId::new("run", tag), |b| {
-            b.iter(|| spec.run());
-        });
     }
-    group.finish();
-
-    let json = format!(
-        "{{\n  \"benchmark\": \"sweep_runner\",\n  \"unit\": \"seconds (median over samples)\",\n  \"results\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n")
-    );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sweep.json");
-    std::fs::write(out, &json).expect("write BENCH_sweep.json");
-    eprintln!("wrote {out}");
+    write_artifact("BENCH_sweep.json", "sweep_runner", MEDIAN_UNIT, &rows);
 }
-
-criterion_group!(benches, sweep_benches);
-criterion_main!(benches);

@@ -3,15 +3,23 @@
 //! CI `bench-gate` job compares against its committed baseline;
 //! `repro-figures` (in `sp-experiments`) produces the paper's figures.
 //!
-//! The library part holds the shared wall-clock sampling helper every
-//! `BENCH_*.json` writer uses, so all baselines carry the same
-//! `samples` / median / stddev statistics the CI `bench-gate` binary
-//! compares, and the JSON rendering of per-event latency percentiles
-//! read from the workspace's one estimator, [`LatencyHistogram`].
+//! This library is the workspace's one bench harness. Every bench is a
+//! plain `fn main` that times each gated routine once, through
+//! [`sample_stats`] or [`SampleStats::of`] over samples it took itself,
+//! so all baselines carry the same `samples` / median / stddev
+//! statistics the CI `bench-gate` binary compares. It also holds the
+//! one artifact writer ([`write_artifact`]), the one
+//! `SP_BENCH_SCALE=large` switch ([`large_scale`]) and the JSON
+//! rendering of per-event latency percentiles read from the
+//! workspace's one estimator, [`LatencyHistogram`].
 
 use sp_sync::LatencyHistogram;
 use std::hint::black_box;
 use std::time::Instant;
+
+/// The `unit` string of every artifact whose rows are repeat-sample
+/// medians (all but `service_latency`'s, which adds its percentiles).
+pub const MEDIAN_UNIT: &str = "seconds (median over samples)";
 
 /// Repeat-sample wall-clock statistics of one measured routine, in
 /// seconds. This is what every `BENCH_*.json` row records: the gate
@@ -21,8 +29,8 @@ use std::time::Instant;
 pub struct SampleStats {
     /// Number of timed runs collected (including rejected outliers).
     pub samples: usize,
-    /// Runs discarded by the stub's Tukey IQR fence before the median,
-    /// mean, and stddev were computed.
+    /// Runs discarded by the Tukey IQR fence before the median, mean,
+    /// and stddev were computed.
     pub outliers_rejected: usize,
     /// Median seconds across retained runs.
     pub median: f64,
@@ -34,18 +42,61 @@ pub struct SampleStats {
 }
 
 impl SampleStats {
-    /// Summarizes raw per-run seconds. Delegates to the vendored
-    /// criterion stub's [`criterion::Estimate`] so the workspace has
-    /// exactly one median/stddev/outlier-rejection implementation
-    /// behind every `BENCH_*.json` artifact the gate compares.
+    /// Summarizes raw per-run seconds.
+    ///
+    /// With four or more samples, Tukey's rule rejects samples outside
+    /// `[Q1 - 1.5·IQR, Q3 + 1.5·IQR]` (quartiles by linear
+    /// interpolation over the sorted samples) before the median, mean,
+    /// and stddev are computed, so a single scheduler hiccup does not
+    /// drag the reported spread. The rejection is strictly spike-scale:
+    /// when the fence would discard more than `max(1, n/10)` samples (a
+    /// wide or timer-quantized distribution, not a hiccup), nothing is
+    /// rejected, and neither is anything when the IQR is zero. An
+    /// even-length median averages the two middle samples.
     pub fn of(samples: &[f64]) -> SampleStats {
-        let e = criterion::Estimate::from_samples(String::new(), samples);
+        let mut sorted = samples.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let collected = sorted.len();
+        if collected >= 4 {
+            let q1 = interpolated_quantile(&sorted, 0.25);
+            let q3 = interpolated_quantile(&sorted, 0.75);
+            let fence = 1.5 * (q3 - q1);
+            // A zero IQR (timer-quantized or constant samples) would
+            // reject everything that differs by even 1 ns — keep the
+            // fence only when there is an actual interquartile spread,
+            // and only when what it cuts is spike-sized.
+            if fence > 0.0 {
+                let inside = |s: &f64| *s >= q1 - fence && *s <= q3 + fence;
+                let kept = sorted.iter().filter(|s| inside(s)).count();
+                if collected - kept <= (collected / 10).max(1) {
+                    sorted.retain(inside);
+                }
+            }
+        }
+        let n = sorted.len();
+        let at = |i: usize| sorted.get(i).copied().unwrap_or_default();
+        let median = match n {
+            0 => 0.0,
+            _ if !n.is_multiple_of(2) => at(n / 2),
+            _ => (at(n / 2 - 1) + at(n / 2)) / 2.0,
+        };
+        let mean = if n == 0 {
+            0.0
+        } else {
+            sorted.iter().sum::<f64>() / n as f64
+        };
+        let stddev = if n < 2 {
+            0.0
+        } else {
+            let var = sorted.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / (n - 1) as f64;
+            var.sqrt()
+        };
         SampleStats {
-            samples: e.samples,
-            outliers_rejected: e.outliers_rejected,
-            median: e.median_ns,
-            mean: e.mean_ns,
-            stddev: e.stddev_ns,
+            samples: collected,
+            outliers_rejected: collected - n,
+            median,
+            mean,
+            stddev,
         }
     }
 
@@ -60,6 +111,15 @@ impl SampleStats {
             self.samples, self.outliers_rejected, self.median, self.stddev
         )
     }
+}
+
+/// The `q`-quantile of an ascending-sorted slice, by linear
+/// interpolation between the two nearest order statistics.
+fn interpolated_quantile(sorted: &[f64], q: f64) -> f64 {
+    let pos = q * sorted.len().saturating_sub(1) as f64;
+    let at = |i: usize| sorted.get(i).copied().unwrap_or_default();
+    let lo = pos.floor() as usize;
+    at(lo) + (at(pos.ceil() as usize) - at(lo)) * (pos - lo as f64)
 }
 
 /// The `"<prefix>_latency_count": n, "<prefix>_p50_seconds": …,
@@ -110,24 +170,70 @@ pub fn sample_stats<R>(runs: usize, mut f: impl FnMut() -> R) -> SampleStats {
     SampleStats::of(&samples)
 }
 
+/// True when `SP_BENCH_SCALE=large` asks for the million-node rows.
+/// The committed baselines are generated with the toggle on (as in the
+/// CI bench-gate job), so the gate's row counts match; local runs
+/// without it produce a shorter artifact and skip those rows.
+pub fn large_scale() -> bool {
+    sp_sync::env_flag("SP_BENCH_SCALE", "large")
+}
+
+/// The text [`write_artifact`] writes.
+fn render_artifact(benchmark: &str, unit: &str, rows: &[String]) -> String {
+    format!(
+        "{{\n  \"benchmark\": \"{benchmark}\",\n  \"unit\": \"{unit}\",\n  \"results\": [\n{}\n  ]\n}}\n",
+        rows.join(",\n")
+    )
+}
+
+/// The path of artifact `file` at the root of the repository this
+/// crate was compiled from.
+fn artifact_path(file: &str) -> String {
+    format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"))
+}
+
+/// Writes the artifact of `benchmark` to `file` at the root of the
+/// repository this crate was compiled from, and reports the path on
+/// stderr. The artifact names the `unit` its seconds are in and holds
+/// one already-rendered JSON object per line of `rows`, in order.
+///
+/// # Panics
+///
+/// Panics when the file cannot be written.
+pub fn write_artifact(file: &str, benchmark: &str, unit: &str, rows: &[String]) {
+    let out = artifact_path(file);
+    std::fs::write(&out, render_artifact(benchmark, unit, rows))
+        // sp-analyze: allow(panic, a bench that cannot write its artifact must fail, not pass silently)
+        .unwrap_or_else(|e| panic!("write {out}: {e}"));
+    eprintln!("wrote {out}");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn stats_match_hand_computation() {
-        let s = SampleStats::of(&[3.0, 1.0, 2.0, 4.0]);
-        assert_eq!(s.samples, 4);
-        assert_eq!(s.median, 2.5);
-        assert_eq!(s.mean, 2.5);
-        assert!((s.stddev - (5.0f64 / 3.0).sqrt()).abs() < 1e-12);
+        // Sample stddev of 1..=4 is sqrt(5/3); nothing is far enough
+        // out for the IQR fence to reject, in any input order.
+        for samples in [[3.0, 1.0, 2.0, 4.0], [4.0, 1.0, 3.0, 2.0]] {
+            let s = SampleStats::of(&samples);
+            assert_eq!(s.samples, 4);
+            assert_eq!(s.median, 2.5);
+            assert_eq!(s.mean, 2.5);
+            assert!((s.stddev - (5.0f64 / 3.0).sqrt()).abs() < 1e-12);
+            assert_eq!(s.outliers_rejected, 0);
+        }
     }
 
     #[test]
     fn degenerate_sample_counts() {
         assert_eq!(SampleStats::of(&[]).median, 0.0);
-        let one = SampleStats::of(&[7.0]);
-        assert_eq!((one.samples, one.median, one.stddev), (1, 7.0, 0.0));
+        for x in [7.0, 9.0] {
+            let one = SampleStats::of(&[x]);
+            assert_eq!((one.samples, one.median, one.stddev), (1, x, 0.0));
+            assert_eq!(one.outliers_rejected, 0);
+        }
     }
 
     #[test]
@@ -140,11 +246,67 @@ mod tests {
     }
 
     #[test]
-    fn outlier_rejection_passes_through_from_the_stub() {
+    fn iqr_fence_rejects_a_scheduler_spike() {
+        // Five tight samples and one spike: the spike is rejected, the
+        // median and stddev describe the tight cluster, and the
+        // collected count is still reported.
+        let s = SampleStats::of(&[1.0, 1.1, 0.9, 1.05, 0.95, 50.0]);
+        assert_eq!(s.samples, 6);
+        assert_eq!(s.outliers_rejected, 1);
+        assert!((s.median - 1.0).abs() < 1e-12);
+        assert!(s.stddev < 0.1, "spread without the spike, got {}", s.stddev);
         let s = SampleStats::of(&[0.1, 0.11, 0.09, 0.105, 0.095, 9.0]);
         assert_eq!(s.samples, 6);
         assert_eq!(s.outliers_rejected, 1);
         assert!((s.median - 0.1).abs() < 1e-12);
+        // Low outliers are fenced symmetrically.
+        let low = SampleStats::of(&[10.0, 10.1, 9.9, 10.05, 9.95, 0.001]);
+        assert_eq!(low.outliers_rejected, 1);
+        assert!((low.median - 10.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn fewer_than_four_samples_are_never_rejected() {
+        let s = SampleStats::of(&[1.0, 1000.0, 1.0]);
+        assert_eq!(s.samples, 3);
+        assert_eq!(s.outliers_rejected, 0);
+        assert_eq!(s.median, 1.0);
+    }
+
+    #[test]
+    fn structural_spread_is_not_trimmed_as_outliers() {
+        // A quantized distribution where ~20% of samples sit on a
+        // higher timer step: far beyond spike scale (cap is n/10 = 2),
+        // so nothing may be rejected even though the Tukey fence
+        // (IQR = 1 here) would cut all four.
+        let mut samples = vec![10.0; 12];
+        samples.extend([11.0; 4]);
+        samples.extend([30.0, 30.0, 30.0, 30.0]);
+        let s = SampleStats::of(&samples);
+        assert_eq!(s.samples, 20);
+        assert_eq!(s.outliers_rejected, 0, "structural tail kept");
+        assert!(s.stddev > 0.0);
+        // One spike in the same base distribution still goes.
+        let mut spiked = vec![10.0, 10.2, 9.8, 10.1, 9.9, 10.3];
+        spiked.push(500.0);
+        assert_eq!(SampleStats::of(&spiked).outliers_rejected, 1);
+        // Two spikes in nine samples exceed the cap of max(1, 9/10) = 1,
+        // so both stay.
+        let mut two = vec![10.0, 10.2, 9.8, 10.1, 9.9, 10.05, 9.95];
+        two.extend([500.0, 600.0]);
+        assert_eq!(SampleStats::of(&two).outliers_rejected, 0);
+    }
+
+    #[test]
+    fn zero_iqr_does_not_reject_quantized_samples() {
+        // Timer-quantized metrics: the quartiles coincide, so the
+        // fence is zero — nothing may be rejected, and the reported
+        // spread must reflect the real (small) noise.
+        let s = SampleStats::of(&[1.0, 1.0, 1.0, 1.0, 2.0]);
+        assert_eq!(s.outliers_rejected, 0);
+        assert_eq!(s.samples, 5);
+        assert_eq!(s.median, 1.0);
+        assert!(s.stddev > 0.0, "spread must not collapse to zero");
     }
 
     #[test]
@@ -178,5 +340,30 @@ mod tests {
         });
         assert_eq!(s.samples, 5);
         assert!(s.median >= 0.001);
+    }
+
+    #[test]
+    fn writer_reproduces_the_committed_artifacts() {
+        // One artifact per unit string: the rows split back out of the
+        // committed file and rendered again give the file byte for byte.
+        let cases = [
+            ("BENCH_sweep.json", "sweep_runner", MEDIAN_UNIT),
+            (
+                "BENCH_service.json",
+                "service_latency",
+                "seconds (median over samples; percentiles over all queries)",
+            ),
+        ];
+        for (file, benchmark, unit) in cases {
+            let text = std::fs::read_to_string(artifact_path(file)).expect("committed artifact");
+            let (_, body) = text.split_once("\"results\": [\n").expect("results array");
+            let rows: Vec<String> = body
+                .trim_end_matches("\n  ]\n}\n")
+                .split(",\n")
+                .map(str::to_owned)
+                .collect();
+            assert!(rows.len() >= 3, "{file}: {} rows", rows.len());
+            assert_eq!(render_artifact(benchmark, unit, &rows), text, "{file}");
+        }
     }
 }
