@@ -290,8 +290,9 @@ pub fn mobility_staleness_figure(
             let gfg = GfgRouter::new(snapshot);
             let routers: [&dyn Routing; 3] = [&stale, &fresh, &gfg];
             let mut rng = StdRng::seed_from_u64(seed ^ 0x517e);
+            let comp = snapshot.largest_component();
             for _ in 0..pairs_per_snapshot {
-                let Some(pair) = crate::random_connected_pair(snapshot, &mut rng) else {
+                let Some(pair) = crate::random_pair(&comp, &mut rng) else {
                     continue;
                 };
                 for (router, fold) in routers.iter().zip(folds.iter_mut()) {
@@ -377,8 +378,9 @@ pub fn estimate_accuracy_figure(cfg: &SweepConfig, instances: usize) -> Figure {
                 ShapeMap::build_exact(&net, &safety),
             );
             let mut rng = StdRng::seed_from_u64(seed ^ 0xa14);
+            let comp = net.largest_component();
             for _ in 0..4 {
-                let Some((s, d)) = crate::random_connected_pair(&net, &mut rng) else {
+                let Some((s, d)) = crate::random_pair(&comp, &mut rng) else {
                     continue;
                 };
                 let re = Slgf2Router::new(&info_est).route(&net, s, d);
@@ -612,7 +614,7 @@ pub fn failure_robustness_figure(
             let net = Network::from_positions(positions, dc.radius, dc.area);
             let info = SafetyInfo::build(&net);
             let mut rng = StdRng::seed_from_u64(seed ^ 0xdead);
-            let Some((s, d)) = crate::random_connected_pair(&net, &mut rng) else {
+            let Some((s, d)) = crate::random_pair(&net.largest_component(), &mut rng) else {
                 continue;
             };
             // Kill random nodes other than s and d.
@@ -662,7 +664,9 @@ pub const CHAOS_FAMILY_SCHEMES: [Scheme; 6] = [
 /// (radius of the regional outage, number of partition cuts, link drop
 /// probability, flapped node count), deploys `instances` seeded
 /// networks per rung, degrades each at the class's evaluation round,
-/// and routes one random connected pair per scheme. Flapping is
+/// and routes one random connected pair per scheme. Every ladder starts
+/// at the same pristine x = 0 rung (the same seeds and pairs, no chaos),
+/// which is routed once and shared by all panels. Flapping is
 /// evaluated **mid-outage** (at the kill round, before the scheduled
 /// rejoin); the other classes at the chaos observation round — so the
 /// flap panel shows the transient hole and the region panel the
@@ -674,23 +678,18 @@ pub fn chaos_delivery_family(
     instances: usize,
     schemes: &[Scheme],
 ) -> Vec<Figure> {
-    // (panel tag, x label, ladder of (x, chaos spec), evaluate mid-outage)
-    type Panel = (
-        &'static str,
-        &'static str,
-        Vec<(f64, Option<&'static str>)>,
-        bool,
-    );
+    // (panel tag, x label, chaotic rungs as (x, chaos spec), evaluate
+    // mid-outage)
+    type Panel = (&'static str, &'static str, Vec<(f64, &'static str)>, bool);
     let panels: [Panel; 4] = [
         (
             "A17a delivery vs regional outage",
             "outage radius (% of area side)",
             vec![
-                (0.0, None),
-                (5.0, Some("region:r=0.05@round1")),
-                (10.0, Some("region:r=0.1@round1")),
-                (20.0, Some("region:r=0.2@round1")),
-                (30.0, Some("region:r=0.3@round1")),
+                (5.0, "region:r=0.05@round1"),
+                (10.0, "region:r=0.1@round1"),
+                (20.0, "region:r=0.2@round1"),
+                (30.0, "region:r=0.3@round1"),
             ],
             false,
         ),
@@ -698,10 +697,9 @@ pub fn chaos_delivery_family(
             "A17b delivery vs partition cuts",
             "active cuts",
             vec![
-                (0.0, None),
-                (1.0, Some("partition")),
-                (2.0, Some("partition+partition")),
-                (3.0, Some("partition+partition+partition")),
+                (1.0, "partition"),
+                (2.0, "partition+partition"),
+                (3.0, "partition+partition+partition"),
             ],
             false,
         ),
@@ -709,29 +707,79 @@ pub fn chaos_delivery_family(
             "A17c delivery vs lossy links",
             "drop probability (%)",
             vec![
-                (0.0, None),
-                (0.5, Some("drop:p=0.005")),
-                (1.0, Some("drop:p=0.01")),
-                (2.0, Some("drop:p=0.02")),
-                (5.0, Some("drop:p=0.05")),
+                (0.5, "drop:p=0.005"),
+                (1.0, "drop:p=0.01"),
+                (2.0, "drop:p=0.02"),
+                (5.0, "drop:p=0.05"),
             ],
             false,
         ),
         (
             "A17d delivery vs flapping nodes (mid-outage)",
             "flapped nodes",
-            vec![
-                (0.0, None),
-                (4.0, Some("flap:n=4")),
-                (8.0, Some("flap:n=8")),
-                (16.0, Some("flap:n=16")),
-            ],
+            vec![(4.0, "flap:n=4"), (8.0, "flap:n=8"), (16.0, "flap:n=16")],
             true,
         ),
     ];
     let dc = sp_net::deploy::DeploymentConfig::paper_default(node_count);
     let names = Scheme::display_names(schemes);
     let mut buf = RouteBuffer::new();
+    // One rung: each scheme's quality over `instances` seeded networks,
+    // degraded by `recipe` (none for the pristine rung).
+    let mut rung = |recipe: Option<&ChaosRecipe>, mid_outage: bool| {
+        let mut quality = vec![RouteQuality::default(); schemes.len()];
+        for k in 0..instances {
+            let seed = 0xa17_0000 + k as u64;
+            let net = Network::from_positions(scenario.deploy(&dc, seed), dc.radius, dc.area);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xc4a0);
+            let Some((s, d)) = crate::random_pair(&net.largest_component(), &mut rng) else {
+                continue;
+            };
+            let (degraded, drop_p, endpoint_dead) = match recipe {
+                None => (net, 0.0, false),
+                Some(recipe) => {
+                    let plan = recipe.build(&net, seed);
+                    let round = if mid_outage {
+                        plan.kills().last().map_or(0, |e| e.0)
+                    } else {
+                        crate::runner::observation_round(&plan)
+                    };
+                    let dead = plan.dead_as_of(round);
+                    let endpoint_dead = dead.contains(&s) || dead.contains(&d);
+                    let degraded = net.derive(&plan.delta(&net, round)).0;
+                    (degraded, plan.drop_p(), endpoint_dead)
+                }
+            };
+            if endpoint_dead {
+                // Every scheme attempted the pair and none can deliver:
+                // the packet never leaves its source.
+                let lost = RouteRecord {
+                    src: s,
+                    dst: d,
+                    outcome: RouteOutcome::Stuck(s),
+                    hops: 0,
+                    length: 0.0,
+                    perimeter_entries: 0,
+                    backup_entries: 0,
+                };
+                for fold in &mut quality {
+                    fold.add(&lost);
+                }
+                continue;
+            }
+            let prepared = PreparedNetwork::new(degraded);
+            let ctx = prepared.ctx();
+            let mut loss = LinkLoss::new(seed, drop_p);
+            for (&scheme, fold) in schemes.iter().zip(&mut quality) {
+                let trace = scheme.build(&ctx).route_into(&prepared.net, s, d, &mut buf);
+                let mut route = RouteRecord::from_trace(&prepared.net, s, d, &trace);
+                loss.strike(&mut route, trace.path);
+                fold.add(&route);
+            }
+        }
+        quality
+    };
+    let pristine = rung(None, false);
     panels
         .into_iter()
         .map(|(tag, x_label, ladder, mid_outage)| {
@@ -741,67 +789,18 @@ pub fn chaos_delivery_family(
                 "delivery ratio",
             );
             let mut series: Vec<Series> = names.iter().map(|n| Series::new(n.as_ref())).collect();
-            for &(x, spec) in &ladder {
-                let recipe = spec.map(|s| {
-                    // sp-analyze: allow(panic, static spec strings validated by the chaos grammar tests)
-                    ChaosRecipe::parse(s).expect("A17 ladder specs are well-formed")
-                });
-                let mut quality = vec![RouteQuality::default(); schemes.len()];
-                for k in 0..instances {
-                    let seed = 0xa17_0000 + k as u64;
-                    let net =
-                        Network::from_positions(scenario.deploy(&dc, seed), dc.radius, dc.area);
-                    let mut rng = StdRng::seed_from_u64(seed ^ 0xc4a0);
-                    let Some((s, d)) = crate::random_connected_pair(&net, &mut rng) else {
-                        continue;
-                    };
-                    let (degraded, drop_p, endpoint_dead) = match &recipe {
-                        None => (net.clone(), 0.0, false),
-                        Some(recipe) => {
-                            let plan = recipe.build(&net, seed);
-                            let round = if mid_outage {
-                                plan.kills().last().map_or(0, |e| e.0)
-                            } else {
-                                crate::runner::observation_round(&plan)
-                            };
-                            let dead = plan.dead_as_of(round);
-                            let endpoint_dead = dead.contains(&s) || dead.contains(&d);
-                            let degraded = net.derive(&plan.delta(&net, round)).0;
-                            (degraded, plan.drop_p(), endpoint_dead)
-                        }
-                    };
-                    if endpoint_dead {
-                        // Every scheme attempted the pair and none can
-                        // deliver: the packet never leaves its source.
-                        let lost = RouteRecord {
-                            src: s,
-                            dst: d,
-                            outcome: RouteOutcome::Stuck(s),
-                            hops: 0,
-                            length: 0.0,
-                            perimeter_entries: 0,
-                            backup_entries: 0,
-                        };
-                        for fold in &mut quality {
-                            fold.add(&lost);
-                        }
-                        continue;
-                    }
-                    let prepared = PreparedNetwork::new(degraded);
-                    let ctx = prepared.ctx();
-                    let mut loss = LinkLoss::new(seed, drop_p);
-                    for (&scheme, fold) in schemes.iter().zip(&mut quality) {
-                        let trace = scheme.build(&ctx).route_into(&prepared.net, s, d, &mut buf);
-                        let mut route = RouteRecord::from_trace(&prepared.net, s, d, &trace);
-                        loss.strike(&mut route, trace.path);
-                        fold.add(&route);
-                    }
-                }
-                for (series, q) in series.iter_mut().zip(&quality) {
+            let mut push = |x: f64, quality: &[RouteQuality]| {
+                for (series, q) in series.iter_mut().zip(quality) {
                     if q.routes > 0 {
                         series.push(x, q.delivery_ratio());
                     }
                 }
+            };
+            push(0.0, &pristine);
+            for (x, spec) in ladder {
+                // sp-analyze: allow(panic, static spec strings validated by the chaos grammar tests)
+                let recipe = ChaosRecipe::parse(spec).expect("A17 ladder specs are well-formed");
+                push(x, &rung(Some(&recipe), mid_outage));
             }
             for s in series {
                 fig.push_series(s);

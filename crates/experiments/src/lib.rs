@@ -71,8 +71,7 @@ pub use config::SweepConfig;
 pub use mobility_model::MobilityRecipe;
 pub use registry::Handle;
 pub use runner::{
-    random_connected_pair, run_instance, run_sweep, SchemePoint, SweepPoint, SweepRecord,
-    SweepResults,
+    random_pair, run_instance, run_sweep, SchemePoint, SweepPoint, SweepRecord, SweepResults,
 };
 pub use scenario::{Scenario, ScenarioBuild};
 pub use scenarios::{all_scenarios, PaperScenario};

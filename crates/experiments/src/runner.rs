@@ -209,8 +209,9 @@ pub fn run_instance(
     // per-packet loop.
     let routers: Vec<_> = schemes.iter().map(|s| s.build(&ctx)).collect();
     let mut rng = StdRng::seed_from_u64(seed ^ 0x7a1c_5eed);
+    let comp = net.largest_component();
     let flows: Vec<(NodeId, NodeId)> = (0..cfg.flow_count())
-        .filter_map(|_| random_connected_pair(net, &mut rng))
+        .filter_map(|_| random_pair(&comp, &mut rng))
         .collect();
     let radio = RadioModel::first_order();
     let mut loss = LinkLoss::new(seed, drop_p);
@@ -292,15 +293,17 @@ pub(crate) fn observation_round(plan: &ChaosPlan) -> usize {
     plan.last_round().max(cuts_open).unwrap_or(0)
 }
 
-/// Draws a random distinct pair from the largest connected component.
+/// Draws a random distinct pair from `comp`, normally a network's
+/// largest connected component, which the caller computes once per
+/// network rather than once per draw. `None` when `comp` holds fewer
+/// than two nodes; then nothing is drawn.
 ///
 /// The destination is drawn from the `len - 1` indices other than the
 /// source and shifted past it — uniform over distinct pairs and
 /// terminating by construction, where the old rejection loop re-drew
 /// `d` until it differed from `s` (unbounded on an unlucky RNG streak,
 /// and forever on a degenerate one-value stream).
-pub fn random_connected_pair(net: &Network, rng: &mut StdRng) -> Option<(NodeId, NodeId)> {
-    let comp = net.largest_component();
+pub fn random_pair(comp: &[NodeId], rng: &mut StdRng) -> Option<(NodeId, NodeId)> {
     if comp.len() < 2 {
         return None;
     }
