@@ -160,53 +160,18 @@ impl WorkQueue {
         T: Send,
         F: Fn(I) -> T + Sync,
     {
-        let count = items.len();
-        let workers = threads.clamp(1, count.max(1));
-        if workers <= 1 {
-            return items.into_iter().map(work).collect();
-        }
-
         // Each slot is locked exactly once, by the worker whose cursor
         // fetch returned its index; the mutex only exists to move the
         // item out under a shared reference.
         let slots: Vec<Mutex<Option<I>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
-        let cursor = AtomicUsize::new(0);
-        let mut outs: Vec<Option<T>> = (0..count).map(|_| None).collect();
-        // sp-analyze: allow(concurrency, this IS the one blessed scope+cursor implementation)
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut mine: Vec<(usize, T)> = Vec::new();
-                        loop {
-                            let k = cursor.fetch_add(1, Ordering::Relaxed);
-                            if k >= count {
-                                break;
-                            }
-                            let item = slots[k]
-                                .lock()
-                                .expect("work-item slot poisoned") // sp-analyze: allow(panic, poisoning implies a sibling worker already panicked)
-                                .take()
-                                .expect("cursor hands each item index to exactly one worker"); // sp-analyze: allow(panic, claim uniqueness is model-checked in check::tests)
-                            mine.push((k, work(item)));
-                        }
-                        mine
-                    })
-                })
-                .collect();
-            for h in handles {
-                // sp-analyze: allow(panic, propagate a worker panic instead of losing output)
-                for (k, out) in h.join().expect("work-queue worker panicked") {
-                    outs[k] = Some(out);
-                }
-            }
-        });
-        outs.into_iter()
-            .map(|out| {
-                // sp-analyze: allow(panic, every item index is claimed exactly once — model-checked in check::tests)
-                out.expect("every work item was claimed and produced output")
-            })
-            .collect()
+        WorkQueue::new().run(threads, slots.len(), |k| {
+            let item = slots[k]
+                .lock()
+                .expect("work-item slot poisoned") // sp-analyze: allow(panic, poisoning implies a sibling worker already panicked)
+                .take()
+                .expect("cursor hands each item index to exactly one worker"); // sp-analyze: allow(panic, claim uniqueness is model-checked in check::tests)
+            work(item)
+        })
     }
 }
 
