@@ -98,11 +98,6 @@ impl Rect {
         self.min.midpoint(self.max)
     }
 
-    /// Half the diagonal; the circumradius of the rectangle.
-    pub fn circumradius(&self) -> f64 {
-        self.min.distance(self.max) / 2.0
-    }
-
     /// The four corners in counter-clockwise order starting from `min`:
     /// `(x1,y1), (x2,y1), (x2,y2), (x1,y2)`.
     pub fn corners(&self) -> [Point; 4] {

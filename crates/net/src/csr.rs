@@ -253,11 +253,6 @@ impl NodeRemap {
         }
     }
 
-    /// The identity remap over `n` nodes.
-    pub fn identity(n: usize) -> NodeRemap {
-        NodeRemap::from_order((0..n).map(NodeId::new).collect())
-    }
-
     /// Number of nodes.
     pub fn len(&self) -> usize {
         self.to_external.len()

@@ -27,7 +27,7 @@ use std::sync::Arc;
 /// [`CsrAdjacency`] edge arena from `O(n · k)` cell lookups; the index
 /// stays attached to the network ([`Network::index`]) so
 /// planarization, routing heuristics, and deployment tooling can issue
-/// further range/nearest queries without rebuilding anything. All
+/// further range queries without rebuilding anything. All
 /// queries are read-only, so a `Network` can be shared freely across
 /// threads.
 ///
@@ -145,8 +145,8 @@ impl Network {
 
     /// The spatial index the network was built from (cell size =
     /// communication radius). Shared by planarization, mobility
-    /// snapshots, and any caller needing range or nearest queries over
-    /// the deployment:
+    /// snapshots, and any caller needing range queries over the
+    /// deployment:
     ///
     /// ```
     /// use sp_net::{deploy::DeploymentConfig, Network};
@@ -154,7 +154,7 @@ impl Network {
     ///
     /// let cfg = DeploymentConfig::paper_default(300);
     /// let net = Network::from_positions(cfg.deploy_uniform(1), cfg.radius, cfg.area);
-    /// let gateway = net.index().nearest(Point::new(0.0, 0.0)).unwrap();
+    /// let gateway = net.index().within_radius(Point::new(0.0, 0.0), 2.0 * cfg.radius).next().unwrap();
     /// assert!(net.index().within_radius(net.position(gateway), cfg.radius).count() >= 1);
     /// ```
     pub fn index(&self) -> &SpatialIndex {

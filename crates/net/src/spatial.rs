@@ -41,11 +41,9 @@ const BANDS_PER_THREAD: usize = 4;
 /// A uniform grid over a bounding rectangle with square cells.
 ///
 /// Build once over a position snapshot, then issue any number of
-/// *range* ([`within_radius`](SpatialIndex::within_radius)) and
-/// *nearest* ([`nearest`](SpatialIndex::nearest),
-/// [`k_nearest`](SpatialIndex::k_nearest)) queries. All queries compare
-/// true Euclidean distances — the grid only prunes candidates — so
-/// results are exact, not approximate.
+/// range ([`within_radius`](SpatialIndex::within_radius)) queries. All
+/// queries compare true Euclidean distances — the grid only prunes
+/// candidates — so results are exact, not approximate.
 ///
 /// ```
 /// use sp_net::SpatialIndex;
@@ -56,7 +54,8 @@ const BANDS_PER_THREAD: usize = 4;
 /// let index = SpatialIndex::build(&pts, area, 20.0);
 /// let near: Vec<usize> = index.within_radius(Point::new(12.0, 10.0), 20.0).map(|id| id.index()).collect();
 /// assert!(near.contains(&0) && near.contains(&1) && !near.contains(&2));
-/// assert_eq!(index.nearest(Point::new(80.0, 80.0)), Some(sp_net::NodeId(2)));
+/// let far: Vec<usize> = index.within_radius(Point::new(80.0, 80.0), 15.0).map(|id| id.index()).collect();
+/// assert_eq!(far, [2]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct SpatialIndex {
@@ -453,59 +452,6 @@ impl SpatialIndex {
         }
     }
 
-    /// The indexed point closest to `center` (ties broken by lowest id),
-    /// or `None` when the index is empty.
-    ///
-    /// Searches expanding cell rings outward from `center`, so the cost
-    /// is proportional to the ring at which the first point appears —
-    /// `O(1)` cells on dense deployments.
-    pub fn nearest(&self, center: Point) -> Option<NodeId> {
-        self.k_nearest(center, 1).into_iter().next()
-    }
-
-    /// The `k` indexed points closest to `center`, ascending by distance
-    /// (ties broken by lowest id). Returns fewer than `k` when the index
-    /// holds fewer points.
-    pub fn k_nearest(&self, center: Point, k: usize) -> Vec<NodeId> {
-        if k == 0 || self.positions.is_empty() {
-            return Vec::new();
-        }
-        let (cx, cy) = self.cell_coords(center);
-        let (cx, cy) = (cx as isize, cy as isize);
-        let cols = self.cols as isize;
-        let rows = self.rows as isize;
-        let max_ring = self.cols.max(self.rows) as isize;
-        // (distance², id) of the best candidates seen so far.
-        let mut best: Vec<(f64, NodeId)> = Vec::new();
-        for ring in 0..=max_ring {
-            // Once k candidates are known, a farther ring can only help
-            // if its nearest possible point beats the current k-th best:
-            // every cell in ring r is at least (r-1)·cell away.
-            if best.len() >= k {
-                let ring_min = ((ring - 1).max(0) as f64) * self.cell_size;
-                if ring_min * ring_min > best[k - 1].0 {
-                    break;
-                }
-            }
-            let mut grew = false;
-            for (x, y) in ring_cells(cx, cy, ring) {
-                if x < 0 || x >= cols || y < 0 || y >= rows {
-                    continue;
-                }
-                for &id in &self.cells[(y * cols + x) as usize] {
-                    let d = self.positions.distance_sq_to(id.index(), center);
-                    best.push((d, id));
-                    grew = true;
-                }
-            }
-            if grew {
-                best.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-                best.truncate(k);
-            }
-        }
-        best.into_iter().map(|(_, id)| id).collect()
-    }
-
     /// Heap bytes held by the grid cells (headers plus bucketed ids).
     pub fn grid_heap_bytes(&self) -> usize {
         self.cells.len() * 3 * std::mem::size_of::<usize>()
@@ -515,24 +461,6 @@ impl SpatialIndex {
                 .map(|c| c.len() * std::mem::size_of::<NodeId>())
                 .sum::<usize>()
     }
-}
-
-/// The cells of the square ring at Chebyshev distance `ring` around
-/// `(cx, cy)` (the single center cell for `ring == 0`).
-fn ring_cells(cx: isize, cy: isize, ring: isize) -> Vec<(isize, isize)> {
-    if ring == 0 {
-        return vec![(cx, cy)];
-    }
-    let mut out = Vec::with_capacity((8 * ring) as usize);
-    for dx in -ring..=ring {
-        out.push((cx + dx, cy - ring));
-        out.push((cx + dx, cy + ring));
-    }
-    for dy in (-ring + 1)..ring {
-        out.push((cx - ring, cy + dy));
-        out.push((cx + ring, cy + dy));
-    }
-    out
 }
 
 #[cfg(test)]
@@ -608,8 +536,6 @@ mod tests {
         let index = SpatialIndex::build(&[], demo_area(), 10.0);
         assert!(index.is_empty());
         assert_eq!(index.within_radius(Point::new(1.0, 1.0), 50.0).count(), 0);
-        assert_eq!(index.nearest(Point::new(1.0, 1.0)), None);
-        assert!(index.k_nearest(Point::new(1.0, 1.0), 3).is_empty());
         assert!(index.spatial_order().is_empty());
     }
 
@@ -617,48 +543,6 @@ mod tests {
     #[should_panic(expected = "cell size must be positive")]
     fn zero_cell_size_rejected() {
         let _ = SpatialIndex::build(&[], demo_area(), 0.0);
-    }
-
-    #[test]
-    fn nearest_matches_brute_force() {
-        let pts = scatter(250, 99);
-        let index = SpatialIndex::build(&pts, demo_area(), 20.0);
-        let queries = [
-            Point::new(0.0, 0.0),
-            Point::new(50.0, 50.0),
-            Point::new(99.0, 1.0),
-            Point::new(-10.0, 120.0),
-            Point::new(33.3, 66.6),
-        ];
-        for q in queries {
-            let want = pts
-                .iter()
-                .enumerate()
-                .min_by(|(i, a), (j, b)| {
-                    a.distance_sq(q).total_cmp(&b.distance_sq(q)).then(i.cmp(j))
-                })
-                .map(|(i, _)| NodeId::new(i));
-            assert_eq!(index.nearest(q), want, "nearest mismatch at {q}");
-        }
-    }
-
-    #[test]
-    fn k_nearest_matches_brute_force_order() {
-        let pts = scatter(180, 4242);
-        let index = SpatialIndex::build(&pts, demo_area(), 15.0);
-        for &q in &[Point::new(10.0, 90.0), Point::new(70.0, 20.0)] {
-            for k in [1usize, 3, 7, 200] {
-                let got = index.k_nearest(q, k);
-                let mut want: Vec<(f64, NodeId)> = pts
-                    .iter()
-                    .enumerate()
-                    .map(|(i, p)| (p.distance_sq(q), NodeId::new(i)))
-                    .collect();
-                want.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-                let want: Vec<NodeId> = want.into_iter().take(k).map(|(_, id)| id).collect();
-                assert_eq!(got, want, "k={k} at {q}");
-            }
-        }
     }
 
     #[test]

@@ -95,31 +95,6 @@ proptest! {
     }
 
     #[test]
-    fn spatial_index_nearest_agrees_with_exhaustive_argmin(seed in 0u64..10_000) {
-        let cfg = paper_cfg(250);
-        let net = Network::from_positions(cfg.deploy_uniform(seed), cfg.radius, cfg.area);
-        let probes = [
-            Point::new(0.0, 0.0),
-            Point::new(100.0, 100.0),
-            Point::new(200.0, 0.0),
-            Point::new(37.5, 141.0),
-        ];
-        for q in probes {
-            let got = net.index().nearest(q).unwrap();
-            let want = net
-                .node_ids()
-                .min_by(|&a, &b| {
-                    net.position(a)
-                        .distance_sq(q)
-                        .total_cmp(&net.position(b).distance_sq(q))
-                        .then(a.cmp(&b))
-                })
-                .unwrap();
-            prop_assert_eq!(got, want, "nearest mismatch at probe {}", q);
-        }
-    }
-
-    #[test]
     fn planar_subgraph_has_no_proper_crossings(seed in 0u64..100) {
         let cfg = paper_cfg(90);
         let net = Network::from_positions(cfg.deploy_uniform(seed), cfg.radius, cfg.area);

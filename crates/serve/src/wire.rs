@@ -146,11 +146,6 @@ impl ProtocolError {
         ProtocolError { kind, context }
     }
 
-    /// A context-free error.
-    pub fn bare(kind: ProtocolErrorKind) -> ProtocolError {
-        ProtocolError { kind, context: 0 }
-    }
-
     /// A human-readable rendering (cold path only).
     pub fn message(&self) -> String {
         format!("{} (context {})", self.kind.name(), self.context)
