@@ -214,26 +214,33 @@ mod tests {
 
     #[test]
     fn stats_match_hand_computation() {
+        let s = SampleStats::of(&[3.0, 1.0, 2.0, 4.0]);
+        assert_eq!(s.samples, 4);
+        assert_eq!(s.median, 2.5);
+        assert_eq!(s.mean, 2.5);
+        assert!((s.stddev - (5.0f64 / 3.0).sqrt()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn estimate_median_and_stddev_are_exact_on_known_samples() {
+        let s = SampleStats::of(&[4.0, 1.0, 3.0, 2.0]);
+        assert_eq!(s.samples, 4);
+        assert_eq!(s.median, 2.5);
+        assert_eq!(s.mean, 2.5);
         // Sample stddev of 1..=4 is sqrt(5/3); nothing is far enough
-        // out for the IQR fence to reject, in any input order.
-        for samples in [[3.0, 1.0, 2.0, 4.0], [4.0, 1.0, 3.0, 2.0]] {
-            let s = SampleStats::of(&samples);
-            assert_eq!(s.samples, 4);
-            assert_eq!(s.median, 2.5);
-            assert_eq!(s.mean, 2.5);
-            assert!((s.stddev - (5.0f64 / 3.0).sqrt()).abs() < 1e-12);
-            assert_eq!(s.outliers_rejected, 0);
-        }
+        // out for the IQR fence to reject.
+        assert!((s.stddev - (5.0f64 / 3.0).sqrt()).abs() < 1e-12);
+        assert_eq!(s.outliers_rejected, 0);
+        let single = SampleStats::of(&[9.0]);
+        assert_eq!((single.median, single.stddev), (9.0, 0.0));
+        assert_eq!(single.outliers_rejected, 0);
     }
 
     #[test]
     fn degenerate_sample_counts() {
         assert_eq!(SampleStats::of(&[]).median, 0.0);
-        for x in [7.0, 9.0] {
-            let one = SampleStats::of(&[x]);
-            assert_eq!((one.samples, one.median, one.stddev), (1, x, 0.0));
-            assert_eq!(one.outliers_rejected, 0);
-        }
+        let one = SampleStats::of(&[7.0]);
+        assert_eq!((one.samples, one.median, one.stddev), (1, 7.0, 0.0));
     }
 
     #[test]
@@ -255,14 +262,20 @@ mod tests {
         assert_eq!(s.outliers_rejected, 1);
         assert!((s.median - 1.0).abs() < 1e-12);
         assert!(s.stddev < 0.1, "spread without the spike, got {}", s.stddev);
-        let s = SampleStats::of(&[0.1, 0.11, 0.09, 0.105, 0.095, 9.0]);
-        assert_eq!(s.samples, 6);
-        assert_eq!(s.outliers_rejected, 1);
-        assert!((s.median - 0.1).abs() < 1e-12);
         // Low outliers are fenced symmetrically.
         let low = SampleStats::of(&[10.0, 10.1, 9.9, 10.05, 9.95, 0.001]);
         assert_eq!(low.outliers_rejected, 1);
         assert!((low.median - 10.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn outlier_rejection_passes_through_from_the_stub() {
+        // The fence taken over from the former criterion stub's
+        // estimator rejects a spike at sub-second scale too.
+        let s = SampleStats::of(&[0.1, 0.11, 0.09, 0.105, 0.095, 9.0]);
+        assert_eq!(s.samples, 6);
+        assert_eq!(s.outliers_rejected, 1);
+        assert!((s.median - 0.1).abs() < 1e-12);
     }
 
     #[test]
