@@ -4,63 +4,47 @@
 //! Usage:
 //!
 //! ```sh
-//! bench_gate [--tolerance 0.25] [--slack 0.002] [--latency-slack 0.000025] \
-//!     [--allow-missing] [--history <dir> --branch <name>] \
+//! bench_gate [--allow-missing] \
 //!     <baseline.json> <current.json> [<baseline2.json> <current2.json> ...]
 //! ```
 //!
-//! For every file pair, result rows are matched by position; a row's
-//! string-valued fields (scenario / case names) must agree, and every
-//! `*_seconds` median in the baseline is compared against the fresh
-//! measurement. A metric **regresses** when
+//! Each fresh artifact is gated against its baseline, in CI the
+//! committed `BENCH_*.json`, under one fixed rule. For every file pair,
+//! result rows are matched by position; a row's string-valued fields
+//! (scenario / case names) must agree, and every `*_seconds` and
+//! `*_bytes_per_node` value in the baseline is compared against the
+//! fresh measurement. A metric **regresses** when
 //!
 //! ```text
-//! current > baseline * (1 + tolerance) + slack
+//! current > baseline * (1 + TOLERANCE) + slack
 //! ```
 //!
-//! `tolerance` (default 0.25, i.e. 25%) absorbs machine-relative drift;
-//! `slack` (default 2 ms, absolute seconds) keeps microsecond-scale
-//! metrics — whose stddev rivals their median — from tripping the gate
-//! on scheduler noise. **Percentile metrics** (`*_p50_seconds`,
-//! `*_p95_seconds`, `*_p99_seconds` — per-event tail latencies, e.g.
-//! the `service_latency` rows) use `latency-slack` (default 25 µs)
-//! instead: a per-query tail lives three orders of magnitude below the
-//! wall-clock metrics, so the 2 ms slack would swallow any real tail
-//! regression whole (a doubled p99 would still read "within
-//! tolerance"), while 25 µs still absorbs scheduler jitter on the
-//! single-digit-microsecond p50s. Informational fields (`*_samples`, `*_stddev`,
-//! `speedup*`, thread counts) are never gated. Exit code is non-zero
-//! when any metric regresses, so the CI job fails loudly.
+//! `TOLERANCE` (25%) absorbs machine-relative drift; `SLACK` (2 ms,
+//! absolute seconds) keeps microsecond-scale metrics — whose stddev
+//! rivals their median — from tripping the gate on scheduler noise.
+//! **Percentile metrics** (`*_p50_seconds`, `*_p95_seconds`,
+//! `*_p99_seconds` — per-event tail latencies, e.g. the
+//! `service_latency` rows) use `LATENCY_SLACK` (25 µs) instead: a
+//! per-query tail lives three orders of magnitude below the wall-clock
+//! metrics, so the 2 ms slack would swallow any real tail regression
+//! whole (a doubled p99 would still read "within tolerance"), while
+//! 25 µs still absorbs scheduler jitter on the single-digit-microsecond
+//! p50s. Informational fields (`*_samples`, `*_stddev`, `speedup*`,
+//! thread counts) are never gated. Exit code is non-zero when any
+//! metric regresses, so the CI job fails loudly.
 //!
 //! A metric present in the baseline but **absent from the fresh run**
 //! is a named `MISSING` gate failure (exit 1) pointing at the row and
 //! key — a bench writer that silently dropped a metric must not pass.
 //! `--allow-missing` downgrades those findings to warnings for the one
 //! legitimate case: a PR that deliberately retires a metric, gated
-//! against a baseline that still carries it.
-//!
-//! ## Per-branch baseline history
-//!
-//! With `--history <dir> --branch <name>`, the gate keeps a rolling
-//! baseline **per branch** instead of relying solely on the committed
-//! files: each pair is gated against
-//! `<dir>/<branch-slug>/<basename(current)>` when that file exists
-//! (a branch with no history of its own inherits `main`'s; with
-//! neither, the committed baseline gates alone), and after a fully
-//! green gate the fresh measurements are stored as the branch's next
-//! baselines, with one summary line appended to its `history.jsonl`.
-//! A regressing run leaves the stored baselines untouched, so a slow
-//! branch cannot ratchet its own bar down — and a metric only fails
-//! the gate when it regresses against the rolling baseline **and**
-//! the committed one, so refreshing `BENCH_*.json` in a PR (the
-//! documented escape hatch for legitimate perf changes) still
-//! unblocks a branch with stale-fast history.
+//! against a baseline that still carries it. Any other `--` argument is
+//! a usage error (exit 2).
 //!
 //! The parser is a tiny recursive-descent JSON reader for the schema
 //! our bench writers emit — the workspace deliberately has no serde.
 
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 /// The JSON subset the bench artifacts use.
@@ -279,50 +263,37 @@ struct Finding {
     regressed: bool,
 }
 
-/// The gate's thresholds and escape hatches.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Gate {
-    /// Relative headroom every gated metric gets (0.25 = +25%).
-    tolerance: f64,
-    /// Absolute headroom (seconds / bytes-per-node) for wall-clock
-    /// medians and memory metrics.
-    slack: f64,
-    /// Absolute headroom (seconds) for per-event percentile metrics
-    /// (`*_p50/_p95/_p99_seconds`), which live at microsecond scale.
-    latency_slack: f64,
-    /// Downgrade baseline-metric-missing-from-current findings from
-    /// gate failures to warnings.
-    allow_missing: bool,
-}
+/// Relative headroom every gated metric gets (+25%).
+const TOLERANCE: f64 = 0.25;
 
-impl Gate {
-    fn new(tolerance: f64, slack: f64) -> Gate {
-        Gate {
-            tolerance,
-            slack,
-            latency_slack: 0.000025,
-            allow_missing: false,
-        }
-    }
+/// Absolute headroom (seconds / bytes-per-node) for wall-clock medians
+/// and memory metrics.
+const SLACK: f64 = 0.002;
 
-    /// The absolute headroom for metric key `k`.
-    fn slack_for(&self, k: &str) -> f64 {
-        if is_percentile_metric(k) {
-            self.latency_slack
-        } else {
-            self.slack
-        }
+/// Absolute headroom (seconds) for per-event percentile metrics
+/// (`*_p50/_p95/_p99_seconds`), which live at microsecond scale.
+const LATENCY_SLACK: f64 = 0.000025;
+
+const USAGE: &str =
+    "usage: bench_gate [--allow-missing] <baseline.json> <current.json> [<baseline2.json> <current2.json> ...]";
+
+/// The absolute headroom for metric key `k`.
+fn slack_for(k: &str) -> f64 {
+    if is_percentile_metric(k) {
+        LATENCY_SLACK
+    } else {
+        SLACK
     }
 }
 
-/// True for the per-event tail-latency keys the `--latency-slack`
-/// floor applies to.
+/// True for the per-event tail-latency keys the latency slack applies
+/// to.
 fn is_percentile_metric(key: &str) -> bool {
     key.ends_with("_p50_seconds") || key.ends_with("_p95_seconds") || key.ends_with("_p99_seconds")
 }
 
 /// Compares one parsed baseline/current artifact pair.
-fn compare(baseline: &Value, current: &Value, gate: &Gate) -> Result<Vec<Finding>, String> {
+fn compare(baseline: &Value, current: &Value, allow_missing: bool) -> Result<Vec<Finding>, String> {
     let (b, c) = (
         baseline.as_object().ok_or("baseline is not an object")?,
         current.as_object().ok_or("current is not an object")?,
@@ -406,8 +377,8 @@ fn compare(baseline: &Value, current: &Value, gate: &Gate) -> Result<Vec<Finding
                 baseline: base,
                 current: cur,
                 regressed: match cur {
-                    Some(cur) => cur > base * (1.0 + gate.tolerance) + gate.slack_for(k),
-                    None => !gate.allow_missing,
+                    Some(cur) => cur > base * (1.0 + TOLERANCE) + slack_for(k),
+                    None => !allow_missing,
                 },
             });
         }
@@ -415,194 +386,28 @@ fn compare(baseline: &Value, current: &Value, gate: &Gate) -> Result<Vec<Finding
     Ok(findings)
 }
 
-/// The branch whose history seeds a branch that has none of its own.
-const DEFAULT_BRANCH: &str = "main";
-
-/// A branch name as a path-safe directory slug (`/` and anything
-/// exotic become `-`, so `feat/route-buffer` and `feat-route-buffer`
-/// share history — close enough for a cache key).
-fn branch_slug(branch: &str) -> String {
-    let slug: String = branch
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '.' || c == '_' || c == '-' {
-                c
-            } else {
-                '-'
-            }
-        })
-        .collect();
-    if slug.is_empty() {
-        "unnamed".to_owned()
-    } else {
-        slug
-    }
-}
-
-/// Where `current`'s rolling baseline lives for this branch.
-fn history_path(dir: &Path, branch: &str, current: &str) -> PathBuf {
-    let name = Path::new(current)
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_else(|| current.to_owned());
-    dir.join(branch_slug(branch)).join(name)
-}
-
-/// After a green gate: store each fresh artifact as the branch's next
-/// baseline and append a summary line to its `history.jsonl`.
-fn update_history(dir: &Path, branch: &str, currents: &[&String]) -> Result<(), String> {
-    let branch_dir = dir.join(branch_slug(branch));
-    std::fs::create_dir_all(&branch_dir)
-        .map_err(|e| format!("cannot create {}: {e}", branch_dir.display()))?;
-    let stamp = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let mut log_entries = Vec::new();
-    for cur in currents {
-        let dest = history_path(dir, branch, cur);
-        std::fs::copy(cur, &dest)
-            .map_err(|e| format!("cannot store {} as {}: {e}", cur, dest.display()))?;
-        log_entries.push(format!(
-            "{{\"unix_seconds\": {stamp}, \"artifact\": \"{}\"}}",
-            dest.file_name().unwrap_or_default().to_string_lossy()
-        ));
-    }
-    let log = branch_dir.join("history.jsonl");
-    let mut body = log_entries.join("\n");
-    body.push('\n');
-    use std::io::Write;
-    std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&log)
-        .and_then(|mut f| f.write_all(body.as_bytes()))
-        .map_err(|e| format!("cannot append {}: {e}", log.display()))
-}
-
 fn run(args: &[String]) -> Result<Vec<Finding>, String> {
-    let mut gate = Gate::new(0.25, 0.002);
-    let mut history: Option<PathBuf> = None;
-    let mut branch: Option<String> = None;
+    let mut allow_missing = false;
     let mut paths: Vec<&String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
+    for a in args {
         match a.as_str() {
-            "--tolerance" => {
-                gate.tolerance = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--tolerance needs a number")?
+            "--allow-missing" => allow_missing = true,
+            flag if flag.starts_with("--") => {
+                return Err(format!("unknown option '{flag}'\n{USAGE}"));
             }
-            "--slack" => {
-                gate.slack = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--slack needs a number (seconds)")?
-            }
-            "--latency-slack" => {
-                gate.latency_slack = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--latency-slack needs a number (seconds)")?
-            }
-            "--allow-missing" => gate.allow_missing = true,
-            "--history" => {
-                history = Some(PathBuf::from(
-                    it.next().ok_or("--history needs a directory")?,
-                ))
-            }
-            "--branch" => branch = Some(it.next().ok_or("--branch needs a name")?.clone()),
             _ => paths.push(a),
         }
     }
     if paths.is_empty() || !paths.len().is_multiple_of(2) {
-        return Err(
-            "usage: bench_gate [--tolerance T] [--slack S] [--latency-slack S] [--allow-missing] [--history DIR --branch NAME] <baseline.json> <current.json> ..."
-                .to_owned(),
-        );
+        return Err(USAGE.to_owned());
     }
-    let history = match (history, branch) {
-        (Some(dir), Some(branch)) => Some((dir, branch)),
-        (None, None) => None,
-        _ => return Err("--history and --branch must be given together".to_owned()),
-    };
     let mut findings = Vec::new();
     for pair in paths.chunks(2) {
         let read =
             |p: &str| std::fs::read_to_string(p).map_err(|e| format!("cannot read {p}: {e}"));
-        let committed = Parser::parse(&read(pair[0])?).map_err(|e| format!("{}: {e}", pair[0]))?;
+        let baseline = Parser::parse(&read(pair[0])?).map_err(|e| format!("{}: {e}", pair[0]))?;
         let cur = Parser::parse(&read(pair[1])?).map_err(|e| format!("{}: {e}", pair[1]))?;
-        let committed_findings = compare(&committed, &cur, &gate)?;
-        // The rolling baseline: this branch's, else the default
-        // branch's (a fresh branch inherits main's bar).
-        let rolling_path = history.as_ref().and_then(|(dir, branch)| {
-            [branch.as_str(), DEFAULT_BRANCH]
-                .iter()
-                .map(|b| history_path(dir, b, pair[1]))
-                .find(|p| p.is_file())
-        });
-        let Some(rolling_path) = rolling_path else {
-            findings.extend(committed_findings);
-            continue;
-        };
-        // Gate against the rolling baseline, but a metric only REALLY
-        // regresses when it is worse than the committed baseline too:
-        // refreshing BENCH_*.json in a PR (the documented escape hatch
-        // for legitimate perf changes) must override stale-fast branch
-        // history, and a branch with a deliberately different perf
-        // profile can run on its own history without touching the
-        // committed files.
-        let rp = rolling_path.to_string_lossy().into_owned();
-        println!(
-            "using rolling baseline {rp} (committed {} as the floor)",
-            pair[0]
-        );
-        // A rolling baseline written before a bench gained rows or
-        // metrics (or the reverse) can't be zipped against the fresh
-        // run; fall back to the committed baseline for this gate — the
-        // next green run rewrites the branch history with the new
-        // metric set, so history picks up new metrics without anyone
-        // deleting cache entries by hand.
-        let rolling_findings = Parser::parse(&read(&rp)?)
-            .map_err(|e| format!("{rp}: {e}"))
-            .and_then(|rolling| compare(&rolling, &cur, &gate));
-        let mut rolling_findings = match rolling_findings {
-            Ok(f)
-                if f.len() == committed_findings.len()
-                    && f.iter()
-                        .zip(&committed_findings)
-                        .all(|(r, c)| r.metric == c.metric && r.row == c.row) =>
-            {
-                f
-            }
-            Ok(_) | Err(_) => {
-                println!(
-                    "rolling baseline {rp} does not match the current metric set; \
-                     gating against committed {} only (a green run refreshes history)",
-                    pair[0]
-                );
-                findings.extend(committed_findings);
-                continue;
-            }
-        };
-        for (r, c) in rolling_findings.iter_mut().zip(&committed_findings) {
-            r.regressed = r.regressed && c.regressed;
-        }
-        findings.extend(rolling_findings);
-    }
-    if let Some((dir, branch)) = &history {
-        if findings.iter().all(|f| !f.regressed) {
-            let currents: Vec<&String> = paths.chunks(2).map(|p| p[1]).collect();
-            update_history(dir, branch, &currents)?;
-            println!(
-                "stored {} fresh baseline(s) under {}",
-                currents.len(),
-                dir.join(branch_slug(branch)).display()
-            );
-        } else {
-            println!("regression found: branch baselines left untouched");
-        }
+        findings.extend(compare(&baseline, &cur, allow_missing)?);
     }
     Ok(findings)
 }
@@ -697,7 +502,7 @@ mod tests {
     fn unchanged_medians_pass() {
         let base = Parser::parse(BASE).unwrap();
         let cur = with_time(&[("fast", 0.1), ("slow", 0.5)]);
-        let f = compare(&base, &cur, &Gate::new(0.25, 0.002)).unwrap();
+        let f = compare(&base, &cur, false).unwrap();
         assert_eq!(f.len(), 2);
         assert!(f.iter().all(|x| !x.regressed));
     }
@@ -706,7 +511,7 @@ mod tests {
     fn synthetic_2x_slowdown_fails() {
         let base = Parser::parse(BASE).unwrap();
         let cur = with_time(&[("fast", 0.2), ("slow", 1.0)]);
-        let f = compare(&base, &cur, &Gate::new(0.25, 0.002)).unwrap();
+        let f = compare(&base, &cur, false).unwrap();
         assert!(
             f.iter().all(|x| x.regressed),
             "2x slowdown must trip the gate"
@@ -715,14 +520,12 @@ mod tests {
 
     #[test]
     fn slack_absorbs_noise_floor_micro_metrics() {
-        // 1 µs baseline jumping to 1 ms stays inside the 2 ms slack;
-        // with 25% tolerance alone it would regress.
+        // 1 µs baseline jumping to 1 ms stays inside the 2 ms slack,
+        // although 25% tolerance alone would flag it.
         let base = with_time(&[("fast", 0.000001)]);
         let cur = with_time(&[("fast", 0.001)]);
-        let f = compare(&base, &cur, &Gate::new(0.25, 0.002)).unwrap();
+        let f = compare(&base, &cur, false).unwrap();
         assert!(!f[0].regressed);
-        let f = compare(&base, &cur, &Gate::new(0.25, 0.0)).unwrap();
-        assert!(f[0].regressed);
     }
 
     #[test]
@@ -730,22 +533,22 @@ mod tests {
         let base = with_time(&[("slow", 0.5)]);
         let ok = with_time(&[("slow", 0.624)]); // 0.5 * 1.25 + slack > this
         let bad = with_time(&[("slow", 0.628)]);
-        assert!(!compare(&base, &ok, &Gate::new(0.25, 0.002)).unwrap()[0].regressed);
-        assert!(compare(&base, &bad, &Gate::new(0.25, 0.002)).unwrap()[0].regressed);
+        assert!(!compare(&base, &ok, false).unwrap()[0].regressed);
+        assert!(compare(&base, &bad, false).unwrap()[0].regressed);
     }
 
     #[test]
     fn renamed_row_is_an_error_not_a_pass() {
         let base = with_time(&[("fast", 0.1)]);
         let cur = with_time(&[("other", 0.1)]);
-        assert!(compare(&base, &cur, &Gate::new(0.25, 0.002)).is_err());
+        assert!(compare(&base, &cur, false).is_err());
     }
 
     #[test]
     fn row_count_mismatch_is_an_error() {
         let base = with_time(&[("fast", 0.1)]);
         let cur = with_time(&[("fast", 0.1), ("extra", 0.1)]);
-        assert!(compare(&base, &cur, &Gate::new(0.25, 0.002)).is_err());
+        assert!(compare(&base, &cur, false).is_err());
     }
 
     #[test]
@@ -759,7 +562,7 @@ mod tests {
             "{\"benchmark\": \"demo\", \"results\": [{\"case\": \"fast\", \"n\": 100}]}",
         )
         .unwrap();
-        let f = compare(&base, &cur, &Gate::new(0.25, 0.002)).unwrap();
+        let f = compare(&base, &cur, false).unwrap();
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].metric, "time_seconds");
         assert_eq!(f[0].current, None);
@@ -778,15 +581,11 @@ mod tests {
             "{\"benchmark\": \"demo\", \"results\": [{\"case\": \"fast\", \"n\": 100}]}",
         )
         .unwrap();
-        let allow = Gate {
-            allow_missing: true,
-            ..Gate::new(0.25, 0.002)
-        };
-        let f = compare(&base, &cur, &allow).unwrap();
+        let f = compare(&base, &cur, true).unwrap();
         assert_eq!((f[0].current, f[0].regressed), (None, false));
         // The escape hatch never excuses a real slowdown.
         let slow = with_time(&[("fast", 0.9)]);
-        let f = compare(&base, &slow, &allow).unwrap();
+        let f = compare(&base, &slow, true).unwrap();
         assert!(
             f[0].regressed,
             "--allow-missing must not forgive regressions"
@@ -814,6 +613,30 @@ mod tests {
     }
 
     #[test]
+    fn threshold_and_history_flags_are_usage_errors() {
+        // The thresholds are fixed and the given baseline is the only
+        // one: any other flag fails (exit 2) and names itself rather
+        // than being read as an artifact path.
+        let work = temp_dir("usage");
+        let a = write_artifact(&work, "a.json", 0.1);
+        let b = write_artifact(&work, "b.json", 0.1);
+        let cases: [&[&str]; 2] = [
+            &["--tolerance", "0.3"],
+            &["--history", "h", "--branch", "b"],
+        ];
+        for flags in cases {
+            let mut args: Vec<String> = flags.iter().map(|f| f.to_string()).collect();
+            args.extend([a.clone(), b.clone()]);
+            let err = run(&args).unwrap_err();
+            assert!(
+                err.contains(flags[0]) && err.contains("usage"),
+                "{flags:?}: {err}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&work);
+    }
+
+    #[test]
     fn percentile_metrics_are_gated_with_the_latency_slack() {
         let row = |p50: f64, p99: f64| {
             Parser::parse(&format!(
@@ -825,7 +648,7 @@ mod tests {
         // µs) must trip the gate even though it is far inside the 2 ms
         // wall-clock slack that gates run_seconds.
         let base = row(0.000006, 0.000144);
-        let f = compare(&base, &row(0.000006, 0.000288), &Gate::new(0.25, 0.002)).unwrap();
+        let f = compare(&base, &row(0.000006, 0.000288), false).unwrap();
         let p99 = f.iter().find(|x| x.metric == "query_p99_seconds").unwrap();
         assert!(p99.regressed, "2x p99 regression must trip the gate");
         assert!(
@@ -833,18 +656,11 @@ mod tests {
             "only the p99 regressed: {f:?}"
         );
         // Sub-latency-slack jitter on a tiny p50 never trips.
-        let f = compare(&base, &row(0.000030, 0.000144), &Gate::new(0.25, 0.002)).unwrap();
+        let f = compare(&base, &row(0.000030, 0.000144), false).unwrap();
         assert!(
             f.iter().all(|x| !x.regressed),
             "25 µs floor absorbs micro-jitter"
         );
-        // And --latency-slack widens the floor like --slack does.
-        let wide = Gate {
-            latency_slack: 0.001,
-            ..Gate::new(0.25, 0.002)
-        };
-        let f = compare(&base, &row(0.000006, 0.000288), &wide).unwrap();
-        assert!(f.iter().all(|x| !x.regressed));
     }
 
     #[test]
@@ -888,7 +704,7 @@ mod tests {
             "{\"benchmark\": \"demo\", \"results\": [{\"case\": \"fast\", \"time_seconds\": \"NaN\"}]}";
         let base = Parser::parse(stringly).unwrap();
         let cur = with_time(&[("fast", 0.1)]);
-        let err = compare(&base, &cur, &Gate::new(0.25, 0.002)).unwrap_err();
+        let err = compare(&base, &cur, false).unwrap_err();
         assert!(err.contains("time_seconds"), "got: {err}");
     }
 
@@ -901,7 +717,7 @@ mod tests {
             "{\"benchmark\": \"demo\", \"results\": [{\"case\": \"fast\", \"time_seconds\": 0.1}]}";
         let base = Parser::parse(no_samples).unwrap();
         let cur = with_time(&[("fast", 0.3)]);
-        let f = compare(&base, &cur, &Gate::new(0.25, 0.002)).unwrap();
+        let f = compare(&base, &cur, false).unwrap();
         assert_eq!(f.len(), 1, "the median is still gated");
         assert!(f[0].regressed, "3x slowdown still trips without samples");
     }
@@ -910,7 +726,7 @@ mod tests {
     fn missing_results_array_is_an_error() {
         let empty = Parser::parse("{\"benchmark\": \"demo\"}").unwrap();
         let cur = with_time(&[("fast", 0.1)]);
-        let err = compare(&empty, &cur, &Gate::new(0.25, 0.002)).unwrap_err();
+        let err = compare(&empty, &cur, false).unwrap_err();
         assert!(err.contains("results"), "got: {err}");
     }
 
@@ -918,7 +734,7 @@ mod tests {
     fn benchmark_name_mismatch_is_an_error() {
         let base = Parser::parse("{\"benchmark\": \"a\", \"results\": []}").unwrap();
         let cur = Parser::parse("{\"benchmark\": \"b\", \"results\": []}").unwrap();
-        assert!(compare(&base, &cur, &Gate::new(0.25, 0.002)).is_err());
+        assert!(compare(&base, &cur, false).is_err());
     }
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -941,109 +757,6 @@ mod tests {
     }
 
     #[test]
-    fn branch_slug_is_path_safe() {
-        assert_eq!(branch_slug("feat/route-buffer"), "feat-route-buffer");
-        assert_eq!(branch_slug("main"), "main");
-        assert_eq!(branch_slug(""), "unnamed");
-        assert_eq!(branch_slug("a b:c"), "a-b-c");
-    }
-
-    #[test]
-    fn history_mode_rolls_per_branch_baselines() {
-        let work = temp_dir("roll");
-        let hist = work.join("history");
-        let committed = write_artifact(&work, "BENCH_demo_base.json", 0.100);
-        let current = write_artifact(&work, "BENCH_demo.json", 0.080);
-        let args = |base: &str, cur: &str| -> Vec<String> {
-            vec![
-                "--history".into(),
-                hist.to_string_lossy().into_owned(),
-                "--branch".into(),
-                "feat/fast".into(),
-                base.into(),
-                cur.into(),
-            ]
-        };
-
-        // First run: no branch history yet -> gates against the
-        // committed baseline, then stores the 0.080 measurement.
-        let f = run(&args(&committed, &current)).unwrap();
-        assert!(f.iter().all(|x| !x.regressed));
-        let stored = hist.join("feat-fast").join("BENCH_demo.json");
-        assert!(stored.is_file(), "first green run must store a baseline");
-        assert!(hist.join("feat-fast").join("history.jsonl").is_file());
-
-        // Second run at 0.095: within 25% of the committed 0.100 but a
-        // >25% regression against the branch's own rolling 0.080 + the
-        // 2 ms slack... (0.080 * 1.25 + 0.002 = 0.102) -> still ok.
-        let current2 = write_artifact(&work, "BENCH_demo.json", 0.095);
-        let f = run(&args(&committed, &current2)).unwrap();
-        assert!(f.iter().all(|x| !x.regressed));
-        assert_eq!(f[0].baseline, 0.080, "must gate against branch history");
-
-        // Third run at 0.200 regresses against the rolling baseline AND
-        // the committed one -> fails, and must NOT ratchet the stored
-        // file.
-        let current3 = write_artifact(&work, "BENCH_demo.json", 0.200);
-        let f = run(&args(&committed, &current3)).unwrap();
-        assert!(f[0].regressed);
-        let kept = std::fs::read_to_string(&stored).unwrap();
-        assert!(
-            kept.contains("0.095000"),
-            "regressing run must not overwrite the baseline: {kept}"
-        );
-
-        // The escape hatch: the same 0.200 run passes once the
-        // committed baseline is refreshed for a legitimate perf change,
-        // even though the branch's rolling history is still fast.
-        let refreshed = write_artifact(&work, "BENCH_demo_base.json", 0.190);
-        let f = run(&args(&refreshed, &current3)).unwrap();
-        assert!(
-            !f[0].regressed,
-            "refreshed committed baseline must override stale-fast history"
-        );
-        let _ = std::fs::remove_dir_all(&work);
-    }
-
-    #[test]
-    fn new_branch_inherits_mains_history() {
-        let work = temp_dir("inherit");
-        let hist = work.join("history");
-        let committed = write_artifact(&work, "BENCH_demo_base.json", 0.500);
-        // main's stored baseline is much faster than the committed one…
-        std::fs::create_dir_all(hist.join("main")).unwrap();
-        let _ = write_artifact(&hist.join("main"), "BENCH_demo.json", 0.100);
-        // …and the fresh branch's 0.200 regresses against it, but not
-        // against the committed 0.500 floor -> passes (and the pass is
-        // gated on main's numbers, proving the fallback was read).
-        let current = write_artifact(&work, "BENCH_demo.json", 0.200);
-        let f = run(&[
-            "--history".to_owned(),
-            hist.to_string_lossy().into_owned(),
-            "--branch".to_owned(),
-            "brand/new".to_owned(),
-            committed,
-            current,
-        ])
-        .unwrap();
-        assert_eq!(f[0].baseline, 0.100, "must gate against main's history");
-        assert!(!f[0].regressed, "committed floor keeps the branch green");
-        // The green run seeds the new branch's own history.
-        assert!(hist.join("brand-new").join("BENCH_demo.json").is_file());
-        let _ = std::fs::remove_dir_all(&work);
-    }
-
-    #[test]
-    fn history_requires_both_flags() {
-        let work = temp_dir("flags");
-        let a = write_artifact(&work, "a.json", 0.1);
-        let b = write_artifact(&work, "b.json", 0.1);
-        let err = run(&["--history".into(), "h".into(), a, b]).unwrap_err();
-        assert!(err.contains("--branch"), "{err}");
-        let _ = std::fs::remove_dir_all(&work);
-    }
-
-    #[test]
     fn bytes_per_node_metrics_are_gated() {
         let row = |bytes: f64| {
             Parser::parse(&format!(
@@ -1052,45 +765,15 @@ mod tests {
             .unwrap()
         };
         let base = row(80.0);
-        let f = compare(&base, &row(82.0), &Gate::new(0.25, 0.002)).unwrap();
+        let f = compare(&base, &row(82.0), false).unwrap();
         assert_eq!(f.len(), 2, "seconds + bytes must both be gated");
         assert!(f.iter().all(|x| !x.regressed));
-        let f = compare(&base, &row(160.0), &Gate::new(0.25, 0.002)).unwrap();
+        let f = compare(&base, &row(160.0), false).unwrap();
         assert!(
             f.iter()
                 .any(|x| x.metric == "csr_bytes_per_node" && x.regressed),
             "2x memory growth must trip the gate"
         );
-    }
-
-    #[test]
-    fn stale_rolling_history_falls_back_to_committed_and_refreshes() {
-        let work = temp_dir("newmetrics");
-        let hist = work.join("history");
-        let committed = work.join("BENCH_demo_base.json");
-        let current = work.join("BENCH_demo.json");
-        // Committed + current carry a bytes metric the old rolling
-        // baseline (from before the metric existed) does not.
-        let with_bytes = "{\"benchmark\": \"demo\", \"results\": [{\"case\": \"fast\", \"time_seconds\": 0.100000, \"csr_bytes_per_node\": 80.0}]}";
-        std::fs::write(&committed, with_bytes).unwrap();
-        std::fs::write(&current, with_bytes).unwrap();
-        std::fs::create_dir_all(hist.join("main")).unwrap();
-        let _ = write_artifact(&hist.join("main"), "BENCH_demo.json", 0.100);
-        let args: Vec<String> = vec![
-            "--history".into(),
-            hist.to_string_lossy().into_owned(),
-            "--branch".into(),
-            "main".into(),
-            committed.to_string_lossy().into_owned(),
-            current.to_string_lossy().into_owned(),
-        ];
-        let f = run(&args).unwrap();
-        assert_eq!(f.len(), 2, "committed baseline must gate both metrics");
-        assert!(f.iter().all(|x| !x.regressed));
-        // The green run rewrote main's history with the new metric set.
-        let stored = std::fs::read_to_string(hist.join("main").join("BENCH_demo.json")).unwrap();
-        assert!(stored.contains("csr_bytes_per_node"), "{stored}");
-        let _ = std::fs::remove_dir_all(&work);
     }
 
     #[test]
@@ -1104,7 +787,7 @@ mod tests {
             "{\"benchmark\": \"demo\", \"results\": [{\"case\": \"p\", \"threads\": 8, \"time_seconds\": 0.05, \"speedup\": 4.0}]}",
         )
         .unwrap();
-        let f = compare(&base, &cur, &Gate::new(0.25, 0.002)).unwrap();
+        let f = compare(&base, &cur, false).unwrap();
         assert_eq!(f.len(), 1);
         assert!(!f[0].regressed);
     }

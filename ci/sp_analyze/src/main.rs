@@ -47,7 +47,6 @@ fn main() {
 fn run(args: Vec<String>) -> i32 {
     let mut root = PathBuf::from(".");
     let mut self_test = false;
-    let mut fix_manifest = false;
     let mut knob_table = false;
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
@@ -57,7 +56,6 @@ fn run(args: Vec<String>) -> i32 {
                 None => return usage("--root needs a path"),
             },
             "--self-test" => self_test = true,
-            "--fix-manifest" => fix_manifest = true,
             "--knob-table" => knob_table = true,
             other => return usage(&format!("unknown argument {other:?}")),
         }
@@ -78,10 +76,6 @@ fn run(args: Vec<String>) -> i32 {
             return 2;
         }
     };
-
-    if fix_manifest {
-        return emit_manifest_skeleton(&files);
-    }
 
     let manifest_text = match std::fs::read_to_string(root.join(MANIFEST_PATH)) {
         Ok(t) => t,
@@ -123,9 +117,7 @@ fn run(args: Vec<String>) -> i32 {
 
 fn usage(err: &str) -> i32 {
     eprintln!("sp-analyze: {err}");
-    eprintln!(
-        "usage: sp-analyze [--root <workspace>] [--self-test] [--fix-manifest] [--knob-table]"
-    );
+    eprintln!("usage: sp-analyze [--root <workspace>] [--self-test] [--knob-table]");
     2
 }
 
@@ -235,37 +227,6 @@ fn check_knob_table(readme: &str) -> Option<Diagnostic> {
             "{message} — regenerate it with `cargo run -p sp-analyze -- --knob-table`"
         ),
     })
-}
-
-/// `--fix-manifest`: prints a hot-function manifest skeleton seeded
-/// from `#[inline]`-annotated library functions plus the traffic
-/// layer's functions, path-scoped so common names stay unambiguous.
-fn emit_manifest_skeleton(files: &[(String, String)]) -> i32 {
-    let mut entries = Vec::new();
-    for (rel, src) in files {
-        if !is_lib(rel) {
-            continue;
-        }
-        let sf = SourceFile::new(rel, src);
-        let seed = if rel.ends_with("src/traffic.rs") {
-            sf.all_fns()
-        } else {
-            sf.inline_annotated_fns()
-        };
-        for name in seed {
-            entries.push(format!("{rel}:{name}"));
-        }
-    }
-    entries.sort();
-    entries.dedup();
-    println!("# sp-analyze hot-function manifest (seeded by --fix-manifest).");
-    println!("# One entry per line: [path-substring:]fn_name");
-    println!("# Prune to the real hot set before committing.");
-    for e in &entries {
-        println!("{e}");
-    }
-    eprintln!("sp-analyze: {} candidate hot functions", entries.len());
-    0
 }
 
 /// `--self-test`: seeds one violation per rule family through the full

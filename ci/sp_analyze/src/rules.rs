@@ -433,60 +433,6 @@ impl SourceFile {
             }
         }
     }
-
-    /// Function names carrying an `#[inline]`-family attribute — the
-    /// `--fix-manifest` seed set.
-    pub fn inline_annotated_fns(&self) -> Vec<String> {
-        let toks = self.toks();
-        let mut out = Vec::new();
-        for f in &self.fns {
-            if self.in_test_code(f.fn_line) {
-                continue;
-            }
-            // Walk backwards from the body over the signature to the
-            // `fn` keyword, then look for `#[inline…]` right before
-            // the item (possibly past doc attributes).
-            let Some(fn_idx) = (0..f.body.start)
-                .rev()
-                .find(|&i| toks[i].kind == Kind::Ident && toks[i].text == "fn")
-            else {
-                continue;
-            };
-            let mut k = fn_idx;
-            while k > 0 {
-                let p = &toks[k - 1];
-                if p.kind == Kind::Ident
-                    && matches!(p.text.as_str(), "pub" | "const" | "unsafe" | "crate")
-                    || (p.kind == Kind::Punct && matches!(p.text.as_str(), ")" | "("))
-                {
-                    k -= 1;
-                    continue;
-                }
-                break;
-            }
-            if k >= 2
-                && toks[k - 1].kind == Kind::Punct
-                && toks[k - 1].text == "]"
-                && (0..k - 1)
-                    .rev()
-                    .take(6)
-                    .any(|j| toks[j].kind == Kind::Ident && toks[j].text == "inline")
-            {
-                out.push(f.name.clone());
-            }
-        }
-        out
-    }
-
-    /// All non-test function names in the file (the traffic-layer seed
-    /// set for `--fix-manifest`).
-    pub fn all_fns(&self) -> Vec<String> {
-        self.fns
-            .iter()
-            .filter(|f| !self.in_test_code(f.fn_line))
-            .map(|f| f.name.clone())
-            .collect()
-    }
 }
 
 /// True for a complete `SP_…` knob identifier.
@@ -864,15 +810,5 @@ mod tests {
         let mut out = Vec::new();
         sf.check_env(&knob_registry, false, &mut out);
         assert!(out.is_empty(), "{out:?}");
-    }
-
-    #[test]
-    fn inline_fns_and_traffic_fns_seed_the_manifest() {
-        let src = "#[inline]\nfn fast(v: &[u32]) -> u32 { v.len() as u32 }\n\
-                   #[inline(always)]\npub fn faster() {}\n\
-                   fn plain() {}\n";
-        let sf = lib_file(src);
-        assert_eq!(sf.inline_annotated_fns(), ["fast", "faster"]);
-        assert_eq!(sf.all_fns(), ["fast", "faster", "plain"]);
     }
 }

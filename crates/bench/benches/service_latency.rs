@@ -27,7 +27,7 @@
 //! workers' `sp_sync::LatencyHistogram`s merged over every query of
 //! every run) and the per-run wall median. The committed copy is the
 //! CI `bench-gate` baseline (BENCH_service.json); the percentile keys
-//! are gated with the tighter `--latency-slack` floor.
+//! are gated with the tighter 25 µs latency slack.
 //!
 //! Workers: one per available core (`sp_sync::default_threads`).
 //!

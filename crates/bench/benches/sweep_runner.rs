@@ -1,6 +1,6 @@
-//! The sweep runner end-to-end: spec-string resolution through both
-//! registries plus the parallel `run_sweep` over each deployment
-//! scenario, at smoke scale.
+//! The sweep runner end-to-end: the parallel `run_sweep` over each
+//! deployment scenario, resolved from a spec string through both
+//! registries, at smoke scale.
 //!
 //! The measured repeat-sample statistics (samples / median / stddev)
 //! land in `BENCH_sweep.json` at the workspace root, one row per
@@ -38,19 +38,15 @@ fn main() {
         assert!(routes > 0, "{tag}: sweep produced no routes");
 
         let sweep_s = sample_stats(5, || spec.run());
-        // The front end itself must stay out of the noise floor.
-        let parse_s = sample_stats(64, || SweepSpec::parse(spec_str).unwrap());
         eprintln!(
-            "{tag}: sweep {:.1} ms ({routes} routes) | parse {:.3} ms",
-            sweep_s.median * 1e3,
-            parse_s.median * 1e3
+            "{tag}: sweep {:.1} ms ({routes} routes)",
+            sweep_s.median * 1e3
         );
         rows.push(format!(
-            "    {{\"scenario\": \"{}\", \"routes\": {}, {}, {}}}",
+            "    {{\"scenario\": \"{}\", \"routes\": {}, {}}}",
             tag,
             routes,
-            sweep_s.json_fields("sweep"),
-            parse_s.json_fields("parse")
+            sweep_s.json_fields("sweep")
         ));
     }
     write_artifact("BENCH_sweep.json", "sweep_runner", MEDIAN_UNIT, &rows);

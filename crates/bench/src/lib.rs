@@ -130,7 +130,7 @@ fn interpolated_quantile(sorted: &[f64], q: f64) -> f64 {
 /// counts *every* event in a sustained stream, so the p95/p99 capture
 /// the tail a median hides. The `*_p50/p95/p99_seconds` keys are gated
 /// by `ci/bench_gate` like every other `*_seconds` metric, with the
-/// tighter `--latency-slack` absolute floor (percentiles live at
+/// tighter 25 µs latency slack as absolute floor (percentiles live at
 /// microsecond scale, far below the wall-clock slack). Nine decimals
 /// keep nanosecond resolution in the artifact.
 pub fn latency_json_fields(prefix: &str, latency: &LatencyHistogram) -> String {

@@ -28,16 +28,12 @@ use std::fmt::Write as _;
 /// ```
 pub fn explain_route(net: &Network, route: &RouteResult, info: Option<&SafetyInfo>) -> String {
     let mut out = String::new();
-    let Some((&first, _)) = route.path.split_first() else {
+    let (Some(&first), Some(&last)) = (route.path.first(), route.path.last()) else {
         return "empty route\n".to_string();
     };
-    let dst = *route.path.last().expect("non-empty path"); // sp-analyze: allow(panic, split_first above already proved the path non-empty)
-    let pd = match route.outcome {
-        RouteOutcome::Delivered => net.position(dst),
-        // For failed routes the last holder is not the destination; the
-        // progress column still uses the final position as reference.
-        _ => net.position(dst),
-    };
+    // The progress column measures the distance to the path's last
+    // node: the destination when delivered, the last holder when not.
+    let pd = net.position(last);
 
     let _ = writeln!(
         out,

@@ -4,7 +4,7 @@
 //! ```text
 //! repro-figures [--quick] [--chart] [--svg] [--out DIR] [--spec SPEC | FIGURE...]
 //!
-//! FIGURE: 5a 5b 6a 6b 7a 7b a1..a13 | all   (default: all)
+//! FIGURE: 5a 5b 6a 6b 7a 7b a1..a17 | all   (default: all)
 //! --quick  reduced sweep (3 node counts, 8 networks/point) for smoke runs
 //! --chart  also print each figure as an ASCII line chart
 //! --svg    also write each figure as an SVG line chart
@@ -57,7 +57,7 @@ fn main() {
             }
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: repro-figures [--quick] [--chart] [--out DIR] [--spec SPEC | FIGURE...]"
+                    "usage: repro-figures [--quick] [--chart] [--svg] [--out DIR] [--spec SPEC | FIGURE...]"
                 );
                 eprintln!("FIGURE: {} | all", ALL_FIGURES.join(" "));
                 return;

@@ -22,13 +22,10 @@ pub struct SweepConfig {
     pub node_counts: Vec<usize>,
     /// Random networks generated per node count.
     pub networks_per_point: usize,
-    /// Random source/destination pairs routed per network.
+    /// Random source/destination pairs routed per network, each
+    /// through every scheme (the `pairs=` or `flows=` spec clause): `1`
+    /// is the paper's per-pair setup, more make a batched workload.
     pub pairs_per_network: usize,
-    /// Concurrent flows routed per network, each through every scheme
-    /// (the `flows=` spec clause). `0` (the default) routes
-    /// `pairs_per_network` flows — the paper's per-pair setup; a
-    /// positive value supersedes it for mixed streaming workloads.
-    pub flows_per_network: usize,
     /// Deployment scenario (resolved through the scenario registry).
     pub deployment: Scenario,
     /// Base seed; instance seeds derive deterministically from it.
@@ -51,7 +48,6 @@ impl SweepConfig {
             node_counts: (400..=800).step_by(50).collect(),
             networks_per_point: 100,
             pairs_per_network: 1,
-            flows_per_network: 0,
             deployment: Scenario::Ia,
             base_seed: 0x5eed_0001,
             chaos: None,
@@ -66,7 +62,6 @@ impl SweepConfig {
             node_counts: vec![400, 600, 800],
             networks_per_point: 8,
             pairs_per_network: 1,
-            flows_per_network: 0,
             deployment,
             base_seed: 0x5eed_0002,
             chaos: None,
@@ -78,16 +73,6 @@ impl SweepConfig {
     /// and radius).
     pub fn deployment_config(&self, node_count: usize) -> DeploymentConfig {
         DeploymentConfig::paper_default(node_count)
-    }
-
-    /// Flows drawn per network instance: `flows_per_network` when set,
-    /// otherwise `pairs_per_network`.
-    pub fn flow_count(&self) -> usize {
-        if self.flows_per_network > 0 {
-            self.flows_per_network
-        } else {
-            self.pairs_per_network
-        }
     }
 
     /// The deterministic seed of instance `k` at node count index `i`.

@@ -830,7 +830,6 @@ mod tests {
             node_counts: vec![450, 550],
             networks_per_point: 3,
             pairs_per_network: 1,
-            flows_per_network: 0,
             deployment: Scenario::Ia,
             base_seed: 99,
             chaos: None,
@@ -895,7 +894,6 @@ mod tests {
             node_counts: vec![400],
             networks_per_point: 1,
             pairs_per_network: 1,
-            flows_per_network: 0,
             deployment: Scenario::Ia,
             base_seed: 5,
             chaos: None,
@@ -940,7 +938,6 @@ mod tests {
             node_counts: vec![400],
             networks_per_point: 1,
             pairs_per_network: 1,
-            flows_per_network: 0,
             deployment: Scenario::Ia,
             base_seed: 11,
             chaos: None,
@@ -988,7 +985,6 @@ mod tests {
             node_counts: vec![450],
             networks_per_point: 2,
             pairs_per_network: 1,
-            flows_per_network: 0,
             deployment: Scenario::Ia,
             base_seed: 23,
             chaos: None,

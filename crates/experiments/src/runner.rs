@@ -171,10 +171,10 @@ fn run_jobs(
 /// Generates one network instance and routes every scheme over the same
 /// source/destination flows.
 ///
-/// The flows (`flows=` when set, otherwise `pairs=` many) are drawn up
-/// front; then each flow routes through every scheme in turn, all
-/// through one reused [`RouteBuffer`], so records come out flow-major:
-/// all schemes for flow 0, then flow 1, …
+/// The `pairs_per_network` flows are drawn up front; then each flow
+/// routes through every scheme in turn, all through one reused
+/// [`RouteBuffer`], so records come out flow-major: all schemes for
+/// flow 0, then flow 1, …
 ///
 /// When the config carries a [`crate::MobilityRecipe`] the deployed
 /// positions are perturbed before the network is built; when it carries
@@ -210,7 +210,7 @@ pub fn run_instance(
     let routers: Vec<_> = schemes.iter().map(|s| s.build(&ctx)).collect();
     let mut rng = StdRng::seed_from_u64(seed ^ 0x7a1c_5eed);
     let comp = net.largest_component();
-    let flows: Vec<(NodeId, NodeId)> = (0..cfg.flow_count())
+    let flows: Vec<(NodeId, NodeId)> = (0..cfg.pairs_per_network)
         .filter_map(|_| random_pair(&comp, &mut rng))
         .collect();
     let radio = RadioModel::first_order();
@@ -325,7 +325,6 @@ mod tests {
             node_counts: vec![400, 500],
             networks_per_point: 3,
             pairs_per_network: 1,
-            flows_per_network: 0,
             deployment: scenario,
             base_seed: 7,
             chaos: None,
@@ -431,7 +430,7 @@ mod tests {
         let mut cfg = tiny_sweep(Scenario::Fa);
         cfg.node_counts = vec![400];
         cfg.networks_per_point = 1;
-        cfg.flows_per_network = 60;
+        cfg.pairs_per_network = 60;
         let seed = cfg.instance_seed(0, 0);
         let swept = run_sweep(&cfg, &[Scheme::Slgf2]).points[0].schemes[0]
             .quality

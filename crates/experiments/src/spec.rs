@@ -11,8 +11,8 @@
 //! | `scenario` | a registered scenario name (`IA`, `FA`, …) or a weighted blend `IA:0.7+clustered:0.3` | `IA`    |
 //! | `nodes`    | `lo..hi:step` (inclusive), a comma list, or one value | the paper's `400..800:50` |
 //! | `nets`     | networks per node count                          | `100`   |
-//! | `pairs`    | source/destination pairs per network             | `1`     |
-//! | `flows`    | concurrent flows per network, each routed through every scheme (supersedes `pairs`) | unset |
+//! | `pairs`    | source/destination pairs per network, each routed through every scheme | `1`     |
+//! | `flows`    | an alias of `pairs`; a spec naming both keeps the last | `1`     |
 //! | `seed`     | base seed (decimal or `0x…`)                     | the paper sweeps' seed |
 //! | `schemes`  | `+`-separated scheme names; `PAPER`, `EXTENDED`, and `ALL` expand to the corresponding sets | `PAPER` |
 //! | `chaos`    | a `+`-joined [`ChaosRecipe`], e.g. `region:r=0.15@round5+drop:p=0.01` | none |
@@ -69,8 +69,7 @@ impl SweepSpec {
                 "scenario" => config.deployment = parse_scenario(value)?,
                 "nodes" => config.node_counts = parse_nodes(value)?,
                 "nets" => config.networks_per_point = parse_count(key, value)?,
-                "pairs" => config.pairs_per_network = parse_count(key, value)?,
-                "flows" => config.flows_per_network = parse_count(key, value)?,
+                "pairs" | "flows" => config.pairs_per_network = parse_count(key, value)?,
                 "seed" => {
                     config.base_seed = parse_u64(value)
                         .ok_or_else(|| SpecError(format!("seed {value:?} is not a number")))?;
@@ -306,13 +305,16 @@ mod tests {
 
     #[test]
     fn flows_clause_enables_batched_workloads() {
+        // `flows=` and `pairs=` set the one flow count; like every
+        // repeated key, the last clause wins.
         let spec = SweepSpec::parse("flows=64").unwrap();
-        assert_eq!(spec.config.flows_per_network, 64);
-        assert_eq!(spec.config.flow_count(), 64);
-        // Unset flows fall back to the per-pair setup.
+        assert_eq!(spec.config.pairs_per_network, 64);
         let spec = SweepSpec::parse("pairs=3").unwrap();
-        assert_eq!(spec.config.flows_per_network, 0);
-        assert_eq!(spec.config.flow_count(), 3);
+        assert_eq!(spec.config.pairs_per_network, 3);
+        let spec = SweepSpec::parse("pairs=3;flows=64").unwrap();
+        assert_eq!(spec.config.pairs_per_network, 64);
+        let spec = SweepSpec::parse("flows=64;pairs=3").unwrap();
+        assert_eq!(spec.config.pairs_per_network, 3);
         assert!(SweepSpec::parse("flows=0").is_err());
     }
 

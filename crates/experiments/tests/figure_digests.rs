@@ -163,8 +163,7 @@ fn sweep(scenario: Scenario, variant: &str) -> SweepConfig {
     let mut cfg = SweepConfig {
         node_counts: vec![300, 450],
         networks_per_point: 3,
-        pairs_per_network: 1,
-        flows_per_network: 8,
+        pairs_per_network: 8,
         deployment: scenario,
         base_seed: 0xf16_d16e,
         chaos: None,

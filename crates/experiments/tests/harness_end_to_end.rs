@@ -9,7 +9,6 @@ fn mini(kind: Scenario, seed: u64) -> SweepConfig {
         node_counts: vec![450, 650],
         networks_per_point: 5,
         pairs_per_network: 2,
-        flows_per_network: 0,
         deployment: kind,
         base_seed: seed,
         chaos: None,
@@ -90,7 +89,6 @@ fn slgf2_beats_lgf_on_fa_deployments() {
         node_counts: vec![400, 500, 600],
         networks_per_point: 12,
         pairs_per_network: 2,
-        flows_per_network: 0,
         deployment: Scenario::Fa,
         base_seed: 29,
         chaos: None,
@@ -165,7 +163,6 @@ fn interference_grows_with_density() {
         node_counts: vec![400, 800],
         networks_per_point: 8,
         pairs_per_network: 2,
-        flows_per_network: 0,
         deployment: Scenario::Ia,
         base_seed: 31,
         chaos: None,

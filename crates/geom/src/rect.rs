@@ -13,7 +13,7 @@
 //! Membership is inclusive of the border, matching the paper's use of the
 //! zone as the candidate filter `v ∈ Z_k(u, d) ∩ N(u)`.
 
-use crate::{Point, Vec2};
+use crate::Point;
 
 /// An axis-aligned rectangle with inclusive borders.
 ///
@@ -193,14 +193,6 @@ impl Rect {
             self.min.x + fx * self.width(),
             self.min.y + fy * self.height(),
         )
-    }
-
-    /// Translates the rectangle by `v`.
-    pub fn translate(&self, v: Vec2) -> Rect {
-        Rect {
-            min: self.min + v,
-            max: self.max + v,
-        }
     }
 }
 

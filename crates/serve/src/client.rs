@@ -187,8 +187,8 @@ impl ServeClient {
     }
 
     /// Requests graceful shutdown; returns the epoch at shutdown. The
-    /// acknowledgement is sent before the server begins draining, so
-    /// this never races the stop.
+    /// server begins draining before it sends the acknowledgement, so
+    /// once this returns the server is already stopping.
     pub fn shutdown(&mut self) -> Result<u64, ClientError> {
         let mut out = std::mem::take(&mut self.out);
         encode_bodyless(&mut out, OP_SHUTDOWN);

@@ -32,12 +32,14 @@
 //! so it keeps earlier `MOVE`s, and later `MOVE`s keep its plan in
 //! force.
 //!
-//! Shutdown is graceful by construction: `SHUTDOWN` is acknowledged
-//! first, then the stop flag flips, the accept loop is woken with a
-//! throwaway connection and exits, and every worker keeps draining its
-//! current connection (and any already-queued ones) until EOF or the
-//! drain deadline — pipelined in-flight requests always get their
-//! replies.
+//! Shutdown is graceful by construction: on `SHUTDOWN` the drain
+//! starts before the acknowledgement is written. The drain deadline is
+//! set, the stop flag flips and the accept loop is woken with a
+//! throwaway connection (it then exits), and only then does the ack go
+//! out, so a client that holds the ack always finds the server
+//! stopping. Every worker keeps draining its current connection (and
+//! any already-queued ones) until EOF or the drain deadline —
+//! pipelined in-flight requests always get their replies.
 
 use crate::telemetry::Telemetry;
 use crate::wire::{

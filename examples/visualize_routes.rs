@@ -106,7 +106,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         node_counts: vec![400, 500, 600, 700, 800],
         networks_per_point: 4,
         pairs_per_network: 3,
-        flows_per_network: 0,
         deployment: Scenario::Fa,
         base_seed: 7,
         chaos: None,

@@ -15,7 +15,6 @@ fn quick(kind: Scenario, seed: u64) -> SweepConfig {
         node_counts: vec![450, 650],
         networks_per_point: 24,
         pairs_per_network: 2,
-        flows_per_network: 0,
         deployment: kind,
         base_seed: seed,
         chaos: None,
@@ -86,7 +85,6 @@ fn figure_renderers_produce_complete_artifacts() {
             node_counts: vec![400],
             networks_per_point: 4,
             pairs_per_network: 1,
-            flows_per_network: 0,
             deployment: Scenario::Ia,
             base_seed: 3,
             chaos: None,
@@ -132,7 +130,6 @@ fn ablation_schemes_flow_through_sweep() {
         node_counts: vec![500],
         networks_per_point: 8,
         pairs_per_network: 1,
-        flows_per_network: 0,
         deployment: Scenario::Fa,
         base_seed: 9,
         chaos: None,
@@ -167,7 +164,6 @@ fn construction_cost_scales_with_density() {
         node_counts: vec![400, 700],
         networks_per_point: 1,
         pairs_per_network: 1,
-        flows_per_network: 0,
         deployment: Scenario::Ia,
         base_seed: 11,
         chaos: None,
