@@ -256,7 +256,8 @@ fn chaos_plan(net: &Network, cut: bool) -> ChaosPlan {
 /// `ServiceSnapshot::build` against `publishes` timed
 /// `RoutingService::apply_moves` calls alternating nudge and return.
 /// The delta row carries the p90 when at least ten publishes lie beyond
-/// it. Below 10⁶ nodes two chaos rows follow, each write timed right
+/// it, and the served epoch's shape-map bytes per node
+/// (`ShapeMap::heap_bytes`). Below 10⁶ nodes two chaos rows follow, each write timed right
 /// after one quiet publish so host drift hits both, and each reports
 /// its median against the quiet ones: `publish_delta_chaos`, the same
 /// batches with [`chaos_plan`]'s kills and cut in force, and
@@ -325,9 +326,11 @@ fn publish_rows(rows: &mut Vec<String>, field: &str, net: Network, publishes: us
     } else {
         String::new()
     };
+    let shapes = services[0].snapshot().value.info().shapes().heap_bytes();
     rows.push(format!(
-        "    {{\"case\": \"publish_delta\", \"field\": \"{field}\", \"n\": {n}, \"movers\": {PUBLISH_MOVERS}, {}{tail}, \"speedup_vs_full\": {speedup:.2}}}",
-        delta_s.json_fields("time")
+        "    {{\"case\": \"publish_delta\", \"field\": \"{field}\", \"n\": {n}, \"movers\": {PUBLISH_MOVERS}, {}{tail}, \"speedup_vs_full\": {speedup:.2}, \"shape_bytes_per_node\": {:.1}}}",
+        delta_s.json_fields("time"),
+        shapes as f64 / n as f64
     ));
     let chaos_rows = [
         (

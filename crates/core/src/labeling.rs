@@ -66,7 +66,8 @@ fn support(net: &Network, tuples: &[SafetyTuple], u: NodeId) -> SafetyTuple {
 /// number of rounds that flipped a status, with what the run did:
 /// `work_items` counts node evaluations, `relabeled_nodes` counts a node
 /// once per round in which it flips, and `flipped_statuses` counts the
-/// quadrant bits those flips changed.
+/// quadrant bits those flips changed. Each round's flipped nodes are
+/// appended to `flipped`, so a node appears once per round it flips in.
 ///
 /// Pinned nodes must hold all-safe, and every unpinned node outside
 /// `seeds` must already agree with its support: `tuples` is all-safe
@@ -77,6 +78,7 @@ pub(crate) fn relabel(
     pinned: &[bool],
     tuples: &mut [SafetyTuple],
     seeds: impl IntoIterator<Item = NodeId>,
+    flipped: &mut Vec<NodeId>,
 ) -> (usize, RepairReport) {
     let mut queued = vec![false; net.len()];
     let mut frontier = Vec::new();
@@ -104,6 +106,7 @@ pub(crate) fn relabel(
             report.flipped_statuses += Quadrant::ALL.into_iter().filter(differs).count();
         }
         report.relabeled_nodes += flips.len();
+        flipped.extend(flips.iter().map(|&(u, _)| u));
         // A flip may change the support of every neighbor of the flipped
         // node.
         frontier.clear();
@@ -160,7 +163,7 @@ impl SafetyMap {
     pub fn label_with_pinned(net: &Network, pinned: Vec<bool>) -> SafetyMap {
         assert_eq!(pinned.len(), net.len(), "pinned mask must cover all nodes");
         let mut tuples = vec![SafetyTuple::all_safe(); net.len()];
-        let (rounds, _) = relabel(net, &pinned, &mut tuples, net.node_ids());
+        let (rounds, _) = relabel(net, &pinned, &mut tuples, net.node_ids(), &mut Vec::new());
         SafetyMap {
             tuples,
             pinned,
@@ -169,8 +172,9 @@ impl SafetyMap {
     }
 
     /// Epoch `k + 1`'s labeling of `net`, derived from `self`, epoch
-    /// `k`'s labeling, and what the repair did. `touched` lists every
-    /// node whose links the topology delta changed.
+    /// `k`'s labeling, with what the repair did and the nodes it
+    /// flipped. `touched` lists every node whose links the topology
+    /// delta changed.
     ///
     /// The engine starts from epoch `k`'s tuples under epoch `k + 1`'s
     /// pinned mask ([`SafetyMap::label`]'s rule), with newly pinned nodes
@@ -180,15 +184,25 @@ impl SafetyMap {
     /// neighbors' support. Every other node keeps its links and its
     /// neighbors' tuples, so it still agrees with its support, and the
     /// engine lands on the same fixed point as [`SafetyMap::label`].
-    pub(crate) fn derive(&self, net: &Network, touched: &[NodeId]) -> (SafetyMap, RepairReport) {
+    ///
+    /// The flipped nodes are the newly pinned ones and every node the
+    /// engine flipped in some round, so every node whose tuple differs
+    /// from epoch `k`'s is among them; a node that flipped back, or was
+    /// pinned while all-safe, is listed too.
+    pub(crate) fn derive(
+        &self,
+        net: &Network,
+        touched: &[NodeId],
+    ) -> (SafetyMap, RepairReport, Vec<NodeId>) {
         let pinned = pin_mask(net);
         let mut tuples = self.tuples.clone();
-        let mut repinned = Vec::new();
+        let (mut repinned, mut flipped) = (Vec::new(), Vec::new());
         for (i, (&was, &is)) in self.pinned.iter().zip(&pinned).enumerate() {
             if was != is {
                 repinned.push(NodeId::new(i));
                 if is {
                     tuples[i] = SafetyTuple::all_safe();
+                    flipped.push(NodeId::new(i));
                 }
             }
         }
@@ -196,13 +210,13 @@ impl SafetyMap {
             .iter()
             .flat_map(|&u| std::iter::once(u).chain(net.neighbors(u).iter().copied()));
         let seeds = touched.iter().copied().chain(around_repinned);
-        let (rounds, report) = relabel(net, &pinned, &mut tuples, seeds);
+        let (rounds, report) = relabel(net, &pinned, &mut tuples, seeds, &mut flipped);
         let map = SafetyMap {
             tuples,
             pinned,
             rounds,
         };
-        (map, report)
+        (map, report, flipped)
     }
 
     /// Builds a map directly from tuples (used by the distributed

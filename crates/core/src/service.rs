@@ -105,8 +105,8 @@ impl ServiceSnapshot {
             })
             .collect();
         let (was, shapes) = (self.info.safety(), self.info.shapes());
-        let (safety, report) = was.derive(&net, &touched);
-        let shapes = shapes.derive(&net, was, &safety, &touched);
+        let (safety, report, flipped) = was.derive(&net, &touched);
+        let shapes = shapes.derive(&net, &safety, &touched, &flipped);
         let info = SafetyInfo::from_parts(safety, shapes);
         (ServiceSnapshot { net, info }, report)
     }

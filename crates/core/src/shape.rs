@@ -79,9 +79,64 @@ impl ShapeEstimate {
 }
 
 /// Shape estimates for every (node, type) pair that is unsafe.
+///
+/// Only type-i unsafe nodes carry `E_i(u)` (§3), and on paper fields
+/// they are a few percent of the (node, type) pairs. So each type keeps
+/// the estimates that exist in one dense arena, plus one `u32` slot a
+/// node pointing into it: a derived epoch clones 16 bytes a node of
+/// slots and the estimates themselves, and a lookup is two loads.
 #[derive(Debug, Clone)]
 pub struct ShapeMap {
-    per_type: [Vec<Option<ShapeEstimate>>; 4],
+    per_type: [Estimates; 4],
+}
+
+/// One type's estimates: `slot[u]` is `u`'s place in `arena`, or
+/// [`NO_SLOT`] when `u` carries none. The arena is in no particular
+/// order: removing an entry moves the last one into its place.
+#[derive(Debug, Clone)]
+struct Estimates {
+    slot: Vec<u32>,
+    arena: Vec<(NodeId, ShapeEstimate)>,
+}
+
+/// The slot of a node without an estimate. No arena grows this long,
+/// so looking the slot up finds nothing.
+const NO_SLOT: u32 = u32::MAX;
+
+impl Estimates {
+    /// No estimates over `n` nodes, with room for `capacity` of them.
+    fn empty(n: usize, capacity: usize) -> Estimates {
+        Estimates {
+            slot: vec![NO_SLOT; n],
+            arena: Vec::with_capacity(capacity),
+        }
+    }
+
+    fn get(&self, u: NodeId) -> Option<&ShapeEstimate> {
+        let at = self.slot[u.index()];
+        self.arena.get(at as usize).map(|(_, estimate)| estimate)
+    }
+
+    fn set(&mut self, u: NodeId, estimate: ShapeEstimate) {
+        let at = &mut self.slot[u.index()];
+        match self.arena.get_mut(*at as usize) {
+            Some(entry) => entry.1 = estimate,
+            None => {
+                *at = self.arena.len() as u32;
+                self.arena.push((u, estimate));
+            }
+        }
+    }
+
+    fn remove(&mut self, u: NodeId) {
+        let at = std::mem::replace(&mut self.slot[u.index()], NO_SLOT) as usize;
+        if at < self.arena.len() {
+            self.arena.swap_remove(at);
+            if let Some(&(moved, _)) = self.arena.get(at) {
+                self.slot[moved.index()] = at as u32;
+            }
+        }
+    }
 }
 
 impl ShapeMap {
@@ -89,49 +144,47 @@ impl ShapeMap {
     /// estimate engine seeded with every unsafe `(node, type)` pair over
     /// an empty map.
     pub fn build(net: &Network, safety: &SafetyMap) -> ShapeMap {
-        let mut shapes = ShapeMap {
-            per_type: std::array::from_fn(|_| vec![None; net.len()]),
-        };
-        for q in Quadrant::ALL {
-            let estimates = &mut shapes.per_type[q.array_index()];
-            settle(net, safety, q, estimates, safety.unsafe_nodes(q));
-        }
-        shapes
+        let per_type = Quadrant::ALL.map(|q| {
+            let seeds = safety.unsafe_nodes(q);
+            let mut estimates = Estimates::empty(net.len(), seeds.len());
+            settle(net, safety, q, &mut estimates, seeds);
+            estimates
+        });
+        ShapeMap { per_type }
     }
 
     /// Epoch `k + 1`'s estimates over `net` and `safety`, derived from
-    /// `self`, epoch `k`'s estimates under the labels `prev`. `touched`
-    /// lists every node whose neighborhood the mobility batch changed:
-    /// the movers and their neighbors in both epochs.
+    /// `self`, epoch `k`'s estimates. `touched` lists every node whose
+    /// neighborhood the topology delta changed: the requeried nodes and
+    /// their neighbors in both epochs. `flipped` lists every node whose
+    /// tuple the labeling repair changed in some round, plus the nodes a
+    /// new pin raised to all-safe before it (`SafetyMap::derive`), so it
+    /// holds every node whose tuple differs between the epochs. A node
+    /// that flipped and flipped back is only an extra seed.
     ///
-    /// Nodes that turned type-`q` safe lose their estimate. The engine
-    /// is seeded with the type-`q` unsafe nodes of `touched` and every
-    /// node that turned type-`q` unsafe. Any other node keeps its
-    /// neighborhood and the statuses of its `Q_q` neighbors: a type-`q`
-    /// unsafe node with a `Q_q` neighbor that flipped either is
-    /// `touched` or has flipped itself (Definition 1). So its estimate
-    /// can only change through a chain target's, which the engine
-    /// propagates.
+    /// Flipped nodes that are type-`q` safe lose their estimate. The
+    /// engine is seeded with the type-`q` unsafe nodes of `touched` and
+    /// `flipped`. Any other node keeps its neighborhood and the statuses
+    /// of its `Q_q` neighbors: a type-`q` unsafe node with a `Q_q`
+    /// neighbor whose status differs either is `touched` or has flipped
+    /// itself (Definition 1). So its estimate can only change through a
+    /// chain target's, which the engine propagates.
     pub(crate) fn derive(
         &self,
         net: &Network,
-        prev: &SafetyMap,
         safety: &SafetyMap,
         touched: &[NodeId],
+        flipped: &[NodeId],
     ) -> ShapeMap {
-        let flipped: Vec<NodeId> = net
-            .node_ids()
-            .filter(|&u| prev.tuple(u) != safety.tuple(u))
-            .collect();
         let mut shapes = self.clone();
         for q in Quadrant::ALL {
             let estimates = &mut shapes.per_type[q.array_index()];
-            for &u in &flipped {
+            for &u in flipped {
                 if safety.is_safe(u, q) {
-                    estimates[u.index()] = None;
+                    estimates.remove(u);
                 }
             }
-            let seeds = touched.iter().chain(&flipped).copied();
+            let seeds = touched.iter().chain(flipped).copied();
             let seeds = seeds.filter(|&u| !safety.is_safe(u, q));
             settle(net, safety, q, estimates, seeds);
         }
@@ -151,16 +204,16 @@ impl ShapeMap {
     /// replacement (the estimate rectangle is always contained in the
     /// exact one — the chains walk inside the region).
     pub fn build_exact(net: &Network, safety: &SafetyMap) -> ShapeMap {
-        let n = net.len();
-        let mut per_type: [Vec<Option<ShapeEstimate>>; 4] = std::array::from_fn(|_| vec![None; n]);
-        for q in Quadrant::ALL {
+        let per_type = Quadrant::ALL.map(|q| {
             // The first-scanned chain hugs the scan's start axis and the
             // last one the axis a quarter turn on, so the region nodes
             // deepest along those axes stand in for `u^{(1)}` and
             // `u^{(2)}`.
             let start = q.scan_start_axis();
             let end = start.perp();
-            for u in safety.unsafe_nodes(q) {
+            let unsafe_nodes = safety.unsafe_nodes(q);
+            let mut estimates = Estimates::empty(net.len(), unsafe_nodes.len());
+            for u in unsafe_nodes {
                 let region = greedy_region(net, safety, u, q);
                 let pu = net.position(u);
                 // The region node deepest along `axis`; ties break by id
@@ -176,15 +229,17 @@ impl ShapeMap {
                     }
                     best
                 };
-                per_type[q.array_index()][u.index()] =
-                    Some(ShapeEstimate::new(q, pu, deepest(start), deepest(end)));
+                estimates.set(u, ShapeEstimate::new(q, pu, deepest(start), deepest(end)));
             }
-        }
+            estimates
+        });
         ShapeMap { per_type }
     }
 
     /// Wraps estimates computed elsewhere (the distributed protocol of
-    /// [`crate::distributed`] produces them via message passing).
+    /// [`crate::distributed`] produces them via message passing), one
+    /// dense vector a type indexed by node id, packed into the sparse
+    /// store.
     ///
     /// # Panics
     ///
@@ -195,26 +250,48 @@ impl ShapeMap {
             per_type.iter().all(|v| v.len() == n),
             "per-type estimate vectors must have equal lengths"
         );
+        let per_type = per_type.map(|dense| {
+            let mut estimates = Estimates::empty(n, dense.iter().flatten().count());
+            for (i, estimate) in dense.into_iter().enumerate() {
+                if let Some(estimate) = estimate {
+                    estimates.set(NodeId::new(i), estimate);
+                }
+            }
+            estimates
+        });
         ShapeMap { per_type }
     }
 
     /// `E_i(u)` and its chain endpoints, or `None` when `u` is type-`q`
-    /// safe (safe nodes carry no estimate).
+    /// safe (safe nodes carry no estimate). Two loads, no allocation:
+    /// SLGF2 reads it for `u` and every neighbor on each safe hop.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` is out of range.
+    #[inline]
+    // sp-analyze: allow(index, the array has one entry per quadrant and `u` is a node of this map)
     pub fn estimate(&self, u: NodeId, q: Quadrant) -> Option<&ShapeEstimate> {
-        self.per_type[q.array_index()][u.index()].as_ref()
+        self.per_type[q.array_index()].get(u)
     }
 
     /// Number of (node, type) estimates stored.
     pub fn len(&self) -> usize {
-        self.per_type
-            .iter()
-            .map(|v| v.iter().filter(|e| e.is_some()).count())
-            .sum()
+        self.per_type.iter().map(|e| e.arena.len()).sum()
     }
 
     /// True when no node is unsafe in any type.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Heap bytes held by the slots and the estimate arenas (by length,
+    /// not capacity, so the metric is layout-determined and stable).
+    pub fn heap_bytes(&self) -> usize {
+        let entry = std::mem::size_of::<(NodeId, ShapeEstimate)>();
+        (self.per_type.iter())
+            .map(|e| e.slot.len() * std::mem::size_of::<u32>() + e.arena.len() * entry)
+            .sum()
     }
 }
 
@@ -233,7 +310,7 @@ fn settle(
     net: &Network,
     safety: &SafetyMap,
     q: Quadrant,
-    estimates: &mut [Option<ShapeEstimate>],
+    estimates: &mut Estimates,
     seeds: impl IntoIterator<Item = NodeId>,
 ) {
     let mut queued = vec![false; net.len()];
@@ -250,17 +327,21 @@ fn settle(
             .filter(|&(v, _)| !safety.is_safe(NodeId::new(v), q));
         let (first, last) = match quadrant_ends(pu, q, unsafe_zone) {
             Some((v1, v2)) => {
-                let first = estimates[v1].expect("chain target settled first (depth order)"); // sp-analyze: allow(panic, the deepest-first heap settles chain targets before their dependents)
-                let last = estimates[v2].expect("chain target settled first (depth order)"); // sp-analyze: allow(panic, the deepest-first heap settles chain targets before their dependents)
+                let first = estimates
+                    .get(NodeId::new(v1))
+                    .expect("chain target settled first (depth order)"); // sp-analyze: allow(panic, the deepest-first heap settles chain targets before their dependents)
+                let last = estimates
+                    .get(NodeId::new(v2))
+                    .expect("chain target settled first (depth order)"); // sp-analyze: allow(panic, the deepest-first heap settles chain targets before their dependents)
                 (first.first_far, last.last_far)
             }
             // Empty type-i forwarding zone: u is its own bound.
             None => (u, u),
         };
         let (pf, pl) = (net.position(first), net.position(last));
-        let estimate = Some(ShapeEstimate::new(q, pu, (first, pf), (last, pl)));
-        if estimates[u.index()] != estimate {
-            estimates[u.index()] = estimate;
+        let estimate = ShapeEstimate::new(q, pu, (first, pf), (last, pl));
+        if estimates.get(u) != Some(&estimate) {
+            estimates.set(u, estimate);
             // A full build queued every unsafe node up front: testing
             // `queued` first spares it the quadrant test.
             for (w, pw) in net.neighbor_points(u) {
@@ -550,6 +631,34 @@ mod tests {
         // The wedge's chains reach both extremes: estimate == exact.
         assert_eq!(est.unwrap().rect, exact.unwrap().rect);
         assert_eq!(est.unwrap().far_corner, exact.unwrap().far_corner);
+    }
+
+    #[test]
+    fn removing_from_the_middle_of_an_arena_keeps_the_rest() {
+        let cfg = sp_net::DeploymentConfig::paper_default(450);
+        let net = Network::from_positions(cfg.deploy_uniform(5), cfg.radius, cfg.area);
+        let map = SafetyMap::label(&net);
+        let full = ShapeMap::build(&net, &map);
+        let unsafe_pairs = net
+            .node_ids()
+            .flat_map(|u| Quadrant::ALL.map(|q| !map.is_safe(u, q)))
+            .filter(|&unsafe_pair| unsafe_pair)
+            .count();
+        assert_eq!(full.len(), unsafe_pairs);
+        let mut shapes = full.clone();
+        let estimates = &mut shapes.per_type[Quadrant::I.array_index()];
+        assert!(estimates.arena.len() >= 3, "too few type-1 estimates");
+        let (gone, _) = estimates.arena[estimates.arena.len() / 2];
+        estimates.remove(gone);
+        assert_eq!(shapes.len(), unsafe_pairs - 1);
+        for u in net.node_ids() {
+            for q in Quadrant::ALL {
+                let want = full
+                    .estimate(u, q)
+                    .filter(|_| (u, q) != (gone, Quadrant::I));
+                assert_eq!(shapes.estimate(u, q), want, "estimate at {u} {q}");
+            }
+        }
     }
 
     #[test]

@@ -29,7 +29,9 @@
 //! plan in force.
 
 use proptest::prelude::*;
-use sp_core::{RoutingService, SafetyInfo, ServiceSnapshot, TrafficEngine, TrafficReport};
+use sp_core::{
+    RoutingService, SafetyInfo, ServiceSnapshot, ShapeEstimate, TrafficEngine, TrafficReport,
+};
 use sp_geom::{Point, Quadrant, Segment};
 use sp_net::{deploy::DeploymentConfig, FaModel, Network, NodeId};
 use sp_sim::{ChaosPlan, CutWindow};
@@ -361,6 +363,14 @@ fn assert_equals_full_build(snapshot: &ServiceSnapshot, case: &str) {
     }
 }
 
+/// Every `(node, type)` estimate of `snapshot`, in node and type order.
+fn estimates_of(snapshot: &ServiceSnapshot) -> Vec<Option<ShapeEstimate>> {
+    let info = snapshot.info();
+    (snapshot.network().node_ids())
+        .flat_map(|u| Quadrant::ALL.map(|q| info.estimate(u, q).copied()))
+        .collect()
+}
+
 /// A random plan over `net`: one to six kills in rounds 0–5, about half
 /// of them revived one to three rounds later, and one or two cut
 /// windows of one to three rounds, each chord spanning the area
@@ -503,6 +513,7 @@ fn derived_epochs_equal_full_builds() {
             let before = service.snapshot();
             let old = before.value.network();
             let (old_adjacency, old_positions) = (old.adjacency().clone(), old.positions_vec());
+            let old_estimates = estimates_of(&before.value);
             let (old_down, old_chords) = (old.down().to_vec(), old.chords().to_vec());
             let mut moves = Vec::new();
             let what = if step % 3 == 1 {
@@ -557,6 +568,11 @@ fn derived_epochs_equal_full_builds() {
             );
             assert_eq!(old.down(), old_down.as_slice(), "{case}: pinned down set");
             assert_eq!(old.chords(), old_chords.as_slice(), "{case}: pinned chords");
+            assert_eq!(
+                estimates_of(&before.value),
+                old_estimates,
+                "{case}: pinned estimates"
+            );
 
             sweep.opened += usize::from(chords.iter().any(|c| !old_chords.contains(c)));
             sweep.closed += usize::from(old_chords.iter().any(|c| !chords.contains(c)));

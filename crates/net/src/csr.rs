@@ -22,6 +22,7 @@
 //! shards of construction and delivery touch disjoint cache ranges.
 
 use crate::NodeId;
+use std::ops::Range;
 
 /// Compressed-sparse-row adjacency: `neighbors(u)` is the arena slice
 /// `edges[offsets[u] .. offsets[u + 1]]`, sorted ascending by id.
@@ -76,19 +77,61 @@ impl CsrAdjacency {
         capacity: usize,
         mut fill: impl FnMut(NodeId, &mut Vec<NodeId>),
     ) -> CsrAdjacency {
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut edges = Vec::with_capacity(capacity);
-        offsets.push(0u32);
+        let mut csr = CsrAdjacency::writing(n, capacity);
         for u in 0..n {
-            fill(NodeId::new(u), &mut edges);
-            assert!(
-                edges.len() <= u32::MAX as usize,
-                "directed edge count {} overflows the u32 offset table",
-                edges.len()
-            );
-            offsets.push(edges.len() as u32);
+            fill(NodeId::new(u), &mut csr.edges);
+            csr.end_list();
         }
-        CsrAdjacency { offsets, edges }
+        csr
+    }
+
+    /// The arena `self` becomes when the nodes of `written` (ascending,
+    /// no repeats) take new lists: `fill(u, edges)` appends `u`'s sorted
+    /// list for each of them, in order, and each run of the other nodes
+    /// keeps its lists with one copy of its arena range and one shifted
+    /// copy of its offsets ([`extend_rows`]). `capacity` is the expected
+    /// directed edge count.
+    pub(crate) fn patched(
+        &self,
+        written: &[NodeId],
+        capacity: usize,
+        mut fill: impl FnMut(NodeId, &mut Vec<NodeId>),
+    ) -> CsrAdjacency {
+        let mut csr = CsrAdjacency::writing(self.node_count(), capacity);
+        let mut kept = 0;
+        for &u in written {
+            csr.extend_from(self, kept..u.index());
+            fill(u, &mut csr.edges);
+            csr.end_list();
+            kept = u.index() + 1;
+        }
+        csr.extend_from(self, kept..self.node_count());
+        csr
+    }
+
+    /// An arena with no list written yet, with room for `n` nodes and
+    /// `capacity` directed edges.
+    fn writing(n: usize, capacity: usize) -> CsrAdjacency {
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        CsrAdjacency {
+            offsets,
+            edges: Vec::with_capacity(capacity),
+        }
+    }
+
+    /// Closes the list being written.
+    fn end_list(&mut self) {
+        self.offsets.push(offset_of(self.edges.len()));
+    }
+
+    /// Appends `old`'s lists of the nodes `run` unchanged.
+    fn extend_from(&mut self, old: &CsrAdjacency, run: Range<usize>) {
+        extend_rows(
+            (&mut self.offsets, &mut self.edges),
+            (&old.offsets, &old.edges),
+            run,
+        );
     }
 
     /// Builds the arena directly from unordered undirected pair
@@ -202,6 +245,48 @@ impl CsrAdjacency {
         self.offsets.len() * std::mem::size_of::<u32>()
             + self.edges.len() * std::mem::size_of::<NodeId>()
     }
+}
+
+/// `len` as an entry of a `u32` offset table.
+///
+/// # Panics
+///
+/// Panics if `len` does not fit in a `u32`.
+fn offset_of(len: usize) -> u32 {
+    assert!(
+        len <= u32::MAX as usize,
+        "directed edge count {len} overflows the u32 offset table"
+    );
+    len as u32
+}
+
+/// Appends `rows` of the ragged table `from` to the table `into`
+/// unchanged. In a table `(offsets, items)`, row `r` is
+/// `items[offsets[r] .. offsets[r + 1]]`, and `into` has its rows
+/// before `rows.start` written. However many rows the run holds, this
+/// is one copy of their items and one shifted copy of their end
+/// offsets: the CSR arena and the grid cells of
+/// [`SpatialIndex`](crate::SpatialIndex) both copy what a change
+/// leaves alone this way.
+///
+/// # Panics
+///
+/// Panics if `rows` is out of range or `into` outgrows `u32` offsets.
+pub(crate) fn extend_rows<T: Copy>(
+    into: (&mut Vec<u32>, &mut Vec<T>),
+    from: (&[u32], &[T]),
+    rows: Range<usize>,
+) {
+    let ((offsets, items), (old_offsets, old_items)) = (into, from);
+    if rows.is_empty() {
+        return;
+    }
+    let (start, end) = (old_offsets[rows.start], old_offsets[rows.end]);
+    let shift = offset_of(items.len()).wrapping_sub(start);
+    items.extend_from_slice(&old_items[start as usize..end as usize]);
+    let inner = &old_offsets[rows.start + 1..rows.end];
+    offsets.extend(inner.iter().map(|&o| o.wrapping_add(shift)));
+    offsets.push(offset_of(items.len()));
 }
 
 /// The bijection between *external* (caller-visible, stable) node ids

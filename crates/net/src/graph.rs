@@ -475,24 +475,23 @@ impl Network {
     }
 
     /// Moves the given nodes to new positions and repairs adjacency
-    /// incrementally ([`Network::derive`] in place): each point
-    /// relocates between grid cells in `O(1)`
-    /// ([`SpatialIndex::move_point`]), each distinct mover is
-    /// range-queried once at its final position, and the arena is
-    /// rewritten in one pass in which only the movers and their old and
-    /// new neighbors do more than copy their slice. A mobility tick
-    /// where `m` of `n` nodes moved costs `m` range queries plus that
-    /// copy instead of the rebuild's cell scan over all `n` nodes, and
-    /// the result is identical to rebuilding from scratch at the new
-    /// positions, with the down nodes and open chords kept in force.
-    /// Duplicate ids are tolerated; the last position wins.
+    /// incrementally (the [`Network::next_snapshot`] of `self`, put in
+    /// its place): the grid cells are re-bucketed in one pass
+    /// ([`SpatialIndex::moved`]), each distinct mover is range-queried
+    /// once at its final position, and the arena is rewritten in one
+    /// pass in which only the movers and their old and new neighbors do
+    /// more than copy. A mobility tick where `m` of `n` nodes moved
+    /// costs `m` range queries plus those copies instead of the
+    /// rebuild's cell scan over all `n` nodes, and the result is
+    /// identical to rebuilding from scratch at the new positions, with
+    /// the down nodes and open chords kept in force. Duplicate ids are
+    /// tolerated; the last position wins.
     ///
     /// # Panics
     ///
     /// Panics if any id is out of range.
     pub fn apply_moves(&mut self, moves: &[(NodeId, Point)]) {
-        let old = std::mem::replace(&mut self.adjacency, CsrAdjacency::empty(0));
-        self.repair(&old, &TopologyDelta::moving(moves));
+        *self = self.next_snapshot(moves);
     }
 
     /// The off-to-the-side mobility handoff for epoch-versioned
@@ -514,9 +513,10 @@ impl Network {
     /// safety information can be repaired around them. The adjacency equals a
     /// rebuild at the new positions with every link touching a down
     /// node and every link meeting an open chord removed. The next
-    /// epoch copies the spatial index's cells and, once a move lands,
-    /// its position table; its arena is written straight from this
-    /// epoch's, never copied first.
+    /// epoch's grid cells ([`SpatialIndex::moved`]) and arena are each
+    /// written in one pass over this epoch's, copying every run that
+    /// the delta leaves alone whole, and its position table is copied
+    /// once a move lands.
     ///
     /// # Panics
     ///
@@ -524,7 +524,7 @@ impl Network {
     pub fn derive(&self, delta: &TopologyDelta) -> (Network, Vec<NodeId>) {
         let mut next = Network {
             adjacency: CsrAdjacency::empty(0),
-            index: self.index.clone(),
+            index: self.index.moved(&delta.moves),
             down: self.down.clone(),
             chords: self.chords.clone(),
             ..*self
@@ -535,9 +535,9 @@ impl Network {
 
     /// Writes the adjacency `old` becomes under `delta`, with the down
     /// set and open chords it leaves, and returns the requeried nodes,
-    /// ascending. The result is identical to a rebuild at the new
-    /// positions without the links that touch a down node or meet an
-    /// open chord.
+    /// ascending. The index must already hold `delta`'s moves. The
+    /// result is identical to a rebuild at the new positions without
+    /// the links that touch a down node or meet an open chord.
     ///
     /// The requeried nodes are the movers, the nodes whose liveness
     /// flips, and the nodes within one radius of a chord that opens or
@@ -547,15 +547,13 @@ impl Network {
     /// requeried node that is up takes a fresh range query at its final
     /// position, keeping the neighbors that are up and linked across
     /// every open chord; a down one gets no links. The next arena is
-    /// written in one pass over `old`: an untouched node copies its
-    /// slice, a requeried node takes its fresh list, and every other node
-    /// drops its requeried neighbors and merges in the ones now linked to
-    /// it. Any other link keeps both its endpoints, their liveness and
-    /// every chord it could meet, so it stays as it was.
+    /// written in one pass over `old` ([`CsrAdjacency::patched`]): each
+    /// run of untouched nodes is copied whole, a requeried node takes
+    /// its fresh list, and every other node drops its requeried
+    /// neighbors and merges in the ones now linked to it. Any other link
+    /// keeps both its endpoints, their liveness and every chord it could
+    /// meet, so it stays as it was.
     fn repair(&mut self, old: &CsrAdjacency, delta: &TopologyDelta) -> Vec<NodeId> {
-        for &(u, p) in &delta.moves {
-            self.index.move_point(u, p);
-        }
         let mut requeried: Vec<NodeId> = delta.moves.iter().map(|&(u, _)| u).collect();
         let mut up = delta.up.clone();
         up.sort_unstable();
@@ -593,6 +591,8 @@ impl Network {
         // linked.
         let mut fresh: Vec<(NodeId, NodeId)> = Vec::new();
         let mut gained: Vec<(NodeId, NodeId)> = Vec::new();
+        // Every node whose list is written rather than copied.
+        let mut written = requeried.clone();
         for &u in &requeried {
             let start = fresh.len();
             if !self.is_down(u) {
@@ -600,26 +600,27 @@ impl Network {
                 fresh.extend(found.filter(|&v| linked(u, v)).map(|v| (u, v)));
                 fresh[start..].sort_unstable();
             }
-            for &(_, v) in &fresh[start..] {
-                if touch[v.index()] != Touch::Requeried {
-                    touch[v.index()] = Touch::Near;
-                    gained.push((v, u));
-                }
-            }
-            for &v in old.neighbors(u) {
+            let fresh_neighbors = fresh[start..].iter().map(|&(_, v)| v);
+            for v in fresh_neighbors.chain(old.neighbors(u).iter().copied()) {
                 if touch[v.index()] == Touch::None {
                     touch[v.index()] = Touch::Near;
+                    written.push(v);
+                }
+            }
+            for &(_, v) in &fresh[start..] {
+                if touch[v.index()] != Touch::Requeried {
+                    gained.push((v, u));
                 }
             }
         }
         gained.sort_unstable();
+        written.sort_unstable();
         let capacity = old.directed_len() + 2 * fresh.len();
         let (mut fresh, mut gained) = (fresh.as_slice(), gained.as_slice());
-        self.adjacency = CsrAdjacency::from_fn(old.node_count(), capacity, |v, edges| {
+        self.adjacency = old.patched(&written, capacity, |v, edges| {
             match touch[v.index()] {
-                Touch::None => edges.extend_from_slice(old.neighbors(v)),
                 Touch::Requeried => edges.extend(take_run(&mut fresh, v)),
-                Touch::Near => {
+                _ => {
                     // Merge the neighbors that stayed with the requeried
                     // nodes now linked; both runs are sorted.
                     let mut joined = take_run(&mut gained, v).peekable();
@@ -687,7 +688,7 @@ impl TopologyDelta {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Touch {
     /// No requeried node among its old or new neighbors: the list is
-    /// copied.
+    /// copied with its run of untouched nodes.
     None,
     /// An old or new neighbor of a requeried node: its requeried
     /// neighbors drop out and the ones now linked to it join.
@@ -696,12 +697,12 @@ enum Touch {
     Requeried,
 }
 
-/// The neighbors `owner` holds at the front of `pairs` (sorted by
-/// owner), advancing `pairs` past them.
-fn take_run<'a>(
-    pairs: &mut &'a [(NodeId, NodeId)],
-    owner: NodeId,
-) -> impl Iterator<Item = NodeId> + 'a {
+/// The values `owner` holds at the front of `pairs` (sorted by owner),
+/// advancing `pairs` past them.
+pub(crate) fn take_run<'a, K: Copy + PartialEq, V: Copy>(
+    pairs: &mut &'a [(K, V)],
+    owner: K,
+) -> impl Iterator<Item = V> + 'a {
     let run = pairs.iter().take_while(|&&(o, _)| o == owner).count();
     let (mine, rest) = pairs.split_at(run);
     *pairs = rest;

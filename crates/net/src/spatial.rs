@@ -22,11 +22,13 @@
 //! [`CsrAdjacency`] arena, sharding contiguous *bands* of cell rows
 //! across threads ([`SpatialIndex::adjacency_within_threaded`],
 //! automatic above [`sp_sync::PARALLEL_NODE_THRESHOLD`] nodes) so each worker
-//! touches a disjoint cache range; and points
-//! relocate incrementally in `O(1)` ([`SpatialIndex::move_point`]) so a
-//! mobility tick re-buckets only the nodes that moved instead of
-//! rebuilding the grid.
+//! touches a disjoint cache range; and the cells live in two flat
+//! arrays that a mobility batch re-buckets in one pass
+//! ([`SpatialIndex::moved`]), copying every run of cells no mover
+//! enters or leaves whole instead of rebuilding the grid.
 
+use crate::csr::extend_rows;
+use crate::graph::take_run;
 use crate::{CsrAdjacency, NodeId, PositionTable};
 use sp_geom::{Point, Rect, Segment};
 use sp_sync::WorkQueue;
@@ -59,7 +61,11 @@ const BANDS_PER_THREAD: usize = 4;
 /// ```
 #[derive(Debug, Clone)]
 pub struct SpatialIndex {
-    cells: Vec<Vec<NodeId>>,
+    // Cell `c` holds `cell_ids[cell_start[c] .. cell_start[c + 1]]`,
+    // ascending by id: every cell in row-major order in one array, so a
+    // clone is two copies and a drop two frees, whatever the grid size.
+    cell_start: Vec<u32>,
+    cell_ids: Vec<NodeId>,
     // Shared with the owning Network (when built through one), so a
     // deployment's positions exist once no matter how many snapshots
     // or index clones reference them.
@@ -107,21 +113,31 @@ impl SpatialIndex {
         );
         let cols = ((bounds.width() / cell_size).ceil() as usize).max(1);
         let rows = ((bounds.height() / cell_size).ceil() as usize).max(1);
-        let mut cells = vec![Vec::new(); cols * rows];
-        let origin = bounds.min();
         let mut index = SpatialIndex {
-            cells: Vec::new(),
+            cell_start: vec![0; cols * rows + 1],
+            cell_ids: vec![NodeId(0); positions.len()],
             positions,
-            origin,
+            origin: bounds.min(),
             cell_size,
             cols,
             rows,
         };
-        for i in 0..index.positions.len() {
-            let c = index.cell_of(index.positions.get(i));
-            cells[c].push(NodeId::new(i));
+        // Counting sort by cell: sizes, prefix sums, then a scatter in
+        // id order, which leaves every cell ascending.
+        let cell_of: Vec<usize> = (0..index.positions.len())
+            .map(|i| index.cell_of(index.positions.get(i)))
+            .collect();
+        for &c in &cell_of {
+            index.cell_start[c + 1] += 1;
         }
-        index.cells = cells;
+        for c in 0..cols * rows {
+            index.cell_start[c + 1] += index.cell_start[c];
+        }
+        let mut cursor = index.cell_start.clone();
+        for (i, &c) in cell_of.iter().enumerate() {
+            index.cell_ids[cursor[c] as usize] = NodeId::new(i);
+            cursor[c] += 1;
+        }
         index
     }
 
@@ -155,34 +171,83 @@ impl SpatialIndex {
         &self.positions
     }
 
-    /// Relocates one point to `new_pos` in `O(1)`: the position table is
-    /// updated in place and the point moves between grid cells (cells
-    /// keep ascending id order, so range queries stay deterministic).
-    ///
-    /// When the position table is still shared with other index or
-    /// network clones, the first move copies it once (copy-on-write);
-    /// every subsequent move on this index is allocation-free.
+    /// The index with `moves` applied, leaving `self` untouched; the
+    /// last position per node wins. The position table is shared until
+    /// a move lands, then copied once. The cells are re-bucketed in one
+    /// pass, however far the movers jump: each run of cells no mover
+    /// enters or leaves is copied whole, as the [`CsrAdjacency`] arena
+    /// of a derived network copies its untouched nodes, and each other
+    /// cell merges the ids that stay with the ones that arrive. Every
+    /// cell stays ascending, so range queries return what a fresh build
+    /// at the new positions returns, in the same order.
     ///
     /// # Panics
     ///
-    /// Panics if `id` is out of range.
-    // sp-analyze: allow(index, cell indices come from cell_of over the clamped grid; id is a live bounds-checked node)
-    pub fn move_point(&mut self, id: NodeId, new_pos: Point) {
-        let old_cell = self.cell_of(self.positions.get(id.index()));
-        let new_cell = self.cell_of(new_pos);
-        Arc::make_mut(&mut self.positions).set(id.index(), new_pos);
-        if old_cell != new_cell {
-            let cell = &mut self.cells[old_cell];
-            let at = cell
-                .binary_search(&id)
-                .expect("moved point is bucketed in its old cell"); // sp-analyze: allow(panic, the grid invariant buckets every live id in its cell; checked by debug assertions in tests)
-            cell.remove(at);
-            let cell = &mut self.cells[new_cell];
-            let at = cell
-                .binary_search(&id)
-                .expect_err("moved point cannot already be in its new cell");
-            cell.insert(at, id);
+    /// Panics if any id is out of range.
+    pub fn moved(&self, moves: &[(NodeId, Point)]) -> SpatialIndex {
+        let mut positions = Arc::clone(&self.positions);
+        for &(u, p) in moves {
+            Arc::make_mut(&mut positions).set(u.index(), p);
         }
+        // `(cell, id)` of every mover leaving a cell and of every mover
+        // entering one, ascending.
+        let (mut leaving, mut arriving) = (Vec::new(), Vec::new());
+        for &(u, _) in moves {
+            let from = self.cell_of(self.position(u));
+            let to = self.cell_of(positions.get(u.index()));
+            if from != to {
+                leaving.push((from, u));
+                arriving.push((to, u));
+            }
+        }
+        for pairs in [&mut leaving, &mut arriving] {
+            pairs.sort_unstable();
+            pairs.dedup();
+        }
+        let mut next = SpatialIndex {
+            cell_start: Vec::with_capacity(self.cell_start.len()),
+            cell_ids: Vec::with_capacity(self.cell_ids.len()),
+            positions,
+            ..*self
+        };
+        next.cell_start.push(0);
+        let (mut leaving, mut arriving) = (leaving.as_slice(), arriving.as_slice());
+        let mut kept = 0;
+        while let Some(&(c, _)) = leaving.first().into_iter().chain(arriving.first()).min() {
+            next.extend_from(self, kept..c);
+            // Both runs are ascending, and the leaving ids are the
+            // cell's own.
+            let mut gone = take_run(&mut leaving, c).peekable();
+            let mut came = take_run(&mut arriving, c).peekable();
+            for &u in self.cell(c) {
+                if gone.next_if_eq(&u).is_none() {
+                    while let Some(v) = came.next_if(|&v| v < u) {
+                        next.cell_ids.push(v);
+                    }
+                    next.cell_ids.push(u);
+                }
+            }
+            next.cell_ids.extend(came);
+            next.cell_start.push(next.cell_ids.len() as u32);
+            kept = c + 1;
+        }
+        next.extend_from(self, kept..self.cols * self.rows);
+        next
+    }
+
+    /// Appends `old`'s cells `run` unchanged.
+    fn extend_from(&mut self, old: &SpatialIndex, run: std::ops::Range<usize>) {
+        extend_rows(
+            (&mut self.cell_start, &mut self.cell_ids),
+            (&old.cell_start, &old.cell_ids),
+            run,
+        );
+    }
+
+    /// The ids bucketed in cell `c`, ascending.
+    #[inline]
+    fn cell(&self, c: usize) -> &[NodeId] {
+        &self.cell_ids[self.cell_start[c] as usize..self.cell_start[c + 1] as usize]
     }
 
     fn cell_coords(&self, p: Point) -> (usize, usize) {
@@ -213,7 +278,7 @@ impl SpatialIndex {
         (-reach..=reach)
             .flat_map(move |dy| (-reach..=reach).map(move |dx| (cx + dx, cy + dy)))
             .filter(move |&(x, y)| x >= 0 && x < cols && y >= 0 && y < rows)
-            .flat_map(move |(x, y)| self.cells[(y * cols + x) as usize].iter().copied())
+            .flat_map(move |(x, y)| self.cell((y * cols + x) as usize).iter().copied())
             .filter(move |id| self.positions.distance_sq_to(id.index(), center) <= r_sq)
     }
 
@@ -251,7 +316,7 @@ impl SpatialIndex {
             let (x0, x1) = (a.x + d.x * t0, a.x + d.x * t1);
             let col_of = |x: f64| self.cell_coords(Point::new(x, top)).0;
             for col in col_of(x0.min(x1) - reach)..=col_of(x0.max(x1) + reach) {
-                found.extend(self.cells[row * self.cols + col].iter().filter(near));
+                found.extend(self.cell(row * self.cols + col).iter().filter(near));
             }
         }
         found.sort_unstable();
@@ -347,13 +412,9 @@ impl SpatialIndex {
     /// construction scan hands to each worker. Always covers
     /// `0..rows`; never returns an empty band.
     fn row_bands(&self, parts: usize) -> Vec<(usize, usize)> {
+        let row_start = |cy: usize| self.cell_start[cy * self.cols] as usize;
         let row_weight: Vec<usize> = (0..self.rows)
-            .map(|cy| {
-                self.cells[cy * self.cols..(cy + 1) * self.cols]
-                    .iter()
-                    .map(Vec::len)
-                    .sum()
-            })
+            .map(|cy| row_start(cy + 1) - row_start(cy))
             .collect();
         let total: usize = row_weight.iter().sum();
         let target = total.div_ceil(parts.max(1)).max(1);
@@ -382,11 +443,7 @@ impl SpatialIndex {
     /// [`Network::spatially_sorted`](crate::Network::spatially_sorted)
     /// uses to map grid-row tiles onto contiguous id ranges.
     pub fn spatial_order(&self) -> Vec<NodeId> {
-        let mut order = Vec::with_capacity(self.positions.len());
-        for cell in &self.cells {
-            order.extend_from_slice(cell);
-        }
-        order
+        self.cell_ids.clone()
     }
 
     /// Forward cell offsets covering each unordered pair of nearby cells
@@ -425,7 +482,7 @@ impl SpatialIndex {
         let rows = self.rows as isize;
         let pos = &*self.positions;
         for cx in 0..cols {
-            let cell = &self.cells[(cy * cols + cx) as usize];
+            let cell = self.cell((cy * cols + cx) as usize);
             for (i, &u) in cell.iter().enumerate() {
                 let pu = pos.get(u.index());
                 for &v in &cell[i + 1..] {
@@ -439,7 +496,7 @@ impl SpatialIndex {
                 if nx < 0 || nx >= cols || ny < 0 || ny >= rows {
                     continue;
                 }
-                let other = &self.cells[(ny * cols + nx) as usize];
+                let other = self.cell((ny * cols + nx) as usize);
                 for &u in cell {
                     let pu = pos.get(u.index());
                     for &v in other {
@@ -452,14 +509,11 @@ impl SpatialIndex {
         }
     }
 
-    /// Heap bytes held by the grid cells (headers plus bucketed ids).
+    /// Heap bytes held by the grid cells: the cell offsets plus the
+    /// bucketed ids.
     pub fn grid_heap_bytes(&self) -> usize {
-        self.cells.len() * 3 * std::mem::size_of::<usize>()
-            + self
-                .cells
-                .iter()
-                .map(|c| c.len() * std::mem::size_of::<NodeId>())
-                .sum::<usize>()
+        self.cell_start.len() * std::mem::size_of::<u32>()
+            + self.cell_ids.len() * std::mem::size_of::<NodeId>()
     }
 }
 
@@ -571,8 +625,8 @@ mod tests {
     #[test]
     fn move_point_relocates_between_cells() {
         let pts = vec![Point::new(5.0, 5.0), Point::new(95.0, 95.0)];
-        let mut index = SpatialIndex::build(&pts, demo_area(), 10.0);
-        index.move_point(NodeId(0), Point::new(93.0, 93.0));
+        let index = SpatialIndex::build(&pts, demo_area(), 10.0);
+        let index = index.moved(&[(NodeId(0), Point::new(93.0, 93.0))]);
         assert_eq!(index.position(NodeId(0)), Point::new(93.0, 93.0));
         let mut near: Vec<NodeId> = index.within_radius(Point::new(94.0, 94.0), 5.0).collect();
         near.sort_unstable();
@@ -584,8 +638,7 @@ mod tests {
     fn move_point_copies_shared_points_once() {
         let pts = scatter(50, 31);
         let index = SpatialIndex::build(&pts, demo_area(), 20.0);
-        let mut moved = index.clone(); // shares the position table
-        moved.move_point(NodeId(7), Point::new(1.0, 2.0));
+        let moved = index.moved(&[(NodeId(7), Point::new(1.0, 2.0))]);
         assert_eq!(moved.position(NodeId(7)), Point::new(1.0, 2.0));
         // The original never observes the move.
         assert_eq!(index.position(NodeId(7)), pts[7]);
@@ -607,7 +660,7 @@ mod tests {
             let id = (state >> 33) as usize % pts.len();
             let target = scatter(1, state ^ step)[0];
             pts[id] = target;
-            index.move_point(NodeId::new(id), target);
+            index = index.moved(&[(NodeId::new(id), target)]);
         }
         let fresh = SpatialIndex::build(&pts, demo_area(), 20.0);
         assert_eq!(index.adjacency_within(20.0), fresh.adjacency_within(20.0));

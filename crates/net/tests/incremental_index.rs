@@ -35,10 +35,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The tentpole invariant of the incremental path: after any number
-    /// of random `move_point` batches repaired by
-    /// `Network::apply_moves`, the network
-    /// carries the same sorted edge set — node for node — as a full
-    /// `from_positions_brute_force` rebuild at the final positions.
+    /// of random move batches repaired by `Network::apply_moves`, the
+    /// network carries the same sorted edge set — node for node — as a
+    /// full `from_positions_brute_force` rebuild at the final
+    /// positions, and its grid buckets every node where a fresh
+    /// `SpatialIndex::build` does, in the same order, although movers
+    /// jump anywhere in the field in both directions.
     #[test]
     fn incremental_moves_match_brute_force_rebuild(
         seed in 0u64..5_000,
@@ -72,6 +74,8 @@ proptest! {
                 );
                 prop_assert_eq!(net.position(u), brute.position(u));
             }
+            let fresh = SpatialIndex::build(&pos, cfg.area, cfg.radius);
+            prop_assert_eq!(net.index().spatial_order(), fresh.spatial_order());
         }
     }
 
