@@ -6,18 +6,23 @@
 //! forbidden-area fields under every `Scheme::all()` entry three ways
 //! (pristine, under a regional outage with lossy links, and after five
 //! ticks of waypoint motion) and draws all ten `Metric` views of each
-//! sweep through `figures::figure_from_sweep`. It also draws the A6,
-//! A13 and A17 figures at their unit-test sizes. Each figure's series
-//! labels and the bits of every point fold into one digest, so a change
-//! to a count, a loss draw, an estimator or a series fails here and has
-//! to be rebaselined on purpose.
+//! sweep through `figures::figure_from_sweep`. It also draws the A1,
+//! A6, A9, A10, A13, A15 and A17 figures at their unit-test sizes and
+//! A14 on one quick forbidden-area size. Each figure's series labels
+//! and the bits of every point fold into one digest, so a change to a
+//! count, a loss draw, an estimator or a series fails here and has to
+//! be rebaselined on purpose. The positions a scenario blend deploys
+//! are pinned the same way.
 
 use sp_experiments::figures::{self, Metric};
-use sp_experiments::{run_sweep, ChaosRecipe, MobilityRecipe, Scenario, Scheme, SweepConfig};
+use sp_experiments::{
+    lifetime_figure, run_sweep, ChaosRecipe, MobilityRecipe, Scenario, Scheme, StreamingConfig,
+    SweepConfig, SweepSpec,
+};
 use sp_metrics::Figure;
 
 /// Per figure: its key and the digest of its series.
-const EXPECTED: [(&str, u64); 67] = [
+const EXPECTED: [(&str, u64); 73] = [
     ("IA/pristine/MaxHops", 0x4418cb785df1fdb8),
     ("IA/pristine/MeanHops", 0x5ec0448fb016174b),
     ("IA/pristine/MeanLength", 0x6b81f7626c852c0c),
@@ -85,6 +90,12 @@ const EXPECTED: [(&str, u64); 67] = [
     ("A17/1", 0x94bdf1421fe2e70a),
     ("A17/2", 0xa6a3530fc1b5a303),
     ("A17/3", 0xd95443a126bb0a5e),
+    ("A1", 0x06ddc4365d58d02b),
+    ("A9", 0xff22b34f07ec280c),
+    ("A10", 0x5a19cbf1e1d1e60c),
+    ("A14", 0x41d4458d99d3dd8a),
+    ("A15", 0x53a0462c3dbac158),
+    ("blend/IA:0.7+clustered:0.3", 0xd348d63b3aef473d),
 ];
 
 const METRICS: [(&str, Metric); 10] = [
@@ -224,4 +235,56 @@ fn failure_mobility_and_chaos_figures_are_as_recorded() {
         }
     }
     check(&got);
+}
+
+#[test]
+fn construction_repair_accuracy_and_lifetime_figures_are_as_recorded() {
+    let ia = |base_seed| SweepConfig {
+        node_counts: vec![400],
+        networks_per_point: 1,
+        pairs_per_network: 1,
+        deployment: Scenario::Ia,
+        base_seed,
+        chaos: None,
+        mobility: None,
+    };
+    let mut fa = SweepConfig::quick(Scenario::Fa);
+    fa.node_counts = vec![400];
+    let lifetime = StreamingConfig {
+        flows: 2,
+        packet_bits: 1024.0,
+        node_energy_nj: 1.6e6,
+        max_rounds: 10_000,
+    };
+    let got = [
+        ("A1", figures::construction_cost_figure(&ia(5), 1)),
+        (
+            "A9",
+            figures::maintenance_cost_figure(Scenario::Ia, &[400], 2, 3),
+        ),
+        ("A10", figures::async_cost_figure(&ia(11), 2)),
+        ("A14", figures::estimate_accuracy_figure(&fa, 2)),
+        (
+            "A15",
+            lifetime_figure(250, 1, &[Scheme::Slgf2, Scheme::Gfg], &lifetime),
+        ),
+    ]
+    .map(|(key, fig)| (key.to_owned(), digest(&fig)));
+    check(&got);
+}
+
+#[test]
+fn a_scenario_blend_deploys_as_recorded() {
+    let spec = SweepSpec::parse("scenario=IA:0.7+clustered:0.3").unwrap();
+    let positions = spec
+        .config
+        .deployment
+        .deploy(&spec.config.deployment_config(401), 7);
+    let mut h = Fnv::new();
+    h.word(positions.len() as u64);
+    for p in &positions {
+        h.word(p.x.to_bits());
+        h.word(p.y.to_bits());
+    }
+    check(&[("blend/IA:0.7+clustered:0.3".to_owned(), h.0)]);
 }
