@@ -219,7 +219,13 @@ impl Lexer<'_> {
         let body_start = self.pos;
         while let Some(b) = self.peek(0) {
             match b {
-                b'\\' => self.pos += 2,
+                b'\\' => {
+                    // A `\` line continuation still ends a line.
+                    if self.peek(1) == Some(b'\n') {
+                        self.line += 1;
+                    }
+                    self.pos += 2;
+                }
                 b'\n' => {
                     self.line += 1;
                     self.pos += 1;
@@ -379,6 +385,8 @@ mod tests {
         let src = "line1\n\"str\nspans\"\nlast";
         let l = lex(src);
         assert_eq!(l.toks.last().unwrap().line, 4);
+        let continued = lex("\"str \\\n continued\"\nlast");
+        assert_eq!(continued.toks.last().unwrap().line, 3);
     }
 
     #[test]

@@ -102,15 +102,23 @@ fn run(args: Vec<String>) -> i32 {
     for d in &diags {
         println!("{d}");
     }
+    let lines: usize = files
+        .iter()
+        .filter(|(rel, _)| counts_as_code(rel))
+        .map(|(rel, src)| SourceFile::new(rel, src).code_lines())
+        .sum();
     if diags.is_empty() {
         println!(
-            "sp-analyze: {} files clean ({} hot functions declared)",
+            "sp-analyze: {} files clean ({} hot functions declared, {lines} code lines)",
             files.len(),
             manifest.len()
         );
         0
     } else {
-        println!("sp-analyze: {} violation(s)", diags.len());
+        println!(
+            "sp-analyze: {} violation(s) ({lines} code lines)",
+            diags.len()
+        );
         1
     }
 }
@@ -165,6 +173,15 @@ fn collect_sources(root: &Path) -> Result<Vec<(String, String)>, String> {
 fn is_lib(rel: &str) -> bool {
     (rel.starts_with("crates/") && rel.contains("/src/") && !rel.contains("/src/bin/"))
         || (rel.starts_with("src/") && !rel.starts_with("src/bin/"))
+}
+
+/// The sources the code-line count covers: `crates/`, `src/`,
+/// `examples/` and `ci/`, minus every `tests/` directory.
+fn counts_as_code(rel: &str) -> bool {
+    ["crates/", "src/", "examples/", "ci/"]
+        .iter()
+        .any(|dir| rel.starts_with(dir))
+        && !rel.split('/').any(|part| part == "tests")
 }
 
 fn analyze(files: &[(String, String)], manifest: &Manifest, readme: &str) -> Vec<Diagnostic> {
@@ -373,6 +390,18 @@ mod tests {
         assert!(!is_lib("crates/bench/benches/route_throughput.rs"));
         assert!(!is_lib("ci/bench_gate/src/main.rs"));
         assert!(!is_lib("examples/sweep.rs"));
+    }
+
+    #[test]
+    fn code_lines_skip_blanks_comments_tests_and_test_dirs() {
+        let src = "// a comment\n\nfn f() -> &'static str {\n    \"two\n lines\" /* note */\n}\n\
+                   /* a block\n comment */\n#[cfg(test)]\nmod tests {\n    fn g() {}\n}\n";
+        assert_eq!(SourceFile::new("crates/x/src/lib.rs", src).code_lines(), 4);
+        assert!(counts_as_code("crates/core/src/lib.rs"));
+        assert!(counts_as_code("ci/sp_analyze/src/main.rs"));
+        assert!(!counts_as_code("crates/core/tests/labeling.rs"));
+        assert!(!counts_as_code("tests/figure_pipeline.rs"));
+        assert!(!counts_as_code("perfbench/src/main.rs"));
     }
 
     #[test]

@@ -141,6 +141,24 @@ impl SourceFile {
             .any(|&(lo, hi)| (lo..=hi).contains(&line))
     }
 
+    /// Non-blank, non-comment lines outside `#[cfg(test)]` items: the
+    /// lines some token covers. A string literal covers every line it
+    /// spans.
+    pub fn code_lines(&self) -> usize {
+        let (mut count, mut counted) = (0, 0);
+        for t in self.toks() {
+            let last = match t.kind {
+                Kind::Str => t.line + t.text.matches('\n').count(),
+                _ => t.line,
+            };
+            count += (t.line.max(counted + 1)..=last)
+                .filter(|&l| !self.in_test_code(l))
+                .count();
+            counted = counted.max(last);
+        }
+        count
+    }
+
     /// True when the violation of `rule` at `line` is waived: an allow
     /// on the line, on the line above, or attached to the declaration
     /// line of the function whose body contains it.

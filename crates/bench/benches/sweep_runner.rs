@@ -1,6 +1,5 @@
 //! The sweep runner end-to-end: the parallel `run_sweep` over each
-//! deployment scenario, resolved from a spec string through both
-//! registries, at smoke scale.
+//! deployment scenario, resolved from a spec string, at smoke scale.
 //!
 //! The measured repeat-sample statistics (samples / median / stddev)
 //! land in `BENCH_sweep.json` at the workspace root, one row per

@@ -152,12 +152,6 @@ pub trait Routing {
     /// remains at this node.
     fn next_hop(&self, net: &Network, pkt: &mut PacketState) -> Option<NodeId>;
 
-    /// The hop budget on `net`: [`default_ttl`] unless the scheme sets
-    /// its own.
-    fn ttl(&self, net: &Network) -> usize {
-        default_ttl(net)
-    }
-
     /// Routes one packet into a caller-owned buffer; never panics on
     /// disconnected pairs (reports [`RouteOutcome::Stuck`] or TTL
     /// exhaustion instead). This is the hot-path entry: reusing `buf`
@@ -169,7 +163,7 @@ pub trait Routing {
         dst: NodeId,
         buf: &'b mut RouteBuffer,
     ) -> RouteRef<'b> {
-        walk_into(self, net, src, dst, self.ttl(net), buf)
+        walk_into(self, net, src, dst, default_ttl(net), buf)
     }
 
     /// One-shot convenience: routes through a fresh [`RouteBuffer`] and
@@ -184,7 +178,7 @@ pub trait Routing {
     }
 }
 
-/// References to routers route too — this lets registries hand out
+/// References to routers route too — this lets a scheme hand out a
 /// `Box<dyn Routing + 'a>` over routers owned elsewhere (e.g. the
 /// prebuilt GF/GFG recovery structures of a prepared network) without
 /// cloning them.
@@ -195,10 +189,6 @@ impl<T: Routing + ?Sized> Routing for &T {
 
     fn next_hop(&self, net: &Network, pkt: &mut PacketState) -> Option<NodeId> {
         (**self).next_hop(net, pkt)
-    }
-
-    fn ttl(&self, net: &Network) -> usize {
-        (**self).ttl(net)
     }
 
     fn route_into<'b>(
@@ -212,7 +202,7 @@ impl<T: Routing + ?Sized> Routing for &T {
     }
 }
 
-/// Boxed routers (what the scheme registry builds) route directly too.
+/// Boxed routers (what a sweep's schemes build) route directly too.
 impl<T: Routing + ?Sized> Routing for Box<T> {
     fn name(&self) -> &'static str {
         (**self).name()
@@ -220,10 +210,6 @@ impl<T: Routing + ?Sized> Routing for Box<T> {
 
     fn next_hop(&self, net: &Network, pkt: &mut PacketState) -> Option<NodeId> {
         (**self).next_hop(net, pkt)
-    }
-
-    fn ttl(&self, net: &Network) -> usize {
-        (**self).ttl(net)
     }
 
     fn route_into<'b>(
@@ -505,7 +491,7 @@ mod tests {
 
     #[test]
     fn walk_ttl_stops_loops() {
-        /// Bounces between 0 and 1 forever, with a hop budget of 7.
+        /// Bounces between 0 and 1 forever.
         struct PingPong;
 
         impl Routing for PingPong {
@@ -520,18 +506,12 @@ mod tests {
                     NodeId(0)
                 })
             }
-
-            fn ttl(&self, _net: &Network) -> usize {
-                7
-            }
         }
         let n = net();
-        let r = PingPong.route(&n, NodeId(0), NodeId(3));
+        let mut buf = RouteBuffer::new();
+        let r = walk_into(&PingPong, &n, NodeId(0), NodeId(3), 7, &mut buf);
         assert_eq!(r.outcome, RouteOutcome::TtlExhausted);
-        assert_eq!(r.hops(), 7);
-        // A boxed router walks with the boxed scheme's own budget.
-        let boxed: Box<dyn Routing> = Box::new(PingPong);
-        assert_eq!(boxed.route(&n, NodeId(0), NodeId(3)).hops(), 7);
+        assert_eq!(r.hops(), 7, "the walk stops at its budget of 7");
     }
 
     #[test]

@@ -47,7 +47,6 @@ pub struct Slgf2Router<'a> {
     info: &'a SafetyInfo,
     superseding: bool,
     backup: bool,
-    ttl_multiplier: f64,
 }
 
 impl<'a> Slgf2Router<'a> {
@@ -57,16 +56,7 @@ impl<'a> Slgf2Router<'a> {
             info,
             superseding: true,
             backup: true,
-            ttl_multiplier: 4.0,
         }
-    }
-
-    /// Sets the hop budget to `multiplier × n` instead of the
-    /// [`crate::default_ttl`] of `4n` — the knob the TTL-policy
-    /// ablation families sweep. Values below `1/n` still allow one hop.
-    pub fn with_ttl_multiplier(mut self, multiplier: f64) -> Slgf2Router<'a> {
-        self.ttl_multiplier = multiplier;
-        self
     }
 
     /// Ablation A3: drop the either-hand superseding rule (step 3).
@@ -248,12 +238,6 @@ impl Routing for Slgf2Router<'_> {
         pkt.enter_perimeter(du);
         pkt.phase = RoutePhase::Perimeter;
         self.hand_step(net, pkt, |_| true)
-    }
-
-    /// `multiplier × n` hops; at the default multiplier of 4.0 this
-    /// equals [`crate::default_ttl`].
-    fn ttl(&self, net: &Network) -> usize {
-        ((self.ttl_multiplier * net.len().max(1) as f64).ceil() as usize).max(1)
     }
 }
 

@@ -4,14 +4,14 @@
 //! ```text
 //! repro-figures [--quick] [--chart] [--svg] [--out DIR] [--spec SPEC | FIGURE...]
 //!
-//! FIGURE: 5a 5b 6a 6b 7a 7b a1..a17 | all   (default: all)
+//! FIGURE: 5a 5b 6a 6b 7a 7b a1..a15 a17 | all   (default: all)
 //! --quick  reduced sweep (3 node counts, 8 networks/point) for smoke runs
 //! --chart  also print each figure as an ASCII line chart
 //! --svg    also write each figure as an SVG line chart
 //! --out    directory for .md/.csv/.svg outputs (default: results/)
 //! --spec   run one custom sweep instead of the paper figures, e.g.
 //!          "scenario=corridor;nodes=400..800:50;nets=100;schemes=PAPER"
-//!          (names resolve through the scheme/scenario registries)
+//!          (scenario and scheme names as the spec grammar takes them)
 //! ```
 
 use sp_experiments::{figures, run_sweep, Scenario, Scheme, SweepConfig, SweepResults, SweepSpec};
@@ -22,9 +22,9 @@ use std::collections::BTreeSet;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-const ALL_FIGURES: [&str; 23] = [
+const ALL_FIGURES: [&str; 22] = [
     "5a", "5b", "6a", "6b", "7a", "7b", "a1", "a2", "a3", "a4", "a5", "a6", "a7", "a8", "a9",
-    "a10", "a11", "a12", "a13", "a14", "a15", "a16", "a17",
+    "a10", "a11", "a12", "a13", "a14", "a15", "a17",
 ];
 
 fn main() {
@@ -93,18 +93,8 @@ fn main() {
         }
     };
 
-    // Everything derivable from the per-panel sweeps (schemes include
-    // the ablation variants so A3/A4 come for free, and GFG for A8).
-    let full_set = [
-        Scheme::Gf,
-        Scheme::Lgf,
-        Scheme::Slgf,
-        Scheme::Slgf2,
-        Scheme::Slgf2NoSuperseding,
-        Scheme::Slgf2NoBackup,
-        Scheme::Gfg,
-        Scheme::Slgf2Face,
-    ];
+    // Everything derivable from the per-panel sweeps, which route every
+    // scheme: the ablation variants give A3/A4, GFG gives A8.
     let panel_figures = ["a2", "a3", "a4", "a5", "a7", "a8", "a11", "a12"];
     let needs_ia = ["5a", "6a", "7a"]
         .iter()
@@ -117,11 +107,11 @@ fn main() {
 
     let ia_results = needs_ia.then(|| {
         eprintln!("running IA sweep...");
-        run_sweep(&sweep_for(Scenario::Ia), &full_set)
+        run_sweep(&sweep_for(Scenario::Ia), &Scheme::ALL)
     });
     let fa_results = needs_fa.then(|| {
         eprintln!("running FA sweep...");
-        run_sweep(&sweep_for(Scenario::Fa), &full_set)
+        run_sweep(&sweep_for(Scenario::Fa), &Scheme::ALL)
     });
 
     let mut emitted = 0;
@@ -248,23 +238,6 @@ fn main() {
                     &figures::CHAOS_FAMILY_SCHEMES,
                 )
             }
-            "a16" => {
-                // Full mode climbs to 10⁶ nodes with fewer nets at the
-                // top sizes (a million-node instance outweighs the rest
-                // of the sweep combined); quick keeps the smoke sizes.
-                let sizes: &[(usize, usize)] = if quick {
-                    &[(1_000, 1), (2_000, 1)]
-                } else {
-                    &[
-                        (2_000, 2),
-                        (5_000, 2),
-                        (10_000, 2),
-                        (100_000, 1),
-                        (1_000_000, 1),
-                    ]
-                };
-                vec![figures::construction_scale_figure(sizes)]
-            }
             _ => unreachable!("validated above"),
         };
         for fig in figs {
@@ -287,8 +260,8 @@ fn gfg_figure(results: &SweepResults) -> Figure {
         "A8 GFG face-routing comparison ({} model)",
         results.deployment_tag
     );
-    let keep = Scheme::display_names(&Scheme::EXTENDED_SET);
-    fig.series.retain(|s| keep.iter().any(|k| **k == s.label));
+    fig.series
+        .retain(|s| Scheme::EXTENDED_SET.iter().any(|k| k.name() == s.label));
     fig
 }
 
@@ -328,8 +301,8 @@ fn slgf2_face_figure(results: &SweepResults) -> Figure {
 /// Restrict a figure to the paper's four curves (the sweep also carries
 /// the ablation variants).
 fn keep_paper_set(mut fig: Figure) -> Figure {
-    let keep = Scheme::display_names(&Scheme::PAPER_SET);
-    fig.series.retain(|s| keep.iter().any(|k| **k == s.label));
+    fig.series
+        .retain(|s| Scheme::PAPER_SET.iter().any(|k| k.name() == s.label));
     fig
 }
 
@@ -348,8 +321,8 @@ fn ablation_figure(results: &SweepResults, superseding: bool) -> Figure {
     fig
 }
 
-/// `--spec` mode: resolve the spec through the registries, run the one
-/// sweep it describes, and emit the standard metric views of it.
+/// `--spec` mode: resolve the spec, run the one sweep it describes, and
+/// emit the standard metric views of it.
 fn run_spec(spec: &str, quick: bool, chart: bool, svg: bool, out_dir: &Path) {
     let mut resolved = SweepSpec::parse(spec).unwrap_or_else(|e| {
         eprintln!("{e}");
@@ -369,7 +342,7 @@ fn run_spec(spec: &str, quick: bool, chart: bool, svg: bool, out_dir: &Path) {
             ];
         }
     }
-    let names = Scheme::display_names(&resolved.schemes);
+    let names: Vec<&str> = resolved.schemes.iter().map(|s| s.name()).collect();
     eprintln!(
         "running spec sweep: scenario={}, {} node counts x {} nets, schemes [{}]...",
         resolved.config.deployment,

@@ -1,11 +1,8 @@
-//! The open chaos classes and the `chaos=` recipe grammar.
+//! The chaos classes and the `chaos=` recipe grammar.
 //!
-//! A **chaos class** is a registered generator that turns a parameter
-//! list plus a deployed topology into a [`ChaosPlan`] fragment — a
-//! third kind in the registry that also holds schemes and scenarios, so
-//! a failure model registered at runtime is immediately addressable
-//! from a spec string with no parser changes. The built-ins cover the
-//! four failure families of the chaos engine:
+//! A **chaos class** turns a parameter list plus a deployed topology
+//! into a [`ChaosPlan`] fragment. The four classes cover the failure
+//! families of the chaos engine:
 //!
 //! | class       | spec clause              | keys (default, range) | effect |
 //! |-------------|--------------------------|-----------------------|--------|
@@ -43,10 +40,8 @@ use rand::{RngExt, SeedableRng};
 use sp_geom::Point;
 use sp_net::Network;
 use sp_sim::{ChaosPlan, CutWindow};
-use std::sync::Arc;
 
 use crate::clause::{self, ParamSpec, MAX_STEPS};
-use crate::registry::{Handle, Kind, Registry};
 
 /// Salt folded into every recipe seed so chaos RNG streams never
 /// collide with deployment or flow sampling streams.
@@ -55,124 +50,84 @@ const CHAOS_SEED_SALT: u64 = 0xc4a0_0bad_cafe;
 /// Everything a chaos generator may observe while building its plan
 /// fragment: the deployed topology, a pre-salted seed unique to the
 /// clause, the clause's `@round` anchor, and its `k=v` parameters.
-pub struct ChaosArgs<'a> {
-    /// The topology the failures will strike.
-    pub net: &'a Network,
-    /// Deterministic seed, already salted per clause position.
-    pub seed: u64,
-    /// The `@roundN` anchor of the clause (0 when unspecified).
-    pub round: usize,
+struct ChaosArgs<'a> {
+    net: &'a Network,
+    seed: u64,
+    round: usize,
     params: &'a [(String, f64)],
-    specs: &'a [ParamSpec],
+    specs: &'static [ParamSpec],
 }
 
 impl ChaosArgs<'_> {
     /// The clause parameter `key`, or its declared default when the
     /// clause omits it. Given values were range-checked at parse time.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the class did not declare `key`.
-    pub fn param(&self, key: &str) -> f64 {
+    fn param(&self, key: &str) -> f64 {
         clause::param(self.params, self.specs, key)
     }
 }
 
-/// Builds one plan fragment from the clause arguments.
-pub type ChaosBuild = Arc<dyn Fn(&ChaosArgs<'_>) -> ChaosPlan + Send + Sync>;
-
-/// The chaos-class kind of the shared registry: the process-wide table
-/// mapping [`ChaosClass`] handles to names, declared parameters and
-/// plan generators.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum ChaosKind {}
-
-static CHAOS_CLASSES: Registry<ChaosKind> = Registry::new();
-
-impl Kind for ChaosKind {
-    const NAME: &'static str = "chaos class";
-    type Build = (&'static [ParamSpec], ChaosBuild);
-
-    fn builtin() -> Vec<(String, Self::Build)> {
-        vec![
-            // === The chaos-class registration table ===============[order matters]
-            entry("region", REGION, region_outage), // ChaosClass::Region
-            entry("partition", PARTITION, partition_cut), // ChaosClass::Partition
-            entry("drop", DROP, lossy_links),       // ChaosClass::Drop
-            entry("flap", FLAP, flapping_nodes),    // ChaosClass::Flap
-        ]
-    }
-
-    fn registry() -> &'static Registry<ChaosKind> {
-        &CHAOS_CLASSES
-    }
-}
-
-fn entry<F>(
-    name: impl Into<String>,
-    specs: &'static [ParamSpec],
-    build: F,
-) -> (String, (&'static [ParamSpec], ChaosBuild))
-where
-    F: Fn(&ChaosArgs<'_>) -> ChaosPlan + Send + Sync + 'static,
-{
-    (name.into(), (specs, Arc::new(build)))
-}
-
-/// A handle to one registered chaos class — `Copy`, order-stable, and
-/// cheap to compare, exactly like [`crate::Scheme`] and
-/// [`crate::Scenario`].
-pub type ChaosClass = Handle<ChaosKind>;
-
-#[allow(non_upper_case_globals)] // named like the enum variants they replace
-impl ChaosClass {
+/// One chaos class.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum ChaosClass {
     /// Correlated regional outage: a seeded random disk of nodes dies.
-    pub const Region: ChaosClass = ChaosClass::at(0);
+    Region,
     /// Network partition: a seeded random chord severs crossing links
     /// for a round window.
-    pub const Partition: ChaosClass = ChaosClass::at(1);
+    Partition,
     /// Lossy links: probabilistic per-link-delivery packet drop.
-    pub const Drop: ChaosClass = ChaosClass::at(2);
+    Drop,
     /// Flapping nodes: killed at the anchor round, revived later.
-    pub const Flap: ChaosClass = ChaosClass::at(3);
+    Flap,
+}
 
-    /// Registers a new chaos class under `name` and returns its handle.
-    /// `specs` declares every key its clauses may set, with a default
-    /// and an accepted range; the recipe parser rejects anything else.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `name` is already registered; use
-    /// [`ChaosClass::try_register`] to handle the collision instead.
-    pub fn register<F>(name: impl Into<String>, specs: &'static [ParamSpec], build: F) -> ChaosClass
-    where
-        F: Fn(&ChaosArgs<'_>) -> ChaosPlan + Send + Sync + 'static,
-    {
-        // sp-analyze: allow(panic, documented panicking variant; try_ siblings recover instead)
-        ChaosClass::try_register(name, specs, build).unwrap_or_else(|e| panic!("{e}"))
+impl ChaosClass {
+    /// Every class, in the order errors list them.
+    pub const ALL: [ChaosClass; 4] = [
+        ChaosClass::Region,
+        ChaosClass::Partition,
+        ChaosClass::Drop,
+        ChaosClass::Flap,
+    ];
+
+    /// The name a `chaos=` clause starts with.
+    pub fn name(self) -> &'static str {
+        match self {
+            ChaosClass::Region => "region",
+            ChaosClass::Partition => "partition",
+            ChaosClass::Drop => "drop",
+            ChaosClass::Flap => "flap",
+        }
     }
 
-    /// Registers a new chaos class, reporting name collisions as `Err`
-    /// instead of panicking.
-    pub fn try_register<F>(
-        name: impl Into<String>,
-        specs: &'static [ParamSpec],
-        build: F,
-    ) -> Result<ChaosClass, String>
-    where
-        F: Fn(&ChaosArgs<'_>) -> ChaosPlan + Send + Sync + 'static,
-    {
-        ChaosClass::add(entry(name, specs, build))
+    /// The class named `name`, if any.
+    pub fn by_name(name: &str) -> Option<ChaosClass> {
+        ChaosClass::ALL.into_iter().find(|c| c.name() == name)
+    }
+
+    /// Every key this class's clauses may set, with its default and
+    /// accepted range.
+    pub fn params(self) -> &'static [ParamSpec] {
+        match self {
+            ChaosClass::Region => REGION,
+            ChaosClass::Partition => PARTITION,
+            ChaosClass::Drop => DROP,
+            ChaosClass::Flap => FLAP,
+        }
     }
 
     /// Builds this class's plan fragment.
-    pub fn build(&self, args: &ChaosArgs<'_>) -> ChaosPlan {
-        (self.builder().1)(args)
+    fn build(self, args: &ChaosArgs<'_>) -> ChaosPlan {
+        match self {
+            ChaosClass::Region => region_outage(args),
+            ChaosClass::Partition => partition_cut(args),
+            ChaosClass::Drop => lossy_links(args),
+            ChaosClass::Flap => flapping_nodes(args),
+        }
     }
 }
 
 // ---------------------------------------------------------------------
-// Built-in generators.
+// The generators.
 
 const STEPS: f64 = MAX_STEPS as f64;
 const REGION: &[ParamSpec] = &[ParamSpec::new("r", 0.15, 0.0, 1.0)];
@@ -272,7 +227,7 @@ fn flapping_nodes(args: &ChaosArgs<'_>) -> ChaosPlan {
 /// One parsed `name[:k=v,…][@roundN]` clause.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChaosClause {
-    /// The class handle the name resolved to.
+    /// The class the name resolved to.
     pub class: ChaosClass,
     /// `k=v` parameters in clause order.
     pub params: Vec<(String, f64)>,
@@ -319,9 +274,11 @@ impl ChaosRecipe {
                 None => (tok, 0),
             };
             let (name, params) = clause::split(head);
-            let class = ChaosClass::by_name(name).ok_or_else(|| ChaosClass::unknown(name))?;
-            let specs = class.builder().0;
-            let params = clause::parse_params(&format!("chaos clause {tok:?}"), params, specs)?;
+            let class = ChaosClass::by_name(name).ok_or_else(|| {
+                clause::unknown("chaos class", name, ChaosClass::ALL.map(ChaosClass::name))
+            })?;
+            let what = format!("chaos clause {tok:?}");
+            let params = clause::parse_params(&what, params, class.params())?;
             clauses.push(ChaosClause {
                 class,
                 params,
@@ -343,7 +300,6 @@ impl ChaosRecipe {
     pub fn build(&self, net: &Network, seed: u64) -> ChaosPlan {
         let mut plan = ChaosPlan::new().with_seed(seed ^ CHAOS_SEED_SALT);
         for (idx, clause) in self.clauses.iter().enumerate() {
-            let (specs, build) = clause.class.builder();
             let args = ChaosArgs {
                 net,
                 seed: seed
@@ -351,9 +307,9 @@ impl ChaosRecipe {
                     ^ ((idx as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
                 round: clause.round,
                 params: &clause.params,
-                specs,
+                specs: clause.class.params(),
             };
-            plan.merge(&build(&args));
+            plan.merge(&clause.class.build(&args));
         }
         plan
     }
@@ -363,7 +319,7 @@ impl ChaosRecipe {
         self.clauses
             .iter()
             .map(|c| {
-                let mut s = clause::render(&c.class.name(), &c.params);
+                let mut s = clause::render(c.class.name(), &c.params);
                 if c.round > 0 {
                     s.push_str(&format!("@round{}", c.round));
                 }
@@ -398,7 +354,7 @@ mod tests {
         assert_eq!(ChaosClass::Flap.name(), "flap");
         assert_eq!(ChaosClass::by_name("drop"), Some(ChaosClass::Drop));
         assert_eq!(ChaosClass::by_name("meteor"), None);
-        assert!(ChaosClass::all().len() >= 4);
+        assert_eq!(ChaosClass::ALL.len(), 4);
     }
 
     #[test]
@@ -503,22 +459,5 @@ mod tests {
         let net = net(200, 1);
         let plan = ChaosRecipe::default().build(&net, 1);
         assert!(plan.is_quiet());
-    }
-
-    #[test]
-    fn runtime_registration_is_spec_addressable() {
-        let class = ChaosClass::register("TEST-everything-dies", &[], |args| {
-            let mut plan = sp_sim::ChaosPlan::new().with_seed(args.seed);
-            for u in args.net.node_ids() {
-                plan.kill_at(args.round, u);
-            }
-            plan
-        });
-        assert_eq!(ChaosClass::by_name("TEST-everything-dies"), Some(class));
-        let net = net(50, 2);
-        let plan = ChaosRecipe::parse("TEST-everything-dies@round1")
-            .unwrap()
-            .build(&net, 2);
-        assert_eq!(plan.kills_due_at(1).len(), 50);
     }
 }

@@ -1,5 +1,6 @@
 //! The `name[:k=v,…]` clause grammar shared by the `chaos=` and
-//! `mobility=` recipes.
+//! `mobility=` recipes, and the unknown-name error every spec key
+//! reports.
 //!
 //! A clause names a generator and sets some of the parameters it
 //! declares as [`ParamSpec`]s. Every given value is checked where the
@@ -38,6 +39,17 @@ impl ParamSpec {
             max,
         }
     }
+}
+
+/// The error for a name that resolves to nothing:
+/// `unknown <kind> "<name>" (registered: …)`, listing the `known` names.
+pub(crate) fn unknown<'a>(
+    kind: &str,
+    name: &str,
+    known: impl IntoIterator<Item = &'a str>,
+) -> String {
+    let known: Vec<&str> = known.into_iter().collect();
+    format!("unknown {kind} {name:?} (registered: {})", known.join(", "))
 }
 
 /// Splits `name[:k=v,…]` into its trimmed name and parameter text.

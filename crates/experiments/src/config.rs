@@ -7,10 +7,9 @@
 //! > generated, and the average routing performance over all of these
 //! > randomly sampled networks is reported."
 //!
-//! The deployment model of a sweep is a [`Scenario`] handle into the
-//! open scenario registry — the paper's IA/FA pair are the first two
-//! built-ins, and any registered scenario (clustered, corridor,
-//! city-block, or a runtime registration) sweeps identically.
+//! The deployment model of a sweep is a [`Scenario`]: the paper's IA
+//! and FA, or the clustered, corridor and city-block generators and
+//! their blends, which sweep identically.
 
 use crate::{ChaosRecipe, MobilityRecipe, Scenario};
 use sp_net::deploy::DeploymentConfig;
@@ -26,7 +25,7 @@ pub struct SweepConfig {
     /// through every scheme (the `pairs=` or `flows=` spec clause): `1`
     /// is the paper's per-pair setup, more make a batched workload.
     pub pairs_per_network: usize,
-    /// Deployment scenario (resolved through the scenario registry).
+    /// Deployment scenario.
     pub deployment: Scenario,
     /// Base seed; instance seeds derive deterministically from it.
     pub base_seed: u64,
@@ -96,7 +95,7 @@ mod tests {
             vec![400, 450, 500, 550, 600, 650, 700, 750, 800]
         );
         assert_eq!(ia.networks_per_point, 100);
-        assert_eq!(ia.deployment.tag(), "IA");
+        assert_eq!(ia.deployment.name(), "IA");
         let cfg = ia.deployment_config(500);
         assert_eq!(cfg.radius, 20.0);
         assert_eq!(cfg.area.width(), 200.0);

@@ -3,8 +3,8 @@
 //! Fig. 5 reports the **maximum** number of hops over the sampled
 //! networks, Fig. 6 the **average** hops, Fig. 7 the **average path
 //! length**; each figure has an IA panel (a) and an FA panel (b). The
-//! ablation figures A1–A17 (`repro-figures a1` to `a17`) extend the
-//! evaluation.
+//! ablation figures A1–A15 and A17 (`repro-figures a1` to `a17`)
+//! extend the evaluation.
 //!
 //! Counts come from one estimator. A sweep point's delivery ratio, mean
 //! hops and phase entries per route read its [`sp_core::RouteQuality`],
@@ -69,20 +69,13 @@ impl Metric {
 /// Builds one figure from sweep results.
 pub fn figure_from_sweep(results: &SweepResults, metric: Metric, title: &str) -> Figure {
     let mut fig = Figure::new(title, "nodes", metric.y_label());
-    // Scheme names were resolved once by the sweep runner and ride on
-    // the aggregates — no registry lookups during figure assembly.
-    let schemes: Vec<(Scheme, std::sync::Arc<str>)> = results
+    let schemes: Vec<Scheme> = results
         .points
         .first()
-        .map(|p| {
-            p.schemes
-                .iter()
-                .map(|s| (s.scheme, s.scheme_name.clone()))
-                .collect()
-        })
+        .map(|p| p.schemes.iter().map(|s| s.scheme).collect())
         .unwrap_or_default();
-    for (scheme, name) in schemes {
-        let mut series = Series::new(name.as_ref());
+    for scheme in schemes {
+        let mut series = Series::new(scheme.name());
         for point in &results.points {
             let Some(sp) = point.scheme(scheme) else {
                 continue;
@@ -331,7 +324,7 @@ pub fn estimate_accuracy_figure(cfg: &SweepConfig, instances: usize) -> Figure {
     let mut fig = Figure::new(
         format!(
             "A14 shape-estimate accuracy ({} model)",
-            cfg.deployment.tag()
+            cfg.deployment.name()
         ),
         "nodes",
         "fraction / ratio / hops",
@@ -413,7 +406,7 @@ pub fn async_cost_figure(cfg: &SweepConfig, instances: usize) -> Figure {
     let mut fig = Figure::new(
         format!(
             "A10 sync vs async construction cost ({} model)",
-            cfg.deployment.tag()
+            cfg.deployment.name()
         ),
         "nodes",
         "transmissions/node",
@@ -455,7 +448,7 @@ pub fn maintenance_cost_figure(
     let mut fig = Figure::new(
         format!(
             "A9 incremental repair vs rebuild ({} model)",
-            scenario.tag()
+            scenario.name()
         ),
         "nodes",
         "node recomputations per failure",
@@ -496,64 +489,13 @@ pub fn maintenance_cost_figure(
     fig
 }
 
-/// A16: distributed construction at scale — rounds to quiesce,
-/// transmissions per node, and wall milliseconds per 1000 nodes as the
-/// deployment grows at the paper's density (the area scales with `n`,
-/// so every instance keeps ~500 nodes per 200 m × 200 m). This is the
-/// regime the zero-copy frontier engine + CSR arena open; engine-level
-/// numbers live in `BENCH_distributed.json`.
-///
-/// Each `(n, instances)` pair sets its own sample count, so the sweep
-/// can extend to 10⁶ nodes with fewer nets at the top sizes (one
-/// million-node instance costs more than the whole rest of the sweep).
-/// Sizes past [`sp_sync::PARALLEL_NODE_THRESHOLD`] route through the
-/// construction-time spatial sort, matching how million-node
-/// topologies are meant to be built.
-pub fn construction_scale_figure(sizes: &[(usize, usize)]) -> Figure {
-    let mut fig = Figure::new(
-        "A16 distributed construction at scale (fixed density)".to_string(),
-        "nodes",
-        "rounds / tx-per-node / ms-per-1000-nodes",
-    );
-    let mut rounds_series = Series::new("rounds to quiesce");
-    let mut tx_series = Series::new("transmissions/node");
-    let mut wall_series = Series::new("wall ms per 1000 nodes");
-    for (i, &(n, instances)) in sizes.iter().enumerate() {
-        let dc = sp_net::deploy::DeploymentConfig::paper_density(n);
-        let mut rounds = Vec::new();
-        let mut tx = Vec::new();
-        let mut wall = Vec::new();
-        for k in 0..instances.max(1) {
-            let seed = 0xa16_0000 ^ ((i as u64) << 20) ^ k as u64;
-            let net = Network::from_positions(dc.deploy_uniform(seed), dc.radius, dc.area);
-            let net = if n >= sp_sync::PARALLEL_NODE_THRESHOLD {
-                net.spatially_sorted().0
-            } else {
-                net
-            };
-            let start = std::time::Instant::now();
-            let run = construct_distributed(&net).expect("labeling quiesces"); // sp-analyze: allow(panic, Algorithm 2 quiesces on every finite deployment)
-            wall.push(start.elapsed().as_secs_f64() * 1e3 / (n as f64 / 1000.0));
-            rounds.push(run.stats.rounds as f64);
-            tx.push(run.stats.transmissions() as f64 / net.len() as f64);
-        }
-        rounds_series.push(n as f64, sp_metrics::Summary::of(&rounds).mean);
-        tx_series.push(n as f64, sp_metrics::Summary::of(&tx).mean);
-        wall_series.push(n as f64, sp_metrics::Summary::of(&wall).mean);
-    }
-    fig.push_series(rounds_series);
-    fig.push_series(tx_series);
-    fig.push_series(wall_series);
-    fig
-}
-
 /// A1: distributed information-construction cost (rounds to quiesce and
 /// broadcasts per node), sampled over a few instances per node count.
 pub fn construction_cost_figure(cfg: &SweepConfig, instances: usize) -> Figure {
     let mut fig = Figure::new(
         format!(
             "A1 information construction cost ({} model)",
-            cfg.deployment.tag()
+            cfg.deployment.name()
         ),
         "nodes",
         "rounds / broadcasts-per-node",
@@ -596,7 +538,7 @@ pub fn failure_robustness_figure(
     let mut fig = Figure::new(
         format!(
             "A6 SLGF2 delivery under node failures ({} model, n={node_count})",
-            scenario.tag()
+            scenario.name()
         ),
         "failed fraction (%)",
         "delivery ratio",
@@ -722,7 +664,6 @@ pub fn chaos_delivery_family(
         ),
     ];
     let dc = sp_net::deploy::DeploymentConfig::paper_default(node_count);
-    let names = Scheme::display_names(schemes);
     let mut buf = RouteBuffer::new();
     // One rung: each scheme's quality over `instances` seeded networks,
     // degraded by `recipe` (none for the pristine rung).
@@ -784,11 +725,11 @@ pub fn chaos_delivery_family(
         .into_iter()
         .map(|(tag, x_label, ladder, mid_outage)| {
             let mut fig = Figure::new(
-                format!("{tag} ({} model, n={node_count})", scenario.tag()),
+                format!("{tag} ({} model, n={node_count})", scenario.name()),
                 x_label,
                 "delivery ratio",
             );
-            let mut series: Vec<Series> = names.iter().map(|n| Series::new(n.as_ref())).collect();
+            let mut series: Vec<Series> = schemes.iter().map(|s| Series::new(s.name())).collect();
             let mut push = |x: f64, quality: &[RouteQuality]| {
                 for (series, q) in series.iter_mut().zip(quality) {
                     if q.routes > 0 {

@@ -55,9 +55,7 @@ impl MobilityRecipe {
         let value = value.trim();
         let (name, params) = clause::split(value);
         if name != WAYPOINT {
-            return Err(format!(
-                "unknown mobility model {name:?} (registered: {WAYPOINT})"
-            ));
+            return Err(clause::unknown("mobility model", name, [WAYPOINT]));
         }
         let what = format!("mobility {value:?}");
         let params = clause::parse_params(&what, params, WAYPOINT_PARAMS)?;

@@ -8,9 +8,7 @@
 //! sweep measures ([`SweepRecord`]). Each point folds its records
 //! through [`RouteQuality`], the fold behind a server's `STATS`, and
 //! keeps the records of its delivered routes for the figures that
-//! summarize more than counts. Scheme display names resolve **once per
-//! sweep** ([`Scheme::display_names`]) and are stamped onto the
-//! aggregates, so nothing in the hot loop touches the registry.
+//! summarize more than counts.
 
 use crate::{PreparedNetwork, Scheme, SweepConfig};
 use rand::rngs::StdRng;
@@ -19,7 +17,6 @@ use sp_core::{RouteBuffer, RouteOutcome, RouteQuality, RouteRecord, Routing};
 use sp_net::{interference_count, Network, NodeId, RadioModel};
 use sp_sim::ChaosPlan;
 use sp_sync::WorkQueue;
-use std::sync::Arc;
 
 /// Packet size used for the A7 energy accounting, in bits. One short
 /// sensor data frame; only the *relative* energy of the schemes matters.
@@ -57,9 +54,6 @@ pub struct SweepRecord {
 pub struct SchemePoint {
     /// The scheme.
     pub scheme: Scheme,
-    /// The scheme's display name, resolved once when the sweep started
-    /// (shared across points; figure assembly reads it lock-free).
-    pub scheme_name: Arc<str>,
     /// Every route of the point folded: routes, deliveries, delivered
     /// hops and phase entries, counted as a server's `STATS` counts
     /// them.
@@ -111,9 +105,6 @@ pub fn run_sweep(cfg: &SweepConfig, schemes: &[Scheme]) -> SweepResults {
 
     let records = run_jobs(cfg, schemes, &jobs);
 
-    // One registry read for the whole sweep: every point shares the
-    // resolved names instead of cloning a String per lookup.
-    let names = Scheme::display_names(schemes);
     let mut points: Vec<SweepPoint> = cfg
         .node_counts
         .iter()
@@ -121,10 +112,8 @@ pub fn run_sweep(cfg: &SweepConfig, schemes: &[Scheme]) -> SweepResults {
             node_count: n,
             schemes: schemes
                 .iter()
-                .zip(&names)
-                .map(|(&scheme, name)| SchemePoint {
+                .map(|&scheme| SchemePoint {
                     scheme,
-                    scheme_name: Arc::clone(name),
                     quality: RouteQuality::default(),
                     delivered_routes: Vec::new(),
                 })
@@ -146,7 +135,7 @@ pub fn run_sweep(cfg: &SweepConfig, schemes: &[Scheme]) -> SweepResults {
     }
     SweepResults {
         points,
-        deployment_tag: cfg.deployment.tag(),
+        deployment_tag: cfg.deployment.name().to_owned(),
     }
 }
 
@@ -204,8 +193,7 @@ pub fn run_instance(
     let prepared = PreparedNetwork::new(net);
     let net = &prepared.net;
     let ctx = prepared.ctx();
-    // Resolve each scheme's router once per instance — the registry
-    // lookup (a read lock) and router construction stay out of the
+    // Build each scheme's router once per instance, out of the
     // per-packet loop.
     let routers: Vec<_> = schemes.iter().map(|s| s.build(&ctx)).collect();
     let mut rng = StdRng::seed_from_u64(seed ^ 0x7a1c_5eed);

@@ -1,155 +1,175 @@
-//! The open scenario registry: deployment scenarios as first-class,
-//! registrable generators.
+//! The deployment scenarios a sweep runs on.
 //!
 //! The paper evaluates two deployments — uniform (**IA**) and
-//! forbidden-area (**FA**) — and the harness used to hard-code them in
-//! a closed `DeploymentKind` enum matched at every consumer. A scenario
-//! is now a [`Scenario`] handle into the same registry that holds the
-//! schemes: the built-ins are IA, FA, and the structured
-//! clustered / corridor / city-block generators of [`sp_net::deploy`],
-//! and new deployments register at runtime with a closure capturing
-//! their configuration:
+//! forbidden-area (**FA**). [`Scenario`] adds the structured
+//! clustered / corridor / city-block generators of [`sp_net::deploy`]
+//! and weighted blends of them, written as spec text:
 //!
 //! ```
 //! use sp_experiments::Scenario;
-//! use sp_net::FaModel;
+//! use sp_net::DeploymentConfig;
 //!
-//! // A heavier forbidden-area regime: the closure captures its model.
-//! let fa = FaModel { obstacle_count: 6, ..FaModel::paper_default() };
-//! let scenario = Scenario::register("FA-heavy-doc", move |cfg, seed| {
-//!     cfg.deploy_with_obstacles(&fa.generate_obstacles(cfg, seed), seed)
-//! });
-//! assert_eq!(scenario.name(), "FA-heavy-doc");
-//! assert_eq!(Scenario::by_name("FA-heavy-doc"), Some(scenario));
-//! assert_eq!(
-//!     scenario
-//!         .deploy(&sp_net::DeploymentConfig::paper_default(400), 7)
-//!         .len(),
-//!     400
-//! );
+//! let blend = Scenario::parse("IA:0.7+clustered:0.3").unwrap();
+//! assert_eq!(blend.name(), "IA:0.7+clustered:0.3");
+//! assert_eq!(blend, Scenario::parse("IA:0.7+clustered:0.3").unwrap());
+//! assert_eq!(Scenario::parse("corridor"), Ok(Scenario::Corridor));
+//! let cfg = DeploymentConfig::paper_default(400);
+//! assert_eq!(blend.deploy(&cfg, 7).len(), 400);
 //! ```
 
-use crate::registry::{Handle, Kind, Registry};
+use crate::clause;
 use sp_geom::Point;
 use sp_net::deploy::{CityBlockModel, ClusterModel, CorridorModel, DeploymentConfig, FaModel};
-use std::sync::Arc;
 
-/// Generates one deployment instance: `(constants, seed) -> positions`.
-///
-/// A shared closure so generators can capture their model parameters
-/// (obstacle counts, cluster spreads, street widths) at registration.
-pub type ScenarioBuild = Arc<dyn Fn(&DeploymentConfig, u64) -> Vec<Point> + Send + Sync>;
-
-/// The scenario kind of the shared registry: the process-wide table
-/// mapping [`Scenario`] handles to names and deployment generators.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum ScenarioKind {}
-
-static SCENARIOS: Registry<ScenarioKind> = Registry::new();
-
-impl Kind for ScenarioKind {
-    const NAME: &'static str = "scenario";
-    type Build = ScenarioBuild;
-
-    /// The built-in scenarios: the paper's two deployments plus the
-    /// structured generators of the scenario-diversity roadmap item.
-    fn builtin() -> Vec<(String, ScenarioBuild)> {
-        let fa = FaModel::paper_default();
-        let clusters = ClusterModel::paper_default();
-        let corridor = CorridorModel::paper_default();
-        let blocks = CityBlockModel::paper_default();
-        vec![
-            // === The scenario registration table ==================[order matters]
-            entry("IA", |cfg, seed| cfg.deploy_uniform(seed)), // Scenario::Ia
-            entry("FA", move |cfg, seed| {
-                cfg.deploy_with_obstacles(&fa.generate_obstacles(cfg, seed), seed)
-                // Scenario::Fa
-            }),
-            entry("clustered", move |cfg, seed| {
-                cfg.deploy_clustered(&clusters, seed) // Scenario::Clustered
-            }),
-            entry("corridor", move |cfg, seed| {
-                cfg.deploy_corridor(&corridor, seed) // Scenario::Corridor
-            }),
-            entry("city-block", move |cfg, seed| {
-                cfg.deploy_city_block(&blocks, seed) // Scenario::CityBlock
-            }),
-            // ======================================================================
-        ]
-    }
-
-    fn registry() -> &'static Registry<ScenarioKind> {
-        &SCENARIOS
-    }
-}
-
-fn entry<F>(name: impl Into<String>, generate: F) -> (String, ScenarioBuild)
-where
-    F: Fn(&DeploymentConfig, u64) -> Vec<Point> + Send + Sync + 'static,
-{
-    (name.into(), Arc::new(generate))
-}
-
-/// A handle to one registered deployment scenario.
-///
-/// `Copy`, order-stable, and cheap to compare — sweep configs carry it
-/// by value exactly like [`crate::Scheme`]. The associated constants
-/// name the built-ins; further scenarios get their handles from
-/// [`Scenario::register`]. Lookups (`by_name`, `all`, `name`) are the
-/// shared [`Handle`] methods.
-pub type Scenario = Handle<ScenarioKind>;
-
-#[allow(non_upper_case_globals)] // named like the enum variants they replaced
-impl Scenario {
+/// A deployment scenario: one of the five generators, or a weighted
+/// blend of them.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Scenario {
     /// IA: uniform ("ideal") deployment — holes only from sparsity.
-    pub const Ia: Scenario = Scenario::at(0);
+    Ia,
     /// FA: uniform deployment avoiding random forbidden areas
     /// ([`FaModel::paper_default`]).
-    pub const Fa: Scenario = Scenario::at(1);
+    Fa,
     /// Clustered drop-point deployment ([`ClusterModel::paper_default`]).
-    pub const Clustered: Scenario = Scenario::at(2);
+    Clustered,
     /// L-shaped corridor deployment ([`CorridorModel::paper_default`]).
-    pub const Corridor: Scenario = Scenario::at(3);
+    Corridor,
     /// Manhattan street grid ([`CityBlockModel::paper_default`]).
-    pub const CityBlock: Scenario = Scenario::at(4);
+    CityBlock,
+    /// A weighted blend of generators, made by [`Scenario::parse`].
+    Blend(Blend),
+}
 
-    /// Registers a new scenario under `name` and returns its handle.
-    ///
-    /// The generator may capture its deployment model; everything
-    /// downstream (sweep configs, the spec-string front end, figures)
-    /// dispatches through the handle with no further edits.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `name` is already registered; use
-    /// [`Scenario::try_register`] to handle the collision instead.
-    pub fn register<F>(name: impl Into<String>, generate: F) -> Scenario
-    where
-        F: Fn(&DeploymentConfig, u64) -> Vec<Point> + Send + Sync + 'static,
-    {
-        // Panic only after the lock guard is released, so a rejected
-        // registration cannot poison the registry for other threads.
-        // sp-analyze: allow(panic, documented panicking variant; try_ siblings recover instead)
-        Scenario::try_register(name, generate).unwrap_or_else(|e| panic!("{e}"))
+/// What a [`Scenario::Blend`] deploys: each generator with its weight
+/// (normalised to sum to one), in spec order, and the spec text it was
+/// parsed from, which is its name.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Blend {
+    spec: String,
+    parts: Vec<(Scenario, f64)>,
+}
+
+impl Scenario {
+    /// The five generators, in the order errors list them.
+    pub const ALL: [Scenario; 5] = [
+        Scenario::Ia,
+        Scenario::Fa,
+        Scenario::Clustered,
+        Scenario::Corridor,
+        Scenario::CityBlock,
+    ];
+
+    /// The name specs and figure titles use; a blend's is its spec text.
+    pub fn name(&self) -> &str {
+        match self {
+            Scenario::Ia => "IA",
+            Scenario::Fa => "FA",
+            Scenario::Clustered => "clustered",
+            Scenario::Corridor => "corridor",
+            Scenario::CityBlock => "city-block",
+            Scenario::Blend(blend) => &blend.spec,
+        }
     }
 
-    /// Registers a new scenario, reporting name collisions as `Err`
-    /// instead of panicking.
-    pub fn try_register<F>(name: impl Into<String>, generate: F) -> Result<Scenario, String>
-    where
-        F: Fn(&DeploymentConfig, u64) -> Vec<Point> + Send + Sync + 'static,
-    {
-        Scenario::add(entry(name, generate))
+    /// The generator named `name`, if any.
+    pub fn by_name(name: &str) -> Option<Scenario> {
+        Scenario::ALL.into_iter().find(|s| s.name() == name)
     }
 
-    /// Short panel tag used in figure titles (same as the name).
-    pub fn tag(&self) -> String {
-        self.name()
+    /// Parses a generator name, or a weighted blend such as
+    /// `IA:0.7+clustered:0.3`.
+    ///
+    /// A blend deploys each part's weighted share of the node count
+    /// into the same area: weights are normalised, and shares are
+    /// rounded so they sum exactly to the count.
+    pub fn parse(value: &str) -> Result<Scenario, String> {
+        if let Some(s) = Scenario::by_name(value) {
+            return Ok(s);
+        }
+        let unknown = |name: &str| {
+            clause::unknown("scenario", name, Scenario::ALL.iter().map(Scenario::name))
+        };
+        if !value.contains('+') {
+            return Err(unknown(value));
+        }
+        let mut parts = Vec::new();
+        for tok in value.split('+') {
+            let tok = tok.trim();
+            let (name, weight) = tok
+                .split_once(':')
+                .ok_or_else(|| format!("scenario blend {value:?}: {tok:?} is not name:weight"))?;
+            let scenario = Scenario::by_name(name.trim()).ok_or_else(|| unknown(name))?;
+            let weight: f64 = weight
+                .trim()
+                .parse()
+                .ok()
+                .filter(|w: &f64| w.is_finite() && *w > 0.0)
+                .ok_or_else(|| {
+                    format!("scenario blend {value:?}: weight {weight:?} is not a positive number")
+                })?;
+            parts.push((scenario, weight));
+        }
+        let total: f64 = parts.iter().map(|&(_, w)| w).sum();
+        for (_, w) in &mut parts {
+            *w /= total;
+        }
+        Ok(Scenario::Blend(Blend {
+            spec: value.to_owned(),
+            parts,
+        }))
     }
 
     /// Generates one deployment instance.
     pub fn deploy(&self, cfg: &DeploymentConfig, seed: u64) -> Vec<Point> {
-        self.builder()(cfg, seed)
+        match self {
+            Scenario::Ia => cfg.deploy_uniform(seed),
+            Scenario::Fa => {
+                let obstacles = FaModel::paper_default().generate_obstacles(cfg, seed);
+                cfg.deploy_with_obstacles(&obstacles, seed)
+            }
+            Scenario::Clustered => cfg.deploy_clustered(&ClusterModel::paper_default(), seed),
+            Scenario::Corridor => cfg.deploy_corridor(&CorridorModel::paper_default(), seed),
+            Scenario::CityBlock => cfg.deploy_city_block(&CityBlockModel::paper_default(), seed),
+            Scenario::Blend(blend) => blend.deploy(cfg, seed),
+        }
+    }
+}
+
+impl Blend {
+    /// Deploys every part's share, each from a seed salted by its
+    /// position in the blend.
+    fn deploy(&self, cfg: &DeploymentConfig, seed: u64) -> Vec<Point> {
+        let n = cfg.node_count;
+        let mut out = Vec::with_capacity(n);
+        // Cumulative rounding: shares sum exactly to n, each within one
+        // node of its weighted target.
+        let (mut cum, mut taken) = (0.0f64, 0usize);
+        for (i, (scenario, w)) in self.parts.iter().enumerate() {
+            cum += w;
+            let target = if i + 1 == self.parts.len() {
+                n
+            } else {
+                (cum * n as f64).round() as usize
+            };
+            let share = target.saturating_sub(taken);
+            taken = target.max(taken);
+            if share == 0 {
+                continue;
+            }
+            let sub = DeploymentConfig {
+                node_count: share,
+                ..*cfg
+            };
+            let salt = (i as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            out.extend(scenario.deploy(&sub, seed ^ salt));
+        }
+        out
+    }
+}
+
+impl std::fmt::Display for Scenario {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
     }
 }
 
@@ -166,20 +186,13 @@ mod tests {
         assert_eq!(Scenario::CityBlock.name(), "city-block");
         assert_eq!(Scenario::by_name("corridor"), Some(Scenario::Corridor));
         assert_eq!(Scenario::by_name("no-such-scenario"), None);
-        assert!(Scenario::all().len() >= 5);
-        assert_eq!(Scenario::names().len(), Scenario::all().len());
+        assert_eq!(Scenario::ALL.len(), 5);
     }
 
     #[test]
     fn every_builtin_deploys_n_points_deterministically() {
         let cfg = DeploymentConfig::paper_default(300);
-        for scenario in [
-            Scenario::Ia,
-            Scenario::Fa,
-            Scenario::Clustered,
-            Scenario::Corridor,
-            Scenario::CityBlock,
-        ] {
+        for scenario in Scenario::ALL {
             let a = scenario.deploy(&cfg, 9);
             let b = scenario.deploy(&cfg, 9);
             assert_eq!(a.len(), 300, "{scenario}");
@@ -188,31 +201,5 @@ mod tests {
                 assert!(cfg.area.contains(*p), "{scenario}: {p} escapes");
             }
         }
-    }
-
-    #[test]
-    fn registering_a_scenario_captures_its_payload() {
-        let margin = 40.0; // captured config: a shrunken deployment core
-        let scenario = Scenario::register("TEST-core-only", move |cfg, seed| {
-            let core = DeploymentConfig {
-                area: cfg.area.inflate(-margin),
-                ..*cfg
-            };
-            core.deploy_uniform(seed)
-        });
-        let cfg = DeploymentConfig::paper_default(100);
-        let pts = scenario.deploy(&cfg, 4);
-        assert_eq!(pts.len(), 100);
-        for p in &pts {
-            assert!(cfg.area.inflate(-margin).contains(*p));
-        }
-        assert_eq!(Scenario::by_name("TEST-core-only"), Some(scenario));
-    }
-
-    #[test]
-    fn duplicate_scenario_names_are_rejected() {
-        let err = Scenario::try_register("IA", |cfg, seed| cfg.deploy_uniform(seed))
-            .expect_err("IA is a built-in");
-        assert!(err.contains("registered twice"), "{err}");
     }
 }

@@ -8,7 +8,7 @@
 //!
 //! | key        | value                                            | default |
 //! |------------|--------------------------------------------------|---------|
-//! | `scenario` | a registered scenario name (`IA`, `FA`, …) or a weighted blend `IA:0.7+clustered:0.3` | `IA`    |
+//! | `scenario` | a scenario name (`IA`, `FA`, …) or a weighted blend `IA:0.7+clustered:0.3` | `IA`    |
 //! | `nodes`    | `lo..hi:step` (inclusive), a comma list, or one value | the paper's `400..800:50` |
 //! | `nets`     | networks per node count                          | `100`   |
 //! | `pairs`    | source/destination pairs per network, each routed through every scheme | `1`     |
@@ -18,13 +18,13 @@
 //! | `chaos`    | a `+`-joined [`ChaosRecipe`], e.g. `region:r=0.15@round5+drop:p=0.01` | none |
 //! | `mobility` | a [`MobilityRecipe`], e.g. `waypoint:speed=2`    | none    |
 //!
-//! Scenario, scheme, chaos-class, and mobility-model names all resolve
-//! through the **open registries**, so anything registered at runtime is
-//! immediately addressable from a spec with no parser changes. A
-//! scenario **blend** like `IA:0.7+clustered:0.3` deploys each
-//! component's weighted share of the nodes into the same area and is
-//! registered under the blend string itself, so the blend becomes an
-//! ordinary named scenario on first use.
+//! Scenario, scheme, chaos-class, and mobility-model names resolve
+//! against the closed sets of [`Scenario`], [`Scheme`],
+//! [`crate::ChaosClass`] and [`MobilityRecipe`]; an unknown name is an
+//! error that lists the known ones. A scenario **blend** like
+//! `IA:0.7+clustered:0.3` deploys each component's weighted share of
+//! the nodes into the same area and is named by its own spec text
+//! ([`Scenario::parse`]).
 
 use crate::{run_sweep, ChaosRecipe, MobilityRecipe, Scenario, Scheme, SweepConfig, SweepResults};
 
@@ -44,15 +44,14 @@ impl std::error::Error for SpecError {}
 /// for [`run_sweep`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepSpec {
-    /// The sweep configuration (scenario resolved to a registry handle).
+    /// The sweep configuration.
     pub config: SweepConfig,
     /// The schemes to route, in spec order.
     pub schemes: Vec<Scheme>,
 }
 
 impl SweepSpec {
-    /// Parses a spec string, resolving scenario and scheme names
-    /// through their registries.
+    /// Parses a spec string, resolving scenario and scheme names.
     pub fn parse(spec: &str) -> Result<SweepSpec, SpecError> {
         let mut config = SweepConfig::paper_ia();
         let mut schemes: Vec<Scheme> = Scheme::PAPER_SET.to_vec();
@@ -66,7 +65,7 @@ impl SweepSpec {
                 .ok_or_else(|| SpecError(format!("clause {clause:?} is not key=value")))?;
             let (key, value) = (key.trim(), value.trim());
             match key {
-                "scenario" => config.deployment = parse_scenario(value)?,
+                "scenario" => config.deployment = Scenario::parse(value).map_err(SpecError)?,
                 "nodes" => config.node_counts = parse_nodes(value)?,
                 "nets" => config.networks_per_point = parse_count(key, value)?,
                 "pairs" | "flows" => config.pairs_per_network = parse_count(key, value)?,
@@ -96,83 +95,6 @@ impl SweepSpec {
     pub fn run(&self) -> SweepResults {
         run_sweep(&self.config, &self.schemes)
     }
-}
-
-/// A scenario name, or a weighted blend `IA:0.7+clustered:0.3`.
-///
-/// A blend deploys each component's weighted share of the node count
-/// into the same area (weights normalised, shares rounded so they sum
-/// exactly to the count) and registers the synthesised generator under
-/// the blend string itself — so the first parse mints a scenario and
-/// every later parse resolves it by name like any other.
-fn parse_scenario(value: &str) -> Result<Scenario, SpecError> {
-    if let Some(s) = Scenario::by_name(value) {
-        return Ok(s);
-    }
-    if !value.contains('+') {
-        return Err(SpecError(Scenario::unknown(value)));
-    }
-    let mut parts: Vec<(Scenario, f64)> = Vec::new();
-    for tok in value.split('+') {
-        let tok = tok.trim();
-        let (name, weight) = tok.split_once(':').ok_or_else(|| {
-            SpecError(format!(
-                "scenario blend {value:?}: {tok:?} is not name:weight"
-            ))
-        })?;
-        let scenario =
-            Scenario::by_name(name.trim()).ok_or_else(|| SpecError(Scenario::unknown(name)))?;
-        let weight: f64 = weight
-            .trim()
-            .parse()
-            .ok()
-            .filter(|w: &f64| w.is_finite() && *w > 0.0)
-            .ok_or_else(|| {
-                SpecError(format!(
-                    "scenario blend {value:?}: weight {weight:?} is not a positive number"
-                ))
-            })?;
-        parts.push((scenario, weight));
-    }
-    let total: f64 = parts.iter().map(|&(_, w)| w).sum();
-    for (_, w) in &mut parts {
-        *w /= total;
-    }
-    let blend = parts.clone();
-    let generate = move |cfg: &sp_net::deploy::DeploymentConfig, seed: u64| {
-        let n = cfg.node_count;
-        let mut out = Vec::with_capacity(n);
-        // Cumulative rounding: shares sum exactly to n, each within one
-        // node of its weighted target.
-        let (mut cum, mut taken) = (0.0f64, 0usize);
-        for (i, &(scenario, w)) in blend.iter().enumerate() {
-            cum += w;
-            let target = if i + 1 == blend.len() {
-                n
-            } else {
-                (cum * n as f64).round() as usize
-            };
-            let share = target.saturating_sub(taken);
-            taken = target.max(taken);
-            if share == 0 {
-                continue;
-            }
-            let sub = sp_net::deploy::DeploymentConfig {
-                node_count: share,
-                ..*cfg
-            };
-            let salt = (i as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            out.extend(scenario.deploy(&sub, seed ^ salt));
-        }
-        out
-    };
-    // First parse mints the scenario; a concurrent parse of the same
-    // blend loses the registration race and resolves by name instead.
-    Scenario::try_register(value, generate)
-        .or_else(|_| {
-            Scenario::by_name(value).ok_or_else(|| "blend registration collided".to_owned())
-        })
-        .map_err(SpecError)
 }
 
 /// `lo..hi:step` (both ends inclusive), a comma list, or one value.
@@ -218,10 +140,14 @@ fn parse_schemes(value: &str) -> Result<Vec<Scheme>, SpecError> {
             "" => return Err(SpecError(format!("schemes {value:?}: empty name"))),
             "PAPER" => out.extend(Scheme::PAPER_SET),
             "EXTENDED" => out.extend(Scheme::EXTENDED_SET),
-            "ALL" => out.extend(Scheme::all()),
-            name => {
-                out.push(Scheme::by_name(name).ok_or_else(|| SpecError(Scheme::unknown(name)))?)
-            }
+            "ALL" => out.extend(Scheme::ALL),
+            name => out.push(Scheme::by_name(name).ok_or_else(|| {
+                SpecError(crate::clause::unknown(
+                    "scheme",
+                    name,
+                    Scheme::ALL.map(Scheme::name),
+                ))
+            })?),
         }
     }
     // Membership dedup (macros overlap, e.g. PAPER+SLGF2): a repeated
@@ -329,7 +255,7 @@ mod tests {
     #[test]
     fn scheme_macros_expand() {
         let all = SweepSpec::parse("schemes=ALL").unwrap().schemes;
-        assert_eq!(all, Scheme::all());
+        assert_eq!(all, Scheme::ALL.to_vec());
         let ext = SweepSpec::parse("schemes=EXTENDED").unwrap().schemes;
         assert_eq!(ext, Scheme::EXTENDED_SET.to_vec());
         // Duplicates collapse even when non-adjacent (macro overlap):
@@ -400,9 +326,9 @@ mod tests {
     #[test]
     fn scenario_blends_mint_a_named_scenario() {
         let spec = SweepSpec::parse("scenario=IA:0.7+clustered:0.3;nodes=400").unwrap();
-        let blend = spec.config.deployment;
+        let blend = spec.config.deployment.clone();
         assert_eq!(blend.name(), "IA:0.7+clustered:0.3");
-        // Re-parsing resolves the already-minted scenario by name.
+        // Re-parsing yields an equal scenario.
         let again = SweepSpec::parse("scenario=IA:0.7+clustered:0.3").unwrap();
         assert_eq!(again.config.deployment, blend);
         // Shares sum exactly to the node count and replay per seed.

@@ -67,8 +67,8 @@ pub struct LifetimeReport {
 /// different components), or `cfg.max_rounds` is reached.
 ///
 /// Every round sends one packet per flow. Routing runs session-style:
-/// the scheme's router is resolved through the registry **once per
-/// topology epoch** (not per packet) and every packet routes through
+/// the scheme's router is built **once per topology epoch** (not per
+/// packet) and every packet routes through
 /// one reused [`RouteBuffer`], so the steady-state loop allocates
 /// nothing. Depleted nodes are removed from the ghost topology and —
 /// for the information-based schemes — the safety labeling is repaired
@@ -151,7 +151,7 @@ pub fn run_lifetime_with_chaos(
             // Routing structures for the current topology epoch: the
             // degraded snapshot, the incrementally-repaired safety
             // information, the rebuilt recovery structures, and — once,
-            // not per packet — the scheme's router via the registry.
+            // not per packet — the scheme's router.
             // Sever the links crossing every partition cut active this
             // round; the epoch is rebuilt when the active set changes.
             if strike != TopologyDelta::default() {

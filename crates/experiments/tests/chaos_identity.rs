@@ -4,7 +4,7 @@
 //!
 //! 1. **Rate-0 bit-identity** — a chaos recipe that schedules nothing
 //!    and drops nothing is indistinguishable from no recipe at all, for
-//!    every registered scheme and for the construction engine, at any
+//!    every scheme and for the construction engine, at any
 //!    seed (the spot checks per engine live next to each engine; the
 //!    property test here fuzzes the seeds).
 //! 2. **Per-class determinism** — every built-in chaos class replays
@@ -27,7 +27,7 @@ fn one_instance_cfg() -> SweepConfig {
 
 #[test]
 fn rate_zero_is_bit_identical_for_every_registered_scheme() {
-    let schemes = Scheme::all();
+    let schemes = Scheme::ALL;
     let plain = one_instance_cfg();
     let mut quiet = plain.clone();
     quiet.chaos = Some(ChaosRecipe::parse("drop:p=0").unwrap());

@@ -3,7 +3,7 @@
 //!
 //! `route_digests` pins the routes themselves; this pins what the
 //! figures make of them. It sweeps small interest-area and
-//! forbidden-area fields under every `Scheme::all()` entry three ways
+//! forbidden-area fields under every `Scheme::ALL` entry three ways
 //! (pristine, under a regional outage with lossy links, and after five
 //! ticks of waypoint motion) and draws all ten `Metric` views of each
 //! sweep through `figures::figure_from_sweep`. It also draws the A1,
@@ -194,13 +194,16 @@ fn sweep(scenario: Scenario, variant: &str) -> SweepConfig {
 }
 
 fn sweep_figures_match(scenario: Scenario) {
-    let schemes = Scheme::all();
+    let schemes = Scheme::ALL;
     let mut got = Vec::new();
     for variant in ["pristine", "chaos", "mobility"] {
-        let results = run_sweep(&sweep(scenario, variant), &schemes);
+        let results = run_sweep(&sweep(scenario.clone(), variant), &schemes);
         for (name, metric) in METRICS {
             let fig = figures::figure_from_sweep(&results, metric, name);
-            got.push((format!("{}/{variant}/{name}", scenario.tag()), digest(&fig)));
+            got.push((
+                format!("{}/{variant}/{name}", scenario.name()),
+                digest(&fig),
+            ));
         }
     }
     check(&got);

@@ -1,11 +1,11 @@
-//! Every registered scheme's routes pinned to recorded digests.
+//! Every scheme's routes pinned to recorded digests.
 //!
 //! `traffic_parity` compares buffered routing with one-shot routing and
 //! the scheme tests check properties of single routes, so neither
 //! notices a refactor that changes which hop a scheme picks while still
 //! delivering. This test routes 120 pairs on each of six seeded fields
 //! (interest-area and forbidden-area deployments of 300 to 700 nodes)
-//! under every `Scheme::all()` entry and folds outcome, path, phases and
+//! under every `Scheme::ALL` entry and folds outcome, path, phases and
 //! the perimeter/backup entry counts into one digest per scheme. Any
 //! change to a route fails here and has to be rebaselined on purpose.
 
@@ -132,11 +132,11 @@ fn digest(scheme: Scheme, fields: &[PreparedNetwork]) -> (u64, usize) {
 #[test]
 fn every_scheme_routes_as_recorded() {
     let fields = fields();
-    let got: Vec<(String, u64, usize)> = Scheme::all()
+    let got: Vec<(String, u64, usize)> = Scheme::ALL
         .into_iter()
         .map(|s| {
             let (d, recovered) = digest(s, &fields);
-            (s.name(), d, recovered)
+            (s.name().to_owned(), d, recovered)
         })
         .collect();
     let expected: Vec<(String, u64, usize)> = EXPECTED

@@ -3,32 +3,15 @@
 //!
 //! * `route_into` into a **reused** buffer must be indistinguishable
 //!   from the one-shot legacy `route()` — outcome, path, phases, and
-//!   phase-entry counters — for **every registered scheme**, including
-//!   runtime-registered family variants, across random networks and
-//!   flow sets;
+//!   phase-entry counters — for **every scheme**, across random
+//!   networks and flow sets;
 //! * `TrafficEngine` output must be bit-identical to serial execution
 //!   at thread counts {1, 2, 3, 8}.
 
 use proptest::prelude::*;
 use sp_core::{RouteBuffer, Routing, TrafficEngine};
-use sp_experiments::{PreparedNetwork, Scheme, SchemeFamily};
+use sp_experiments::{PreparedNetwork, Scheme};
 use sp_net::{deploy::DeploymentConfig, Network, NodeId};
-use std::sync::OnceLock;
-
-/// Registers a runtime ablation family once, so the "every registered
-/// scheme" sweep also covers closure-built variants with payloads.
-fn all_schemes() -> &'static [Scheme] {
-    static ALL: OnceLock<Vec<Scheme>> = OnceLock::new();
-    ALL.get_or_init(|| {
-        SchemeFamily::new("PARITY-ttl")
-            .sweep([("ttl=1n", 1.0), ("ttl=2n", 2.0)], |&m, ctx| {
-                Box::new(sp_core::Slgf2Router::new(ctx.info).with_ttl_multiplier(m))
-            })
-            .try_register()
-            .expect("parity family registers once");
-        Scheme::all()
-    })
-}
 
 fn prepared(n: usize, seed: u64) -> PreparedNetwork {
     let cfg = DeploymentConfig::paper_default(n);
@@ -61,7 +44,7 @@ proptest! {
 
     /// The tentpole invariant of the API redesign: buffered routing
     /// with buffer reuse is observably identical to the legacy
-    /// allocating path for every scheme in the registry.
+    /// allocating path for every scheme.
     #[test]
     fn route_into_matches_legacy_route_for_every_scheme(
         seed in 0u64..2_000,
@@ -70,7 +53,7 @@ proptest! {
         let prep = prepared(n, seed);
         let ctx = prep.ctx();
         let batch = flows(&prep.net, 6, seed);
-        for &scheme in all_schemes() {
+        for scheme in Scheme::ALL {
             let router = scheme.build(&ctx);
             // ONE buffer reused across all flows of all sizes — stale
             // state from a previous packet must never leak through.

@@ -50,8 +50,8 @@ impl DeploymentConfig {
     /// The paper's **density** at any scale: the square interest area
     /// grows with `node_count` so every instance keeps ~500 nodes per
     /// 200 m × 200 m at the 20 m radius — the deployment the scale
-    /// benches and figures (grid-vs-bruteforce, mobility snapshots,
-    /// distributed construction, `repro-figures a16`) share.
+    /// benches (grid-vs-bruteforce, mobility snapshots, distributed
+    /// construction) share.
     pub fn paper_density(node_count: usize) -> DeploymentConfig {
         let side = 200.0 * (node_count as f64 / 500.0).sqrt();
         DeploymentConfig {

@@ -13,8 +13,8 @@
 //!   construction, planarization, and mobility re-snapshots
 //!   `O(n · density)` instead of `O(n²)`; every [`Network`] carries one
 //!   ([`Network::index`]). Bulk adjacency shards cell rows across
-//!   threads above [`sp_sync::PARALLEL_NODE_THRESHOLD`] nodes and supports
-//!   `O(1)` incremental point moves;
+//!   threads above [`sp_sync::PARALLEL_NODE_THRESHOLD`] nodes, and
+//!   [`SpatialIndex::moved`] re-buckets a whole mover batch in one pass;
 //! * [`csr`] — the cache-dense [`CsrAdjacency`] edge arena every
 //!   [`Network`] stores its topology in (one contiguous `u32` offset
 //!   table + [`NodeId`] arena; a mover batch rewrites it in one pass,

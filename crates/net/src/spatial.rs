@@ -623,7 +623,7 @@ mod tests {
     }
 
     #[test]
-    fn move_point_relocates_between_cells() {
+    fn moved_relocates_between_cells() {
         let pts = vec![Point::new(5.0, 5.0), Point::new(95.0, 95.0)];
         let index = SpatialIndex::build(&pts, demo_area(), 10.0);
         let index = index.moved(&[(NodeId(0), Point::new(93.0, 93.0))]);
@@ -635,7 +635,7 @@ mod tests {
     }
 
     #[test]
-    fn move_point_copies_shared_points_once() {
+    fn moved_leaves_the_original_index_untouched() {
         let pts = scatter(50, 31);
         let index = SpatialIndex::build(&pts, demo_area(), 20.0);
         let moved = index.moved(&[(NodeId(7), Point::new(1.0, 2.0))]);

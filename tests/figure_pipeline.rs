@@ -39,7 +39,7 @@ fn ia_panel_shape_holds() {
     // headline ordering), with a small noise margin.
     let mean_of = |s: Scheme| -> f64 {
         let fig = figures::fig6(&results);
-        fig.series_by_label(&s.name()).unwrap().mean_y()
+        fig.series_by_label(s.name()).unwrap().mean_y()
     };
     assert!(
         mean_of(Scheme::Slgf2) <= mean_of(Scheme::Lgf) + 0.5,
@@ -102,9 +102,9 @@ fn figure_renderers_produce_complete_artifacts() {
         let md = render_markdown(&fig);
         let csv = render_csv(&fig);
         for scheme in Scheme::PAPER_SET {
-            assert!(text.contains(&scheme.name()), "text missing {scheme}");
-            assert!(md.contains(&scheme.name()), "md missing {scheme}");
-            assert!(csv.contains(&scheme.name()), "csv missing {scheme}");
+            assert!(text.contains(scheme.name()), "text missing {scheme}");
+            assert!(md.contains(scheme.name()), "md missing {scheme}");
+            assert!(csv.contains(scheme.name()), "csv missing {scheme}");
         }
         assert!(csv.lines().count() >= 2);
     }
@@ -116,8 +116,8 @@ fn max_hops_dominate_mean_hops() {
     let f5 = figures::fig5(&results);
     let f6 = figures::fig6(&results);
     for scheme in Scheme::PAPER_SET {
-        let s5 = f5.series_by_label(&scheme.name()).unwrap();
-        let s6 = f6.series_by_label(&scheme.name()).unwrap();
+        let s5 = f5.series_by_label(scheme.name()).unwrap();
+        let s6 = f6.series_by_label(scheme.name()).unwrap();
         for (&(x, max), &(_, mean)) in s5.points.iter().zip(&s6.points) {
             assert!(max >= mean, "{scheme} at n={x}: max {max} < mean {mean}");
         }
