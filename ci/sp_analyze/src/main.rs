@@ -11,8 +11,10 @@
 //! * **panic** / **index** — library code returns errors instead of
 //!   panicking; hot paths don't use may-panic indexing silently.
 //! * **concurrency** — every scoped-thread/atomic-cursor scan goes
-//!   through `sp_sync::WorkQueue`; every thread count through
-//!   `sp_sync::configured_threads_for` or `sp_sync::default_threads`.
+//!   through `sp_sync::WorkQueue`, every condition-variable wait
+//!   through an sp-sync type such as `sp_sync::Admission`, and every
+//!   thread count through `sp_sync::configured_threads_for` or
+//!   `sp_sync::default_threads`.
 //! * **env** — every `SP_*` knob is registered in
 //!   `sp_sync::knobs::ENV_KNOBS` and read through the registry, and
 //!   the README's knob table is exactly the one the registry

@@ -340,8 +340,8 @@ impl SourceFile {
         }
     }
 
-    /// Rule `concurrency`: atomics, scoped threads, and thread-count
-    /// probes belong to `sp_sync` alone.
+    /// Rule `concurrency`: atomics, condition variables, scoped
+    /// threads, and thread-count probes belong to `sp_sync` alone.
     pub fn check_concurrency(&self, out: &mut Vec<Diagnostic>) {
         let toks = self.toks();
         for (i, t) in toks.iter().enumerate() {
@@ -354,14 +354,17 @@ impl SourceFile {
                     && toks.get(i + 2).is_some_and(|b| b.text == ":")
                     && toks.get(i + 3).is_some_and(|c| c.text == tail)
             };
-            if t.text.starts_with("Atomic") && t.text.len() > "Atomic".len() {
+            if (t.text.starts_with("Atomic") && t.text.len() > "Atomic".len())
+                || t.text == "Condvar"
+            {
                 self.diag(
                     out,
                     "concurrency",
                     t.line,
                     format!(
                         "{} outside sp-sync — express the scan as an \
-                         sp_sync::WorkQueue run instead of a hand-rolled cursor",
+                         sp_sync::WorkQueue run, or the waiting as an \
+                         sp_sync::Admission queue, instead of a hand-rolled one",
                         t.text
                     ),
                 );
@@ -793,6 +796,7 @@ mod tests {
     fn concurrency_rule_flags_each_escaped_idiom() {
         let cases = [
             "use std::sync::atomic::AtomicUsize;",
+            "struct S { ready: std::sync::Condvar }",
             "fn f(c: &C) { c.cursor.fetch_add(1, O::Relaxed); }",
             "fn f() { std::thread::scope(|s| {}); }",
             "fn f() { std::thread::spawn(|| {}); }",

@@ -347,7 +347,7 @@ mod tests {
     }
 
     #[test]
-    fn builtins_are_registered_in_table_order() {
+    fn names_and_lookup_cover_every_chaos_class() {
         assert_eq!(ChaosClass::Region.name(), "region");
         assert_eq!(ChaosClass::Partition.name(), "partition");
         assert_eq!(ChaosClass::Drop.name(), "drop");

@@ -178,7 +178,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builtins_are_registered_in_table_order() {
+    fn names_and_lookup_cover_every_scenario() {
         assert_eq!(Scenario::Ia.name(), "IA");
         assert_eq!(Scenario::Fa.name(), "FA");
         assert_eq!(Scenario::Clustered.name(), "clustered");

@@ -309,7 +309,7 @@ mod tests {
     }
 
     #[test]
-    fn chaos_and_mobility_clauses_resolve_through_their_registries() {
+    fn chaos_and_mobility_clauses_parse_into_the_config() {
         let spec =
             SweepSpec::parse("chaos=region:r=0.15@round5+drop:p=0.01;mobility=waypoint:speed=2")
                 .unwrap();
@@ -324,7 +324,7 @@ mod tests {
     }
 
     #[test]
-    fn scenario_blends_mint_a_named_scenario() {
+    fn scenario_blends_parse_to_equal_values() {
         let spec = SweepSpec::parse("scenario=IA:0.7+clustered:0.3;nodes=400").unwrap();
         let blend = spec.config.deployment.clone();
         assert_eq!(blend.name(), "IA:0.7+clustered:0.3");
@@ -346,7 +346,7 @@ mod tests {
     }
 
     #[test]
-    fn spec_runs_through_the_registries_end_to_end() {
+    fn spec_runs_end_to_end() {
         let spec = SweepSpec::parse("scenario=clustered;nodes=400;nets=2;schemes=SLGF2").unwrap();
         let results = spec.run();
         assert_eq!(results.deployment_tag, "clustered");

@@ -26,7 +26,7 @@ fn one_instance_cfg() -> SweepConfig {
 }
 
 #[test]
-fn rate_zero_is_bit_identical_for_every_registered_scheme() {
+fn rate_zero_is_bit_identical_for_every_scheme() {
     let schemes = Scheme::ALL;
     let plain = one_instance_cfg();
     let mut quiet = plain.clone();

@@ -3,9 +3,10 @@
 //!
 //! Shape:
 //!
-//! * one **accept thread** feeds connections into a `Mutex`+`Condvar`
-//!   queue; each queued `Conn` carries its own [`FrameReader`], so
-//!   partially-read frames survive a hand-off between workers;
+//! * one **accept thread** admits connections into an
+//!   [`sp_sync::Admission`] queue; each queued `Conn` carries its own
+//!   [`FrameReader`], so partially-read frames survive a hand-off
+//!   between workers;
 //! * `SP_SERVE_THREADS` **workers** each own one
 //!   [`ServiceSession`] (pinned snapshot + reused route buffer) and a
 //!   `ConnScratch` of reusable buffers, and serve connections in
@@ -32,14 +33,14 @@
 //! so it keeps earlier `MOVE`s, and later `MOVE`s keep its plan in
 //! force.
 //!
-//! Shutdown is graceful by construction: on `SHUTDOWN` the drain
-//! starts before the acknowledgement is written. The drain deadline is
-//! set, the stop flag flips and the accept loop is woken with a
-//! throwaway connection (it then exits), and only then does the ack go
-//! out, so a client that holds the ack always finds the server
-//! stopping. Every worker keeps draining its current connection (and
-//! any already-queued ones) until EOF or the drain deadline —
-//! pipelined in-flight requests always get their replies.
+//! Shutdown is graceful by construction: `SHUTDOWN` closes the queue,
+//! one step under its lock that sets the drain deadline and wakes every
+//! idle worker, before its ack is written, so a client that holds the
+//! ack always finds the server stopping. The accept loop, woken by a
+//! throwaway connection, finds its next admit refused and exits. Every
+//! worker keeps draining its current connection (and any already-queued
+//! ones) until EOF or the 5 s `DRAIN_TIMEOUT` — pipelined in-flight
+//! requests always get their replies.
 
 use crate::telemetry::Telemetry;
 use crate::wire::{
@@ -51,13 +52,10 @@ use sp_core::{RoutingService, ServiceScheme, ServiceSession};
 use sp_experiments::ChaosRecipe;
 use sp_geom::{Point, Rect};
 use sp_net::{Network, NodeId};
-use sp_sync::{lock_recover, wait_timeout_recover};
-use std::collections::VecDeque;
+use sp_sync::Admission;
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-// sp-analyze: allow(concurrency, the server's stop flag is a single watched bool, not a work-sharing cursor)
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// Default listen address when `SP_SERVE_ADDR` is unset.
@@ -67,7 +65,7 @@ pub const DEFAULT_ADDR: &str = "127.0.0.1:4617";
 const READ_CHUNK: usize = 16 * 1024;
 
 /// Socket read timeout while a connection has the queue to itself: how
-/// often the worker rechecks the stop flag and drain deadline.
+/// often the worker rechecks the drain deadline.
 const POLL_INTERVAL: Duration = Duration::from_millis(100);
 
 /// Socket read timeout while other connections are waiting in the
@@ -86,6 +84,10 @@ const STINT_FRAMES: usize = 64;
 /// must be priced in time too: one expensive frame ends the stint.
 const STINT_BUDGET: Duration = Duration::from_millis(5);
 
+/// How long workers keep draining open connections after shutdown
+/// begins.
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// Server configuration. [`ServeConfig::from_env`] reads the
 /// registered knobs; the builders override per instance (tests and
 /// benches bind ephemeral ports and skip telemetry).
@@ -99,9 +101,6 @@ pub struct ServeConfig {
     pub telemetry: Option<String>,
     /// Interval between telemetry JSONL lines.
     pub telemetry_interval: Duration,
-    /// How long workers keep draining open connections after shutdown
-    /// begins.
-    pub drain_timeout: Duration,
 }
 
 impl ServeConfig {
@@ -113,7 +112,6 @@ impl ServeConfig {
             threads: sp_sync::configured_threads_for("SP_SERVE_THREADS"),
             telemetry: sp_sync::env_var("SP_SERVE_TELEMETRY"),
             telemetry_interval: Duration::from_secs(1),
-            drain_timeout: Duration::from_secs(5),
         }
     }
 
@@ -125,7 +123,6 @@ impl ServeConfig {
             threads,
             telemetry: None,
             telemetry_interval: Duration::from_secs(1),
-            drain_timeout: Duration::from_secs(5),
         }
     }
 
@@ -146,42 +143,18 @@ struct Shared {
     /// across every epoch).
     nodes: usize,
     telemetry: Telemetry,
-    // sp-analyze: allow(concurrency, the server's stop flag is a single watched bool, not a work-sharing cursor)
-    stop: AtomicBool,
-    queue: Mutex<VecDeque<Conn>>,
-    ready: Condvar,
+    /// Connections waiting for a worker; closed once shutdown begins.
+    queue: Admission<Conn>,
     addr: SocketAddr,
-    drain_timeout: Duration,
-    drain_deadline: Mutex<Option<Instant>>,
 }
 
 impl Shared {
-    fn stopping(&self) -> bool {
-        self.stop.load(Ordering::Acquire)
-    }
-
-    /// Flips the server into draining: deadline first (so no worker
-    /// can observe `stop` without one), then the flag, then wake
-    /// everyone — including the accept loop, via a throwaway loopback
+    /// Closes the queue (which wakes every idle worker) and, on the
+    /// closing call, wakes the accept loop with a throwaway loopback
     /// connection.
     fn begin_shutdown(&self) {
-        {
-            let mut deadline = lock_recover(&self.drain_deadline);
-            if deadline.is_none() {
-                *deadline = Some(Instant::now() + self.drain_timeout);
-            }
-        }
-        if self.stop.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        self.ready.notify_all();
-        drop(TcpStream::connect(self.addr));
-    }
-
-    fn drain_expired(&self) -> bool {
-        match *lock_recover(&self.drain_deadline) {
-            Some(deadline) => Instant::now() >= deadline,
-            None => true,
+        if self.queue.close(DRAIN_TIMEOUT) {
+            drop(TcpStream::connect(self.addr));
         }
     }
 }
@@ -214,7 +187,7 @@ impl ServerHandle {
     /// True once shutdown has begun (via wire `SHUTDOWN` or
     /// [`ServerHandle::shutdown`]).
     pub fn stopping(&self) -> bool {
-        self.shared.stopping()
+        self.shared.queue.closed()
     }
 
     /// Begins graceful shutdown (idempotent): stop accepting, drain
@@ -255,13 +228,8 @@ pub fn serve_with(
         area: base.area(),
         nodes: base.len(),
         telemetry: Telemetry::new(workers),
-        // sp-analyze: allow(concurrency, the server's stop flag is a single watched bool, not a work-sharing cursor)
-        stop: AtomicBool::new(false),
-        queue: Mutex::new(VecDeque::new()),
-        ready: Condvar::new(),
+        queue: Admission::new(),
         addr,
-        drain_timeout: cfg.drain_timeout,
-        drain_deadline: Mutex::new(None),
     });
     let mut threads = Vec::with_capacity(workers + 2);
     for w in 0..workers {
@@ -296,30 +264,24 @@ pub fn serve_with(
     })
 }
 
-/// Accepts connections into the worker queue until shutdown. The
-/// throwaway wake connection from [`Shared::begin_shutdown`]
-/// guarantees `accept` returns one last time so the stop check runs.
+/// Admits connections into the worker queue until it refuses one.
+/// The throwaway wake connection from [`Shared::begin_shutdown`]
+/// guarantees `accept` returns once more after the queue closes.
 fn accept_loop(shared: &Shared, listener: TcpListener) {
-    for conn in listener.incoming() {
-        if shared.stopping() {
+    for stream in listener.incoming().flatten() {
+        drop(stream.set_nodelay(true));
+        if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
+            continue;
+        }
+        let conn = Conn {
+            stream,
+            reader: FrameReader::new(),
+            timeout: POLL_INTERVAL,
+        };
+        if shared.queue.admit(conn).is_err() {
             break;
         }
-        if let Ok(stream) = conn {
-            drop(stream.set_nodelay(true));
-            if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
-                continue;
-            }
-            lock_recover(&shared.queue).push_back(Conn {
-                stream,
-                reader: FrameReader::new(),
-                timeout: POLL_INTERVAL,
-            });
-            shared.ready.notify_one();
-        }
     }
-    // Already-queued connections still get served; wake everyone so
-    // idle workers notice the flag.
-    shared.ready.notify_all();
 }
 
 /// A queued connection: the socket plus its framing state, which must
@@ -360,26 +322,9 @@ fn worker_loop(shared: &Shared, w: usize) {
         moves: Vec::new(),
         chunk: vec![0u8; READ_CHUNK],
     };
-    loop {
-        let conn = {
-            let mut queue = lock_recover(&shared.queue);
-            loop {
-                if let Some(c) = queue.pop_front() {
-                    break Some(c);
-                }
-                if shared.stopping() {
-                    break None;
-                }
-                queue = wait_timeout_recover(&shared.ready, queue, POLL_INTERVAL);
-            }
-        };
-        let Some(mut conn) = conn else { return };
-        match serve_stint(shared, &mut session, &mut scratch, &mut conn, w) {
-            Stint::Closed => {}
-            Stint::Yield => {
-                lock_recover(&shared.queue).push_back(conn);
-                shared.ready.notify_one();
-            }
+    while let Some(mut conn) = shared.queue.pop() {
+        if let Stint::Yield = serve_stint(shared, &mut session, &mut scratch, &mut conn, w) {
+            shared.queue.requeue(conn);
         }
     }
 }
@@ -404,12 +349,7 @@ fn serve_stint(
         loop {
             match conn.reader.next_frame() {
                 Ok(Some(frame)) => {
-                    let flow = dispatch(shared, session, frame, out, moves, w);
-                    // Drain before the ack goes out, so a requester that
-                    // hears back always finds the server stopping.
-                    if matches!(flow, Flow::Shutdown) {
-                        shared.begin_shutdown();
-                    }
+                    dispatch(shared, session, frame, out, moves, w);
                     if write_frame(&mut conn.stream, out).is_err() {
                         return Stint::Closed;
                     }
@@ -426,10 +366,10 @@ fn serve_stint(
                 }
             }
         }
-        if shared.stopping() && shared.drain_expired() {
+        if shared.queue.drained() {
             return Stint::Closed;
         }
-        let crowded = !lock_recover(&shared.queue).is_empty();
+        let crowded = shared.queue.crowded();
         if crowded && (served >= STINT_FRAMES || started.elapsed() >= STINT_BUDGET) {
             return Stint::Yield;
         }
@@ -466,12 +406,6 @@ fn serve_stint(
     }
 }
 
-/// What the connection loop does after answering a frame.
-enum Flow {
-    Continue,
-    Shutdown,
-}
-
 /// A decoded `QUERY` frame's fields, bundled to keep the hot-path
 /// signature small.
 struct QueryFrame {
@@ -489,13 +423,13 @@ fn dispatch(
     out: &mut Vec<u8>,
     moves: &mut Vec<(NodeId, Point)>,
     w: usize,
-) -> Flow {
+) {
     let req = match decode_request(frame) {
         Ok(req) => req,
         Err(err) => {
             shared.telemetry.with(w, |c| c.record_protocol_error());
             encode_error(out, 0, err);
-            return Flow::Continue;
+            return;
         }
     };
     match req {
@@ -517,7 +451,6 @@ fn dispatch(
                 },
                 w,
             );
-            Flow::Continue
         }
         Request::Move(batch) => {
             moves.clear();
@@ -545,38 +478,33 @@ fn dispatch(
             if let Some(err) = bad {
                 shared.telemetry.with(w, |c| c.record_protocol_error());
                 encode_error(out, OP_MOVE, err);
-                return Flow::Continue;
+                return;
             }
             let epoch = shared.service.apply_moves(moves);
             shared
                 .telemetry
                 .with(w, |c| c.record_move(moves.len() as u64));
             encode_epoch_ok(out, OP_MOVE, epoch, moves.len() as u32);
-            Flow::Continue
         }
-        Request::Chaos { round, seed, spec } => {
-            match ChaosRecipe::parse(spec) {
-                Ok(recipe) => {
-                    let plan = |net: &Network| recipe.build(net, seed);
-                    let epoch = shared.service.apply_chaos(plan, round as usize);
-                    shared.telemetry.with(w, |c| c.record_chaos());
-                    encode_epoch_ok(out, OP_CHAOS, epoch, recipe.clauses.len() as u32);
-                }
-                Err(_) => {
-                    shared.telemetry.with(w, |c| c.record_protocol_error());
-                    encode_error(
-                        out,
-                        OP_CHAOS,
-                        ProtocolError::new(ProtocolErrorKind::BadSpec, spec.len() as u64),
-                    );
-                }
+        Request::Chaos { round, seed, spec } => match ChaosRecipe::parse(spec) {
+            Ok(recipe) => {
+                let plan = |net: &Network| recipe.build(net, seed);
+                let epoch = shared.service.apply_chaos(plan, round as usize);
+                shared.telemetry.with(w, |c| c.record_chaos());
+                encode_epoch_ok(out, OP_CHAOS, epoch, recipe.clauses.len() as u32);
             }
-            Flow::Continue
-        }
+            Err(_) => {
+                shared.telemetry.with(w, |c| c.record_protocol_error());
+                encode_error(
+                    out,
+                    OP_CHAOS,
+                    ProtocolError::new(ProtocolErrorKind::BadSpec, spec.len() as u64),
+                );
+            }
+        },
         Request::Stats => {
             let snap = shared.telemetry.aggregate();
             encode_stats_ok(out, shared.service.epoch(), &snap);
-            Flow::Continue
         }
         Request::Info => {
             encode_info_ok(
@@ -585,14 +513,14 @@ fn dispatch(
                 shared.nodes as u32,
                 shared.telemetry.workers() as u32,
             );
-            Flow::Continue
         }
         Request::Shutdown => {
-            // The caller starts draining before writing this ack, and
-            // draining keeps serving open connections, so the
-            // requester always hears back.
+            // Close before the caller writes the ack, so a requester
+            // that hears back always finds the server stopping; the
+            // drain keeps serving open connections, so it does hear
+            // back.
+            shared.begin_shutdown();
             encode_shutdown_ok(out, shared.service.epoch());
-            Flow::Shutdown
         }
     }
 }
@@ -664,7 +592,7 @@ fn exporter_loop(shared: &Shared, path: &str, interval: Duration) {
     let step = Duration::from_millis(50).min(interval.max(Duration::from_millis(1)));
     loop {
         let mut waited = Duration::ZERO;
-        while waited < interval && !shared.stopping() {
+        while waited < interval && !shared.queue.closed() {
             std::thread::sleep(step);
             waited += step;
         }
@@ -676,7 +604,7 @@ fn exporter_loop(shared: &Shared, path: &str, interval: Duration) {
             .telemetry
             .write_jsonl(&mut file, shared.service.epoch(), ts)
             .is_err()
-            || shared.stopping()
+            || shared.queue.closed()
         {
             return;
         }

@@ -129,8 +129,8 @@ impl ProtocolErrorKind {
 /// A named protocol error: the family plus one numeric context word
 /// (the offending opcode, node id, or length — whatever the family
 /// finds useful). Carrying a number instead of a rendered string keeps
-/// the hot decode path allocation-free; [`ProtocolError::message`]
-/// renders lazily on the cold reporting path.
+/// the hot decode path allocation-free; its `Display` renders lazily on
+/// the cold reporting path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProtocolError {
     /// The error family.
@@ -144,11 +144,6 @@ impl ProtocolError {
     /// Builds an error with context.
     pub fn new(kind: ProtocolErrorKind, context: u64) -> ProtocolError {
         ProtocolError { kind, context }
-    }
-
-    /// A human-readable rendering (cold path only).
-    pub fn message(&self) -> String {
-        format!("{} (context {})", self.kind.name(), self.context)
     }
 }
 
@@ -292,20 +287,6 @@ pub enum Request<'a> {
     Shutdown,
     /// Topology and server facts.
     Info,
-}
-
-impl Request<'_> {
-    /// The opcode this request answers under.
-    pub fn tag(&self) -> u8 {
-        match self {
-            Request::Query { .. } => OP_QUERY,
-            Request::Move(_) => OP_MOVE,
-            Request::Chaos { .. } => OP_CHAOS,
-            Request::Stats => OP_STATS,
-            Request::Shutdown => OP_SHUTDOWN,
-            Request::Info => OP_INFO,
-        }
-    }
 }
 
 /// Decodes one request payload. Never panics: every malformed shape

@@ -22,10 +22,6 @@ use sp_sync::WorkQueue;
 /// with a handful of active nodes never pay a thread spawn.
 const MIN_PARALLEL_FRONTIER: usize = 32;
 
-/// An outbox drained by a worker shard, tagged with the node that
-/// emitted it (merged back in ascending node order).
-type TaggedOutbox<M> = (u32, Outbox<M>);
-
 /// Errors the engine can report.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
@@ -385,9 +381,10 @@ where
     /// `split_at_mut` node range covering it (ranges are disjoint
     /// because the frontier is sorted and deduplicated), so no two
     /// workers claiming chunks off the shared [`sp_sync::WorkQueue`]
-    /// ever touch the same process. Outboxes are merged in chunk order
-    /// — ascending node order — which reproduces the serial
-    /// buffered-message order exactly.
+    /// ever touch the same process. Each chunk runs its nodes through
+    /// one outbox, drained into a chunk-local `(from, to, msg)` list;
+    /// the lists are queued in chunk order — ascending node order —
+    /// which reproduces the serial buffered-message order exactly.
     fn process_frontier_threaded(&mut self) {
         let threads = self.threads.min(self.frontier.len());
         let chunk_len = self.frontier.len().div_ceil(threads);
@@ -410,47 +407,39 @@ where
             offset = hi + 1;
             chunks.push((ids, mine, lo));
         }
-        let mut merged: Vec<Vec<TaggedOutbox<P::Msg>>> =
-            WorkQueue::new().run_owned(threads, chunks, |(ids, mine, lo)| {
-                let mut out: Vec<TaggedOutbox<P::Msg>> = Vec::with_capacity(ids.len());
-                let mut refs: Vec<(NodeId, &P::Msg)> = Vec::new();
-                for &id in ids {
-                    let i = id as usize;
-                    if !alive[i] || inboxes[i].is_empty() {
-                        continue;
-                    }
-                    refs.clear();
-                    refs.extend(
-                        inboxes[i]
-                            .iter()
-                            .map(|&(from, m)| (from, &delivering[m as usize].2)),
-                    );
-                    let mut ctx = Ctx {
-                        id: NodeId::new(i),
-                        net,
-                        alive,
-                        outbox: Vec::new(),
-                    };
-                    mine[i - lo].on_round(&mut ctx, &refs);
-                    if !ctx.outbox.is_empty() {
-                        out.push((id, ctx.outbox));
-                    }
+        let sent = WorkQueue::new().run_owned(threads, chunks, |(ids, mine, lo)| {
+            let mut sent = Vec::with_capacity(ids.len());
+            let mut refs: Vec<(NodeId, &P::Msg)> = Vec::new();
+            let mut outbox = Vec::new();
+            for &id in ids {
+                let i = id as usize;
+                if !alive[i] || inboxes[i].is_empty() {
+                    continue;
                 }
-                out
-            });
-        for shard in &mut merged {
-            for (id, outbox) in shard.iter_mut() {
-                queue_outbox(
-                    &mut self.pending,
-                    &mut self.stats,
-                    NodeId::new(*id as usize),
-                    outbox,
+                refs.clear();
+                refs.extend(
+                    inboxes[i]
+                        .iter()
+                        .map(|&(from, m)| (from, &delivering[m as usize].2)),
                 );
-                // Workers allocate their own buffers; the runtime keeps
-                // a bounded number for the serial paths.
-                self.nodes.recycle(std::mem::take(outbox));
+                let from = NodeId::new(i);
+                let mut ctx = Ctx {
+                    id: from,
+                    net,
+                    alive,
+                    outbox,
+                };
+                mine[i - lo].on_round(&mut ctx, &refs);
+                sent.extend(ctx.outbox.drain(..).map(|(to, msg)| (from, to, msg)));
+                outbox = ctx.outbox;
             }
-        }
+            sent
+        });
+        queue_sent(
+            &mut self.pending,
+            &mut self.stats,
+            sent.into_iter().flatten(),
+        );
     }
 
     /// Runs until quiescence (no in-flight messages, no pending
@@ -482,7 +471,21 @@ fn queue_outbox<M>(
     from: NodeId,
     outbox: &mut Outbox<M>,
 ) {
-    for (to, msg) in outbox.drain(..) {
+    queue_sent(
+        pending,
+        stats,
+        outbox.drain(..).map(|(to, msg)| (from, to, msg)),
+    );
+}
+
+/// Appends `(from, to, msg)` transmissions to the buffered-message
+/// queue in order, counting them.
+fn queue_sent<M>(
+    pending: &mut Vec<(NodeId, Option<NodeId>, M)>,
+    stats: &mut SimStats,
+    sent: impl Iterator<Item = (NodeId, Option<NodeId>, M)>,
+) {
+    for (from, to, msg) in sent {
         match to {
             None => stats.broadcasts += 1,
             Some(_) => stats.unicasts += 1,

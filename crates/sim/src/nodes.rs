@@ -1,5 +1,5 @@
 //! The node runtime both engines drive: the processes, the liveness
-//! table and an outbox pool, plus every process callback. An engine
+//! table and one spare outbox, plus every process callback. An engine
 //! decides only *when* a node runs and *where* its messages go: each
 //! call takes a sink closure that drains the callback's outbox (the
 //! round engine queues it for the next round, the asynchronous engine
@@ -8,12 +8,6 @@
 
 use crate::{Ctx, NodeProcess};
 use sp_net::{Network, NodeId};
-
-/// Most recycled outbox buffers the runtime retains. Serial callbacks
-/// cycle one buffer, but the round engine's threaded merge returns a
-/// whole frontier's worth per round; the cap keeps that from
-/// accumulating across rounds.
-const OUTBOX_POOL_CAP: usize = 64;
 
 /// A callback's outgoing messages: `None` addresses a broadcast,
 /// `Some(v)` a unicast to `v`.
@@ -24,7 +18,8 @@ pub(crate) struct Nodes<'n, P: NodeProcess> {
     pub(crate) net: &'n Network,
     pub(crate) procs: Vec<P>,
     pub(crate) alive: Vec<bool>,
-    pool: Vec<Outbox<P::Msg>>,
+    /// The drained outbox every callback borrows and hands back.
+    spare: Outbox<P::Msg>,
     initialized: bool,
 }
 
@@ -35,7 +30,7 @@ impl<'n, P: NodeProcess> Nodes<'n, P> {
             net,
             procs: (0..net.len()).map(|i| make(NodeId::new(i))).collect(),
             alive: vec![true; net.len()],
-            pool: Vec::new(),
+            spare: Vec::new(),
             initialized: false,
         }
     }
@@ -88,8 +83,8 @@ impl<'n, P: NodeProcess> Nodes<'n, P> {
         }
     }
 
-    /// Runs one process callback on `id` with a pooled outbox and hands
-    /// what it sent to `sink`. A dead node runs nothing; returns whether
+    /// Runs one process callback on `id` with the spare outbox and
+    /// hands what it sent to `sink`. A dead node runs nothing; returns whether
     /// the callback ran.
     // sp-analyze: allow(index, node ids index the per-node arrays, all sized to the network at construction)
     pub(crate) fn run(
@@ -105,21 +100,13 @@ impl<'n, P: NodeProcess> Nodes<'n, P> {
             id,
             net: self.net,
             alive: &self.alive,
-            outbox: self.pool.pop().unwrap_or_default(),
+            outbox: std::mem::take(&mut self.spare),
         };
         callback(&mut self.procs[id.index()], &mut ctx);
         sink(&mut ctx);
-        self.recycle(ctx.outbox);
+        debug_assert!(ctx.outbox.is_empty(), "sinks drain every outbox");
+        self.spare = ctx.outbox;
         true
-    }
-
-    /// Returns a drained outbox to the pool, keeping at most
-    /// [`OUTBOX_POOL_CAP`] buffers.
-    pub(crate) fn recycle(&mut self, outbox: Outbox<P::Msg>) {
-        debug_assert!(outbox.is_empty(), "sinks drain every outbox");
-        if self.pool.len() < OUTBOX_POOL_CAP {
-            self.pool.push(outbox);
-        }
     }
 }
 

@@ -18,9 +18,10 @@
 //! to reordering weaker than SC for the invariants checked.
 //!
 //! The models for [`crate::WorkQueue`] chunk claiming, the routing
-//! layer's `VisitedSet` generation-stamp wraparound, and the
-//! epoch-versioned `Arc` copy-on-write snapshot swap live in this
-//! crate's `interleavings` integration tests.
+//! layer's `VisitedSet` generation-stamp wraparound, the
+//! epoch-versioned `Arc` copy-on-write snapshot swap and the
+//! [`crate::Admission`] shutdown protocol live in this crate's
+//! `interleavings` integration tests.
 
 /// A model of a small concurrent program, explored one atomic step at
 /// a time.

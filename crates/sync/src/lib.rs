@@ -31,9 +31,12 @@
 //! * [`knobs`] — the declared registry of every `SP_*` environment
 //!   variable the workspace reads. `sp-analyze` fails CI when a knob
 //!   is read outside this registry or missing from the README.
-//! * [`lock_recover`] / [`wait_timeout_recover`] — the one poison
-//!   recovery for `std` locks whose guarded data stays valid at every
-//!   step, so a panicked worker cannot wedge the others.
+//! * [`Admission`] — the admission queue behind `sp_serve`'s worker
+//!   pool: the waiting connections and the drain deadline under one
+//!   lock, so admitting, popping and closing for shutdown cannot race.
+//! * [`lock_recover`] — the one poison recovery for `std` locks whose
+//!   guarded data stays valid at every step, so a panicked worker
+//!   cannot wedge the others.
 //! * [`check`] — a vendored mini-loom: a deterministic, exhaustive
 //!   interleaving explorer that model-checks the claim/merge protocol
 //!   (and the other lock-free idioms the routing stack relies on)
@@ -42,6 +45,7 @@
 //! The crate is intentionally dependency-free and `std`-only, like the
 //! rest of the workspace.
 
+mod admission;
 pub mod check;
 mod epoch;
 mod histogram;
@@ -49,6 +53,7 @@ pub mod knobs;
 mod queue;
 mod recover;
 
+pub use admission::Admission;
 pub use epoch::{EpochCell, Pinned};
 pub use histogram::LatencyHistogram;
 pub use knobs::{
@@ -56,4 +61,4 @@ pub use knobs::{
     PARALLEL_NODE_THRESHOLD,
 };
 pub use queue::WorkQueue;
-pub use recover::{lock_recover, wait_timeout_recover};
+pub use recover::lock_recover;

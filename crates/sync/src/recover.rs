@@ -3,27 +3,14 @@
 //! A thread that panics while holding a `Mutex` poisons it, and every
 //! later `lock()` returns `Err`. Where each update leaves the guarded
 //! data valid at every step (queues, plain counters), a panicked worker
-//! must not wedge the others: these helpers take the guard back out of
+//! must not wedge the others: this helper takes the guard back out of
 //! the poison error instead.
 
-use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::Duration;
+use std::sync::{Mutex, MutexGuard};
 
 /// Locks `m`, recovering the guard from a poisoned lock.
 pub fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// [`Condvar::wait_timeout`] with the same poison recovery.
-pub fn wait_timeout_recover<'a, T>(
-    cv: &Condvar,
-    guard: MutexGuard<'a, T>,
-    dur: Duration,
-) -> MutexGuard<'a, T> {
-    match cv.wait_timeout(guard, dur) {
-        Ok((guard, _)) => guard,
-        Err(poisoned) => poisoned.into_inner().0,
-    }
 }
 
 #[cfg(test)]
@@ -39,8 +26,6 @@ mod tests {
         });
         assert!(m.is_poisoned());
         *lock_recover(&m) += 1;
-        let cv = Condvar::new();
-        let guard = wait_timeout_recover(&cv, lock_recover(&m), Duration::from_millis(1));
-        assert_eq!(*guard, 2);
+        assert_eq!(*lock_recover(&m), 2);
     }
 }

@@ -1,4 +1,4 @@
-//! Exhaustive interleaving checks for the workspace's five concurrency
+//! Exhaustive interleaving checks for the workspace's six concurrency
 //! protocols, driven by the [`sp_sync::check`] mini-loom.
 //!
 //! Each model mirrors one real protocol at the granularity of its
@@ -22,6 +22,10 @@
 //!    `RoutingService::apply_moves`: each updater loads the current
 //!    value, derives the next from it and publishes, all under the
 //!    writer lock, so neither update is lost.
+//! 6. [`AdmissionClose`] — [`sp_sync::Admission`] behind `sp_serve`'s
+//!    worker pool: an acceptor admits a connection while one worker
+//!    closes the queue and acks `SHUTDOWN` and an idle worker pops
+//!    until the queue is closed and empty.
 //!
 //! The explorer walks **every** schedule of 2–3 modeled threads and
 //! checks the invariants at every reachable state, so a pass here is a
@@ -1018,4 +1022,193 @@ fn update_model_catches_an_unserialized_load_derive_publish() {
     let err = explore(&Unserialized(TwoUpdaters::new()))
         .expect_err("an unserialized load-derive-publish must lose an update");
     assert!(err.message.contains("was lost"), "{err}");
+}
+
+// ---------------------------------------------------------------------
+// Model 6: Admission, the server's connection queue and its close.
+// ---------------------------------------------------------------------
+
+/// A race seeded into [`AdmissionClose`], each the shape of a server
+/// that kept its stop flag apart from its queue lock.
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum Race {
+    /// `close` marks the queue closed and notifies without the queue
+    /// lock, so it can land between a waiter's empty check and its
+    /// wait.
+    UnlockedClose,
+    /// The acceptor checks `closed` before it takes the lock to push.
+    UnlockedAcceptCheck,
+    /// The `SHUTDOWN` worker writes its ack before it closes the queue.
+    AckBeforeClose,
+}
+
+/// Acceptor program counter: `Admit` is the whole locked
+/// check-and-push; only [`Race::UnlockedAcceptCheck`] splits off
+/// `Push`.
+#[derive(Clone, Copy, PartialEq)]
+enum AcceptorPc {
+    Admit,
+    Push,
+    Done,
+}
+
+/// Idle-worker program counter. `Pop` takes the lock and pops an item,
+/// leaves on a closed and empty queue, or keeps the lock to `Wait`;
+/// `Wait` releases it and parks in one step, as `Condvar::wait` does.
+#[derive(Clone, Copy, PartialEq)]
+enum PopperPc {
+    Pop,
+    Wait,
+    Done,
+}
+
+/// Thread 0 admits one connection, thread 1 closes the queue and then
+/// acks `SHUTDOWN` (the real worker leaves its stint afterwards), and
+/// thread 2 pops until the queue is closed and empty. The modeled wait
+/// has no timeout, so a lost wakeup is a deadlock. Invariants: an ack
+/// implies a closed queue, and no admitted connection is still queued
+/// once both workers have left.
+#[derive(Clone)]
+struct AdmissionClose {
+    race: Option<Race>,
+    /// Held by the idle worker between its empty check and its wait;
+    /// every other locked step is a single atomic action.
+    locked: bool,
+    queued: u32,
+    closed: bool,
+    acked: bool,
+    parked: bool,
+    acceptor: AcceptorPc,
+    /// Steps the `SHUTDOWN` worker took: close and ack, in its order.
+    closer: u8,
+    popper: PopperPc,
+}
+
+impl AdmissionClose {
+    fn new(race: Option<Race>) -> AdmissionClose {
+        AdmissionClose {
+            race,
+            locked: false,
+            queued: 0,
+            closed: false,
+            acked: false,
+            parked: false,
+            acceptor: AcceptorPc::Admit,
+            closer: 0,
+            popper: PopperPc::Pop,
+        }
+    }
+
+    /// Whether the `SHUTDOWN` worker's next step is its close.
+    fn closer_closes_next(&self) -> bool {
+        let ack_first = self.race == Some(Race::AckBeforeClose);
+        (self.closer == 0) != ack_first
+    }
+
+    fn push(&mut self) {
+        self.queued += 1;
+        self.parked = false;
+        self.acceptor = AcceptorPc::Done;
+    }
+}
+
+impl Interleave for AdmissionClose {
+    fn runnable(&self) -> Vec<usize> {
+        let mut r = Vec::new();
+        let acceptor_free = match self.acceptor {
+            AcceptorPc::Admit => self.race == Some(Race::UnlockedAcceptCheck) || !self.locked,
+            AcceptorPc::Push => !self.locked,
+            AcceptorPc::Done => false,
+        };
+        if acceptor_free {
+            r.push(0);
+        }
+        if self.closer < 2
+            && !(self.closer_closes_next() && self.locked && self.race != Some(Race::UnlockedClose))
+        {
+            r.push(1);
+        }
+        let popper_free = match self.popper {
+            PopperPc::Pop => !self.locked && !self.parked,
+            PopperPc::Wait => true,
+            PopperPc::Done => false,
+        };
+        if popper_free {
+            r.push(2);
+        }
+        r
+    }
+
+    fn step(&mut self, tid: usize) {
+        match tid {
+            0 => match self.acceptor {
+                AcceptorPc::Admit if self.closed => self.acceptor = AcceptorPc::Done,
+                AcceptorPc::Admit if self.race == Some(Race::UnlockedAcceptCheck) => {
+                    self.acceptor = AcceptorPc::Push;
+                }
+                AcceptorPc::Admit | AcceptorPc::Push => self.push(),
+                AcceptorPc::Done => unreachable!("a done acceptor is not runnable"),
+            },
+            1 => {
+                if self.closer_closes_next() {
+                    self.closed = true;
+                    self.parked = false;
+                } else {
+                    self.acked = true;
+                }
+                self.closer += 1;
+            }
+            _ => match self.popper {
+                PopperPc::Pop if self.queued > 0 => self.queued -= 1,
+                PopperPc::Pop if self.closed => self.popper = PopperPc::Done,
+                PopperPc::Pop => {
+                    self.locked = true;
+                    self.popper = PopperPc::Wait;
+                }
+                PopperPc::Wait => {
+                    self.locked = false;
+                    self.parked = true;
+                    self.popper = PopperPc::Pop;
+                }
+                PopperPc::Done => unreachable!("a done worker is not runnable"),
+            },
+        }
+    }
+
+    fn done(&self) -> bool {
+        self.acceptor == AcceptorPc::Done && self.closer == 2 && self.popper == PopperPc::Done
+    }
+
+    fn invariants(&self) -> Result<(), String> {
+        if self.acked && !self.closed {
+            return Err("SHUTDOWN acked before the queue closed".to_owned());
+        }
+        if self.closer == 2 && self.popper == PopperPc::Done && self.queued > 0 {
+            return Err(format!(
+                "{} admitted connection(s) stranded after every worker left",
+                self.queued
+            ));
+        }
+        Ok(())
+    }
+}
+
+#[test]
+fn admission_close_strands_nothing_and_acks_only_when_closed() {
+    let report = explore(&AdmissionClose::new(None)).unwrap_or_else(|v| panic!("{v}"));
+    assert_explored("admission close", report);
+}
+
+#[test]
+fn admission_model_catches_each_race_a_split_stop_flag_allows() {
+    for (race, named) in [
+        (Race::UnlockedClose, "deadlock"),
+        (Race::UnlockedAcceptCheck, "stranded"),
+        (Race::AckBeforeClose, "acked before"),
+    ] {
+        let err = explore(&AdmissionClose::new(Some(race)))
+            .expect_err("every seeded race must fail the model");
+        assert!(err.message.contains(named), "{race:?}: {err}");
+        eprintln!("{race:?}: {err}");
+    }
 }
